@@ -77,6 +77,8 @@ def parse_int_list(text: str, what: str):
             raise CliError(f"{what} must be a comma-separated integer list: {text!r}")
     if not out:
         raise CliError(f"empty {what} list")
+    if min(out) < 1:
+        raise CliError(f"every {what} must be positive: {text!r}")
     return out
 
 
@@ -113,6 +115,13 @@ def build_params(args, defaults=None) -> Params:
         raise CliError(str(exc))
 
 
+def require_nonnegative(args, *names):
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise CliError(f"--{name} must be nonnegative, got {value}")
+
+
 def seed_element(params: Params, literal: str):
     idx, pt = parse_vector_literal(literal)
     return basis_element(params, idx, pt)
@@ -140,6 +149,7 @@ def cmd_brackets(args):
 
 
 def cmd_witt(args):
+    require_nonnegative(args, "trials", "jacobi")
     return witt_consistency_report(
         rng_seed=args.rng, bracket_trials=args.trials, jacobi_trials=args.jacobi
     )
@@ -153,6 +163,7 @@ def cmd_generate(args):
 
 
 def cmd_irreducible(args):
+    require_nonnegative(args, "trials")
     params = build_params(args)
     window = parse_window_arg(args.window)
     seeds = [seed_element(params, args.seed)] if args.seed else None
@@ -171,6 +182,7 @@ def cmd_degenerate(args):
 
 
 def cmd_derham(args):
+    require_nonnegative(args, "box", "uv")
     return derham_report(n=args.n, box_bound=args.box, uv_bound=args.uv)
 
 
@@ -179,10 +191,7 @@ def cmd_proof_identities(args):
 
 
 def cmd_factorization(args):
-    svals = parse_int_list(args.s, "s")
-    if any(s < 1 for s in svals):
-        raise CliError("truncation lengths must be positive")
-    return recursion_factorization_oracle(svals)
+    return recursion_factorization_oracle(parse_int_list(args.s, "s"))
 
 
 def cmd_gt(args):
@@ -194,8 +203,6 @@ def cmd_gt(args):
         params = build_params(args)
         window = parse_window_arg(args.central_window)
         for k in parse_int_list(args.k, "k"):
-            if k < 1:
-                raise CliError("central word lengths must be positive")
             subreports.append(gt_central_check(params, window, 3, k))
         subreports.append(
             gt_central_check(params, window, 2, 2, controls=((1, 3),))
@@ -308,13 +315,14 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         doc = args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit(doc, getattr(args, "out", None))
+    try:
+        emit(doc, getattr(args, "out", None))
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return exit_code_for(doc["verdict"])
 
 

@@ -204,7 +204,7 @@ DEFAULT_WORD_NAMES = (
 DEFAULT_WORDS = tuple(parse_word(w) for w in DEFAULT_WORD_NAMES)
 
 
-def closure(params: Params, seeds, words, window: Window, max_rounds=None):
+def closure(params: Params, seeds, words, window: Window):
     """Deterministic window-truncated closure of the span of the seeds.
 
     Seeds are decomposed per lattice point before insertion: the diagonal
@@ -235,7 +235,7 @@ def closure(params: Params, seeds, words, window: Window, max_rounds=None):
                 queue.append((pt, ins))
     rounds = 0
     processed = 0
-    while queue and (max_rounds is None or rounds < max_rounds):
+    while queue:
         rounds += 1
         batch = list(queue)
         queue.clear()
@@ -452,37 +452,25 @@ def check_irreducible(
 
 
 def nullspace(rows, ncols: int) -> list:
-    """Exact nullspace basis of a dense matrix given as a list of rows."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    rpos = 0
-    for col in range(ncols):
-        sel = None
-        for rr in range(rpos, len(mat)):
-            if not coeff_is_zero(mat[rr][col]):
-                sel = rr
-                break
-        if sel is None:
-            continue
-        mat[rpos], mat[sel] = mat[sel], mat[rpos]
-        pv = mat[rpos][col]
-        mat[rpos] = [v / pv for v in mat[rpos]]
-        for rr in range(len(mat)):
-            if rr != rpos and not coeff_is_zero(mat[rr][col]):
-                f = mat[rr][col]
-                mat[rr] = [a - f * b for a, b in zip(mat[rr], mat[rpos])]
-        pivots.append(col)
-        rpos += 1
-        if rpos == len(mat):
-            break
-    free = [cc for cc in range(ncols) if cc not in pivots]
+    """Exact nullspace basis of a dense matrix given as a list of rows.
+
+    The rows are reduced in one ``SubspaceBasis``; each free column of the
+    resulting reduced echelon form gives one kernel vector.
+    """
+    sb = SubspaceBasis()
+    for r in rows:
+        sb.insert(None, dict(enumerate(r)))
+    echelon = sb.by_point.get(None, [])
+    pivots = {p for p, _ in echelon}
     out = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            v = mat[prow][fc]
-            vec[pcol] = -v if not coeff_is_zero(v) else Fraction(0)
+        for p, row in echelon:
+            if fc in row:
+                vec[p] = -row[fc]
         out.append(vec)
     return out
 

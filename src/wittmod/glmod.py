@@ -201,10 +201,6 @@ class CuspidalGl2:
         return idx
 
 
-def act_gl(module, i: int, j: int, v: GlVector) -> GlVector:
-    return module.act(i, j, v)
-
-
 def exterior_power(n: int, k: int) -> FinDimGlModule:
     """Wedge power of the defining gl_n representation.
 

@@ -8,7 +8,9 @@ Three layers:
 * ``ParamPolynomial`` - sparse multivariate polynomials over Rational in
   the six parameter symbols ``l, b, c, a1, a2, iota``, with a fixed
   graded-lexicographic monomial order (symbol order l < b < c < a1 < a2
-  < iota; iota is the largest symbol).
+  < iota; iota is the largest symbol).  Exact division and gcd are done
+  in sympy's sparse polynomial ring over QQ, built with the same order on
+  first use; sympy also supplies factorization.
 * ``Scalar`` - the fraction field in canonically normalized form:
   numerator and denominator coprime, denominator with leading
   coefficient 1.  Equality of Scalars is plain structural equality.
@@ -22,7 +24,8 @@ type.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from functools import lru_cache
+from typing import Mapping, Optional, Union
 
 Rational = Fraction
 
@@ -85,9 +88,6 @@ class ParamPolynomial:
     def degree_in(self, name: str) -> int:
         k = _SYM_INDEX[name]
         return max((exp[k] for exp in self.terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(exp) for exp in self.terms), default=0)
 
     def symbols_used(self) -> set:
         used = set()
@@ -209,128 +209,46 @@ _POLY_ONE = ParamPolynomial.const(1)
 # -- exact division and gcd -------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _ring():
+    # built on first use so that importing the package does not load sympy;
+    # generators run from the largest symbol down, so grlex on the ring is
+    # the order above and leading terms agree
+    from sympy import QQ
+    from sympy.polys.orderings import grlex
+    from sympy.polys.rings import ring
+
+    return ring(",".join(reversed(SYMBOLS)), QQ, grlex)[0]
+
+
+def _to_ring(p: ParamPolynomial):
+    # terms are nonzero already, so the ring's dtype takes them unchecked
+    R = _ring()
+    mpq = R.domain.dtype
+    return R.dtype({e[::-1]: mpq(q.numerator, q.denominator) for e, q in p.terms.items()})
+
+
+def _from_ring(f) -> ParamPolynomial:
+    res = ParamPolynomial.__new__(ParamPolynomial)
+    res.terms = {
+        m[::-1]: Fraction(int(q.numerator), int(q.denominator)) for m, q in f.items()
+    }
+    return res
+
+
 def poly_exact_div(a: ParamPolynomial, b: ParamPolynomial) -> ParamPolynomial:
     """Exact multivariate division; raises ValueError if b does not divide a."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return ParamPolynomial()
-    if b.is_const():
-        return a.scale(1 / b.const_value())
-    q = {}
-    rem = a
-    lm_b = b.leading_monomial()
-    lc_b = b.terms[lm_b]
-    while not rem.is_zero():
-        lm_r = rem.leading_monomial()
-        exp = tuple(x - y for x, y in zip(lm_r, lm_b))
-        if any(e < 0 for e in exp):
-            raise ValueError("inexact polynomial division")
-        coeff = rem.terms[lm_r] / lc_b
-        q[exp] = coeff
-        rem = rem - b * ParamPolynomial({exp: coeff})
-    return ParamPolynomial(q)
-
-
-def _to_univariate(p: ParamPolynomial, var: int) -> dict:
-    # split off one symbol: {exponent in var: ParamPolynomial in the rest}
-    out = {}
-    for exp, coeff in p.terms.items():
-        k = exp[var]
-        rest = exp[:var] + (0,) + exp[var + 1:]
-        bucket = out.setdefault(k, {})
-        bucket[rest] = bucket.get(rest, 0) + coeff
-    return {k: ParamPolynomial(v) for k, v in out.items() if ParamPolynomial(v).terms}
-
-
-def _from_univariate(coeffs: dict, var: int) -> ParamPolynomial:
-    out = {}
-    for k, poly in coeffs.items():
-        for exp, coeff in poly.terms.items():
-            full = exp[:var] + (k,) + exp[var + 1:]
-            out[full] = out.get(full, 0) + coeff
-    return ParamPolynomial(out)
-
-
-def _poly_list_gcd(polys: Iterable[ParamPolynomial]) -> ParamPolynomial:
-    g = ParamPolynomial()
-    for p in polys:
-        g = poly_gcd(g, p)
-        if g.is_const() and not g.is_zero():
-            return _POLY_ONE
-    return g
-
-
-def _monic(p: ParamPolynomial) -> ParamPolynomial:
-    if p.is_zero():
-        return p
-    lc = p.leading_coeff()
-    return p if lc == 1 else p.scale(1 / lc)
+    q, r = _to_ring(a).div(_to_ring(b))
+    if r:
+        raise ValueError("inexact polynomial division")
+    return _from_ring(q)
 
 
 def poly_gcd(a: ParamPolynomial, b: ParamPolynomial) -> ParamPolynomial:
-    """Monic gcd via primitive pseudo-remainder sequences.
-
-    Correctness is certified externally by multiply-back checks in the
-    test suite; the algorithm choice is internal.
-    """
-    if a.is_zero():
-        return _monic(b)
-    if b.is_zero():
-        return _monic(a)
-    if a.is_const() or b.is_const():
-        return _POLY_ONE
-    used = [k for k in range(_NSYM) if any(e[k] for e in a.terms) or any(e[k] for e in b.terms)]
-    var = used[-1]
-    ua = _to_univariate(a, var)
-    ub = _to_univariate(b, var)
-    cont_a = _poly_list_gcd(ua.values())
-    cont_b = _poly_list_gcd(ub.values())
-    cont = poly_gcd(cont_a, cont_b)
-    pa = {k: poly_exact_div(v, cont_a) for k, v in ua.items()}
-    pb = {k: poly_exact_div(v, cont_b) for k, v in ub.items()}
-
-    def deg(u):
-        return max(u) if u else -1
-
-    def prim(u):
-        c = _poly_list_gcd(u.values())
-        return {k: poly_exact_div(v, c) for k, v in u.items()}
-
-    r0, r1 = (pa, pb) if deg(pa) >= deg(pb) else (pb, pa)
-    while r1:
-        r0 = _pseudo_rem(r0, r1, var)
-        if r0:
-            r0 = prim(r0)
-        r0, r1 = r1, r0
-    if deg(r0) == 0:
-        prim_gcd = _POLY_ONE
-    else:
-        prim_gcd = _from_univariate(r0, var)
-    return _monic(cont * prim_gcd)
-
-
-def _pseudo_rem(a: dict, b: dict, var: int) -> dict:
-    # univariate pseudo-remainder with polynomial coefficients; unit factors
-    # of lc(b) accumulate and are stripped by the caller's primitive part.
-    db = max(b)
-    lcb = b[db]
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lcr = r[dr]
-        shift = dr - db
-        new = {}
-        for k, v in r.items():
-            new[k] = v * lcb
-        for k, v in b.items():
-            t = new.get(k + shift, _POLY_ZERO) - v * lcr
-            if t.is_zero():
-                new.pop(k + shift, None)
-            else:
-                new[k + shift] = t
-        r = {k: v for k, v in new.items() if not v.is_zero()}
-    return r
+    """Monic gcd; zero only when both arguments are zero."""
+    return _from_ring(_to_ring(a).gcd(_to_ring(b)).monic())
 
 
 # -- the fraction field ------------------------------------------------
@@ -342,10 +260,9 @@ def _canon(num: ParamPolynomial, den: ParamPolynomial):
     if num.is_zero():
         return _POLY_ZERO, _POLY_ONE
     if not den.is_const():
-        g = poly_gcd(num, den)
-        if not (g.is_const() and g.const_value() == 1):
-            num = poly_exact_div(num, g)
-            den = poly_exact_div(den, g)
+        g, n, d = _to_ring(num).cofactors(_to_ring(den))
+        if not g.is_one:
+            num, den = _from_ring(n), _from_ring(d)
     lc = den.leading_coeff()
     if lc != 1:
         num = num.scale(1 / lc)
@@ -527,22 +444,6 @@ ZERO = Scalar.zero()
 ONE = Scalar.one()
 
 
-def scalar_add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def scalar_mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
-
-
-def scalar_inv(x: Scalar) -> Scalar:
-    return x.inv()
-
-
-def evaluate(x: Scalar, assignment: Mapping[str, Fraction]) -> Fraction:
-    return x.evaluate(assignment)
-
-
 # -- iota-linear factorization -----------------------------------------
 
 
@@ -566,32 +467,6 @@ class IotaFactorization:
         return p
 
 
-def _poly_to_sympy(p: ParamPolynomial):
-    import sympy
-
-    syms = sympy.symbols(" ".join(SYMBOLS))
-    expr = sympy.Integer(0)
-    for exp, coeff in p.terms.items():
-        term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for k, e in enumerate(exp):
-            if e:
-                term *= syms[k] ** e
-        expr += term
-    return expr, syms
-
-
-def _sympy_to_poly(expr) -> ParamPolynomial:
-    import sympy
-
-    syms = sympy.symbols(" ".join(SYMBOLS))
-    poly = sympy.Poly(sympy.expand(expr), *syms)
-    out = {}
-    for exp, coeff in poly.terms():
-        q = sympy.Rational(coeff)
-        out[tuple(int(e) for e in exp)] = Fraction(int(q.p), int(q.q))
-    return ParamPolynomial(out)
-
-
 def factor_linear_in_iota(x: Scalar) -> Optional[IotaFactorization]:
     """Split a polynomial scalar into iota-linear factors, or None.
 
@@ -609,20 +484,19 @@ def factor_linear_in_iota(x: Scalar) -> Optional[IotaFactorization]:
     if x.num.degree_in("iota") == 0:
         return IotaFactorization(x, ())
 
-    expr, syms = _poly_to_sympy(x.num)
-    iota_sym = syms[_SYM_INDEX["iota"]]
-    _, factor_list = sympy.factor_list(expr)
+    R = _ring()
+    iota = R.gens[0]
+    _, factor_list = sympy.factor_list(_to_ring(x.num).as_expr())
     factors = []
     for fexpr, mult in factor_list:
-        d = sympy.degree(fexpr, iota_sym)
+        f = R.from_expr(fexpr)
+        d = f.degree(iota)
         if d == 0:
             continue
         if d > 1:
             return None
-        a_part = _sympy_to_poly(sympy.expand(sympy.diff(fexpr, iota_sym)))
-        b_part = _sympy_to_poly(sympy.expand(fexpr - sympy.diff(fexpr, iota_sym) * iota_sym))
-        if a_part.degree_in("iota") or b_part.degree_in("iota"):
-            return None
+        a_part = _from_ring(f.coeff_wrt(iota, 1))
+        b_part = _from_ring(f.coeff_wrt(iota, 0))
         # root of the factor in iota is -b_part/a_part; present (zeta, sign)
         # so that zeta has a positive leading coefficient
         rho = Scalar(b_part, a_part) * Scalar.from_rational(-1)
@@ -658,13 +532,12 @@ def factor_polynomial(x: Scalar):
         return ZERO, ()
     if x.num.is_const():
         return x, ()
-    expr, _ = _poly_to_sympy(x.num)
-    const, factor_list_ = sympy.factor_list(expr)
+    const, factor_list_ = sympy.factor_list(_to_ring(x.num).as_expr())
     q = sympy.Rational(const)
     unit_val = Fraction(int(q.p), int(q.q))
     factors = []
     for fexpr, mult in factor_list_:
-        fpoly = _sympy_to_poly(fexpr)
+        fpoly = _from_ring(_ring().from_expr(fexpr))
         if fpoly.is_const():
             unit_val *= fpoly.const_value() ** mult
             continue

@@ -2,11 +2,16 @@
 
 Each criterion is a single test that prints its own PASS/FAIL line (run
 pytest with -s to see them inline) and asserts the stated tolerance.
-Criterion 11 replays every producer and demands byte-identical reports.
+Criterion 11 replays every producer and demands byte-identical reports;
+the last test compares each report with a SHA-256 digest recorded in
+``report_digests.json``, so a report cannot drift between commits either.
 """
 
+import hashlib
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from wittmod.engine import (
     Window,
@@ -218,3 +223,15 @@ def test_criterion_11_determinism():
             ok = False
             print(f"  nondeterministic report: {name}")
     report_line(11, ok, "all ten certificates reproduce byte for byte")
+
+
+def test_reports_match_recorded_digests():
+    recorded = json.loads(Path(__file__).with_name("report_digests.json").read_text())
+    assert set(recorded) == set(PRODUCERS)
+    changed = [
+        name
+        for name in PRODUCERS
+        if hashlib.sha256(canonical_json(produce(name)).encode()).hexdigest()
+        != recorded[name]
+    ]
+    assert not changed, f"reports differ from their recorded digests: {changed}"

@@ -187,6 +187,24 @@ def test_symbolic_mode_rejects_config(capsys, tmp_path):
     assert rc == 2 and "numeric mode only" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-generic", "--out", "{missing}/x.json"),
+        ("witt", "--trials", "-5"),
+        ("witt", "--jacobi", "-1"),
+        ("derham", "--box", "-1", "--uv", "-1"),
+        ("irreducible", "--trials", "-1"),
+        ("proof-identities", "--s", "-1"),
+    ],
+)
+def test_bad_input_and_io_exit_2_with_one_line(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     assert main(["no-such-check"]) == 2

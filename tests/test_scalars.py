@@ -24,6 +24,7 @@ from wittmod.scalars import (
     factor_polynomial,
     parse_rational,
     parse_scalar,
+    poly_exact_div,
     poly_gcd,
     scalar_to_text,
 )
@@ -93,6 +94,29 @@ def test_gcd_cancellation_in_constructor():
     x = Scalar(num.num, den.num)
     assert x.num == (A1 - B).num
     assert x.den == (A2 + B).num
+
+
+def test_gcd_is_monic():
+    # the gcd with zero is the other argument made monic, not 2*c
+    assert poly_gcd(ZERO.num, (-2 * C).num) == C.num
+    assert poly_gcd(ZERO.num, ZERO.num) == ZERO.num
+    assert poly_gcd(Scalar.from_rational(6).num, Scalar.from_rational(4).num) == ONE.num
+
+
+def test_gcd_of_iota_linear_factor():
+    f = IOTA * C + B
+    g = poly_gcd(f.num, (f * (C - IOTA)).num)
+    assert g == f.num
+    assert scalar_to_text(Scalar(g)) == "c*iota + b"
+
+
+def test_exact_division_contract():
+    f = (C + L) * (A1 - B)
+    assert poly_exact_div(f.num, (C + L).num) == (A1 - B).num
+    with pytest.raises(ValueError):
+        poly_exact_div(f.num, (C + B).num)
+    with pytest.raises(ZeroDivisionError):
+        poly_exact_div(f.num, ZERO.num)
 
 
 # -- evaluation ----------------------------------------------------------
