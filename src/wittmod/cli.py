@@ -115,13 +115,6 @@ def build_params(args, defaults=None) -> Params:
         raise CliError(str(exc))
 
 
-def require_nonnegative(args, *names):
-    for name in names:
-        value = getattr(args, name)
-        if value < 0:
-            raise CliError(f"--{name} must be nonnegative, got {value}")
-
-
 def seed_element(params: Params, literal: str):
     idx, pt = parse_vector_literal(literal)
     return basis_element(params, idx, pt)
@@ -149,7 +142,6 @@ def cmd_brackets(args):
 
 
 def cmd_witt(args):
-    require_nonnegative(args, "trials", "jacobi")
     return witt_consistency_report(
         rng_seed=args.rng, bracket_trials=args.trials, jacobi_trials=args.jacobi
     )
@@ -163,7 +155,6 @@ def cmd_generate(args):
 
 
 def cmd_irreducible(args):
-    require_nonnegative(args, "trials")
     params = build_params(args)
     window = parse_window_arg(args.window)
     seeds = [seed_element(params, args.seed)] if args.seed else None
@@ -182,7 +173,6 @@ def cmd_degenerate(args):
 
 
 def cmd_derham(args):
-    require_nonnegative(args, "box", "uv")
     return derham_report(n=args.n, box_bound=args.box, uv_bound=args.uv)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from functools import partial
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
@@ -42,9 +43,12 @@ from .sl3 import (
     basis_element,
     check_generic,
     condition_value,
+    lowering_operator,
     parse_word,
+    raising_operator,
     verify_embedding,
     verify_sl3_brackets,
+    word_shift,
 )
 from .tensor import (
     ModuleElement,
@@ -53,6 +57,7 @@ from .tensor import (
     de_rham_differential,
     element_to_json,
     jacobi_residual,
+    verify_d_intertwines,
     witt_bracket_residual,
 )
 
@@ -210,12 +215,15 @@ def closure(params: Params, seeds, words, window: Window):
     Seeds are decomposed per lattice point before insertion: the diagonal
     generators separate lattice points (their eigenvalues differ by
     nonzero integers across points), so a submodule containing an element
-    contains each of its per-point components.  Images landing outside
-    the outer lattice box are discarded and indices beyond the index
+    contains each of its per-point components.  Every generator moves a
+    lattice point by a fixed shift, so a one-point row has its image at
+    the single point given by ``word_shift``.  Images landing outside the
+    outer lattice box are not computed and indices beyond the index
     range are dropped; the margin keeps such edge effects away from any
     inner-window conclusion.
     """
     alpha = params.alpha()
+    shifts = [word_shift(letters) for letters in words]
     basis = SubspaceBasis()
     queue = deque()
     for x in seeds:
@@ -242,23 +250,17 @@ def closure(params: Params, seeds, words, window: Window):
         for pt, row in batch:
             processed += 1
             x = ModuleElement(alpha, {(i, pt): cf for i, cf in row.items()})
-            for letters in words:
-                y = act_word(params, letters, x)
-                if y.is_zero():
+            for letters, (d1, d2) in zip(words, shifts):
+                tpt = (pt[0] + d1, pt[1] + d2)
+                if not window.contains_point(tpt):
                     continue
-                for tpt in sorted(y.support_points()):
-                    if not window.contains_point(tpt):
-                        continue
-                    trow = {
-                        i: cf
-                        for (i, p), cf in y.terms.items()
-                        if p == tpt and window.contains_index(i)
-                    }
-                    if not trow:
-                        continue
-                    ins = basis.insert(tpt, trow)
-                    if ins is not None:
-                        queue.append((tpt, ins))
+                y = act_word(params, letters, x)
+                trow = {i: cf for (i, _), cf in y.terms.items() if window.contains_index(i)}
+                if not trow:
+                    continue
+                ins = basis.insert(tpt, trow)
+                if ins is not None:
+                    queue.append((tpt, ins))
     stats = {
         "rounds": rounds,
         "rows_processed": processed,
@@ -280,6 +282,12 @@ def _report(check: str, params: Params, window: Optional[Window], verdict: str, 
     return doc
 
 
+def _require_nonnegative(**counts):
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def _missed_targets(basis: SubspaceBasis, targets) -> list:
     out = []
     for idx, pt in targets:
@@ -290,6 +298,27 @@ def _missed_targets(basis: SubspaceBasis, targets) -> list:
 
 def _basis_json(pairs, limit=10) -> list:
     return [{"index": idx, "r": list(pt)} for idx, pt in pairs[:limit]]
+
+
+def _genericity_gate(check: str, params: Params, window: Window, names=None):
+    """(refusal report or None, genericity report) for a gated check.
+
+    Refuses symbolic parameters and any violated condition in ``names``
+    (all ten when None).
+    """
+    if not params.is_numeric():
+        return _report(
+            check, params, window, "refused",
+            {"reason": "symbolic parameters: genericity is undecidable"},
+        ), None
+    greport = check_generic(params)
+    viol = greport.first_violation(names)
+    if viol is not None:
+        return _report(
+            check, params, window, "refused",
+            {"reason": f"genericity condition {viol} fails", "generic": greport.to_json()},
+        ), greport
+    return None, greport
 
 
 GENERATION_STAGES = (
@@ -309,18 +338,9 @@ def check_generation(params: Params, window: Window, seed=None) -> dict:
     analysis; without them the span arguments are not valid and the check
     refuses.
     """
-    if not params.is_numeric():
-        return _report(
-            "generate", params, window, "refused",
-            {"reason": "symbolic parameters: genericity is undecidable"},
-        )
-    greport = check_generic(params)
-    viol = greport.first_violation(SPANNING_CONDITIONS)
-    if viol is not None:
-        return _report(
-            "generate", params, window, "refused",
-            {"reason": f"genericity condition {viol} fails", "generic": greport.to_json()},
-        )
+    refusal, greport = _genericity_gate("generate", params, window, SPANNING_CONDITIONS)
+    if refusal is not None:
+        return refusal
     if seed is None:
         seed = basis_element(params, 0, (0, 0))
     if len(seed.terms) != 1:
@@ -397,18 +417,10 @@ def check_irreducible(
     when no box is given), plus deterministic pseudo-random two- and
     three-term elements.  Gated on all ten non-integrality conditions.
     """
-    if not params.is_numeric():
-        return _report(
-            "irreducible", params, window, "refused",
-            {"reason": "symbolic parameters: genericity is undecidable"},
-        )
-    greport = check_generic(params)
-    viol = greport.first_violation()
-    if viol is not None:
-        return _report(
-            "irreducible", params, window, "refused",
-            {"reason": f"genericity condition {viol} fails", "generic": greport.to_json()},
-        )
+    _require_nonnegative(random_counts=min(random_counts))
+    refusal, greport = _genericity_gate("irreducible", params, window)
+    if refusal is not None:
+        return refusal
     alpha = params.alpha()
     if seeds is None:
         if seed_box is None:
@@ -418,6 +430,11 @@ def check_irreducible(
         seeds = [basis_element(params, idx, pt) for idx, pt in box_basis]
         rnd = random.Random(rng_seed)
         for count, nterms in zip(random_counts, (2, 3)):
+            if count and nterms > len(box_basis):
+                raise ValueError(
+                    f"seed box has {len(box_basis)} basis vectors, too few for "
+                    f"{nterms}-term random seeds"
+                )
             for _ in range(count):
                 seeds.append(random_in_box(rnd, box_basis, nterms, alpha))
     targets = window.basis(inner=True)
@@ -579,8 +596,6 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     in either reference is flagged rather than hidden.
     """
     params = Params.symbolic(with_iota_index=True)
-    word_a = parse_word("E13*E32")
-    word_b = parse_word("E23*E31")
     origin = (0, 0)
     results = []
     flags = []
@@ -588,16 +603,8 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
         s = int(s)
         if s < 1:
             raise ValueError("truncation length must be a positive integer")
-        mult_a = params.a2 - params.b + params.lam + s
-
-        def t_a(x):
-            return act_word(params, word_a, x) + act_gen(params, 1, 2, x).scale(mult_a)
-
-        mult_b = params.a1 - params.b - params.lam
-
-        def t_b(x):
-            return act_word(params, word_b, x) + act_gen(params, 2, 1, x).scale(mult_b)
-
+        t_a = partial(raising_operator, params, s)
+        t_b = partial(lowering_operator, params)
         vj = {j: basis_element(params, j, origin) for j in range(-1, s + 2)}
         c1a = {j: t_a(vj[j]).coefficient(j, (1, -1)) for j in range(s + 1)}
         c2a = {j: t_a(vj[j - 1]).coefficient(j, (1, -1)) for j in range(1, s + 1)}
@@ -711,19 +718,8 @@ def gt_obstruction(params: Params, window: Window) -> dict:
             {"reason": "numeric parameters required for the window scan"},
         )
     sym = Params.symbolic(with_iota_index=True)
-    cond_scalars = {
-        name: condition_value(
-            name,
-            {
-                "l": Scalar.sym("l"),
-                "b": Scalar.sym("b"),
-                "c": Scalar.sym("c"),
-                "a1": Scalar.sym("a1"),
-                "a2": Scalar.sym("a2"),
-            },
-        )
-        for name in CONDITION_NAMES
-    }
+    sym_values = Params.symbolic().values()
+    cond_scalars = {name: condition_value(name, sym_values) for name in CONDITION_NAMES}
     ops = []
     all_ok = True
     for word_text, direction in GT_OBSTRUCTION_OPS:
@@ -906,6 +902,10 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
 
 # -- whole-algebra consistency runners ------------------------------------
 
+# twist (alpha_1, alpha_2, alpha_3) of the rank-n runners; rank n uses the
+# first n entries
+TWIST = (Fraction(1, 17), Fraction(1, 19), Fraction(1, 23))
+
 
 def generic_report(params: Params) -> dict:
     g = check_generic(params)
@@ -940,18 +940,16 @@ def proof_report(s_values: Sequence[int]) -> dict:
     )
 
 
-def bracket_report(params: Params, window: Window, embedding: bool = True) -> dict:
+def bracket_report(params: Params, window: Window) -> dict:
     points = window.points()
     indices = window.indices()
-    sl3_res = verify_sl3_brackets(params, points, indices)
-    body = {"sl3": {k: v for k, v in sl3_res.items() if k != "failures"}}
-    body["sl3"]["failures"] = sl3_res["failures"][:5]
-    ok = sl3_res["ok"]
-    if embedding:
-        emb = verify_embedding(params, points, indices)
-        body["embedding"] = {k: v for k, v in emb.items() if k != "failures"}
-        body["embedding"]["failures"] = emb["failures"][:5]
-        ok = ok and emb["ok"]
+    body = {}
+    ok = True
+    for name, verify in (("sl3", verify_sl3_brackets), ("embedding", verify_embedding)):
+        res = verify(params, points, indices)
+        body[name] = {k: v for k, v in res.items() if k != "failures"}
+        body[name]["failures"] = res["failures"][:5]
+        ok = ok and res["ok"]
     return _report("brackets", params, window, "pass" if ok else "fail", body)
 
 
@@ -962,8 +960,12 @@ def witt_consistency_report(
 
     Runs over the cuspidal rank-two input and over wedge-power inputs in
     ranks two and three; directions and shifts have entries in [-2, 2].
-    The underlying gl bracket laws are checked exhaustively first.
+    The underlying gl bracket laws are checked exhaustively first.  At
+    least one bracket or Jacobi trial is required.
     """
+    _require_nonnegative(bracket_trials=bracket_trials, jacobi_trials=jacobi_trials)
+    if bracket_trials == 0 and jacobi_trials == 0:
+        raise ValueError("witt needs at least one bracket or Jacobi trial")
     rnd = random.Random(rng_seed)
     vals = DEFAULT_VALUES
     gl_checks = []
@@ -980,12 +982,7 @@ def witt_consistency_report(
             )
             if 0 < kk:
                 wedge_inputs.append((n, mod))
-    setups = [(2, cusp, (Fraction(1, 17), Fraction(1, 19)))]
-    for n, mod in wedge_inputs:
-        alpha = (Fraction(1, 17), Fraction(1, 19)) if n == 2 else (
-            Fraction(1, 17), Fraction(1, 19), Fraction(1, 23)
-        )
-        setups.append((n, mod, alpha))
+    setups = [(2, cusp, TWIST[:2])] + [(n, mod, TWIST[:n]) for n, mod in wedge_inputs]
 
     def rand_vec(n):
         return tuple(rnd.randint(-2, 2) for _ in range(n))
@@ -1050,12 +1047,10 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
     generator of im(d) maps to a multiple of the image generator at the
     target point.
     """
-    if n == 2:
-        alpha = (Fraction(1, 17), Fraction(1, 19))
-    elif n == 3:
-        alpha = (Fraction(1, 17), Fraction(1, 19), Fraction(1, 23))
-    else:
+    if n not in (2, 3):
         raise ValueError("de Rham runner supports rank 2 or 3")
+    _require_nonnegative(box_bound=box_bound, uv_bound=uv_bound)
+    alpha = TWIST[:n]
     wedges = [exterior_power(n, kk) for kk in range(n + 1)]
     box = [tuple(pt) for pt in iproduct(range(-box_bound, box_bound + 1), repeat=n)]
 
@@ -1082,14 +1077,9 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
     inter_checked = 0
     small_box = [tuple(pt) for pt in iproduct(range(-1, 2), repeat=n)]
     for u, r in pairs:
-        D = WittGenerator(u, r)
-        for m in small_box:
-            x = ModuleElement.basis(alpha, 0, m)
-            lhs = de_rham_differential(act_witt(D, x, wedges[0]), n, 0, wedges[0], wedges[1])
-            rhs = act_witt(D, de_rham_differential(x, n, 0, wedges[0], wedges[1]), wedges[1])
-            inter_checked += 1
-            if not (lhs - rhs).is_zero():
-                inter_failures += 1
+        res = verify_d_intertwines(u, r, alpha, small_box, n, 0, wedges)
+        inter_checked += res["checked"]
+        inter_failures += len(res["failures"])
 
     def image_gen(m):
         return de_rham_differential(

@@ -234,14 +234,15 @@ def exterior_power(n: int, k: int) -> FinDimGlModule:
     return FinDimGlModule(n, dim, action, basis_labels=tuple(basis))
 
 
-def bracket_residual(module, i, j, k, l, v: GlVector) -> GlVector:
-    lhs = module.act(i, j, module.act(k, l, v)) - module.act(k, l, module.act(i, j, v))
-    rhs = GlVector()
+def bracket_residual(act, i, j, k, l, v):
+    """[E_ij, E_kl]v - (delta_jk E_il - delta_li E_kj)v for any action
+    ``act(i, j, v)``; zero iff the gl bracket law holds on v."""
+    res = act(i, j, act(k, l, v)) - act(k, l, act(i, j, v))
     if j == k:
-        rhs = rhs + module.act(i, l, v)
+        res = res - act(i, l, v)
     if l == i:
-        rhs = rhs - module.act(k, j, v)
-    return lhs - rhs
+        res = res + act(k, j, v)
+    return res
 
 
 def verify_gl_brackets(module, window: Optional[Iterable[int]] = None) -> dict:
@@ -260,7 +261,7 @@ def verify_gl_brackets(module, window: Optional[Iterable[int]] = None) -> dict:
     failures = []
     for i, j, k, l in product(range(1, n + 1), repeat=4):
         for idx in indices:
-            res = bracket_residual(module, i, j, k, l, GlVector.basis(idx))
+            res = bracket_residual(module.act, i, j, k, l, GlVector.basis(idx))
             if not res.is_zero():
                 failures.append(
                     {
@@ -300,10 +301,3 @@ def _zero_like(module):
     if module.kind == "cuspidal" and isinstance(module.b, Scalar):
         return Scalar.zero()
     return Fraction(0)
-
-
-def glvector_to_json(module, v: GlVector) -> list:
-    return [
-        {"index": module.label(idx), "coeff": coeff_to_text(coeff)}
-        for idx, coeff in v.sorted_terms()
-    ]

@@ -1,16 +1,14 @@
 """Exact coefficient arithmetic.
 
-Three layers:
+Two layers over ``fractions.Fraction``:
 
-* ``Rational`` - arbitrary-precision rationals (an alias of
-  ``fractions.Fraction``, which already enforces the reduced-form and
-  positive-denominator invariants).
-* ``ParamPolynomial`` - sparse multivariate polynomials over Rational in
+* ``ParamPolynomial`` - sparse multivariate polynomials over Fraction in
   the six parameter symbols ``l, b, c, a1, a2, iota``, with a fixed
   graded-lexicographic monomial order (symbol order l < b < c < a1 < a2
-  < iota; iota is the largest symbol).  Exact division and gcd are done
-  in sympy's sparse polynomial ring over QQ, built with the same order on
-  first use; sympy also supplies factorization.
+  < iota; iota is the largest symbol).  Gcds and the cofactors that
+  reduce a Scalar are computed in sympy's sparse polynomial ring over QQ,
+  built with the same order on first use; sympy also supplies
+  factorization.
 * ``Scalar`` - the fraction field in canonically normalized form:
   numerator and denominator coprime, denominator with leading
   coefficient 1.  Equality of Scalars is plain structural equality.
@@ -25,9 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Union
-
-Rational = Fraction
+from typing import Mapping, Optional
 
 SYMBOLS = ("l", "b", "c", "a1", "a2", "iota")
 _SYM_INDEX = {s: k for k, s in enumerate(SYMBOLS)}
@@ -41,7 +37,7 @@ def _grlex_key(exp: tuple) -> tuple:
 
 
 class ParamPolynomial:
-    """Sparse polynomial in the six parameter symbols over Rational."""
+    """Sparse polynomial in the six parameter symbols over Fraction."""
 
     __slots__ = ("terms",)
 
@@ -206,7 +202,7 @@ _POLY_ZERO = ParamPolynomial()
 _POLY_ONE = ParamPolynomial.const(1)
 
 
-# -- exact division and gcd -------------------------------------------
+# -- gcd in sympy's sparse ring ----------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -234,16 +230,6 @@ def _from_ring(f) -> ParamPolynomial:
         m[::-1]: Fraction(int(q.numerator), int(q.denominator)) for m, q in f.items()
     }
     return res
-
-
-def poly_exact_div(a: ParamPolynomial, b: ParamPolynomial) -> ParamPolynomial:
-    """Exact multivariate division; raises ValueError if b does not divide a."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q, r = _to_ring(a).div(_to_ring(b))
-    if r:
-        raise ValueError("inexact polynomial division")
-    return _from_ring(q)
 
 
 def poly_gcd(a: ParamPolynomial, b: ParamPolynomial) -> ParamPolynomial:
@@ -717,9 +703,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {text!r}: {exc}") from None
-
-
-Coeff = Union[Scalar, Fraction]
 
 
 def coeff_to_text(x) -> str:

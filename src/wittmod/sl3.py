@@ -20,9 +20,10 @@ The identity of the bottom gl2 acts as 2*b.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
-from .glmod import CuspidalGl2
+from .glmod import CuspidalGl2, bracket_residual
 from .scalars import (
     A1,
     A2,
@@ -224,10 +225,6 @@ def parse_word(text: str):
     return tuple(letters)
 
 
-def word_name(letters) -> str:
-    return "*".join(NAME_OF[lt] for lt in letters)
-
-
 def act_word(params: Params, letters, x: ModuleElement) -> ModuleElement:
     """Apply a product of generators; the rightmost letter acts first."""
     y = x
@@ -252,6 +249,32 @@ def word_shift(letters):
     return (s1, s2)
 
 
+RAISING_WORD = parse_word("E13*E32")
+LOWERING_WORD = parse_word("E23*E31")
+
+
+def raising_operator(params: Params, s: int, x: ModuleElement, shift: int = 0) -> ModuleElement:
+    """T_A x = E13*E32 x + (r2p - b + lam + s) E12 x for x at one lattice point.
+
+    T_A raises the lattice point by (1, -1) and, on the span of v_i ..
+    v_{i+s} (base index i through lam), produces nothing at index i+s+1.
+    ``shift`` offsets the multiplier; only the negative controls use it.
+    """
+    ((_, r2),) = x.support_points()
+    mult = (params.a2 + r2) - params.b + params.lam + s + shift
+    return act_word(params, RAISING_WORD, x) + act_gen(params, 1, 2, x).scale(mult)
+
+
+def lowering_operator(params: Params, x: ModuleElement, shift: int = 0) -> ModuleElement:
+    """T_B x = E23*E31 x + (r1p - b - lam) E21 x for x at one lattice point.
+
+    Mirror of ``raising_operator``: produces nothing at index i-1.
+    """
+    ((r1, _),) = x.support_points()
+    mult = (params.a1 + r1) - params.b - params.lam + shift
+    return act_word(params, LOWERING_WORD, x) + act_gen(params, 2, 1, x).scale(mult)
+
+
 def weight_of(params: Params, r) -> tuple:
     """Eigenvalues of (E11, E22, E33) on the lattice point r."""
     r1p = params.a1 + r[0]
@@ -259,24 +282,11 @@ def weight_of(params: Params, r) -> tuple:
     return (r1p, r2p, -(r1p + r2p))
 
 
-def bracket_residual_sl3(params: Params, g1, g2, x: ModuleElement) -> ModuleElement:
-    i, j = g1
-    k, l = g2
-    lhs = act_gen(params, i, j, act_gen(params, k, l, x)) - act_gen(
-        params, k, l, act_gen(params, i, j, x)
-    )
-    rhs = ModuleElement.zero(x.alpha)
-    if j == k:
-        rhs = rhs + act_gen(params, i, l, x)
-    if l == i:
-        rhs = rhs - act_gen(params, k, j, x)
-    return lhs - rhs
-
-
 def verify_sl3_brackets(params: Params, points, indices) -> dict:
     """All 81 generator pairs against the gl3 bracket law on a basis window."""
     from .tensor import element_to_json
 
+    act = partial(act_gen, params)
     pairs = sorted(GEN_NAMES.values())
     failures = []
     checked = 0
@@ -285,7 +295,7 @@ def verify_sl3_brackets(params: Params, points, indices) -> dict:
             for r in points:
                 for idx in indices:
                     x = basis_element(params, idx, r)
-                    res = bracket_residual_sl3(params, g1, g2, x)
+                    res = bracket_residual(act, *g1, *g2, x)
                     checked += 1
                     if not res.is_zero():
                         failures.append(
@@ -418,10 +428,7 @@ def parse_param_line(line: str):
 
 # -- identity suite for the two truncation operators ---------------------
 #
-# T_A = (r2p - b + ii + s) E12 + E13*E32 raises the lattice point by
-# (1, -1) and, on the span of v_i .. v_{i+s}, produces nothing at index
-# i+s+1; mirror-wise T_B = (r1p - b - ii) E21 + E23*E31 produces nothing
-# at index i-1.  Both checks run with a symbolic index (iota) and over a
+# Both truncation checks run with a symbolic index (iota) and over a
 # small grid of integer lattice points; since every compared coefficient
 # is polynomial of low degree in (r1, r2), grid agreement is equivalence.
 
@@ -512,19 +519,11 @@ def proof_identity_report(s_values: Sequence[int], grid_bound: int = 2) -> dict:
 
     def top_coeff_A(s: int, j: int, r, shift: int = 0):
         # coefficient at index s+1 of T_A v_{i+j}(r), base index symbolic
-        mult = (params.a2 + r[1]) - params.b + params.lam + s + shift
-        src = basis_element(params, j, r)
-        y = act_word(params, parse_word("E13*E32"), src) + act_gen(
-            params, 1, 2, src
-        ).scale(mult)
+        y = raising_operator(params, s, basis_element(params, j, r), shift)
         return y.coefficient(s + 1, (r[0] + 1, r[1] - 1))
 
     def bottom_coeff_B(s: int, j: int, r, shift: int = 0):
-        mult = (params.a1 + r[0]) - params.b - params.lam + shift
-        src = basis_element(params, j, r)
-        y = act_word(params, parse_word("E23*E31"), src) + act_gen(
-            params, 2, 1, src
-        ).scale(mult)
+        y = lowering_operator(params, basis_element(params, j, r), shift)
         return y.coefficient(-1, (r[0] - 1, r[1] + 1))
 
     truncations = []

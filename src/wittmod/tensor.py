@@ -143,47 +143,33 @@ def act_witt(D: WittGenerator, x: ModuleElement, module) -> ModuleElement:
     return out
 
 
+def witt_bracket(a: WittGenerator, b: WittGenerator) -> WittGenerator:
+    """[D(u,r), D(v,s)] = D((u|s)v - (v|r)u, r+s)."""
+    us = 0
+    vr = 0
+    for k in range(len(a.u)):
+        us = us + a.u[k] * b.r[k]
+        vr = vr + b.u[k] * a.r[k]
+    w = tuple(us * b.u[k] - vr * a.u[k] for k in range(len(a.u)))
+    return WittGenerator(w, tuple(p + q for p, q in zip(a.r, b.r)))
+
+
 def witt_bracket_residual(u, r, v, s, x: ModuleElement, module) -> ModuleElement:
     """[D(u,r), D(v,s)]x - D((u|s)v - (v|r)u, r+s)x; zero iff the law holds."""
     Du = WittGenerator(u, r)
     Dv = WittGenerator(v, s)
-    us = 0
-    vr = 0
-    for k in range(len(u)):
-        us = us + u[k] * s[k]
-        vr = vr + v[k] * r[k]
-    w = tuple(us * v[k] - vr * u[k] for k in range(len(u)))
-    rs = tuple(a + b for a, b in zip(r, s))
     lhs = act_witt(Du, act_witt(Dv, x, module), module) - act_witt(
         Dv, act_witt(Du, x, module), module
     )
-    return lhs - act_witt(WittGenerator(w, rs), x, module)
-
-
-def witt_bracket_check(u, r, v, s, x: ModuleElement, module) -> dict:
-    res = witt_bracket_residual(u, r, v, s, x, module)
-    return {
-        "ok": res.is_zero(),
-        "residual": element_to_json(res, module) if not res.is_zero() else None,
-    }
+    return lhs - act_witt(witt_bracket(Du, Dv), x, module)
 
 
 def jacobi_residual(gens, x: ModuleElement, module) -> ModuleElement:
     """Cyclic sum of [D1, [D2, D3]] applied to x; zero for a Lie action."""
-
-    def bracket_gen(a: WittGenerator, b: WittGenerator) -> WittGenerator:
-        ab = 0
-        ba = 0
-        for k in range(len(a.u)):
-            ab = ab + a.u[k] * b.r[k]
-            ba = ba + b.u[k] * a.r[k]
-        w = tuple(ab * b.u[k] - ba * a.u[k] for k in range(len(a.u)))
-        return WittGenerator(w, tuple(p + q for p, q in zip(a.r, b.r)))
-
     total = ModuleElement.zero(x.alpha)
     d1, d2, d3 = gens
     for a, b, c in ((d1, d2, d3), (d2, d3, d1), (d3, d1, d2)):
-        inner = bracket_gen(b, c)
+        inner = witt_bracket(b, c)
         total = total + act_witt(a, act_witt(inner, x, module), module)
         total = total - act_witt(inner, act_witt(a, x, module), module)
     return total

@@ -7,19 +7,22 @@ import pytest
 import sympy
 
 from wittmod.engine import (
+    DEFAULT_WORDS,
     SubspaceBasis,
     Window,
     check_degenerate_reducibility,
     check_generation,
     check_irreducible,
     closure,
+    derham_report,
     find_singular_vectors,
     gt_central_check,
     gt_obstruction,
     nullspace,
     recursion_factorization_oracle,
+    witt_consistency_report,
 )
-from wittmod.sl3 import DEGENERATE_VALUES, Params, basis_element, parse_word
+from wittmod.sl3 import DEGENERATE_VALUES, Params, act_word, basis_element, parse_word, word_shift
 
 NUM = Params.numeric()
 DEG = Params.numeric(DEGENERATE_VALUES)
@@ -106,6 +109,18 @@ def test_closure_single_word_orbit():
     assert stats["rank"] == 3 and stats["exhausted"]
 
 
+@pytest.mark.parametrize("params", [NUM, Params.symbolic()], ids=["numeric", "symbolic"])
+def test_default_words_map_a_point_to_its_shifted_point(params):
+    # closure computes each word's target point from word_shift alone
+    for letters in DEFAULT_WORDS:
+        shift = word_shift(letters)
+        for idx in (-1, 0, 2):
+            for pt in ((0, 0), (2, -1), (-3, 1)):
+                y = act_word(params, letters, basis_element(params, idx, pt))
+                assert not y.is_zero()
+                assert y.support_points() == {(pt[0] + shift[0], pt[1] + shift[1])}
+
+
 def test_closure_no_words_is_span_of_seeds():
     w = Window.symmetric(2, 2, 2)
     seeds = [
@@ -177,6 +192,31 @@ def test_irreducible_small_window():
     assert doc["verdict"] == "pass"
     assert doc["seed_count"] == 49  # 45 inner basis seeds + 2 + 2 random
     assert all(s["ok"] and not s["missed"] for s in doc["subchecks"])
+
+
+def test_irreducible_rejects_seed_box_too_small_for_random_seeds():
+    w = Window.symmetric(1, 1, 1, margin=1)  # one inner basis vector
+    with pytest.raises(ValueError, match="too few for 2-term random seeds"):
+        check_irreducible(NUM, w)
+    doc = check_irreducible(NUM, w, random_counts=(0, 0))
+    assert doc["seed_count"] == 1
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: witt_consistency_report(bracket_trials=-1),
+        lambda: witt_consistency_report(jacobi_trials=-1),
+        lambda: witt_consistency_report(bracket_trials=0, jacobi_trials=0),
+        lambda: derham_report(box_bound=-1),
+        lambda: derham_report(uv_bound=-1),
+        lambda: check_irreducible(NUM, Window.symmetric(2, 2, 2, margin=1), random_counts=(1, -1)),
+    ],
+    ids=["witt-trials", "witt-jacobi", "witt-no-trials", "derham-box", "derham-uv", "irreducible"],
+)
+def test_engine_rejects_counts_without_evidence(run):
+    with pytest.raises(ValueError):
+        run()
 
 
 def test_irreducible_refuses_near_integral():

@@ -196,6 +196,8 @@ def test_symbolic_mode_rejects_config(capsys, tmp_path):
         ("derham", "--box", "-1", "--uv", "-1"),
         ("irreducible", "--trials", "-1"),
         ("proof-identities", "--s", "-1"),
+        ("witt", "--trials", "0", "--jacobi", "0"),
+        ("irreducible", "--window", "1,1,1,1"),
     ],
 )
 def test_bad_input_and_io_exit_2_with_one_line(capsys, tmp_path, argv):
@@ -237,3 +239,23 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import wittmod",
+        "import os, wittmod.cli; wittmod.cli.main(['check-generic', '--out', os.devnull])",
+    ],
+    ids=["import", "check-generic"],
+)
+def test_numeric_paths_do_not_load_sympy(code):
+    # sympy is needed only for symbolic gcds and factorization; loading it
+    # would add its import time and memory to every numeric run
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "; import sys; print('sympy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

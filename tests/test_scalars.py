@@ -24,7 +24,6 @@ from wittmod.scalars import (
     factor_polynomial,
     parse_rational,
     parse_scalar,
-    poly_exact_div,
     poly_gcd,
     scalar_to_text,
 )
@@ -108,15 +107,6 @@ def test_gcd_of_iota_linear_factor():
     g = poly_gcd(f.num, (f * (C - IOTA)).num)
     assert g == f.num
     assert scalar_to_text(Scalar(g)) == "c*iota + b"
-
-
-def test_exact_division_contract():
-    f = (C + L) * (A1 - B)
-    assert poly_exact_div(f.num, (C + L).num) == (A1 - B).num
-    with pytest.raises(ValueError):
-        poly_exact_div(f.num, (C + B).num)
-    with pytest.raises(ZeroDivisionError):
-        poly_exact_div(f.num, ZERO.num)
 
 
 # -- evaluation ----------------------------------------------------------
