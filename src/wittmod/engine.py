@@ -14,6 +14,7 @@ to support the claimed conclusion.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import deque
 from fractions import Fraction
@@ -24,8 +25,8 @@ from typing import Optional, Sequence
 from .glmod import CuspidalGl2, exterior_power, verify_gl_brackets
 from .scalars import (
     Scalar,
+    add_term,
     coeff_is_zero,
-    coeff_to_text,
     factor_linear_in_iota,
     factor_polynomial,
     scalar_to_text,
@@ -39,12 +40,12 @@ from .sl3 import (
     Params,
     act_gen,
     act_word,
-    act_word_stepwise,
     basis_element,
     check_generic,
     condition_value,
     lowering_operator,
     parse_word,
+    proof_identity_report,
     raising_operator,
     verify_embedding,
     verify_sl3_brackets,
@@ -132,12 +133,9 @@ class Window:
 
 def _row_sub(row: dict, factor, other: dict) -> dict:
     out = dict(row)
+    neg = -factor
     for k, v in other.items():
-        s = out.get(k, 0) - factor * v
-        if coeff_is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
+        add_term(out, k, neg * v)
     return out
 
 
@@ -191,15 +189,6 @@ class SubspaceBasis:
 
     def points(self) -> list:
         return sorted(self.by_point)
-
-    def to_json(self) -> dict:
-        out = {}
-        for pt in self.points():
-            out[",".join(str(x) for x in pt)] = [
-                [{"index": k, "coeff": coeff_to_text(row[k])} for k in sorted(row)]
-                for _, row in self.by_point[pt]
-            ]
-        return out
 
 
 DEFAULT_WORD_NAMES = (
@@ -321,10 +310,11 @@ def _genericity_gate(check: str, params: Params, window: Window, names=None):
     return None, greport
 
 
+# (stage, words, predicate on (target level, seed level))
 GENERATION_STAGES = (
-    ("antidiagonal", ("E12", "E13*E32", "E21", "E23*E31")),
-    ("lower-levels", ("E12", "E13*E32", "E21", "E23*E31", "E31")),
-    ("full", DEFAULT_WORD_NAMES),
+    ("antidiagonal", ("E12", "E13*E32", "E21", "E23*E31"), operator.eq),
+    ("lower-levels", ("E12", "E13*E32", "E21", "E23*E31", "E31"), operator.le),
+    ("full", DEFAULT_WORD_NAMES, lambda lvl, seed_lvl: True),
 )
 
 
@@ -350,25 +340,15 @@ def check_generation(params: Params, window: Window, seed=None) -> dict:
         raise ValueError("generation seed must lie in the inner window")
     level = spt[0] + spt[1]
     subchecks = []
-    for name, wordnames in GENERATION_STAGES:
+    for name, wordnames, on_level in GENERATION_STAGES:
         words = tuple(parse_word(w) for w in wordnames)
         basis, stats = closure(params, [seed], words, window)
-        if name == "antidiagonal":
-            targets = [
-                (idx, pt)
-                for pt in window.points(inner=True)
-                if pt[0] + pt[1] == level
-                for idx in window.indices(inner=True)
-            ]
-        elif name == "lower-levels":
-            targets = [
-                (idx, pt)
-                for pt in window.points(inner=True)
-                if pt[0] + pt[1] <= level
-                for idx in window.indices(inner=True)
-            ]
-        else:
-            targets = window.basis(inner=True)
+        targets = [
+            (idx, pt)
+            for pt in window.points(inner=True)
+            if on_level(pt[0] + pt[1], level)
+            for idx in window.indices(inner=True)
+        ]
         missed = _missed_targets(basis, targets)
         subchecks.append(
             {
@@ -830,12 +810,14 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
         )
 
     def apply_c(x):
+        # letter by letter, so every intermediate support is checked
         nonlocal absorbed
         total = ModuleElement.zero(x.alpha)
         for letters in words:
-            y, sups = act_word_stepwise(params, letters, x)
-            for sup in sups:
-                if not in_outer(sup):
+            y = x
+            for (i, j) in reversed(letters):
+                y = act_gen(params, i, j, y)
+                if not in_outer(y.terms):
                     absorbed = False
             total = total + y
         return total
@@ -931,8 +913,6 @@ def act_report(params: Params, word_text: str, x: ModuleElement) -> dict:
 
 
 def proof_report(s_values: Sequence[int]) -> dict:
-    from .sl3 import proof_identity_report
-
     body = proof_identity_report([int(s) for s in s_values])
     verdict = "pass" if body.pop("ok") else "fail"
     return _report(
@@ -1050,6 +1030,8 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
     if n not in (2, 3):
         raise ValueError("de Rham runner supports rank 2 or 3")
     _require_nonnegative(box_bound=box_bound, uv_bound=uv_bound)
+    if uv_bound == 0:
+        raise ValueError("uv_bound must be positive: at 0 every D(u, r) is D(0, 0) = 0")
     alpha = TWIST[:n]
     wedges = [exterior_power(n, kk) for kk in range(n + 1)]
     box = [tuple(pt) for pt in iproduct(range(-box_bound, box_bound + 1), repeat=n)]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .scalars import Scalar, coeff_is_zero, coeff_to_text, parse_scalar
+from .scalars import Scalar, add_term, coeff_is_zero, coeff_to_text, parse_scalar
 
 
 class GlVector:
@@ -48,11 +48,7 @@ class GlVector:
     def __add__(self, other: "GlVector") -> "GlVector":
         out = dict(self.terms)
         for idx, coeff in other.terms.items():
-            s = out.get(idx, 0) + coeff
-            if coeff_is_zero(s):
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+            add_term(out, idx, coeff)
         v = GlVector.__new__(GlVector)
         v.terms = out
         return v
@@ -115,13 +111,8 @@ class FinDimGlModule:
                 raise IndexError(f"basis index {q} out of range")
             for p in range(self.dim):
                 entry = mat[p][q]
-                if coeff_is_zero(entry):
-                    continue
-                s = out.get(p, 0) + entry * coeff
-                if coeff_is_zero(s):
-                    out.pop(p, None)
-                else:
-                    out[p] = s
+                if not coeff_is_zero(entry):
+                    add_term(out, p, entry * coeff)
         return GlVector(out)
 
     def label(self, idx: int):
@@ -175,26 +166,16 @@ class CuspidalGl2:
         if not (1 <= i <= 2 and 1 <= j <= 2):
             raise IndexError(f"generator E{i}{j} out of range for gl_2")
         out = {}
-
-        def put(idx, coeff):
-            if coeff_is_zero(coeff):
-                return
-            s = out.get(idx, 0) + coeff
-            if coeff_is_zero(s):
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-
         for k, coeff in v.terms.items():
             ipp = self.lam + k
             if (i, j) == (1, 1):
-                put(k, (self.b + ipp) * coeff)
+                add_term(out, k, (self.b + ipp) * coeff)
             elif (i, j) == (2, 2):
-                put(k, (self.b - ipp) * coeff)
+                add_term(out, k, (self.b - ipp) * coeff)
             elif (i, j) == (1, 2):
-                put(k + 1, (self.c + ipp) * coeff)
+                add_term(out, k + 1, (self.c + ipp) * coeff)
             else:
-                put(k - 1, (self.c - ipp) * coeff)
+                add_term(out, k - 1, (self.c - ipp) * coeff)
         return GlVector(out)
 
     def label(self, idx: int):

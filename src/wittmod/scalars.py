@@ -493,10 +493,7 @@ def factor_linear_in_iota(x: Scalar) -> Optional[IotaFactorization]:
                 factors.append((rho, -1))
             else:
                 factors.append((-rho, 1))
-    prod = ONE
-    for zeta, sign in factors:
-        prod = prod * (zeta + IOTA if sign > 0 else zeta - IOTA)
-    unit = x / prod
+    unit = x / IotaFactorization(ONE, tuple(factors)).product()
     if unit.num.degree_in("iota") or unit.den.degree_in("iota"):
         return None
     return IotaFactorization(unit, tuple(factors))
@@ -715,3 +712,12 @@ def coeff_is_zero(x) -> bool:
     if isinstance(x, Scalar):
         return x.is_zero()
     return x == 0
+
+
+def add_term(out: dict, key, val) -> None:
+    """out[key] += val in a sparse formal sum; a zero sum drops the key."""
+    s = out[key] + val if key in out else val
+    if coeff_is_zero(s):
+        out.pop(key, None)
+    else:
+        out[key] = s

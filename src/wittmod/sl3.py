@@ -31,11 +31,12 @@ from .scalars import (
     C,
     IOTA,
     L,
+    add_term,
     coeff_is_zero,
     coeff_to_text,
     parse_rational,
 )
-from .tensor import ModuleElement, WittGenerator, act_witt
+from .tensor import ModuleElement, WittGenerator, act_witt, element_to_json
 
 GEN_NAMES = {
     "E11": (1, 1), "E12": (1, 2), "E13": (1, 3),
@@ -143,47 +144,36 @@ def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
     lam, b, c = params.lam, params.b, params.c
     a1, a2 = params.a1, params.a2
     out = {}
-
-    def put(idx, pt, val):
-        if coeff_is_zero(val):
-            return
-        key = (idx, pt)
-        s = out[key] + val if key in out else val
-        if coeff_is_zero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for (idx, (r1, r2)), coeff in x.terms.items():
         ii = lam + idx
         r1p = a1 + r1
         r2p = a2 + r2
         if (i, j) == (1, 1):
-            put(idx, (r1, r2), coeff * r1p)
+            add_term(out, (idx, (r1, r2)), coeff * r1p)
         elif (i, j) == (2, 2):
-            put(idx, (r1, r2), coeff * r2p)
+            add_term(out, (idx, (r1, r2)), coeff * r2p)
         elif (i, j) == (3, 3):
-            put(idx, (r1, r2), -coeff * (r1p + r2p))
+            add_term(out, (idx, (r1, r2)), -coeff * (r1p + r2p))
         elif (i, j) == (1, 2):
             pt = (r1 + 1, r2 - 1)
-            put(idx, pt, coeff * (ii - b + r2p))
-            put(idx + 1, pt, coeff * (c + ii))
+            add_term(out, (idx, pt), coeff * (ii - b + r2p))
+            add_term(out, (idx + 1, pt), coeff * (c + ii))
         elif (i, j) == (2, 1):
             pt = (r1 - 1, r2 + 1)
-            put(idx - 1, pt, coeff * (c - ii))
-            put(idx, pt, coeff * (r1p - b - ii))
+            add_term(out, (idx - 1, pt), coeff * (c - ii))
+            add_term(out, (idx, pt), coeff * (r1p - b - ii))
         elif (i, j) == (1, 3):
             pt = (r1 + 1, r2)
-            put(idx, pt, -coeff * (r1p + r2p + b + ii))
-            put(idx + 1, pt, -coeff * (c + ii))
+            add_term(out, (idx, pt), -coeff * (r1p + r2p + b + ii))
+            add_term(out, (idx + 1, pt), -coeff * (c + ii))
         elif (i, j) == (2, 3):
             pt = (r1, r2 + 1)
-            put(idx - 1, pt, -coeff * (c - ii))
-            put(idx, pt, -coeff * (r1p + r2p + b - ii))
+            add_term(out, (idx - 1, pt), -coeff * (c - ii))
+            add_term(out, (idx, pt), -coeff * (r1p + r2p + b - ii))
         elif (i, j) == (3, 1):
-            put(idx, (r1 - 1, r2), coeff * (r1p - b - ii))
+            add_term(out, (idx, (r1 - 1, r2)), coeff * (r1p - b - ii))
         elif (i, j) == (3, 2):
-            put(idx, (r1, r2 - 1), coeff * (r2p - b + ii))
+            add_term(out, (idx, (r1, r2 - 1)), coeff * (r2p - b + ii))
         else:
             raise ValueError(f"no generator E{i}{j}")
     return ModuleElement(x.alpha, out)
@@ -233,16 +223,6 @@ def act_word(params: Params, letters, x: ModuleElement) -> ModuleElement:
     return y
 
 
-def act_word_stepwise(params: Params, letters, x: ModuleElement):
-    """Like act_word but also returns the support after each letter."""
-    y = x
-    supports = []
-    for (i, j) in reversed(letters):
-        y = act_gen(params, i, j, y)
-        supports.append(set(y.terms.keys()))
-    return y, supports
-
-
 def word_shift(letters):
     s1 = sum(GEN_SHIFTS[lt][0] for lt in letters)
     s2 = sum(GEN_SHIFTS[lt][1] for lt in letters)
@@ -284,8 +264,6 @@ def weight_of(params: Params, r) -> tuple:
 
 def verify_sl3_brackets(params: Params, points, indices) -> dict:
     """All 81 generator pairs against the gl3 bracket law on a basis window."""
-    from .tensor import element_to_json
-
     act = partial(act_gen, params)
     pairs = sorted(GEN_NAMES.values())
     failures = []
@@ -310,8 +288,6 @@ def verify_sl3_brackets(params: Params, points, indices) -> dict:
 
 def verify_embedding(params: Params, points, indices) -> dict:
     """act_gen and act_embedded must agree generator by generator."""
-    from .tensor import element_to_json
-
     failures = []
     checked = 0
     for (i, j) in sorted(GEN_NAMES.values()):

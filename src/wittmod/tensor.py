@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .glmod import GlVector
-from .scalars import coeff_is_zero, coeff_to_text, parse_scalar
+from .scalars import add_term, coeff_is_zero, coeff_to_text, parse_scalar
 
 
 class WittGenerator:
@@ -66,11 +66,7 @@ class ModuleElement:
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            s = out.get(key, 0) + coeff
-            if coeff_is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_term(out, key, coeff)
         res = ModuleElement.__new__(ModuleElement)
         res.alpha = self.alpha
         res.terms = out
@@ -121,26 +117,23 @@ def act_witt(D: WittGenerator, x: ModuleElement, module) -> ModuleElement:
     n = len(x.alpha)
     if len(D.u) != n:
         raise ValueError(f"generator dimension {len(D.u)} does not match n={n}")
-    out = ModuleElement.zero(x.alpha)
-    nz = [(i, ri) for i, ri in enumerate(D.r) if ri]
+    u = [(k, uk) for k, uk in enumerate(D.u) if not coeff_is_zero(uk)]
+    ru = [(i + 1, j + 1, ri * uj) for i, ri in enumerate(D.r) if ri for j, uj in u]
+    out = {}
     for (idx, m), coeff in x.terms.items():
         target = tuple(a + b for a, b in zip(m, D.r))
         weight = 0
-        for k in range(n):
-            if not coeff_is_zero(D.u[k]):
-                weight = weight + D.u[k] * (m[k] + x.alpha[k])
-        acc = GlVector.basis(idx).scale(weight)
-        for i, ri in nz:
-            for j in range(n):
-                uj = D.u[j]
-                if coeff_is_zero(uj):
-                    continue
-                acc = acc + module.act(i + 1, j + 1, GlVector.basis(idx)).scale(ri * uj)
-        add = {}
-        for p, c in acc.terms.items():
-            add[(p, target)] = c * coeff
-        out = out + ModuleElement(x.alpha, add)
-    return out
+        for k, uk in u:
+            weight = weight + uk * (m[k] + x.alpha[k])
+        add_term(out, (idx, target), weight * coeff)
+        for i, j, c in ru:
+            cc = c * coeff
+            for p, e in module.act(i, j, GlVector.basis(idx)).terms.items():
+                add_term(out, (p, target), e * cc)
+    res = ModuleElement.__new__(ModuleElement)
+    res.alpha = x.alpha
+    res.terms = out
+    return res
 
 
 def witt_bracket(a: WittGenerator, b: WittGenerator) -> WittGenerator:
@@ -196,17 +189,10 @@ def de_rham_differential(x: ModuleElement, n: int, k: int, wedge_k, wedge_k1) ->
             if j in subset:
                 continue
             weight = (m[j - 1] + x.alpha[j - 1]) * coeff
-            if coeff_is_zero(weight):
-                continue
             below = sum(1 for t in subset if t < j)
             sign = -1 if below % 2 else 1
             target = tuple(sorted(subset + (j,)))
-            key = (pos1[target], m)
-            s = out.get(key, 0) + weight * sign
-            if coeff_is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_term(out, (pos1[target], m), weight * sign)
     return ModuleElement(x.alpha, out)
 
 
@@ -267,5 +253,5 @@ def element_from_json(doc: dict, module=None) -> ModuleElement:
             idx = int(label)
         key = (idx, tuple(int(v) for v in entry["r"]))
         coeff = _demote(parse_scalar(entry["coeff"]))
-        terms[key] = terms[key] + coeff if key in terms else coeff
+        add_term(terms, key, coeff)
     return ModuleElement(alpha, terms)

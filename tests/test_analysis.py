@@ -211,8 +211,12 @@ def test_irreducible_rejects_seed_box_too_small_for_random_seeds():
         lambda: derham_report(box_bound=-1),
         lambda: derham_report(uv_bound=-1),
         lambda: check_irreducible(NUM, Window.symmetric(2, 2, 2, margin=1), random_counts=(1, -1)),
+        lambda: derham_report(uv_bound=0),
     ],
-    ids=["witt-trials", "witt-jacobi", "witt-no-trials", "derham-box", "derham-uv", "irreducible"],
+    ids=[
+        "witt-trials", "witt-jacobi", "witt-no-trials", "derham-box", "derham-uv", "irreducible",
+        "derham-uv-zero",
+    ],
 )
 def test_engine_rejects_counts_without_evidence(run):
     with pytest.raises(ValueError):

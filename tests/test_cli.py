@@ -198,6 +198,7 @@ def test_symbolic_mode_rejects_config(capsys, tmp_path):
         ("proof-identities", "--s", "-1"),
         ("witt", "--trials", "0", "--jacobi", "0"),
         ("irreducible", "--window", "1,1,1,1"),
+        ("derham", "--uv", "0"),
     ],
 )
 def test_bad_input_and_io_exit_2_with_one_line(capsys, tmp_path, argv):

@@ -18,6 +18,7 @@ from wittmod.scalars import (
     ParamPolynomial,
     Scalar,
     ScalarParseError,
+    add_term,
     coeff_is_zero,
     coeff_to_text,
     factor_linear_in_iota,
@@ -174,6 +175,18 @@ def test_coeff_helpers():
     assert coeff_is_zero(Fraction(0))
     assert coeff_is_zero(ZERO)
     assert not coeff_is_zero(C)
+
+
+@pytest.mark.parametrize("val", [Fraction(2, 3), C + L], ids=["fraction", "scalar"])
+def test_add_term_drops_a_key_whose_sum_is_zero(val):
+    out = {"kept": val}
+    add_term(out, "k", val)
+    add_term(out, "k", val)
+    assert out == {"kept": val, "k": val + val}
+    add_term(out, "k", -(val + val))
+    assert out == {"kept": val}
+    add_term(out, "new", val - val)
+    assert out == {"kept": val}
 
 
 # -- factorization -------------------------------------------------------

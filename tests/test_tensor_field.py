@@ -58,6 +58,12 @@ def test_action_is_linear():
     D = WittGenerator((1, 2), (-1, 1))
     lhs = act_witt(D, x + y, CUSP)
     assert lhs == act_witt(D, x, CUSP) + act_witt(D, y, CUSP)
+    # v_0(m) and v_1(m) share a point, so their images share one target
+    # point and overlapping indices, and are summed in the same dict
+    z = ModuleElement.basis(ALPHA, 1, (1, -1), Fraction(-5))
+    lhs = act_witt(D, x + z, CUSP)
+    assert lhs.support_points() == {(0, 0)}
+    assert lhs == act_witt(D, x, CUSP) + act_witt(D, z, CUSP)
 
 
 def test_element_algebra():
