@@ -20,12 +20,12 @@ from collections import deque
 from fractions import Fraction
 from functools import partial
 from itertools import product as iproduct
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .glmod import CuspidalGl2, exterior_power, verify_gl_brackets
 from .scalars import (
     Scalar,
-    add_term,
     coeff_is_zero,
     factor_linear_in_iota,
     factor_polynomial,
@@ -131,32 +131,74 @@ class Window:
 # -- canonical per-point row reduction -----------------------------------
 
 
-def _row_sub(row: dict, factor, other: dict) -> dict:
-    out = dict(row)
-    neg = -factor
-    for k, v in other.items():
-        add_term(out, k, neg * v)
+def _integer_row(row: dict) -> dict:
+    """Integer multiple of a rational row, zero entries dropped.
+
+    Only exact rationals are accepted: a float would make every later
+    dependence test an inexact comparison with zero.
+    """
+    den = 1
+    for v in row.values():
+        if type(v) is not int:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"row entries must be exact rationals, got {type(v).__name__}")
+            den = lcm(den, v.denominator)
+    if den == 1:
+        return {k: int(v) for k, v in row.items() if v}
+    return {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
+
+
+def _primitive(row: dict) -> dict:
+    """The row divided by its content, signed so its lowest-index entry is positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return {k: v // g for k, v in row.items()}
+
+
+def _add_multiple(out: dict, factor: int, pairs) -> None:
+    """out += factor * pairs on integer sparse rows; a zero sum drops the key."""
+    for k, v in pairs:
+        s = out.get(k, 0) + factor * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+
+
+def _eliminate(row: dict, pivot, r: dict) -> dict:
+    """A positive multiple of ``row`` minus a multiple of ``r``, zero at ``pivot``."""
+    pv, cf = r[pivot], row[pivot]
+    g = gcd(pv, cf)
+    pv //= g
+    out = {k: pv * v for k, v in row.items()}
+    _add_multiple(out, -(cf // g), r.items())
     return out
 
 
 class SubspaceBasis:
-    """Reduced row-echelon bases, one per lattice point.
+    """Fraction-free reduced echelon bases, one per lattice point.
 
-    Rows are kept fully back-substituted with pivot coefficient 1 and the
-    pivot at the lowest index, so the basis of a given subspace is unique
-    and reports built from it are reproducible byte for byte.
+    Rows are integer vectors kept fully back-substituted (zero at every
+    other row's pivot) and primitive: the entries' gcd is 1 and the pivot,
+    the lowest index, is positive.  Each row is then the unique primitive
+    multiple of a reduced row-echelon row, so the basis of a given
+    subspace is unique and reports built from it are reproducible byte
+    for byte.  Rational input rows are cleared to integer rows on entry;
+    elimination never divides.
     """
 
     def __init__(self):
         self.by_point = {}
 
     def reduce(self, pt, row: dict) -> dict:
-        out = {k: v for k, v in row.items() if not coeff_is_zero(v)}
+        """``row`` reduced against the basis at ``pt``, as a primitive
+        integer row; empty when ``row`` lies in the basis's span."""
+        out = _integer_row(row)
         for pivot, r in self.by_point.get(pt, []):
-            cf = out.get(pivot)
-            if cf is not None:
-                out = _row_sub(out, cf, r)
-        return out
+            if pivot in out:
+                out = _eliminate(out, pivot, r)
+        return _primitive(out) if out else out
 
     def insert(self, pt, row: dict) -> Optional[dict]:
         """Add a vector; returns its canonical new row, or None if dependent."""
@@ -164,13 +206,10 @@ class SubspaceBasis:
         if not red:
             return None
         pivot = min(red)
-        pv = red[pivot]
-        red = {k: v / pv for k, v in red.items()}
         rows = self.by_point.setdefault(pt, [])
         for t, (p, r) in enumerate(rows):
-            cf = r.get(pivot)
-            if cf is not None and not coeff_is_zero(cf):
-                rows[t] = (p, _row_sub(r, cf, red))
+            if pivot in r:
+                rows[t] = (p, _primitive(_eliminate(r, pivot, red)))
         pos = sum(1 for p, _ in rows if p < pivot)
         rows.insert(pos, (pivot, red))
         return red
@@ -179,7 +218,7 @@ class SubspaceBasis:
         return not self.reduce(pt, row)
 
     def contains_basis(self, pt, idx: int) -> bool:
-        return self.contains(pt, {idx: Fraction(1)})
+        return self.contains(pt, {idx: 1})
 
     def rank(self, pt) -> int:
         return len(self.by_point.get(pt, []))
@@ -197,6 +236,40 @@ DEFAULT_WORD_NAMES = (
 )
 DEFAULT_WORDS = tuple(parse_word(w) for w in DEFAULT_WORD_NAMES)
 
+# Integer word columns of the most recent numeric parameter point:
+# (lam, b, c, a1, a2) -> {letters: {pt: {idx: (i0, c0, i1, c1, ...)}}}.
+# One point is kept, so alternating parameter points rebuild the table.
+_WORD_COLUMNS = {}
+
+
+def _column_table(params: Params) -> dict:
+    key = (params.lam, params.b, params.c, params.a1, params.a2)
+    table = _WORD_COLUMNS.get(key)
+    if table is None:
+        _WORD_COLUMNS.clear()
+        table = _WORD_COLUMNS[key] = {}
+    return table
+
+
+def _word_column(params: Params, letters, idx: int, pt, scale: int) -> tuple:
+    """v_idx(pt) under the word times scale**len(letters), flattened to
+    (index, integer coefficient) pairs.
+
+    ``scale`` is the lcm of the parameter denominators.  Every generator
+    coefficient is an integer linear form in (lam, b, c, a1, a2), so each
+    coefficient of the word's image times ``scale**len(letters)`` is an
+    integer; that is checked, never rounded.
+    """
+    y = act_word(params, letters, basis_element(params, idx, pt))
+    factor = scale ** len(letters)
+    flat = []
+    for (i, _), cf in y.terms.items():
+        v = Fraction(cf) * factor
+        if v.denominator != 1:
+            raise AssertionError(f"word column of {letters} is not integral: {v}")
+        flat += (i, v.numerator)
+    return tuple(flat)
+
 
 def closure(params: Params, seeds, words, window: Window):
     """Deterministic window-truncated closure of the span of the seeds.
@@ -206,14 +279,34 @@ def closure(params: Params, seeds, words, window: Window):
     nonzero integers across points), so a submodule containing an element
     contains each of its per-point components.  Every generator moves a
     lattice point by a fixed shift, so a one-point row has its image at
-    the single point given by ``word_shift``.  Images landing outside the
-    outer lattice box are not computed and indices beyond the index
-    range are dropped; the margin keeps such edge effects away from any
-    inner-window conclusion.
+    the single point given by ``word_shift``.  Images that cannot add to
+    the span are not computed: those landing outside the outer lattice
+    box, at a point whose span is already the whole index range, or under
+    a word of diagonal generators only (it acts on each lattice point by
+    a scalar).  Indices beyond the index range are dropped; the margin
+    keeps such edge effects away from any inner-window conclusion.
+
+    The arithmetic is exact and fraction-free.  Rows are primitive
+    integer rows (``SubspaceBasis``), and a word is applied through
+    memoised integer columns, each the word's image of one basis vector
+    scaled to clear the parameter denominators; scaling a row leaves its
+    span unchanged.  Parameters must therefore be numeric.
     """
+    if not params.is_numeric():
+        raise ValueError("closure needs numeric parameters")
     alpha = params.alpha()
-    shifts = [word_shift(letters) for letters in words]
+    scale = lcm(*(v.denominator for v in params.values().values()))
+    table = _column_table(params)
+    applied = [
+        (letters, table.setdefault(letters, {}), word_shift(letters))
+        for letters in words
+        if any(i != j for i, j in letters)
+    ]
+    i_min, i_max = window.i_min, window.i_max
+    (lo1, hi1), (lo2, hi2) = window.r_bounds
+    full_rank = i_max - i_min + 1
     basis = SubspaceBasis()
+    by_point = basis.by_point
     queue = deque()
     for x in seeds:
         if x.is_zero():
@@ -238,13 +331,24 @@ def closure(params: Params, seeds, words, window: Window):
         queue.clear()
         for pt, row in batch:
             processed += 1
-            x = ModuleElement(alpha, {(i, pt): cf for i, cf in row.items()})
-            for letters, (d1, d2) in zip(words, shifts):
-                tpt = (pt[0] + d1, pt[1] + d2)
-                if not window.contains_point(tpt):
+            for letters, cols, (d1, d2) in applied:
+                t1, t2 = pt[0] + d1, pt[1] + d2
+                if not (lo1 <= t1 <= hi1 and lo2 <= t2 <= hi2):
                     continue
-                y = act_word(params, letters, x)
-                trow = {i: cf for (i, _), cf in y.terms.items() if window.contains_index(i)}
+                tpt = (t1, t2)
+                if len(by_point.get(tpt, ())) == full_rank:
+                    continue
+                at_pt = cols.get(pt)
+                if at_pt is None:
+                    at_pt = cols[pt] = {}
+                image = {}
+                for i, cf in row.items():
+                    col = at_pt.get(i)
+                    if col is None:
+                        col = at_pt[i] = _word_column(params, letters, i, pt, scale)
+                    flat = iter(col)
+                    _add_multiple(image, cf, zip(flat, flat))
+                trow = {i: v for i, v in image.items() if i_min <= i <= i_max}
                 if not trow:
                     continue
                 ins = basis.insert(tpt, trow)
@@ -452,7 +556,8 @@ def nullspace(rows, ncols: int) -> list:
     """Exact nullspace basis of a dense matrix given as a list of rows.
 
     The rows are reduced in one ``SubspaceBasis``; each free column of the
-    resulting reduced echelon form gives one kernel vector.
+    resulting echelon form gives one kernel vector, with ``Fraction``
+    entries read off the integer rows.
     """
     sb = SubspaceBasis()
     for r in rows:
@@ -467,7 +572,7 @@ def nullspace(rows, ncols: int) -> list:
         vec[fc] = Fraction(1)
         for p, row in echelon:
             if fc in row:
-                vec[p] = -row[fc]
+                vec[p] = Fraction(-row[fc], row[p])
         out.append(vec)
     return out
 

@@ -1,11 +1,13 @@
 """Window closures, module checks, and the factorization oracle."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from wittmod import engine
 from wittmod.engine import (
     DEFAULT_WORDS,
     SubspaceBasis,
@@ -52,22 +54,50 @@ def test_window_validation():
 # -- row reduction ------------------------------------------------------------
 
 
-def test_subspace_basis_canonical_rows():
-    sb = SubspaceBasis()
-    pt = (0, 0)
-    assert sb.insert(pt, {1: Fraction(2), 3: Fraction(4)}) is not None
-    assert sb.insert(pt, {1: Fraction(1)}) is not None
-    # stored rows: pivots have coefficient 1 and are back-substituted
-    rows = sb.by_point[pt]
-    assert sorted(p for p, _ in rows) == [1, 3]
+def _assert_canonical(rows):
+    pivots = [p for p, _ in rows]
+    assert pivots == sorted(pivots)
     for p, r in rows:
-        assert min(r) == p and r[p] == 1
-        assert all(q not in r or q == p for q, _ in rows)
-    assert sb.insert(pt, {1: Fraction(5), 3: Fraction(10)}) is None  # dependent
+        assert all(type(v) is int and v for v in r.values())
+        assert min(r) == p and r[p] > 0 and math.gcd(*r.values()) == 1
+        assert all(q not in r for q in pivots if q != p)  # back-substituted
+
+
+def test_subspace_basis_canonical_rows():
+    pt = (0, 0)
+    sb = SubspaceBasis()
+    assert sb.insert(pt, {1: 2, 3: 3}) == {1: 2, 3: 3}  # primitive pivot 2
+    # a negative leading entry: the stored row is signed so its pivot is positive
+    assert sb.insert(pt, {0: Fraction(-1, 2), 1: 1, 4: Fraction(3, 2)}) == {0: 1, 3: 3, 4: -3}
+    assert sb.by_point[pt] == [(0, {0: 1, 3: 3, 4: -3}), (1, {1: 2, 3: 3})]
+    _assert_canonical(sb.by_point[pt])
+    # the same span from other vectors, in the other order, gives the same rows
+    other = SubspaceBasis()
+    other.insert(pt, {0: 3, 1: -6, 4: -9})
+    other.insert(pt, {1: Fraction(-4, 5), 3: Fraction(-6, 5)})
+    assert other.by_point == sb.by_point
+    assert sb.insert(pt, {1: Fraction(5), 3: Fraction(10)}) is not None
+    assert sb.by_point[pt] == [(0, {0: 1, 4: -3}), (1, {1: 1}), (3, {3: 1})]
+    _assert_canonical(sb.by_point[pt])
+    assert sb.insert(pt, {0: 2, 3: 7, 4: -6}) is None  # dependent
     assert sb.contains(pt, {3: Fraction(7)})
     assert sb.contains_basis(pt, 1) and sb.contains_basis(pt, 3)
     assert not sb.contains_basis(pt, 0)
-    assert sb.rank(pt) == 2 and sb.total_rank() == 2
+    assert sb.rank(pt) == 3 and sb.total_rank() == 3
+
+
+def test_closure_and_elimination_never_hold_floats():
+    w = Window.symmetric(2, 2, 2, 1)
+    basis, _ = closure(NUM, [basis_element(NUM, 0, (0, 0))], DEFAULT_WORDS, w)
+    stored = [v for rows in basis.by_point.values() for _, r in rows for v in r.values()]
+    assert stored and all(type(v) is int for v in stored)
+    sb = SubspaceBasis()
+    sb.insert((0, 0), {0: 1, 1: 3})
+    assert not any(isinstance(v, float) for _, r in sb.by_point[(0, 0)] for v in r.values())
+    ker = nullspace([[1, 2, 3], [0, 2, 1]], 3)
+    assert ker and all(type(v) is Fraction for vec in ker for v in vec)
+    with pytest.raises(TypeError):
+        sb.insert((0, 0), {2: 0.5})
 
 
 def test_subspace_rank_matches_sympy():
@@ -153,10 +183,55 @@ def test_closure_rejects_bad_seeds():
         closure(NUM, [basis_element(NUM, 5, (0, 0))], [], w)  # index outside
     with pytest.raises(ValueError):
         closure(NUM, [basis_element(NUM, 0, (9, 0))], [], w)  # point outside
+    sym = Params.symbolic()
+    with pytest.raises(ValueError, match="numeric parameters"):
+        closure(sym, [basis_element(sym, 0, (0, 0))], [], w)  # no integer columns
     from wittmod.tensor import ModuleElement
 
     with pytest.raises(ValueError):
         closure(NUM, [ModuleElement.zero(NUM.alpha())], [], w)
+
+
+# scale**len(word) clears the parameter denominators: lcm(7, 11, 13, 17, 19)
+# at the defaults, lcm(7, 11, 13, 77, 77) at the degenerate preset
+@pytest.mark.parametrize(
+    "params, scale", [(NUM, 323323), (DEG, 1001)], ids=["default", "degenerate"]
+)
+def test_word_columns_are_scaled_word_images(params, scale):
+    engine._WORD_COLUMNS.clear()
+    closure(params, [basis_element(params, 0, (0, 0))], DEFAULT_WORDS, Window.symmetric(1, 1, 1))
+    (table,) = engine._WORD_COLUMNS.values()
+    # words of diagonal generators act on each point by a scalar and are never applied
+    assert set(table) == {w for w in DEFAULT_WORDS if any(i != j for i, j in w)}
+    columns = [
+        (letters, idx, pt, stored)
+        for letters, by_point in table.items()
+        for pt, at_pt in by_point.items()
+        for idx, stored in at_pt.items()
+    ]
+    assert all(table[letters] for letters in table)
+    columns += [
+        (letters, idx, pt, engine._word_column(params, letters, idx, pt, scale))
+        for letters in DEFAULT_WORDS
+        for idx, pt in ((0, (0, 0)), (-3, (2, -1)), (4, (-4, 3)))
+    ]
+    for letters, idx, pt, stored in columns:
+        flat = iter(stored)
+        col = dict(zip(flat, flat))
+        y = act_word(params, letters, basis_element(params, idx, pt))
+        expected = {i: cf * scale ** len(letters) for (i, _), cf in y.terms.items()}
+        assert all(type(v) is int for v in col.values()) and col == expected
+
+
+def test_word_column_table_is_warm_neutral_and_keeps_one_point():
+    w = Window.symmetric(2, 2, 2, 1)
+    seed = basis_element(NUM, 1, (0, 1))
+    engine._WORD_COLUMNS.clear()
+    cold = closure(NUM, [seed], DEFAULT_WORDS, w)
+    warm = closure(NUM, [seed], DEFAULT_WORDS, w)
+    assert cold[0].by_point == warm[0].by_point and cold[1] == warm[1]
+    closure(DEG, [basis_element(DEG, 0, (0, 0))], DEFAULT_WORDS, w)
+    assert list(engine._WORD_COLUMNS) == [(DEG.lam, DEG.b, DEG.c, DEG.a1, DEG.a2)]
 
 
 # -- generation and irreducibility --------------------------------------------
