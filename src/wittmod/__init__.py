@@ -58,7 +58,6 @@ from .sl3 import (
     proof_identity_report,
     verify_embedding,
     verify_sl3_brackets,
-    weight_of,
 )
 from .engine import (
     DEFAULT_WORDS,
@@ -89,7 +88,6 @@ __all__ = [
     "DEFAULT_VALUES", "DEGENERATE_VALUES", "GenericityReport", "Params",
     "act_embedded", "act_gen", "act_word", "basis_element", "check_generic",
     "parse_word", "proof_identity_report", "verify_embedding", "verify_sl3_brackets",
-    "weight_of",
     "DEFAULT_WORDS", "SubspaceBasis", "Window", "bracket_report",
     "check_degenerate_reducibility", "check_generation", "check_irreducible",
     "closure", "derham_report", "find_singular_vectors", "gt_central_check",

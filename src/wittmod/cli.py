@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .engine import (
     Window,
@@ -185,18 +186,18 @@ def cmd_factorization(args):
 
 
 def cmd_gt(args):
-    subreports = []
+    # every argument is checked before the first subcheck runs
+    runs = []
     if args.gt_check in ("obstruction", "both"):
         numeric = Params.numeric(load_config(args.config) if args.config else None)
-        subreports.append(gt_obstruction(numeric, parse_window_arg(args.window)))
+        runs.append(partial(gt_obstruction, numeric, parse_window_arg(args.window)))
     if args.gt_check in ("central", "both"):
         params = build_params(args)
         window = parse_window_arg(args.central_window)
         for k in parse_int_list(args.k, "k"):
-            subreports.append(gt_central_check(params, window, 3, k))
-        subreports.append(
-            gt_central_check(params, window, 2, 2, controls=((1, 3),))
-        )
+            runs.append(partial(gt_central_check, params, window, 3, k))
+        runs.append(partial(gt_central_check, params, window, 2, 2, controls=((1, 3),)))
+    subreports = [run() for run in runs]
     verdict = aggregate_verdict(r["verdict"] for r in subreports)
     return {
         "check": "gt",

@@ -236,18 +236,20 @@ DEFAULT_WORD_NAMES = (
 )
 DEFAULT_WORDS = tuple(parse_word(w) for w in DEFAULT_WORD_NAMES)
 
-# Integer word columns of the most recent numeric parameter point:
+# Integer word columns of the two most recently used numeric parameter
+# points, least recent first:
 # (lam, b, c, a1, a2) -> {letters: {pt: {idx: (i0, c0, i1, c1, ...)}}}.
-# One point is kept, so alternating parameter points rebuild the table.
+# Two are kept so that alternating between a generic and a degenerate
+# point does not rebuild either table.
 _WORD_COLUMNS = {}
+_KEPT_POINTS = 2
 
 
 def _column_table(params: Params) -> dict:
     key = (params.lam, params.b, params.c, params.a1, params.a2)
-    table = _WORD_COLUMNS.get(key)
-    if table is None:
-        _WORD_COLUMNS.clear()
-        table = _WORD_COLUMNS[key] = {}
+    table = _WORD_COLUMNS[key] = _WORD_COLUMNS.pop(key, {})
+    if len(_WORD_COLUMNS) > _KEPT_POINTS:
+        del _WORD_COLUMNS[next(iter(_WORD_COLUMNS))]
     return table
 
 
@@ -491,15 +493,14 @@ def check_irreducible(
     params: Params,
     window: Window,
     seeds=None,
-    seed_box: Optional[Window] = None,
     random_counts=(5, 5),
     rng_seed: int = 20260817,
 ) -> dict:
     """Every seed must generate every inner basis vector.
 
-    Default seeds: each basis vector of the seed box (the inner window
-    when no box is given), plus deterministic pseudo-random two- and
-    three-term elements.  Gated on all ten non-integrality conditions.
+    Default seeds: each basis vector of the inner window, plus
+    deterministic pseudo-random two- and three-term elements in it.
+    Gated on all ten non-integrality conditions.
     """
     _require_nonnegative(random_counts=min(random_counts))
     refusal, greport = _genericity_gate("irreducible", params, window)
@@ -507,10 +508,7 @@ def check_irreducible(
         return refusal
     alpha = params.alpha()
     if seeds is None:
-        if seed_box is None:
-            box_basis = window.basis(inner=True)
-        else:
-            box_basis = seed_box.basis()
+        box_basis = window.basis(inner=True)
         seeds = [basis_element(params, idx, pt) for idx, pt in box_basis]
         rnd = random.Random(rng_seed)
         for count, nterms in zip(random_counts, (2, 3)):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .scalars import Scalar, add_term, coeff_is_zero, coeff_to_text, parse_scalar
+from .scalars import add_term, coeff_is_zero, coeff_to_text
 
 
 class GlVector:
@@ -119,30 +119,6 @@ class FinDimGlModule:
         if self.basis_labels is not None:
             return list(self.basis_labels[idx])
         return idx
-
-    def to_json(self) -> dict:
-        mats = {}
-        for i, j in sorted(self.action):
-            mat = self.action[(i, j)]
-            mats[f"E{i}{j}"] = [coeff_to_text(entry) for row in mat for entry in row]
-        doc = {"n": self.n, "dim": self.dim, "matrices": mats}
-        if self.basis_labels is not None:
-            doc["basis_labels"] = [list(lbl) for lbl in self.basis_labels]
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FinDimGlModule":
-        n, dim = int(doc["n"]), int(doc["dim"])
-        action = {}
-        for i, j in product(range(1, n + 1), repeat=2):
-            flat = [parse_scalar(s) for s in doc["matrices"][f"E{i}{j}"]]
-            if len(flat) != dim * dim:
-                raise ValueError(f"matrix E{i}{j} has wrong size")
-            action[(i, j)] = [flat[p * dim:(p + 1) * dim] for p in range(dim)]
-        labels = doc.get("basis_labels")
-        if labels is not None:
-            labels = tuple(tuple(lbl) for lbl in labels)
-        return cls(n, dim, action, labels)
 
 
 class CuspidalGl2:
@@ -255,30 +231,3 @@ def verify_gl_brackets(module, window: Optional[Iterable[int]] = None) -> dict:
                     }
                 )
     return {"ok": not failures, "checked_indices": len(indices), "failures": failures}
-
-
-def central_charge(module, window: Optional[Iterable[int]] = None):
-    """The scalar by which the identity matrix acts; errors if not scalar."""
-    if module.kind == "findim":
-        indices = list(module.indices())
-    else:
-        indices = list(window) if window is not None else list(range(-4, 5))
-    value = None
-    for idx in indices:
-        v = GlVector()
-        for i in range(1, module.n + 1):
-            v = v + module.act(i, i, GlVector.basis(idx))
-        if set(v.terms) - {idx}:
-            raise ValueError("identity action is not diagonal")
-        coeff = v.terms.get(idx, _zero_like(module))
-        if value is None:
-            value = coeff
-        elif value != coeff:
-            raise ValueError("identity action is not a single scalar")
-    return value
-
-
-def _zero_like(module):
-    if module.kind == "cuspidal" and isinstance(module.b, Scalar):
-        return Scalar.zero()
-    return Fraction(0)

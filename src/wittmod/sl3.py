@@ -255,13 +255,6 @@ def lowering_operator(params: Params, x: ModuleElement, shift: int = 0) -> Modul
     return act_word(params, LOWERING_WORD, x) + act_gen(params, 2, 1, x).scale(mult)
 
 
-def weight_of(params: Params, r) -> tuple:
-    """Eigenvalues of (E11, E22, E33) on the lattice point r."""
-    r1p = params.a1 + r[0]
-    r2p = params.a2 + r[1]
-    return (r1p, r2p, -(r1p + r2p))
-
-
 def verify_sl3_brackets(params: Params, points, indices) -> dict:
     """All 81 generator pairs against the gl3 bracket law on a basis window."""
     act = partial(act_gen, params)

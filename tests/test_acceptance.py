@@ -1,82 +1,91 @@
-"""Acceptance run: the eleven desk-scale certificates, one line each.
+"""Acceptance run and behaviour lock over one table of canonical reports.
+
+``PRODUCERS`` holds every report the lock pins: each subcommand run
+through ``cli.main`` at its default arguments (``act`` gets a minimal
+word and vector; ``derham --n 3`` is left out, it takes minutes), plus
+``generation``, the irreducibility run of criterion 4.  Each report is
+produced once per session and shared by the criteria, which read their
+sub-reports from it.
 
 Each criterion is a single test that prints its own PASS/FAIL line (run
 pytest with -s to see them inline) and asserts the stated tolerance.
-Criterion 11 replays every producer and demands byte-identical reports;
-the last test compares each report with a SHA-256 digest recorded in
-``report_digests.json``, so a report cannot drift between commits either.
+Criterion 11 replays every producer and demands byte-identical reports.
+The lock tests compare each report with the SHA-256 digest recorded in
+``report_digests.json``, so a report cannot drift between commits unless
+a change re-records it on purpose, with
+
+    PYTHONPATH=src python tests/test_acceptance.py > tests/report_digests.json
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
-from wittmod.engine import (
-    Window,
-    check_degenerate_reducibility,
-    check_irreducible,
-    derham_report,
-    gt_central_check,
-    gt_obstruction,
-    proof_report,
-    recursion_factorization_oracle,
-    witt_consistency_report,
-)
-from wittmod.report import canonical_json
-from wittmod.sl3 import (
-    DEGENERATE_VALUES,
-    Params,
-    verify_embedding,
-    verify_sl3_brackets,
-)
+import pytest
 
-NUM = Params.numeric()
-SYM = Params.symbolic()
-DEG = Params.numeric(DEGENERATE_VALUES)
+from wittmod.cli import main
+from wittmod.engine import Window, check_irreducible
+from wittmod.report import canonical_json, exit_code_for
+from wittmod.sl3 import Params, basis_element
 
-BRACKET_WINDOW = Window.symmetric(3, 2, 2)
-CENTRAL_WINDOW = Window.symmetric(4, 3, 3, margin=2)
+LOCK = Path(__file__).with_name("report_digests.json")
+
+CLI_RUNS = {
+    "check-generic": ["check-generic"],
+    "act": ["act", "--word", "E11", "--vector", "v:0@0,0"],
+    "brackets": ["brackets"],
+    "witt": ["witt"],
+    "generate": ["generate"],
+    "irreducible": ["irreducible"],
+    "degenerate": ["degenerate"],
+    "derham": ["derham"],
+    "proof-identities": ["proof-identities"],
+    "factorization": ["factorization"],
+    "gt": ["gt"],
+}
+
+
+def cli_report(argv):
+    """(stdout, parsed report) of one CLI run; its exit code must match
+    the report's verdict."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    text = buf.getvalue()
+    doc = json.loads(text)
+    assert code == exit_code_for(doc["verdict"]), (argv, code, doc["verdict"])
+    return text, doc
+
+
+def generation_report():
+    """Every basis vector of the 3 x 3 box around the origin regenerates
+    the inner window."""
+    params = Params.numeric()
+    seeds = [basis_element(params, idx, pt) for idx, pt in Window.symmetric(2, 1, 1).basis()]
+    doc = check_irreducible(params, Window.symmetric(4, 4, 4, margin=2), seeds=seeds)
+    return canonical_json(doc), doc
+
+
+PRODUCERS = {name: partial(cli_report, argv) for name, argv in CLI_RUNS.items()}
+PRODUCERS["generation"] = generation_report
 
 _CACHE: dict = {}
 _TIMES: dict = {}
 
 
 def produce(name: str):
+    """(text, doc) of one report, computed once per session."""
     if name not in _CACHE:
         t0 = time.monotonic()
         _CACHE[name] = PRODUCERS[name]()
         _TIMES[name] = time.monotonic() - t0
     return _CACHE[name]
-
-
-PRODUCERS = {
-    "structure-constants": lambda: verify_sl3_brackets(
-        SYM, BRACKET_WINDOW.points(), BRACKET_WINDOW.indices()
-    ),
-    "embedding": lambda: verify_embedding(
-        SYM, BRACKET_WINDOW.points(), BRACKET_WINDOW.indices()
-    ),
-    "witt-law": witt_consistency_report,
-    "generation": lambda: check_irreducible(
-        NUM,
-        Window.symmetric(4, 4, 4, margin=2),
-        seed_box=Window.symmetric(2, 1, 1),
-        random_counts=(0, 0),
-    ),
-    "proof-identities": lambda: proof_report((1, 2, 3, 4)),
-    "factorization": lambda: recursion_factorization_oracle((1, 2, 3)),
-    "gt-obstruction": lambda: gt_obstruction(NUM, Window.symmetric(4, 2, 2)),
-    "gt-central": lambda: {
-        "c31": gt_central_check(SYM, CENTRAL_WINDOW, 3, 1),
-        "c32": gt_central_check(SYM, CENTRAL_WINDOW, 3, 2),
-    },
-    "degenerate": lambda: check_degenerate_reducibility(
-        DEG, Window.symmetric(4, 4, 4, margin=2)
-    ),
-    "derham": derham_report,
-}
 
 
 def report_line(num: int, ok: bool, label: str, extra: str = ""):
@@ -86,9 +95,13 @@ def report_line(num: int, ok: bool, label: str, extra: str = ""):
     assert ok, f"criterion {num} failed: {label}"
 
 
+def gt_subchecks(check: str) -> list:
+    return [s for s in produce("gt")[1]["subchecks"] if s["check"] == check]
+
+
 def test_criterion_01_symbolic_structure_constants():
-    doc = produce("structure-constants")
-    elapsed = _TIMES["structure-constants"]
+    doc = produce("brackets")[1]["sl3"]
+    elapsed = _TIMES["brackets"]
     ok = doc["ok"] and doc["checked"] == 81 * 175 and elapsed < 60
     report_line(
         1, ok, "symbolic structure constants on |i|<=3, |r|<=2", f"{elapsed:.1f}s"
@@ -96,14 +109,14 @@ def test_criterion_01_symbolic_structure_constants():
 
 
 def test_criterion_02_embedding_consistency():
-    doc = produce("embedding")
+    doc = produce("brackets")[1]["embedding"]
     ok = doc["ok"] and doc["checked"] == 9 * 175
     report_line(2, ok, "all nine generators match their vector-field route")
 
 
 def test_criterion_03_witt_bracket_law():
-    doc = produce("witt-law")
-    elapsed = _TIMES["witt-law"]
+    doc = produce("witt")[1]
+    elapsed = _TIMES["witt"]
     ok = (
         doc["verdict"] == "pass"
         and doc["bracket_trials"] == 200
@@ -117,7 +130,7 @@ def test_criterion_03_witt_bracket_law():
 
 
 def test_criterion_04_seed_generation():
-    doc = produce("generation")
+    doc = produce("generation")[1]
     elapsed = _TIMES["generation"]
     ok = (
         doc["verdict"] == "pass"
@@ -129,7 +142,7 @@ def test_criterion_04_seed_generation():
 
 
 def test_criterion_05_proof_identity_suite():
-    doc = produce("proof-identities")
+    doc = produce("proof-identities")[1]
     ok = (
         doc["verdict"] == "pass"
         and all(d["ok"] for d in doc["displays"])
@@ -140,7 +153,7 @@ def test_criterion_05_proof_identity_suite():
 
 
 def test_criterion_06_factorization_oracle():
-    doc = produce("factorization")
+    doc = produce("factorization")[1]
     results = {r["s"]: r for r in doc["results"]}
     ok = doc["verdict"] == "pass" and set(results) == {1, 2, 3}
     for s, res in results.items():
@@ -160,7 +173,7 @@ def test_criterion_06_factorization_oracle():
 
 
 def test_criterion_07_gt_obstruction():
-    doc = produce("gt-obstruction")
+    (doc,) = gt_subchecks("gt-obstruction")
     ok = doc["verdict"] == "pass" and len(doc["operators"]) == 3
     for op in doc["operators"]:
         ok = ok and op["triangular_ok"] and op["extreme_nonzero_ok"]
@@ -174,8 +187,8 @@ def test_criterion_07_gt_obstruction():
 
 
 def test_criterion_08_gt_centrality():
-    doc = produce("gt-central")
-    c31, c32 = doc["c31"], doc["c32"]
+    central = {(s["m"], s["k"]): s for s in gt_subchecks("gt-central")}
+    c31, c32 = central[(3, 1)], central[(3, 2)]
     ok = (
         c31["verdict"] == "pass"
         and c31["trace_zero"] is True
@@ -188,7 +201,7 @@ def test_criterion_08_gt_centrality():
 
 
 def test_criterion_09_degenerate_reducibility():
-    doc = produce("degenerate")
+    doc = produce("degenerate")[1]
     ok = (
         doc["verdict"] == "pass"
         and doc["singular_count"] > 0
@@ -203,7 +216,7 @@ def test_criterion_09_degenerate_reducibility():
 
 
 def test_criterion_10_derham():
-    doc = produce("derham")
+    doc = produce("derham")[1]
     ok = (
         doc["verdict"] == "pass"
         and doc["dd_failures"] == 0
@@ -217,21 +230,36 @@ def test_criterion_10_derham():
 def test_criterion_11_determinism():
     ok = True
     for name, producer in PRODUCERS.items():
-        first = canonical_json(produce(name))
-        second = canonical_json(producer())
-        if first != second:
+        if produce(name)[0] != producer()[0]:
             ok = False
             print(f"  nondeterministic report: {name}")
-    report_line(11, ok, "all ten certificates reproduce byte for byte")
+    report_line(11, ok, f"all {len(PRODUCERS)} certificates reproduce byte for byte")
+
+
+# -- the behaviour lock ---------------------------------------------------
+
+
+def digest(name: str) -> str:
+    return hashlib.sha256(produce(name)[0].encode()).hexdigest()
+
+
+def lock_text() -> str:
+    """The lock file's contents, recorded from this session's reports."""
+    return json.dumps({name: digest(name) for name in PRODUCERS}, indent=2, sort_keys=True) + "\n"
+
+
+def test_every_producer_is_recorded():
+    assert set(json.loads(LOCK.read_text())) == set(PRODUCERS)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS))
+def test_report_matches_recorded_digest(name):
+    assert digest(name) == json.loads(LOCK.read_text())[name]
 
 
 def test_reports_match_recorded_digests():
-    recorded = json.loads(Path(__file__).with_name("report_digests.json").read_text())
-    assert set(recorded) == set(PRODUCERS)
-    changed = [
-        name
-        for name in PRODUCERS
-        if hashlib.sha256(canonical_json(produce(name)).encode()).hexdigest()
-        != recorded[name]
-    ]
-    assert not changed, f"reports differ from their recorded digests: {changed}"
+    assert lock_text() == LOCK.read_text()
+
+
+if __name__ == "__main__":
+    sys.stdout.write(lock_text())

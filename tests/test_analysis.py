@@ -223,15 +223,20 @@ def test_word_columns_are_scaled_word_images(params, scale):
         assert all(type(v) is int for v in col.values()) and col == expected
 
 
-def test_word_column_table_is_warm_neutral_and_keeps_one_point():
+def test_word_column_table_is_warm_neutral_and_keeps_two_points():
     w = Window.symmetric(2, 2, 2, 1)
     seed = basis_element(NUM, 1, (0, 1))
     engine._WORD_COLUMNS.clear()
     cold = closure(NUM, [seed], DEFAULT_WORDS, w)
     warm = closure(NUM, [seed], DEFAULT_WORDS, w)
     assert cold[0].by_point == warm[0].by_point and cold[1] == warm[1]
-    closure(DEG, [basis_element(DEG, 0, (0, 0))], DEFAULT_WORDS, w)
-    assert list(engine._WORD_COLUMNS) == [(DEG.lam, DEG.b, DEG.c, DEG.a1, DEG.a2)]
+    # three points in, the two most recent kept, least recent first
+    other = Params.numeric({"l": Fraction(1, 5)})
+    for params in (DEG, other):
+        closure(params, [basis_element(params, 0, (0, 0))], DEFAULT_WORDS, w)
+    assert list(engine._WORD_COLUMNS) == [
+        (p.lam, p.b, p.c, p.a1, p.a2) for p in (DEG, other)
+    ]
 
 
 # -- generation and irreducibility --------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from wittmod import cli
 from wittmod.cli import main, parse_vector_literal, parse_window_arg
 from wittmod.report import aggregate_verdict, exit_code_for
 from wittmod.tensor import element_from_json
@@ -184,6 +185,18 @@ def test_symbolic_mode_rejects_config(capsys, tmp_path):
     cfg = tmp_path / "p.cfg"
     cfg.write_text("b = 1/11\n")
     rc, _, err = run_cli(capsys, "brackets", "--mode", "symbolic", "--config", str(cfg))
+    assert rc == 2 and "numeric mode only" in err
+
+
+def test_gt_rejects_config_before_any_subcheck_runs(capsys, tmp_path, monkeypatch):
+    # the default central check is symbolic, so --config is refused up front
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("gt ran a subcheck before checking its arguments")
+
+    monkeypatch.setattr(cli, "gt_obstruction", must_not_run)
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("b = 1/11\n")
+    rc, _, err = run_cli(capsys, "gt", "--config", str(cfg))
     assert rc == 2 and "numeric mode only" in err
 
 

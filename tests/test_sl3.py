@@ -22,7 +22,6 @@ from wittmod.sl3 import (
     proof_identity_report,
     verify_embedding,
     verify_sl3_brackets,
-    weight_of,
     word_shift,
 )
 
@@ -59,13 +58,15 @@ def test_word_action_pinned():
 
 
 def test_weights():
-    assert weight_of(NUM, (1, -1)) == (
-        Fraction(18, 17),
-        Fraction(-18, 19),
-        Fraction(-36, 323),
-    )
-    w = weight_of(NUM, (0, 0))
-    assert w[0] + w[1] + w[2] == 0
+    # E11, E22, E33 act on v_i(r) by (a1 + r1, a2 + r2, -(a1 + r1 + a2 + r2))
+    x = basis_element(NUM, 1, (1, -1))
+    assert [act_gen(NUM, i, i, x) for i in (1, 2, 3)] == [
+        x.scale(Fraction(18, 17)),
+        x.scale(Fraction(-18, 19)),
+        x.scale(Fraction(-36, 323)),
+    ]
+    y = basis_element(NUM, 0, (0, 0))
+    assert (act_gen(NUM, 1, 1, y) + act_gen(NUM, 2, 2, y) + act_gen(NUM, 3, 3, y)).is_zero()
 
 
 def test_alpha_mismatch_rejected():
