@@ -1,14 +1,18 @@
 """Exact coefficient arithmetic.
 
-Two layers over ``fractions.Fraction``:
+Two layers of exact rational arithmetic:
 
-* ``ParamPolynomial`` - sparse multivariate polynomials over Fraction in
-  the six parameter symbols ``l, b, c, a1, a2, iota``, with a fixed
-  graded-lexicographic monomial order (symbol order l < b < c < a1 < a2
-  < iota; iota is the largest symbol).  Gcds and the cofactors that
+* ``ParamPolynomial`` - sparse multivariate polynomials over the
+  rationals in the six parameter symbols ``l, b, c, a1, a2, iota``, with
+  a fixed graded-lexicographic monomial order (symbol order l < b < c <
+  a1 < a2 < iota; iota is the largest symbol).  Gcds and the cofactors that
   reduce a Scalar are computed in sympy's sparse polynomial ring over QQ,
   built with the same order on first use; sympy also supplies
-  factorization.
+  factorization.  A coefficient is stored as an ``int`` when it is
+  integral and as a ``Fraction`` otherwise (almost all of them are small
+  integers, and ``int`` arithmetic is far cheaper); ``const_value`` and
+  ``leading_coeff`` always return a ``Fraction``, so dividing by them
+  stays exact.
 * ``Scalar`` - the fraction field in canonically normalized form:
   numerator and denominator coprime, denominator with leading
   coefficient 1.  Equality of Scalars is plain structural equality.
@@ -21,6 +25,7 @@ type.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional
@@ -36,8 +41,22 @@ def _grlex_key(exp: tuple) -> tuple:
     return (sum(exp), tuple(reversed(exp)))
 
 
+def _exact(q):
+    """A rational as an int when integral, else as a Fraction; never a float."""
+    if type(q) is int:
+        return q
+    if isinstance(q, float):
+        raise TypeError(f"inexact coefficient {q!r}")
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 class ParamPolynomial:
-    """Sparse polynomial in the six parameter symbols over Fraction."""
+    """Sparse polynomial in the six parameter symbols over the rationals.
+
+    Coefficients are ints when integral and Fractions otherwise; equality,
+    hashing and printing do not depend on which of the two holds a value.
+    """
 
     __slots__ = ("terms",)
 
@@ -46,7 +65,7 @@ class ParamPolynomial:
         if terms:
             for exp, coeff in terms.items():
                 if coeff:
-                    clean[exp] = Fraction(coeff)
+                    clean[exp] = _exact(coeff)
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -57,7 +76,7 @@ class ParamPolynomial:
 
     @classmethod
     def const(cls, q) -> "ParamPolynomial":
-        q = Fraction(q)
+        q = _exact(q)
         return cls({_ZERO_EXP: q}) if q else cls()
 
     @classmethod
@@ -66,7 +85,7 @@ class ParamPolynomial:
             raise ValueError(f"unknown symbol {name!r}")
         exp = [0] * _NSYM
         exp[_SYM_INDEX[name]] = 1
-        return cls({tuple(exp): Fraction(1)})
+        return cls({tuple(exp): 1})
 
     # -- predicates ---------------------------------------------------
 
@@ -79,7 +98,7 @@ class ParamPolynomial:
     def const_value(self) -> Fraction:
         if not self.is_const():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(_ZERO_EXP, Fraction(0))
+        return Fraction(self.terms.get(_ZERO_EXP, 0))
 
     def degree_in(self, name: str) -> int:
         k = _SYM_INDEX[name]
@@ -101,7 +120,7 @@ class ParamPolynomial:
         return max(self.terms, key=_grlex_key)
 
     def leading_coeff(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
+        return Fraction(self.terms[self.leading_monomial()])
 
     def sorted_terms(self):
         """Terms in descending monomial order (canonical iteration)."""
@@ -142,7 +161,7 @@ class ParamPolynomial:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(operator.add, e1, e2))
                 s = out.get(exp, 0) + c1 * c2
                 if s:
                     out[exp] = s
@@ -155,6 +174,7 @@ class ParamPolynomial:
     def scale(self, q: Fraction) -> "ParamPolynomial":
         if not q:
             return ParamPolynomial()
+        q = _exact(q)
         res = ParamPolynomial.__new__(ParamPolynomial)
         res.terms = {exp: c * q for exp, c in self.terms.items()}
         return res
@@ -227,7 +247,9 @@ def _to_ring(p: ParamPolynomial):
 def _from_ring(f) -> ParamPolynomial:
     res = ParamPolynomial.__new__(ParamPolynomial)
     res.terms = {
-        m[::-1]: Fraction(int(q.numerator), int(q.denominator)) for m, q in f.items()
+        m[::-1]: int(q.numerator) if q.denominator == 1
+        else Fraction(int(q.numerator), int(q.denominator))
+        for m, q in f.items()
     }
     return res
 

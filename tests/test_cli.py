@@ -255,6 +255,17 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["verdict"] == "pass"
 
 
+def test_package_runs_as_module():
+    # `python -m wittmod` works from a checkout, without `pip install`
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittmod", "check-generic"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
 @pytest.mark.parametrize(
     "code",
     [

@@ -1,11 +1,14 @@
 """Exact scalar arithmetic: field laws, canonical forms, text grammar."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittmod import scalars as scalars_module
+from wittmod.engine import recursion_factorization_oracle
 from wittmod.scalars import (
     A1,
     A2,
@@ -26,6 +29,7 @@ from wittmod.scalars import (
     parse_rational,
     parse_scalar,
     poly_gcd,
+    poly_to_text,
     scalar_to_text,
 )
 
@@ -300,3 +304,104 @@ def test_quotient_stays_reduced(x, y):
 @given(scalars)
 def test_text_roundtrip(x):
     assert parse_scalar(scalar_to_text(x)) == x
+
+
+# -- exact coefficient types ----------------------------------------------
+
+E_C = (0, 0, 1, 0, 0, 0)  # the exponent of the monomial c
+
+
+def _is_exact(p: ParamPolynomial) -> bool:
+    return all(type(q) in (int, Fraction) for q in p.terms.values())
+
+
+@contextmanager
+def recorded_polynomials():
+    """Collect every polynomial built by arithmetic, scaling or the ring."""
+    made = []
+
+    def recording(fn):
+        def wrapper(*args):
+            out = fn(*args)
+            made.append(out)
+            return out
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__add__", "__sub__", "__neg__", "__mul__", "scale"):
+            mp.setattr(ParamPolynomial, name, recording(getattr(ParamPolynomial, name)))
+        mp.setattr(scalars_module, "_from_ring", recording(scalars_module._from_ring))
+        yield made
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalars, scalars)
+def test_field_operations_keep_coefficients_exact(x, y):
+    with recorded_polynomials() as made:
+        results = [x + y, x - y, x * y, -x]
+        if not y.is_zero():
+            results += [x / y, y.inv()]
+    made += [p for r in results for p in (r.num, r.den)]
+    assert made and all(_is_exact(p) for p in made)
+
+
+def test_factorization_keeps_coefficients_exact():
+    with recorded_polynomials() as made:
+        factor_polynomial(Scalar.from_rational(Fraction(3, 2)) * (2 * C - 1) * (C + L))
+        recursion_factorization_oracle([1])
+    assert made and all(_is_exact(p) for p in made)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    assert type(ParamPolynomial({E_C: Fraction(4, 2)}).terms[E_C]) is int
+    assert type(ParamPolynomial.const(Fraction(6, 3)).terms[(0,) * 6]) is int
+    assert type(ParamPolynomial.symbol("c").terms[E_C]) is int
+    p = ((C + Fraction(1, 2)) * (2 * L - 3)).num
+    back = scalars_module._from_ring(scalars_module._to_ring(p))
+    assert {type(q) for q in back.terms.values()} == {int, Fraction}
+    assert all(type(q) is int for q in back.terms.values() if q.denominator == 1)
+    with pytest.raises(TypeError):
+        ParamPolynomial({E_C: 0.5})
+    with pytest.raises(TypeError):
+        p.scale(1 / 3)
+
+
+def test_constant_and_leading_values_are_fractions():
+    # int coefficients must never turn a division into a float
+    p = (3 * C + 2).num
+    assert type(p.leading_coeff()) is Fraction
+    assert type(ParamPolynomial.const(5).const_value()) is Fraction
+    assert type(ParamPolynomial.zero().const_value()) is Fraction
+    assert type(Scalar.from_rational(3).const_value()) is Fraction
+    assert Scalar.from_rational(3).const_value() == 3
+    half = Scalar(ParamPolynomial.const(3), ParamPolynomial.const(6))
+    assert type(half.const_value()) is Fraction and half.const_value() == Fraction(1, 2)
+
+
+def test_int_and_fraction_coefficients_compare_equal():
+    as_int = ParamPolynomial({E_C: 2})
+    # a product of non-integral coefficients can land on an integral Fraction
+    as_fraction = ParamPolynomial({E_C: Fraction(1, 2)}) * ParamPolynomial.const(4)
+    for other in (ParamPolynomial({E_C: Fraction(2)}), as_fraction):
+        assert other == as_int and as_int == other
+        assert hash(other) == hash(as_int)
+        assert poly_to_text(other) == poly_to_text(as_int) == "2*c"
+        assert Scalar(other) == Scalar(as_int)
+        assert hash(Scalar(other)) == hash(Scalar(as_int))
+        assert scalar_to_text(Scalar(other)) == scalar_to_text(Scalar(as_int))
+        assert Scalar(ONE.num, other) == Scalar(ONE.num, as_int)
+
+
+# -- printer and ring round trip -------------------------------------------
+
+exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * 6)
+polynomials = st.dictionaries(exponents, rationals, max_size=6).map(ParamPolynomial)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials)
+def test_ring_round_trip_keeps_polynomial_and_text(p):
+    back = scalars_module._from_ring(scalars_module._to_ring(p))
+    assert back == p
+    assert poly_to_text(back) == poly_to_text(p)
