@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .scalars import add_term, coeff_is_zero, coeff_to_text
+from .scalars import add_term, coeff_is_zero, coeff_to_text, exact
 
 
 class GlVector:
@@ -81,7 +81,13 @@ class FinDimGlModule:
 
     ``action[(i, j)][p][q]`` is the coefficient of basis p in E_ij * basis q.
     ``basis_labels`` optionally names the basis (index subsets for wedge
-    powers); plain integer indices are used when absent.
+    powers); plain integer indices are used when absent, and ``positions``
+    maps each label back to its index.
+
+    The matrices are immutable once built, so every column is read off
+    them once, here: ``column(i, j, q)`` is the image of basis q under
+    E_ij as a tuple of (p, entry) pairs with nonzero entries only, and an
+    integral entry is stored as an ``int``.
     """
 
     kind = "findim"
@@ -93,27 +99,34 @@ class FinDimGlModule:
             key: tuple(tuple(row) for row in mat) for key, mat in action.items()
         }
         self.basis_labels = basis_labels
+        self.positions = {s: t for t, s in enumerate(basis_labels or ())}
+        self._columns = {}
         for i, j in product(range(1, n + 1), repeat=2):
             mat = self.action.get((i, j))
             if mat is None or len(mat) != dim or any(len(row) != dim for row in mat):
                 raise ValueError(f"missing or malformed matrix for E{i}{j}")
+            self._columns[(i, j)] = tuple(
+                tuple(
+                    (p, exact(row[q]))
+                    for p, row in enumerate(mat)
+                    if not coeff_is_zero(row[q])
+                )
+                for q in range(dim)
+            )
 
     def indices(self) -> range:
         return range(self.dim)
 
-    def act(self, i: int, j: int, v: GlVector) -> GlVector:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
+    def column(self, i: int, j: int, idx: int) -> tuple:
+        cols = self._columns.get((i, j))
+        if cols is None:
             raise IndexError(f"generator E{i}{j} out of range for gl_{self.n}")
-        mat = self.action[(i, j)]
-        out = {}
-        for q, coeff in v.terms.items():
-            if not 0 <= q < self.dim:
-                raise IndexError(f"basis index {q} out of range")
-            for p in range(self.dim):
-                entry = mat[p][q]
-                if not coeff_is_zero(entry):
-                    add_term(out, p, entry * coeff)
-        return GlVector(out)
+        if not 0 <= idx < self.dim:
+            raise IndexError(f"basis index {idx} out of range")
+        return cols[idx]
+
+    def act(self, i: int, j: int, v: GlVector) -> GlVector:
+        return _act_by_columns(self, i, j, v)
 
     def label(self, idx: int):
         if self.basis_labels is not None:
@@ -122,7 +135,12 @@ class FinDimGlModule:
 
 
 class CuspidalGl2:
-    """Cuspidal gl_2 family; indices are arbitrary integers."""
+    """Cuspidal gl_2 family; indices are arbitrary integers.
+
+    ``column(i, j, k)`` evaluates the closed form in the module docstring:
+    the image of v_k under E_ij as a tuple of at most one (index,
+    coefficient) pair, empty when the coefficient vanishes.
+    """
 
     kind = "cuspidal"
     n = 2
@@ -131,31 +149,43 @@ class CuspidalGl2:
         self.lam = lam
         self.b = b
         self.c = c
-        if all(isinstance(v, Fraction) for v in (lam, b, c)):
+        if all(isinstance(v, (int, Fraction)) for v in (lam, b, c)):
             # the raising and lowering coefficients c +- (lambda + i) must
             # never vanish at integer indices
             for name, val in (("c+l", c + lam), ("c-l", c - lam)):
                 if val.denominator == 1:
                     raise ValueError(f"cuspidal parameters violate {name} not integer")
 
-    def act(self, i: int, j: int, v: GlVector) -> GlVector:
-        if not (1 <= i <= 2 and 1 <= j <= 2):
+    def column(self, i: int, j: int, idx: int) -> tuple:
+        ipp = self.lam + idx
+        if (i, j) == (1, 1):
+            p, val = idx, self.b + ipp
+        elif (i, j) == (2, 2):
+            p, val = idx, self.b - ipp
+        elif (i, j) == (1, 2):
+            p, val = idx + 1, self.c + ipp
+        elif (i, j) == (2, 1):
+            p, val = idx - 1, self.c - ipp
+        else:
             raise IndexError(f"generator E{i}{j} out of range for gl_2")
-        out = {}
-        for k, coeff in v.terms.items():
-            ipp = self.lam + k
-            if (i, j) == (1, 1):
-                add_term(out, k, (self.b + ipp) * coeff)
-            elif (i, j) == (2, 2):
-                add_term(out, k, (self.b - ipp) * coeff)
-            elif (i, j) == (1, 2):
-                add_term(out, k + 1, (self.c + ipp) * coeff)
-            else:
-                add_term(out, k - 1, (self.c - ipp) * coeff)
-        return GlVector(out)
+        return () if coeff_is_zero(val) else ((p, val),)
+
+    def act(self, i: int, j: int, v: GlVector) -> GlVector:
+        return _act_by_columns(self, i, j, v)
 
     def label(self, idx: int):
         return idx
+
+
+def _act_by_columns(module, i: int, j: int, v: GlVector) -> GlVector:
+    """E_ij v as the sum of ``module.column`` over the terms of v."""
+    out = {}
+    for q, coeff in v.terms.items():
+        for p, entry in module.column(i, j, q):
+            add_term(out, p, entry * coeff)
+    res = GlVector.__new__(GlVector)
+    res.terms = out
+    return res
 
 
 def exterior_power(n: int, k: int) -> FinDimGlModule:

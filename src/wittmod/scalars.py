@@ -41,7 +41,7 @@ def _grlex_key(exp: tuple) -> tuple:
     return (sum(exp), tuple(reversed(exp)))
 
 
-def _exact(q):
+def exact(q):
     """A rational as an int when integral, else as a Fraction; never a float."""
     if type(q) is int:
         return q
@@ -65,7 +65,7 @@ class ParamPolynomial:
         if terms:
             for exp, coeff in terms.items():
                 if coeff:
-                    clean[exp] = _exact(coeff)
+                    clean[exp] = exact(coeff)
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -76,7 +76,7 @@ class ParamPolynomial:
 
     @classmethod
     def const(cls, q) -> "ParamPolynomial":
-        q = _exact(q)
+        q = exact(q)
         return cls({_ZERO_EXP: q}) if q else cls()
 
     @classmethod
@@ -174,7 +174,7 @@ class ParamPolynomial:
     def scale(self, q: Fraction) -> "ParamPolynomial":
         if not q:
             return ParamPolynomial()
-        q = _exact(q)
+        q = exact(q)
         res = ParamPolynomial.__new__(ParamPolynomial)
         res.terms = {exp: c * q for exp, c in self.terms.items()}
         return res

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .glmod import GlVector
 from .scalars import add_term, coeff_is_zero, coeff_to_text, parse_scalar
 
 
@@ -67,25 +66,21 @@ class ModuleElement:
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             add_term(out, key, coeff)
-        res = ModuleElement.__new__(ModuleElement)
-        res.alpha = self.alpha
-        res.terms = out
-        return res
+        return _element(self.alpha, out)
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + other.scale(-1)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            add_term(out, key, -coeff)
+        return _element(self.alpha, out)
 
     def __neg__(self) -> "ModuleElement":
         return self.scale(-1)
 
     def scale(self, coeff) -> "ModuleElement":
-        res = ModuleElement.__new__(ModuleElement)
-        res.alpha = self.alpha
         if coeff_is_zero(coeff):
-            res.terms = {}
-        else:
-            res.terms = {key: c * coeff for key, c in self.terms.items()}
-        return res
+            return _element(self.alpha, {})
+        return _element(self.alpha, {key: c * coeff for key, c in self.terms.items()})
 
     def coefficient(self, idx, m):
         return self.terms.get((idx, tuple(m)), 0)
@@ -112,28 +107,48 @@ class ModuleElement:
         return f"ModuleElement({body})"
 
 
+def _element(alpha, terms: dict) -> ModuleElement:
+    # wraps a dict whose zero coefficients add_term has already dropped
+    res = ModuleElement.__new__(ModuleElement)
+    res.alpha = alpha
+    res.terms = terms
+    return res
+
+
 def act_witt(D: WittGenerator, x: ModuleElement, module) -> ModuleElement:
-    """Apply D(u, r); linear in x, support shifts by r."""
+    """Apply D(u, r); linear in x, support shifts by r.
+
+    ``module`` is the gl_n input; it is read only through
+    ``module.column(i, j, idx)``, the image of basis idx under E_ij as
+    (p, entry) pairs.  A ``FinDimGlModule`` builds its columns once, at
+    construction, from its immutable matrices and stores integral entries
+    as ``int``; a ``CuspidalGl2`` evaluates its closed form.  Per term of
+    x the weight is (u|alpha), computed once per call, plus (u|m), and the
+    matrix part sum_{i,j} r_i u_j E_ij e_idx is summed with the scalar
+    entries before the one product with the term's coefficient.
+    """
     n = len(x.alpha)
     if len(D.u) != n:
         raise ValueError(f"generator dimension {len(D.u)} does not match n={n}")
     u = [(k, uk) for k, uk in enumerate(D.u) if not coeff_is_zero(uk)]
     ru = [(i + 1, j + 1, ri * uj) for i, ri in enumerate(D.r) if ri for j, uj in u]
+    u_alpha = 0
+    for k, uk in u:
+        u_alpha = u_alpha + uk * x.alpha[k]
     out = {}
     for (idx, m), coeff in x.terms.items():
         target = tuple(a + b for a, b in zip(m, D.r))
-        weight = 0
+        u_m = 0
         for k, uk in u:
-            weight = weight + uk * (m[k] + x.alpha[k])
-        add_term(out, (idx, target), weight * coeff)
+            u_m = u_m + uk * m[k]
+        add_term(out, (idx, target), (u_alpha + u_m) * coeff)
+        col = {}
         for i, j, c in ru:
-            cc = c * coeff
-            for p, e in module.act(i, j, GlVector.basis(idx)).terms.items():
-                add_term(out, (p, target), e * cc)
-    res = ModuleElement.__new__(ModuleElement)
-    res.alpha = x.alpha
-    res.terms = out
-    return res
+            for p, e in module.column(i, j, idx):
+                add_term(col, p, c * e)
+        for p, e in col.items():
+            add_term(out, (p, target), e * coeff)
+    return _element(x.alpha, out)
 
 
 def witt_bracket(a: WittGenerator, b: WittGenerator) -> WittGenerator:
@@ -181,7 +196,7 @@ def de_rham_differential(x: ModuleElement, n: int, k: int, wedge_k, wedge_k1) ->
     """
     if k >= n:
         raise ValueError("top-degree forms have no differential")
-    pos1 = {s: t for t, s in enumerate(wedge_k1.basis_labels)}
+    pos1 = wedge_k1.positions
     out = {}
     for (idx, m), coeff in x.terms.items():
         subset = wedge_k.basis_labels[idx]
@@ -190,10 +205,9 @@ def de_rham_differential(x: ModuleElement, n: int, k: int, wedge_k, wedge_k1) ->
                 continue
             weight = (m[j - 1] + x.alpha[j - 1]) * coeff
             below = sum(1 for t in subset if t < j)
-            sign = -1 if below % 2 else 1
             target = tuple(sorted(subset + (j,)))
-            add_term(out, (pos1[target], m), weight * sign)
-    return ModuleElement(x.alpha, out)
+            add_term(out, (pos1[target], m), -weight if below % 2 else weight)
+    return _element(x.alpha, out)
 
 
 def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:

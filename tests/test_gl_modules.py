@@ -53,6 +53,11 @@ def test_cuspidal_rejects_integral_parameters():
         CuspidalGl2(Fraction(1, 2), BB, Fraction(1, 2))
     with pytest.raises(ValueError):
         CuspidalGl2(Fraction(1, 2), BB, Fraction(-1, 2))
+    # int parameters are rationals too: at (0, 0, 1), E21 v_1 = 0
+    with pytest.raises(ValueError):
+        CuspidalGl2(0, 0, 1)
+    with pytest.raises(ValueError):
+        CuspidalGl2(Fraction(1, 2), 0, Fraction(1, 2))
     CuspidalGl2(LAM, BB, CC)  # generic point is fine
 
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wittmod.glmod import CuspidalGl2, exterior_power
+from wittmod.glmod import CuspidalGl2, FinDimGlModule, GlVector, exterior_power
 from wittmod.scalars import B, C, L
 from wittmod.tensor import (
     ModuleElement,
@@ -115,6 +117,110 @@ def test_jacobi_identity_random():
         assert jacobi_residual(gens, x, CUSP).is_zero()
 
 
+# -- act_witt against the per-generator route ------------------------------
+
+GL_INPUTS = {
+    **{f"wedge{n}^{k}": exterior_power(n, k) for n in (2, 3) for k in range(n + 1)},
+    "cuspidal": CUSP,
+    "cuspidal-symbolic": CuspidalGl2(L, B, C),
+}
+
+
+def _gl_image(module, i, j, idx):
+    """E_ij e_idx, read without ``column``: off the matrices of a findim
+    module, off the closed form of the glmod docstring for a cuspidal one."""
+    if module.kind == "findim":
+        mat = module.action[(i, j)]
+        return GlVector({p: mat[p][idx] for p in module.indices()})
+    lam, b, c = module.lam, module.b, module.c
+    p, entry = {
+        (1, 1): (idx, b + lam + idx),
+        (2, 2): (idx, b - lam - idx),
+        (1, 2): (idx + 1, c + lam + idx),
+        (2, 1): (idx - 1, c - lam - idx),
+    }[(i, j)]
+    return GlVector({p: entry})
+
+
+def _act_witt_reference(D, x, module):
+    """D(u, r)x term by term: the weight, then r_i u_j E_ij applied to
+    each basis vector through ``_gl_image``."""
+    total = ModuleElement.zero(x.alpha)
+    for (idx, m), coeff in x.terms.items():
+        target = tuple(a + b for a, b in zip(m, D.r))
+        weight = 0
+        for uk, mk, ak in zip(D.u, m, x.alpha):
+            weight = weight + uk * (mk + ak)
+        total = total + ModuleElement(x.alpha, {(idx, target): weight * coeff})
+        for i, ri in enumerate(D.r, 1):
+            for j, uj in enumerate(D.u, 1):
+                image = _gl_image(module, i, j, idx)
+                total = total + ModuleElement(
+                    x.alpha, {(p, target): ri * uj * e * coeff for p, e in image.terms.items()}
+                )
+    return total
+
+
+def _indices(module):
+    return list(module.indices()) if module.kind == "findim" else list(range(-3, 4))
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def witt_cases(draw):
+    name = draw(st.sampled_from(sorted(GL_INPUTS)))
+    module = GL_INPUTS[name]
+    n = module.n
+    alpha = tuple(Fraction(1, p) for p in (17, 19, 23)[:n])
+    coeffs = small_fractions.filter(lambda q: q != 0)
+    if name == "cuspidal-symbolic":
+        coeffs = coeffs | st.sampled_from([C + L, B - 2 * L])
+    terms = draw(
+        st.dictionaries(
+            st.tuples(
+                st.sampled_from(_indices(module)),
+                st.tuples(*[st.integers(-2, 2)] * n),
+            ),
+            coeffs,
+            min_size=1,
+            max_size=5,
+        )
+    )
+    u = draw(st.tuples(*[small_fractions] * n))
+    r = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    return module, WittGenerator(u, r), ModuleElement(alpha, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(witt_cases())
+def test_act_witt_matches_per_generator_route(case):
+    module, D, x = case
+    out = act_witt(D, x, module)
+    assert out == _act_witt_reference(D, x, module)
+    assert not any(isinstance(c, float) for c in out.terms.values())
+
+
+@pytest.mark.parametrize("name", sorted(GL_INPUTS))
+def test_column_and_act_match_gl_image(name):
+    module = GL_INPUTS[name]
+    indices = _indices(module)
+    v = GlVector({idx: Fraction(k + 1, 3) for k, idx in enumerate(indices)})
+    for i, j in product(range(1, module.n + 1), repeat=2):
+        expected = GlVector({})
+        for idx in indices:
+            image = _gl_image(module, i, j, idx)
+            col = module.column(i, j, idx)
+            assert GlVector(dict(col)) == image
+            assert len(col) == len(image.terms)  # no zero entries
+            assert not any(isinstance(e, float) for _, e in col)
+            if module.kind == "findim":
+                assert all(type(e) is int for _, e in col)  # wedge entries are 0, +-1
+            expected = expected + image.scale(v.terms[idx])
+        assert module.act(i, j, v) == expected
+
+
 # -- de Rham complex -----------------------------------------------------
 
 WEDGES2 = tuple(exterior_power(2, k) for k in range(3))
@@ -170,6 +276,22 @@ def test_derham_three_variables():
     assert d2.is_zero()
     rep = verify_d_intertwines((1, 0, -1), (0, 1, 0), alpha3, [(0, 0, 0)], 3, 1, wedges3)
     assert rep["ok"]
+
+
+def test_poisoned_wedge_breaks_d_intertwining():
+    # flipping one sign of E12 on wedge^1 of gl3 must be caught in both
+    # degrees that touch it, so a passing sweep is not vacuous
+    good = exterior_power(3, 1)
+    action = {key: [list(row) for row in mat] for key, mat in good.action.items()}
+    action[(1, 2)][0][1] = -action[(1, 2)][0][1]
+    bad = FinDimGlModule(good.n, good.dim, action, good.basis_labels)
+    wedges = (exterior_power(3, 0), bad, exterior_power(3, 2), exterior_power(3, 3))
+    alpha3 = (Fraction(1, 17), Fraction(1, 19), Fraction(1, 23))
+    box = list(product(range(-1, 2), repeat=3))
+    deg0 = verify_d_intertwines((1, 1, 0), (1, 0, 0), alpha3, box, 3, 0, wedges)
+    assert (deg0["ok"], deg0["checked"], len(deg0["failures"])) == (False, 27, 27)
+    deg1 = verify_d_intertwines((1, 1, 0), (1, 0, 0), alpha3, box, 3, 1, wedges)
+    assert (deg1["ok"], deg1["checked"], len(deg1["failures"])) == (False, 81, 27)
 
 
 # -- serialization -------------------------------------------------------
