@@ -4,10 +4,11 @@ Layers, bottom up:
 
 * ``scalars`` - exact rational-function arithmetic in the module
   parameters, with a text grammar and certified factorization helpers.
-* ``glmod`` - input gl_n modules: explicit finite-dimensional ones (wedge
-  powers included) and the cuspidal gl_2 family.
 * ``tensor`` - tensor-field modules over the rank-n Witt algebra and the
   twisted de Rham differential.
+* ``glmod`` - input gl_n modules: explicit finite-dimensional ones (wedge
+  powers included) and the cuspidal gl_2 family, acting fibrewise on
+  ``tensor`` elements.
 * ``sl3`` - the embedded sl3 action for n = 2 with the cuspidal input:
   closed formulas, the Witt-route cross-check, genericity conditions and
   the truncation-operator identities.
@@ -27,13 +28,6 @@ from .scalars import (
     parse_scalar,
     scalar_to_text,
 )
-from .glmod import (
-    CuspidalGl2,
-    FinDimGlModule,
-    GlVector,
-    exterior_power,
-    verify_gl_brackets,
-)
 from .tensor import (
     ModuleElement,
     WittGenerator,
@@ -43,6 +37,12 @@ from .tensor import (
     element_to_json,
     jacobi_residual,
     witt_bracket_residual,
+)
+from .glmod import (
+    CuspidalGl2,
+    FinDimGlModule,
+    exterior_power,
+    verify_gl_brackets,
 )
 from .sl3 import (
     DEFAULT_VALUES,
@@ -82,9 +82,9 @@ __version__ = "0.1.0"
 __all__ = [
     "IotaFactorization", "ParamPolynomial", "Scalar", "ScalarParseError",
     "factor_linear_in_iota", "factor_polynomial", "parse_scalar", "scalar_to_text",
-    "CuspidalGl2", "FinDimGlModule", "GlVector", "exterior_power", "verify_gl_brackets",
     "ModuleElement", "WittGenerator", "act_witt", "de_rham_differential",
     "element_from_json", "element_to_json", "jacobi_residual", "witt_bracket_residual",
+    "CuspidalGl2", "FinDimGlModule", "exterior_power", "verify_gl_brackets",
     "DEFAULT_VALUES", "DEGENERATE_VALUES", "GenericityReport", "Params",
     "act_embedded", "act_gen", "act_word", "basis_element", "check_generic",
     "parse_word", "proof_identity_report", "verify_embedding", "verify_sl3_brackets",

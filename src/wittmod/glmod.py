@@ -15,65 +15,20 @@ Two presentations are supported:
       E21 v_i = (c - lambda - i) v_{i-1}
 
   Basis indices materialize on demand; callers choose their own windows.
+
+Both act on the V factor of V tensor C[t^{+-1}] only, fibrewise: ``act``
+takes and returns a ``tensor.ModuleElement`` and sends each term v_q(m)
+to (E_ij v_q)(m), keeping its lattice point m and the twist alpha.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Optional
+from typing import Optional
 
 from .scalars import add_term, coeff_is_zero, coeff_to_text, exact
-
-
-class GlVector:
-    """Finite formal sum of basis vectors, index -> coefficient."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for idx, coeff in terms.items():
-                if not coeff_is_zero(coeff):
-                    self.terms[idx] = coeff
-
-    @classmethod
-    def basis(cls, idx, coeff=1) -> "GlVector":
-        return cls({idx: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GlVector") -> "GlVector":
-        out = dict(self.terms)
-        for idx, coeff in other.terms.items():
-            add_term(out, idx, coeff)
-        v = GlVector.__new__(GlVector)
-        v.terms = out
-        return v
-
-    def __sub__(self, other: "GlVector") -> "GlVector":
-        return self + other.scale(-1)
-
-    def scale(self, coeff) -> "GlVector":
-        if coeff_is_zero(coeff):
-            return GlVector()
-        v = GlVector.__new__(GlVector)
-        v.terms = {idx: c * coeff for idx, c in self.terms.items()}
-        return v
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GlVector) and self.terms == other.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def __repr__(self):
-        if not self.terms:
-            return "GlVector(0)"
-        body = " + ".join(f"({coeff_to_text(c)})*v[{i}]" for i, c in self.sorted_terms())
-        return f"GlVector({body})"
+from .tensor import ModuleElement, _element
 
 
 class FinDimGlModule:
@@ -125,8 +80,10 @@ class FinDimGlModule:
             raise IndexError(f"basis index {idx} out of range")
         return cols[idx]
 
-    def act(self, i: int, j: int, v: GlVector) -> GlVector:
-        return _act_by_columns(self, i, j, v)
+    def act(self, i: int, j: int, x: ModuleElement) -> ModuleElement:
+        """E_ij x fibrewise: v_q(m) goes to (E_ij v_q)(m), read off the
+        matrix columns; lattice points and alpha are kept."""
+        return _act_by_columns(self, i, j, x)
 
     def label(self, idx: int):
         if self.basis_labels is not None:
@@ -170,22 +127,23 @@ class CuspidalGl2:
             raise IndexError(f"generator E{i}{j} out of range for gl_2")
         return () if coeff_is_zero(val) else ((p, val),)
 
-    def act(self, i: int, j: int, v: GlVector) -> GlVector:
-        return _act_by_columns(self, i, j, v)
+    def act(self, i: int, j: int, x: ModuleElement) -> ModuleElement:
+        """E_ij x fibrewise: v_k(m) goes to (E_ij v_k)(m) by the closed
+        form; lattice points and alpha are kept."""
+        return _act_by_columns(self, i, j, x)
 
     def label(self, idx: int):
         return idx
 
 
-def _act_by_columns(module, i: int, j: int, v: GlVector) -> GlVector:
-    """E_ij v as the sum of ``module.column`` over the terms of v."""
+def _act_by_columns(module, i: int, j: int, x: ModuleElement) -> ModuleElement:
+    """E_ij x as the sum of ``module.column`` over the terms of x, each
+    image at its term's lattice point."""
     out = {}
-    for q, coeff in v.terms.items():
+    for (q, m), coeff in x.terms.items():
         for p, entry in module.column(i, j, q):
-            add_term(out, p, entry * coeff)
-    res = GlVector.__new__(GlVector)
-    res.terms = out
-    return res
+            add_term(out, (p, m), entry * coeff)
+    return _element(x.alpha, out)
 
 
 def exterior_power(n: int, k: int) -> FinDimGlModule:
@@ -232,23 +190,18 @@ def bracket_residual(act, i, j, k, l, v):
     return res
 
 
-def verify_gl_brackets(module, window: Optional[Iterable[int]] = None) -> dict:
+def verify_gl_brackets(module) -> dict:
     """Check E_ij E_kl - E_kl E_ij = delta_jk E_il - delta_li E_kj.
 
-    ``window`` selects the basis indices for lazily-indexed modules; it is
-    ignored for finite-dimensional ones (all basis vectors are checked).
+    Every basis vector of a finite-dimensional module is checked; a
+    cuspidal one is checked on the indices -4..4.
     """
-    if module.kind == "findim":
-        indices = list(module.indices())
-    else:
-        if window is None:
-            window = range(-4, 5)
-        indices = list(window)
+    indices = list(module.indices() if module.kind == "findim" else range(-4, 5))
     n = module.n
     failures = []
     for i, j, k, l in product(range(1, n + 1), repeat=4):
         for idx in indices:
-            res = bracket_residual(module.act, i, j, k, l, GlVector.basis(idx))
+            res = bracket_residual(module.act, i, j, k, l, ModuleElement.basis((), idx, ()))
             if not res.is_zero():
                 failures.append(
                     {
@@ -256,7 +209,7 @@ def verify_gl_brackets(module, window: Optional[Iterable[int]] = None) -> dict:
                         "basis_index": module.label(idx),
                         "residual": {
                             str(module.label(t)): coeff_to_text(cf)
-                            for t, cf in res.sorted_terms()
+                            for (t, _), cf in res.sorted_terms()
                         },
                     }
                 )

@@ -602,6 +602,10 @@ class ScalarParseError(ValueError):
         self.pos = pos
 
 
+# ASCII only: str.isdigit also admits superscripts and other scripts' digits
+_DIGITS = frozenset("0123456789")
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -683,7 +687,7 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ScalarParseError("expected an integer", start)
@@ -696,7 +700,7 @@ class _Parser:
             v = self.expr()
             self.expect(")")
             return v
-        if ch.isdigit():
+        if ch in _DIGITS:
             return Scalar.from_rational(self.integer())
         if ch.isalpha():
             start = self.pos

@@ -103,6 +103,8 @@ class Params:
             for key, val in values.items():
                 if key not in PARAM_KEYS:
                     raise ValueError(f"unknown parameter key {key!r}")
+                if isinstance(val, float):
+                    raise TypeError(f"inexact parameter {key}={val!r}")
                 merged[key] = Fraction(val)
         return cls(merged["l"], merged["b"], merged["c"], merged["a1"], merged["a2"])
 

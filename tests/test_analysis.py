@@ -192,15 +192,20 @@ def test_closure_rejects_bad_seeds():
         closure(NUM, [ModuleElement.zero(NUM.alpha())], [], w)
 
 
+def _point_key(params):
+    return (params.lam, params.b, params.c, params.a1, params.a2)
+
+
 # scale**len(word) clears the parameter denominators: lcm(7, 11, 13, 17, 19)
 # at the defaults, lcm(7, 11, 13, 77, 77) at the degenerate preset
 @pytest.mark.parametrize(
     "params, scale", [(NUM, 323323), (DEG, 1001)], ids=["default", "degenerate"]
 )
 def test_word_columns_are_scaled_word_images(params, scale):
-    engine._WORD_COLUMNS.clear()
+    engine._column_table.cache_clear()
     closure(params, [basis_element(params, 0, (0, 0))], DEFAULT_WORDS, Window.symmetric(1, 1, 1))
-    (table,) = engine._WORD_COLUMNS.values()
+    assert engine._column_table.cache_info().currsize == 1
+    table = engine._column_table(_point_key(params))
     # words of diagonal generators act on each point by a scalar and are never applied
     assert set(table) == {w for w in DEFAULT_WORDS if any(i != j for i, j in w)}
     columns = [
@@ -226,17 +231,23 @@ def test_word_columns_are_scaled_word_images(params, scale):
 def test_word_column_table_is_warm_neutral_and_keeps_two_points():
     w = Window.symmetric(2, 2, 2, 1)
     seed = basis_element(NUM, 1, (0, 1))
-    engine._WORD_COLUMNS.clear()
+    table = engine._column_table
+    table.cache_clear()
     cold = closure(NUM, [seed], DEFAULT_WORDS, w)
     warm = closure(NUM, [seed], DEFAULT_WORDS, w)
     assert cold[0].by_point == warm[0].by_point and cold[1] == warm[1]
-    # three points in, the two most recent kept, least recent first
+    assert (table.cache_info().hits, table.cache_info().misses) == (1, 1)
+    # NUM, DEG, NUM again, then a third point: DEG is the least recently
+    # used and the one evicted, and both kept tables are still filled
     other = Params.numeric({"l": Fraction(1, 5)})
-    for params in (DEG, other):
+    for params in (DEG, NUM, other):
         closure(params, [basis_element(params, 0, (0, 0))], DEFAULT_WORDS, w)
-    assert list(engine._WORD_COLUMNS) == [
-        (p.lam, p.b, p.c, p.a1, p.a2) for p in (DEG, other)
-    ]
+    assert table.cache_info().currsize == 2
+    hits = table.cache_info().hits
+    assert table(_point_key(NUM)) and table(_point_key(other))
+    assert table.cache_info().hits == hits + 2
+    assert table(_point_key(DEG)) == {}  # rebuilt from empty
+    assert table.cache_info().hits == hits + 2
 
 
 # -- generation and irreducibility --------------------------------------------
@@ -301,6 +312,16 @@ def test_irreducible_rejects_seed_box_too_small_for_random_seeds():
 def test_engine_rejects_counts_without_evidence(run):
     with pytest.raises(ValueError):
         run()
+
+
+@pytest.mark.parametrize("factor", [0, 2], ids=["zero", "double"])
+def test_derham_image_check_needs_the_exact_multiple(monkeypatch, factor):
+    # D(u, r) d(t^m) must be (u|m + alpha) d(t^(m+r)), not any multiple of it
+    act = engine.act_witt
+    monkeypatch.setattr(engine, "act_witt", lambda D, x, mod: act(D, x, mod).scale(factor))
+    doc = derham_report(box_bound=0, uv_bound=1)
+    assert doc["verdict"] == "fail"
+    assert doc["image_failures"] == doc["image_checked"] == 8 * 9 * 9
 
 
 def test_irreducible_refuses_near_integral():

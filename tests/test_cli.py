@@ -284,3 +284,19 @@ def test_numeric_paths_do_not_load_sympy(code):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_public_names_resolve():
+    import wittmod
+
+    names = wittmod.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(wittmod, name) for name in names)
+    # the gl layer defines its two module families and no formal-sum type
+    # of its own: gl generators act on tensor.ModuleElement
+    defined = {
+        name for name, value in vars(wittmod.glmod).items()
+        if isinstance(value, type) and value.__module__ == "wittmod.glmod"
+    }
+    assert defined == {"CuspidalGl2", "FinDimGlModule"}
+    assert defined <= set(names)

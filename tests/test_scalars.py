@@ -151,7 +151,8 @@ def test_parse_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("c +", "(c", "c ** 2", "q + 1", "1/0", ""):
+    # digits are ASCII only: not superscript two (U+00B2), not Arabic-Indic three (U+0663)
+    for bad in ("c +", "(c", "c ** 2", "q + 1", "1/0", "", "c^\u00b2", "c^\u0663", "\u0663"):
         with pytest.raises(ScalarParseError):
             parse_scalar(bad)
 

@@ -177,6 +177,14 @@ def test_params_numeric_rejects_unknown_key():
         Params.numeric({"q": Fraction(1)})
 
 
+def test_params_numeric_rejects_floats():
+    # 0.1 is not 1/10 in binary; storing it would certify a different point
+    with pytest.raises(TypeError):
+        Params.numeric({"l": 0.1})
+    p = Params.numeric({"l": 1, "b": Fraction(1, 11)})
+    assert type(p.lam) is Fraction and p.lam == 1
+
+
 def test_parse_param_line():
     assert parse_param_line(" b = 1/11 ") == ("b", Fraction(1, 11))
     with pytest.raises(ValueError):

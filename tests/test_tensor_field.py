@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittmod.glmod import CuspidalGl2, FinDimGlModule, GlVector, exterior_power
-from wittmod.scalars import B, C, L
+from wittmod.glmod import CuspidalGl2, FinDimGlModule, exterior_power
+from wittmod.scalars import B, C, L, Scalar
 from wittmod.tensor import (
     ModuleElement,
     WittGenerator,
@@ -76,6 +76,10 @@ def test_element_algebra():
     assert (-x).coefficient(0, (0, 0)) == Fraction(-1, 2)
     assert x.scale(0).is_zero()
     assert x.coefficient(3, (9, 9)) == 0
+    # a Scalar constant and the int it equals cancel to nothing
+    one = ModuleElement.basis(ALPHA, 1, (0, 0), Scalar.from_rational(1))
+    w = one - ModuleElement.basis(ALPHA, 1, (0, 0))
+    assert w.is_zero() and w.sorted_terms() == []
 
 
 def _random_vector(rnd, n, bound):
@@ -127,11 +131,12 @@ GL_INPUTS = {
 
 
 def _gl_image(module, i, j, idx):
-    """E_ij e_idx, read without ``column``: off the matrices of a findim
-    module, off the closed form of the glmod docstring for a cuspidal one."""
+    """E_ij e_idx as {p: entry}, nonzero entries only, read without
+    ``column`` or ``act``: off the matrices of a findim module, off the
+    closed form of the glmod docstring for a cuspidal one."""
     if module.kind == "findim":
         mat = module.action[(i, j)]
-        return GlVector({p: mat[p][idx] for p in module.indices()})
+        return {p: mat[p][idx] for p in module.indices() if mat[p][idx] != 0}
     lam, b, c = module.lam, module.b, module.c
     p, entry = {
         (1, 1): (idx, b + lam + idx),
@@ -139,7 +144,7 @@ def _gl_image(module, i, j, idx):
         (1, 2): (idx + 1, c + lam + idx),
         (2, 1): (idx - 1, c - lam - idx),
     }[(i, j)]
-    return GlVector({p: entry})
+    return {p: entry} if entry != 0 else {}
 
 
 def _act_witt_reference(D, x, module):
@@ -156,7 +161,7 @@ def _act_witt_reference(D, x, module):
             for j, uj in enumerate(D.u, 1):
                 image = _gl_image(module, i, j, idx)
                 total = total + ModuleElement(
-                    x.alpha, {(p, target): ri * uj * e * coeff for p, e in image.terms.items()}
+                    x.alpha, {(p, target): ri * uj * e * coeff for p, e in image.items()}
                 )
     return total
 
@@ -205,20 +210,30 @@ def test_act_witt_matches_per_generator_route(case):
 @pytest.mark.parametrize("name", sorted(GL_INPUTS))
 def test_column_and_act_match_gl_image(name):
     module = GL_INPUTS[name]
+    n = module.n
     indices = _indices(module)
-    v = GlVector({idx: Fraction(k + 1, 3) for k, idx in enumerate(indices)})
-    for i, j in product(range(1, module.n + 1), repeat=2):
-        expected = GlVector({})
+    alpha = tuple(Fraction(1, p) for p in (17, 19, 23)[:n])
+    # each index at two lattice points, so one index sits in several fibres
+    points = [tuple((k + s) % 3 - 1 for s in range(n)) for k in range(len(indices) + 1)]
+    x = ModuleElement(alpha, {
+        (idx, pt): Fraction(k + 1, 3) * (1 + t)
+        for k, idx in enumerate(indices)
+        for t, pt in enumerate(points[k:k + 2])
+    })
+    for i, j in product(range(1, n + 1), repeat=2):
+        expected = {}
         for idx in indices:
             image = _gl_image(module, i, j, idx)
             col = module.column(i, j, idx)
-            assert GlVector(dict(col)) == image
-            assert len(col) == len(image.terms)  # no zero entries
+            assert dict(col) == image and len(col) == len(image)  # no zero entries
             assert not any(isinstance(e, float) for _, e in col)
             if module.kind == "findim":
                 assert all(type(e) is int for _, e in col)  # wedge entries are 0, +-1
-            expected = expected + image.scale(v.terms[idx])
-        assert module.act(i, j, v) == expected
+        for (idx, pt), coeff in x.terms.items():
+            for p, e in _gl_image(module, i, j, idx).items():
+                expected[(p, pt)] = expected.get((p, pt), 0) + e * coeff
+        # E_ij acts on the fibre: each term keeps its lattice point and alpha
+        assert module.act(i, j, x) == ModuleElement(alpha, expected)
 
 
 # -- de Rham complex -----------------------------------------------------
