@@ -47,7 +47,6 @@ from .glmod import (
 from .sl3 import (
     DEFAULT_VALUES,
     DEGENERATE_VALUES,
-    GenericityReport,
     Params,
     act_embedded,
     act_gen,
@@ -85,7 +84,7 @@ __all__ = [
     "ModuleElement", "WittGenerator", "act_witt", "de_rham_differential",
     "element_from_json", "element_to_json", "jacobi_residual", "witt_bracket_residual",
     "CuspidalGl2", "FinDimGlModule", "exterior_power", "verify_gl_brackets",
-    "DEFAULT_VALUES", "DEGENERATE_VALUES", "GenericityReport", "Params",
+    "DEFAULT_VALUES", "DEGENERATE_VALUES", "Params",
     "act_embedded", "act_gen", "act_word", "basis_element", "check_generic",
     "parse_word", "proof_identity_report", "verify_embedding", "verify_sl3_brackets",
     "DEFAULT_WORDS", "SubspaceBasis", "Window", "bracket_report",

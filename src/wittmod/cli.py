@@ -30,42 +30,35 @@ from .report import aggregate_verdict, emit, exit_code_for
 from .sl3 import DEGENERATE_VALUES, Params, basis_element, parse_param_line
 
 
-class CliError(ValueError):
-    """Bad input or configuration; maps to exit code 2."""
-
-
 def parse_vector_literal(text: str):
     """Parse ``v:i@r1,r2`` into (index, lattice point)."""
     if not text.startswith("v:"):
-        raise CliError(f"vector literal must start with 'v:', got {text!r}")
+        raise ValueError(f"vector literal must start with 'v:', got {text!r}")
     body = text[2:]
     istr, sep, rstr = body.partition("@")
     if not sep:
-        raise CliError(f"vector literal missing '@' separator: {text!r}")
+        raise ValueError(f"vector literal missing '@' separator: {text!r}")
     parts = rstr.split(",")
     if len(parts) != 2:
-        raise CliError(f"vector literal needs two lattice coordinates: {text!r}")
+        raise ValueError(f"vector literal needs two lattice coordinates: {text!r}")
     try:
         idx = int(istr)
         pt = (int(parts[0]), int(parts[1]))
     except ValueError:
-        raise CliError(f"vector literal has non-integer fields: {text!r}")
+        raise ValueError(f"vector literal has non-integer fields: {text!r}")
     return idx, pt
 
 
 def parse_window_arg(text: str) -> Window:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (3, 4):
-        raise CliError(f"window must be I,R1,R2 or I,R1,R2,margin: {text!r}")
+        raise ValueError(f"window must be I,R1,R2 or I,R1,R2,margin: {text!r}")
     try:
         nums = [int(p) for p in parts]
     except ValueError:
-        raise CliError(f"window has non-integer fields: {text!r}")
+        raise ValueError(f"window has non-integer fields: {text!r}")
     margin = nums[3] if len(nums) == 4 else 0
-    try:
-        return Window.symmetric(nums[0], nums[1], nums[2], margin)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return Window.symmetric(nums[0], nums[1], nums[2], margin)
 
 
 def parse_int_list(text: str, what: str):
@@ -75,11 +68,11 @@ def parse_int_list(text: str, what: str):
         try:
             out.append(int(part))
         except ValueError:
-            raise CliError(f"{what} must be a comma-separated integer list: {text!r}")
+            raise ValueError(f"{what} must be a comma-separated integer list: {text!r}")
     if not out:
-        raise CliError(f"empty {what} list")
+        raise ValueError(f"empty {what} list")
     if min(out) < 1:
-        raise CliError(f"every {what} must be positive: {text!r}")
+        raise ValueError(f"every {what} must be positive: {text!r}")
     return out
 
 
@@ -88,7 +81,7 @@ def load_config(path: str) -> dict:
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot read config: {exc}")
+        raise ValueError(f"cannot read config: {exc}")
     with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -97,7 +90,7 @@ def load_config(path: str) -> dict:
             try:
                 key, val = parse_param_line(line)
             except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: {exc}")
+                raise ValueError(f"{path}:{lineno}: {exc}")
             values[key] = val
     return values
 
@@ -105,15 +98,12 @@ def load_config(path: str) -> dict:
 def build_params(args, defaults=None) -> Params:
     if getattr(args, "mode", "numeric") == "symbolic":
         if getattr(args, "config", None):
-            raise CliError("--config applies to numeric mode only")
+            raise ValueError("--config applies to numeric mode only")
         return Params.symbolic()
     values = dict(defaults) if defaults else {}
     if getattr(args, "config", None):
         values.update(load_config(args.config))
-    try:
-        return Params.numeric(values)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return Params.numeric(values)
 
 
 def seed_element(params: Params, literal: str):
@@ -130,11 +120,7 @@ def cmd_check_generic(args):
 
 def cmd_act(args):
     params = build_params(args)
-    x = seed_element(params, args.vector)
-    try:
-        return act_report(params, args.word, x)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return act_report(params, args.word, seed_element(params, args.vector))
 
 
 def cmd_brackets(args):
@@ -163,7 +149,7 @@ def cmd_irreducible(args):
         params,
         window,
         seeds=seeds,
-        random_counts=(args.trials, args.trials),
+        random_count=args.trials,
         rng_seed=args.rng,
     )
 

@@ -34,7 +34,6 @@ from .scalars import (
 from .sl3 import (
     CONDITION_NAMES,
     DEFAULT_VALUES,
-    GEN_SHIFTS,
     SPANNING_CONDITIONS,
     NAME_OF,
     Params,
@@ -42,7 +41,7 @@ from .sl3 import (
     act_word,
     basis_element,
     check_generic,
-    condition_value,
+    condition_values,
     lowering_operator,
     parse_word,
     proof_identity_report,
@@ -388,25 +387,24 @@ def _basis_json(pairs, limit=10) -> list:
     return [{"index": idx, "r": list(pt)} for idx, pt in pairs[:limit]]
 
 
-def _genericity_gate(check: str, params: Params, window: Window, names=None):
-    """(refusal report or None, genericity report) for a gated check.
+def _genericity_gate(check: str, params: Params, window: Window, names=CONDITION_NAMES):
+    """(refusal report or None, ``check_generic`` dict) for a gated check.
 
-    Refuses symbolic parameters and any violated condition in ``names``
-    (all ten when None).
+    Refuses symbolic parameters and the first violated condition in ``names``.
     """
     if not params.is_numeric():
         return _report(
             check, params, window, "refused",
             {"reason": "symbolic parameters: genericity is undecidable"},
         ), None
-    greport = check_generic(params)
-    viol = greport.first_violation(names)
-    if viol is not None:
-        return _report(
-            check, params, window, "refused",
-            {"reason": f"genericity condition {viol} fails", "generic": greport.to_json()},
-        ), greport
-    return None, greport
+    generic = check_generic(params)
+    for c in generic["conditions"]:
+        if c["name"] in names and not c["holds"]:
+            return _report(
+                check, params, window, "refused",
+                {"reason": f"genericity condition {c['name']} fails", "generic": generic},
+            ), generic
+    return None, generic
 
 
 # (stage, words, predicate on (target level, seed level))
@@ -427,7 +425,7 @@ def check_generation(params: Params, window: Window, seed=None) -> dict:
     analysis; without them the span arguments are not valid and the check
     refuses.
     """
-    refusal, greport = _genericity_gate("generate", params, window, SPANNING_CONDITIONS)
+    refusal, generic = _genericity_gate("generate", params, window, SPANNING_CONDITIONS)
     if refusal is not None:
         return refusal
     if seed is None:
@@ -465,7 +463,7 @@ def check_generation(params: Params, window: Window, seed=None) -> dict:
         "generate", params, window, verdict,
         {
             "seed": element_to_json(seed),
-            "generic": greport.to_json(),
+            "generic": generic,
             "subchecks": subchecks,
         },
     )
@@ -486,17 +484,18 @@ def check_irreducible(
     params: Params,
     window: Window,
     seeds=None,
-    random_counts=(5, 5),
+    random_count: int = 5,
     rng_seed: int = 20260817,
 ) -> dict:
     """Every seed must generate every inner basis vector.
 
     Default seeds: each basis vector of the inner window, plus
-    deterministic pseudo-random two- and three-term elements in it.
+    ``random_count`` deterministic pseudo-random two-term elements in it
+    and as many three-term ones.
     Gated on all ten non-integrality conditions.
     """
-    _require_nonnegative(random_counts=min(random_counts))
-    refusal, greport = _genericity_gate("irreducible", params, window)
+    _require_nonnegative(random_count=random_count)
+    refusal, generic = _genericity_gate("irreducible", params, window)
     if refusal is not None:
         return refusal
     alpha = params.alpha()
@@ -504,13 +503,13 @@ def check_irreducible(
         box_basis = window.basis(inner=True)
         seeds = [basis_element(params, idx, pt) for idx, pt in box_basis]
         rnd = random.Random(rng_seed)
-        for count, nterms in zip(random_counts, (2, 3)):
-            if count and nterms > len(box_basis):
+        for nterms in (2, 3):
+            if random_count and nterms > len(box_basis):
                 raise ValueError(
                     f"seed box has {len(box_basis)} basis vectors, too few for "
                     f"{nterms}-term random seeds"
                 )
-            for _ in range(count):
+            for _ in range(random_count):
                 seeds.append(random_in_box(rnd, box_basis, nterms, alpha))
     targets = window.basis(inner=True)
     subchecks = []
@@ -533,7 +532,7 @@ def check_irreducible(
     return _report(
         "irreducible", params, window, "pass" if all_ok else "fail",
         {
-            "generic": greport.to_json(),
+            "generic": generic,
             "seed_count": len(seeds),
             "subchecks": subchecks,
         },
@@ -582,12 +581,11 @@ def find_singular_vectors(params: Params, window: Window) -> list:
     for pt in window.points():
         rows = []
         for (i, j) in SINGULAR_OPS:
-            shift = GEN_SHIFTS[(i, j)]
-            tpt = (pt[0] + shift[0], pt[1] + shift[1])
+            # E_ij v_idx(pt) lies at the one point pt + shift(E_ij)
             cols = []
             for idx in indices:
                 y = act_gen(params, i, j, basis_element(params, idx, pt))
-                cols.append({k: cf for (k, p), cf in y.terms.items() if p == tpt})
+                cols.append({k: cf for (k, _), cf in y.terms.items()})
             out_indices = sorted({k for col in cols for k in col})
             for k in out_indices:
                 rows.append([col.get(k, Fraction(0)) for col in cols])
@@ -616,14 +614,12 @@ def check_degenerate_reducibility(params: Params, window: Window) -> dict:
             "degenerate", params, window, "refused",
             {"reason": "symbolic parameters: integrality is undecidable"},
         )
-    vals = {k: Fraction(v) for k, v in params.values().items()}
-    k1 = condition_value("a1-b-l", vals)
-    k2 = condition_value("a2-b+l", vals)
-    nonint = [
-        name
-        for name, val in (("a1-b-l", k1), ("a2-b+l", k2))
-        if val.denominator != 1
-    ]
+    integrality = {
+        c["name"]: c
+        for c in check_generic(params)["conditions"]
+        if c["name"] in ("a1-b-l", "a2-b+l")
+    }
+    nonint = [name for name, c in integrality.items() if c["holds"]]
     if nonint:
         return _report(
             "degenerate", params, window, "refused",
@@ -631,7 +627,7 @@ def check_degenerate_reducibility(params: Params, window: Window) -> dict:
         )
     singular = find_singular_vectors(params, window)
     body = {
-        "integrality": {"a1-b-l": str(k1), "a2-b+l": str(k2)},
+        "integrality": {name: c["value"] for name, c in integrality.items()},
         "singular_count": len(singular),
         "singular_vectors": [element_to_json(x) for x in singular[:10]],
     }
@@ -794,8 +790,7 @@ def gt_obstruction(params: Params, window: Window) -> dict:
             {"reason": "numeric parameters required for the window scan"},
         )
     sym = Params.symbolic(with_iota_index=True)
-    sym_values = Params.symbolic().values()
-    cond_scalars = {name: condition_value(name, sym_values) for name in CONDITION_NAMES}
+    cond_scalars = condition_values(Params.symbolic().values())
     ops = []
     all_ok = True
     for word_text, direction in GT_OBSTRUCTION_OPS:
@@ -921,9 +916,11 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
     gens = [(p, q) for p in range(1, m + 1) for q in range(1, m + 1)]
     failures = []
     checked = 0
+    cxs = []
     for idx, pt in inner:
         x = basis_element(params, idx, pt)
         cx = apply_c(x)
+        cxs.append(cx)
         if not in_outer(set(cx.terms)):
             absorbed = False
         for (p, q) in gens:
@@ -942,15 +939,13 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
                 )
     trace_zero = None
     if k == 1 and m == 3:
-        trace_zero = all(
-            apply_c(basis_element(params, idx, pt)).is_zero() for idx, pt in inner
-        )
+        trace_zero = all(cx.is_zero() for cx in cxs)
     control_results = []
     for (p, q) in controls:
         nonzero = False
-        for idx, pt in inner:
+        for (idx, pt), cx in zip(inner, cxs):
             x = basis_element(params, idx, pt)
-            res = apply_c(act_gen(params, p, q, x)) - act_gen(params, p, q, apply_c(x))
+            res = apply_c(act_gen(params, p, q, x)) - act_gen(params, p, q, cx)
             if not res.is_zero():
                 nonzero = True
                 break
@@ -986,14 +981,14 @@ TWIST = (Fraction(1, 17), Fraction(1, 19), Fraction(1, 23))
 
 
 def generic_report(params: Params) -> dict:
-    g = check_generic(params)
-    if not g.decidable:
+    generic = check_generic(params)
+    if not generic["decidable"]:
         verdict = "refused"
         reason = "symbolic parameters: conditions are undecidable"
     else:
-        verdict = "pass" if g.irreducibility_ok else "fail"
+        verdict = "pass" if generic["irreducibility_ok"] else "fail"
         reason = None
-    body = {"generic": g.to_json()}
+    body = {"generic": generic}
     if reason:
         body["reason"] = reason
     return _report("check-generic", params, None, verdict, body)

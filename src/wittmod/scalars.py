@@ -71,10 +71,6 @@ class ParamPolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "ParamPolynomial":
-        return cls()
-
-    @classmethod
     def const(cls, q) -> "ParamPolynomial":
         q = exact(q)
         return cls({_ZERO_EXP: q}) if q else cls()
@@ -302,14 +298,6 @@ class Scalar:
         s.den = _POLY_ONE
         return s
 
-    @classmethod
-    def zero(cls) -> "Scalar":
-        return cls.from_rational(0)
-
-    @classmethod
-    def one(cls) -> "Scalar":
-        return cls.from_rational(1)
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -448,8 +436,8 @@ A1 = Scalar.sym("a1")
 A2 = Scalar.sym("a2")
 IOTA = Scalar.sym("iota")
 
-ZERO = Scalar.zero()
-ONE = Scalar.one()
+ZERO = Scalar.from_rational(0)
+ONE = Scalar.from_rational(1)
 
 
 # -- iota-linear factorization -----------------------------------------

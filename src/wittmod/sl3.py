@@ -45,13 +45,6 @@ GEN_NAMES = {
 }
 NAME_OF = {v: k for k, v in GEN_NAMES.items()}
 
-# lattice shift of each generator: e_i - e_j projected to the first two axes
-GEN_SHIFTS = {
-    (1, 1): (0, 0), (1, 2): (1, -1), (1, 3): (1, 0),
-    (2, 1): (-1, 1), (2, 2): (0, 0), (2, 3): (0, 1),
-    (3, 1): (-1, 0), (3, 2): (0, -1), (3, 3): (0, 0),
-}
-
 PARAM_KEYS = ("l", "b", "c", "a1", "a2")
 
 DEFAULT_VALUES = {
@@ -195,6 +188,9 @@ EMBED = {
     (3, 3): (-1, (1, 1), (0, 0)),
 }
 
+# lattice shift of each generator: e_i - e_j projected to the first two axes
+GEN_SHIFTS = {g: r for g, (_, _, r) in EMBED.items()}
+
 
 def act_embedded(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
     """Apply Ebar_ij through its Witt-algebra preimage; dual route to act_gen."""
@@ -314,10 +310,11 @@ CONDITION_NAMES = (
 SPANNING_CONDITIONS = CONDITION_NAMES[:8]
 
 
-def condition_value(name: str, vals: dict):
+def condition_values(vals: dict) -> dict:
+    """Value of each of the ten conditions at ``vals``, keyed by name."""
     l, b, c = vals["l"], vals["b"], vals["c"]
     a1, a2 = vals["a1"], vals["a2"]
-    table = {
+    return {
         "c+l": c + l,
         "c-l": c - l,
         "a1-b-l": a1 - b - l,
@@ -329,62 +326,39 @@ def condition_value(name: str, vals: dict):
         "c+3b": c + 3 * b,
         "c-3b": c - 3 * b,
     }
-    return table[name]
 
 
-class GenericityReport:
-    """Evaluation of the ten non-integrality conditions at given parameters.
+def check_generic(params: Params) -> dict:
+    """The ten non-integrality conditions at ``params``, as reports print them.
 
-    Each condition holds when its value is a non-integer rational.  For
-    symbolic parameters nothing is decidable and ``decidable`` is False.
+    Returns ``{"decidable", "conditions", "spanning_ok",
+    "irreducibility_ok"}``.  Each entry of ``conditions`` is ``{"name",
+    "value", "holds"}`` in ``CONDITION_NAMES`` order; a condition holds
+    exactly when its value is a non-integral rational.  ``spanning_ok``
+    covers the eight ``SPANNING_CONDITIONS``, ``irreducibility_ok`` all
+    ten.  For symbolic parameters nothing is decidable and every value,
+    ``holds`` and flag is None.
     """
-
-    def __init__(self, conditions, decidable: bool):
-        self.conditions = conditions
-        self.decidable = decidable
-
-    @property
-    def spanning_ok(self):
-        if not self.decidable:
-            return None
-        return all(c["holds"] for c in self.conditions if c["name"] in SPANNING_CONDITIONS)
-
-    @property
-    def irreducibility_ok(self):
-        if not self.decidable:
-            return None
-        return all(c["holds"] for c in self.conditions)
-
-    def first_violation(self, names=None):
-        pool = names if names is not None else CONDITION_NAMES
-        for c in self.conditions:
-            if c["name"] in pool and c["holds"] is False:
-                return c["name"]
-        return None
-
-    def to_json(self) -> dict:
-        return {
-            "decidable": self.decidable,
-            "conditions": [dict(c) for c in self.conditions],
-            "spanning_ok": self.spanning_ok,
-            "irreducibility_ok": self.irreducibility_ok,
-        }
-
-
-def check_generic(params: Params) -> GenericityReport:
     if not params.is_numeric():
-        conds = [
-            {"name": name, "value": None, "holds": None} for name in CONDITION_NAMES
-        ]
-        return GenericityReport(conds, decidable=False)
-    vals = {k: Fraction(v) for k, v in params.values().items()}
-    conds = []
-    for name in CONDITION_NAMES:
-        value = condition_value(name, vals)
-        conds.append(
-            {"name": name, "value": str(value), "holds": value.denominator != 1}
-        )
-    return GenericityReport(conds, decidable=True)
+        return {
+            "decidable": False,
+            "conditions": [
+                {"name": name, "value": None, "holds": None} for name in CONDITION_NAMES
+            ],
+            "spanning_ok": None,
+            "irreducibility_ok": None,
+        }
+    values = condition_values({k: Fraction(v) for k, v in params.values().items()})
+    conds = [
+        {"name": name, "value": str(values[name]), "holds": values[name].denominator != 1}
+        for name in CONDITION_NAMES
+    ]
+    return {
+        "decidable": True,
+        "conditions": conds,
+        "spanning_ok": all(c["holds"] for c in conds if c["name"] in SPANNING_CONDITIONS),
+        "irreducibility_ok": all(c["holds"] for c in conds),
+    }
 
 
 def parse_param_line(line: str):

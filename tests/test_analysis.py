@@ -24,7 +24,15 @@ from wittmod.engine import (
     recursion_factorization_oracle,
     witt_consistency_report,
 )
-from wittmod.sl3 import DEGENERATE_VALUES, Params, act_word, basis_element, parse_word, word_shift
+from wittmod.sl3 import (
+    DEGENERATE_VALUES,
+    Params,
+    act_word,
+    basis_element,
+    check_generic,
+    parse_word,
+    word_shift,
+)
 
 NUM = Params.numeric()
 DEG = Params.numeric(DEGENERATE_VALUES)
@@ -269,6 +277,8 @@ def test_generation_refuses_symbolic_params():
 def test_generation_refuses_degenerate_params():
     doc = check_generation(DEG, Window.symmetric(2, 2, 2, margin=1))
     assert doc["verdict"] == "refused"
+    assert doc["reason"] == "genericity condition a1-b-l fails"
+    assert doc["generic"] == check_generic(DEG)
 
 
 def test_generation_rejects_spread_seed():
@@ -279,7 +289,7 @@ def test_generation_rejects_spread_seed():
 
 
 def test_irreducible_small_window():
-    doc = check_irreducible(NUM, Window.symmetric(3, 2, 2, margin=1), random_counts=(2, 2))
+    doc = check_irreducible(NUM, Window.symmetric(3, 2, 2, margin=1), random_count=2)
     assert doc["verdict"] == "pass"
     assert doc["seed_count"] == 49  # 45 inner basis seeds + 2 + 2 random
     assert all(s["ok"] and not s["missed"] for s in doc["subchecks"])
@@ -289,7 +299,7 @@ def test_irreducible_rejects_seed_box_too_small_for_random_seeds():
     w = Window.symmetric(1, 1, 1, margin=1)  # one inner basis vector
     with pytest.raises(ValueError, match="too few for 2-term random seeds"):
         check_irreducible(NUM, w)
-    doc = check_irreducible(NUM, w, random_counts=(0, 0))
+    doc = check_irreducible(NUM, w, random_count=0)
     assert doc["seed_count"] == 1
 
 
@@ -301,7 +311,7 @@ def test_irreducible_rejects_seed_box_too_small_for_random_seeds():
         lambda: witt_consistency_report(bracket_trials=0, jacobi_trials=0),
         lambda: derham_report(box_bound=-1),
         lambda: derham_report(uv_bound=-1),
-        lambda: check_irreducible(NUM, Window.symmetric(2, 2, 2, margin=1), random_counts=(1, -1)),
+        lambda: check_irreducible(NUM, Window.symmetric(2, 2, 2, margin=1), random_count=-1),
         lambda: derham_report(uv_bound=0),
     ],
     ids=[
@@ -354,9 +364,20 @@ def test_degenerate_reducibility_report():
     assert doc["proper"]
 
 
-def test_degenerate_check_refuses_generic_point():
-    doc = check_degenerate_reducibility(NUM, Window.symmetric(2, 2, 2, margin=1))
+@pytest.mark.parametrize(
+    "values, nonintegral",
+    [
+        ({"a1": Fraction(18, 77)}, "a2-b+l"),
+        ({"a2": Fraction(-4, 77)}, "a1-b-l"),
+        ({}, "a1-b-l and a2-b+l"),
+    ],
+    ids=["a1-integral", "a2-integral", "defaults"],
+)
+def test_degenerate_check_refuses_generic_point(values, nonintegral):
+    params = Params.numeric(values)
+    doc = check_degenerate_reducibility(params, Window.symmetric(2, 2, 2, margin=1))
     assert doc["verdict"] == "refused"
+    assert doc["reason"] == f"degenerate regime requires {nonintegral} integral"
 
 
 # -- factorization oracle -------------------------------------------------------

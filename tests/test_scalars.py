@@ -373,7 +373,7 @@ def test_constant_and_leading_values_are_fractions():
     p = (3 * C + 2).num
     assert type(p.leading_coeff()) is Fraction
     assert type(ParamPolynomial.const(5).const_value()) is Fraction
-    assert type(ParamPolynomial.zero().const_value()) is Fraction
+    assert type(ParamPolynomial().const_value()) is Fraction
     assert type(Scalar.from_rational(3).const_value()) is Fraction
     assert Scalar.from_rational(3).const_value() == 3
     half = Scalar(ParamPolynomial.const(3), ParamPolynomial.const(6))

@@ -145,31 +145,33 @@ def test_embedding_sweep_symbolic():
 
 def test_generic_at_desk_point():
     rep = check_generic(NUM)
-    assert rep.decidable
-    assert rep.spanning_ok and rep.irreducibility_ok
-    assert rep.first_violation() is None
-    assert [c["name"] for c in rep.conditions] == list(CONDITION_NAMES)
+    assert rep["decidable"]
+    assert rep["spanning_ok"] and rep["irreducibility_ok"]
+    assert all(c["holds"] for c in rep["conditions"])
+    assert [c["name"] for c in rep["conditions"]] == list(CONDITION_NAMES)
 
 
 def test_generic_irreducibility_only_violation():
     p = Params.numeric({"c": Fraction(3, 11)})  # c = 3b kills one extra condition
     rep = check_generic(p)
-    assert rep.spanning_ok
-    assert not rep.irreducibility_ok
-    assert rep.first_violation() == "c-3b"
-    assert rep.first_violation(SPANNING_CONDITIONS) is None
+    assert rep["spanning_ok"]
+    assert not rep["irreducibility_ok"]
+    failing = [c["name"] for c in rep["conditions"] if not c["holds"]]
+    assert failing[0] == "c-3b"
+    assert not set(failing) & set(SPANNING_CONDITIONS)
 
 
 def test_generic_degenerate_preset():
     rep = check_generic(Params.numeric(DEGENERATE_VALUES))
-    assert not rep.spanning_ok and not rep.irreducibility_ok
-    assert rep.first_violation() == "a1-b-l"
+    assert not rep["spanning_ok"] and not rep["irreducibility_ok"]
+    assert [c["name"] for c in rep["conditions"] if not c["holds"]][0] == "a1-b-l"
 
 
 def test_generic_symbolic_undecidable():
     rep = check_generic(SYM)
-    assert not rep.decidable
-    assert rep.spanning_ok is None and rep.irreducibility_ok is None
+    assert not rep["decidable"]
+    assert rep["spanning_ok"] is None and rep["irreducibility_ok"] is None
+    assert all(c["value"] is None and c["holds"] is None for c in rep["conditions"])
 
 
 def test_params_numeric_rejects_unknown_key():
