@@ -144,7 +144,7 @@ def cmd_generate(args):
 def cmd_irreducible(args):
     params = build_params(args)
     window = parse_window_arg(args.window)
-    seeds = [seed_element(params, args.seed)] if args.seed else None
+    seeds = [seed_element(params, args.seed)] if args.seed is not None else None
     return check_irreducible(
         params,
         window,

@@ -265,7 +265,16 @@ def _word_column(params: Params, letters, idx: int, pt, scale: int) -> tuple:
     return tuple(flat)
 
 
-def closure(params: Params, seeds, words, window: Window):
+def _closure_stats(basis: SubspaceBasis, rounds: int, processed: int, exhausted: bool) -> dict:
+    return {
+        "rounds": rounds,
+        "rows_processed": processed,
+        "rank": basis.total_rank(),
+        "exhausted": exhausted,
+    }
+
+
+def closure(params: Params, seeds, words, window: Window, stop_at=None):
     """Deterministic window-truncated closure of the span of the seeds.
 
     Seeds are decomposed per lattice point before insertion: the diagonal
@@ -285,6 +294,10 @@ def closure(params: Params, seeds, words, window: Window):
     memoised integer columns, each the word's image of one basis vector
     scaled to clear the parameter denominators; scaling a row leaves its
     span unchanged.  Parameters must therefore be numeric.
+
+    ``stop_at = (idx, pt)`` ends the closure as soon as v_idx(pt) lies in
+    the span: it is tested once the seed rows are in and after each new
+    row at pt.  Such an early return reports ``exhausted: False``.
     """
     if not params.is_numeric():
         raise ValueError("closure needs numeric parameters")
@@ -299,9 +312,12 @@ def closure(params: Params, seeds, words, window: Window):
     i_min, i_max = window.i_min, window.i_max
     (lo1, hi1), (lo2, hi2) = window.r_bounds
     full_rank = i_max - i_min + 1
+    stop_idx, stop_pt = stop_at or (None, None)
     basis = SubspaceBasis()
     by_point = basis.by_point
     queue = deque()
+    rounds = 0
+    processed = 0
     for x in seeds:
         if x.is_zero():
             raise ValueError("zero seed")
@@ -317,8 +333,8 @@ def closure(params: Params, seeds, words, window: Window):
             ins = basis.insert(pt, row)
             if ins is not None:
                 queue.append((pt, ins))
-    rounds = 0
-    processed = 0
+    if stop_at is not None and basis.contains_basis(stop_pt, stop_idx):
+        return basis, _closure_stats(basis, rounds, processed, False)
     while queue:
         rounds += 1
         batch = list(queue)
@@ -347,14 +363,10 @@ def closure(params: Params, seeds, words, window: Window):
                     continue
                 ins = basis.insert(tpt, trow)
                 if ins is not None:
+                    if tpt == stop_pt and basis.contains_basis(tpt, stop_idx):
+                        return basis, _closure_stats(basis, rounds, processed, False)
                     queue.append((tpt, ins))
-    stats = {
-        "rounds": rounds,
-        "rows_processed": processed,
-        "rank": basis.total_rank(),
-        "exhausted": not queue,
-    }
-    return basis, stats
+    return basis, _closure_stats(basis, rounds, processed, True)
 
 
 def _report(check: str, params: Params, window: Optional[Window], verdict: str, body: dict) -> dict:
@@ -480,6 +492,28 @@ def random_in_box(rnd: random.Random, box_basis, nterms: int, alpha) -> ModuleEl
     return ModuleElement(alpha, terms)
 
 
+def _anchor(window: Window) -> tuple:
+    """(index, point) of the centre inner basis vector, v_0(0,0) on a
+    symmetric window."""
+    return (
+        (window.i_min + window.i_max) // 2,
+        tuple((lo + hi) // 2 for lo, hi in window.r_bounds),
+    )
+
+
+@lru_cache(maxsize=2)
+def _anchor_rank(key: tuple, bounds: tuple) -> int:
+    """Rank of the ``DEFAULT_WORDS`` closure of the anchor at the numeric
+    parameter point ``key = (lam, b, c, a1, a2)`` on the outer box
+    ``bounds = (i_min, i_max, r_bounds)``; the anchor depends on the box
+    alone, never on the margin."""
+    params = Params(*key)
+    window = Window(*bounds)
+    idx, pt = _anchor(window)
+    _, stats = closure(params, [basis_element(params, idx, pt)], DEFAULT_WORDS, window)
+    return stats["rank"]
+
+
 def check_irreducible(
     params: Params,
     window: Window,
@@ -491,10 +525,24 @@ def check_irreducible(
 
     Default seeds: each basis vector of the inner window, plus
     ``random_count`` deterministic pseudo-random two-term elements in it
-    and as many three-term ones.
+    and as many three-term ones.  An explicit seed list must not be empty.
     Gated on all ten non-integrality conditions.
+
+    Seeds are chained through one anchor, the centre inner basis vector.
+    A closure is the smallest window-truncated family of per-point
+    subspaces that contains its seeds and is closed under the words, so a
+    seed closure W_x that contains the anchor contains the anchor's
+    closure W_a.  The rank of W_a is computed once per parameter point and
+    window.  When W_a is the whole outer box, every seed closure stops as
+    soon as it holds the anchor, and W_x is then the whole box too: its
+    subcheck is rank = box size with every target reached, exactly what
+    the closure run to exhaustion reports.  A seed that never reaches the
+    anchor, or any seed when W_a is smaller than the box, runs its closure
+    to exhaustion.
     """
     _require_nonnegative(random_count=random_count)
+    if seeds is not None and not seeds:
+        raise ValueError("irreducible needs at least one seed")
     refusal, generic = _genericity_gate("irreducible", params, window)
     if refusal is not None:
         return refusal
@@ -512,11 +560,23 @@ def check_irreducible(
             for _ in range(random_count):
                 seeds.append(random_in_box(rnd, box_basis, nterms, alpha))
     targets = window.basis(inner=True)
+    box_size = len(window.basis())
+    anchor_rank = _anchor_rank(
+        (params.lam, params.b, params.c, params.a1, params.a2),
+        (window.i_min, window.i_max, window.r_bounds),
+    )
+    stop_at = _anchor(window) if anchor_rank == box_size else None
     subchecks = []
     all_ok = True
     for x in seeds:
-        basis, stats = closure(params, [x], DEFAULT_WORDS, window)
-        missed = _missed_targets(basis, targets)
+        basis, stats = closure(params, [x], DEFAULT_WORDS, window, stop_at=stop_at)
+        if stats["exhausted"]:
+            missed = _missed_targets(basis, targets)
+            rank = stats["rank"]
+        else:
+            # stopped at the anchor: the closure is the whole outer box
+            missed = []
+            rank = box_size
         ok = not missed
         all_ok = all_ok and ok
         subchecks.append(
@@ -525,7 +585,7 @@ def check_irreducible(
                 "targets": len(targets),
                 "reached": len(targets) - len(missed),
                 "missed": _basis_json(missed, limit=5),
-                "rank": stats["rank"],
+                "rank": rank,
                 "ok": ok,
             }
         )
@@ -791,6 +851,7 @@ def gt_obstruction(params: Params, window: Window) -> dict:
         )
     sym = Params.symbolic(with_iota_index=True)
     cond_scalars = condition_values(Params.symbolic().values())
+    factored = {}  # each distinct kappa is factored once; the operators share them
     ops = []
     all_ok = True
     for word_text, direction in GT_OBSTRUCTION_OPS:
@@ -821,7 +882,9 @@ def gt_obstruction(params: Params, window: Window) -> dict:
             kappa = act_word(sym, letters, basis_element(sym, 0, pt)).coefficient(
                 direction, pt
             )
-            fz = factor_linear_in_iota(kappa)
+            if kappa not in factored:
+                factored[kappa] = factor_linear_in_iota(kappa)
+            fz = factored[kappa]
             if fz is None:
                 factors_ok = False
                 factor_reports.append({"r": list(pt), "factors": None})

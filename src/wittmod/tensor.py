@@ -17,6 +17,7 @@ window clipping is always an explicit caller-side step.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .scalars import add_term, coeff_is_zero, coeff_to_text, parse_scalar
@@ -186,28 +187,41 @@ def jacobi_residual(gens, x: ModuleElement, module) -> ModuleElement:
 # -- de Rham differential ----------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _differential_table(n: int, wedge_k, wedge_k1) -> tuple:
+    """For each source basis index S of ``wedge_k``, the (j - 1, position of
+    e_j ^ e_S in ``wedge_k1``, odd) triples over j not in S; ``odd`` marks
+    the sign flip from moving e_j past the members of S below j."""
+    pos1 = wedge_k1.positions
+    return tuple(
+        tuple(
+            (j - 1, pos1[tuple(sorted(subset + (j,)))], sum(1 for t in subset if t < j) % 2)
+            for j in range(1, n + 1)
+            if j not in subset
+        )
+        for subset in wedge_k.basis_labels
+    )
+
+
 def de_rham_differential(x: ModuleElement, n: int, k: int, wedge_k, wedge_k1) -> ModuleElement:
     """Degree +1 map on twisted forms:
 
         d(e_S tensor t^m) = sum_{j not in S} (m_j + alpha_j) e_j ^ e_S tensor t^m
 
     ``wedge_k`` and ``wedge_k1`` are the wedge-power modules carrying the
-    source and target bases; the lattice point never moves.
+    source and target bases; the lattice point never moves.  The target
+    positions and signs are tabulated once per pair of modules.
     """
     if k >= n:
         raise ValueError("top-degree forms have no differential")
-    pos1 = wedge_k1.positions
+    table = _differential_table(n, wedge_k, wedge_k1)
+    alpha = x.alpha
     out = {}
     for (idx, m), coeff in x.terms.items():
-        subset = wedge_k.basis_labels[idx]
-        for j in range(1, n + 1):
-            if j in subset:
-                continue
-            weight = (m[j - 1] + x.alpha[j - 1]) * coeff
-            below = sum(1 for t in subset if t < j)
-            target = tuple(sorted(subset + (j,)))
-            add_term(out, (pos1[target], m), -weight if below % 2 else weight)
-    return _element(x.alpha, out)
+        for j, target, odd in table[idx]:
+            weight = (m[j] + alpha[j]) * coeff
+            add_term(out, (target, m), -weight if odd else weight)
+    return _element(alpha, out)
 
 
 def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:

@@ -1,5 +1,7 @@
 """Window closures, module checks, and the factorization oracle."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 import sympy
 
 from wittmod import engine
+from wittmod.cli import main
 from wittmod.engine import (
     DEFAULT_WORDS,
     SubspaceBasis,
@@ -24,6 +27,7 @@ from wittmod.engine import (
     recursion_factorization_oracle,
     witt_consistency_report,
 )
+from wittmod.report import canonical_json
 from wittmod.sl3 import (
     DEGENERATE_VALUES,
     Params,
@@ -303,6 +307,80 @@ def test_irreducible_rejects_seed_box_too_small_for_random_seeds():
     assert doc["seed_count"] == 1
 
 
+SMALL = Window.symmetric(2, 2, 2, margin=1)  # 27 basis + 4 random seeds at random_count=2
+ANCHOR = (0, (0, 0))
+
+
+def _spy_closure(monkeypatch, keep_stop=True):
+    """Record (stop_at, exhausted) of every closure the engine runs; with
+    ``keep_stop=False`` each closure ignores stop_at and runs to exhaustion."""
+    calls = []
+    run = engine.closure
+
+    def spy(params, seeds, words, window, stop_at=None):
+        basis, stats = run(params, seeds, words, window, stop_at=stop_at if keep_stop else None)
+        calls.append((stop_at, stats["exhausted"]))
+        return basis, stats
+
+    monkeypatch.setattr(engine, "closure", spy)
+    return calls
+
+
+def test_irreducible_chained_report_equals_exhaustive(monkeypatch):
+    engine._anchor_rank.cache_clear()
+    calls = _spy_closure(monkeypatch)
+    chained = check_irreducible(NUM, SMALL, random_count=2)
+    # one anchor closure, then every default seed stops at the anchor
+    assert calls == [(None, True)] + [(ANCHOR, False)] * 31
+    monkeypatch.undo()
+    calls = _spy_closure(monkeypatch, keep_stop=False)
+    assert check_irreducible(NUM, SMALL, random_count=2) == chained
+    assert [exhausted for _, exhausted in calls] == [True] * 31
+    assert chained["verdict"] == "pass"
+
+
+def test_irreducible_without_full_anchor_runs_every_seed_to_exhaustion(monkeypatch):
+    chained = check_irreducible(NUM, SMALL, random_count=2)
+    monkeypatch.setattr(engine, "_anchor_rank", lambda key, bounds: len(SMALL.basis()) - 1)
+    calls = _spy_closure(monkeypatch)
+    assert check_irreducible(NUM, SMALL, random_count=2) == chained
+    assert calls == [(None, True)] * 31
+
+
+def test_closure_stops_once_the_anchor_is_in_the_span():
+    seed = basis_element(NUM, 1, (1, -1))
+    _, full = closure(NUM, [seed], DEFAULT_WORDS, SMALL)
+    basis, stats = closure(NUM, [seed], DEFAULT_WORDS, SMALL, stop_at=ANCHOR)
+    assert full["exhausted"] and full["rank"] == len(SMALL.basis())
+    assert not stats["exhausted"] and basis.contains_basis((0, 0), 0)
+    assert stats["rows_processed"] < full["rows_processed"]
+    # an anchor the words cannot reach: the closure runs to exhaustion
+    basis, stats = closure(NUM, [seed], [parse_word("E12")], SMALL, stop_at=ANCHOR)
+    assert stats["exhausted"] and not basis.contains_basis((0, 0), 0)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        basis_element(NUM, 0, (0, 0)),
+        basis_element(NUM, 0, (0, 0)) + basis_element(NUM, 1, (1, 0)).scale(Fraction(-2, 3)),
+    ],
+    ids=["anchor", "anchor-plus-other-point"],
+)
+def test_seed_spanning_the_anchor_stops_before_any_round(monkeypatch, seed):
+    basis, stats = closure(NUM, [seed], DEFAULT_WORDS, SMALL, stop_at=ANCHOR)
+    assert (stats["rounds"], stats["rows_processed"], stats["exhausted"]) == (0, 0, False)
+    doc = check_irreducible(NUM, SMALL, seeds=[seed])
+    assert doc["verdict"] == "pass" and doc["subchecks"][0]["rank"] == len(SMALL.basis())
+    _spy_closure(monkeypatch, keep_stop=False)
+    assert check_irreducible(NUM, SMALL, seeds=[seed]) == doc
+
+
+def test_cli_irreducible_anchor_seed_passes(capsys):
+    assert main(["irreducible", "--seed", "v:0@0,0", "--window", "2,2,2,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["subchecks"][0]["ok"] is True
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -313,10 +391,11 @@ def test_irreducible_rejects_seed_box_too_small_for_random_seeds():
         lambda: derham_report(uv_bound=-1),
         lambda: check_irreducible(NUM, Window.symmetric(2, 2, 2, margin=1), random_count=-1),
         lambda: derham_report(uv_bound=0),
+        lambda: check_irreducible(NUM, Window.symmetric(2, 2, 2, margin=1), seeds=[]),
     ],
     ids=[
         "witt-trials", "witt-jacobi", "witt-no-trials", "derham-box", "derham-uv", "irreducible",
-        "derham-uv-zero",
+        "derham-uv-zero", "irreducible-no-seeds",
     ],
 )
 def test_engine_rejects_counts_without_evidence(run):
@@ -412,8 +491,21 @@ def test_oracle_offset_is_constant_in_s():
 # -- Gelfand-Tsetlin checks ------------------------------------------------------
 
 
-def test_gt_obstruction_report():
+def test_gt_obstruction_report(monkeypatch):
+    kappas = []
+    factor = engine.factor_linear_in_iota
+
+    def counted(kappa):
+        kappas.append(kappa)
+        return factor(kappa)
+
+    monkeypatch.setattr(engine, "factor_linear_in_iota", counted)
     doc = gt_obstruction(NUM, Window.symmetric(4, 2, 2))
+    # 3 operators x 25 points share 15 distinct kappas, each factored once
+    assert len(kappas) == len(set(kappas)) == 15
+    assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == (
+        "84e9724b32436b853eaef4251bc2bcf70a6010f55b263377b429132a2585af42"
+    )
     assert doc["verdict"] == "pass"
     ops = {op["word"]: op for op in doc["operators"]}
     assert set(ops) == {"E12*E21", "E23*E32", "E13*E31"}

@@ -212,6 +212,7 @@ def test_gt_rejects_config_before_any_subcheck_runs(capsys, tmp_path, monkeypatc
         ("witt", "--trials", "0", "--jacobi", "0"),
         ("irreducible", "--window", "1,1,1,1"),
         ("derham", "--uv", "0"),
+        ("irreducible", "--seed", ""),
     ],
 )
 def test_bad_input_and_io_exit_2_with_one_line(capsys, tmp_path, argv):
