@@ -274,6 +274,18 @@ def _closure_stats(basis: SubspaceBasis, rounds: int, processed: int, exhausted:
     }
 
 
+def _check_seed(x: ModuleElement, alpha, window: Window) -> None:
+    """Refuse a closure seed that is zero, twisted by other than ``alpha``
+    or supported outside the window."""
+    if x.is_zero():
+        raise ValueError("zero seed")
+    if tuple(x.alpha) != tuple(alpha):
+        raise ValueError("seed twist does not match parameters")
+    for (idx, pt) in x.terms:
+        if not (window.contains_index(idx) and window.contains_point(pt)):
+            raise ValueError(f"seed support outside the window: index {idx} at {pt}")
+
+
 def closure(params: Params, seeds, words, window: Window, stop_at=None):
     """Deterministic window-truncated closure of the span of the seeds.
 
@@ -319,15 +331,7 @@ def closure(params: Params, seeds, words, window: Window, stop_at=None):
     rounds = 0
     processed = 0
     for x in seeds:
-        if x.is_zero():
-            raise ValueError("zero seed")
-        if tuple(x.alpha) != tuple(alpha):
-            raise ValueError("seed twist does not match parameters")
-        for (idx, pt) in x.terms:
-            if not (window.contains_index(idx) and window.contains_point(pt)):
-                raise ValueError(
-                    f"seed support outside the window: index {idx} at {pt}"
-                )
+        _check_seed(x, alpha, window)
         for pt in sorted(x.support_points()):
             row = {i: cf for (i, p), cf in x.terms.items() if p == pt}
             ins = basis.insert(pt, row)
@@ -526,7 +530,9 @@ def check_irreducible(
     Default seeds: each basis vector of the inner window, plus
     ``random_count`` deterministic pseudo-random two-term elements in it
     and as many three-term ones.  An explicit seed list must not be empty.
-    Gated on all ten non-integrality conditions.
+    Gated on all ten non-integrality conditions.  Every seed is checked
+    as ``closure`` checks it before the anchor's closure runs, so a bad
+    seed costs no closure.
 
     Seeds are chained through one anchor, the centre inner basis vector.
     A closure is the smallest window-truncated family of per-point
@@ -559,6 +565,8 @@ def check_irreducible(
                 )
             for _ in range(random_count):
                 seeds.append(random_in_box(rnd, box_basis, nterms, alpha))
+    for x in seeds:
+        _check_seed(x, alpha, window)
     targets = window.basis(inner=True)
     box_size = len(window.basis())
     anchor_rank = _anchor_rank(

@@ -228,8 +228,11 @@ def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
     """Residuals of d(D(u,r)x) - D(u,r)(d x) over monomial generators.
 
     ``box`` is an iterable of lattice points m; x runs over e_S tensor t^m
-    for every wedge-degree-k basis subset S.
+    for every wedge-degree-k basis subset S.  An empty box is refused.
     """
+    box = list(box)
+    if not box:
+        raise ValueError("empty box: no basis vector to check")
     D = WittGenerator(u, r)
     src, dst = wedges[k], wedges[k + 1]
     failures = []

@@ -2,8 +2,10 @@
 
 ``PRODUCERS`` holds every report the lock pins: each subcommand run
 through ``cli.main`` at its default arguments (``act`` gets a minimal
-word and vector; ``derham --n 3`` is left out, it takes minutes), plus
-``generation``, the irreducibility run of criterion 4.  Each report is
+word and vector; ``derham --n 3`` is left out, it takes minutes), the
+numeric bracket sweep ``brackets --mode numeric --window 2,1,1``, which
+the default symbolic ``brackets`` does not reach, plus ``generation``,
+the irreducibility run of criterion 4.  Each report is
 produced once per session and shared by the criteria, which read their
 sub-reports from it.
 
@@ -40,6 +42,7 @@ CLI_RUNS = {
     "check-generic": ["check-generic"],
     "act": ["act", "--word", "E11", "--vector", "v:0@0,0"],
     "brackets": ["brackets"],
+    "brackets-numeric": ["brackets", "--mode", "numeric", "--window", "2,1,1"],
     "witt": ["witt"],
     "generate": ["generate"],
     "irreducible": ["irreducible"],

@@ -27,6 +27,7 @@ from wittmod.engine import (
     recursion_factorization_oracle,
     witt_consistency_report,
 )
+from wittmod.glmod import exterior_power
 from wittmod.report import canonical_json
 from wittmod.sl3 import (
     DEGENERATE_VALUES,
@@ -35,11 +36,15 @@ from wittmod.sl3 import (
     basis_element,
     check_generic,
     parse_word,
+    verify_embedding,
+    verify_sl3_brackets,
     word_shift,
 )
+from wittmod.tensor import ModuleElement, verify_d_intertwines
 
 NUM = Params.numeric()
 DEG = Params.numeric(DEGENERATE_VALUES)
+WEDGES2 = [exterior_power(2, k) for k in range(3)]
 
 
 # -- windows ----------------------------------------------------------------
@@ -198,8 +203,6 @@ def test_closure_rejects_bad_seeds():
     sym = Params.symbolic()
     with pytest.raises(ValueError, match="numeric parameters"):
         closure(sym, [basis_element(sym, 0, (0, 0))], [], w)  # no integer columns
-    from wittmod.tensor import ModuleElement
-
     with pytest.raises(ValueError):
         closure(NUM, [ModuleElement.zero(NUM.alpha())], [], w)
 
@@ -376,6 +379,24 @@ def test_seed_spanning_the_anchor_stops_before_any_round(monkeypatch, seed):
     assert check_irreducible(NUM, SMALL, seeds=[seed]) == doc
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (ModuleElement.zero(NUM.alpha()), "zero seed"),
+        (ModuleElement.basis((0, 0), 0, (0, 0)), "twist"),
+        (basis_element(NUM, 9, (0, 0)), "outside the window"),
+    ],
+    ids=["zero", "twist", "outside"],
+)
+def test_irreducible_checks_seeds_before_the_anchor(monkeypatch, seed, message):
+    def no_anchor(key, bounds):
+        raise AssertionError("anchor closure ran before the seeds were checked")
+
+    monkeypatch.setattr(engine, "_anchor_rank", no_anchor)
+    with pytest.raises(ValueError, match=message):
+        check_irreducible(NUM, SMALL, seeds=[basis_element(NUM, 0, (0, 0)), seed])
+
+
 def test_cli_irreducible_anchor_seed_passes(capsys):
     assert main(["irreducible", "--seed", "v:0@0,0", "--window", "2,2,2,1"]) == 0
     assert json.loads(capsys.readouterr().out)["subchecks"][0]["ok"] is True
@@ -392,10 +413,18 @@ def test_cli_irreducible_anchor_seed_passes(capsys):
         lambda: check_irreducible(NUM, Window.symmetric(2, 2, 2, margin=1), random_count=-1),
         lambda: derham_report(uv_bound=0),
         lambda: check_irreducible(NUM, Window.symmetric(2, 2, 2, margin=1), seeds=[]),
+        lambda: verify_sl3_brackets(NUM, [], range(2)),
+        lambda: verify_sl3_brackets(NUM, [(0, 0)], range(0)),
+        lambda: verify_embedding(NUM, [], range(2)),
+        lambda: verify_embedding(NUM, [(0, 0)], []),
+        lambda: verify_d_intertwines((1, 0), (0, 1), NUM.alpha(), [], 2, 0, WEDGES2),
+        lambda: verify_d_intertwines((1, 0), (0, 1), NUM.alpha(), iter(()), 2, 0, WEDGES2),
     ],
     ids=[
         "witt-trials", "witt-jacobi", "witt-no-trials", "derham-box", "derham-uv", "irreducible",
-        "derham-uv-zero", "irreducible-no-seeds",
+        "derham-uv-zero", "irreducible-no-seeds", "sl3-brackets-no-points",
+        "sl3-brackets-no-indices", "embedding-no-points", "embedding-no-indices",
+        "d-intertwines-no-box", "d-intertwines-empty-iterator",
     ],
 )
 def test_engine_rejects_counts_without_evidence(run):

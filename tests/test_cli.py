@@ -213,6 +213,7 @@ def test_gt_rejects_config_before_any_subcheck_runs(capsys, tmp_path, monkeypatc
         ("irreducible", "--window", "1,1,1,1"),
         ("derham", "--uv", "0"),
         ("irreducible", "--seed", ""),
+        ("irreducible", "--seed", "v:9@0,0"),
     ],
 )
 def test_bad_input_and_io_exit_2_with_one_line(capsys, tmp_path, argv):

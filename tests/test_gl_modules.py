@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from wittmod.glmod import (
     CuspidalGl2,
     FinDimGlModule,
     bracket_residual,
+    bracket_residuals,
     exterior_power,
     verify_gl_brackets,
 )
@@ -76,8 +78,6 @@ def test_cuspidal_brackets_exhaustive_window():
 @pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2)])
 def test_exterior_power_brackets(n, k):
     mod = exterior_power(n, k)
-    from math import comb
-
     assert mod.dim == comb(n, k)
     rep = verify_gl_brackets(mod)
     assert rep["ok"], rep["failures"][:3]
@@ -122,11 +122,46 @@ def test_corrupted_module_fails_brackets():
     bad = FinDimGlModule(mod.n, mod.dim, action, mod.basis_labels)
     rep = verify_gl_brackets(bad)
     assert not rep["ok"]
-    assert len(rep["failures"]) == 14
-    # E12 e3 = 5 e1 now, so [E12, E21] e3 = -E21 E12 e3 = -5 e2, not 0
-    assert rep["failures"][0] == {
-        "generators": "[E12,E21]", "basis_index": [3], "residual": {"[2]": "-5"},
-    }
+    # E12 e3 = 5 e1 now, so [E12, E21] e3 = -E21 E12 e3 = -5 e2, not 0;
+    # failures run pair by pair, in basis order within a pair
+    expected = [
+        ("[E12,E21]", 3, "[2]", "-5"),
+        ("[E12,E22]", 3, "[1]", "-5"),
+        ("[E12,E31]", 1, "[1]", "5"),
+        ("[E12,E31]", 3, "[3]", "-5"),
+        ("[E12,E32]", 2, "[1]", "5"),
+        ("[E12,E33]", 3, "[1]", "5"),
+        ("[E13,E32]", 3, "[1]", "-5"),
+        ("[E21,E12]", 3, "[2]", "5"),
+        ("[E22,E12]", 3, "[1]", "5"),
+        ("[E31,E12]", 1, "[1]", "-5"),
+        ("[E31,E12]", 3, "[3]", "5"),
+        ("[E32,E12]", 2, "[1]", "-5"),
+        ("[E32,E13]", 3, "[1]", "5"),
+        ("[E33,E12]", 3, "[1]", "-5"),
+    ]
+    assert rep["failures"] == [
+        {"generators": gens, "basis_index": [label], "residual": {target: coeff}}
+        for gens, label, target, coeff in expected
+    ]
+
+
+@pytest.mark.parametrize(
+    "mod, indices",
+    [(exterior_power(3, k), range(comb(3, k))) for k in range(4)]
+    + [
+        (CuspidalGl2(LAM, BB, CC), range(-2, 3)),
+        (CuspidalGl2(L, B, C), range(-2, 3)),
+    ],
+    ids=["wedge0", "wedge1", "wedge2", "wedge3", "cuspidal-numeric", "cuspidal-symbolic"],
+)
+def test_tabled_residuals_equal_bracket_residual(mod, indices):
+    for idx in indices:
+        v = vec(idx)
+        residuals = bracket_residuals(mod.act, mod.n, v)
+        assert len(residuals) == mod.n ** 4
+        for (g1, g2), res in residuals.items():
+            assert res == bracket_residual(mod.act, *g1, *g2, v), (g1, g2, idx)
 
 
 def test_bracket_residual_is_zero_on_cuspidal():

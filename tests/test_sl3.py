@@ -5,7 +5,8 @@ from functools import partial
 
 import pytest
 
-from wittmod.glmod import bracket_residual
+from wittmod import sl3
+from wittmod.glmod import bracket_residual, bracket_residuals
 from wittmod.sl3 import (
     CONDITION_NAMES,
     DEGENERATE_VALUES,
@@ -27,6 +28,7 @@ from wittmod.sl3 import (
 
 NUM = Params.numeric()
 SYM = Params.symbolic()
+GENS = sorted(GEN_NAMES.values())
 
 
 # -- pinned generator values ----------------------------------------------
@@ -110,6 +112,96 @@ def test_bracket_window_sweep():
     rep = verify_sl3_brackets(NUM, points, range(-2, 3))
     assert rep["ok"], rep["failures"][:3]
     assert rep["checked"] == 81 * len(points) * 5
+
+
+# residuals at the defaults when E12's output is doubled, one row per
+# failing pair, in the basis order v_0(0,0), v_1(0,0), v_0(1,-1), v_1(1,-1);
+# each entry lists the residual's (index, coefficient) terms, all at the
+# basis vector's lattice point moved by the row's shift
+DOUBLED_E12_FAILURES = [
+    (("E12", "E21"), (0, 0), [[(0, "2/323")], [(1, "2/323")], [(0, "648/323")], [(1, "648/323")]]),
+    (("E12", "E23"), (1, 0), [
+        [(0, "-8586/24871"), (1, "-20/91")], [(1, "-33457/24871"), (2, "-111/91")],
+        [(0, "-8586/24871"), (1, "-20/91")], [(1, "-33457/24871"), (2, "-111/91")],
+    ]),
+    (("E12", "E31"), (0, -1), [
+        [(0, "-153/1463")], [(1, "-1616/1463")], [(0, "1310/1463")], [(1, "-153/1463")],
+    ]),
+    (("E13", "E32"), (1, -1), [
+        [(0, "-153/1463"), (1, "-20/91")], [(1, "-1616/1463"), (2, "-111/91")],
+        [(0, "1310/1463"), (1, "-20/91")], [(1, "-153/1463"), (2, "-111/91")],
+    ]),
+    (("E21", "E12"), (0, 0), [
+        [(0, "-2/323")], [(1, "-2/323")], [(0, "-648/323")], [(1, "-648/323")],
+    ]),
+    (("E23", "E12"), (1, 0), [
+        [(0, "8586/24871"), (1, "20/91")], [(1, "33457/24871"), (2, "111/91")],
+        [(0, "8586/24871"), (1, "20/91")], [(1, "33457/24871"), (2, "111/91")],
+    ]),
+    (("E31", "E12"), (0, -1), [
+        [(0, "153/1463")], [(1, "1616/1463")], [(0, "-1310/1463")], [(1, "153/1463")],
+    ]),
+    (("E32", "E13"), (1, -1), [
+        [(0, "153/1463"), (1, "20/91")], [(1, "1616/1463"), (2, "111/91")],
+        [(0, "-1310/1463"), (1, "20/91")], [(1, "153/1463"), (2, "111/91")],
+    ]),
+]
+
+
+def test_corrupted_generator_failure_list_is_pinned(monkeypatch):
+    act = sl3.act_gen
+
+    def doubled_e12(params, i, j, x):
+        y = act(params, i, j, x)
+        return y.scale(2) if (i, j) == (1, 2) else y
+
+    monkeypatch.setattr(sl3, "act_gen", doubled_e12)
+    rep = verify_sl3_brackets(NUM, [(0, 0), (1, -1)], range(2))
+    bases = [(idx, r) for r in ((0, 0), (1, -1)) for idx in range(2)]
+    expected = [
+        {
+            "pair": list(pair),
+            "basis": {"index": idx, "r": list(r)},
+            "residual": {
+                "alpha": ["1/17", "1/19"],
+                "terms": [
+                    {"index": t, "r": [r[0] + shift[0], r[1] + shift[1]], "coeff": cf}
+                    for t, cf in terms
+                ],
+            },
+        }
+        for pair, shift, residuals in DOUBLED_E12_FAILURES
+        for (idx, r), terms in zip(bases, residuals)
+    ]
+    assert not rep["ok"] and rep["checked"] == 81 * 4
+    assert len(rep["failures"]) == 32
+    assert rep["failures"] == expected
+
+
+@pytest.mark.parametrize("params", [NUM, SYM], ids=["numeric", "symbolic"])
+def test_tabled_residuals_equal_bracket_residual(params):
+    act = partial(act_gen, params)
+    for idx, r in ((0, (0, 0)), (1, (1, -2)), (-2, (2, 1))):
+        x = basis_element(params, idx, r)
+        residuals = bracket_residuals(act, 3, x)
+        assert list(residuals) == [(g1, g2) for g1 in GENS for g2 in GENS]
+        for (g1, g2), res in residuals.items():
+            assert res == bracket_residual(act, *g1, *g2, x), (g1, g2, idx, r)
+
+
+def test_bracket_sweep_applies_each_generator_once_per_image(monkeypatch):
+    calls = []
+    act = sl3.act_gen
+
+    def counted(params, i, j, x):
+        calls.append((i, j))
+        return act(params, i, j, x)
+
+    monkeypatch.setattr(sl3, "act_gen", counted)
+    rep = verify_sl3_brackets(NUM, [(0, 0)], [0])
+    assert rep["ok"] and rep["checked"] == 81
+    # nine images of the basis vector, then nine of each of those
+    assert len(calls) == 9 + 81
 
 
 def test_wrong_bracket_is_nonzero():
