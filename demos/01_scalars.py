@@ -35,9 +35,9 @@ print(f"{text}  =  {scalar_to_text(unit)} *",
 # iota tracks a symbolic basis index; products of index-linear forms
 # split into (zeta, sign) pairs used by the obstruction analysis
 w = (C + IOTA) * (A1 - B - IOTA)
-fac = factor_linear_in_iota(w)
-print("iota-linear factors:",
-      [(scalar_to_text(zeta), sign) for zeta, sign in fac.factors])
+unit, pairs = factor_linear_in_iota(w)
+print("iota-linear factors:", scalar_to_text(unit), "*",
+      [(scalar_to_text(zeta), sign) for zeta, sign in pairs])
 
 # specialization is a ring homomorphism wherever it is defined
 desk = {"l": Fraction(1, 7), "b": Fraction(1, 11), "c": Fraction(1, 13),

@@ -19,7 +19,6 @@ Layers, bottom up:
 """
 
 from .scalars import (
-    IotaFactorization,
     ParamPolynomial,
     Scalar,
     ScalarParseError,
@@ -79,7 +78,7 @@ from .report import aggregate_verdict, canonical_json, exit_code_for
 __version__ = "0.1.0"
 
 __all__ = [
-    "IotaFactorization", "ParamPolynomial", "Scalar", "ScalarParseError",
+    "ParamPolynomial", "Scalar", "ScalarParseError",
     "factor_linear_in_iota", "factor_polynomial", "parse_scalar", "scalar_to_text",
     "ModuleElement", "WittGenerator", "act_witt", "de_rham_differential",
     "element_from_json", "element_to_json", "jacobi_residual", "witt_bracket_residual",

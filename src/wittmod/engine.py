@@ -892,13 +892,13 @@ def gt_obstruction(params: Params, window: Window) -> dict:
             )
             if kappa not in factored:
                 factored[kappa] = factor_linear_in_iota(kappa)
-            fz = factored[kappa]
-            if fz is None:
+            if factored[kappa] is None:
                 factors_ok = False
                 factor_reports.append({"r": list(pt), "factors": None})
                 continue
+            unit, pairs = factored[kappa]
             fr = []
-            for zeta, sign in fz.factors:
+            for zeta, sign in pairs:
                 covered = None
                 for cname in CONDITION_NAMES:
                     for sigma in (1, -1):
@@ -922,7 +922,7 @@ def gt_obstruction(params: Params, window: Window) -> dict:
                     }
                 )
             factor_reports.append(
-                {"r": list(pt), "unit": scalar_to_text(fz.unit), "factors": fr}
+                {"r": list(pt), "unit": scalar_to_text(unit), "factors": fr}
             )
         op_ok = triangular_ok and extreme_ok and factors_ok
         all_ok = all_ok and op_ok

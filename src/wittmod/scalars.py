@@ -5,12 +5,12 @@ Two layers of exact rational arithmetic:
 * ``ParamPolynomial`` - sparse multivariate polynomials over the
   rationals in the six parameter symbols ``l, b, c, a1, a2, iota``, with
   a fixed graded-lexicographic monomial order (symbol order l < b < c <
-  a1 < a2 < iota; iota is the largest symbol).  Gcds and the cofactors that
-  reduce a Scalar are computed in sympy's sparse polynomial ring over QQ,
-  built with the same order on first use; sympy also supplies
-  factorization.  A coefficient is stored as an ``int`` when it is
-  integral and as a ``Fraction`` otherwise (almost all of them are small
-  integers, and ``int`` arithmetic is far cheaper); ``const_value`` and
+  a1 < a2 < iota; iota is the largest symbol).  Gcds, the cofactors that
+  reduce a Scalar and factorizations are computed in sympy's sparse
+  polynomial ring over QQ, built with the same order on first use.  A
+  coefficient is stored as an ``int`` when it is integral and as a
+  ``Fraction`` otherwise (almost all of them are small integers, and
+  ``int`` arithmetic is far cheaper); ``const_value`` and
   ``leading_coeff`` always return a ``Fraction``, so dividing by them
   stays exact.
 * ``Scalar`` - the fraction field in canonically normalized form:
@@ -440,73 +440,7 @@ ZERO = Scalar.from_rational(0)
 ONE = Scalar.from_rational(1)
 
 
-# -- iota-linear factorization -----------------------------------------
-
-
-class IotaFactorization:
-    """Result of splitting a polynomial scalar into iota-linear factors.
-
-    ``x == unit * prod(zeta_k + sign_k * iota)`` with every zeta and the
-    unit free of iota.  The multiply-back identity holds by construction.
-    """
-
-    __slots__ = ("unit", "factors")
-
-    def __init__(self, unit: Scalar, factors: tuple):
-        self.unit = unit
-        self.factors = factors
-
-    def product(self) -> Scalar:
-        p = self.unit
-        for zeta, sign in self.factors:
-            p = p * (zeta + IOTA if sign > 0 else zeta - IOTA)
-        return p
-
-
-def factor_linear_in_iota(x: Scalar) -> Optional[IotaFactorization]:
-    """Split a polynomial scalar into iota-linear factors, or None.
-
-    Returns factors (zeta, sign) with sign in {+1, -1} and zeta free of
-    iota, plus an iota-free unit, such that x equals the unit times the
-    product of (zeta + sign*iota).  Returns None when x is not a product
-    of iota-linear factors over the parameter field.
-    """
-    import sympy
-
-    if not x.is_polynomial():
-        raise ValueError("factor_linear_in_iota expects a polynomial scalar")
-    if x.is_zero():
-        return IotaFactorization(ZERO, ())
-    if x.num.degree_in("iota") == 0:
-        return IotaFactorization(x, ())
-
-    R = _ring()
-    iota = R.gens[0]
-    _, factor_list = sympy.factor_list(_to_ring(x.num).as_expr())
-    factors = []
-    for fexpr, mult in factor_list:
-        f = R.from_expr(fexpr)
-        d = f.degree(iota)
-        if d == 0:
-            continue
-        if d > 1:
-            return None
-        a_part = _from_ring(f.coeff_wrt(iota, 1))
-        b_part = _from_ring(f.coeff_wrt(iota, 0))
-        # root of the factor in iota is -b_part/a_part; present (zeta, sign)
-        # so that zeta has a positive leading coefficient
-        rho = Scalar(b_part, a_part) * Scalar.from_rational(-1)
-        for _ in range(mult):
-            if rho.is_zero():
-                factors.append((ZERO, 1))
-            elif rho.num.leading_coeff() > 0:
-                factors.append((rho, -1))
-            else:
-                factors.append((-rho, 1))
-    unit = x / IotaFactorization(ONE, tuple(factors)).product()
-    if unit.num.degree_in("iota") or unit.den.degree_in("iota"):
-        return None
-    return IotaFactorization(unit, tuple(factors))
+# -- factorization -----------------------------------------------------
 
 
 def factor_polynomial(x: Scalar):
@@ -517,36 +451,61 @@ def factor_polynomial(x: Scalar):
     ambient monomial order.  The multiply-back product is certified, so
     the factorization engine never has to be trusted blindly.
     """
-    import sympy
-
     if not x.is_polynomial():
         raise ValueError("factor_polynomial expects a polynomial scalar")
     if x.is_zero():
         return ZERO, ()
     if x.num.is_const():
         return x, ()
-    const, factor_list_ = sympy.factor_list(_to_ring(x.num).as_expr())
-    q = sympy.Rational(const)
-    unit_val = Fraction(int(q.p), int(q.q))
+    const, ring_factors = _to_ring(x.num).factor_list()
     factors = []
-    for fexpr, mult in factor_list_:
-        fpoly = _from_ring(_ring().from_expr(fexpr))
-        if fpoly.is_const():
-            unit_val *= fpoly.const_value() ** mult
-            continue
-        lead = fpoly.leading_coeff()
-        if lead != 1:
-            fpoly = fpoly.scale(Fraction(1) / lead)
-            unit_val *= lead**mult
-        factors.append((Scalar(fpoly), int(mult)))
+    for f, mult in ring_factors:
+        const *= f.LC**mult
+        factors.append((Scalar(_from_ring(f.monic())), mult))
     factors.sort(key=lambda fm: fm[0].num.sorted_terms()[0])
-    unit = Scalar.from_rational(unit_val)
+    unit = Scalar.from_rational(Fraction(int(const.numerator), int(const.denominator)))
     prod = unit
     for f, mult in factors:
         prod = prod * f**mult
     if prod != x:
         raise ValueError("factorization certification failed")
     return unit, tuple(factors)
+
+
+def factor_linear_in_iota(x: Scalar) -> Optional[tuple]:
+    """Split a polynomial scalar into iota-linear factors, or None.
+
+    Returns (unit, ((zeta, sign), ...)) with sign in {+1, -1} and the unit
+    and every zeta free of iota, such that x equals the unit times the
+    product of (zeta + sign*iota); the pairs are sorted on zeta's
+    numerator terms.  Read off the certified ``factor_polynomial``; None
+    when some irreducible factor has degree above 1 in iota.
+    """
+    if not x.is_polynomial():
+        raise ValueError("factor_linear_in_iota expects a polynomial scalar")
+    unit, factors = factor_polynomial(x)
+    pairs = []
+    for f, mult in factors:
+        d = f.num.degree_in("iota")
+        if d == 0:
+            unit = unit * f**mult
+            continue
+        if d > 1:
+            return None
+        # f = a*(iota - rho); present (zeta, sign) so that zeta is zero or
+        # has a positive leading coefficient
+        terms = f.num.terms.items()
+        a = ParamPolynomial({e[:-1] + (0,): q for e, q in terms if e[-1]})
+        b = ParamPolynomial({e: q for e, q in terms if not e[-1]})
+        rho = -Scalar(b, a)
+        if not rho.is_zero() and rho.num.leading_coeff() > 0:
+            pairs += [(rho, -1)] * mult
+            unit = unit * Scalar(-a) ** mult
+        else:
+            pairs += [(-rho, 1)] * mult
+            unit = unit * Scalar(a) ** mult
+    pairs.sort(key=lambda zs: [_grlex_key(e) for e, _ in zs[0].num.sorted_terms()])
+    return unit, tuple(pairs)
 
 
 # -- text grammar -------------------------------------------------------

@@ -137,41 +137,56 @@ def _check_alpha(params: Params, x: ModuleElement):
 def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
     """Apply Ebar_ij by its closed formula; exact, no truncation."""
     _check_alpha(params, x)
+    if (i, j) not in NAME_OF:
+        raise ValueError(f"no generator E{i}{j}")
     lam, b, c = params.lam, params.b, params.c
     a1, a2 = params.a1, params.a2
+    terms = x.terms.items()
     out = {}
-    for (idx, (r1, r2)), coeff in x.terms.items():
-        ii = lam + idx
-        r1p = a1 + r1
-        r2p = a2 + r2
-        if (i, j) == (1, 1):
-            add_term(out, (idx, (r1, r2)), coeff * r1p)
-        elif (i, j) == (2, 2):
-            add_term(out, (idx, (r1, r2)), coeff * r2p)
-        elif (i, j) == (3, 3):
-            add_term(out, (idx, (r1, r2)), -coeff * (r1p + r2p))
-        elif (i, j) == (1, 2):
+    # each coefficient is a parameter part, summed once here, plus the
+    # integral part of the shifts lam + idx, a1 + r1, a2 + r2 it reads
+    if (i, j) == (1, 1):
+        for key, coeff in terms:
+            add_term(out, key, coeff * (a1 + key[1][0]))
+    elif (i, j) == (2, 2):
+        for key, coeff in terms:
+            add_term(out, key, coeff * (a2 + key[1][1]))
+    elif (i, j) == (3, 3):
+        p = a1 + a2
+        for key, coeff in terms:
+            add_term(out, key, -coeff * (p + (key[1][0] + key[1][1])))
+    elif (i, j) == (1, 2):
+        p, q = lam - b + a2, c + lam
+        for (idx, (r1, r2)), coeff in terms:
             pt = (r1 + 1, r2 - 1)
-            add_term(out, (idx, pt), coeff * (ii - b + r2p))
-            add_term(out, (idx + 1, pt), coeff * (c + ii))
-        elif (i, j) == (2, 1):
+            add_term(out, (idx, pt), coeff * (p + (idx + r2)))
+            add_term(out, (idx + 1, pt), coeff * (q + idx))
+    elif (i, j) == (2, 1):
+        p, q = c - lam, a1 - b - lam
+        for (idx, (r1, r2)), coeff in terms:
             pt = (r1 - 1, r2 + 1)
-            add_term(out, (idx - 1, pt), coeff * (c - ii))
-            add_term(out, (idx, pt), coeff * (r1p - b - ii))
-        elif (i, j) == (1, 3):
+            add_term(out, (idx - 1, pt), coeff * (p - idx))
+            add_term(out, (idx, pt), coeff * (q + (r1 - idx)))
+    elif (i, j) == (1, 3):
+        p, q = a1 + a2 + b + lam, c + lam
+        for (idx, (r1, r2)), coeff in terms:
             pt = (r1 + 1, r2)
-            add_term(out, (idx, pt), -coeff * (r1p + r2p + b + ii))
-            add_term(out, (idx + 1, pt), -coeff * (c + ii))
-        elif (i, j) == (2, 3):
+            add_term(out, (idx, pt), -coeff * (p + (r1 + r2 + idx)))
+            add_term(out, (idx + 1, pt), -coeff * (q + idx))
+    elif (i, j) == (2, 3):
+        p, q = c - lam, a1 + a2 + b - lam
+        for (idx, (r1, r2)), coeff in terms:
             pt = (r1, r2 + 1)
-            add_term(out, (idx - 1, pt), -coeff * (c - ii))
-            add_term(out, (idx, pt), -coeff * (r1p + r2p + b - ii))
-        elif (i, j) == (3, 1):
-            add_term(out, (idx, (r1 - 1, r2)), coeff * (r1p - b - ii))
-        elif (i, j) == (3, 2):
-            add_term(out, (idx, (r1, r2 - 1)), coeff * (r2p - b + ii))
-        else:
-            raise ValueError(f"no generator E{i}{j}")
+            add_term(out, (idx - 1, pt), -coeff * (p - idx))
+            add_term(out, (idx, pt), -coeff * (q + (r1 + r2 - idx)))
+    elif (i, j) == (3, 1):
+        q = a1 - b - lam
+        for (idx, (r1, r2)), coeff in terms:
+            add_term(out, (idx, (r1 - 1, r2)), coeff * (q + (r1 - idx)))
+    else:
+        p = a2 - b + lam
+        for (idx, (r1, r2)), coeff in terms:
+            add_term(out, (idx, (r1, r2 - 1)), coeff * (p + (r2 + idx)))
     return ModuleElement(x.alpha, out)
 
 

@@ -29,8 +29,11 @@ class WittGenerator:
     __slots__ = ("u", "r")
 
     def __init__(self, u: Sequence, r: Sequence[int]):
+        r = tuple(r)
         self.u = tuple(u)
         self.r = tuple(int(x) for x in r)
+        if self.r != r:
+            raise ValueError(f"non-integral shift {r}")
         if len(self.u) != len(self.r):
             raise ValueError("direction and shift lengths differ")
 

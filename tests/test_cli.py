@@ -302,3 +302,10 @@ def test_public_names_resolve():
     }
     assert defined == {"CuspidalGl2", "FinDimGlModule"}
     assert defined <= set(names)
+    # factorizations are plain tuples: scalars defines no result class
+    scalar_types = {
+        name for name, value in vars(wittmod.scalars).items()
+        if isinstance(value, type) and value.__module__ == "wittmod.scalars"
+    }
+    assert scalar_types == {"ParamPolynomial", "Scalar", "ScalarParseError", "_Parser"}
+    assert "IotaFactorization" not in names

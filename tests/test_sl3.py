@@ -79,6 +79,16 @@ def test_alpha_mismatch_rejected():
         act_gen(NUM, 1, 1, x)
 
 
+@pytest.mark.parametrize("gen", [(4, 4), (0, 1), (1, 4), (3, 0)])
+@pytest.mark.parametrize("params", [NUM, SYM], ids=["numeric", "symbolic"])
+def test_unknown_generator_rejected(params, gen):
+    from wittmod.tensor import ModuleElement
+
+    for x in (ModuleElement.zero(params.alpha()), basis_element(params, 0, (0, 0))):
+        with pytest.raises(ValueError, match="no generator"):
+            act_gen(params, *gen, x)
+
+
 # -- words ----------------------------------------------------------------
 
 

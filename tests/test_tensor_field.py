@@ -32,6 +32,13 @@ def test_generator_shape_mismatch():
         WittGenerator((1, 0), (0,))
 
 
+def test_generator_rejects_non_integral_shift():
+    with pytest.raises(ValueError):
+        WittGenerator((1, 0), (Fraction(1, 2), 0))
+    D = WittGenerator((1, 0), (Fraction(2), -1))
+    assert D.r == (2, -1) and all(type(x) is int for x in D.r)
+
+
 def test_act_dimension_mismatch():
     x = ModuleElement.basis(ALPHA, 0, (0, 0))
     with pytest.raises(ValueError):
