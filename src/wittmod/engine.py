@@ -18,7 +18,7 @@ import operator
 import random
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -721,13 +721,20 @@ def check_degenerate_reducibility(params: Params, window: Window) -> dict:
 # -- recursion compatibility oracle ---------------------------------------
 
 
+def _const_shift(f: Scalar, ref: Scalar) -> Optional[Fraction]:
+    """``f - ref`` as a Fraction when it is constant, else None."""
+    diff = f - ref
+    return diff.const_value() if diff.is_const() else None
+
+
 def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     """Obstruction polynomial for the two-route coefficient recursion.
 
     For truncation length s, the raising operator T_A and the lowering
     operator T_B each force a value of the neighbour ratio a_{j-1}/a_j
     inside an invariant line of the index window; both are derived here
-    from the action alone.  Compatibility is measured by
+    from the action alone, applying each operator once to each of
+    v_0 .. v_s.  Compatibility is measured by
     N = num(R_A/R_B) - den(R_A/R_B) in lowest terms, which must be free
     of the symbolic index and of j, and factors into two linear forms.
     The factors are compared against the reference forms
@@ -736,38 +743,36 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     in either reference is flagged rather than hidden.
     """
     params = Params.symbolic(with_iota_index=True)
-    origin = (0, 0)
+    up, down = (1, -1), (-1, 1)  # where T_A and T_B take the origin
     results = []
     flags = []
     for s in s_values:
         s = int(s)
         if s < 1:
             raise ValueError("truncation length must be a positive integer")
-        t_a = partial(raising_operator, params, s)
-        t_b = partial(lowering_operator, params)
-        vj = {j: basis_element(params, j, origin) for j in range(-1, s + 2)}
-        c1a = {j: t_a(vj[j]).coefficient(j, (1, -1)) for j in range(s + 1)}
-        c2a = {j: t_a(vj[j - 1]).coefficient(j, (1, -1)) for j in range(1, s + 1)}
-        top_kill = coeff_is_zero(t_a(vj[s]).coefficient(s + 1, (1, -1)))
-        c1b = {j: t_b(vj[j]).coefficient(j, (-1, 1)) for j in range(s + 1)}
-        c2b = {j: t_b(vj[j + 1]).coefficient(j, (-1, 1)) for j in range(s)}
-        bottom_kill = coeff_is_zero(t_b(vj[0]).coefficient(-1, (-1, 1)))
-
-        def g_at(j, r1):
-            src = basis_element(params, j, (r1, 0))
-            return act_gen(params, 3, 1, src).coefficient(j, (r1 - 1, 0))
-
-        def h_at(j, r2):
-            src = basis_element(params, j, (0, r2))
-            return act_gen(params, 3, 2, src).coefficient(j, (0, r2 - 1))
-
-        rho_a = {j: (g_at(0, 1) / g_at(j, 1)) * (h_at(j, 0) / h_at(0, 0)) for j in range(s + 1)}
-        rho_b = {j: (g_at(j, 0) / g_at(0, 0)) * (h_at(0, 1) / h_at(j, 1)) for j in range(s + 1)}
+        js = range(s + 1)
+        t_a = [raising_operator(params, s, basis_element(params, j, (0, 0))) for j in js]
+        t_b = [lowering_operator(params, basis_element(params, j, (0, 0))) for j in js]
+        c1a = [t_a[j].coefficient(j, up) for j in js]
+        c2a = {j: t_a[j - 1].coefficient(j, up) for j in js[1:]}
+        top_kill = coeff_is_zero(t_a[s].coefficient(s + 1, up))
+        c1b = [t_b[j].coefficient(j, down) for j in js]
+        c2b = {j: t_b[j + 1].coefficient(j, down) for j in js[:-1]}
+        bottom_kill = coeff_is_zero(t_b[0].coefficient(-1, down))
+        # E31 on v_j(r, 0) and E32 on v_j(0, r) keep the index j
+        g, h = {}, {}
+        for j, r in iproduct(js, (0, 1)):
+            e31 = act_gen(params, 3, 1, basis_element(params, j, (r, 0)))
+            e32 = act_gen(params, 3, 2, basis_element(params, j, (0, r)))
+            g[j, r] = e31.coefficient(j, (r - 1, 0))
+            h[j, r] = e32.coefficient(j, (0, r - 1))
+        rho_a = [(g[0, 1] / g[j, 1]) * (h[j, 0] / h[0, 0]) for j in js]
+        rho_b = [(g[j, 0] / g[0, 0]) * (h[0, 1] / h[j, 1]) for j in js]
         norm_ok = coeff_is_zero(rho_a[0] - 1) and coeff_is_zero(rho_b[0] - 1)
         k_a = c1a[0]
         k_b = c1b[s] / rho_b[s]
         obstructions = []
-        for j in range(1, s + 1):
+        for j in js[1:]:
             r_a = (k_a * rho_a[j] - c1a[j]) / c2a[j]
             r_b = c2b[j - 1] / (k_b * rho_b[j - 1] - c1b[j - 1])
             q = r_a / r_b
@@ -777,19 +782,20 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
         iota_free = n_poly.num.degree_in("iota") == 0
         unit, factors = factor_polynomial(n_poly)
         mult_back_ok = len(factors) == 2 and all(m == 1 for _, m in factors)
-        ref_first = Scalar.sym("c") + 3 * Scalar.sym("b") - (s + 2)
-        ref_second = Scalar.sym("c") - 3 * Scalar.sym("b") + (s + 3)
         derived = [f for f, _ in factors]
 
-        def match(ref):
-            for f in derived:
-                diff = f - ref
-                if diff.is_const():
-                    return f, diff.const_value()
-            return None, None
+        def compare(ref):
+            shifts = [(f, _const_shift(f, ref)) for f in derived]
+            f, off = next(((f, off) for f, off in shifts if off is not None), (None, None))
+            return {
+                "reference": scalar_to_text(ref),
+                "derived": scalar_to_text(f) if f is not None else None,
+                "offset": str(off) if off is not None else None,
+                "matches": off == 0,
+            }
 
-        f1, off1 = match(ref_first)
-        f2, off2 = match(ref_second)
+        first = compare(Scalar.sym("c") + 3 * Scalar.sym("b") - (s + 2))
+        second = compare(Scalar.sym("c") - 3 * Scalar.sym("b") + (s + 3))
         entry = {
             "s": s,
             "top_kill": top_kill,
@@ -800,18 +806,8 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
             "obstruction": scalar_to_text(n_poly),
             "unit": scalar_to_text(unit),
             "derived_factors": [scalar_to_text(f) for f in derived],
-            "first_factor": {
-                "reference": scalar_to_text(ref_first),
-                "derived": scalar_to_text(f1) if f1 is not None else None,
-                "offset": str(off1) if off1 is not None else None,
-                "matches": off1 == 0,
-            },
-            "second_factor": {
-                "reference": scalar_to_text(ref_second),
-                "derived": scalar_to_text(f2) if f2 is not None else None,
-                "offset": str(off2) if off2 is not None else None,
-                "matches": off2 == 0,
-            },
+            "first_factor": first,
+            "second_factor": second,
         }
         entry["ok"] = (
             top_kill
@@ -820,14 +816,14 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
             and index_free
             and iota_free
             and mult_back_ok
-            and entry["first_factor"]["matches"]
-            and f2 is not None
+            and first["matches"]
+            and second["derived"] is not None
         )
-        if off2 is not None and off2 != 0:
+        if second["offset"] not in (None, "0"):
             flags.append(
-                f"s={s}: second factor is offset {off2} from its reference form"
+                f"s={s}: second factor is offset {second['offset']} from its reference form"
             )
-        if f2 is None:
+        if second["derived"] is None:
             flags.append(f"s={s}: no derived factor is a constant shift of the second reference")
         results.append(entry)
     all_ok = all(e["ok"] for e in results)
@@ -900,17 +896,10 @@ def gt_obstruction(params: Params, window: Window) -> dict:
             fr = []
             for zeta, sign in pairs:
                 covered = None
-                for cname in CONDITION_NAMES:
-                    for sigma in (1, -1):
-                        diff = zeta - cond_scalars[cname] * sigma
-                        if diff.is_const() and diff.const_value().denominator == 1:
-                            covered = {
-                                "condition": cname,
-                                "sign": sigma,
-                                "shift": str(diff.const_value()),
-                            }
-                            break
-                    if covered:
+                for cname, sigma in iproduct(CONDITION_NAMES, (1, -1)):
+                    shift = _const_shift(zeta, cond_scalars[cname] * sigma)
+                    if shift is not None and shift.denominator == 1:
+                        covered = {"condition": cname, "sign": sigma, "shift": str(shift)}
                         break
                 if covered is None:
                     factors_ok = False

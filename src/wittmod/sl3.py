@@ -456,7 +456,7 @@ def _grid(bound: int):
     return [(r1, r2) for r1 in rng for r2 in rng]
 
 
-def proof_identity_report(s_values: Sequence[int], grid_bound: int = 2) -> dict:
+def proof_identity_report(s_values: Sequence[int]) -> dict:
     """Exact identities used by the truncation construction, dual-routed.
 
     Four composite-action expansions are checked against hand-coded
@@ -466,7 +466,7 @@ def proof_identity_report(s_values: Sequence[int], grid_bound: int = 2) -> dict:
     negative controls.
     """
     params = Params.symbolic(with_iota_index=True)
-    grid = _grid(grid_bound)
+    grid = _grid(2)
 
     displays = []
     display_specs = [
@@ -494,7 +494,7 @@ def proof_identity_report(s_values: Sequence[int], grid_bound: int = 2) -> dict:
         y = raising_operator(params, s, basis_element(params, j, r), shift)
         return y.coefficient(s + 1, (r[0] + 1, r[1] - 1))
 
-    def bottom_coeff_B(s: int, j: int, r, shift: int = 0):
+    def bottom_coeff_B(j: int, r, shift: int = 0):
         y = lowering_operator(params, basis_element(params, j, r), shift)
         return y.coefficient(-1, (r[0] - 1, r[1] + 1))
 
@@ -510,12 +510,12 @@ def proof_identity_report(s_values: Sequence[int], grid_bound: int = 2) -> dict:
             not coeff_is_zero(top_coeff_A(s, s, r, shift=1)) for r in small_grid
         )
         b_ok = all(
-            coeff_is_zero(bottom_coeff_B(s, j, r))
+            coeff_is_zero(bottom_coeff_B(j, r))
             for j in range(s + 1)
             for r in small_grid
         )
         b_control = any(
-            not coeff_is_zero(bottom_coeff_B(s, 0, r, shift=1)) for r in small_grid
+            not coeff_is_zero(bottom_coeff_B(0, r, shift=1)) for r in small_grid
         )
         truncations.append(
             {

@@ -29,6 +29,7 @@ from wittmod.engine import (
 )
 from wittmod.glmod import exterior_power
 from wittmod.report import canonical_json
+from wittmod.scalars import Scalar
 from wittmod.sl3 import (
     DEGENERATE_VALUES,
     Params,
@@ -517,6 +518,42 @@ def test_oracle_offset_is_constant_in_s():
         assert res["second_factor"]["offset"] == "-2"
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_oracle_applies_each_operator_once(monkeypatch, s):
+    # one T_A and one T_B image per basis vector v_0 .. v_s, and one E31
+    # and one E32 coefficient per (index, lattice step) pair
+    calls = {"raising_operator": 0, "lowering_operator": 0, "act_gen": 0}
+    for name in calls:
+        original = getattr(engine, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, spy)
+    assert recursion_factorization_oracle([s])["verdict"] == "pass"
+    assert calls == {
+        "raising_operator": s + 1,
+        "lowering_operator": s + 1,
+        "act_gen": 4 * (s + 1),
+    }
+
+
+def test_oracle_flags_factors_that_match_no_reference(monkeypatch):
+    c, b = Scalar.sym("c"), Scalar.sym("b")
+    monkeypatch.setattr(
+        engine, "factor_polynomial", lambda x: (Scalar.from_rational(1), ((c + b, 1), (c - b, 1)))
+    )
+    doc = recursion_factorization_oracle([1])
+    assert doc["verdict"] == "fail"
+    (res,) = doc["results"]
+    assert not res["ok"]
+    for key in ("first_factor", "second_factor"):
+        assert res[key]["derived"] is None and res[key]["offset"] is None
+        assert res[key]["matches"] is False
+    assert doc["flags"] == ["s=1: no derived factor is a constant shift of the second reference"]
+
+
 # -- Gelfand-Tsetlin checks ------------------------------------------------------
 
 
@@ -549,6 +586,26 @@ def test_gt_obstruction_report(monkeypatch):
             for fac in pt["factors"]:
                 cov = fac["covered_by"]
                 assert cov is not None and Fraction(cov["shift"]).denominator == 1
+
+
+def test_gt_obstruction_covers_only_integral_shifts(monkeypatch):
+    c, b, l, a1 = (Scalar.sym(n) for n in ("c", "b", "l", "a1"))
+    zetas = (c + l + Scalar.from_rational(Fraction(1, 2)), b * c, -(a1 - b - l) + 2)
+    monkeypatch.setattr(
+        engine,
+        "factor_linear_in_iota",
+        lambda kappa: (Scalar.from_rational(1), tuple((z, 1) for z in zetas)),
+    )
+    doc = gt_obstruction(NUM, Window(0, 0, ((0, 0), (0, 0))))
+    assert doc["verdict"] == "fail"
+    for op in doc["operators"]:
+        assert op["factors_covered"] is False and not op["ok"]
+        (pt,) = op["factor_analysis"]
+        assert [f["covered_by"] for f in pt["factors"]] == [
+            None,
+            None,
+            {"condition": "a1-b-l", "sign": -1, "shift": "2"},
+        ]
 
 
 def test_gt_central_degree_one():

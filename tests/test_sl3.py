@@ -315,7 +315,7 @@ def test_truncation_identity_direct():
 
 
 def test_proof_identity_report():
-    rep = proof_identity_report((1, 2), grid_bound=1)
+    rep = proof_identity_report((1, 2))
     assert rep["ok"]
     assert all(d["ok"] for d in rep["displays"])
     assert {d["name"] for d in rep["displays"]} >= {"E13*E32", "E23*E31"}
