@@ -18,7 +18,7 @@ import operator
 import random
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product as iproduct
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -53,12 +53,12 @@ from .sl3 import (
 from .tensor import (
     ModuleElement,
     WittGenerator,
-    act_witt,
     de_rham_differential,
     element_to_json,
     jacobi_residual,
     verify_d_intertwines,
     witt_bracket_residual,
+    witt_operator,
 )
 
 
@@ -734,10 +734,11 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     operator T_B each force a value of the neighbour ratio a_{j-1}/a_j
     inside an invariant line of the index window; both are derived here
     from the action alone, applying each operator once to each of
-    v_0 .. v_s.  Compatibility is measured by
-    N = num(R_A/R_B) - den(R_A/R_B) in lowest terms, which must be free
-    of the symbolic index and of j, and factors into two linear forms.
-    The factors are compared against the reference forms
+    v_0 .. v_s; T_B and the E31/E32 coefficients do not depend on s, so
+    one call shares them between its truncation lengths.  Compatibility
+    is measured by N = num(R_A/R_B) - den(R_A/R_B) in lowest terms, which
+    must be free of the symbolic index and of j, and factors into two
+    linear forms.  The factors are compared against the reference forms
     (c + 3b - s - 2) and (c - 3b + s + 3); each comparison is reported
     with its constant offset instead of being asserted, so a discrepancy
     in either reference is flagged rather than hidden.
@@ -746,13 +747,17 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     up, down = (1, -1), (-1, 1)  # where T_A and T_B take the origin
     results = []
     flags = []
+    t_b_of, g, h = {}, {}, {}  # free of s: filled for the first s needing them
     for s in s_values:
         s = int(s)
         if s < 1:
             raise ValueError("truncation length must be a positive integer")
         js = range(s + 1)
         t_a = [raising_operator(params, s, basis_element(params, j, (0, 0))) for j in js]
-        t_b = [lowering_operator(params, basis_element(params, j, (0, 0))) for j in js]
+        for j in js:
+            if j not in t_b_of:
+                t_b_of[j] = lowering_operator(params, basis_element(params, j, (0, 0)))
+        t_b = [t_b_of[j] for j in js]
         c1a = [t_a[j].coefficient(j, up) for j in js]
         c2a = {j: t_a[j - 1].coefficient(j, up) for j in js[1:]}
         top_kill = coeff_is_zero(t_a[s].coefficient(s + 1, up))
@@ -760,8 +765,9 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
         c2b = {j: t_b[j + 1].coefficient(j, down) for j in js[:-1]}
         bottom_kill = coeff_is_zero(t_b[0].coefficient(-1, down))
         # E31 on v_j(r, 0) and E32 on v_j(0, r) keep the index j
-        g, h = {}, {}
         for j, r in iproduct(js, (0, 1)):
+            if (j, r) in g:
+                continue
             e31 = act_gen(params, 3, 1, basis_element(params, j, (r, 0)))
             e32 = act_gen(params, 3, 2, basis_element(params, j, (0, r)))
             g[j, r] = e31.coefficient(j, (r - 1, 0))
@@ -1214,6 +1220,7 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
         inter_checked += res["checked"]
         inter_failures += len(res["failures"])
 
+    @cache  # d(t^m), shared by every pair of this call
     def image_gen(m):
         return de_rham_differential(
             ModuleElement.basis(alpha, 0, m), n, 0, wedges[0], wedges[1]
@@ -1224,10 +1231,9 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
     for u, r in pairs:
         if all(x == 0 for x in u):
             continue
-        D = WittGenerator(u, r)
+        act = witt_operator(WittGenerator(u, r), wedges[1], alpha)
         for m in small_box:
-            w = image_gen(m)
-            y = act_witt(D, w, wedges[1])
+            y = act(image_gen(m))
             target = image_gen(tuple(a + bb for a, bb in zip(m, r)))
             weight = sum(uk * (mk + ak) for uk, mk, ak in zip(u, m, alpha))
             image_checked += 1

@@ -20,7 +20,7 @@ The identity of the bottom gl2 acts as 2*b.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -494,6 +494,7 @@ def proof_identity_report(s_values: Sequence[int]) -> dict:
         y = raising_operator(params, s, basis_element(params, j, r), shift)
         return y.coefficient(s + 1, (r[0] + 1, r[1] - 1))
 
+    @cache  # T_B does not depend on s: one image per (j, r, shift) per call
     def bottom_coeff_B(j: int, r, shift: int = 0):
         y = lowering_operator(params, basis_element(params, j, r), shift)
         return y.coefficient(-1, (r[0] - 1, r[1] + 1))

@@ -13,6 +13,12 @@ where (r'u) is the matrix with entries r_i u_j, so (r'u)v expands to
 sum_{i,j} r_i u_j E_ij v.  Elements are finite formal sums of basis
 symbols v_idx(m) with exact coefficients.  Actions never truncate;
 window clipping is always an explicit caller-side step.
+
+``witt_operator`` binds one D(u, r) to an input module and a twist;
+``act_witt`` is one application of such a binding.  The sweeps here bind
+each generator once: the intertwining check once on the source and once
+on the target wedge module, the bracket and Jacobi residuals once per
+generator they apply.  Every table a binding fills lives for one call.
 """
 
 from __future__ import annotations
@@ -119,40 +125,64 @@ def _element(alpha, terms: dict) -> ModuleElement:
     return res
 
 
-def act_witt(D: WittGenerator, x: ModuleElement, module) -> ModuleElement:
-    """Apply D(u, r); linear in x, support shifts by r.
+def witt_operator(D: WittGenerator, module, alpha):
+    """D(u, r) bound to one gl input and one twist alpha: ``apply(x)``.
 
     ``module`` is the gl_n input; it is read only through
     ``module.column(i, j, idx)``, the image of basis idx under E_ij as
-    (p, entry) pairs.  A ``FinDimGlModule`` builds its columns once, at
-    construction, from its immutable matrices and stores integral entries
-    as ``int``; a ``CuspidalGl2`` evaluates its closed form.  Per term of
-    x the weight is (u|alpha), computed once per call, plus (u|m), and the
-    matrix part sum_{i,j} r_i u_j E_ij e_idx is summed with the scalar
-    entries before the one product with the term's coefficient.
+    (p, entry) pairs.  What does not depend on x is computed here, once:
+    the nonzero directions of u, the (r'u) coefficients r_i u_j and the
+    weight part (u|alpha).  ``apply`` tables the rest as it meets it: the
+    matrix part sum_{i,j} r_i u_j E_ij e_idx of each basis index, with its
+    scalar entries summed, and the weight (u|alpha) + (u|m) of each value
+    of (u|m).  The tables belong to this one operator, so a sweep binds
+    each generator once and drops it when the sweep returns.  ``apply``
+    refuses an element with another alpha.
     """
-    n = len(x.alpha)
-    if len(D.u) != n:
-        raise ValueError(f"generator dimension {len(D.u)} does not match n={n}")
+    alpha = tuple(alpha)
+    if len(D.u) != len(alpha):
+        raise ValueError(f"generator dimension {len(D.u)} does not match n={len(alpha)}")
     u = [(k, uk) for k, uk in enumerate(D.u) if not coeff_is_zero(uk)]
     ru = [(i + 1, j + 1, ri * uj) for i, ri in enumerate(D.r) if ri for j, uj in u]
     u_alpha = 0
     for k, uk in u:
-        u_alpha = u_alpha + uk * x.alpha[k]
-    out = {}
-    for (idx, m), coeff in x.terms.items():
-        target = tuple(a + b for a, b in zip(m, D.r))
-        u_m = 0
-        for k, uk in u:
-            u_m = u_m + uk * m[k]
-        add_term(out, (idx, target), (u_alpha + u_m) * coeff)
-        col = {}
-        for i, j, c in ru:
-            for p, e in module.column(i, j, idx):
-                add_term(col, p, c * e)
-        for p, e in col.items():
-            add_term(out, (p, target), e * coeff)
-    return _element(x.alpha, out)
+        u_alpha = u_alpha + uk * alpha[k]
+    shift = D.r
+    columns = {}
+    weights = {}
+
+    def apply(x: ModuleElement) -> ModuleElement:
+        if x.alpha != alpha:
+            raise ValueError(f"element twist {x.alpha} does not match the bound {alpha}")
+        out = {}
+        for (idx, m), coeff in x.terms.items():
+            target = tuple(a + b for a, b in zip(m, shift))
+            u_m = 0
+            for k, uk in u:
+                u_m = u_m + uk * m[k]
+            weight = weights.get(u_m)
+            if weight is None:
+                weights[u_m] = weight = u_alpha + u_m
+            add_term(out, (idx, target), weight * coeff)
+            part = columns.get(idx)
+            if part is None:
+                col = {}
+                for i, j, c in ru:
+                    for p, e in module.column(i, j, idx):
+                        add_term(col, p, c * e)
+                columns[idx] = part = tuple(col.items())
+            for p, e in part:
+                add_term(out, (p, target), e * coeff)
+        return _element(alpha, out)
+
+    return apply
+
+
+def act_witt(D: WittGenerator, x: ModuleElement, module) -> ModuleElement:
+    """Apply D(u, r); linear in x, support shifts by r.  One application
+    of ``witt_operator``; a sweep that applies D to many elements binds
+    it once instead."""
+    return witt_operator(D, module, x.alpha)(x)
 
 
 def witt_bracket(a: WittGenerator, b: WittGenerator) -> WittGenerator:
@@ -170,10 +200,10 @@ def witt_bracket_residual(u, r, v, s, x: ModuleElement, module) -> ModuleElement
     """[D(u,r), D(v,s)]x - D((u|s)v - (v|r)u, r+s)x; zero iff the law holds."""
     Du = WittGenerator(u, r)
     Dv = WittGenerator(v, s)
-    lhs = act_witt(Du, act_witt(Dv, x, module), module) - act_witt(
-        Dv, act_witt(Du, x, module), module
-    )
-    return lhs - act_witt(witt_bracket(Du, Dv), x, module)
+    du = witt_operator(Du, module, x.alpha)
+    dv = witt_operator(Dv, module, x.alpha)
+    lhs = du(dv(x)) - dv(du(x))
+    return lhs - witt_operator(witt_bracket(Du, Dv), module, x.alpha)(x)
 
 
 def jacobi_residual(gens, x: ModuleElement, module) -> ModuleElement:
@@ -181,9 +211,10 @@ def jacobi_residual(gens, x: ModuleElement, module) -> ModuleElement:
     total = ModuleElement.zero(x.alpha)
     d1, d2, d3 = gens
     for a, b, c in ((d1, d2, d3), (d2, d3, d1), (d3, d1, d2)):
-        inner = witt_bracket(b, c)
-        total = total + act_witt(a, act_witt(inner, x, module), module)
-        total = total - act_witt(inner, act_witt(a, x, module), module)
+        outer = witt_operator(a, module, x.alpha)
+        inner = witt_operator(witt_bracket(b, c), module, x.alpha)
+        total = total + outer(inner(x))
+        total = total - inner(outer(x))
     return total
 
 
@@ -238,13 +269,15 @@ def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
         raise ValueError("empty box: no basis vector to check")
     D = WittGenerator(u, r)
     src, dst = wedges[k], wedges[k + 1]
+    act_src = witt_operator(D, src, alpha)
+    act_dst = witt_operator(D, dst, alpha)
     failures = []
     count = 0
     for m in box:
         for idx in range(src.dim):
             x = ModuleElement.basis(alpha, idx, m)
-            lhs = de_rham_differential(act_witt(D, x, src), n, k, src, dst)
-            rhs = act_witt(D, de_rham_differential(x, n, k, src, dst), dst)
+            lhs = de_rham_differential(act_src(x), n, k, src, dst)
+            rhs = act_dst(de_rham_differential(x, n, k, src, dst))
             count += 1
             res = lhs - rhs
             if not res.is_zero():

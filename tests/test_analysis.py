@@ -5,11 +5,12 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
 
-from wittmod import engine
+from wittmod import engine, tensor
 from wittmod.cli import main
 from wittmod.engine import (
     DEFAULT_WORDS,
@@ -433,14 +434,48 @@ def test_engine_rejects_counts_without_evidence(run):
         run()
 
 
+def _scaled_binding(bind, factor, only=None):
+    """``witt_operator`` whose operators on ``only`` (every module when
+    None) return ``factor`` times the true image."""
+
+    def scaled(D, module, alpha):
+        act = bind(D, module, alpha)
+        if only is not None and module is not only:
+            return act
+        return lambda x: act(x).scale(factor)
+
+    return scaled
+
+
 @pytest.mark.parametrize("factor", [0, 2], ids=["zero", "double"])
 def test_derham_image_check_needs_the_exact_multiple(monkeypatch, factor):
-    # D(u, r) d(t^m) must be (u|m + alpha) d(t^(m+r)), not any multiple of it
-    act = engine.act_witt
-    monkeypatch.setattr(engine, "act_witt", lambda D, x, mod: act(D, x, mod).scale(factor))
+    # D(u, r) d(t^m) must be (u|m + alpha) d(t^(m+r)), not any multiple of it;
+    # the image check binds D through engine.witt_operator, the intertwining
+    # sweep through tensor's, which stays exact
+    monkeypatch.setattr(engine, "witt_operator", _scaled_binding(engine.witt_operator, factor))
     doc = derham_report(box_bound=0, uv_bound=1)
     assert doc["verdict"] == "fail"
     assert doc["image_failures"] == doc["image_checked"] == 8 * 9 * 9
+    assert doc["intertwining_failures"] == 0
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("factor", [0, 2], ids=["zero", "double"])
+def test_d_intertwining_needs_the_exact_target_action(monkeypatch, k, factor):
+    # d D(u, r) x = D(u, r) d x fails once D acts on the target wedge module
+    # by a wrong multiple: for every u != 0 and every basis vector (8 * 9
+    # pairs, two points, wedge^k of gl2 of dimension k + 1)
+    monkeypatch.setattr(
+        tensor, "witt_operator", _scaled_binding(tensor.witt_operator, factor, WEDGES2[k + 1])
+    )
+    box = [(0, 0), (1, -1)]
+    checked = failed = 0
+    for u in product(range(-1, 2), repeat=2):
+        for r in product(range(-1, 2), repeat=2):
+            res = verify_d_intertwines(u, r, NUM.alpha(), box, 2, k, WEDGES2)
+            checked += res["checked"]
+            failed += len(res["failures"])
+    assert (checked, failed) == (81 * 2 * (k + 1), 8 * 9 * 2 * (k + 1))
 
 
 def test_irreducible_refuses_near_integral():
@@ -518,10 +553,7 @@ def test_oracle_offset_is_constant_in_s():
         assert res["second_factor"]["offset"] == "-2"
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
-def test_oracle_applies_each_operator_once(monkeypatch, s):
-    # one T_A and one T_B image per basis vector v_0 .. v_s, and one E31
-    # and one E32 coefficient per (index, lattice step) pair
+def _spy_oracle_operators(monkeypatch) -> dict:
     calls = {"raising_operator": 0, "lowering_operator": 0, "act_gen": 0}
     for name in calls:
         original = getattr(engine, name)
@@ -531,12 +563,32 @@ def test_oracle_applies_each_operator_once(monkeypatch, s):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(engine, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_oracle_applies_each_operator_once(monkeypatch, s):
+    # one T_A and one T_B image per basis vector v_0 .. v_s, and one E31
+    # and one E32 coefficient per (index, lattice step) pair
+    calls = _spy_oracle_operators(monkeypatch)
     assert recursion_factorization_oracle([s])["verdict"] == "pass"
     assert calls == {
         "raising_operator": s + 1,
         "lowering_operator": s + 1,
         "act_gen": 4 * (s + 1),
     }
+
+
+def test_oracle_shares_s_independent_images_across_s(monkeypatch):
+    # T_A depends on s; T_B and the E31/E32 coefficients do not, so the
+    # default s = 1, 2, 3 run applies them to v_0 .. v_3 once each
+    calls = _spy_oracle_operators(monkeypatch)
+    doc = recursion_factorization_oracle([1, 2, 3])
+    assert doc["verdict"] == "pass"
+    assert calls == {"raising_operator": 2 + 3 + 4, "lowering_operator": 4, "act_gen": 16}
+    assert [res["derived_factors"] for res in doc["results"]] == [
+        [f"c - 3*b + {s + 1}", f"c + 3*b - {s + 2}"] for s in (1, 2, 3)
+    ]
 
 
 def test_oracle_flags_factors_that_match_no_reference(monkeypatch):

@@ -323,3 +323,31 @@ def test_proof_identity_report():
         assert row["ok"]
         assert row["raising_kills_top"] and row["raising_control_nonzero"]
         assert row["lowering_kills_bottom"] and row["lowering_control_nonzero"]
+
+
+def test_proof_identities_kill_the_bottom_once_per_call(monkeypatch):
+    # T_B does not depend on s: the s = 1..4 run computes the 45 kill
+    # images T_B v_j(r), j = 0..4 and r in the unit grid, once each, plus
+    # the control images up to its first nonzero one
+    calls = []
+    lowering = sl3.lowering_operator
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return lowering(*args, **kwargs)
+
+    monkeypatch.setattr(sl3, "lowering_operator", spy)
+    rep = proof_identity_report([1, 2, 3, 4])
+    assert rep["ok"]
+    assert 45 < len(calls) <= 46
+    assert rep["truncations"] == [
+        {
+            "s": s,
+            "raising_kills_top": True,
+            "raising_control_nonzero": True,
+            "lowering_kills_bottom": True,
+            "lowering_control_nonzero": True,
+            "ok": True,
+        }
+        for s in (1, 2, 3, 4)
+    ]

@@ -1,6 +1,7 @@
 """Tensor-field modules over the Witt algebra: action, brackets, de Rham."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from wittmod.glmod import CuspidalGl2, FinDimGlModule, exterior_power
 from wittmod.scalars import B, C, L, Scalar
+from wittmod.sl3 import Params
 from wittmod.tensor import (
     ModuleElement,
     WittGenerator,
@@ -21,6 +23,7 @@ from wittmod.tensor import (
     jacobi_residual,
     verify_d_intertwines,
     witt_bracket_residual,
+    witt_operator,
 )
 
 ALPHA = (Fraction(1, 17), Fraction(1, 19))
@@ -182,7 +185,9 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def witt_cases(draw):
+def witt_cases(draw, count=1):
+    """A gl input, a generator D(u, r) and ``count`` elements sharing
+    one alpha."""
     name = draw(st.sampled_from(sorted(GL_INPUTS)))
     module = GL_INPUTS[name]
     n = module.n
@@ -190,29 +195,96 @@ def witt_cases(draw):
     coeffs = small_fractions.filter(lambda q: q != 0)
     if name == "cuspidal-symbolic":
         coeffs = coeffs | st.sampled_from([C + L, B - 2 * L])
-    terms = draw(
-        st.dictionaries(
-            st.tuples(
-                st.sampled_from(_indices(module)),
-                st.tuples(*[st.integers(-2, 2)] * n),
-            ),
-            coeffs,
-            min_size=1,
-            max_size=5,
-        )
+    terms = st.dictionaries(
+        st.tuples(
+            st.sampled_from(_indices(module)),
+            st.tuples(*[st.integers(-2, 2)] * n),
+        ),
+        coeffs,
+        min_size=1,
+        max_size=5,
     )
+    xs = [ModuleElement(alpha, draw(terms)) for _ in range(count)]
     u = draw(st.tuples(*[small_fractions] * n))
     r = draw(st.tuples(*[st.integers(-2, 2)] * n))
-    return module, WittGenerator(u, r), ModuleElement(alpha, terms)
+    return module, WittGenerator(u, r), xs
 
 
 @settings(max_examples=150, deadline=None)
 @given(witt_cases())
 def test_act_witt_matches_per_generator_route(case):
-    module, D, x = case
+    module, D, (x,) = case
     out = act_witt(D, x, module)
     assert out == _act_witt_reference(D, x, module)
     assert not any(isinstance(c, float) for c in out.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(witt_cases(count=3))
+def test_bound_operator_matches_per_generator_route(case):
+    # one binding serves several elements, its own images and repeats,
+    # all through the tables the earlier applications filled
+    module, D, xs = case
+    act = witt_operator(D, module, xs[0].alpha)
+    xs = xs + [act(xs[0]), xs[0]]
+    for x in xs:
+        assert act(x) == _act_witt_reference(D, x, module)
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["numeric", "symbolic"])
+def test_bound_operator_on_cuspidal_negative_indices(symbolic):
+    # repeated and negative indices, several points per index, and with
+    # symbolic parameters the module, alpha and coefficients of Params
+    p = Params.symbolic() if symbolic else Params.numeric()
+    module = CuspidalGl2(p.lam, p.b, p.c)
+    alpha = p.alpha()
+    cf = p.c + p.lam if symbolic else Fraction(2, 3)
+    xs = [
+        ModuleElement(alpha, {(-2, (0, 0)): cf, (-2, (1, -1)): 1, (3, (0, 0)): -cf}),
+        ModuleElement(alpha, {(-1, (2, 1)): cf, (-2, (0, 0)): Fraction(1, 5)}),
+        ModuleElement.basis(alpha, -3, (-1, 2)),
+    ]
+    for D in (WittGenerator((1, 1), (1, 0)), WittGenerator((2, -1), (-1, 1))):
+        act = witt_operator(D, module, alpha)
+        for x in xs + xs:
+            assert act(x) == _act_witt_reference(D, x, module)
+
+
+def test_bound_operator_refuses_another_alpha():
+    act = witt_operator(WittGenerator((1, 0), (0, 1)), CUSP, ALPHA)
+    act(ModuleElement.basis(ALPHA, 0, (0, 0)))
+    other = (ALPHA[0], ALPHA[1] + 1)
+    with pytest.raises(ValueError):
+        act(ModuleElement.basis(other, 0, (0, 0)))
+    with pytest.raises(ValueError):
+        witt_operator(WittGenerator((1,), (0,)), CUSP, ALPHA)
+
+
+def test_d_intertwining_sweep_reads_each_column_once(monkeypatch):
+    # the sweep binds D once on the source and once on the target wedge
+    # module; each binding reads column (i, j, idx) at most once, and a
+    # second sweep reads every column again, so no table outlives its call
+    wedges = tuple(exterior_power(3, k) for k in range(4))
+    reads = Counter()
+    for k, mod in enumerate(wedges):
+        column = mod.column
+
+        def spy(i, j, idx, _k=k, _column=column):
+            reads[_k, i, j, idx] += 1
+            return _column(i, j, idx)
+
+        monkeypatch.setattr(mod, "column", spy)
+    u, r = (1, 1, -1), (1, 0, -1)
+    pairs = [(i, j) for i in (1, 2, 3) if r[i - 1] for j in (1, 2, 3) if u[j - 1]]
+    expected = {
+        (k, i, j, idx) for k in (1, 2) for i, j in pairs for idx in range(wedges[k].dim)
+    }
+    alpha3 = (Fraction(1, 17), Fraction(1, 19), Fraction(1, 23))
+    box = list(product(range(-1, 2), repeat=3))
+    for sweep in (1, 2):
+        assert verify_d_intertwines(u, r, alpha3, box, 3, 1, wedges)["ok"]
+        assert set(reads) == expected
+        assert set(reads.values()) == {sweep}
 
 
 @pytest.mark.parametrize("name", sorted(GL_INPUTS))
