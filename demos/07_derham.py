@@ -19,12 +19,12 @@ ALPHA = (Fraction(1, 17), Fraction(1, 19))
 wedges = tuple(exterior_power(2, k) for k in range(3))
 
 x = ModuleElement.basis(ALPHA, 0, (2, -1))
-dx = de_rham_differential(x, 2, 0, wedges[0], wedges[1])
+dx = de_rham_differential(x, wedges, 0)
 print("d(1 tensor t^(2,-1)) =")
 for (idx, pt), cf in dx.sorted_terms():
     print(f"   ({coeff_to_text(cf)}) * e_{wedges[1].label(idx)} t^{pt}")
 
-ddx = de_rham_differential(dx, 2, 1, wedges[1], wedges[2])
+ddx = de_rham_differential(dx, wedges, 1)
 print("d(d(x)) is zero:", ddx.is_zero())
 
 doc = derham_report(n=2, box_bound=2, uv_bound=2)

@@ -3,7 +3,7 @@
 Layers, bottom up:
 
 * ``scalars`` - exact rational-function arithmetic in the module
-  parameters, with a text grammar and certified factorization helpers.
+  parameters, with a text printer and certified factorization helpers.
 * ``tensor`` - tensor-field modules over the rank-n Witt algebra and the
   twisted de Rham differential.
 * ``glmod`` - input gl_n modules: explicit finite-dimensional ones (wedge
@@ -21,10 +21,8 @@ Layers, bottom up:
 from .scalars import (
     ParamPolynomial,
     Scalar,
-    ScalarParseError,
     factor_linear_in_iota,
     factor_polynomial,
-    parse_scalar,
     scalar_to_text,
 )
 from .tensor import (
@@ -32,7 +30,6 @@ from .tensor import (
     WittGenerator,
     act_witt,
     de_rham_differential,
-    element_from_json,
     element_to_json,
     jacobi_residual,
     witt_bracket_residual,
@@ -78,10 +75,10 @@ from .report import aggregate_verdict, canonical_json, exit_code_for
 __version__ = "0.1.0"
 
 __all__ = [
-    "ParamPolynomial", "Scalar", "ScalarParseError",
-    "factor_linear_in_iota", "factor_polynomial", "parse_scalar", "scalar_to_text",
+    "ParamPolynomial", "Scalar",
+    "factor_linear_in_iota", "factor_polynomial", "scalar_to_text",
     "ModuleElement", "WittGenerator", "act_witt", "de_rham_differential",
-    "element_from_json", "element_to_json", "jacobi_residual", "witt_bracket_residual",
+    "element_to_json", "jacobi_residual", "witt_bracket_residual",
     "CuspidalGl2", "FinDimGlModule", "exterior_power", "verify_gl_brackets",
     "DEFAULT_VALUES", "DEGENERATE_VALUES", "Params",
     "act_embedded", "act_gen", "act_word", "basis_element", "check_generic",

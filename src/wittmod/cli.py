@@ -295,6 +295,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:  # a window or box too large to enumerate
+        print(f"error: input too large: {exc}", file=sys.stderr)
+        return 2
     try:
         emit(doc, getattr(args, "out", None))
     except OSError as exc:

@@ -91,15 +91,14 @@ class Window:
             -i_bound, i_bound, ((-r1_bound, r1_bound), (-r2_bound, r2_bound)), margin
         )
 
-    def contains_index(self, idx: int, inner: bool = False) -> bool:
+    def contains(self, idx: int, pt, inner: bool = False) -> bool:
+        """Whether the basis symbol v_idx(pt) lies in the (inner) window."""
         m = self.margin if inner else 0
-        return self.i_min + m <= idx <= self.i_max - m
-
-    def contains_point(self, pt, inner: bool = False) -> bool:
-        m = self.margin if inner else 0
-        return all(
-            lo + m <= x <= hi - m for x, (lo, hi) in zip(pt, self.r_bounds)
-        ) and len(pt) == len(self.r_bounds)
+        return (
+            self.i_min + m <= idx <= self.i_max - m
+            and len(pt) == len(self.r_bounds)
+            and all(lo + m <= x <= hi - m for x, (lo, hi) in zip(pt, self.r_bounds))
+        )
 
     def indices(self, inner: bool = False) -> list:
         m = self.margin if inner else 0
@@ -282,7 +281,7 @@ def _check_seed(x: ModuleElement, alpha, window: Window) -> None:
     if tuple(x.alpha) != tuple(alpha):
         raise ValueError("seed twist does not match parameters")
     for (idx, pt) in x.terms:
-        if not (window.contains_index(idx) and window.contains_point(pt)):
+        if not window.contains(idx, pt):
             raise ValueError(f"seed support outside the window: index {idx} at {pt}")
 
 
@@ -449,7 +448,7 @@ def check_generation(params: Params, window: Window, seed=None) -> dict:
     if len(seed.terms) != 1:
         raise ValueError("generation check expects a single basis-vector seed")
     ((sidx, spt),) = seed.terms
-    if not (window.contains_index(sidx, inner=True) and window.contains_point(spt, inner=True)):
+    if not window.contains(sidx, spt, inner=True):
         raise ValueError("generation seed must lie in the inner window")
     level = spt[0] + spt[1]
     subchecks = []
@@ -962,9 +961,7 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
     absorbed = True
 
     def in_outer(support):
-        return all(
-            window.contains_index(i) and window.contains_point(p) for (i, p) in support
-        )
+        return all(window.contains(i, p) for (i, p) in support)
 
     def apply_c(x):
         # letter by letter, so every intermediate support is checked
@@ -1200,8 +1197,8 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
         for m in box:
             for idx in range(src.dim):
                 x = ModuleElement.basis(alpha, idx, m)
-                once = de_rham_differential(x, n, kk, wedges[kk], wedges[kk + 1])
-                twice = de_rham_differential(once, n, kk + 1, wedges[kk + 1], wedges[kk + 2])
+                once = de_rham_differential(x, wedges, kk)
+                twice = de_rham_differential(once, wedges, kk + 1)
                 dd_checked += 1
                 if not twice.is_zero():
                     dd_failures += 1
@@ -1222,9 +1219,7 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
 
     @cache  # d(t^m), shared by every pair of this call
     def image_gen(m):
-        return de_rham_differential(
-            ModuleElement.basis(alpha, 0, m), n, 0, wedges[0], wedges[1]
-        )
+        return de_rham_differential(ModuleElement.basis(alpha, 0, m), wedges, 0)
 
     image_failures = 0
     image_checked = 0

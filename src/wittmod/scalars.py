@@ -100,14 +100,6 @@ class ParamPolynomial:
         k = _SYM_INDEX[name]
         return max((exp[k] for exp in self.terms), default=0)
 
-    def symbols_used(self) -> set:
-        used = set()
-        for exp in self.terms:
-            for k, e in enumerate(exp):
-                if e:
-                    used.add(SYMBOLS[k])
-        return used
-
     # -- leading data under the fixed order ---------------------------
 
     def leading_monomial(self) -> tuple:
@@ -195,23 +187,6 @@ class ParamPolynomial:
 
     def __repr__(self):
         return f"ParamPolynomial({poly_to_text(self)!r})"
-
-    # -- evaluation ----------------------------------------------------
-
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at rational values; every occurring symbol must be given."""
-        missing = self.symbols_used() - set(assignment)
-        if missing:
-            raise KeyError(f"missing symbols in assignment: {sorted(missing)}")
-        vals = [Fraction(assignment.get(s, 0)) for s in SYMBOLS]
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            v = coeff
-            for k, e in enumerate(exp):
-                if e:
-                    v *= vals[k] ** e
-            total += v
-        return total
 
 
 _POLY_ZERO = ParamPolynomial()
@@ -414,19 +389,6 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({scalar_to_text(self)!r})"
 
-    # -- evaluation ----------------------------------------------------
-
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        """Specialize every symbol to a rational; ring homomorphism.
-
-        Raises KeyError for a missing symbol and ZeroDivisionError when
-        the denominator vanishes at the assignment.
-        """
-        d = self.den.evaluate(assignment)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the assignment")
-        return self.num.evaluate(assignment) / d
-
 
 # convenience handles for the six symbols
 L = Scalar.sym("l")
@@ -508,7 +470,7 @@ def factor_linear_in_iota(x: Scalar) -> Optional[tuple]:
     return unit, tuple(pairs)
 
 
-# -- text grammar -------------------------------------------------------
+# -- text printer -------------------------------------------------------
 
 
 def poly_to_text(p: ParamPolynomial) -> str:
@@ -539,132 +501,6 @@ def scalar_to_text(x: Scalar) -> str:
     if x.den == _POLY_ONE:
         return poly_to_text(x.num)
     return f"({poly_to_text(x.num)})/({poly_to_text(x.den)})"
-
-
-class ScalarParseError(ValueError):
-    """Malformed scalar text; carries the character position."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
-
-
-# ASCII only: str.isdigit also admits superscripts and other scripts' digits
-_DIGITS = frozenset("0123456789")
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ScalarParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def parse(self) -> Scalar:
-        v = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ScalarParseError("trailing input", self.pos)
-        return v
-
-    def expr(self) -> Scalar:
-        v = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                v = v + self.term()
-            elif ch == "-":
-                self.pos += 1
-                v = v - self.term()
-            else:
-                return v
-
-    def term(self) -> Scalar:
-        v = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                v = v * self.factor()
-            elif ch == "/":
-                self.pos += 1
-                d = self.factor()
-                if d.is_zero():
-                    raise ScalarParseError("division by zero", self.pos)
-                v = v / d
-            else:
-                return v
-
-    def factor(self) -> Scalar:
-        if self.peek() == "-":
-            self.pos += 1
-            return -self.factor()
-        return self.power()
-
-    def power(self) -> Scalar:
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            start = self.pos
-            neg = False
-            if self.peek() == "-":
-                neg = True
-                self.pos += 1
-            n = self.integer()
-            if neg:
-                if base.is_zero():
-                    raise ScalarParseError("zero to a negative power", start)
-                return base ** (-n)
-            return base ** n
-        return base
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            raise ScalarParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
-
-    def atom(self) -> Scalar:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            v = self.expr()
-            self.expect(")")
-            return v
-        if ch in _DIGITS:
-            return Scalar.from_rational(self.integer())
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start:self.pos]
-            if name not in _SYM_INDEX:
-                raise ScalarParseError(f"unknown symbol {name!r}", start)
-            return Scalar.sym(name)
-        raise ScalarParseError("expected a value", self.pos)
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Parse the scalar text grammar; inverse of scalar_to_text."""
-    return _Parser(text).parse()
 
 
 def parse_rational(text: str) -> Fraction:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .scalars import add_term, coeff_is_zero, coeff_to_text, parse_scalar
+from .scalars import add_term, coeff_is_zero, coeff_to_text
 
 
 class WittGenerator:
@@ -222,7 +222,7 @@ def jacobi_residual(gens, x: ModuleElement, module) -> ModuleElement:
 
 
 @lru_cache(maxsize=8)
-def _differential_table(n: int, wedge_k, wedge_k1) -> tuple:
+def _differential_table(wedge_k, wedge_k1) -> tuple:
     """For each source basis index S of ``wedge_k``, the (j - 1, position of
     e_j ^ e_S in ``wedge_k1``, odd) triples over j not in S; ``odd`` marks
     the sign flip from moving e_j past the members of S below j."""
@@ -230,25 +230,26 @@ def _differential_table(n: int, wedge_k, wedge_k1) -> tuple:
     return tuple(
         tuple(
             (j - 1, pos1[tuple(sorted(subset + (j,)))], sum(1 for t in subset if t < j) % 2)
-            for j in range(1, n + 1)
+            for j in range(1, wedge_k.n + 1)
             if j not in subset
         )
         for subset in wedge_k.basis_labels
     )
 
 
-def de_rham_differential(x: ModuleElement, n: int, k: int, wedge_k, wedge_k1) -> ModuleElement:
+def de_rham_differential(x: ModuleElement, wedges, k: int) -> ModuleElement:
     """Degree +1 map on twisted forms:
 
         d(e_S tensor t^m) = sum_{j not in S} (m_j + alpha_j) e_j ^ e_S tensor t^m
 
-    ``wedge_k`` and ``wedge_k1`` are the wedge-power modules carrying the
-    source and target bases; the lattice point never moves.  The target
-    positions and signs are tabulated once per pair of modules.
+    ``wedges`` lists the wedge-power modules of gl_n for degrees 0..n, so
+    ``wedges[k]`` and ``wedges[k + 1]`` carry the source and target bases;
+    the lattice point never moves.  The target positions and signs are
+    tabulated once per pair of modules.
     """
-    if k >= n:
-        raise ValueError("top-degree forms have no differential")
-    table = _differential_table(n, wedge_k, wedge_k1)
+    if not 0 <= k < len(wedges) - 1:
+        raise ValueError(f"no differential from wedge degree {k} for n={len(wedges) - 1}")
+    table = _differential_table(wedges[k], wedges[k + 1])
     alpha = x.alpha
     out = {}
     for (idx, m), coeff in x.terms.items():
@@ -267,6 +268,8 @@ def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
     box = list(box)
     if not box:
         raise ValueError("empty box: no basis vector to check")
+    if n != len(wedges) - 1:
+        raise ValueError(f"rank {n} does not match {len(wedges)} wedge modules")
     D = WittGenerator(u, r)
     src, dst = wedges[k], wedges[k + 1]
     act_src = witt_operator(D, src, alpha)
@@ -276,8 +279,8 @@ def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
     for m in box:
         for idx in range(src.dim):
             x = ModuleElement.basis(alpha, idx, m)
-            lhs = de_rham_differential(act_src(x), n, k, src, dst)
-            rhs = act_dst(de_rham_differential(x, n, k, src, dst))
+            lhs = de_rham_differential(act_src(x), wedges, k)
+            rhs = act_dst(de_rham_differential(x, wedges, k))
             count += 1
             res = lhs - rhs
             if not res.is_zero():
@@ -300,25 +303,3 @@ def element_to_json(x: ModuleElement, module=None) -> dict:
         label = module.label(idx) if module is not None else idx
         terms.append({"index": label, "r": list(m), "coeff": coeff_to_text(coeff)})
     return {"alpha": [coeff_to_text(a) for a in x.alpha], "terms": terms}
-
-
-def _demote(x):
-    # constants round-trip as plain rationals so numeric elements stay numeric
-    return x.const_value() if x.is_const() else x
-
-
-def element_from_json(doc: dict, module=None) -> ModuleElement:
-    alpha = tuple(_demote(parse_scalar(s)) for s in doc["alpha"])
-    terms = {}
-    for entry in doc["terms"]:
-        label = entry["index"]
-        if isinstance(label, list):
-            if module is None or module.basis_labels is None:
-                raise ValueError("subset index requires a labeled module")
-            idx = module.basis_labels.index(tuple(label))
-        else:
-            idx = int(label)
-        key = (idx, tuple(int(v) for v in entry["r"]))
-        coeff = _demote(parse_scalar(entry["coeff"]))
-        add_term(terms, key, coeff)
-    return ModuleElement(alpha, terms)

@@ -54,10 +54,12 @@ WEDGES2 = [exterior_power(2, k) for k in range(3)]
 
 def test_window_geometry():
     w = Window.symmetric(3, 2, 2, margin=1)
-    assert w.contains_index(3) and not w.contains_index(4)
-    assert w.contains_index(2, inner=True) and not w.contains_index(3, inner=True)
-    assert w.contains_point((2, -2)) and not w.contains_point((3, 0))
-    assert not w.contains_point((2, 2), inner=True)
+    assert w.contains(3, (0, 0)) and not w.contains(4, (0, 0))
+    assert w.contains(2, (0, 0), inner=True) and not w.contains(3, (0, 0), inner=True)
+    assert w.contains(0, (2, -2)) and not w.contains(0, (3, 0))
+    assert not w.contains(0, (2, 2), inner=True)
+    assert w.contains(0, (1, 1), inner=True)
+    assert not w.contains(4, (3, 0)) and not w.contains(0, (0,))
     assert len(w.points()) == 25 and len(w.points(inner=True)) == 9
     assert len(w.basis()) == 175 and len(w.basis(inner=True)) == 45
     assert w.to_json() == {"i": [-3, 3], "r": [[-2, 2], [-2, 2]], "margin": 1}

@@ -3,14 +3,12 @@
 import json
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 from wittmod import cli
 from wittmod.cli import main, parse_vector_literal, parse_window_arg
 from wittmod.report import aggregate_verdict, exit_code_for
-from wittmod.tensor import element_from_json
 
 
 def run_cli(capsys, *argv):
@@ -56,9 +54,6 @@ def test_act_pinned_value(capsys):
     doc = json.loads(out)
     assert doc["check"] == "act" and doc["verdict"] == "pass"
     assert doc["result"]["terms"] == [{"coeff": "35/17", "index": 3, "r": [2, -1]}]
-    # the result element round-trips through the JSON format
-    back = element_from_json(doc["result"])
-    assert back.coefficient(3, (2, -1)) == 35 / Fraction(17)
 
 
 def test_check_generic_pass(capsys):
@@ -214,6 +209,10 @@ def test_gt_rejects_config_before_any_subcheck_runs(capsys, tmp_path, monkeypatc
         ("derham", "--uv", "0"),
         ("irreducible", "--seed", ""),
         ("irreducible", "--seed", "v:9@0,0"),
+        # windows and boxes too large to enumerate
+        ("brackets", "--mode", "numeric", "--window", "99999999999999999999,0,0"),
+        ("irreducible", "--window", "99999999999999999999,1,1"),
+        ("derham", "--box", "99999999999999999999", "--uv", "1"),
     ],
 )
 def test_bad_input_and_io_exit_2_with_one_line(capsys, tmp_path, argv):
@@ -302,10 +301,12 @@ def test_public_names_resolve():
     }
     assert defined == {"CuspidalGl2", "FinDimGlModule"}
     assert defined <= set(names)
-    # factorizations are plain tuples: scalars defines no result class
+    # factorizations are plain tuples and reports are never read back:
+    # scalars defines no result, parser or parse-error class
     scalar_types = {
         name for name, value in vars(wittmod.scalars).items()
         if isinstance(value, type) and value.__module__ == "wittmod.scalars"
     }
-    assert scalar_types == {"ParamPolynomial", "Scalar", "ScalarParseError", "_Parser"}
-    assert "IotaFactorization" not in names
+    assert scalar_types == {"ParamPolynomial", "Scalar"}
+    removed = {"IotaFactorization", "ScalarParseError", "parse_scalar", "element_from_json"}
+    assert not removed & set(names)
