@@ -27,6 +27,7 @@ from .glmod import CuspidalGl2, exterior_power, verify_gl_brackets
 from .scalars import (
     Scalar,
     coeff_is_zero,
+    common_denominator,
     factor_linear_in_iota,
     factor_polynomial,
     scalar_to_text,
@@ -59,6 +60,7 @@ from .tensor import (
     verify_d_intertwines,
     witt_bracket_residual,
     witt_operator,
+    _scaled_twist,
 )
 
 
@@ -313,7 +315,7 @@ def closure(params: Params, seeds, words, window: Window, stop_at=None):
     if not params.is_numeric():
         raise ValueError("closure needs numeric parameters")
     alpha = params.alpha()
-    scale = lcm(*(v.denominator for v in params.values().values()))
+    scale = common_denominator(params.values().values())
     table = _column_table((params.lam, params.b, params.c, params.a1, params.a2))
     applied = [
         (letters, table.setdefault(letters, {}), word_shift(letters))
@@ -1180,6 +1182,11 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
     the function layer on a small box.  The image check verifies that
     D(u, r) d(t^m) = (u|m + alpha) d(t^(m+r)), which follows from d
     intertwining the action and D(u, r) t^m = (u|m + alpha) t^(m+r).
+
+    Every check runs on ints, with D and d scaled by the lcm L of the
+    twist's denominators (the wedge entries and the directions are
+    integers): dd becomes L**2 dd, and the image check compares
+    (LD)(Ld)(t^m) with L(u|m + alpha) (Ld)(t^(m+r)).
     """
     if n not in (2, 3):
         raise ValueError("de Rham runner supports rank 2 or 3")
@@ -1187,6 +1194,8 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
     if uv_bound == 0:
         raise ValueError("uv_bound must be positive: at 0 every D(u, r) is D(0, 0) = 0")
     alpha = TWIST[:n]
+    scale = common_denominator(alpha)
+    twist = _scaled_twist(alpha, scale)
     wedges = [exterior_power(n, kk) for kk in range(n + 1)]
     box = [tuple(pt) for pt in iproduct(range(-box_bound, box_bound + 1), repeat=n)]
 
@@ -1197,8 +1206,8 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
         for m in box:
             for idx in range(src.dim):
                 x = ModuleElement.basis(alpha, idx, m)
-                once = de_rham_differential(x, wedges, kk)
-                twice = de_rham_differential(once, wedges, kk + 1)
+                once = de_rham_differential(x, wedges, kk, scale)
+                twice = de_rham_differential(once, wedges, kk + 1, scale)
                 dd_checked += 1
                 if not twice.is_zero():
                     dd_failures += 1
@@ -1219,18 +1228,18 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
 
     @cache  # d(t^m), shared by every pair of this call
     def image_gen(m):
-        return de_rham_differential(ModuleElement.basis(alpha, 0, m), wedges, 0)
+        return de_rham_differential(ModuleElement.basis(alpha, 0, m), wedges, 0, scale)
 
     image_failures = 0
     image_checked = 0
     for u, r in pairs:
         if all(x == 0 for x in u):
             continue
-        act = witt_operator(WittGenerator(u, r), wedges[1], alpha)
+        act = witt_operator(WittGenerator(u, r), wedges[1], alpha, scale)
         for m in small_box:
             y = act(image_gen(m))
             target = image_gen(tuple(a + bb for a, bb in zip(m, r)))
-            weight = sum(uk * (mk + ak) for uk, mk, ak in zip(u, m, alpha))
+            weight = sum(uk * (scale * mk + ak) for uk, mk, ak in zip(u, m, twist))
             image_checked += 1
             if not (y - target.scale(weight)).is_zero():
                 image_failures += 1

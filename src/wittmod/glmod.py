@@ -69,6 +69,15 @@ class FinDimGlModule:
                 )
                 for q in range(dim)
             )
+        self._fractions = tuple({
+            e for cols in self._columns.values() for col in cols for _, e in col
+            if type(e) is not int
+        })
+
+    def scalars(self) -> tuple:
+        """The non-integral matrix entries: the lcm of their denominators
+        clears every column."""
+        return self._fractions
 
     def indices(self) -> range:
         return range(self.dim)
@@ -113,6 +122,11 @@ class CuspidalGl2:
             for name, val in (("c+l", c + lam), ("c-l", c - lam)):
                 if val.denominator == 1:
                     raise ValueError(f"cuspidal parameters violate {name} not integer")
+
+    def scalars(self) -> tuple:
+        """(lambda, b, c): every column entry is an integer combination of
+        them and 1, so the lcm of their denominators clears it."""
+        return (self.lam, self.b, self.c)
 
     def column(self, i: int, j: int, idx: int) -> tuple:
         ipp = self.lam + idx

@@ -28,6 +28,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping, Optional
 
 SYMBOLS = ("l", "b", "c", "a1", "a2", "iota")
@@ -515,6 +516,24 @@ def coeff_to_text(x) -> str:
     if isinstance(x, Scalar):
         return scalar_to_text(x)
     return str(Fraction(x))
+
+
+def common_denominator(*groups) -> int:
+    """The product over ``groups`` of the lcm of each group's denominators.
+
+    Scaling by it clears the denominator of every product of one value
+    from each group.  It is 1 when any value is not an int or Fraction, so
+    symbolic values are never scaled.
+    """
+    scale = 1
+    for group in groups:
+        den = 1
+        for v in group:
+            if not isinstance(v, (int, Fraction)):
+                return 1
+            den = lcm(den, v.denominator)
+        scale *= den
+    return scale
 
 
 def coeff_is_zero(x) -> bool:

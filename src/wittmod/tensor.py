@@ -19,14 +19,25 @@ window clipping is always an explicit caller-side step.
 each generator once: the intertwining check once on the source and once
 on the target wedge module, the bracket and Jacobi residuals once per
 generator they apply.  Every table a binding fills lives for one call.
+
+The sweeps run on integers.  Let L be the lcm of the denominators of
+alpha and of the input module's scalars (lambda, b and c for the
+cuspidal input), times that of the directions u.  Then L D(u, r) and
+L d have integer coefficients: ``witt_operator`` and
+``de_rham_differential`` take ``scale = L`` and check every weight and
+column entry integral as they table it.  Scaling by a nonzero constant
+keeps every zero test, and a nonzero residual is divided by its power of
+L before it is returned, so residuals keep their values.  Symbolic
+inputs run on scale 1.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .scalars import add_term, coeff_is_zero, coeff_to_text
+from .scalars import add_term, coeff_is_zero, coeff_to_text, common_denominator
 
 
 class WittGenerator:
@@ -48,7 +59,11 @@ class WittGenerator:
 
 
 class ModuleElement:
-    """Finite sum of basis symbols v_idx(m); (index, lattice point) -> coeff."""
+    """Finite sum of basis symbols v_idx(m); (index, lattice point) -> coeff.
+
+    Every lattice point has one coordinate per entry of alpha; a point of
+    another length is refused.
+    """
 
     __slots__ = ("alpha", "terms")
 
@@ -56,10 +71,13 @@ class ModuleElement:
         self.alpha = tuple(alpha)
         self.terms = {}
         if terms:
-            for key, coeff in terms.items():
+            n = len(self.alpha)
+            for (idx, m), coeff in terms.items():
+                m = tuple(m)
+                if len(m) != n:
+                    raise ValueError(f"lattice point {m} does not have rank {n}")
                 if not coeff_is_zero(coeff):
-                    idx, m = key
-                    self.terms[(idx, tuple(m))] = coeff
+                    self.terms[(idx, m)] = coeff
 
     @classmethod
     def basis(cls, alpha, idx, m, coeff=1) -> "ModuleElement":
@@ -125,8 +143,45 @@ def _element(alpha, terms: dict) -> ModuleElement:
     return res
 
 
-def witt_operator(D: WittGenerator, module, alpha):
-    """D(u, r) bound to one gl input and one twist alpha: ``apply(x)``.
+def _integral(v) -> int:
+    """A scaled table entry as an int; one with a denominator left is
+    refused, never rounded."""
+    if isinstance(v, int):
+        return v
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return v.numerator
+    raise ValueError(f"scaled entry {coeff_to_text(v)} is not an integer")
+
+
+# memo of _scaled_twist, scale -> (alpha, scale * alpha) for the last alpha
+# seen at that scale; each value depends on its key alone
+_TWISTS = {}
+
+
+def _scaled_twist(alpha: tuple, scale: int) -> tuple:
+    """scale * alpha as ints.  The last twist of each scale is kept and
+    matched by equality, so a sweep computes it once and no Fraction is
+    hashed per call."""
+    hit = _TWISTS.get(scale)
+    if hit is not None and hit[0] == alpha:
+        return hit[1]
+    twist = tuple(_integral(scale * a) for a in alpha)
+    if len(_TWISTS) >= 8:
+        _TWISTS.clear()
+    _TWISTS[scale] = (alpha, twist)
+    return twist
+
+
+def _unscaled(res: "ModuleElement", factor: int) -> "ModuleElement":
+    """A residual computed ``factor`` times too large, at its true value;
+    a zero one is returned as it is."""
+    if factor == 1 or res.is_zero():
+        return res
+    return res.scale(Fraction(1, factor))
+
+
+def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
+    """scale * D(u, r) bound to one gl input and one twist alpha: ``apply(x)``.
 
     ``module`` is the gl_n input; it is read only through
     ``module.column(i, j, idx)``, the image of basis idx under E_ij as
@@ -138,15 +193,21 @@ def witt_operator(D: WittGenerator, module, alpha):
     of (u|m).  The tables belong to this one operator, so a sweep binds
     each generator once and drops it when the sweep returns.  ``apply``
     refuses an element with another alpha.
+
+    With ``scale`` L > 1 the weight part is (u|L alpha) + L(u|m) and the
+    matrix part L r_i u_j E_ij, with L alpha from ``_scaled_twist``; each
+    weight and summed column entry is checked integral and stored as an
+    int when its table fills, so x with int coefficients has an int image.
     """
     alpha = tuple(alpha)
     if len(D.u) != len(alpha):
         raise ValueError(f"generator dimension {len(D.u)} does not match n={len(alpha)}")
     u = [(k, uk) for k, uk in enumerate(D.u) if not coeff_is_zero(uk)]
     ru = [(i + 1, j + 1, ri * uj) for i, ri in enumerate(D.r) if ri for j, uj in u]
+    twist = alpha if scale == 1 else _scaled_twist(alpha, scale)
     u_alpha = 0
     for k, uk in u:
-        u_alpha = u_alpha + uk * alpha[k]
+        u_alpha = u_alpha + uk * twist[k]
     shift = D.r
     columns = {}
     weights = {}
@@ -162,7 +223,8 @@ def witt_operator(D: WittGenerator, module, alpha):
                 u_m = u_m + uk * m[k]
             weight = weights.get(u_m)
             if weight is None:
-                weights[u_m] = weight = u_alpha + u_m
+                weight = u_alpha + u_m if scale == 1 else _integral(u_alpha + scale * u_m)
+                weights[u_m] = weight
             add_term(out, (idx, target), weight * coeff)
             part = columns.get(idx)
             if part is None:
@@ -170,7 +232,11 @@ def witt_operator(D: WittGenerator, module, alpha):
                 for i, j, c in ru:
                     for p, e in module.column(i, j, idx):
                         add_term(col, p, c * e)
-                columns[idx] = part = tuple(col.items())
+                if scale == 1:
+                    part = tuple(col.items())
+                else:
+                    part = tuple((p, _integral(scale * e)) for p, e in col.items())
+                columns[idx] = part
             for p, e in part:
                 add_term(out, (p, target), e * coeff)
         return _element(alpha, out)
@@ -196,26 +262,43 @@ def witt_bracket(a: WittGenerator, b: WittGenerator) -> WittGenerator:
     return WittGenerator(w, tuple(p + q for p, q in zip(a.r, b.r)))
 
 
+def _sweep_scale(alpha, modules, directions) -> int:
+    """L for a sweep of generators whose directions have these entries,
+    on ``modules`` twisted by alpha: it clears each product of a direction
+    entry with alpha or a module scalar, for the directions of their
+    brackets too."""
+    values = tuple(alpha)
+    for module in modules:
+        values += tuple(module.scalars())
+    return common_denominator(values, directions)
+
+
 def witt_bracket_residual(u, r, v, s, x: ModuleElement, module) -> ModuleElement:
-    """[D(u,r), D(v,s)]x - D((u|s)v - (v|r)u, r+s)x; zero iff the law holds."""
+    """[D(u,r), D(v,s)]x - D((u|s)v - (v|r)u, r+s)x; zero iff the law holds.
+
+    Computed as [L D_u, L D_v]x - L (L D_w)x, which is L**2 times it."""
     Du = WittGenerator(u, r)
     Dv = WittGenerator(v, s)
-    du = witt_operator(Du, module, x.alpha)
-    dv = witt_operator(Dv, module, x.alpha)
+    scale = _sweep_scale(x.alpha, [module], Du.u + Dv.u)
+    du = witt_operator(Du, module, x.alpha, scale)
+    dv = witt_operator(Dv, module, x.alpha, scale)
+    dw = witt_operator(witt_bracket(Du, Dv), module, x.alpha, scale)
     lhs = du(dv(x)) - dv(du(x))
-    return lhs - witt_operator(witt_bracket(Du, Dv), module, x.alpha)(x)
+    return _unscaled(lhs - dw(x).scale(scale), scale * scale)
 
 
 def jacobi_residual(gens, x: ModuleElement, module) -> ModuleElement:
-    """Cyclic sum of [D1, [D2, D3]] applied to x; zero for a Lie action."""
+    """Cyclic sum of [D1, [D2, D3]] applied to x; zero for a Lie action.
+    Computed with every operator scaled by L, so L**2 times it."""
     total = ModuleElement.zero(x.alpha)
     d1, d2, d3 = gens
+    scale = _sweep_scale(x.alpha, [module], d1.u + d2.u + d3.u)
     for a, b, c in ((d1, d2, d3), (d2, d3, d1), (d3, d1, d2)):
-        outer = witt_operator(a, module, x.alpha)
-        inner = witt_operator(witt_bracket(b, c), module, x.alpha)
+        outer = witt_operator(a, module, x.alpha, scale)
+        inner = witt_operator(witt_bracket(b, c), module, x.alpha, scale)
         total = total + outer(inner(x))
         total = total - inner(outer(x))
-    return total
+    return _unscaled(total, scale * scale)
 
 
 # -- de Rham differential ----------------------------------------------
@@ -237,24 +320,26 @@ def _differential_table(wedge_k, wedge_k1) -> tuple:
     )
 
 
-def de_rham_differential(x: ModuleElement, wedges, k: int) -> ModuleElement:
-    """Degree +1 map on twisted forms:
+def de_rham_differential(x: ModuleElement, wedges, k: int, scale: int = 1) -> ModuleElement:
+    """Degree +1 map on twisted forms, times ``scale``:
 
         d(e_S tensor t^m) = sum_{j not in S} (m_j + alpha_j) e_j ^ e_S tensor t^m
 
     ``wedges`` lists the wedge-power modules of gl_n for degrees 0..n, so
     ``wedges[k]`` and ``wedges[k + 1]`` carry the source and target bases;
     the lattice point never moves.  The target positions and signs are
-    tabulated once per pair of modules.
+    tabulated once per pair of modules.  With ``scale`` L > 1 each weight
+    is L m_j + (L alpha)_j, an int from ``_scaled_twist``.
     """
     if not 0 <= k < len(wedges) - 1:
         raise ValueError(f"no differential from wedge degree {k} for n={len(wedges) - 1}")
     table = _differential_table(wedges[k], wedges[k + 1])
     alpha = x.alpha
+    twist = alpha if scale == 1 else _scaled_twist(alpha, scale)
     out = {}
     for (idx, m), coeff in x.terms.items():
         for j, target, odd in table[idx]:
-            weight = (m[j] + alpha[j]) * coeff
+            weight = (scale * m[j] + twist[j]) * coeff
             add_term(out, (target, m), -weight if odd else weight)
     return _element(alpha, out)
 
@@ -263,24 +348,33 @@ def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
     """Residuals of d(D(u,r)x) - D(u,r)(d x) over monomial generators.
 
     ``box`` is an iterable of lattice points m; x runs over e_S tensor t^m
-    for every wedge-degree-k basis subset S.  An empty box is refused.
+    for every wedge-degree-k basis subset S.  An empty box, a degree k
+    outside 0..n-1 and a point of another rank are refused before any
+    operator is bound.  Both sides are computed with D and d scaled by
+    one L, so on ints; a nonzero residual is divided by L**2.
     """
     box = list(box)
     if not box:
         raise ValueError("empty box: no basis vector to check")
     if n != len(wedges) - 1:
         raise ValueError(f"rank {n} does not match {len(wedges)} wedge modules")
+    if not 0 <= k < n:
+        raise ValueError(f"no differential from wedge degree {k} for n={n}")
+    for m in box:
+        if len(m) != n:
+            raise ValueError(f"box point {tuple(m)} does not have rank {n}")
     D = WittGenerator(u, r)
     src, dst = wedges[k], wedges[k + 1]
-    act_src = witt_operator(D, src, alpha)
-    act_dst = witt_operator(D, dst, alpha)
+    scale = _sweep_scale(alpha, (src, dst), D.u)
+    act_src = witt_operator(D, src, alpha, scale)
+    act_dst = witt_operator(D, dst, alpha, scale)
     failures = []
     count = 0
     for m in box:
         for idx in range(src.dim):
             x = ModuleElement.basis(alpha, idx, m)
-            lhs = de_rham_differential(act_src(x), wedges, k)
-            rhs = act_dst(de_rham_differential(x, wedges, k))
+            lhs = de_rham_differential(act_src(x), wedges, k, scale)
+            rhs = act_dst(de_rham_differential(x, wedges, k, scale))
             count += 1
             res = lhs - rhs
             if not res.is_zero():
@@ -288,7 +382,7 @@ def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
                     {
                         "generator": repr(D),
                         "basis": {"index": src.label(idx), "m": list(m)},
-                        "residual": element_to_json(res, dst),
+                        "residual": element_to_json(_unscaled(res, scale * scale), dst),
                     }
                 )
     return {"ok": not failures, "checked": count, "failures": failures}

@@ -440,8 +440,8 @@ def _scaled_binding(bind, factor, only=None):
     """``witt_operator`` whose operators on ``only`` (every module when
     None) return ``factor`` times the true image."""
 
-    def scaled(D, module, alpha):
-        act = bind(D, module, alpha)
+    def scaled(D, module, alpha, scale=1):
+        act = bind(D, module, alpha, scale)
         if only is not None and module is not only:
             return act
         return lambda x: act(x).scale(factor)

@@ -26,6 +26,7 @@ from wittmod.scalars import (
     add_term,
     coeff_is_zero,
     coeff_to_text,
+    common_denominator,
     factor_linear_in_iota,
     factor_polynomial,
     parse_rational,
@@ -129,6 +130,16 @@ def test_coeff_helpers():
     assert coeff_is_zero(Fraction(0))
     assert coeff_is_zero(ZERO)
     assert not coeff_is_zero(C)
+
+
+def test_common_denominator():
+    # the lcm within a group, the product across groups; 1 once a value is
+    # symbolic, so symbolic inputs are never scaled
+    assert common_denominator([Fraction(1, 6), Fraction(3, 4), 5]) == 12
+    assert common_denominator([Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]) == 12
+    assert common_denominator([], [2]) == 1
+    assert common_denominator([Fraction(1, 2), L + C]) == 1
+    assert common_denominator([Fraction(1, 2)], [ONE]) == 1
 
 
 @pytest.mark.parametrize("val", [Fraction(2, 3), C + L], ids=["fraction", "scalar"])

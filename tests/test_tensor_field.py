@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from sympy.parsing.sympy_parser import parse_expr
 
 from wittmod.glmod import CuspidalGl2, FinDimGlModule, exterior_power
-from wittmod.scalars import B, C, L, Scalar
+from wittmod.scalars import B, C, L, Scalar, common_denominator
 from wittmod.sl3 import Params
+from wittmod import tensor
 from wittmod.tensor import (
     ModuleElement,
     WittGenerator,
@@ -47,6 +48,22 @@ def test_act_dimension_mismatch():
     x = ModuleElement.basis(ALPHA, 0, (0, 0))
     with pytest.raises(ValueError):
         act_witt(WittGenerator((1,), (0,)), x, CUSP)
+
+
+def test_element_refuses_a_point_of_another_rank():
+    # a rank-2 point under a rank-3 twist used to be truncated by the shift
+    alpha3 = ALPHA + (Fraction(1, 23),)
+    with pytest.raises(ValueError):
+        act_witt(
+            WittGenerator((1, 0, 0), (0, 0, 1)),
+            ModuleElement.basis(alpha3, 0, (0, 0)),
+            exterior_power(3, 0),
+        )
+    with pytest.raises(ValueError):
+        ModuleElement(ALPHA, {(0, (0, 0)): 1, (1, (0, 0, 1)): 2})
+    with pytest.raises(ValueError):  # checked before the zero test
+        ModuleElement(ALPHA, {(0, (0,)): 0})
+    assert ModuleElement((), {(3, ()): 1}).coefficient(3, ()) == 1
 
 
 def test_cartan_part_is_weight():
@@ -288,6 +305,106 @@ def test_d_intertwining_sweep_reads_each_column_once(monkeypatch):
         assert set(reads.values()) == {sweep}
 
 
+# -- the integer-scaled route ------------------------------------------------
+
+RATIONAL_INPUTS = sorted(name for name in GL_INPUTS if name != "cuspidal-symbolic")
+
+
+def _sweep_denominator(module, alpha):
+    return common_denominator(alpha + tuple(module.scalars()))
+
+
+@st.composite
+def scaled_witt_cases(draw):
+    """A rational gl input, D(u, r) with integer u, an element and a
+    scale that clears alpha and the module's scalars."""
+    module = GL_INPUTS[draw(st.sampled_from(RATIONAL_INPUTS))]
+    n = module.n
+    alpha = tuple(Fraction(1, p) for p in (17, 19, 23)[:n])
+    coeffs = st.integers(-3, 3).filter(bool) | small_fractions.filter(bool)
+    terms = draw(st.dictionaries(
+        st.tuples(st.sampled_from(_indices(module)), st.tuples(*[st.integers(-2, 2)] * n)),
+        coeffs,
+        min_size=1,
+        max_size=5,
+    ))
+    u = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    r = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    scale = _sweep_denominator(module, alpha) * draw(st.sampled_from([1, 2, -3]))
+    return module, WittGenerator(u, r), ModuleElement(alpha, terms), scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_witt_cases())
+def test_scaled_operator_is_the_scaled_image(case):
+    module, D, x, scale = case
+    act = witt_operator(D, module, x.alpha, scale)
+    ys = [act(x), act(x)]  # the second application reads the filled tables
+    expected = witt_operator(D, module, x.alpha)(x).scale(scale)
+    assert ys == [expected, expected]
+    if all(type(c) is int for c in x.terms.values()):
+        assert all(type(c) is int for y in ys for c in y.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_scaled_differential_is_the_scaled_image(data):
+    n = data.draw(st.sampled_from([2, 3]))
+    k = data.draw(st.integers(0, n - 1))
+    wedges = tuple(exterior_power(n, kk) for kk in range(n + 1))
+    alpha = tuple(Fraction(1, p) for p in (17, 19, 23)[:n])
+    terms = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, wedges[k].dim - 1), st.tuples(*[st.integers(-2, 2)] * n)),
+        st.integers(-3, 3).filter(bool),
+        min_size=1,
+        max_size=5,
+    ))
+    x = ModuleElement(alpha, terms)
+    scale = common_denominator(alpha) * data.draw(st.sampled_from([1, 2, -3]))
+    y = de_rham_differential(x, wedges, k, scale)
+    assert y == de_rham_differential(x, wedges, k).scale(scale)
+    assert all(type(c) is int for c in y.terms.values())
+
+
+def test_scale_that_leaves_a_denominator_is_refused():
+    x = ModuleElement.basis(ALPHA, 0, (1, 0))
+    # 17 leaves 1/19 in alpha: refused when the operator is bound
+    with pytest.raises(ValueError):
+        witt_operator(WittGenerator((1, 1), (0, 1)), CUSP, ALPHA, 17)
+    with pytest.raises(ValueError):
+        de_rham_differential(x, WEDGES2, 0, 17)
+    # 17 * 19 clears alpha but not the cuspidal (c + lam + i): refused when
+    # the column table fills, not rounded
+    act = witt_operator(WittGenerator((0, 1), (1, 0)), CUSP, ALPHA, 17 * 19)
+    with pytest.raises(ValueError):
+        act(x)
+    # a direction with a denominator the scale misses
+    act = witt_operator(WittGenerator((Fraction(1, 2), 0), (0, 0)), WEDGES2[1], ALPHA, 17 * 19)
+    with pytest.raises(ValueError):
+        act(ModuleElement.basis(ALPHA, 0, (0, 0)))  # weight 17 * 19 / (2 * 17)
+
+
+def test_sweeps_clear_fractional_directions_and_entries():
+    # L takes in the directions' denominators and a findim module's
+    # fractional entries: the defining gl_2 module conjugated by diag(1, 2)
+    # has E12 = 1/2 and E21 = 2
+    conj = FinDimGlModule(2, 2, {
+        (1, 1): [[1, 0], [0, 0]], (2, 2): [[0, 0], [0, 1]],
+        (1, 2): [[0, Fraction(1, 2)], [0, 0]], (2, 1): [[0, 0], [2, 0]],
+    })
+    assert conj.scalars() == (Fraction(1, 2),)
+    half = (Fraction(1, 2), Fraction(-1, 3))
+    x = ModuleElement.basis(ALPHA, 1, (1, -1))
+    for module in (conj, CUSP, WEDGES2[1]):
+        assert witt_bracket_residual(half, (1, 0), (1, 2), (0, -1), x, module).is_zero()
+        gens = [WittGenerator(half, (1, 1)), WittGenerator((1, 0), (0, -1)),
+                WittGenerator((0, Fraction(2, 5)), (-1, 0))]
+        assert jacobi_residual(gens, x, module).is_zero()
+    box = list(product(range(-1, 2), repeat=2))
+    for k in (0, 1):
+        assert verify_d_intertwines(half, (1, -1), ALPHA, box, 2, k, WEDGES2)["ok"]
+
+
 @pytest.mark.parametrize("name", sorted(GL_INPUTS))
 def test_column_and_act_match_gl_image(name):
     module = GL_INPUTS[name]
@@ -357,11 +474,18 @@ def test_derham_top_degree_rejected():
             de_rham_differential(x, WEDGES2, k)
 
 
-def test_d_intertwines_refuses_rank_that_contradicts_wedges():
+def test_d_intertwines_refuses_rank_that_contradicts_wedges(monkeypatch):
     # n = 3 with the gl_2 wedge modules
     alpha3 = ALPHA + (Fraction(1, 23),)
+    wedges3 = tuple(exterior_power(3, k) for k in range(4))
     with pytest.raises(ValueError):
         verify_d_intertwines((1, 0, 0), (0, 0, 1), alpha3, [(0, 0, 0)], 3, 0, WEDGES2)
+    # no differential from degree n or -1, no rank-2 point in rank 3: each
+    # is refused before any operator is bound
+    monkeypatch.setattr(tensor, "witt_operator", None)
+    for k, box in ((3, [(0, 0, 0)]), (-1, [(0, 0, 0)]), (0, [(0, 0, 0), (0, 0)])):
+        with pytest.raises(ValueError):
+            verify_d_intertwines((1, 0, 0), (0, 0, 1), alpha3, box, 3, k, wedges3)
 
 
 def test_derham_intertwines_witt():
@@ -419,6 +543,19 @@ def test_poisoned_wedge_breaks_d_intertwining():
     assert (deg0["ok"], deg0["checked"], len(deg0["failures"])) == (False, 27, 27)
     deg1 = verify_d_intertwines((1, 1, 0), (1, 0, 0), alpha3, box, 3, 1, wedges)
     assert (deg1["ok"], deg1["checked"], len(deg1["failures"])) == (False, 81, 27)
+    # the sweep runs on ints scaled by 17 * 19 * 23; each printed residual
+    # is the one unscaled Fraction operators give
+    D = WittGenerator((1, 1, 0), (1, 0, 0))
+    for k, doc in ((0, deg0), (1, deg1)):
+        src, dst = wedges[k], wedges[k + 1]
+        act_src, act_dst = witt_operator(D, src, alpha3), witt_operator(D, dst, alpha3)
+        for failure in doc["failures"]:
+            idx = src.positions[tuple(failure["basis"]["index"])]
+            x = ModuleElement.basis(alpha3, idx, failure["basis"]["m"])
+            res = de_rham_differential(act_src(x), wedges, k) - act_dst(
+                de_rham_differential(x, wedges, k)
+            )
+            assert failure["residual"] == element_to_json(res, dst)
 
 
 # -- serialization -------------------------------------------------------
