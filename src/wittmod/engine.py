@@ -60,7 +60,6 @@ from .tensor import (
     verify_d_intertwines,
     witt_bracket_residual,
     witt_operator,
-    _scaled_twist,
 )
 
 
@@ -1195,7 +1194,7 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
         raise ValueError("uv_bound must be positive: at 0 every D(u, r) is D(0, 0) = 0")
     alpha = TWIST[:n]
     scale = common_denominator(alpha)
-    twist = _scaled_twist(alpha, scale)
+    twist = tuple(scale // a.denominator * a.numerator for a in alpha)  # L alpha, exact
     wedges = [exterior_power(n, kk) for kk in range(n + 1)]
     box = [tuple(pt) for pt in iproduct(range(-box_bound, box_bound + 1), repeat=n)]
 

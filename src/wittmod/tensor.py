@@ -22,7 +22,8 @@ generator they apply.  Every table a binding fills lives for one call.
 
 The sweeps run on integers.  Let L be the lcm of the denominators of
 alpha and of the input module's scalars (lambda, b and c for the
-cuspidal input), times that of the directions u.  Then L D(u, r) and
+cuspidal input), times that of the directions u and of the brackets a
+residual binds.  Then L D(u, r) and
 L d have integer coefficients: ``witt_operator`` and
 ``de_rham_differential`` take ``scale = L`` and check every weight and
 column entry integral as they table it.  Scaling by a nonzero constant
@@ -153,23 +154,19 @@ def _integral(v) -> int:
     raise ValueError(f"scaled entry {coeff_to_text(v)} is not an integer")
 
 
-# memo of _scaled_twist, scale -> (alpha, scale * alpha) for the last alpha
-# seen at that scale; each value depends on its key alone
-_TWISTS = {}
-
-
 def _scaled_twist(alpha: tuple, scale: int) -> tuple:
-    """scale * alpha as ints.  The last twist of each scale is kept and
-    matched by equality, so a sweep computes it once and no Fraction is
-    hashed per call."""
-    hit = _TWISTS.get(scale)
-    if hit is not None and hit[0] == alpha:
-        return hit[1]
-    twist = tuple(_integral(scale * a) for a in alpha)
-    if len(_TWISTS) >= 8:
-        _TWISTS.clear()
-    _TWISTS[scale] = (alpha, twist)
-    return twist
+    """scale * alpha as ints, in integer arithmetic; a twist that keeps a
+    denominator, or is symbolic, is refused."""
+    twist = []
+    try:
+        for a in alpha:
+            q, rem = divmod(scale * a.numerator, a.denominator)
+            if rem:
+                raise ValueError(f"scaled entry {coeff_to_text(scale * a)} is not an integer")
+            twist.append(q)
+    except AttributeError:
+        raise ValueError(f"twist {alpha} cannot be scaled to integers") from None
+    return tuple(twist)
 
 
 def _unscaled(res: "ModuleElement", factor: int) -> "ModuleElement":
@@ -195,9 +192,10 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
     refuses an element with another alpha.
 
     With ``scale`` L > 1 the weight part is (u|L alpha) + L(u|m) and the
-    matrix part L r_i u_j E_ij, with L alpha from ``_scaled_twist``; each
-    weight and summed column entry is checked integral and stored as an
-    int when its table fills, so x with int coefficients has an int image.
+    matrix part L r_i u_j E_ij, with L alpha from ``_scaled_twist``;
+    each weight and summed column entry is checked integral and stored as
+    an int when its table fills, so x with int coefficients has an int
+    image.
     """
     alpha = tuple(alpha)
     if len(D.u) != len(alpha):
@@ -263,10 +261,11 @@ def witt_bracket(a: WittGenerator, b: WittGenerator) -> WittGenerator:
 
 
 def _sweep_scale(alpha, modules, directions) -> int:
-    """L for a sweep of generators whose directions have these entries,
-    on ``modules`` twisted by alpha: it clears each product of a direction
-    entry with alpha or a module scalar, for the directions of their
-    brackets too."""
+    """L for a sweep that binds generators with these direction entries on
+    ``modules`` twisted by alpha: it clears each product of a direction
+    entry with alpha or a module scalar.  A bracket's direction can carry
+    the product of its factors' denominators, so a sweep that binds a
+    bracket lists that bracket's direction too."""
     values = tuple(alpha)
     for module in modules:
         values += tuple(module.scalars())
@@ -279,10 +278,11 @@ def witt_bracket_residual(u, r, v, s, x: ModuleElement, module) -> ModuleElement
     Computed as [L D_u, L D_v]x - L (L D_w)x, which is L**2 times it."""
     Du = WittGenerator(u, r)
     Dv = WittGenerator(v, s)
-    scale = _sweep_scale(x.alpha, [module], Du.u + Dv.u)
+    Dw = witt_bracket(Du, Dv)
+    scale = _sweep_scale(x.alpha, [module], Du.u + Dv.u + Dw.u)
     du = witt_operator(Du, module, x.alpha, scale)
     dv = witt_operator(Dv, module, x.alpha, scale)
-    dw = witt_operator(witt_bracket(Du, Dv), module, x.alpha, scale)
+    dw = witt_operator(Dw, module, x.alpha, scale)
     lhs = du(dv(x)) - dv(du(x))
     return _unscaled(lhs - dw(x).scale(scale), scale * scale)
 
@@ -292,10 +292,14 @@ def jacobi_residual(gens, x: ModuleElement, module) -> ModuleElement:
     Computed with every operator scaled by L, so L**2 times it."""
     total = ModuleElement.zero(x.alpha)
     d1, d2, d3 = gens
-    scale = _sweep_scale(x.alpha, [module], d1.u + d2.u + d3.u)
-    for a, b, c in ((d1, d2, d3), (d2, d3, d1), (d3, d1, d2)):
+    terms = [(a, witt_bracket(b, c)) for a, b, c in ((d1, d2, d3), (d2, d3, d1), (d3, d1, d2))]
+    directions = d1.u + d2.u + d3.u
+    for _, bc in terms:
+        directions += bc.u
+    scale = _sweep_scale(x.alpha, [module], directions)
+    for a, bc in terms:
         outer = witt_operator(a, module, x.alpha, scale)
-        inner = witt_operator(witt_bracket(b, c), module, x.alpha, scale)
+        inner = witt_operator(bc, module, x.alpha, scale)
         total = total + outer(inner(x))
         total = total - inner(outer(x))
     return _unscaled(total, scale * scale)
@@ -329,7 +333,7 @@ def de_rham_differential(x: ModuleElement, wedges, k: int, scale: int = 1) -> Mo
     ``wedges[k]`` and ``wedges[k + 1]`` carry the source and target bases;
     the lattice point never moves.  The target positions and signs are
     tabulated once per pair of modules.  With ``scale`` L > 1 each weight
-    is L m_j + (L alpha)_j, an int from ``_scaled_twist``.
+    is L m_j + (L alpha)_j, with L alpha from ``_scaled_twist``.
     """
     if not 0 <= k < len(wedges) - 1:
         raise ValueError(f"no differential from wedge degree {k} for n={len(wedges) - 1}")

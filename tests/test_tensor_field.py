@@ -400,6 +400,13 @@ def test_sweeps_clear_fractional_directions_and_entries():
         gens = [WittGenerator(half, (1, 1)), WittGenerator((1, 0), (0, -1)),
                 WittGenerator((0, Fraction(2, 5)), (-1, 0))]
         assert jacobi_residual(gens, x, module).is_zero()
+        # brackets whose directions carry a product of denominators:
+        # [D(w, (1, 0)), D(w, 0)] with w = (1/2, 0) has direction (-1/4, 0)
+        w = (Fraction(1, 2), 0)
+        assert witt_bracket_residual(w, (1, 0), w, (0, 0), x, module).is_zero()
+        gens = [WittGenerator(w, (1, 0)), WittGenerator(w, (0, 0)),
+                WittGenerator((0, Fraction(1, 3)), (1, 1))]
+        assert jacobi_residual(gens, x, module).is_zero()
     box = list(product(range(-1, 2), repeat=2))
     for k in (0, 1):
         assert verify_d_intertwines(half, (1, -1), ALPHA, box, 2, k, WEDGES2)["ok"]
