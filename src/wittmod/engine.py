@@ -31,6 +31,7 @@ from .scalars import (
     factor_linear_in_iota,
     factor_polynomial,
     scalar_to_text,
+    scaled_int,
 )
 from .sl3 import (
     CONDITION_NAMES,
@@ -252,16 +253,13 @@ def _word_column(params: Params, letters, idx: int, pt, scale: int) -> tuple:
     ``scale`` is the lcm of the parameter denominators.  Every generator
     coefficient is an integer linear form in (lam, b, c, a1, a2), so each
     coefficient of the word's image times ``scale**len(letters)`` is an
-    integer; that is checked, never rounded.
+    integer; ``scaled_int`` checks that, never rounds.
     """
     y = act_word(params, letters, basis_element(params, idx, pt))
     factor = scale ** len(letters)
     flat = []
     for (i, _), cf in y.terms.items():
-        v = Fraction(cf) * factor
-        if v.denominator != 1:
-            raise AssertionError(f"word column of {letters} is not integral: {v}")
-        flat += (i, v.numerator)
+        flat += (i, scaled_int(cf, factor))
     return tuple(flat)
 
 
@@ -852,13 +850,17 @@ def gt_obstruction(params: Params, window: Window) -> dict:
     that factors into index-linear forms, each a constant shift of one of
     the ten non-integrality conditions.  So under those conditions the
     leakage never vanishes: no basis of the window can diagonalize all
-    three composites simultaneously.
+    three composites simultaneously.  A point where one of the ten
+    conditions fails is refused.
     """
     if not params.is_numeric():
         return _report(
             "gt-obstruction", params, window, "refused",
             {"reason": "numeric parameters required for the window scan"},
         )
+    refusal, _ = _genericity_gate("gt-obstruction", params, window)
+    if refusal is not None:
+        return refusal
     sym = Params.symbolic(with_iota_index=True)
     cond_scalars = condition_values(Params.symbolic().values())
     factored = {}  # each distinct kappa is factored once; the operators share them
@@ -1194,7 +1196,7 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
         raise ValueError("uv_bound must be positive: at 0 every D(u, r) is D(0, 0) = 0")
     alpha = TWIST[:n]
     scale = common_denominator(alpha)
-    twist = tuple(scale // a.denominator * a.numerator for a in alpha)  # L alpha, exact
+    twist = tuple(scaled_int(a, scale) for a in alpha)  # L alpha
     wedges = [exterior_power(n, kk) for kk in range(n + 1)]
     box = [tuple(pt) for pt in iproduct(range(-box_bound, box_bound + 1), repeat=n)]
 

@@ -536,6 +536,20 @@ def common_denominator(*groups) -> int:
     return scale
 
 
+def scaled_int(v, scale: int = 1) -> int:
+    """scale * v as an int, in integer arithmetic.  A product that keeps a
+    denominator, or a v that is not an int or a Fraction, is refused with
+    ``ValueError``, never rounded."""
+    if isinstance(v, int):
+        return scale * v
+    if not isinstance(v, Fraction):
+        raise ValueError(f"{type(v).__name__} value {v} cannot be scaled to an integer")
+    q, rem = divmod(scale * v.numerator, v.denominator)
+    if rem:
+        raise ValueError(f"scaled entry {scale * v} is not an integer")
+    return q
+
+
 def coeff_is_zero(x) -> bool:
     if isinstance(x, Scalar):
         return x.is_zero()

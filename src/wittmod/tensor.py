@@ -23,13 +23,13 @@ generator they apply.  Every table a binding fills lives for one call.
 The sweeps run on integers.  Let L be the lcm of the denominators of
 alpha and of the input module's scalars (lambda, b and c for the
 cuspidal input), times that of the directions u and of the brackets a
-residual binds.  Then L D(u, r) and
-L d have integer coefficients: ``witt_operator`` and
-``de_rham_differential`` take ``scale = L`` and check every weight and
-column entry integral as they table it.  Scaling by a nonzero constant
-keeps every zero test, and a nonzero residual is divided by its power of
-L before it is returned, so residuals keep their values.  Symbolic
-inputs run on scale 1.
+residual binds.  Then L D(u, r) and L d have integer coefficients:
+``witt_operator`` and ``de_rham_differential`` take ``scale = L`` and
+form L alpha and every weight and column entry through
+``scalars.scaled_int``, which refuses a value that keeps a denominator.
+Scaling by a nonzero constant keeps every zero test, and a nonzero
+residual is divided by its power of L before it is returned, so
+residuals keep their values.  Symbolic inputs run on scale 1.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .scalars import add_term, coeff_is_zero, coeff_to_text, common_denominator
+from .scalars import add_term, coeff_is_zero, coeff_to_text, common_denominator, scaled_int
 
 
 class WittGenerator:
@@ -144,31 +144,6 @@ def _element(alpha, terms: dict) -> ModuleElement:
     return res
 
 
-def _integral(v) -> int:
-    """A scaled table entry as an int; one with a denominator left is
-    refused, never rounded."""
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return v.numerator
-    raise ValueError(f"scaled entry {coeff_to_text(v)} is not an integer")
-
-
-def _scaled_twist(alpha: tuple, scale: int) -> tuple:
-    """scale * alpha as ints, in integer arithmetic; a twist that keeps a
-    denominator, or is symbolic, is refused."""
-    twist = []
-    try:
-        for a in alpha:
-            q, rem = divmod(scale * a.numerator, a.denominator)
-            if rem:
-                raise ValueError(f"scaled entry {coeff_to_text(scale * a)} is not an integer")
-            twist.append(q)
-    except AttributeError:
-        raise ValueError(f"twist {alpha} cannot be scaled to integers") from None
-    return tuple(twist)
-
-
 def _unscaled(res: "ModuleElement", factor: int) -> "ModuleElement":
     """A residual computed ``factor`` times too large, at its true value;
     a zero one is returned as it is."""
@@ -192,17 +167,17 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
     refuses an element with another alpha.
 
     With ``scale`` L > 1 the weight part is (u|L alpha) + L(u|m) and the
-    matrix part L r_i u_j E_ij, with L alpha from ``_scaled_twist``;
-    each weight and summed column entry is checked integral and stored as
-    an int when its table fills, so x with int coefficients has an int
-    image.
+    matrix part L r_i u_j E_ij.  L alpha, each weight and each summed
+    column entry go through ``scalars.scaled_int``, which refuses one that
+    keeps a denominator, and are stored as ints, so x with int
+    coefficients has an int image.
     """
     alpha = tuple(alpha)
     if len(D.u) != len(alpha):
         raise ValueError(f"generator dimension {len(D.u)} does not match n={len(alpha)}")
     u = [(k, uk) for k, uk in enumerate(D.u) if not coeff_is_zero(uk)]
     ru = [(i + 1, j + 1, ri * uj) for i, ri in enumerate(D.r) if ri for j, uj in u]
-    twist = alpha if scale == 1 else _scaled_twist(alpha, scale)
+    twist = alpha if scale == 1 else tuple(scaled_int(a, scale) for a in alpha)
     u_alpha = 0
     for k, uk in u:
         u_alpha = u_alpha + uk * twist[k]
@@ -221,7 +196,7 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
                 u_m = u_m + uk * m[k]
             weight = weights.get(u_m)
             if weight is None:
-                weight = u_alpha + u_m if scale == 1 else _integral(u_alpha + scale * u_m)
+                weight = u_alpha + u_m if scale == 1 else scaled_int(u_alpha + scale * u_m)
                 weights[u_m] = weight
             add_term(out, (idx, target), weight * coeff)
             part = columns.get(idx)
@@ -230,10 +205,9 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
                 for i, j, c in ru:
                     for p, e in module.column(i, j, idx):
                         add_term(col, p, c * e)
-                if scale == 1:
-                    part = tuple(col.items())
-                else:
-                    part = tuple((p, _integral(scale * e)) for p, e in col.items())
+                part = tuple(col.items())
+                if scale != 1:
+                    part = tuple((p, scaled_int(e, scale)) for p, e in part)
                 columns[idx] = part
             for p, e in part:
                 add_term(out, (p, target), e * coeff)
@@ -333,13 +307,13 @@ def de_rham_differential(x: ModuleElement, wedges, k: int, scale: int = 1) -> Mo
     ``wedges[k]`` and ``wedges[k + 1]`` carry the source and target bases;
     the lattice point never moves.  The target positions and signs are
     tabulated once per pair of modules.  With ``scale`` L > 1 each weight
-    is L m_j + (L alpha)_j, with L alpha from ``_scaled_twist``.
+    is L m_j + (L alpha)_j, with L alpha from ``scalars.scaled_int``.
     """
     if not 0 <= k < len(wedges) - 1:
         raise ValueError(f"no differential from wedge degree {k} for n={len(wedges) - 1}")
     table = _differential_table(wedges[k], wedges[k + 1])
     alpha = x.alpha
-    twist = alpha if scale == 1 else _scaled_twist(alpha, scale)
+    twist = alpha if scale == 1 else tuple(scaled_int(a, scale) for a in alpha)
     out = {}
     for (idx, m), coeff in x.terms.items():
         for j, target, odd in table[idx]:

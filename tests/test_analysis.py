@@ -247,6 +247,12 @@ def test_word_columns_are_scaled_word_images(params, scale):
         assert all(type(v) is int for v in col.values()) and col == expected
 
 
+def test_word_column_refuses_a_scale_that_leaves_a_denominator():
+    # scale 1 leaves the defaults' denominators in E12's image: refused, not rounded
+    with pytest.raises(ValueError, match="not an integer"):
+        engine._word_column(NUM, parse_word("E12"), 0, (0, 0), 1)
+
+
 def test_word_column_table_is_warm_neutral_and_keeps_two_points():
     w = Window.symmetric(2, 2, 2, 1)
     seed = basis_element(NUM, 1, (0, 1))

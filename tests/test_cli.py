@@ -158,6 +158,17 @@ def test_irreducibility_gate_does_not_block_generation(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["verdict"] == "pass"
 
 
+def test_gt_obstruction_refuses_a_non_generic_config(capsys, tmp_path):
+    # c = l: the extreme component of E23*E32 vanishes at index 0, r = (-2, -2),
+    # as the ten conditions allow, so the run is refused rather than failed
+    cfg = tmp_path / "cl.cfg"
+    cfg.write_text("c = 1/7\n")
+    rc, out, _ = run_cli(capsys, "gt", "--gt-check", "obstruction", "--config", str(cfg))
+    (sub,) = json.loads(out)["subchecks"]
+    assert rc == 3 and sub["verdict"] == "refused"
+    assert sub["reason"] == "genericity condition c-l fails"
+
+
 def test_bad_vector_literal_is_input_error(capsys):
     rc, _, err = run_cli(capsys, "act", "--word", "E11", "--vector", "nope")
     assert rc == 2 and "error:" in err

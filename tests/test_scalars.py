@@ -33,6 +33,7 @@ from wittmod.scalars import (
     poly_gcd,
     poly_to_text,
     scalar_to_text,
+    scaled_int,
 )
 
 # -- pinned arithmetic ---------------------------------------------------
@@ -140,6 +141,22 @@ def test_common_denominator():
     assert common_denominator([], [2]) == 1
     assert common_denominator([Fraction(1, 2), L + C]) == 1
     assert common_denominator([Fraction(1, 2)], [ONE]) == 1
+
+
+def test_scaled_int():
+    # scale * v as an int; a denominator left over, a Scalar or a float is refused
+    assert scaled_int(5) == 5 and type(scaled_int(5)) is int
+    assert scaled_int(-4, 3) == -12
+    assert scaled_int(Fraction(3, 4), 8) == 6 and type(scaled_int(Fraction(3, 4), 8)) is int
+    assert scaled_int(Fraction(3, 4), -4) == -3
+    assert scaled_int(Fraction(-5, 6), 12) == -10
+    assert scaled_int(Fraction(6, 1)) == 6
+    for v, scale in ((Fraction(1, 6), 4), (Fraction(-5, 6), 9), (Fraction(1, 2), 1)):
+        with pytest.raises(ValueError, match="not an integer"):
+            scaled_int(v, scale)
+    for v in (L + C, ONE, 0.5):
+        with pytest.raises(ValueError, match="cannot be scaled"):
+            scaled_int(v, 6)
 
 
 @pytest.mark.parametrize("val", [Fraction(2, 3), C + L], ids=["fraction", "scalar"])

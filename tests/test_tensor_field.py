@@ -14,7 +14,7 @@ from sympy.parsing.sympy_parser import parse_expr
 from wittmod.glmod import CuspidalGl2, FinDimGlModule, exterior_power
 from wittmod.scalars import B, C, L, Scalar, common_denominator
 from wittmod.sl3 import Params
-from wittmod import tensor
+from wittmod import engine, tensor
 from wittmod.tensor import (
     ModuleElement,
     WittGenerator,
@@ -410,6 +410,62 @@ def test_sweeps_clear_fractional_directions_and_entries():
     box = list(product(range(-1, 2), repeat=2))
     for k in (0, 1):
         assert verify_d_intertwines(half, (1, -1), ALPHA, box, 2, k, WEDGES2)["ok"]
+
+
+def _fraction_bracket_residual(u, r, v, s, x, module):
+    # [D_u, D_v]x - D_w x with scale-1 operators, so on Fractions
+    Du, Dv = WittGenerator(u, r), WittGenerator(v, s)
+    du, dv = witt_operator(Du, module, x.alpha), witt_operator(Dv, module, x.alpha)
+    dw = witt_operator(tensor.witt_bracket(Du, Dv), module, x.alpha)
+    return du(dv(x)) - dv(du(x)) - dw(x)
+
+
+def _fraction_jacobi_residual(gens, x, module):
+    d1, d2, d3 = gens
+    total = ModuleElement.zero(x.alpha)
+    for a, b, c in ((d1, d2, d3), (d2, d3, d1), (d3, d1, d2)):
+        outer = witt_operator(a, module, x.alpha)
+        inner = witt_operator(tensor.witt_bracket(b, c), module, x.alpha)
+        total = total + outer(inner(x)) - inner(outer(x))
+    return total
+
+
+def test_wrong_bracket_gives_the_true_residual(monkeypatch):
+    # the scaled sweeps divide a nonzero residual by L**2: with a wrong
+    # bracket each residual, and the witt report, is the Fraction route's
+    true_bracket = tensor.witt_bracket
+
+    def off_by_one(a, b):
+        # the shift moved by one in the first coordinate; a scaled direction
+        # would not do, since Jacobi is linear in it
+        w = true_bracket(a, b)
+        return WittGenerator(w.u, (w.r[0] + 1,) + w.r[1:])
+
+    monkeypatch.setattr(tensor, "witt_bracket", off_by_one)
+    x = ModuleElement.basis(ALPHA, 1, (1, -1))
+    gens = [WittGenerator((1, 2), (1, 0)), WittGenerator((0, 1), (-1, 1)),
+            WittGenerator((Fraction(1, 3), 1), (0, 2))]
+    for module in (CUSP, WEDGES2[1]):
+        res = witt_bracket_residual((1, 2), (1, 0), (0, 1), (-1, 1), x, module)
+        assert not res.is_zero()
+        assert res == _fraction_bracket_residual((1, 2), (1, 0), (0, 1), (-1, 1), x, module)
+        res = jacobi_residual(gens, x, module)
+        assert not res.is_zero()
+        assert res == _fraction_jacobi_residual(gens, x, module)
+
+    calls = []
+
+    def recording(u, r, v, s, x, module):
+        res = witt_bracket_residual(u, r, v, s, x, module)
+        calls.append(((u, r, v, s, x, module), res))
+        return res
+
+    monkeypatch.setattr(engine, "witt_bracket_residual", recording)
+    doc = engine.witt_consistency_report(bracket_trials=4, jacobi_trials=2)
+    assert doc["verdict"] == "fail" and doc["jacobi_failures"] > 0
+    args, res = next((args, res) for args, res in calls if not res.is_zero())
+    expected = element_to_json(_fraction_bracket_residual(*args), args[-1])
+    assert doc["first_bracket_failure"]["residual"] == expected
 
 
 @pytest.mark.parametrize("name", sorted(GL_INPUTS))
