@@ -7,15 +7,21 @@ Two layers of exact rational arithmetic:
   a fixed graded-lexicographic monomial order (symbol order l < b < c <
   a1 < a2 < iota; iota is the largest symbol).  Gcds, the cofactors that
   reduce a Scalar and factorizations are computed in sympy's sparse
-  polynomial ring over QQ, built with the same order on first use.  A
-  coefficient is stored as an ``int`` when it is integral and as a
-  ``Fraction`` otherwise (almost all of them are small integers, and
-  ``int`` arithmetic is far cheaper); ``const_value`` and
-  ``leading_coeff`` always return a ``Fraction``, so dividing by them
-  stays exact.
+  polynomial ring over ZZ, built with the same order on first use: a
+  polynomial enters it as its integer multiple by the lcm of its
+  denominators, and every result is divided by that multiplier again.
+  Every coefficient that is integral is stored as an ``int``, whichever
+  operation made it, and the others as ``Fraction`` (almost all of them
+  are small integers, and ``int`` arithmetic is far cheaper);
+  ``const_value`` and ``leading_coeff`` always return a ``Fraction``, so
+  dividing by them stays exact.
 * ``Scalar`` - the fraction field in canonically normalized form:
   numerator and denominator coprime, denominator with leading
   coefficient 1.  Equality of Scalars is plain structural equality.
+  Every constant denominator is the one shared polynomial ``_POLY_ONE``,
+  so a polynomial Scalar is recognised by identity, and its ``+``, ``-``
+  and ``*`` (with another polynomial Scalar, an ``int`` or a
+  ``Fraction``) run on the numerators alone, without a gcd.
 
 Numeric computations bypass this module entirely and use ``Fraction``
 values directly; both types support the same arithmetic operators, so
@@ -25,7 +31,6 @@ type.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -122,51 +127,40 @@ class ParamPolynomial:
         for exp, coeff in other.terms.items():
             s = out.get(exp, 0) + coeff
             if s:
-                out[exp] = s
+                out[exp] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 out.pop(exp, None)
-        res = ParamPolynomial.__new__(ParamPolynomial)
-        res.terms = out
-        return res
+        return _poly(out)
 
     def __sub__(self, other: "ParamPolynomial") -> "ParamPolynomial":
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
             s = out.get(exp, 0) - coeff
             if s:
-                out[exp] = s
+                out[exp] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 out.pop(exp, None)
-        res = ParamPolynomial.__new__(ParamPolynomial)
-        res.terms = out
-        return res
+        return _poly(out)
 
     def __neg__(self) -> "ParamPolynomial":
-        res = ParamPolynomial.__new__(ParamPolynomial)
-        res.terms = {exp: -c for exp, c in self.terms.items()}
-        return res
+        return _poly({exp: -c for exp, c in self.terms.items()})
 
     def __mul__(self, other: "ParamPolynomial") -> "ParamPolynomial":
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(operator.add, e1, e2))
-                s = out.get(exp, 0) + c1 * c2
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        res = ParamPolynomial.__new__(ParamPolynomial)
-        res.terms = out
-        return res
+        get = out.get
+        # the hot loop of symbolic sweeps: exponents unpacked by hand (six
+        # symbols), zero sums dropped once at the end
+        for (a0, a1, a2, a3, a4, a5), c1 in self.terms.items():
+            for (b0, b1, b2, b3, b4, b5), c2 in other.terms.items():
+                exp = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
+                out[exp] = get(exp, 0) + c1 * c2
+        return _poly(_ints(out))
 
     def scale(self, q: Fraction) -> "ParamPolynomial":
         if not q:
             return ParamPolynomial()
         q = exact(q)
-        res = ParamPolynomial.__new__(ParamPolynomial)
-        res.terms = {exp: c * q for exp, c in self.terms.items()}
-        return res
+        return _poly(_ints({exp: c * q for exp, c in self.terms.items()}))
 
     def __pow__(self, n: int) -> "ParamPolynomial":
         if n < 0:
@@ -190,6 +184,22 @@ class ParamPolynomial:
         return f"ParamPolynomial({poly_to_text(self)!r})"
 
 
+def _poly(terms: dict) -> ParamPolynomial:
+    # wraps nonzero coefficients that are ints wherever integral
+    res = ParamPolynomial.__new__(ParamPolynomial)
+    res.terms = terms
+    return res
+
+
+def _ints(terms: dict) -> dict:
+    # drops zero sums; a product or quotient of Fractions can be integral,
+    # and is then stored as an int
+    return {
+        exp: q if type(q) is int or q.denominator != 1 else q.numerator
+        for exp, q in terms.items() if q
+    }
+
+
 _POLY_ZERO = ParamPolynomial()
 _POLY_ONE = ParamPolynomial.const(1)
 
@@ -202,33 +212,35 @@ def _ring():
     # built on first use so that importing the package does not load sympy;
     # generators run from the largest symbol down, so grlex on the ring is
     # the order above and leading terms agree
-    from sympy import QQ
+    from sympy import ZZ
     from sympy.polys.orderings import grlex
     from sympy.polys.rings import ring
 
-    return ring(",".join(reversed(SYMBOLS)), QQ, grlex)[0]
+    return ring(",".join(reversed(SYMBOLS)), ZZ, grlex)[0]
 
 
 def _to_ring(p: ParamPolynomial):
+    """(f, m): f = m*p in the ring over ZZ, m the lcm of p's denominators."""
+    m = 1
+    for q in p.terms.values():
+        if type(q) is not int:
+            m = lcm(m, q.denominator)
     # terms are nonzero already, so the ring's dtype takes them unchecked
-    R = _ring()
-    mpq = R.domain.dtype
-    return R.dtype({e[::-1]: mpq(q.numerator, q.denominator) for e, q in p.terms.items()})
+    return _ring().dtype({e[::-1]: scaled_int(q, m) for e, q in p.terms.items()}), m
 
 
-def _from_ring(f) -> ParamPolynomial:
-    res = ParamPolynomial.__new__(ParamPolynomial)
-    res.terms = {
-        m[::-1]: int(q.numerator) if q.denominator == 1
-        else Fraction(int(q.numerator), int(q.denominator))
-        for m, q in f.items()
-    }
-    return res
+def _from_ring(f, m=1) -> ParamPolynomial:
+    """f/m for f in the ring over ZZ and a nonzero integer m."""
+    m = int(m)
+    if m == 1:
+        return _poly({e[::-1]: int(q) for e, q in f.items()})
+    return _poly(_ints({e[::-1]: Fraction(int(q), m) for e, q in f.items()}))
 
 
 def poly_gcd(a: ParamPolynomial, b: ParamPolynomial) -> ParamPolynomial:
     """Monic gcd; zero only when both arguments are zero."""
-    return _from_ring(_to_ring(a).gcd(_to_ring(b)).monic())
+    g = _to_ring(a)[0].gcd(_to_ring(b)[0])
+    return _from_ring(g, g.LC) if g else _POLY_ZERO
 
 
 # -- the fraction field ------------------------------------------------
@@ -240,14 +252,23 @@ def _canon(num: ParamPolynomial, den: ParamPolynomial):
     if num.is_zero():
         return _POLY_ZERO, _POLY_ONE
     if not den.is_const():
-        g, n, d = _to_ring(num).cofactors(_to_ring(den))
-        if not g.is_one:
-            num, den = _from_ring(n), _from_ring(d)
+        (fn, mn), (fd, md) = _to_ring(num), _to_ring(den)
+        g, n, d = fn.cofactors(fd)
+        if not g.is_ground:
+            # n/mn = num/g and d/md = den/g: the multipliers must come back
+            num, den = _from_ring(n, mn), _from_ring(d, md)
     lc = den.leading_coeff()
     if lc != 1:
         num = num.scale(1 / lc)
         den = den.scale(1 / lc)
-    return num, den
+    return num, (_POLY_ONE if den.is_const() else den)
+
+
+def _raw(num: ParamPolynomial, den: ParamPolynomial = _POLY_ONE) -> "Scalar":
+    # wraps a pair that is canonical already
+    s = Scalar.__new__(Scalar)
+    s.num, s.den = num, den
+    return s
 
 
 class Scalar:
@@ -262,17 +283,11 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, q) -> "Scalar":
-        s = cls.__new__(cls)
-        s.num = ParamPolynomial.const(q)
-        s.den = _POLY_ONE
-        return s
+        return _raw(ParamPolynomial.const(q))
 
     @classmethod
     def sym(cls, name: str) -> "Scalar":
-        s = cls.__new__(cls)
-        s.num = ParamPolynomial.symbol(name)
-        s.den = _POLY_ONE
-        return s
+        return _raw(ParamPolynomial.symbol(name))
 
     # -- predicates ----------------------------------------------------
 
@@ -280,7 +295,7 @@ class Scalar:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == _POLY_ONE
+        return self.den is _POLY_ONE
 
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
@@ -302,55 +317,46 @@ class Scalar:
         return None
 
     # -- field operations ----------------------------------------------
+    # An int or Fraction q never becomes a Scalar here: num/den + q is
+    # (num + q*den)/den and q*num/den is (q*num)/den, both still reduced
+    # and with the same monic denominator.
 
     def __add__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den == _POLY_ONE and other.den == _POLY_ONE:
-            s = Scalar.__new__(Scalar)
-            s.num = self.num + other.num
-            s.den = _POLY_ONE
-            if s.num.is_zero():
-                s.num = _POLY_ZERO
-            return s
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        if isinstance(other, Scalar):
+            if self.den is _POLY_ONE and other.den is _POLY_ONE:
+                return _raw(self.num + other.num)
+            return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return _raw(self.num + self.den.scale(other), self.den)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den == _POLY_ONE and other.den == _POLY_ONE:
-            s = Scalar.__new__(Scalar)
-            s.num = self.num - other.num
-            s.den = _POLY_ONE
-            return s
-        return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
+        if isinstance(other, Scalar):
+            if self.den is _POLY_ONE and other.den is _POLY_ONE:
+                return _raw(self.num - other.num)
+            return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return _raw(self.num - self.den.scale(other), self.den)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __neg__(self):
-        s = Scalar.__new__(Scalar)
-        s.num = -self.num
-        s.den = self.den
-        return s
+        return _raw(-self.num, self.den)
 
     def __mul__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den == _POLY_ONE and other.den == _POLY_ONE:
-            s = Scalar.__new__(Scalar)
-            s.num = self.num * other.num
-            s.den = _POLY_ONE
-            return s
-        return Scalar(self.num * other.num, self.den * other.den)
+        if isinstance(other, Scalar):
+            if self.den is _POLY_ONE and other.den is _POLY_ONE:
+                return _raw(self.num * other.num)
+            return Scalar(self.num * other.num, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return _raw(self.num.scale(other), self.den) if other else ZERO
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -387,6 +393,10 @@ class Scalar:
     def __hash__(self):
         return hash((self.num, self.den))
 
+    def __reduce__(self):
+        # a copy or an unpickled Scalar shares _POLY_ONE again
+        return Scalar, (self.num, self.den)
+
     def __repr__(self):
         return f"Scalar({scalar_to_text(self)!r})"
 
@@ -420,13 +430,15 @@ def factor_polynomial(x: Scalar):
         return ZERO, ()
     if x.num.is_const():
         return x, ()
-    const, ring_factors = _to_ring(x.num).factor_list()
+    poly, m = _to_ring(x.num)
+    const, ring_factors = poly.factor_list()
     factors = []
     for f, mult in ring_factors:
         const *= f.LC**mult
-        factors.append((Scalar(_from_ring(f.monic())), mult))
+        factors.append((Scalar(_from_ring(f, f.LC)), mult))
     factors.sort(key=lambda fm: fm[0].num.sorted_terms()[0])
-    unit = Scalar.from_rational(Fraction(int(const.numerator), int(const.denominator)))
+    # the ring factored m*x
+    unit = Scalar.from_rational(Fraction(int(const), m))
     prod = unit
     for f, mult in factors:
         prod = prod * f**mult
@@ -499,7 +511,7 @@ def poly_to_text(p: ParamPolynomial) -> str:
 
 
 def scalar_to_text(x: Scalar) -> str:
-    if x.den == _POLY_ONE:
+    if x.den is _POLY_ONE:
         return poly_to_text(x.num)
     return f"({poly_to_text(x.num)})/({poly_to_text(x.den)})"
 

@@ -1,5 +1,7 @@
 """Exact scalar arithmetic: field laws, canonical forms, text printer."""
 
+import copy
+import pickle
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -362,7 +364,10 @@ E_C = (0, 0, 1, 0, 0, 0)  # the exponent of the monomial c
 
 
 def _is_exact(p: ParamPolynomial) -> bool:
-    return all(type(q) in (int, Fraction) for q in p.terms.values())
+    # exact, and an int wherever integral
+    return all(
+        type(q) is int or type(q) is Fraction and q.denominator != 1 for q in p.terms.values()
+    )
 
 
 @contextmanager
@@ -408,9 +413,25 @@ def test_integral_coefficients_are_stored_as_int():
     assert type(ParamPolynomial.const(Fraction(6, 3)).terms[(0,) * 6]) is int
     assert type(ParamPolynomial.symbol("c").terms[E_C]) is int
     p = ((C + Fraction(1, 2)) * (2 * L - 3)).num
-    back = scalars_module._from_ring(scalars_module._to_ring(p))
+    back = scalars_module._from_ring(*scalars_module._to_ring(p))
     assert {type(q) for q in back.terms.values()} == {int, Fraction}
     assert all(type(q) is int for q in back.terms.values() if q.denominator == 1)
+    # products, sums, scalings and canonical denominators of Fractions
+    half_c = ParamPolynomial({E_C: Fraction(1, 2)})
+    for q in (
+        ParamPolynomial.const(3).scale(Fraction(2, 3)).terms[(0,) * 6],
+        (half_c * ParamPolynomial.const(4)).terms[E_C],
+        (half_c + half_c).terms[E_C],
+        (half_c - half_c.scale(-1)).terms[E_C],
+        ((L + 1) / (2 * B)).den.terms[(0, 1, 0, 0, 0, 0)],
+        (C / Fraction(1, 2)).num.terms[E_C],
+    ):
+        assert q in (1, 2) and type(q) is int
+    # the ring over ZZ takes ints, even from an integral Fraction stored raw
+    raw = scalars_module._poly({E_C: Fraction(2, 1)})
+    f, m = scalars_module._to_ring(raw)
+    assert m == 1 and all(type(q) is scalars_module._ring().domain.dtype for q in f.values())
+    assert scalars_module._from_ring(f, m).terms == {E_C: 2}
     with pytest.raises(TypeError):
         ParamPolynomial({E_C: 0.5})
     with pytest.raises(TypeError):
@@ -443,6 +464,101 @@ def test_int_and_fraction_coefficients_compare_equal():
         assert Scalar(ONE.num, other) == Scalar(ONE.num, as_int)
 
 
+# -- the canonical form over ZZ and the polynomial fast path ----------------
+
+small_polynomials = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 6), rationals, max_size=3
+).map(ParamPolynomial)
+constants = rationals.map(ParamPolynomial.const)
+
+
+def _canon_reference(num: ParamPolynomial, den: ParamPolynomial):
+    """The canonical pair computed over QQ, the route the ring over ZZ
+    replaced: cofactors of the rational polynomials, then a monic den."""
+    from sympy import QQ
+    from sympy.polys.orderings import grlex
+    from sympy.polys.rings import ring
+
+    R = ring(",".join(reversed(SYMBOLS)), QQ, grlex)[0]
+
+    def to_ring(p):
+        return R({e[::-1]: QQ(Fraction(q).numerator, Fraction(q).denominator)
+                  for e, q in p.terms.items()})
+
+    def from_ring(f):
+        return ParamPolynomial({e[::-1]: Fraction(int(q.numerator), int(q.denominator))
+                                for e, q in f.items()})
+
+    _, n, d = to_ring(num).cofactors(to_ring(den))
+    lc = d.LC
+    return from_ring(n.quo_ground(lc)), from_ring(d.quo_ground(lc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polynomials, small_polynomials, *[small_polynomials | constants] * 2)
+def test_canonical_form_over_zz_matches_the_qq_reference(g, n, d, shift):
+    # a shared factor g makes the gcd do work; d + shift varies the
+    # multipliers of numerator and denominator independently
+    num, den = g * n, g * (d + shift)
+    if den.is_zero():
+        return
+    x = Scalar(num, den)
+    assert (x.num, x.den) == _canon_reference(num, den)
+    assert _is_exact(x.num) and _is_exact(x.den)
+    assert (x.den is scalars_module._POLY_ONE) == x.den.is_const()
+
+
+def _assert_constant_denominators_shared(values):
+    for x in values:
+        assert (x.den is scalars_module._POLY_ONE) == x.den.is_const(), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars, scalars, rationals)
+def test_constant_denominators_are_the_shared_one(x, y, q):
+    # every operation and the constructor; an int or Fraction operand
+    # gives what the same value as a Scalar gives
+    qs = Scalar.from_rational(q)
+    with_rational = [
+        (x + q, x + qs), (q + x, qs + x), (x - q, x - qs), (q - x, qs - x),
+        (x * q, x * qs), (q * x, qs * x),
+    ]
+    results = [x + y, x - y, x * y, -x, x**2, Scalar(x.num, ParamPolynomial.const(2))]
+    if not y.is_zero():
+        z = x / y
+        with_rational += [(z + q, z + qs), (z * q, z * qs), (q - z, qs - z)]
+        results += [z, y.inv(), z + z]
+    if q:
+        results.append(x / q)
+    assert all(fast == ref for fast, ref in with_rational)
+    _assert_constant_denominators_shared(results + [fast for fast, _ in with_rational])
+    if x.is_polynomial() and not x.is_zero():
+        unit, factors = factor_polynomial(x)
+        _assert_constant_denominators_shared([unit] + [f for f, _ in factors])
+    copies = [copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+    assert copies == [x, x]
+    _assert_constant_denominators_shared(copies)
+
+
+def test_symbolic_brackets_build_no_scalar_from_a_rational(monkeypatch):
+    # the int shifts of act_gen's coefficients go to the constant term
+    from wittmod.sl3 import Params, verify_sl3_brackets
+
+    params = Params.symbolic()
+    calls = []
+    original = Scalar.from_rational.__func__
+
+    def counted(cls, q):
+        calls.append(q)
+        return original(cls, q)
+
+    monkeypatch.setattr(Scalar, "from_rational", classmethod(counted))
+    report = verify_sl3_brackets(params, [(0, 0)], [0])
+    assert report["ok"] and report["checked"] == 81
+    assert calls == []
+    assert Scalar._coerce(3) == Scalar.from_rational(3) and calls == [3, 3]
+
+
 # -- printer and ring round trip -------------------------------------------
 
 exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * 6)
@@ -452,6 +568,6 @@ polynomials = st.dictionaries(exponents, rationals, max_size=6).map(ParamPolynom
 @settings(max_examples=80, deadline=None)
 @given(polynomials)
 def test_ring_round_trip_keeps_polynomial_and_text(p):
-    back = scalars_module._from_ring(scalars_module._to_ring(p))
+    back = scalars_module._from_ring(*scalars_module._to_ring(p))
     assert back == p
     assert poly_to_text(back) == poly_to_text(p)
