@@ -17,7 +17,8 @@ x = (C + L) / (A1 - B - L)
 print("a quotient:", scalar_to_text(x))
 print("times its inverse:", scalar_to_text(x * x.inv()))
 
-# the denominator is kept monic and coprime to the numerator
+# numerator and denominator are kept coprime, integer content included,
+# and printed with a monic denominator
 y = (C + L) * (C - L) / ((2 * C + 2 * L))
 print("after cancellation:", scalar_to_text(y))
 

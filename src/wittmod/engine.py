@@ -734,12 +734,13 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     from the action alone, applying each operator once to each of
     v_0 .. v_s; T_B and the E31/E32 coefficients do not depend on s, so
     one call shares them between its truncation lengths.  Compatibility
-    is measured by N = num(R_A/R_B) - den(R_A/R_B) in lowest terms, which
-    must be free of the symbolic index and of j, and factors into two
-    linear forms.  The factors are compared against the reference forms
-    (c + 3b - s - 2) and (c - 3b + s + 3); each comparison is reported
-    with its constant offset instead of being asserted, so a discrepancy
-    in either reference is flagged rather than hidden.
+    is measured by N = num(R_A/R_B) - den(R_A/R_B) in lowest terms with a
+    monic denominator, which must be free of the symbolic index and of j,
+    and factors into two linear forms.  The factors are compared against
+    the reference forms (c + 3b - s - 2) and (c - 3b + s + 3); each
+    comparison is reported with its constant offset instead of being
+    asserted, so a discrepancy in either reference is flagged rather than
+    hidden.
     """
     params = Params.symbolic(with_iota_index=True)
     up, down = (1, -1), (-1, 1)  # where T_A and T_B take the origin
@@ -780,7 +781,8 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
             r_a = (k_a * rho_a[j] - c1a[j]) / c2a[j]
             r_b = c2b[j - 1] / (k_b * rho_b[j - 1] - c1b[j - 1])
             q = r_a / r_b
-            obstructions.append(Scalar(q.num - q.den))
+            # num and den both carry den's leading coefficient
+            obstructions.append(Scalar(q.num - q.den) / q.den.leading_coeff())
         n_poly = obstructions[0]
         index_free = all(o == n_poly for o in obstructions)
         iota_free = n_poly.num.degree_in("iota") == 0

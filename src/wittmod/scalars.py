@@ -1,27 +1,24 @@
 """Exact coefficient arithmetic.
 
-Two layers of exact rational arithmetic:
+Two layers of exact arithmetic:
 
 * ``ParamPolynomial`` - sparse multivariate polynomials over the
-  rationals in the six parameter symbols ``l, b, c, a1, a2, iota``, with
+  integers in the six parameter symbols ``l, b, c, a1, a2, iota``, with
   a fixed graded-lexicographic monomial order (symbol order l < b < c <
-  a1 < a2 < iota; iota is the largest symbol).  Gcds, the cofactors that
-  reduce a Scalar and factorizations are computed in sympy's sparse
-  polynomial ring over ZZ, built with the same order on first use: a
-  polynomial enters it as its integer multiple by the lcm of its
-  denominators, and every result is divided by that multiplier again.
-  Every coefficient that is integral is stored as an ``int``, whichever
-  operation made it, and the others as ``Fraction`` (almost all of them
-  are small integers, and ``int`` arithmetic is far cheaper);
-  ``const_value`` and ``leading_coeff`` always return a ``Fraction``, so
-  dividing by them stays exact.
-* ``Scalar`` - the fraction field in canonically normalized form:
-  numerator and denominator coprime, denominator with leading
-  coefficient 1.  Equality of Scalars is plain structural equality.
-  Every constant denominator is the one shared polynomial ``_POLY_ONE``,
-  so a polynomial Scalar is recognised by identity, and its ``+``, ``-``
-  and ``*`` (with another polynomial Scalar, an ``int`` or a
-  ``Fraction``) run on the numerators alone, without a gcd.
+  a1 < a2 < iota; iota is the largest symbol).  Every coefficient is an
+  ``int``.  Gcds, the cofactors that reduce a Scalar and factorizations
+  are computed in sympy's sparse polynomial ring over ZZ, built with the
+  same order on first use.
+* ``Scalar`` - the fraction field in canonically normalized form: a
+  pair (num, den) of integer polynomials with no common factor, the
+  integer content included, and den with a positive leading
+  coefficient, so c/2 is stored as (c, 2).  Equality of Scalars is plain
+  structural equality.  The denominator 1 is the one shared polynomial
+  ``_POLY_ONE``, so an integer polynomial is recognised by identity, and
+  its ``+``, ``-`` and ``*`` (with another integer polynomial or an
+  ``int``) run on the numerators alone, without a gcd.  The printer
+  divides both parts by den's leading coefficient, so the text shows a
+  monic denominator.
 
 Numeric computations bypass this module entirely and use ``Fraction``
 values directly; both types support the same arithmetic operators, so
@@ -33,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Optional
 
 SYMBOLS = ("l", "b", "c", "a1", "a2", "iota")
@@ -57,29 +54,37 @@ def exact(q):
     return q.numerator if q.denominator == 1 else q
 
 
-class ParamPolynomial:
-    """Sparse polynomial in the six parameter symbols over the rationals.
+def scaled_int(v, scale: int = 1) -> int:
+    """scale * v as an int, in integer arithmetic.  A product that keeps a
+    denominator, or a v that is not an int or a Fraction, is refused with
+    ``ValueError``, never rounded."""
+    if isinstance(v, int):
+        return scale * v
+    if not isinstance(v, Fraction):
+        raise ValueError(f"{type(v).__name__} value {v} cannot be scaled to an integer")
+    q, rem = divmod(scale * v.numerator, v.denominator)
+    if rem:
+        raise ValueError(f"scaled entry {scale * v} is not an integer")
+    return q
 
-    Coefficients are ints when integral and Fractions otherwise; equality,
-    hashing and printing do not depend on which of the two holds a value.
+
+class ParamPolynomial:
+    """Sparse polynomial in the six parameter symbols over the integers.
+
+    A coefficient is admitted as an ``int``: a float is refused with
+    ``TypeError``, a rational that is not integral with ``ValueError``.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[tuple, Fraction]] = None):
-        clean = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff:
-                    clean[exp] = exact(coeff)
-        self.terms = clean
+    def __init__(self, terms: Optional[Mapping[tuple, int]] = None):
+        self.terms = {e: scaled_int(exact(q)) for e, q in terms.items() if q} if terms else {}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def const(cls, q) -> "ParamPolynomial":
-        q = exact(q)
-        return cls({_ZERO_EXP: q}) if q else cls()
+    def const(cls, q: int) -> "ParamPolynomial":
+        return cls({_ZERO_EXP: q})
 
     @classmethod
     def symbol(cls, name: str) -> "ParamPolynomial":
@@ -97,10 +102,10 @@ class ParamPolynomial:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> int:
         if not self.is_const():
             raise ValueError("polynomial is not constant")
-        return Fraction(self.terms.get(_ZERO_EXP, 0))
+        return self.terms.get(_ZERO_EXP, 0)
 
     def degree_in(self, name: str) -> int:
         k = _SYM_INDEX[name]
@@ -113,8 +118,8 @@ class ParamPolynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=_grlex_key)
 
-    def leading_coeff(self) -> Fraction:
-        return Fraction(self.terms[self.leading_monomial()])
+    def leading_coeff(self) -> int:
+        return self.terms[self.leading_monomial()]
 
     def sorted_terms(self):
         """Terms in descending monomial order (canonical iteration)."""
@@ -127,7 +132,7 @@ class ParamPolynomial:
         for exp, coeff in other.terms.items():
             s = out.get(exp, 0) + coeff
             if s:
-                out[exp] = s if type(s) is int or s.denominator != 1 else s.numerator
+                out[exp] = s
             else:
                 out.pop(exp, None)
         return _poly(out)
@@ -137,7 +142,7 @@ class ParamPolynomial:
         for exp, coeff in other.terms.items():
             s = out.get(exp, 0) - coeff
             if s:
-                out[exp] = s if type(s) is int or s.denominator != 1 else s.numerator
+                out[exp] = s
             else:
                 out.pop(exp, None)
         return _poly(out)
@@ -154,13 +159,13 @@ class ParamPolynomial:
             for (b0, b1, b2, b3, b4, b5), c2 in other.terms.items():
                 exp = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
                 out[exp] = get(exp, 0) + c1 * c2
-        return _poly(_ints(out))
+        return _poly({exp: c for exp, c in out.items() if c})
 
-    def scale(self, q: Fraction) -> "ParamPolynomial":
+    def scale(self, q: int) -> "ParamPolynomial":
+        q = scaled_int(exact(q))
         if not q:
             return ParamPolynomial()
-        q = exact(q)
-        return _poly(_ints({exp: c * q for exp, c in self.terms.items()}))
+        return _poly({exp: c * q for exp, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "ParamPolynomial":
         if n < 0:
@@ -185,19 +190,10 @@ class ParamPolynomial:
 
 
 def _poly(terms: dict) -> ParamPolynomial:
-    # wraps nonzero coefficients that are ints wherever integral
+    # wraps nonzero int coefficients
     res = ParamPolynomial.__new__(ParamPolynomial)
     res.terms = terms
     return res
-
-
-def _ints(terms: dict) -> dict:
-    # drops zero sums; a product or quotient of Fractions can be integral,
-    # and is then stored as an int
-    return {
-        exp: q if type(q) is int or q.denominator != 1 else q.numerator
-        for exp, q in terms.items() if q
-    }
 
 
 _POLY_ZERO = ParamPolynomial()
@@ -220,27 +216,18 @@ def _ring():
 
 
 def _to_ring(p: ParamPolynomial):
-    """(f, m): f = m*p in the ring over ZZ, m the lcm of p's denominators."""
-    m = 1
-    for q in p.terms.values():
-        if type(q) is not int:
-            m = lcm(m, q.denominator)
-    # terms are nonzero already, so the ring's dtype takes them unchecked
-    return _ring().dtype({e[::-1]: scaled_int(q, m) for e, q in p.terms.items()}), m
+    # terms are nonzero ints already, so the ring's dtype takes them unchecked
+    return _ring().dtype({e[::-1]: q for e, q in p.terms.items()})
 
 
-def _from_ring(f, m=1) -> ParamPolynomial:
-    """f/m for f in the ring over ZZ and a nonzero integer m."""
-    m = int(m)
-    if m == 1:
-        return _poly({e[::-1]: int(q) for e, q in f.items()})
-    return _poly(_ints({e[::-1]: Fraction(int(q), m) for e, q in f.items()}))
+def _from_ring(f) -> ParamPolynomial:
+    return _poly({e[::-1]: int(q) for e, q in f.items()})
 
 
 def poly_gcd(a: ParamPolynomial, b: ParamPolynomial) -> ParamPolynomial:
-    """Monic gcd; zero only when both arguments are zero."""
-    g = _to_ring(a)[0].gcd(_to_ring(b)[0])
-    return _from_ring(g, g.LC) if g else _POLY_ZERO
+    """The gcd in Z[symbols], integer content included, with a positive
+    leading coefficient; zero only when both arguments are zero."""
+    return _from_ring(_to_ring(a).gcd(_to_ring(b)))
 
 
 # -- the fraction field ------------------------------------------------
@@ -251,17 +238,18 @@ def _canon(num: ParamPolynomial, den: ParamPolynomial):
         raise ZeroDivisionError("scalar with zero denominator")
     if num.is_zero():
         return _POLY_ZERO, _POLY_ONE
-    if not den.is_const():
-        (fn, mn), (fd, md) = _to_ring(num), _to_ring(den)
-        g, n, d = fn.cofactors(fd)
-        if not g.is_ground:
-            # n/mn = num/g and d/md = den/g: the multipliers must come back
-            num, den = _from_ring(n, mn), _from_ring(d, md)
-    lc = den.leading_coeff()
-    if lc != 1:
-        num = num.scale(1 / lc)
-        den = den.scale(1 / lc)
-    return num, (_POLY_ONE if den.is_const() else den)
+    if den.is_const():
+        # the gcd is an integer: that of den and num's content
+        g = gcd(den.terms[_ZERO_EXP], *num.terms.values())
+        if g != 1:
+            num, den = (_poly({e: c // g for e, c in p.terms.items()}) for p in (num, den))
+    else:
+        g, n, d = _to_ring(num).cofactors(_to_ring(den))
+        if g != 1:
+            num, den = _from_ring(n), _from_ring(d)
+    if den.leading_coeff() < 0:
+        num, den = -num, -den
+    return num, (_POLY_ONE if den == _POLY_ONE else den)
 
 
 def _raw(num: ParamPolynomial, den: ParamPolynomial = _POLY_ONE) -> "Scalar":
@@ -283,7 +271,10 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, q) -> "Scalar":
-        return _raw(ParamPolynomial.const(q))
+        q = exact(q)
+        if type(q) is int:
+            return _raw(ParamPolynomial.const(q))
+        return _raw(ParamPolynomial.const(q.numerator), ParamPolynomial.const(q.denominator))
 
     @classmethod
     def sym(cls, name: str) -> "Scalar":
@@ -295,13 +286,13 @@ class Scalar:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den is _POLY_ONE
+        return self.den.is_const()
 
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
 
     def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
+        return Fraction(self.num.const_value(), self.den.const_value())
 
     def __bool__(self) -> bool:
         return not self.num.is_zero()
@@ -317,29 +308,30 @@ class Scalar:
         return None
 
     # -- field operations ----------------------------------------------
-    # An int or Fraction q never becomes a Scalar here: num/den + q is
-    # (num + q*den)/den and q*num/den is (q*num)/den, both still reduced
-    # and with the same monic denominator.
+    # An int k never becomes a Scalar in + and -: num/den + k is
+    # (num + k*den)/den, still reduced.  k*num/den is reduced when den is 1.
 
     def __add__(self, other):
-        if isinstance(other, Scalar):
-            if self.den is _POLY_ONE and other.den is _POLY_ONE:
-                return _raw(self.num + other.num)
-            return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return _raw(self.num + self.den.scale(other), self.den)
-        return NotImplemented
+        other = Scalar._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+            return _raw(self.num + other.num)
+        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Scalar):
-            if self.den is _POLY_ONE and other.den is _POLY_ONE:
-                return _raw(self.num - other.num)
-            return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return _raw(self.num - self.den.scale(other), self.den)
-        return NotImplemented
+        other = Scalar._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+            return _raw(self.num - other.num)
+        return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -350,13 +342,16 @@ class Scalar:
         return _raw(-self.num, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            if self.den is _POLY_ONE and other.den is _POLY_ONE:
-                return _raw(self.num * other.num)
-            return Scalar(self.num * other.num, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            return _raw(self.num.scale(other), self.den) if other else ZERO
-        return NotImplemented
+        if isinstance(other, int):
+            if self.den is _POLY_ONE:
+                return _raw(self.num.scale(other))
+            return Scalar(self.num.scale(other), self.den)
+        other = Scalar._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+            return _raw(self.num * other.num)
+        return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -420,7 +415,8 @@ def factor_polynomial(x: Scalar):
     """Irreducible factorization of a polynomial scalar over the rationals.
 
     Returns (unit, factors) where unit is a constant Scalar and factors is
-    a tuple of (Scalar, multiplicity) pairs, each factor monic under the
+    a tuple of (Scalar, multiplicity) pairs, each factor an irreducible
+    integer polynomial over its leading coefficient, so monic under the
     ambient monomial order.  The multiply-back product is certified, so
     the factorization engine never has to be trusted blindly.
     """
@@ -430,15 +426,16 @@ def factor_polynomial(x: Scalar):
         return ZERO, ()
     if x.num.is_const():
         return x, ()
-    poly, m = _to_ring(x.num)
-    const, ring_factors = poly.factor_list()
+    const, ring_factors = _to_ring(x.num).factor_list()
     factors = []
     for f, mult in ring_factors:
         const *= f.LC**mult
-        factors.append((Scalar(_from_ring(f, f.LC)), mult))
-    factors.sort(key=lambda fm: fm[0].num.sorted_terms()[0])
-    # the ring factored m*x
-    unit = Scalar.from_rational(Fraction(int(const), m))
+        factors.append((Scalar(_from_ring(f), ParamPolynomial.const(int(f.LC))), mult))
+    # on the leading monomial alone: among factors that share it, sympy's
+    # order stands, whatever their leading coefficients
+    factors.sort(key=lambda fm: fm[0].num.leading_monomial())
+    # the ring factored x's numerator
+    unit = Scalar.from_rational(Fraction(int(const), x.den.const_value()))
     prod = unit
     for f, mult in factors:
         prod = prod * f**mult
@@ -467,18 +464,18 @@ def factor_linear_in_iota(x: Scalar) -> Optional[tuple]:
             continue
         if d > 1:
             return None
-        # f = a*(iota - rho); present (zeta, sign) so that zeta is zero or
-        # has a positive leading coefficient
+        # f = a*(iota - rho)/den; present (zeta, sign) so that zeta is zero
+        # or has a positive leading coefficient
         terms = f.num.terms.items()
         a = ParamPolynomial({e[:-1] + (0,): q for e, q in terms if e[-1]})
         b = ParamPolynomial({e: q for e, q in terms if not e[-1]})
         rho = -Scalar(b, a)
         if not rho.is_zero() and rho.num.leading_coeff() > 0:
             pairs += [(rho, -1)] * mult
-            unit = unit * Scalar(-a) ** mult
+            unit = unit * Scalar(-a, f.den) ** mult
         else:
             pairs += [(-rho, 1)] * mult
-            unit = unit * Scalar(a) ** mult
+            unit = unit * Scalar(a, f.den) ** mult
     pairs.sort(key=lambda zs: [_grlex_key(e) for e, _ in zs[0].num.sorted_terms()])
     return unit, tuple(pairs)
 
@@ -486,11 +483,14 @@ def factor_linear_in_iota(x: Scalar) -> Optional[tuple]:
 # -- text printer -------------------------------------------------------
 
 
-def poly_to_text(p: ParamPolynomial) -> str:
+def poly_to_text(p: ParamPolynomial, lc: int = 1) -> str:
+    """p with every coefficient divided by lc."""
     if p.is_zero():
         return "0"
     chunks = []
     for exp, coeff in p.sorted_terms():
+        if lc != 1:
+            coeff = Fraction(coeff, lc)
         mono = "*".join(
             SYMBOLS[k] if e == 1 else f"{SYMBOLS[k]}^{e}"
             for k, e in enumerate(exp)
@@ -513,7 +513,11 @@ def poly_to_text(p: ParamPolynomial) -> str:
 def scalar_to_text(x: Scalar) -> str:
     if x.den is _POLY_ONE:
         return poly_to_text(x.num)
-    return f"({poly_to_text(x.num)})/({poly_to_text(x.den)})"
+    # printed with a monic denominator
+    lc = x.den.leading_coeff()
+    if x.den.is_const():
+        return poly_to_text(x.num, lc)
+    return f"({poly_to_text(x.num, lc)})/({poly_to_text(x.den, lc)})"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -546,20 +550,6 @@ def common_denominator(*groups) -> int:
             den = lcm(den, v.denominator)
         scale *= den
     return scale
-
-
-def scaled_int(v, scale: int = 1) -> int:
-    """scale * v as an int, in integer arithmetic.  A product that keeps a
-    denominator, or a v that is not an int or a Fraction, is refused with
-    ``ValueError``, never rounded."""
-    if isinstance(v, int):
-        return scale * v
-    if not isinstance(v, Fraction):
-        raise ValueError(f"{type(v).__name__} value {v} cannot be scaled to an integer")
-    q, rem = divmod(scale * v.numerator, v.denominator)
-    if rem:
-        raise ValueError(f"scaled entry {scale * v} is not an integer")
-    return q
 
 
 def coeff_is_zero(x) -> bool:

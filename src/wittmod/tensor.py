@@ -100,7 +100,13 @@ class ModuleElement:
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            add_term(out, key, -coeff)
+            # in place: a coefficient is negated only where self has no term
+            # to subtract it from
+            s = out[key] - coeff if key in out else -coeff
+            if coeff_is_zero(s):
+                del out[key]
+            else:
+                out[key] = s
         return _element(self.alpha, out)
 
     def __neg__(self) -> "ModuleElement":

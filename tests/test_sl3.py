@@ -214,6 +214,34 @@ def test_bracket_sweep_applies_each_generator_once_per_image(monkeypatch):
     assert len(calls) == 9 + 81
 
 
+def test_symbolic_residuals_negate_only_uncancelled_terms(monkeypatch):
+    # ModuleElement subtraction works in place: outside act_gen, a sweep
+    # negates a coefficient only where the minuend lacks its key.  On
+    # v_0(0,0) that is the one term of E_ii v taken from the empty
+    # difference of [E_ii, E_ii], for i = 1, 2, 3.
+    from wittmod.scalars import Scalar
+
+    negated, in_act = [], [False]
+    neg = Scalar.__neg__
+
+    def spy(self):
+        if not in_act[0]:
+            negated.append(self)
+        return neg(self)
+
+    def act(i, j, x):
+        in_act[0] = True
+        try:
+            return act_gen(SYM, i, j, x)
+        finally:
+            in_act[0] = False
+
+    monkeypatch.setattr(Scalar, "__neg__", spy)
+    residuals = bracket_residuals(act, 3, basis_element(SYM, 0, (0, 0)))
+    assert len(residuals) == 81 and all(res.is_zero() for res in residuals.values())
+    assert len(negated) == 3
+
+
 def test_wrong_bracket_is_nonzero():
     # [E12, E21] equals E11 - E22; the + sign is a corruption and must fail
     x = basis_element(NUM, 0, (0, 0))
