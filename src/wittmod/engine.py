@@ -14,12 +14,12 @@ to support the claimed conclusion.
 
 from __future__ import annotations
 
+import heapq
 import operator
 import random
-from collections import deque
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -308,6 +308,15 @@ def closure(params: Params, seeds, words, window: Window, stop_at=None):
     ``stop_at = (idx, pt)`` ends the closure as soon as v_idx(pt) lies in
     the span: it is tested once the seed rows are in and after each new
     row at pt.  Such an early return reports ``exhausted: False``.
+
+    Rows wait in one heap keyed by (priority, insertion number): the
+    breadth-first depth without ``stop_at``, so the order is breadth-first,
+    and the L1 lattice distance to pt with it, so rows near the stop point
+    go first.  Every stored row has all its images tried, so any order
+    gives the same exhausted closure: the smallest per-point family of
+    subspaces that holds the seeds and is closed under "apply a word, drop
+    the out-of-range indices", with the same canonical rows.  ``rounds``
+    is the largest depth processed plus one.
     """
     if not params.is_numeric():
         raise ValueError("closure needs numeric parameters")
@@ -323,9 +332,16 @@ def closure(params: Params, seeds, words, window: Window, stop_at=None):
     (lo1, hi1), (lo2, hi2) = window.r_bounds
     full_rank = i_max - i_min + 1
     stop_idx, stop_pt = stop_at or (None, None)
+
+    def priority(pt, depth):
+        if stop_at is None:
+            return depth
+        return abs(pt[0] - stop_pt[0]) + abs(pt[1] - stop_pt[1])
+
     basis = SubspaceBasis()
     by_point = basis.by_point
-    queue = deque()
+    heap = []  # (priority, insertion number, depth, point, row)
+    inserted = count()
     rounds = 0
     processed = 0
     for x in seeds:
@@ -334,40 +350,39 @@ def closure(params: Params, seeds, words, window: Window, stop_at=None):
             row = {i: cf for (i, p), cf in x.terms.items() if p == pt}
             ins = basis.insert(pt, row)
             if ins is not None:
-                queue.append((pt, ins))
+                heap.append((priority(pt, 0), next(inserted), 0, pt, ins))
     if stop_at is not None and basis.contains_basis(stop_pt, stop_idx):
         return basis, _closure_stats(basis, rounds, processed, False)
-    while queue:
-        rounds += 1
-        batch = list(queue)
-        queue.clear()
-        for pt, row in batch:
-            processed += 1
-            for letters, cols, (d1, d2) in applied:
-                t1, t2 = pt[0] + d1, pt[1] + d2
-                if not (lo1 <= t1 <= hi1 and lo2 <= t2 <= hi2):
-                    continue
-                tpt = (t1, t2)
-                if len(by_point.get(tpt, ())) == full_rank:
-                    continue
-                at_pt = cols.get(pt)
-                if at_pt is None:
-                    at_pt = cols[pt] = {}
-                image = {}
-                for i, cf in row.items():
-                    col = at_pt.get(i)
-                    if col is None:
-                        col = at_pt[i] = _word_column(params, letters, i, pt, scale)
-                    flat = iter(col)
-                    _add_multiple(image, cf, zip(flat, flat))
-                trow = {i: v for i, v in image.items() if i_min <= i <= i_max}
-                if not trow:
-                    continue
-                ins = basis.insert(tpt, trow)
-                if ins is not None:
-                    if tpt == stop_pt and basis.contains_basis(tpt, stop_idx):
-                        return basis, _closure_stats(basis, rounds, processed, False)
-                    queue.append((tpt, ins))
+    heapq.heapify(heap)
+    while heap:
+        _, _, depth, pt, row = heapq.heappop(heap)
+        processed += 1
+        rounds = max(rounds, depth + 1)
+        for letters, cols, (d1, d2) in applied:
+            t1, t2 = pt[0] + d1, pt[1] + d2
+            if not (lo1 <= t1 <= hi1 and lo2 <= t2 <= hi2):
+                continue
+            tpt = (t1, t2)
+            if len(by_point.get(tpt, ())) == full_rank:
+                continue
+            at_pt = cols.get(pt)
+            if at_pt is None:
+                at_pt = cols[pt] = {}
+            image = {}
+            for i, cf in row.items():
+                col = at_pt.get(i)
+                if col is None:
+                    col = at_pt[i] = _word_column(params, letters, i, pt, scale)
+                flat = iter(col)
+                _add_multiple(image, cf, zip(flat, flat))
+            trow = {i: v for i, v in image.items() if i_min <= i <= i_max}
+            if not trow:
+                continue
+            ins = basis.insert(tpt, trow)
+            if ins is not None:
+                if tpt == stop_pt and basis.contains_basis(tpt, stop_idx):
+                    return basis, _closure_stats(basis, rounds, processed, False)
+                heapq.heappush(heap, (priority(tpt, depth + 1), next(inserted), depth + 1, tpt, ins))
     return basis, _closure_stats(basis, rounds, processed, True)
 
 
@@ -542,7 +557,9 @@ def check_irreducible(
     subcheck is rank = box size with every target reached, exactly what
     the closure run to exhaustion reports.  A seed that never reaches the
     anchor, or any seed when W_a is smaller than the box, runs its closure
-    to exhaustion.
+    to exhaustion.  Seed closures process rows nearest the anchor first;
+    an exhausted closure's span does not depend on the order, so neither
+    do its rank and missed targets (subchecks carry no closure statistics).
     """
     _require_nonnegative(random_count=random_count)
     if seeds is not None and not seeds:
@@ -725,6 +742,13 @@ def _const_shift(f: Scalar, ref: Scalar) -> Optional[Fraction]:
     return diff.const_value() if diff.is_const() else None
 
 
+def _monic_obstruction(q: Scalar) -> Scalar:
+    """num - den of ``q`` over a monic denominator: a ``Scalar`` keeps its
+    integer content in den (c/(2b) is (c, 2b)), so both are divided by
+    den's leading coefficient, giving c/2 - b, not c - 2b."""
+    return Scalar(q.num - q.den) / q.den.leading_coeff()
+
+
 def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     """Obstruction polynomial for the two-route coefficient recursion.
 
@@ -780,9 +804,7 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
         for j in js[1:]:
             r_a = (k_a * rho_a[j] - c1a[j]) / c2a[j]
             r_b = c2b[j - 1] / (k_b * rho_b[j - 1] - c1b[j - 1])
-            q = r_a / r_b
-            # num and den both carry den's leading coefficient
-            obstructions.append(Scalar(q.num - q.den) / q.den.leading_coeff())
+            obstructions.append(_monic_obstruction(r_a / r_b))
         n_poly = obstructions[0]
         index_free = all(o == n_poly for o in obstructions)
         iota_free = n_poly.num.degree_in("iota") == 0
@@ -1092,6 +1114,25 @@ def bracket_report(params: Params, window: Window) -> dict:
     return _report("brackets", params, window, "pass" if ok else "fail", body)
 
 
+@cache
+def _witt_inputs() -> tuple:
+    """(gl bracket results, trial setups) of ``witt_consistency_report``,
+    built once per process: neither depends on the report's arguments."""
+    vals = DEFAULT_VALUES
+    cusp = CuspidalGl2(vals["l"], vals["b"], vals["c"])
+    res = verify_gl_brackets(cusp)
+    gl_results = [("cuspidal gl2", res["ok"], res["checked_indices"])]
+    setups = [(2, cusp, TWIST[:2])]
+    for n in (2, 3):
+        for kk in range(n + 1):
+            mod = exterior_power(n, kk)
+            res = verify_gl_brackets(mod)
+            gl_results.append((f"wedge^{kk} of gl{n}", res["ok"], res["checked_indices"]))
+            if 0 < kk:
+                setups.append((n, mod, TWIST[:n]))
+    return tuple(gl_results), tuple(setups)
+
+
 def witt_consistency_report(
     rng_seed: int = 20260817, bracket_trials: int = 200, jacobi_trials: int = 50
 ) -> dict:
@@ -1106,22 +1147,11 @@ def witt_consistency_report(
     if bracket_trials == 0 and jacobi_trials == 0:
         raise ValueError("witt needs at least one bracket or Jacobi trial")
     rnd = random.Random(rng_seed)
-    vals = DEFAULT_VALUES
-    gl_checks = []
-    cusp = CuspidalGl2(vals["l"], vals["b"], vals["c"])
-    res = verify_gl_brackets(cusp)
-    gl_checks.append({"module": "cuspidal gl2", "ok": res["ok"], "checked_indices": res["checked_indices"]})
-    wedge_inputs = []
-    for n in (2, 3):
-        for kk in range(n + 1):
-            mod = exterior_power(n, kk)
-            res = verify_gl_brackets(mod)
-            gl_checks.append(
-                {"module": f"wedge^{kk} of gl{n}", "ok": res["ok"], "checked_indices": res["checked_indices"]}
-            )
-            if 0 < kk:
-                wedge_inputs.append((n, mod))
-    setups = [(2, cusp, TWIST[:2])] + [(n, mod, TWIST[:n]) for n, mod in wedge_inputs]
+    gl_results, setups = _witt_inputs()
+    gl_checks = [
+        {"module": name, "ok": ok, "checked_indices": checked}
+        for name, ok, checked in gl_results
+    ]
 
     def rand_vec(n):
         return tuple(rnd.randint(-2, 2) for _ in range(n))

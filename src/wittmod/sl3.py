@@ -144,7 +144,8 @@ def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
     terms = x.terms.items()
     out = {}
     # each coefficient is a parameter part, summed once here, plus the
-    # integral part of the shifts lam + idx, a1 + r1, a2 + r2 it reads
+    # integral part of the shifts lam + idx, a1 + r1, a2 + r2 it reads;
+    # E13, E23 and E33 carry a minus sign, put on the parameter parts
     if (i, j) == (1, 1):
         for key, coeff in terms:
             add_term(out, key, coeff * (a1 + key[1][0]))
@@ -152,9 +153,9 @@ def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
         for key, coeff in terms:
             add_term(out, key, coeff * (a2 + key[1][1]))
     elif (i, j) == (3, 3):
-        p = a1 + a2
+        p = -(a1 + a2)
         for key, coeff in terms:
-            add_term(out, key, -coeff * (p + (key[1][0] + key[1][1])))
+            add_term(out, key, coeff * (p - (key[1][0] + key[1][1])))
     elif (i, j) == (1, 2):
         p, q = lam - b + a2, c + lam
         for (idx, (r1, r2)), coeff in terms:
@@ -168,17 +169,17 @@ def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
             add_term(out, (idx - 1, pt), coeff * (p - idx))
             add_term(out, (idx, pt), coeff * (q + (r1 - idx)))
     elif (i, j) == (1, 3):
-        p, q = a1 + a2 + b + lam, c + lam
+        p, q = -(a1 + a2 + b + lam), -(c + lam)
         for (idx, (r1, r2)), coeff in terms:
             pt = (r1 + 1, r2)
-            add_term(out, (idx, pt), -coeff * (p + (r1 + r2 + idx)))
-            add_term(out, (idx + 1, pt), -coeff * (q + idx))
+            add_term(out, (idx, pt), coeff * (p - (r1 + r2 + idx)))
+            add_term(out, (idx + 1, pt), coeff * (q - idx))
     elif (i, j) == (2, 3):
-        p, q = c - lam, a1 + a2 + b - lam
+        p, q = lam - c, -(a1 + a2 + b - lam)
         for (idx, (r1, r2)), coeff in terms:
             pt = (r1, r2 + 1)
-            add_term(out, (idx - 1, pt), -coeff * (p - idx))
-            add_term(out, (idx, pt), -coeff * (q + (r1 + r2 - idx)))
+            add_term(out, (idx - 1, pt), coeff * (p + idx))
+            add_term(out, (idx, pt), coeff * (q - (r1 + r2 - idx)))
     elif (i, j) == (3, 1):
         q = a1 - b - lam
         for (idx, (r1, r2)), coeff in terms:

@@ -373,6 +373,38 @@ def test_closure_stops_once_the_anchor_is_in_the_span():
 
 
 @pytest.mark.parametrize(
+    "params, seeds, words, target",
+    [
+        (NUM, [basis_element(NUM, 1, (1, -1))], [parse_word("E12")], ANCHOR),
+        # the degenerate closure of the singular vectors misses v_-1(-1,-1)
+        (DEG, find_singular_vectors(DEG, SMALL), DEFAULT_WORDS, (-1, (-1, -1))),
+    ],
+    ids=["E12-only", "degenerate"],
+)
+def test_closure_order_cannot_change_an_exhausted_closure(params, seeds, words, target):
+    # breadth-first without stop_at, nearest to the target first with it:
+    # a closure that never reaches its target ends with the same rows
+    bfs, bfs_stats = closure(params, seeds, words, SMALL)
+    assert not bfs.contains_basis(target[1], target[0])
+    directed, stats = closure(params, seeds, words, SMALL, stop_at=target)
+    assert stats["exhausted"] and directed.by_point == bfs.by_point
+    # each stored row was processed once, in either order
+    assert stats["rows_processed"] == bfs_stats["rows_processed"] == bfs.total_rank()
+    assert stats["rank"] == bfs_stats["rank"]
+
+
+def test_every_inner_basis_seed_of_the_default_window_stops_at_the_anchor():
+    window = Window.symmetric(4, 4, 4, margin=2)
+    anchor = engine._anchor(window)
+    assert anchor == ANCHOR
+    for idx, pt in window.basis(inner=True):
+        basis, stats = closure(
+            NUM, [basis_element(NUM, idx, pt)], DEFAULT_WORDS, window, stop_at=anchor
+        )
+        assert not stats["exhausted"] and basis.contains_basis(anchor[1], anchor[0])
+
+
+@pytest.mark.parametrize(
     "seed",
     [
         basis_element(NUM, 0, (0, 0)),
@@ -532,6 +564,29 @@ def test_degenerate_check_refuses_generic_point(values, nonintegral):
     assert doc["reason"] == f"degenerate regime requires {nonintegral} integral"
 
 
+def test_witt_inputs_are_built_once_and_each_report_gets_its_own_checks(monkeypatch):
+    engine._witt_inputs.cache_clear()
+    checked = []
+    verify = engine.verify_gl_brackets
+
+    def spy(module):
+        checked.append(module)
+        return verify(module)
+
+    monkeypatch.setattr(engine, "verify_gl_brackets", spy)
+    first = witt_consistency_report(rng_seed=1, bracket_trials=3, jacobi_trials=1)
+    first_bytes = canonical_json(first)
+    second = witt_consistency_report(rng_seed=2, bracket_trials=3, jacobi_trials=1)
+    # the cuspidal input and seven wedge powers, checked for the first report only
+    assert len(checked) == 8
+    assert first["gl_bracket_checks"] == second["gl_bracket_checks"]
+    assert first["verdict"] == second["verdict"] == "pass"
+    second["gl_bracket_checks"][0]["ok"] = False
+    assert canonical_json(first) == first_bytes
+    again = witt_consistency_report(rng_seed=1, bracket_trials=3, jacobi_trials=1)
+    assert canonical_json(again) == first_bytes and len(checked) == 8
+
+
 # -- factorization oracle -------------------------------------------------------
 
 
@@ -549,6 +604,16 @@ def test_oracle_s1_pinned():
     assert res["second_factor"]["offset"] == "-2"
     assert res["second_factor"]["reference"] == "c - 3*b + 4"
     assert doc["flags"] == ["s=1: second factor is offset -2 from its reference form"]
+
+
+def test_oracle_obstruction_divides_by_the_denominators_leading_coefficient():
+    c, b = Scalar.sym("c"), Scalar.sym("b")
+    # (c + 1)/(2b + 3) is stored with the integer content in den: (c + 1, 2b + 3)
+    q = (c + 1) / (2 * b + 3)
+    assert q.den.leading_coeff() == 2
+    # monic: ((c + 1)/2) / (b + 3/2), so N = (c + 1)/2 - (b + 3/2)
+    assert engine._monic_obstruction(q) == c / 2 - b - 1
+    assert engine._monic_obstruction(c / b) == c - b
 
 
 def test_oracle_offset_is_constant_in_s():

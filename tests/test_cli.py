@@ -238,6 +238,39 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert main(["no-such-check"]) == 2
 
 
+CALLS = (
+    ("generate", "--seed"),  # usage error: --seed needs a value
+    ("act", "--mode", "symbolic", "--word", "E13", "--vector", "v:1@0,0"),
+    ("act", "--word", "E13", "--vector", "v:1@0,0"),  # numeric by default again
+    ("irreducible", "--seed", "v:0@0,0", "--window", "1,1,1"),
+    ("generate", "--window", "1,1,1"),  # its own --seed default, not the last value
+    ("check-generic",),
+)
+
+
+def test_parser_is_built_once_and_calls_do_not_share_state(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def spy():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    alone = []
+    for argv in CALLS:
+        cli._parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    assert len(built) == len(CALLS)
+    assert alone[0][0] == 2 and alone[0][2].startswith("usage: wittmod generate")
+    assert json.loads(alone[1][1])["mode"] == "symbolic"
+    assert json.loads(alone[2][1])["mode"] == "numeric"
+    built.clear()
+    cli._parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in CALLS] == alone
+    assert len(built) == 1
+
+
 # -- output files and determinism ---------------------------------------------
 
 

@@ -218,15 +218,15 @@ def test_symbolic_residuals_negate_only_uncancelled_terms(monkeypatch):
     # ModuleElement subtraction works in place: outside act_gen, a sweep
     # negates a coefficient only where the minuend lacks its key.  On
     # v_0(0,0) that is the one term of E_ii v taken from the empty
-    # difference of [E_ii, E_ii], for i = 1, 2, 3.
+    # difference of [E_ii, E_ii], for i = 1, 2, 3.  Inside act_gen, E13,
+    # E23 and E33 negate their parameter sums once per call, never a term.
     from wittmod.scalars import Scalar
 
-    negated, in_act = [], [False]
+    negated, in_act = {False: 0, True: 0}, [False]
     neg = Scalar.__neg__
 
     def spy(self):
-        if not in_act[0]:
-            negated.append(self)
+        negated[in_act[0]] += 1
         return neg(self)
 
     def act(i, j, x):
@@ -239,7 +239,16 @@ def test_symbolic_residuals_negate_only_uncancelled_terms(monkeypatch):
     monkeypatch.setattr(Scalar, "__neg__", spy)
     residuals = bracket_residuals(act, 3, basis_element(SYM, 0, (0, 0)))
     assert len(residuals) == 81 and all(res.is_zero() for res in residuals.values())
-    assert len(negated) == 3
+    assert negated[False] == 3
+    # each generator is applied 1 + 9 times; E13 negates two sums, E23 and E33 one
+    assert negated[True] == 10 * (2 + 1 + 1)
+    # the count per call does not grow with the number of terms
+    x = act_word(SYM, parse_word("E12*E21*E13"), basis_element(SYM, 0, (0, 0)))
+    assert len(x.terms) > 2
+    for (i, j), per_call in (((1, 3), 2), ((2, 3), 1), ((3, 3), 1), ((3, 1), 0)):
+        negated[True] = 0
+        act(i, j, x)
+        assert negated[True] == per_call
 
 
 def test_wrong_bracket_is_nonzero():
