@@ -96,12 +96,12 @@ def load_config(path: str) -> dict:
 
 
 def build_params(args, defaults=None) -> Params:
-    if getattr(args, "mode", "numeric") == "symbolic":
-        if getattr(args, "config", None):
+    if args.mode == "symbolic":
+        if args.config:
             raise ValueError("--config applies to numeric mode only")
         return Params.symbolic()
     values = dict(defaults) if defaults else {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(load_config(args.config))
     return Params.numeric(values)
 

@@ -75,10 +75,10 @@ class Window:
     __slots__ = ("i_min", "i_max", "r_bounds", "margin")
 
     def __init__(self, i_min: int, i_max: int, r_bounds, margin: int = 0):
-        self.i_min = int(i_min)
-        self.i_max = int(i_max)
-        self.r_bounds = tuple((int(lo), int(hi)) for lo, hi in r_bounds)
-        self.margin = int(margin)
+        self.i_min = scaled_int(i_min)
+        self.i_max = scaled_int(i_max)
+        self.r_bounds = tuple((scaled_int(lo), scaled_int(hi)) for lo, hi in r_bounds)
+        self.margin = scaled_int(margin)
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
         if self.i_min + self.margin > self.i_max - self.margin:
@@ -771,10 +771,10 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     results = []
     flags = []
     t_b_of, g, h = {}, {}, {}  # free of s: filled for the first s needing them
+    s_values = [scaled_int(s) for s in s_values]
+    if min(s_values, default=1) < 1:
+        raise ValueError("truncation length must be a positive integer")
     for s in s_values:
-        s = int(s)
-        if s < 1:
-            raise ValueError("truncation length must be a positive integer")
         js = range(s + 1)
         t_a = [raising_operator(params, s, basis_element(params, j, (0, 0))) for j in js]
         for j in js:
@@ -857,7 +857,7 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     all_ok = all(e["ok"] for e in results)
     return _report(
         "factorization", params, None, "pass" if all_ok else "fail",
-        {"s_values": [int(s) for s in s_values], "results": results, "flags": flags},
+        {"s_values": s_values, "results": results, "flags": flags},
     )
 
 
@@ -874,14 +874,9 @@ def gt_obstruction(params: Params, window: Window) -> dict:
     that factors into index-linear forms, each a constant shift of one of
     the ten non-integrality conditions.  So under those conditions the
     leakage never vanishes: no basis of the window can diagonalize all
-    three composites simultaneously.  A point where one of the ten
-    conditions fails is refused.
+    three composites simultaneously.  The genericity gate refuses
+    symbolic parameters and a point where one of the ten conditions fails.
     """
-    if not params.is_numeric():
-        return _report(
-            "gt-obstruction", params, window, "refused",
-            {"reason": "numeric parameters required for the window scan"},
-        )
     refusal, _ = _genericity_gate("gt-obstruction", params, window)
     if refusal is not None:
         return refusal
@@ -1094,7 +1089,7 @@ def act_report(params: Params, word_text: str, x: ModuleElement) -> dict:
 
 
 def proof_report(s_values: Sequence[int]) -> dict:
-    body = proof_identity_report([int(s) for s in s_values])
+    body = proof_identity_report([scaled_int(s) for s in s_values])
     verdict = "pass" if body.pop("ok") else "fail"
     return _report(
         "proof-identities", Params.symbolic(with_iota_index=True), None, verdict, body

@@ -25,6 +25,7 @@ from wittmod.engine import (
     gt_central_check,
     gt_obstruction,
     nullspace,
+    proof_report,
     recursion_factorization_oracle,
     witt_consistency_report,
 )
@@ -70,6 +71,34 @@ def test_window_validation():
         Window(0, 1, ((0, 1), (0, 1)), margin=-1)
     with pytest.raises(ValueError):
         Window(0, 1, ((0, 1), (0, 1)), margin=2)  # inner box empty
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (0.5, 2.7, ((-1.9, 1.2), (0, 0))),
+        (0, 2, ((-1, Fraction(3, 2)), (0, 0))),
+        (0, 2, ((-1, 1), (0, 0)), Fraction(1, 2)),
+    ],
+    ids=["floats", "fraction-bound", "fraction-margin"],
+)
+def test_window_refuses_non_integral_bounds(bounds):
+    with pytest.raises(ValueError):
+        Window(*bounds)
+
+
+def test_window_accepts_integral_fractions():
+    w = Window(Fraction(-2, 2), Fraction(4, 2), ((0, Fraction(3)), (0, 0)))
+    assert w.to_json() == {"i": [-1, 2], "r": [[0, 3], [0, 0]], "margin": 0}
+    assert all(type(v) is int for v in (w.i_min, w.i_max, *w.r_bounds[0]))
+
+
+def test_truncation_lengths_must_be_integers():
+    with pytest.raises(ValueError):
+        recursion_factorization_oracle([Fraction(3, 2)])
+    with pytest.raises(ValueError):
+        proof_report([2.5])
+    assert recursion_factorization_oracle([Fraction(2, 2)])["s_values"] == [1]
 
 
 # -- row reduction ------------------------------------------------------------
@@ -731,6 +760,12 @@ def test_gt_obstruction_covers_only_integral_shifts(monkeypatch):
             None,
             {"condition": "a1-b-l", "sign": -1, "shift": "2"},
         ]
+
+
+def test_gt_obstruction_refuses_symbolic_params_at_the_gate():
+    doc = gt_obstruction(Params.symbolic(), Window(0, 0, ((0, 0), (0, 0))))
+    assert doc["verdict"] == "refused"
+    assert doc["reason"] == "symbolic parameters: genericity is undecidable"
 
 
 def test_gt_central_degree_one():

@@ -7,6 +7,7 @@ import pytest
 
 from wittmod import sl3
 from wittmod.glmod import bracket_residual, bracket_residuals
+from wittmod.engine import Window
 from wittmod.sl3 import (
     CONDITION_NAMES,
     DEGENERATE_VALUES,
@@ -277,6 +278,41 @@ def test_embedding_agrees_per_generator(name):
 def test_embedding_sweep_symbolic():
     rep = verify_embedding(SYM, [(0, 0), (2, -1)], range(-1, 2))
     assert rep["ok"], rep["failures"][:3]
+
+
+def _row_mutations():
+    """(generator, row) for each one-field change of a GENERATORS row that
+    alters it: the sign, u swapped, either component of r, and per formula
+    entry its index offset, its parameter part (+b) and each integer
+    coefficient."""
+    for g, row in sl3.GENERATORS.items():
+        sign, u, r, formula = row
+        rows = [
+            (-sign, u, r, formula),
+            (sign, u[::-1], r, formula),
+            (sign, u, (r[0] + 1, r[1]), formula),
+            (sign, u, (r[0], r[1] + 1), formula),
+        ]
+        for n, (off, part, ks) in enumerate(formula):
+            entries = [(off + 1, part, ks), (off, lambda p, part=part: part(p) + p.b, ks)]
+            entries += [(off, part, ks[:k] + (ks[k] + 1,) + ks[k + 1:]) for k in range(3)]
+            rows += [(sign, u, r, formula[:n] + (e,) + formula[n + 1:]) for e in entries]
+        yield from ((g, mutated) for mutated in rows if mutated != row)
+
+
+def test_embedding_check_catches_every_table_mutation(monkeypatch):
+    # act_gen and act_embedded read the same row, so the cross-check sees
+    # a change in any field of it, the shared shift r included
+    window = Window.symmetric(1, 1, 1)
+    points, indices = window.points(), window.indices()
+    mutations = list(_row_mutations())
+    # u = (1, 1) of E13, E23 and E33 is its own swap; 13 formula entries
+    assert len(mutations) == 9 * 4 - 3 + 13 * 5
+    for g, row in mutations:
+        with monkeypatch.context() as m:
+            m.setitem(sl3.GENERATORS, g, row)
+            assert not verify_embedding(SYM, points, indices)["ok"], (g, row)
+    assert verify_embedding(SYM, points, indices)["ok"]
 
 
 # -- genericity -------------------------------------------------------------
