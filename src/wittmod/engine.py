@@ -44,6 +44,7 @@ from .sl3 import (
     basis_element,
     check_generic,
     condition_values,
+    integer_action,
     lowering_operator,
     parse_word,
     proof_identity_report,
@@ -156,23 +157,18 @@ def _primitive(row: dict) -> dict:
     return {k: v // g for k, v in row.items()}
 
 
-def _add_multiple(out: dict, factor: int, pairs) -> None:
-    """out += factor * pairs on integer sparse rows; a zero sum drops the key."""
-    for k, v in pairs:
-        s = out.get(k, 0) + factor * v
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-
-
 def _eliminate(row: dict, pivot, r: dict) -> dict:
     """A positive multiple of ``row`` minus a multiple of ``r``, zero at ``pivot``."""
     pv, cf = r[pivot], row[pivot]
     g = gcd(pv, cf)
-    pv //= g
+    pv, cf = pv // g, cf // g
     out = {k: pv * v for k, v in row.items()}
-    _add_multiple(out, -(cf // g), r.items())
+    for k, v in r.items():
+        s = out.get(k, 0) - cf * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
     return out
 
 
@@ -236,33 +232,6 @@ DEFAULT_WORD_NAMES = (
 )
 DEFAULT_WORDS = tuple(parse_word(w) for w in DEFAULT_WORD_NAMES)
 
-@lru_cache(maxsize=2)
-def _column_table(key: tuple) -> dict:
-    """The integer word columns of one numeric parameter point
-    ``key = (lam, b, c, a1, a2)``, filled in by ``closure``:
-    {letters: {pt: {idx: (i0, c0, i1, c1, ...)}}}.  The two most recently
-    used points are kept, so alternating between a generic and a
-    degenerate point rebuilds neither table."""
-    return {}
-
-
-def _word_column(params: Params, letters, idx: int, pt, scale: int) -> tuple:
-    """v_idx(pt) under the word times scale**len(letters), flattened to
-    (index, integer coefficient) pairs.
-
-    ``scale`` is the lcm of the parameter denominators.  Every generator
-    coefficient is an integer linear form in (lam, b, c, a1, a2), so each
-    coefficient of the word's image times ``scale**len(letters)`` is an
-    integer; ``scaled_int`` checks that, never rounds.
-    """
-    y = act_word(params, letters, basis_element(params, idx, pt))
-    factor = scale ** len(letters)
-    flat = []
-    for (i, _), cf in y.terms.items():
-        flat += (i, scaled_int(cf, factor))
-    return tuple(flat)
-
-
 def _closure_stats(basis: SubspaceBasis, rounds: int, processed: int, exhausted: bool) -> dict:
     return {
         "rounds": rounds,
@@ -300,10 +269,11 @@ def closure(params: Params, seeds, words, window: Window, stop_at=None):
     keeps such edge effects away from any inner-window conclusion.
 
     The arithmetic is exact and fraction-free.  Rows are primitive
-    integer rows (``SubspaceBasis``), and a word is applied through
-    memoised integer columns, each the word's image of one basis vector
-    scaled to clear the parameter denominators; scaling a row leaves its
-    span unchanged.  Parameters must therefore be numeric.
+    integer rows (``SubspaceBasis``), and a word is applied to a whole
+    row at once by ``integer_action``, straight from the generator table
+    with every coefficient scaled by the lcm of the parameter
+    denominators; scaling a row leaves its span unchanged.  Parameters
+    must therefore be numeric.
 
     ``stop_at = (idx, pt)`` ends the closure as soon as v_idx(pt) lies in
     the span: it is tested once the seed rows are in and after each new
@@ -321,12 +291,9 @@ def closure(params: Params, seeds, words, window: Window, stop_at=None):
     if not params.is_numeric():
         raise ValueError("closure needs numeric parameters")
     alpha = params.alpha()
-    scale = common_denominator(params.values().values())
-    table = _column_table((params.lam, params.b, params.c, params.a1, params.a2))
+    apply = integer_action(params, common_denominator(params.values().values()))
     applied = [
-        (letters, table.setdefault(letters, {}), word_shift(letters))
-        for letters in words
-        if any(i != j for i, j in letters)
+        (letters, word_shift(letters)) for letters in words if any(i != j for i, j in letters)
     ]
     i_min, i_max = window.i_min, window.i_max
     (lo1, hi1), (lo2, hi2) = window.r_bounds
@@ -358,24 +325,14 @@ def closure(params: Params, seeds, words, window: Window, stop_at=None):
         _, _, depth, pt, row = heapq.heappop(heap)
         processed += 1
         rounds = max(rounds, depth + 1)
-        for letters, cols, (d1, d2) in applied:
+        for letters, (d1, d2) in applied:
             t1, t2 = pt[0] + d1, pt[1] + d2
             if not (lo1 <= t1 <= hi1 and lo2 <= t2 <= hi2):
                 continue
             tpt = (t1, t2)
             if len(by_point.get(tpt, ())) == full_rank:
                 continue
-            at_pt = cols.get(pt)
-            if at_pt is None:
-                at_pt = cols[pt] = {}
-            image = {}
-            for i, cf in row.items():
-                col = at_pt.get(i)
-                if col is None:
-                    col = at_pt[i] = _word_column(params, letters, i, pt, scale)
-                flat = iter(col)
-                _add_multiple(image, cf, zip(flat, flat))
-            trow = {i: v for i, v in image.items() if i_min <= i <= i_max}
+            trow = {i: v for i, v in apply(letters, row, pt).items() if i_min <= i <= i_max}
             if not trow:
                 continue
             ins = basis.insert(tpt, trow)
@@ -657,26 +614,30 @@ def find_singular_vectors(params: Params, window: Window) -> list:
     """Joint kernel of E31 and E32 on each lattice point of the window.
 
     Computed as an honest nullspace of the stacked coefficient matrices,
-    then certified by applying both operators to every solution.
+    whose columns are the ``integer_action`` images of the basis vectors,
+    then certified through ``act_gen``: at each point the columns must sum
+    to the scaled image of the sum of the basis vectors, and both
+    operators must kill every solution.
     """
+    scale = common_denominator(params.values().values())
+    apply = integer_action(params, scale)
+    alpha = params.alpha()
     indices = window.indices()
     found = []
     for pt in window.points():
         rows = []
         for (i, j) in SINGULAR_OPS:
             # E_ij v_idx(pt) lies at the one point pt + shift(E_ij)
-            cols = []
-            for idx in indices:
-                y = act_gen(params, i, j, basis_element(params, idx, pt))
-                cols.append({k: cf for (k, _), cf in y.terms.items()})
-            out_indices = sorted({k for col in cols for k in col})
-            for k in out_indices:
-                rows.append([col.get(k, Fraction(0)) for col in cols])
+            cols = [apply(((i, j),), {idx: 1}, pt) for idx in indices]
+            whole = act_gen(params, i, j, ModuleElement(alpha, {(idx, pt): 1 for idx in indices}))
+            expected = {k: scaled_int(cf, scale) for (k, _), cf in whole.terms.items()}
+            for k in sorted({k for col in cols for k in col}.union(expected)):
+                row = [col.get(k, 0) for col in cols]
+                if sum(row) != expected.get(k, 0):
+                    raise AssertionError("integer images disagree with act_gen")
+                rows.append(row)
         for vec in nullspace(rows, len(indices)):
-            terms = {
-                (indices[t], pt): cf for t, cf in enumerate(vec) if not coeff_is_zero(cf)
-            }
-            x = ModuleElement(params.alpha(), terms)
+            x = ModuleElement(alpha, {(indices[t], pt): cf for t, cf in enumerate(vec)})
             for (i, j) in SINGULAR_OPS:
                 if not act_gen(params, i, j, x).is_zero():
                     raise AssertionError("nullspace certification failed")
@@ -749,6 +710,14 @@ def _monic_obstruction(q: Scalar) -> Scalar:
     return Scalar(q.num - q.den) / q.den.leading_coeff()
 
 
+def _truncation_lengths(s_values: Sequence[int]) -> list:
+    """The truncation lengths as ints; refuses an empty list or a non-positive length."""
+    s_values = [scaled_int(s) for s in s_values]
+    if min(s_values, default=0) < 1:
+        raise ValueError("truncation lengths must be a non-empty list of positive integers")
+    return s_values
+
+
 def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     """Obstruction polynomial for the two-route coefficient recursion.
 
@@ -771,9 +740,7 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     results = []
     flags = []
     t_b_of, g, h = {}, {}, {}  # free of s: filled for the first s needing them
-    s_values = [scaled_int(s) for s in s_values]
-    if min(s_values, default=1) < 1:
-        raise ValueError("truncation length must be a positive integer")
+    s_values = _truncation_lengths(s_values)
     for s in s_values:
         js = range(s + 1)
         t_a = [raising_operator(params, s, basis_element(params, j, (0, 0))) for j in js]
@@ -1089,7 +1056,7 @@ def act_report(params: Params, word_text: str, x: ModuleElement) -> dict:
 
 
 def proof_report(s_values: Sequence[int]) -> dict:
-    body = proof_identity_report([scaled_int(s) for s in s_values])
+    body = proof_identity_report(_truncation_lengths(s_values))
     verdict = "pass" if body.pop("ok") else "fail"
     return _report(
         "proof-identities", Params.symbolic(with_iota_index=True), None, verdict, body

@@ -38,6 +38,7 @@ from .scalars import (
     coeff_is_zero,
     coeff_to_text,
     parse_rational,
+    scaled_int,
 )
 from .tensor import ModuleElement, WittGenerator, act_witt, element_to_json
 
@@ -134,6 +135,7 @@ def _check_alpha(params: Params, x: ModuleElement):
 # closed formula.  A formula entry (offset, part, (k_idx, k_r1, k_r2))
 # contributes, on v_idx(r1, r2),
 #     (part(params) + k_idx*idx + k_r1*r1 + k_r2*r2) * v_{idx+offset}((r1, r2) + r)
+# where part is a linear form in the parameters without a constant term.
 GENERATORS = {
     (1, 1): (1, (1, 0), (0, 0), ((0, lambda p: p.a1, (0, 1, 0)),)),
     (1, 2): (1, (0, 1), (1, -1), (
@@ -183,6 +185,36 @@ def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
         for off, base, ki, k1, k2 in entries:
             add_term(out, (idx + off, pt), coeff * (base + (ki * idx + k1 * r1 + k2 * r2)))
     return ModuleElement(x.alpha, out)
+
+
+def integer_action(params: Params, scale: int):
+    """``apply(letters, row, pt)``: scale**len(letters) times the word's
+    image of the sparse int row {idx: coefficient} at ``pt``, a sparse int
+    row at ``pt + word_shift(letters)``.  Parameter parts have no constant
+    term, so they are evaluated on the parameters times ``scale``, made
+    ints by ``scaled_int``, which refuses a scale that leaves a denominator."""
+    ints = Params(*(scaled_int(v, scale) for v in params.values().values()))
+    table = {
+        g: (s1, s2, tuple(
+            (off, part(ints), scale * ki, scale * k1, scale * k2)
+            for off, part, (ki, k1, k2) in formula
+        ))
+        for g, (_, _, (s1, s2), formula) in GENERATORS.items()
+    }
+
+    def apply(letters, row: dict, pt) -> dict:
+        r1, r2 = pt
+        for g in reversed(letters):
+            s1, s2, entries = table[g]
+            out = {}
+            for off, part, ki, k1, k2 in entries:
+                base = part + k1 * r1 + k2 * r2
+                for i, cf in row.items():
+                    out[i + off] = out.get(i + off, 0) + cf * (base + ki * i)
+            row, r1, r2 = out, r1 + s1, r2 + s2
+        return {i: cf for i, cf in row.items() if cf}
+
+    return apply
 
 
 def act_embedded(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:

@@ -38,6 +38,7 @@ from wittmod.sl3 import (
     act_word,
     basis_element,
     check_generic,
+    integer_action,
     parse_word,
     verify_embedding,
     verify_sl3_brackets,
@@ -240,68 +241,53 @@ def test_closure_rejects_bad_seeds():
         closure(NUM, [ModuleElement.zero(NUM.alpha())], [], w)
 
 
-def _point_key(params):
-    return (params.lam, params.b, params.c, params.a1, params.a2)
-
-
 # scale**len(word) clears the parameter denominators: lcm(7, 11, 13, 17, 19)
 # at the defaults, lcm(7, 11, 13, 77, 77) at the degenerate preset
 @pytest.mark.parametrize(
     "params, scale", [(NUM, 323323), (DEG, 1001)], ids=["default", "degenerate"]
 )
-def test_word_columns_are_scaled_word_images(params, scale):
-    engine._column_table.cache_clear()
-    closure(params, [basis_element(params, 0, (0, 0))], DEFAULT_WORDS, Window.symmetric(1, 1, 1))
-    assert engine._column_table.cache_info().currsize == 1
-    table = engine._column_table(_point_key(params))
-    # words of diagonal generators act on each point by a scalar and are never applied
-    assert set(table) == {w for w in DEFAULT_WORDS if any(i != j for i, j in w)}
-    columns = [
-        (letters, idx, pt, stored)
-        for letters, by_point in table.items()
-        for pt, at_pt in by_point.items()
-        for idx, stored in at_pt.items()
-    ]
-    assert all(table[letters] for letters in table)
-    columns += [
-        (letters, idx, pt, engine._word_column(params, letters, idx, pt, scale))
-        for letters in DEFAULT_WORDS
-        for idx, pt in ((0, (0, 0)), (-3, (2, -1)), (4, (-4, 3)))
-    ]
-    for letters, idx, pt, stored in columns:
-        flat = iter(stored)
-        col = dict(zip(flat, flat))
-        y = act_word(params, letters, basis_element(params, idx, pt))
+def test_integer_images_are_scaled_word_images(params, scale):
+    apply = integer_action(params, scale)
+    # one-term rows at the centre and at window-edge indices, and a
+    # multi-term row; the words cover one- and two-entry generator rows
+    rows = [({0: 1}, (0, 0)), ({-3: 1}, (2, -1)), ({4: 1}, (-4, 3)), ({-4: 2, 0: -3, 4: 5}, (4, -4))]
+    for letters, (row, pt) in product(DEFAULT_WORDS, rows):
+        x = ModuleElement(params.alpha(), {(i, pt): cf for i, cf in row.items()})
+        y = act_word(params, letters, x)
+        assert y.support_points() <= {tuple(map(sum, zip(pt, word_shift(letters))))}
         expected = {i: cf * scale ** len(letters) for (i, _), cf in y.terms.items()}
-        assert all(type(v) is int for v in col.values()) and col == expected
+        image = apply(letters, row, pt)
+        assert all(type(v) is int for v in image.values()) and image == expected
 
 
-def test_word_column_refuses_a_scale_that_leaves_a_denominator():
-    # scale 1 leaves the defaults' denominators in E12's image: refused, not rounded
-    with pytest.raises(ValueError, match="not an integer"):
-        engine._word_column(NUM, parse_word("E12"), 0, (0, 0), 1)
+def test_integer_action_refuses_a_scale_that_leaves_a_denominator():
+    # scale 1, or one that misses a2's 19, leaves a denominator in the
+    # generators' parameter parts: refused, not rounded
+    for scale in (1, 323323 // 19):
+        with pytest.raises(ValueError, match="not an integer"):
+            integer_action(NUM, scale)
 
 
-def test_word_column_table_is_warm_neutral_and_keeps_two_points():
-    w = Window.symmetric(2, 2, 2, 1)
-    seed = basis_element(NUM, 1, (0, 1))
-    table = engine._column_table
-    table.cache_clear()
-    cold = closure(NUM, [seed], DEFAULT_WORDS, w)
-    warm = closure(NUM, [seed], DEFAULT_WORDS, w)
-    assert cold[0].by_point == warm[0].by_point and cold[1] == warm[1]
-    assert (table.cache_info().hits, table.cache_info().misses) == (1, 1)
-    # NUM, DEG, NUM again, then a third point: DEG is the least recently
-    # used and the one evicted, and both kept tables are still filled
-    other = Params.numeric({"l": Fraction(1, 5)})
-    for params in (DEG, NUM, other):
-        closure(params, [basis_element(params, 0, (0, 0))], DEFAULT_WORDS, w)
-    assert table.cache_info().currsize == 2
-    hits = table.cache_info().hits
-    assert table(_point_key(NUM)) and table(_point_key(other))
-    assert table.cache_info().hits == hits + 2
-    assert table(_point_key(DEG)) == {}  # rebuilt from empty
-    assert table.cache_info().hits == hits + 2
+@pytest.mark.parametrize("corrupt", [lambda v: 0, lambda v: v + 1], ids=["dropped", "shifted"])
+def test_singular_vectors_check_integer_images_against_act_gen(monkeypatch, corrupt):
+    # at the degenerate preset E32 kills v_0(1, 0) and E31 does not, so
+    # dropping E31's entry there would make v_0(1, 0) a false singular vector
+    real = engine.integer_action
+
+    def corrupted(params, scale):
+        apply = real(params, scale)
+
+        def image(letters, row, pt):
+            out = apply(letters, row, pt)
+            if (letters, row, pt) == (((3, 1),), {0: 1}, (1, 0)):
+                out[0] = corrupt(out[0])
+            return out
+
+        return image
+
+    monkeypatch.setattr(engine, "integer_action", corrupted)
+    with pytest.raises(AssertionError, match="disagree with act_gen"):
+        find_singular_vectors(DEG, Window.symmetric(2, 2, 2))
 
 
 # -- generation and irreducibility --------------------------------------------
@@ -490,12 +476,17 @@ def test_cli_irreducible_anchor_seed_passes(capsys):
         lambda: verify_embedding(NUM, [(0, 0)], []),
         lambda: verify_d_intertwines((1, 0), (0, 1), NUM.alpha(), [], 2, 0, WEDGES2),
         lambda: verify_d_intertwines((1, 0), (0, 1), NUM.alpha(), iter(()), 2, 0, WEDGES2),
+        lambda: proof_report([]),
+        lambda: proof_report([0]),
+        lambda: proof_report([-1]),
+        lambda: recursion_factorization_oracle([]),
     ],
     ids=[
         "witt-trials", "witt-jacobi", "witt-no-trials", "derham-box", "derham-uv", "irreducible",
         "derham-uv-zero", "irreducible-no-seeds", "sl3-brackets-no-points",
         "sl3-brackets-no-indices", "embedding-no-points", "embedding-no-indices",
-        "d-intertwines-no-box", "d-intertwines-empty-iterator",
+        "d-intertwines-no-box", "d-intertwines-empty-iterator", "proof-no-lengths",
+        "proof-zero-length", "proof-negative-length", "factorization-no-lengths",
     ],
 )
 def test_engine_rejects_counts_without_evidence(run):
