@@ -32,6 +32,7 @@ from .scalars import (
     factor_polynomial,
     scalar_to_text,
     scaled_int,
+    shift_iota_split,
 )
 from .sl3 import (
     CONDITION_NAMES,
@@ -136,8 +137,15 @@ def _integer_row(row: dict) -> dict:
     """Integer multiple of a rational row, zero entries dropped.
 
     Only exact rationals are accepted: a float would make every later
-    dependence test an inexact comparison with zero.
+    dependence test an inexact comparison with zero.  A row of nonzero
+    ints, such as every closure image, is returned as it is; callers
+    build new rows from it and never store it.
     """
+    for v in row.values():
+        if type(v) is not int or not v:
+            break
+    else:
+        return row
     den = 1
     for v in row.values():
         if type(v) is not int:
@@ -843,13 +851,19 @@ def gt_obstruction(params: Params, window: Window) -> dict:
     leakage never vanishes: no basis of the window can diagonalize all
     three composites simultaneously.  The genericity gate refuses
     symbolic parameters and a point where one of the ten conditions fails.
+
+    A word reads the lattice point r only through a1 + r1 and a2 + r2, so
+    sympy factors its coefficient at the first point r0 only: the split
+    at r is that one with a1, a2 shifted by r - r0, certified by
+    multiplying back to the coefficient computed at r, which is factored
+    directly where the product differs.
     """
     refusal, _ = _genericity_gate("gt-obstruction", params, window)
     if refusal is not None:
         return refusal
     sym = Params.symbolic(with_iota_index=True)
     cond_scalars = condition_values(Params.symbolic().values())
-    factored = {}  # each distinct kappa is factored once; the operators share them
+    factored = {}  # kappa -> its split, each distinct kappa split once
     ops = []
     all_ok = True
     for word_text, direction in GT_OBSTRUCTION_OPS:
@@ -876,12 +890,20 @@ def gt_obstruction(params: Params, window: Window) -> dict:
                     first_failure = {"index": idx, "r": list(pt), "problem": bad}
         factor_reports = []
         factors_ok = True
+        p0 = kappa0 = None  # the word's first point and kappa
         for pt in window.points():
             kappa = act_word(sym, letters, basis_element(sym, 0, pt)).coefficient(
                 direction, pt
             )
+            if p0 is None:
+                p0, kappa0 = pt, kappa
             if kappa not in factored:
-                factored[kappa] = factor_linear_in_iota(kappa)
+                # the first kappa's split, shifted to pt, where it multiplies
+                # back to kappa; else kappa is factored
+                base = factored.get(kappa0)
+                shifts = {"a1": pt[0] - p0[0], "a2": pt[1] - p0[1]}
+                split = base and shift_iota_split(base, shifts, kappa)
+                factored[kappa] = split or factor_linear_in_iota(kappa)
             if factored[kappa] is None:
                 factors_ok = False
                 factor_reports.append({"r": list(pt), "factors": None})

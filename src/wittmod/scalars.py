@@ -6,9 +6,13 @@ Two layers of exact arithmetic:
   integers in the six parameter symbols ``l, b, c, a1, a2, iota``, with
   a fixed graded-lexicographic monomial order (symbol order l < b < c <
   a1 < a2 < iota; iota is the largest symbol).  Every coefficient is an
-  ``int``.  Gcds, the cofactors that reduce a Scalar and factorizations
-  are computed in sympy's sparse polynomial ring over ZZ, built with the
-  same order on first use.
+  ``int``.  Gcds, factorizations and symbol shifts are computed in
+  sympy's sparse polynomial ring over ZZ, built with the same order on
+  first use; the reports print factors in the order this ring gives
+  them.  Only the cofactors that reduce a Scalar are taken in a
+  lex-ordered copy of the ring: a gcd does not depend on the order,
+  lex spares heugcd sympy's Python-level grlex key, and the one sign
+  the order does decide is fixed afterwards by the grlex rule below.
 * ``Scalar`` - the fraction field in canonically normalized form: a
   pair (num, den) of integer polynomials with no common factor, the
   integer content included, and den with a positive leading
@@ -204,24 +208,36 @@ _POLY_ONE = ParamPolynomial.const(1)
 
 
 @lru_cache(maxsize=None)
-def _ring():
+def _ring(order: str = "grlex"):
     # built on first use so that importing the package does not load sympy;
     # generators run from the largest symbol down, so grlex on the ring is
     # the order above and leading terms agree
     from sympy import ZZ
-    from sympy.polys.orderings import grlex
     from sympy.polys.rings import ring
 
-    return ring(",".join(reversed(SYMBOLS)), ZZ, grlex)[0]
+    return ring(",".join(reversed(SYMBOLS)), ZZ, order)[0]
 
 
-def _to_ring(p: ParamPolynomial):
+def _to_ring(p: ParamPolynomial, order: str = "grlex"):
     # terms are nonzero ints already, so the ring's dtype takes them unchecked
-    return _ring().dtype({e[::-1]: q for e, q in p.terms.items()})
+    return _ring(order).dtype({e[::-1]: q for e, q in p.terms.items()})
 
 
 def _from_ring(f) -> ParamPolynomial:
     return _poly({e[::-1]: int(q) for e, q in f.items()})
+
+
+def shift_symbols(x: "Scalar", shifts: Mapping[str, int]) -> "Scalar":
+    """x with each symbol s in ``shifts`` replaced by s + shifts[s]: a ring
+    automorphism that fixes the top-degree part, so it keeps coprimality,
+    the integer content and the leading term of a canonical pair."""
+    gens = dict(zip(reversed(SYMBOLS), _ring().gens))
+    subs = [(gens[s], gens[s] + d) for s, d in shifts.items()]
+
+    def sub(p):
+        return p if p.is_const() else _from_ring(_to_ring(p).compose(subs))
+
+    return _raw(sub(x.num), sub(x.den))
 
 
 def poly_gcd(a: ParamPolynomial, b: ParamPolynomial) -> ParamPolynomial:
@@ -244,7 +260,9 @@ def _canon(num: ParamPolynomial, den: ParamPolynomial):
         if g != 1:
             num, den = (_poly({e: c // g for e, c in p.terms.items()}) for p in (num, den))
     else:
-        g, n, d = _to_ring(num).cofactors(_to_ring(den))
+        # in the lex ring: the cofactors are the same up to one common
+        # sign, which the grlex sign rule below fixes
+        g, n, d = _to_ring(num, "lex").cofactors(_to_ring(den, "lex"))
         if g != 1:
             num, den = _from_ring(n), _from_ring(d)
     if den.leading_coeff() < 0:
@@ -476,7 +494,35 @@ def factor_linear_in_iota(x: Scalar) -> Optional[tuple]:
         else:
             pairs += [(-rho, 1)] * mult
             unit = unit * Scalar(a, f.den) ** mult
-    pairs.sort(key=lambda zs: [_grlex_key(e) for e, _ in zs[0].num.sorted_terms()])
+    pairs.sort(key=_pair_key)
+    return unit, tuple(pairs)
+
+
+def _pair_key(pair) -> list:
+    return [_grlex_key(e) for e, _ in pair[0].num.sorted_terms()]
+
+
+def shift_iota_split(split: tuple, shifts: Mapping[str, int], x: Scalar) -> Optional[tuple]:
+    """The ``factor_linear_in_iota`` split of x, read off ``split``, the
+    split of y, where x should be ``shift_symbols(y, shifts)``.
+
+    The shift fixes iota and keeps leading coefficients, so it maps each
+    irreducible factor of y to one of x, each pair's sign and the unit's
+    freedom from iota included; only the pair order is taken afresh.
+    Certified by multiplying back to x.  None when the product is not x,
+    or when two unequal pairs share a sort key, whose order
+    ``factor_linear_in_iota`` takes from sympy's factor order.
+    """
+    unit, pairs = split
+    unit = shift_symbols(unit, shifts)
+    pairs = sorted(((shift_symbols(zeta, shifts), sign) for zeta, sign in pairs), key=_pair_key)
+    prod = unit
+    for zeta, sign in pairs:
+        prod = prod * (zeta + IOTA if sign > 0 else zeta - IOTA)
+    if prod != x:
+        return None
+    if any(p != q and _pair_key(p) == _pair_key(q) for p, q in zip(pairs, pairs[1:])):
+        return None
     return unit, tuple(pairs)
 
 

@@ -135,7 +135,9 @@ def _check_alpha(params: Params, x: ModuleElement):
 # closed formula.  A formula entry (offset, part, (k_idx, k_r1, k_r2))
 # contributes, on v_idx(r1, r2),
 #     (part(params) + k_idx*idx + k_r1*r1 + k_r2*r2) * v_{idx+offset}((r1, r2) + r)
-# where part is a linear form in the parameters without a constant term.
+# where part is a linear form in the parameters without a constant term
+# whose lam, a1 and a2 coefficients are k_idx, k_r1 and k_r2: the
+# coefficient is part at (lam + idx, a1 + r1, a2 + r2).
 GENERATORS = {
     (1, 1): (1, (1, 0), (0, 0), ((0, lambda p: p.a1, (0, 1, 0)),)),
     (1, 2): (1, (0, 1), (1, -1), (

@@ -9,11 +9,13 @@ from itertools import product
 
 import pytest
 import sympy
+from sympy.polys.rings import PolyElement
 
-from wittmod import engine, tensor
+from wittmod import engine, sl3, tensor
 from wittmod.cli import main
 from wittmod.engine import (
     DEFAULT_WORDS,
+    GT_OBSTRUCTION_OPS,
     SubspaceBasis,
     Window,
     check_degenerate_reducibility,
@@ -31,7 +33,7 @@ from wittmod.engine import (
 )
 from wittmod.glmod import exterior_power
 from wittmod.report import canonical_json
-from wittmod.scalars import Scalar
+from wittmod.scalars import Scalar, factor_linear_in_iota, scalar_to_text, shift_iota_split
 from wittmod.sl3 import (
     DEGENERATE_VALUES,
     Params,
@@ -149,6 +151,29 @@ def test_closure_and_elimination_never_hold_floats():
     assert ker and all(type(v) is Fraction for vec in ker for v in vec)
     with pytest.raises(TypeError):
         sb.insert((0, 0), {2: 0.5})
+
+
+def test_subspace_basis_takes_int_rows_as_they_are_and_never_holds_them():
+    pt = (0, 0)
+    sb = SubspaceBasis()
+    row = {1: 2, 3: 4}
+    assert engine._integer_row(row) is row  # nonzero ints: no copy, no check per entry
+    assert sb.insert(pt, row) == {1: 1, 3: 2}
+    assert row == {1: 2, 3: 4}
+    row[1] = 5
+    assert sb.by_point[pt] == [(1, {1: 1, 3: 2})]
+    # a row that meets no stored pivot is stored as a new dict too
+    row = {0: 3, 2: -6}
+    red = sb.insert(pt, row)
+    assert red == {0: 1, 2: -2} and red is not row and sb.by_point[pt][0][1] is not row
+    # rows that are not nonzero ints: zeros dropped, Fractions cleared,
+    # inexact and symbolic entries refused
+    assert sb.reduce(pt, {0: 0, 4: 5}) == {4: 1}
+    assert sb.reduce(pt, {4: Fraction(1, 2), 5: Fraction(3)}) == {4: 1, 5: 6}
+    for bad in (0.5, Scalar.sym("c")):
+        with pytest.raises(TypeError):
+            sb.insert(pt, {4: 1, 5: bad})
+    assert sb.rank(pt) == 2
 
 
 def test_subspace_rank_matches_sympy():
@@ -702,18 +727,27 @@ def test_oracle_flags_factors_that_match_no_reference(monkeypatch):
 # -- Gelfand-Tsetlin checks ------------------------------------------------------
 
 
+def _count_factorizations(monkeypatch) -> list:
+    # every sympy factorization, whichever function asks for it
+    calls = []
+    factor_list = PolyElement.factor_list
+    monkeypatch.setattr(PolyElement, "factor_list", lambda f: calls.append(f) or factor_list(f))
+    return calls
+
+
 def test_gt_obstruction_report(monkeypatch):
     kappas = []
-    factor = engine.factor_linear_in_iota
-
-    def counted(kappa):
-        kappas.append(kappa)
-        return factor(kappa)
-
-    monkeypatch.setattr(engine, "factor_linear_in_iota", counted)
+    factor, shift = engine.factor_linear_in_iota, engine.shift_iota_split
+    monkeypatch.setattr(engine, "factor_linear_in_iota", lambda k: kappas.append(k) or factor(k))
+    monkeypatch.setattr(
+        engine, "shift_iota_split", lambda sp, d, k: kappas.append(k) or shift(sp, d, k)
+    )
+    factorizations = _count_factorizations(monkeypatch)
     doc = gt_obstruction(NUM, Window.symmetric(4, 2, 2))
-    # 3 operators x 25 points share 15 distinct kappas, each factored once
+    # 3 operators x 25 points share 15 distinct kappas, each split once;
+    # sympy factors one per word, and the others are shifts of it
     assert len(kappas) == len(set(kappas)) == 15
+    assert len(factorizations) == 3
     assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == (
         "84e9724b32436b853eaef4251bc2bcf70a6010f55b263377b429132a2585af42"
     )
@@ -731,6 +765,49 @@ def test_gt_obstruction_report(monkeypatch):
             for fac in pt["factors"]:
                 cov = fac["covered_by"]
                 assert cov is not None and Fraction(cov["shift"]).denominator == 1
+
+
+def _split_text(split):
+    unit, pairs = split
+    return scalar_to_text(unit), [(scalar_to_text(z), sign) for z, sign in pairs]
+
+
+@pytest.mark.parametrize("radii", [(4, 2, 2), (3, 3, 3), (2, 4, 1)])
+def test_shifted_kappa_splits_are_the_factored_ones(radii):
+    sym = Params.symbolic(with_iota_index=True)
+    direct = {}
+    for word_text, direction in GT_OBSTRUCTION_OPS:
+        letters = parse_word(word_text)
+        points = Window.symmetric(*radii).points()
+        kappas = [
+            act_word(sym, letters, basis_element(sym, 0, pt)).coefficient(direction, pt)
+            for pt in points
+        ]
+        base = factor_linear_in_iota(kappas[0])
+        for pt, kappa in zip(points, kappas):
+            shifts = {"a1": pt[0] - points[0][0], "a2": pt[1] - points[0][1]}
+            got = shift_iota_split(base, shifts, kappa)
+            if kappa not in direct:
+                direct[kappa] = factor_linear_in_iota(kappa)
+            assert got == direct[kappa], (word_text, pt)
+            assert _split_text(got) == _split_text(direct[kappa])
+
+
+def test_gt_obstruction_factors_kappas_of_a_word_that_is_no_shift(monkeypatch):
+    # E21's second entry reading r1 twice: E12*E21's kappas are no longer
+    # shifts of its first one, so each is factored directly
+    sign, u, r, (entry, (off, part, (k_idx, _, k_r2))) = sl3.GENERATORS[(2, 1)]
+    monkeypatch.setitem(
+        sl3.GENERATORS, (2, 1), (sign, u, r, (entry, (off, part, (k_idx, 2, k_r2))))
+    )
+    factorizations = _count_factorizations(monkeypatch)
+    doc = gt_obstruction(NUM, Window.symmetric(4, 2, 2))
+    # recorded with this mutation when every kappa was factored directly
+    assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == (
+        "3e4aafb777fc82d8955d2a80f2aa3082d34cdc278d6581d2102718dfae609340"
+    )
+    # E12*E21's 5 distinct kappas, and one for each other word
+    assert len(factorizations) == 5 + 2
 
 
 def test_gt_obstruction_covers_only_integral_shifts(monkeypatch):

@@ -37,6 +37,8 @@ from wittmod.scalars import (
     poly_to_text,
     scalar_to_text,
     scaled_int,
+    shift_iota_split,
+    shift_symbols,
 )
 
 # -- pinned arithmetic ---------------------------------------------------
@@ -584,6 +586,54 @@ def test_printer_and_factor_order_on_integer_content():
         unit, got = factor_polynomial(x)
         assert scalar_to_text(unit) == "6"
         assert [(scalar_to_text(f), m) for f, m in got] == [(f, 1) for f in factors]
+
+
+shift_amounts = st.fixed_dictionaries(
+    {"a1": st.integers(-3, 3), "a2": st.integers(-3, 3), "c": st.integers(-3, 3)}
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars, scalars, shift_amounts)
+def test_shift_symbols_is_a_ring_map_onto_canonical_pairs(x, y, shifts):
+    # s -> s + shifts[s] on the generators, and + - * / go through; the
+    # images are canonical pairs with no gcd taken
+    def shift(z):
+        return shift_symbols(z, shifts)
+
+    assert [shift(s) for s in (L, B, C, A1, A2, IOTA)] == [
+        L, B, C + shifts["c"], A1 + shifts["a1"], A2 + shifts["a2"], IOTA
+    ]
+    values = [x, x + y, x * y]
+    if not y.is_zero():
+        values += [x / y, (x + 1) / y]
+    for z in values:
+        w = shift(z)
+        _assert_canonical(w.num, w.den)
+        assert (w.den is scalars_module._POLY_ONE) == (z.den is scalars_module._POLY_ONE)
+        assert shift_symbols(w, {s: -d for s, d in shifts.items()}) == z
+    assert shift(x + y) == shift(x) + shift(y) and shift(x * y) == shift(x) * shift(y)
+    if not y.is_zero():
+        assert shift(x / y) == shift(x) / shift(y)
+
+
+def test_shift_iota_split_reads_the_split_of_the_shifted_scalar():
+    x = 2 * (C + L) * (C + IOTA) * (A1 - B - IOTA) * (A2 * IOTA + B)
+    shifts = {"a1": 2, "a2": -1}
+    moved = 2 * (C + L) * (C + IOTA) * (A1 + 2 - B - IOTA) * ((A2 - 1) * IOTA + B)
+    got = shift_iota_split(factor_linear_in_iota(x), shifts, moved)
+    assert got == factor_linear_in_iota(moved)
+    assert scalar_to_text(got[0]) == "2*c*a2 + 2*l*a2 - 2*c - 2*l"
+    assert [(scalar_to_text(z), s) for z, s in got[1]] == [
+        ("(b)/(a2 - 1)", 1), ("c", 1), ("a1 - b + 2", -1)
+    ]
+    # not the shifted scalar: refused, never passed off as its split
+    assert shift_iota_split(factor_linear_in_iota(x), shifts, moved + 1) is None
+    # pairs (a1 + 1, 1) and (a1 + 1, -1) tie on the sort key, and their
+    # order in factor_linear_in_iota is sympy's factor order
+    y = (A1 + IOTA) * (A1 - IOTA)
+    moved = shift_symbols(y, {"a1": 1})
+    assert shift_iota_split(factor_linear_in_iota(y), {"a1": 1}, moved) is None
 
 
 def _assert_unit_denominators_shared(values):

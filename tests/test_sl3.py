@@ -8,6 +8,7 @@ import pytest
 from wittmod import sl3
 from wittmod.glmod import bracket_residual, bracket_residuals
 from wittmod.engine import Window
+from wittmod.scalars import ONE, SYMBOLS
 from wittmod.sl3 import (
     CONDITION_NAMES,
     DEGENERATE_VALUES,
@@ -298,6 +299,49 @@ def _row_mutations():
             entries += [(off, part, ks[:k] + (ks[k] + 1,) + ks[k + 1:]) for k in range(3)]
             rows += [(sign, u, r, formula[:n] + (e,) + formula[n + 1:]) for e in entries]
         yield from ((g, mutated) for mutated in rows if mutated != row)
+
+
+LINEAR = ("l", "a1", "a2")  # the symbols that idx, r1 and r2 shift
+
+
+def _entry_problems(g) -> list:
+    """The formula entries of GENERATORS[g], by position, whose parameter
+    part is not a linear form without constant term with the entry's
+    (k_idx, k_r1, k_r2) as its l, a1 and a2 coefficients, or is not the
+    coefficient of the Witt preimage's image of v_0(0, 0)."""
+    _, _, r, formula = sl3.GENERATORS[g]
+    image = act_embedded(SYM, *g, basis_element(SYM, 0, (0, 0)))
+    bad = []
+    for n, (off, part, ks) in enumerate(formula):
+        p = part(SYM)
+        terms = p.num.terms if p.den == ONE.den else {}
+        linear = bool(terms) and all(sum(e) == 1 for e in terms)
+        coeffs = tuple(terms.get(tuple(int(k == s) for k in SYMBOLS), 0) for s in LINEAR)
+        if not linear or coeffs != ks or image.coefficient(off, r) != p:
+            bad.append(n)
+    return bad
+
+
+def test_generator_entries_read_the_point_through_a1_and_a2_only(monkeypatch):
+    # part(params) + k_idx*idx + k_r1*r1 + k_r2*r2 is then part at
+    # (lam + idx, a1 + r1, a2 + r2): integer_action scales parts with no
+    # constant term, and gt_obstruction shifts one coefficient per word
+    assert {g: _entry_problems(g) for g in sl3.GENERATORS} == {g: [] for g in sl3.GENERATORS}
+    # any one-field change of an entry's part or integer coefficients
+    mutations = 0
+    for g, (sign, u, r, formula) in sl3.GENERATORS.items():
+        for n, (off, part, ks) in enumerate(formula):
+            # each integer coefficient + 1; the part + 1, + l, + b, + c, + a1, + a2
+            entries = [(off, part, ks[:k] + (ks[k] + 1,) + ks[k + 1:]) for k in range(3)]
+            adds = [lambda p: 1] + [lambda p, f=f: getattr(p, f) for f in Params.__slots__]
+            entries += [(off, lambda p, part=part, a=a: part(p) + a(p), ks) for a in adds]
+            for e in entries:
+                with monkeypatch.context() as m:
+                    row = (sign, u, r, formula[:n] + (e,) + formula[n + 1:])
+                    m.setitem(sl3.GENERATORS, g, row)
+                    assert _entry_problems(g) == [n], (g, n, e)
+                mutations += 1
+    assert mutations == 13 * 9
 
 
 def test_embedding_check_catches_every_table_mutation(monkeypatch):
