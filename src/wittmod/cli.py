@@ -79,19 +79,21 @@ def parse_int_list(text: str, what: str):
 def load_config(path: str) -> dict:
     values = {}
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}")
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                key, val = parse_param_line(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}")
-            values[key] = val
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config: {path}: {exc}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            key, val = parse_param_line(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}")
+        values[key] = val
     return values
 
 

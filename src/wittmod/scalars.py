@@ -6,13 +6,11 @@ Two layers of exact arithmetic:
   integers in the six parameter symbols ``l, b, c, a1, a2, iota``, with
   a fixed graded-lexicographic monomial order (symbol order l < b < c <
   a1 < a2 < iota; iota is the largest symbol).  Every coefficient is an
-  ``int``.  Gcds, factorizations and symbol shifts are computed in
-  sympy's sparse polynomial ring over ZZ, built with the same order on
-  first use; the reports print factors in the order this ring gives
-  them.  Only the cofactors that reduce a Scalar are taken in a
-  lex-ordered copy of the ring: a gcd does not depend on the order,
-  lex spares heugcd sympy's Python-level grlex key, and the one sign
-  the order does decide is fixed afterwards by the grlex rule below.
+  ``int``.  Gcds, factorizations and symbol shifts are computed in one
+  lex-ordered sparse polynomial ring of sympy's over ZZ, built on first
+  use.  Its order decides nothing that leaves this module: every sign,
+  every monic factor and every factor or pair order is taken from the
+  grlex order, so no printed byte depends on sympy's choices.
 * ``Scalar`` - the fraction field in canonically normalized form: a
   pair (num, den) of integer polynomials with no common factor, the
   integer content included, and den with a positive leading
@@ -24,10 +22,11 @@ Two layers of exact arithmetic:
   divides both parts by den's leading coefficient, so the text shows a
   monic denominator.
 
-Numeric computations bypass this module entirely and use ``Fraction``
-values directly; both types support the same arithmetic operators, so
-the action and closure code is written once against either coefficient
-type.
+Numeric computations use ``Fraction`` values with this module's
+``scaled_int``, ``common_denominator``, ``add_term`` and
+``coeff_is_zero``, and the closure runs on ints.  ``Fraction`` and
+``Scalar`` support the same arithmetic operators, so the action code is
+written once against either coefficient type.
 """
 
 from __future__ import annotations
@@ -117,13 +116,10 @@ class ParamPolynomial:
 
     # -- leading data under the fixed order ---------------------------
 
-    def leading_monomial(self) -> tuple:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=_grlex_key)
-
     def leading_coeff(self) -> int:
-        return self.terms[self.leading_monomial()]
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.terms[max(self.terms, key=_grlex_key)]
 
     def sorted_terms(self):
         """Terms in descending monomial order (canonical iteration)."""
@@ -208,30 +204,29 @@ _POLY_ONE = ParamPolynomial.const(1)
 
 
 @lru_cache(maxsize=None)
-def _ring(order: str = "grlex"):
+def _ring():
     # built on first use so that importing the package does not load sympy;
-    # generators run from the largest symbol down, so grlex on the ring is
-    # the order above and leading terms agree
+    # its lex order decides no sign and no order that leaves this module
     from sympy import ZZ
     from sympy.polys.rings import ring
 
-    return ring(",".join(reversed(SYMBOLS)), ZZ, order)[0]
+    return ring(",".join(SYMBOLS), ZZ, "lex")[0]
 
 
-def _to_ring(p: ParamPolynomial, order: str = "grlex"):
+def _to_ring(p: ParamPolynomial):
     # terms are nonzero ints already, so the ring's dtype takes them unchecked
-    return _ring(order).dtype({e[::-1]: q for e, q in p.terms.items()})
+    return _ring().dtype(p.terms)
 
 
 def _from_ring(f) -> ParamPolynomial:
-    return _poly({e[::-1]: int(q) for e, q in f.items()})
+    return _poly({e: int(q) for e, q in f.items()})
 
 
 def shift_symbols(x: "Scalar", shifts: Mapping[str, int]) -> "Scalar":
     """x with each symbol s in ``shifts`` replaced by s + shifts[s]: a ring
     automorphism that fixes the top-degree part, so it keeps coprimality,
     the integer content and the leading term of a canonical pair."""
-    gens = dict(zip(reversed(SYMBOLS), _ring().gens))
+    gens = dict(zip(SYMBOLS, _ring().gens))
     subs = [(gens[s], gens[s] + d) for s, d in shifts.items()]
 
     def sub(p):
@@ -242,8 +237,9 @@ def shift_symbols(x: "Scalar", shifts: Mapping[str, int]) -> "Scalar":
 
 def poly_gcd(a: ParamPolynomial, b: ParamPolynomial) -> ParamPolynomial:
     """The gcd in Z[symbols], integer content included, with a positive
-    leading coefficient; zero only when both arguments are zero."""
-    return _from_ring(_to_ring(a).gcd(_to_ring(b)))
+    grlex leading coefficient; zero only when both arguments are zero."""
+    g = _from_ring(_to_ring(a).gcd(_to_ring(b)))
+    return -g if g.terms and g.leading_coeff() < 0 else g
 
 
 # -- the fraction field ------------------------------------------------
@@ -260,9 +256,9 @@ def _canon(num: ParamPolynomial, den: ParamPolynomial):
         if g != 1:
             num, den = (_poly({e: c // g for e, c in p.terms.items()}) for p in (num, den))
     else:
-        # in the lex ring: the cofactors are the same up to one common
-        # sign, which the grlex sign rule below fixes
-        g, n, d = _to_ring(num, "lex").cofactors(_to_ring(den, "lex"))
+        # the cofactors are fixed up to one common sign, which the grlex
+        # sign rule below decides
+        g, n, d = _to_ring(num).cofactors(_to_ring(den))
         if g != 1:
             num, den = _from_ring(n), _from_ring(d)
     if den.leading_coeff() < 0:
@@ -434,9 +430,9 @@ def factor_polynomial(x: Scalar):
 
     Returns (unit, factors) where unit is a constant Scalar and factors is
     a tuple of (Scalar, multiplicity) pairs, each factor an irreducible
-    integer polynomial over its leading coefficient, so monic under the
-    ambient monomial order.  The multiply-back product is certified, so
-    the factorization engine never has to be trusted blindly.
+    integer polynomial over its grlex leading coefficient, sorted on its
+    terms, never in sympy's order.  The multiply-back product is
+    certified, so the factorization engine never has to be trusted blindly.
     """
     if not x.is_polynomial():
         raise ValueError("factor_polynomial expects a polynomial scalar")
@@ -447,11 +443,11 @@ def factor_polynomial(x: Scalar):
     const, ring_factors = _to_ring(x.num).factor_list()
     factors = []
     for f, mult in ring_factors:
-        const *= f.LC**mult
-        factors.append((Scalar(_from_ring(f), ParamPolynomial.const(int(f.LC))), mult))
-    # on the leading monomial alone: among factors that share it, sympy's
-    # order stands, whatever their leading coefficients
-    factors.sort(key=lambda fm: fm[0].num.leading_monomial())
+        f = _from_ring(f)
+        lc = f.leading_coeff()
+        const *= lc**mult
+        factors.append((Scalar(f, ParamPolynomial.const(lc)), mult))
+    factors.sort(key=_pair_key)
     # the ring factored x's numerator
     unit = Scalar.from_rational(Fraction(int(const), x.den.const_value()))
     prod = unit
@@ -467,8 +463,8 @@ def factor_linear_in_iota(x: Scalar) -> Optional[tuple]:
 
     Returns (unit, ((zeta, sign), ...)) with sign in {+1, -1} and the unit
     and every zeta free of iota, such that x equals the unit times the
-    product of (zeta + sign*iota); the pairs are sorted on zeta's
-    numerator terms.  Read off the certified ``factor_polynomial``; None
+    product of (zeta + sign*iota); the pairs are sorted on zeta's terms,
+    then the sign.  Read off the certified ``factor_polynomial``; None
     when some irreducible factor has degree above 1 in iota.
     """
     if not x.is_polynomial():
@@ -498,8 +494,12 @@ def factor_linear_in_iota(x: Scalar) -> Optional[tuple]:
     return unit, tuple(pairs)
 
 
-def _pair_key(pair) -> list:
-    return [_grlex_key(e) for e, _ in pair[0].num.sorted_terms()]
+def _pair_key(pair) -> tuple:
+    # a total order on (Scalar, int) pairs: for num and then den, the grlex
+    # keys of all monomials first, then the coefficients; then the int
+    x, k = pair
+    parts = (x.num.sorted_terms(), x.den.sorted_terms())
+    return [([_grlex_key(e) for e, _ in t], [q for _, q in t]) for t in parts], k
 
 
 def shift_iota_split(split: tuple, shifts: Mapping[str, int], x: Scalar) -> Optional[tuple]:
@@ -509,9 +509,7 @@ def shift_iota_split(split: tuple, shifts: Mapping[str, int], x: Scalar) -> Opti
     The shift fixes iota and keeps leading coefficients, so it maps each
     irreducible factor of y to one of x, each pair's sign and the unit's
     freedom from iota included; only the pair order is taken afresh.
-    Certified by multiplying back to x.  None when the product is not x,
-    or when two unequal pairs share a sort key, whose order
-    ``factor_linear_in_iota`` takes from sympy's factor order.
+    Certified by multiplying back to x; None when the product is not x.
     """
     unit, pairs = split
     unit = shift_symbols(unit, shifts)
@@ -520,8 +518,6 @@ def shift_iota_split(split: tuple, shifts: Mapping[str, int], x: Scalar) -> Opti
     for zeta, sign in pairs:
         prod = prod * (zeta + IOTA if sign > 0 else zeta - IOTA)
     if prod != x:
-        return None
-    if any(p != q and _pair_key(p) == _pair_key(q) for p, q in zip(pairs, pairs[1:])):
         return None
     return unit, tuple(pairs)
 

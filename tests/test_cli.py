@@ -187,6 +187,15 @@ def test_bad_config_line_reports_location(capsys, tmp_path):
     assert "bad.cfg:2" in err
 
 
+def test_undecodable_config_names_the_file(capsys, tmp_path):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"b = 1/\xff1\n")
+    rc, out, err = run_cli(capsys, "check-generic", "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: cannot read config: {cfg}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 def test_symbolic_mode_rejects_config(capsys, tmp_path):
     cfg = tmp_path / "p.cfg"
     cfg.write_text("b = 1/11\n")

@@ -11,9 +11,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
+from sympy.polys.rings import PolyElement
 
 from wittmod import scalars as scalars_module
-from wittmod.engine import recursion_factorization_oracle
+from wittmod.engine import Window, gt_obstruction, recursion_factorization_oracle
+from wittmod.report import canonical_json
 from wittmod.scalars import (
     A1,
     A2,
@@ -40,6 +42,7 @@ from wittmod.scalars import (
     shift_iota_split,
     shift_symbols,
 )
+from wittmod.sl3 import Params
 
 # -- pinned arithmetic ---------------------------------------------------
 
@@ -577,8 +580,9 @@ def test_printer_and_factor_order_on_integer_content():
     # Scalar moved into its denominator
     assert scalar_to_text((2 * C + 1) / (3 * B + 6)) == "(2/3*c + 1/3)/(b + 2)"
     assert scalar_to_text(Fraction(-5, 7) * L) == "-5/7*l"
-    # factors that share a leading monomial keep sympy's order, whatever
-    # their leading coefficients: 3*c^2 - 1 comes before 2*c^2 + iota
+    # factors are ordered by their terms' grlex keys and then by their
+    # coefficients, never by sympy: c + 1/2 (num 2*c + 1) comes before
+    # c - 1/3 (num 3*c - 1), and 3*c^2 - 1 before 2*c^2 + iota
     for x, factors in (
         ((2 * C + 1) * (3 * C - 1), ["c + 1/2", "c - 1/3"]),
         ((2 * C * C + IOTA) * (3 * C * C - 1), ["c^2 - 1/3", "c^2 + 1/2*iota"]),
@@ -586,6 +590,40 @@ def test_printer_and_factor_order_on_integer_content():
         unit, got = factor_polynomial(x)
         assert scalar_to_text(unit) == "6"
         assert [(scalar_to_text(f), m) for f, m in got] == [(f, 1) for f in factors]
+
+
+def _factor_order_reports():
+    factored = []
+    for x in ((2 * C + 1) * (3 * C - 1), (2 * C * C + IOTA) * (3 * C * C - 1)):
+        unit, factors = factor_polynomial(x)
+        factored.append((scalar_to_text(unit), [(scalar_to_text(f), m) for f, m in factors]))
+    return (
+        factored,
+        canonical_json(recursion_factorization_oracle([1, 2, 3])),
+        canonical_json(gt_obstruction(Params.numeric(), Window.symmetric(4, 2, 2))),
+    )
+
+
+def test_reports_do_not_depend_on_sympys_factor_order(monkeypatch):
+    # the recursion obstruction's two factors share the leading monomial c:
+    # their printed order, like every sign, is the grlex key's, not sympy's
+    before = _factor_order_reports()
+    factor_list = PolyElement.factor_list
+
+    def reversed_factors(f):
+        const, factors = factor_list(f)
+        return const, factors[::-1]
+
+    monkeypatch.setattr(PolyElement, "factor_list", reversed_factors)
+    assert _factor_order_reports() == before
+
+
+def test_gcd_sign_follows_grlex_where_lex_disagrees():
+    # grlex leads with +b^2*c^2, lex on either generator order with -b^3
+    # or -c^3: the gcd is p itself, never -p
+    p = ((C * C - B) * (B * B - C)).num
+    assert poly_gcd(p, (L * Scalar(p)).num) == p
+    assert poly_to_text(p) == "b^2*c^2 - c^3 - b^3 + b*c"
 
 
 shift_amounts = st.fixed_dictionaries(
@@ -629,11 +667,14 @@ def test_shift_iota_split_reads_the_split_of_the_shifted_scalar():
     ]
     # not the shifted scalar: refused, never passed off as its split
     assert shift_iota_split(factor_linear_in_iota(x), shifts, moved + 1) is None
-    # pairs (a1 + 1, 1) and (a1 + 1, -1) tie on the sort key, and their
-    # order in factor_linear_in_iota is sympy's factor order
+    # pairs (a1 + 1, 1) and (a1 + 1, -1) share zeta, and the sign orders
+    # them: the shifted split is the direct one, in values and in text
     y = (A1 + IOTA) * (A1 - IOTA)
     moved = shift_symbols(y, {"a1": 1})
-    assert shift_iota_split(factor_linear_in_iota(y), {"a1": 1}, moved) is None
+    got = shift_iota_split(factor_linear_in_iota(y), {"a1": 1}, moved)
+    assert got == factor_linear_in_iota(moved)
+    assert scalar_to_text(got[0]) == "1"
+    assert [(scalar_to_text(z), s) for z, s in got[1]] == [("a1 + 1", -1), ("a1 + 1", 1)]
 
 
 def _assert_unit_denominators_shared(values):
