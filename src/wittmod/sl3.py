@@ -5,10 +5,11 @@ first-order generators, written Ebar_ij below and named E11 .. E33 in
 text form.  On a tensor-field module built from the two-parameter
 cuspidal gl2 family, each generator acts on basis symbols v_i(r1, r2)
 by an explicit closed formula.  Both routes read one GENERATORS row per
-generator: act_gen applies its formula, a few (index offset, parameter
-part, integer coefficients of idx, r1, r2) entries, and act_embedded
-its Witt preimage sign * D(u, r), so the two can be compared term by
-term.  The row's r is also the lattice shift of the formula.
+generator: act_gen applies its formula, a few (index offset, integer
+linear form in l, b, c, a1, a2) entries, and act_embedded its Witt
+preimage sign * D(u, r), so the two can be compared term by term.  The
+row's r is also the lattice shift of the formula.  The ten genericity
+conditions are integer linear forms of the same kind (CONDITIONS).
 
 Throughout, for a basis symbol v_i(r1, r2):
 
@@ -132,34 +133,21 @@ def _check_alpha(params: Params, x: ModuleElement):
 
 # One row per generator Ebar_ij: (sign, u, r, formula).  Its Witt
 # preimage is sign * D(u, r), and r is also the lattice shift of its
-# closed formula.  A formula entry (offset, part, (k_idx, k_r1, k_r2))
-# contributes, on v_idx(r1, r2),
-#     (part(params) + k_idx*idx + k_r1*r1 + k_r2*r2) * v_{idx+offset}((r1, r2) + r)
-# where part is a linear form in the parameters without a constant term
-# whose lam, a1 and a2 coefficients are k_idx, k_r1 and k_r2: the
-# coefficient is part at (lam + idx, a1 + r1, a2 + r2).
+# closed formula.  A formula entry (offset, form) holds a linear form as
+# its integer coefficients over PARAM_KEYS and contributes, on
+# v_idx(r1, r2),
+#     form(lam + idx, b, c, a1 + r1, a2 + r2) * v_{idx+offset}((r1, r2) + r)
+# so idx, r1 and r2 enter through the form's l, a1 and a2 coefficients.
 GENERATORS = {
-    (1, 1): (1, (1, 0), (0, 0), ((0, lambda p: p.a1, (0, 1, 0)),)),
-    (1, 2): (1, (0, 1), (1, -1), (
-        (0, lambda p: p.lam - p.b + p.a2, (1, 0, 1)),
-        (1, lambda p: p.c + p.lam, (1, 0, 0)),
-    )),
-    (1, 3): (-1, (1, 1), (1, 0), (
-        (0, lambda p: -(p.a1 + p.a2 + p.b + p.lam), (-1, -1, -1)),
-        (1, lambda p: -(p.c + p.lam), (-1, 0, 0)),
-    )),
-    (2, 1): (1, (1, 0), (-1, 1), (
-        (-1, lambda p: p.c - p.lam, (-1, 0, 0)),
-        (0, lambda p: p.a1 - p.b - p.lam, (-1, 1, 0)),
-    )),
-    (2, 2): (1, (0, 1), (0, 0), ((0, lambda p: p.a2, (0, 0, 1)),)),
-    (2, 3): (-1, (1, 1), (0, 1), (
-        (-1, lambda p: p.lam - p.c, (1, 0, 0)),
-        (0, lambda p: -(p.a1 + p.a2 + p.b - p.lam), (1, -1, -1)),
-    )),
-    (3, 1): (1, (1, 0), (-1, 0), ((0, lambda p: p.a1 - p.b - p.lam, (-1, 1, 0)),)),
-    (3, 2): (1, (0, 1), (0, -1), ((0, lambda p: p.a2 - p.b + p.lam, (1, 0, 1)),)),
-    (3, 3): (-1, (1, 1), (0, 0), ((0, lambda p: -(p.a1 + p.a2), (0, -1, -1)),)),
+    (1, 1): (1, (1, 0), (0, 0), ((0, (0, 0, 0, 1, 0)),)),
+    (1, 2): (1, (0, 1), (1, -1), ((0, (1, -1, 0, 0, 1)), (1, (1, 0, 1, 0, 0)))),
+    (1, 3): (-1, (1, 1), (1, 0), ((0, (-1, -1, 0, -1, -1)), (1, (-1, 0, -1, 0, 0)))),
+    (2, 1): (1, (1, 0), (-1, 1), ((-1, (-1, 0, 1, 0, 0)), (0, (-1, -1, 0, 1, 0)))),
+    (2, 2): (1, (0, 1), (0, 0), ((0, (0, 0, 0, 0, 1)),)),
+    (2, 3): (-1, (1, 1), (0, 1), ((-1, (1, 0, -1, 0, 0)), (0, (1, -1, 0, -1, -1)))),
+    (3, 1): (1, (1, 0), (-1, 0), ((0, (-1, -1, 0, 1, 0)),)),
+    (3, 2): (1, (0, 1), (0, -1), ((0, (1, -1, 0, 0, 1)),)),
+    (3, 3): (-1, (1, 1), (0, 0), ((0, (0, 0, 0, -1, -1)),)),
 }
 
 GEN_NAMES = {f"E{i}{j}": (i, j) for i, j in GENERATORS}
@@ -168,19 +156,34 @@ NAME_OF = {g: name for name, g in GEN_NAMES.items()}
 GEN_SHIFTS = {g: r for g, (_, _, r, _) in GENERATORS.items()}
 
 
+def _form_value(form, values):
+    """The linear form with coefficients ``form`` at ``values``, both in
+    PARAM_KEYS order: a sum over the nonzero coefficients, where 1 and -1
+    add or subtract the value without a product."""
+    total = None
+    for k, v in zip(form, values):
+        if k and total is None:
+            total = v if k == 1 else -v if k == -1 else k * v
+        elif k:
+            total = total + v if k == 1 else total - v if k == -1 else total + k * v
+    return total
+
+
 def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
     """Apply Ebar_ij exactly, no truncation, by one loop over its table row.
 
-    Parameter parts are summed once per call, and the minus signs of E13,
-    E23 and E33 fall on those sums; a term then adds only an int to its
-    part, where evaluating each form in (lam + idx, a1 + r1, a2 + r2) per
-    term would double the coefficient operations of a symbolic sweep.
+    Each entry's form is evaluated once per call at the parameters; a term
+    then adds only the int k_idx*idx + k_r1*r1 + k_r2*r2 (the form's l, a1
+    and a2 coefficients), where evaluating the form at (lam + idx, a1 + r1,
+    a2 + r2) per term would double the coefficient operations of a
+    symbolic sweep.
     """
     _check_alpha(params, x)
     if (i, j) not in GENERATORS:
         raise ValueError(f"no generator E{i}{j}")
     _, _, (s1, s2), formula = GENERATORS[(i, j)]
-    entries = [(off, part(params), ki, k1, k2) for off, part, (ki, k1, k2) in formula]
+    vals = (params.lam, params.b, params.c, params.a1, params.a2)
+    entries = [(off, _form_value(f, vals), f[0], f[3], f[4]) for off, f in formula]
     out = {}
     for (idx, (r1, r2)), coeff in x.terms.items():
         pt = (r1 + s1, r2 + s2)
@@ -192,14 +195,14 @@ def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
 def integer_action(params: Params, scale: int):
     """``apply(letters, row, pt)``: scale**len(letters) times the word's
     image of the sparse int row {idx: coefficient} at ``pt``, a sparse int
-    row at ``pt + word_shift(letters)``.  Parameter parts have no constant
-    term, so they are evaluated on the parameters times ``scale``, made
-    ints by ``scaled_int``, which refuses a scale that leaves a denominator."""
-    ints = Params(*(scaled_int(v, scale) for v in params.values().values()))
+    row at ``pt + word_shift(letters)``.  The forms have no constant term,
+    so they are evaluated on the parameters times ``scale``, made ints by
+    ``scaled_int``, which refuses a scale that leaves a denominator."""
+    ints = tuple(scaled_int(v, scale) for v in params.values().values())
     table = {
         g: (s1, s2, tuple(
-            (off, part(ints), scale * ki, scale * k1, scale * k2)
-            for off, part, (ki, k1, k2) in formula
+            (off, _form_value(f, ints), scale * f[0], scale * f[3], scale * f[4])
+            for off, f in formula
         ))
         for g, (_, _, (s1, s2), formula) in GENERATORS.items()
     }
@@ -335,32 +338,27 @@ def verify_embedding(params: Params, points, indices) -> dict:
 
 # -- genericity ----------------------------------------------------------
 
-CONDITION_NAMES = (
-    "c+l", "c-l",
-    "a1-b-l", "a2-b+l",
-    "a1+2b", "a2+2b",
-    "a1+a2+b+c", "a1+a2+b-c",
-    "c+3b", "c-3b",
-)
+# the ten conditions, each a linear form over PARAM_KEYS named by its text
+CONDITIONS = {
+    "c+l": (1, 0, 1, 0, 0),
+    "c-l": (-1, 0, 1, 0, 0),
+    "a1-b-l": (-1, -1, 0, 1, 0),
+    "a2-b+l": (1, -1, 0, 0, 1),
+    "a1+2b": (0, 2, 0, 1, 0),
+    "a2+2b": (0, 2, 0, 0, 1),
+    "a1+a2+b+c": (0, 1, 1, 1, 1),
+    "a1+a2+b-c": (0, 1, -1, 1, 1),
+    "c+3b": (0, 3, 1, 0, 0),
+    "c-3b": (0, -3, 1, 0, 0),
+}
+CONDITION_NAMES = tuple(CONDITIONS)
 SPANNING_CONDITIONS = CONDITION_NAMES[:8]
 
 
 def condition_values(vals: dict) -> dict:
     """Value of each of the ten conditions at ``vals``, keyed by name."""
-    l, b, c = vals["l"], vals["b"], vals["c"]
-    a1, a2 = vals["a1"], vals["a2"]
-    return {
-        "c+l": c + l,
-        "c-l": c - l,
-        "a1-b-l": a1 - b - l,
-        "a2-b+l": a2 - b + l,
-        "a1+2b": a1 + 2 * b,
-        "a2+2b": a2 + 2 * b,
-        "a1+a2+b+c": a1 + a2 + b + c,
-        "a1+a2+b-c": a1 + a2 + b - c,
-        "c+3b": c + 3 * b,
-        "c-3b": c - 3 * b,
-    }
+    point = [vals[k] for k in PARAM_KEYS]
+    return {name: _form_value(form, point) for name, form in CONDITIONS.items()}
 
 
 def check_generic(params: Params) -> dict:

@@ -11,7 +11,7 @@ import pytest
 import sympy
 from sympy.polys.rings import PolyElement
 
-from wittmod import engine, sl3, tensor
+from wittmod import engine, tensor
 from wittmod.cli import main
 from wittmod.engine import (
     DEFAULT_WORDS,
@@ -593,6 +593,24 @@ def test_degenerate_reducibility_report():
     assert doc["proper"]
 
 
+def test_singular_vectors_certify_the_nullspace(monkeypatch):
+    # v_{-1}(0, 0) is not killed by E31, so a nullspace that returns it
+    # must be caught by the act_gen certification
+    monkeypatch.setattr(engine, "nullspace", lambda rows, n: [[1, 0, 0]])
+    with pytest.raises(AssertionError, match="nullspace certification failed"):
+        find_singular_vectors(DEG, Window.symmetric(1, 0, 0))
+
+
+def test_degenerate_fails_when_the_closure_holds_every_target(monkeypatch):
+    window = Window.symmetric(1, 1, 1, 1)
+    every = [basis_element(DEG, idx, pt) for idx, pt in window.basis()]
+    monkeypatch.setattr(engine, "find_singular_vectors", lambda params, w: every)
+    doc = check_degenerate_reducibility(DEG, window)
+    assert doc["verdict"] == "fail"
+    assert doc["proper"] is False and doc["witness"] is None
+    assert doc["reached"] == doc["targets"] == 1
+
+
 @pytest.mark.parametrize(
     "values, nonintegral",
     [
@@ -794,20 +812,16 @@ def test_shifted_kappa_splits_are_the_factored_ones(radii):
 
 
 def test_gt_obstruction_factors_kappas_of_a_word_that_is_no_shift(monkeypatch):
-    # E21's second entry reading r1 twice: E12*E21's kappas are no longer
-    # shifts of its first one, so each is factored directly
-    sign, u, r, (entry, (off, part, (k_idx, _, k_r2))) = sl3.GENERATORS[(2, 1)]
-    monkeypatch.setitem(
-        sl3.GENERATORS, (2, 1), (sign, u, r, (entry, (off, part, (k_idx, 2, k_r2))))
-    )
+    # with every shifted split refused, each kappa is factored directly,
+    # and the direct route prints the shift route's bytes
+    monkeypatch.setattr(engine, "shift_iota_split", lambda split, shifts, kappa: None)
     factorizations = _count_factorizations(monkeypatch)
     doc = gt_obstruction(NUM, Window.symmetric(4, 2, 2))
-    # recorded with this mutation when every kappa was factored directly
     assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == (
-        "3e4aafb777fc82d8955d2a80f2aa3082d34cdc278d6581d2102718dfae609340"
+        "84e9724b32436b853eaef4251bc2bcf70a6010f55b263377b429132a2585af42"
     )
-    # E12*E21's 5 distinct kappas, and one for each other word
-    assert len(factorizations) == 5 + 2
+    # the 15 distinct kappas of test_gt_obstruction_report, one each
+    assert len(factorizations) == 15
 
 
 def test_gt_obstruction_covers_only_integral_shifts(monkeypatch):

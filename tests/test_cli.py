@@ -325,12 +325,16 @@ def test_package_runs_as_module():
     [
         "import wittmod",
         "import os, wittmod.cli; wittmod.cli.main(['check-generic', '--out', os.devnull])",
+        "import os, wittmod.cli; wittmod.cli.main(['brackets', '--out', os.devnull])",
+        "import os, wittmod.cli; wittmod.cli.main(['proof-identities', '--out', os.devnull])",
     ],
-    ids=["import", "check-generic"],
+    ids=["import", "check-generic", "brackets", "proof-identities"],
 )
 def test_numeric_paths_do_not_load_sympy(code):
     # sympy is needed only for symbolic gcds and factorization; loading it
-    # would add its import time and memory to every numeric run
+    # would add its import time and memory to every numeric run.  The
+    # symbolic brackets sweep (window 3,2,2) and the proof identities stay
+    # in ParamPolynomial arithmetic and load it neither.
     proc = subprocess.run(
         [sys.executable, "-c", code + "; import sys; print('sympy' in sys.modules)"],
         capture_output=True,

@@ -1,5 +1,6 @@
 """Restriction to sl3: the nine generator formulas and their cross-checks."""
 
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -8,11 +9,12 @@ import pytest
 from wittmod import sl3
 from wittmod.glmod import bracket_residual, bracket_residuals
 from wittmod.engine import Window
-from wittmod.scalars import ONE, SYMBOLS
 from wittmod.sl3 import (
     CONDITION_NAMES,
+    CONDITIONS,
     DEGENERATE_VALUES,
     GEN_NAMES,
+    PARAM_KEYS,
     SPANNING_CONDITIONS,
     Params,
     act_embedded,
@@ -220,16 +222,19 @@ def test_symbolic_residuals_negate_only_uncancelled_terms(monkeypatch):
     # ModuleElement subtraction works in place: outside act_gen, a sweep
     # negates a coefficient only where the minuend lacks its key.  On
     # v_0(0,0) that is the one term of E_ii v taken from the empty
-    # difference of [E_ii, E_ii], for i = 1, 2, 3.  Inside act_gen, E13,
-    # E23 and E33 negate their parameter sums once per call, never a term.
+    # difference of [E_ii, E_ii], for i = 1, 2, 3.  Inside act_gen, a
+    # negation or subtraction comes only from a negative coefficient of
+    # the row's forms, evaluated once per call, never from a term.
     from wittmod.scalars import Scalar
 
-    negated, in_act = {False: 0, True: 0}, [False]
-    neg = Scalar.__neg__
+    signed, in_act = {False: 0, True: 0}, [False]
+    neg, sub = Scalar.__neg__, Scalar.__sub__
 
-    def spy(self):
-        negated[in_act[0]] += 1
-        return neg(self)
+    def spy(op):
+        def counted(*args):
+            signed[in_act[0]] += 1
+            return op(*args)
+        return counted
 
     def act(i, j, x):
         in_act[0] = True
@@ -238,19 +243,27 @@ def test_symbolic_residuals_negate_only_uncancelled_terms(monkeypatch):
         finally:
             in_act[0] = False
 
-    monkeypatch.setattr(Scalar, "__neg__", spy)
+    def minus_signs(g):
+        return sum(k < 0 for _, form in sl3.GENERATORS[g][3] for k in form)
+
+    monkeypatch.setattr(Scalar, "__neg__", spy(neg))
     residuals = bracket_residuals(act, 3, basis_element(SYM, 0, (0, 0)))
     assert len(residuals) == 81 and all(res.is_zero() for res in residuals.values())
-    assert negated[False] == 3
-    # each generator is applied 1 + 9 times; E13 negates two sums, E23 and E33 one
-    assert negated[True] == 10 * (2 + 1 + 1)
+    assert signed[False] == 3
+    monkeypatch.setattr(Scalar, "__sub__", spy(sub))
+    signed[True] = 0
+    for g in GENS:
+        act(*g, basis_element(SYM, 0, (0, 0)))
+    # E13's -(l+b+a1+a2) and -(l+c) cost one negation each, and a minus
+    # sign after the first coefficient one subtraction
+    assert signed[True] == sum(map(minus_signs, GENS)) == 19
     # the count per call does not grow with the number of terms
     x = act_word(SYM, parse_word("E12*E21*E13"), basis_element(SYM, 0, (0, 0)))
     assert len(x.terms) > 2
-    for (i, j), per_call in (((1, 3), 2), ((2, 3), 1), ((3, 3), 1), ((3, 1), 0)):
-        negated[True] = 0
-        act(i, j, x)
-        assert negated[True] == per_call
+    for g in GENS:
+        signed[True] = 0
+        act(*g, x)
+        assert signed[True] == minus_signs(g), g
 
 
 def test_wrong_bracket_is_nonzero():
@@ -284,8 +297,7 @@ def test_embedding_sweep_symbolic():
 def _row_mutations():
     """(generator, row) for each one-field change of a GENERATORS row that
     alters it: the sign, u swapped, either component of r, and per formula
-    entry its index offset, its parameter part (+b) and each integer
-    coefficient."""
+    entry its index offset and each coefficient of its form."""
     for g, row in sl3.GENERATORS.items():
         sign, u, r, formula = row
         rows = [
@@ -294,54 +306,11 @@ def _row_mutations():
             (sign, u, (r[0] + 1, r[1]), formula),
             (sign, u, (r[0], r[1] + 1), formula),
         ]
-        for n, (off, part, ks) in enumerate(formula):
-            entries = [(off + 1, part, ks), (off, lambda p, part=part: part(p) + p.b, ks)]
-            entries += [(off, part, ks[:k] + (ks[k] + 1,) + ks[k + 1:]) for k in range(3)]
+        for n, (off, form) in enumerate(formula):
+            entries = [(off + 1, form)]
+            entries += [(off, form[:k] + (form[k] + 1,) + form[k + 1:]) for k in range(5)]
             rows += [(sign, u, r, formula[:n] + (e,) + formula[n + 1:]) for e in entries]
         yield from ((g, mutated) for mutated in rows if mutated != row)
-
-
-LINEAR = ("l", "a1", "a2")  # the symbols that idx, r1 and r2 shift
-
-
-def _entry_problems(g) -> list:
-    """The formula entries of GENERATORS[g], by position, whose parameter
-    part is not a linear form without constant term with the entry's
-    (k_idx, k_r1, k_r2) as its l, a1 and a2 coefficients, or is not the
-    coefficient of the Witt preimage's image of v_0(0, 0)."""
-    _, _, r, formula = sl3.GENERATORS[g]
-    image = act_embedded(SYM, *g, basis_element(SYM, 0, (0, 0)))
-    bad = []
-    for n, (off, part, ks) in enumerate(formula):
-        p = part(SYM)
-        terms = p.num.terms if p.den == ONE.den else {}
-        linear = bool(terms) and all(sum(e) == 1 for e in terms)
-        coeffs = tuple(terms.get(tuple(int(k == s) for k in SYMBOLS), 0) for s in LINEAR)
-        if not linear or coeffs != ks or image.coefficient(off, r) != p:
-            bad.append(n)
-    return bad
-
-
-def test_generator_entries_read_the_point_through_a1_and_a2_only(monkeypatch):
-    # part(params) + k_idx*idx + k_r1*r1 + k_r2*r2 is then part at
-    # (lam + idx, a1 + r1, a2 + r2): integer_action scales parts with no
-    # constant term, and gt_obstruction shifts one coefficient per word
-    assert {g: _entry_problems(g) for g in sl3.GENERATORS} == {g: [] for g in sl3.GENERATORS}
-    # any one-field change of an entry's part or integer coefficients
-    mutations = 0
-    for g, (sign, u, r, formula) in sl3.GENERATORS.items():
-        for n, (off, part, ks) in enumerate(formula):
-            # each integer coefficient + 1; the part + 1, + l, + b, + c, + a1, + a2
-            entries = [(off, part, ks[:k] + (ks[k] + 1,) + ks[k + 1:]) for k in range(3)]
-            adds = [lambda p: 1] + [lambda p, f=f: getattr(p, f) for f in Params.__slots__]
-            entries += [(off, lambda p, part=part, a=a: part(p) + a(p), ks) for a in adds]
-            for e in entries:
-                with monkeypatch.context() as m:
-                    row = (sign, u, r, formula[:n] + (e,) + formula[n + 1:])
-                    m.setitem(sl3.GENERATORS, g, row)
-                    assert _entry_problems(g) == [n], (g, n, e)
-                mutations += 1
-    assert mutations == 13 * 9
 
 
 def test_embedding_check_catches_every_table_mutation(monkeypatch):
@@ -351,7 +320,7 @@ def test_embedding_check_catches_every_table_mutation(monkeypatch):
     points, indices = window.points(), window.indices()
     mutations = list(_row_mutations())
     # u = (1, 1) of E13, E23 and E33 is its own swap; 13 formula entries
-    assert len(mutations) == 9 * 4 - 3 + 13 * 5
+    assert len(mutations) == 9 * 4 - 3 + 13 * 6
     for g, row in mutations:
         with monkeypatch.context() as m:
             m.setitem(sl3.GENERATORS, g, row)
@@ -368,6 +337,24 @@ def test_generic_at_desk_point():
     assert rep["spanning_ok"] and rep["irreducibility_ok"]
     assert all(c["holds"] for c in rep["conditions"])
     assert [c["name"] for c in rep["conditions"]] == list(CONDITION_NAMES)
+
+
+def _form_of(text: str) -> tuple:
+    """A condition name such as ``a1+a2+b-c`` read as its coefficients
+    over PARAM_KEYS."""
+    form, pos = dict.fromkeys(PARAM_KEYS, 0), 0
+    for m in re.finditer(r"([+-]?)(\d*)(a1|a2|l|b|c)", text):
+        assert m.start() == pos, text
+        form[m[3]] += int(m[1] + (m[2] or "1"))
+        pos = m.end()
+    assert pos == len(text), text
+    return tuple(form.values())
+
+
+def test_condition_names_are_the_text_of_their_forms():
+    assert {name: _form_of(name) for name in CONDITIONS} == CONDITIONS
+    assert _form_of("-l+2b-3a2") == (-1, 2, 0, 0, -3)
+    assert SPANNING_CONDITIONS == CONDITION_NAMES[:8]
 
 
 def test_generic_irreducibility_only_violation():
