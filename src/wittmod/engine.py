@@ -299,7 +299,7 @@ def closure(params: Params, seeds, words, window: Window, stop_at=None):
     if not params.is_numeric():
         raise ValueError("closure needs numeric parameters")
     alpha = params.alpha()
-    apply = integer_action(params, common_denominator(params.values().values()))
+    apply = integer_action(params)
     applied = [
         (letters, word_shift(letters)) for letters in words if any(i != j for i, j in letters)
     ]
@@ -484,12 +484,11 @@ def _anchor(window: Window) -> tuple:
 
 
 @lru_cache(maxsize=2)
-def _anchor_rank(key: tuple, bounds: tuple) -> int:
+def _anchor_rank(params: Params, bounds: tuple) -> int:
     """Rank of the ``DEFAULT_WORDS`` closure of the anchor at the numeric
-    parameter point ``key = (lam, b, c, a1, a2)`` on the outer box
-    ``bounds = (i_min, i_max, r_bounds)``; the anchor depends on the box
-    alone, never on the margin."""
-    params = Params(*key)
+    point ``params`` on the outer box ``bounds = (i_min, i_max, r_bounds)``
+    (the anchor depends on the box alone, never on the margin); equal
+    parameter vectors hash equal, so they share one closure."""
     window = Window(*bounds)
     idx, pt = _anchor(window)
     _, stats = closure(params, [basis_element(params, idx, pt)], DEFAULT_WORDS, window)
@@ -549,10 +548,7 @@ def check_irreducible(
         _check_seed(x, alpha, window)
     targets = window.basis(inner=True)
     box_size = len(window.basis())
-    anchor_rank = _anchor_rank(
-        (params.lam, params.b, params.c, params.a1, params.a2),
-        (window.i_min, window.i_max, window.r_bounds),
-    )
+    anchor_rank = _anchor_rank(params, (window.i_min, window.i_max, window.r_bounds))
     stop_at = _anchor(window) if anchor_rank == box_size else None
     subchecks = []
     all_ok = True
@@ -627,8 +623,8 @@ def find_singular_vectors(params: Params, window: Window) -> list:
     to the scaled image of the sum of the basis vectors, and both
     operators must kill every solution.
     """
-    scale = common_denominator(params.values().values())
-    apply = integer_action(params, scale)
+    scale = common_denominator(params)
+    apply = integer_action(params)
     alpha = params.alpha()
     indices = window.indices()
     found = []
@@ -855,14 +851,14 @@ def gt_obstruction(params: Params, window: Window) -> dict:
     A word reads the lattice point r only through a1 + r1 and a2 + r2, so
     sympy factors its coefficient at the first point r0 only: the split
     at r is that one with a1, a2 shifted by r - r0, certified by
-    multiplying back to the coefficient computed at r, which is factored
-    directly where the product differs.
+    multiplying back to the coefficient computed at r (a product that
+    differs raises); a coefficient with no split at r0 has none at any r.
     """
     refusal, _ = _genericity_gate("gt-obstruction", params, window)
     if refusal is not None:
         return refusal
     sym = Params.symbolic(with_iota_index=True)
-    cond_scalars = condition_values(Params.symbolic().values())
+    cond_scalars = condition_values(Params.symbolic())
     factored = {}  # kappa -> its split, each distinct kappa split once
     ops = []
     all_ok = True
@@ -890,20 +886,18 @@ def gt_obstruction(params: Params, window: Window) -> dict:
                     first_failure = {"index": idx, "r": list(pt), "problem": bad}
         factor_reports = []
         factors_ok = True
-        p0 = kappa0 = None  # the word's first point and kappa
+        p0 = base = None  # the word's first point and the split there
         for pt in window.points():
-            kappa = act_word(sym, letters, basis_element(sym, 0, pt)).coefficient(
-                direction, pt
-            )
+            y = act_word(sym, letters, basis_element(sym, 0, pt))
+            kappa = y.coefficient(direction, pt)
             if p0 is None:
-                p0, kappa0 = pt, kappa
-            if kappa not in factored:
-                # the first kappa's split, shifted to pt, where it multiplies
-                # back to kappa; else kappa is factored
-                base = factored.get(kappa0)
+                if kappa not in factored:
+                    factored[kappa] = factor_linear_in_iota(kappa)
+                p0, base = pt, factored[kappa]
+            elif kappa not in factored:
+                # the first split, shifted to pt and certified there
                 shifts = {"a1": pt[0] - p0[0], "a2": pt[1] - p0[1]}
-                split = base and shift_iota_split(base, shifts, kappa)
-                factored[kappa] = split or factor_linear_in_iota(kappa)
+                factored[kappa] = base and shift_iota_split(base, shifts, kappa)
             if factored[kappa] is None:
                 factors_ok = False
                 factor_reports.append({"r": list(pt), "factors": None})
@@ -966,7 +960,10 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
     lists generators outside the range expected NOT to commute; each must
     produce a nonzero residual somewhere, guarding against vacuous zeros.
     For m = 3, k = 1 the word sum is the trace, which must act as zero.
+    m outside 1..3 or k < 1 (no word, or c the identity) is refused.
     """
+    if not (1 <= m <= 3 and k >= 1):
+        raise ValueError(f"central words need 1 <= m <= 3 and k >= 1, got m={m}, k={k}")
     words = central_words(m, k)
     inner = window.basis(inner=True)
     absorbed = True

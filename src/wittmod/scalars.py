@@ -502,14 +502,14 @@ def _pair_key(pair) -> tuple:
     return [([_grlex_key(e) for e, _ in t], [q for _, q in t]) for t in parts], k
 
 
-def shift_iota_split(split: tuple, shifts: Mapping[str, int], x: Scalar) -> Optional[tuple]:
+def shift_iota_split(split: tuple, shifts: Mapping[str, int], x: Scalar) -> tuple:
     """The ``factor_linear_in_iota`` split of x, read off ``split``, the
-    split of y, where x should be ``shift_symbols(y, shifts)``.
+    split of y, where x must be ``shift_symbols(y, shifts)``.
 
     The shift fixes iota and keeps leading coefficients, so it maps each
     irreducible factor of y to one of x, each pair's sign and the unit's
     freedom from iota included; only the pair order is taken afresh.
-    Certified by multiplying back to x; None when the product is not x.
+    Certified by multiplying back to x; a product that is not x raises.
     """
     unit, pairs = split
     unit = shift_symbols(unit, shifts)
@@ -518,7 +518,7 @@ def shift_iota_split(split: tuple, shifts: Mapping[str, int], x: Scalar) -> Opti
     for zeta, sign in pairs:
         prod = prod * (zeta + IOTA if sign > 0 else zeta - IOTA)
     if prod != x:
-        return None
+        raise ValueError("shifted split certification failed")
     return unit, tuple(pairs)
 
 

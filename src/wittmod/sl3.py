@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .glmod import CuspidalGl2, bracket_residuals
 from .scalars import (
@@ -38,6 +38,7 @@ from .scalars import (
     add_term,
     coeff_is_zero,
     coeff_to_text,
+    common_denominator,
     parse_rational,
     scaled_int,
 )
@@ -64,23 +65,21 @@ DEGENERATE_VALUES = {
 }
 
 
-class Params:
+class Params(NamedTuple):
     """Module parameters (lam, b, c) for the gl2 input and (a1, a2) twists.
 
-    Fields are either all exact rationals (numeric mode) or Scalars in the
-    ambient symbols (symbolic mode).  ``with_iota_index`` replaces lam by
-    l + iota, which realizes a symbolic basis index: formulas depend on i
+    The vector, in PARAM_KEYS order, that every table form is evaluated
+    at: hashable and compared by value.  Fields are all exact rationals
+    (numeric mode) or all Scalars (symbolic mode).  ``with_iota_index``
+    replaces lam by l + iota, a symbolic basis index: formulas depend on i
     only through lam + i, so basis index 0 then stands for a generic index.
     """
 
-    __slots__ = ("lam", "b", "c", "a1", "a2")
-
-    def __init__(self, lam, b, c, a1, a2):
-        self.lam = lam
-        self.b = b
-        self.c = c
-        self.a1 = a1
-        self.a2 = a2
+    lam: object
+    b: object
+    c: object
+    a1: object
+    a2: object
 
     @classmethod
     def symbolic(cls, with_iota_index: bool = False) -> "Params":
@@ -97,28 +96,19 @@ class Params:
                 if isinstance(val, float):
                     raise TypeError(f"inexact parameter {key}={val!r}")
                 merged[key] = Fraction(val)
-        return cls(merged["l"], merged["b"], merged["c"], merged["a1"], merged["a2"])
+        return cls(*(merged[k] for k in PARAM_KEYS))
 
     def is_numeric(self) -> bool:
-        return all(
-            isinstance(getattr(self, f), (Fraction, int))
-            for f in ("lam", "b", "c", "a1", "a2")
-        )
+        return all(isinstance(v, (Fraction, int)) for v in self)
 
     def alpha(self):
         return (self.a1, self.a2)
 
-    def values(self) -> dict:
-        return {
-            "l": self.lam, "b": self.b, "c": self.c,
-            "a1": self.a1, "a2": self.a2,
-        }
-
     def to_json(self) -> dict:
-        return {k: coeff_to_text(v) for k, v in self.values().items()}
+        return {k: coeff_to_text(v) for k, v in zip(PARAM_KEYS, self)}
 
     def __repr__(self):
-        body = ", ".join(f"{k}={coeff_to_text(v)}" for k, v in self.values().items())
+        body = ", ".join(f"{k}={coeff_to_text(v)}" for k, v in zip(PARAM_KEYS, self))
         return f"Params({body})"
 
 
@@ -182,8 +172,7 @@ def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
     if (i, j) not in GENERATORS:
         raise ValueError(f"no generator E{i}{j}")
     _, _, (s1, s2), formula = GENERATORS[(i, j)]
-    vals = (params.lam, params.b, params.c, params.a1, params.a2)
-    entries = [(off, _form_value(f, vals), f[0], f[3], f[4]) for off, f in formula]
+    entries = [(off, _form_value(f, params), f[0], f[3], f[4]) for off, f in formula]
     out = {}
     for (idx, (r1, r2)), coeff in x.terms.items():
         pt = (r1 + s1, r2 + s2)
@@ -192,13 +181,14 @@ def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
     return ModuleElement(x.alpha, out)
 
 
-def integer_action(params: Params, scale: int):
+def integer_action(params: Params):
     """``apply(letters, row, pt)``: scale**len(letters) times the word's
     image of the sparse int row {idx: coefficient} at ``pt``, a sparse int
-    row at ``pt + word_shift(letters)``.  The forms have no constant term,
-    so they are evaluated on the parameters times ``scale``, made ints by
-    ``scaled_int``, which refuses a scale that leaves a denominator."""
-    ints = tuple(scaled_int(v, scale) for v in params.values().values())
+    row at ``pt + word_shift(letters)``, with scale the lcm of the
+    parameter denominators.  The forms have no constant term, so they are
+    evaluated on the parameter vector times scale, a vector of ints."""
+    scale = common_denominator(params)
+    ints = tuple(scaled_int(v, scale) for v in params)
     table = {
         g: (s1, s2, tuple(
             (off, _form_value(f, ints), scale * f[0], scale * f[3], scale * f[4])
@@ -355,9 +345,9 @@ CONDITION_NAMES = tuple(CONDITIONS)
 SPANNING_CONDITIONS = CONDITION_NAMES[:8]
 
 
-def condition_values(vals: dict) -> dict:
-    """Value of each of the ten conditions at ``vals``, keyed by name."""
-    point = [vals[k] for k in PARAM_KEYS]
+def condition_values(point) -> dict:
+    """Value of each of the ten conditions at ``point``, a vector in
+    PARAM_KEYS order such as a ``Params``, keyed by name."""
     return {name: _form_value(form, point) for name, form in CONDITIONS.items()}
 
 
@@ -381,7 +371,7 @@ def check_generic(params: Params) -> dict:
             "spanning_ok": None,
             "irreducibility_ok": None,
         }
-    values = condition_values({k: Fraction(v) for k, v in params.values().items()})
+    values = condition_values(params)
     conds = [
         {"name": name, "value": str(values[name]), "holds": values[name].denominator != 1}
         for name in CONDITION_NAMES
@@ -412,8 +402,7 @@ def parse_param_line(line: str):
 
 
 def _display_expected(params: Params, which: str, r) -> ModuleElement:
-    lam, b, c = params.lam, params.b, params.c
-    a1, a2 = params.a1, params.a2
+    lam, b, c, a1, a2 = params
     r1, r2 = r
     ii = lam  # base index is 0; a symbolic index enters through lam = l + iota
     r1p = a1 + r1

@@ -11,7 +11,7 @@ import pytest
 import sympy
 from sympy.polys.rings import PolyElement
 
-from wittmod import engine, tensor
+from wittmod import engine, scalars, tensor
 from wittmod.cli import main
 from wittmod.engine import (
     DEFAULT_WORDS,
@@ -266,13 +266,14 @@ def test_closure_rejects_bad_seeds():
         closure(NUM, [ModuleElement.zero(NUM.alpha())], [], w)
 
 
-# scale**len(word) clears the parameter denominators: lcm(7, 11, 13, 17, 19)
-# at the defaults, lcm(7, 11, 13, 77, 77) at the degenerate preset
+# scale**len(word) clears the parameter denominators: integer_action
+# derives scale = lcm(7, 11, 13, 17, 19) at the defaults and
+# lcm(7, 11, 13, 77, 77) at the degenerate preset
 @pytest.mark.parametrize(
     "params, scale", [(NUM, 323323), (DEG, 1001)], ids=["default", "degenerate"]
 )
 def test_integer_images_are_scaled_word_images(params, scale):
-    apply = integer_action(params, scale)
+    apply = integer_action(params)
     # one-term rows at the centre and at window-edge indices, and a
     # multi-term row; the words cover one- and two-entry generator rows
     rows = [({0: 1}, (0, 0)), ({-3: 1}, (2, -1)), ({4: 1}, (-4, 3)), ({-4: 2, 0: -3, 4: 5}, (4, -4))]
@@ -285,22 +286,14 @@ def test_integer_images_are_scaled_word_images(params, scale):
         assert all(type(v) is int for v in image.values()) and image == expected
 
 
-def test_integer_action_refuses_a_scale_that_leaves_a_denominator():
-    # scale 1, or one that misses a2's 19, leaves a denominator in the
-    # generators' parameter parts: refused, not rounded
-    for scale in (1, 323323 // 19):
-        with pytest.raises(ValueError, match="not an integer"):
-            integer_action(NUM, scale)
-
-
 @pytest.mark.parametrize("corrupt", [lambda v: 0, lambda v: v + 1], ids=["dropped", "shifted"])
 def test_singular_vectors_check_integer_images_against_act_gen(monkeypatch, corrupt):
     # at the degenerate preset E32 kills v_0(1, 0) and E31 does not, so
     # dropping E31's entry there would make v_0(1, 0) a false singular vector
     real = engine.integer_action
 
-    def corrupted(params, scale):
-        apply = real(params, scale)
+    def corrupted(params):
+        apply = real(params)
 
         def image(letters, row, pt):
             out = apply(letters, row, pt)
@@ -398,6 +391,19 @@ def test_irreducible_without_full_anchor_runs_every_seed_to_exhaustion(monkeypat
     calls = _spy_closure(monkeypatch)
     assert check_irreducible(NUM, SMALL, random_count=2) == chained
     assert calls == [(None, True)] * 31
+
+
+def test_anchor_closure_is_shared_by_equal_parameter_vectors():
+    # each one-seed CLI call builds its own Params.numeric(); equal
+    # vectors hash equal, so the anchor's closure runs once per point and box
+    engine._anchor_rank.cache_clear()
+    first, second = Params.numeric(), Params.numeric()
+    assert first is not second and first == second
+    for params in (first, second):
+        doc = check_irreducible(params, SMALL, seeds=[basis_element(params, 1, (1, -1))])
+        assert doc["verdict"] == "pass"
+    info = engine._anchor_rank.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_closure_stops_once_the_anchor_is_in_the_span():
@@ -727,6 +733,23 @@ def test_oracle_shares_s_independent_images_across_s(monkeypatch):
     ]
 
 
+def test_oracle_fails_when_only_the_first_reference_is_matched(monkeypatch):
+    # the first reference's factor c + 3b - 3 and a factor that is no
+    # shift of the second reference: an unmatched second factor fails
+    c, b, a1 = (Scalar.sym(n) for n in ("c", "b", "a1"))
+    monkeypatch.setattr(
+        engine,
+        "factor_polynomial",
+        lambda x: (Scalar.from_rational(1), ((c + 3 * b - 3, 1), (c + a1, 1))),
+    )
+    doc = recursion_factorization_oracle([1])
+    assert doc["verdict"] == "fail"
+    (res,) = doc["results"]
+    assert res["first_factor"]["matches"] and not res["ok"]
+    assert res["second_factor"]["derived"] is None
+    assert doc["flags"] == ["s=1: no derived factor is a constant shift of the second reference"]
+
+
 def test_oracle_flags_factors_that_match_no_reference(monkeypatch):
     c, b = Scalar.sym("c"), Scalar.sym("b")
     monkeypatch.setattr(
@@ -811,17 +834,37 @@ def test_shifted_kappa_splits_are_the_factored_ones(radii):
             assert _split_text(got) == _split_text(direct[kappa])
 
 
-def test_gt_obstruction_factors_kappas_of_a_word_that_is_no_shift(monkeypatch):
-    # with every shifted split refused, each kappa is factored directly,
-    # and the direct route prints the shift route's bytes
-    monkeypatch.setattr(engine, "shift_iota_split", lambda split, shifts, kappa: None)
-    factorizations = _count_factorizations(monkeypatch)
-    doc = gt_obstruction(NUM, Window.symmetric(4, 2, 2))
-    assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == (
-        "84e9724b32436b853eaef4251bc2bcf70a6010f55b263377b429132a2585af42"
+def test_gt_obstruction_raises_when_a_shifted_split_does_not_multiply_back(monkeypatch):
+    # a shift that moves a1 one step too far gives a split of some other
+    # scalar: certification refuses it, nothing is factored afresh
+    real = scalars.shift_symbols
+    monkeypatch.setattr(
+        scalars, "shift_symbols", lambda x, shifts: real(x, {**shifts, "a1": shifts["a1"] + 1})
     )
-    # the 15 distinct kappas of test_gt_obstruction_report, one each
-    assert len(factorizations) == 15
+    factorizations = _count_factorizations(monkeypatch)
+    with pytest.raises(ValueError, match="shifted split certification failed"):
+        gt_obstruction(NUM, Window.symmetric(4, 2, 2))
+    assert len(factorizations) == 1
+
+
+def test_gt_obstruction_fails_when_an_extreme_component_vanishes(monkeypatch):
+    # drop v_{-1}(0,0) from the numeric E23*E32 image of v_0(0,0): the
+    # leakage vanishes there, whatever the symbolic factors say
+    real = engine.act_word
+    word, v0 = parse_word("E23*E32"), basis_element(NUM, 0, (0, 0))
+
+    def act_word(params, letters, x):
+        y = real(params, letters, x)
+        if params.is_numeric() and letters == word and x == v0:
+            y = ModuleElement(y.alpha, {k: cf for k, cf in y.terms.items() if k != (-1, (0, 0))})
+        return y
+
+    monkeypatch.setattr(engine, "act_word", act_word)
+    doc = gt_obstruction(NUM, Window.symmetric(1, 1, 1))
+    assert doc["verdict"] == "fail"
+    op = {op["word"]: op for op in doc["operators"]}["E23*E32"]
+    assert op["triangular_ok"] and op["factors_covered"] and not op["extreme_nonzero_ok"]
+    assert op["first_failure"] == {"index": 0, "r": [0, 0], "problem": "extreme component vanished"}
 
 
 def test_gt_obstruction_covers_only_integral_shifts(monkeypatch):
@@ -868,3 +911,11 @@ def test_gt_central_control_detects_noncentral():
 def test_gt_central_errors_when_window_cannot_absorb():
     doc = gt_central_check(Params.symbolic(), Window.symmetric(2, 1, 1, margin=0), 3, 2)
     assert doc["verdict"] == "error"
+
+
+@pytest.mark.parametrize("m, k", [(0, 1), (4, 1), (3, 0), (2, -1)])
+def test_gt_central_refuses_an_empty_or_trivial_word_sum(m, k):
+    # m = 0 sums no word and k = 0 makes c the identity: either would
+    # pass without a single meaningful check
+    with pytest.raises(ValueError, match="1 <= m <= 3 and k >= 1"):
+        gt_central_check(Params.symbolic(), Window.symmetric(1, 1, 1, margin=1), m, k)

@@ -321,20 +321,33 @@ def test_package_runs_as_module():
 
 
 @pytest.mark.parametrize(
-    "code",
+    "argv",
     [
-        "import wittmod",
-        "import os, wittmod.cli; wittmod.cli.main(['check-generic', '--out', os.devnull])",
-        "import os, wittmod.cli; wittmod.cli.main(['brackets', '--out', os.devnull])",
-        "import os, wittmod.cli; wittmod.cli.main(['proof-identities', '--out', os.devnull])",
+        None,
+        ["check-generic"],
+        ["brackets"],
+        ["proof-identities"],
+        ["generate"],
+        ["irreducible", "--seed", "v:0@0,0"],
+        ["degenerate"],
+        ["derham"],
+        ["witt"],
+        ["gt", "--gt-check", "central", "--k", "1"],
     ],
-    ids=["import", "check-generic", "brackets", "proof-identities"],
+    ids=[
+        "import", "check-generic", "brackets", "proof-identities", "generate",
+        "irreducible-seed", "degenerate", "derham", "witt", "gt-central",
+    ],
 )
-def test_numeric_paths_do_not_load_sympy(code):
+def test_numeric_paths_do_not_load_sympy(argv):
     # sympy is needed only for symbolic gcds and factorization; loading it
     # would add its import time and memory to every numeric run.  The
-    # symbolic brackets sweep (window 3,2,2) and the proof identities stay
-    # in ParamPolynomial arithmetic and load it neither.
+    # symbolic brackets sweep (window 3,2,2), the proof identities and the
+    # symbolic central words stay in ParamPolynomial arithmetic and load it
+    # neither.  Each run must pass, so its whole path is covered.
+    code = "import wittmod"
+    if argv is not None:
+        code = f"import os, wittmod.cli; assert wittmod.cli.main({argv!r} + ['--out', os.devnull]) == 0"
     proc = subprocess.run(
         [sys.executable, "-c", code + "; import sys; print('sympy' in sys.modules)"],
         capture_output=True,

@@ -666,7 +666,8 @@ def test_shift_iota_split_reads_the_split_of_the_shifted_scalar():
         ("(b)/(a2 - 1)", 1), ("c", 1), ("a1 - b + 2", -1)
     ]
     # not the shifted scalar: refused, never passed off as its split
-    assert shift_iota_split(factor_linear_in_iota(x), shifts, moved + 1) is None
+    with pytest.raises(ValueError, match="shifted split certification failed"):
+        shift_iota_split(factor_linear_in_iota(x), shifts, moved + 1)
     # pairs (a1 + 1, 1) and (a1 + 1, -1) share zeta, and the sign orders
     # them: the shifted split is the direct one, in values and in text
     y = (A1 + IOTA) * (A1 - IOTA)

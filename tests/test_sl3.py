@@ -8,7 +8,7 @@ import pytest
 
 from wittmod import sl3
 from wittmod.glmod import bracket_residual, bracket_residuals
-from wittmod.engine import Window
+from wittmod.engine import Window, proof_report
 from wittmod.sl3 import (
     CONDITION_NAMES,
     CONDITIONS,
@@ -427,6 +427,31 @@ def test_proof_identity_report():
         assert row["ok"]
         assert row["raising_kills_top"] and row["raising_control_nonzero"]
         assert row["lowering_kills_bottom"] and row["lowering_control_nonzero"]
+
+
+def test_proof_identities_fail_when_the_raising_control_is_not_shifted(monkeypatch):
+    # a T_A that drops the control's multiplier shift kills the top index
+    # in the control too: the control must report it
+    raising = sl3.raising_operator
+    monkeypatch.setattr(
+        sl3, "raising_operator", lambda params, s, x, shift=0: raising(params, s, x)
+    )
+    doc = proof_report([1])
+    assert doc["verdict"] == "fail"
+    (row,) = doc["truncations"]
+    assert row["raising_kills_top"] and not row["raising_control_nonzero"]
+
+
+def test_proof_identities_compare_the_witt_route(monkeypatch):
+    # the displays hold through act_gen alone; a Witt route that doubles
+    # its image must fail every one of them
+    embedded = sl3.act_embedded
+    monkeypatch.setattr(
+        sl3, "act_embedded", lambda params, i, j, x: embedded(params, i, j, x).scale(2)
+    )
+    doc = proof_report([1])
+    assert doc["verdict"] == "fail"
+    assert [d["ok"] for d in doc["displays"]] == [False] * 4
 
 
 def test_proof_identities_kill_the_bottom_once_per_call(monkeypatch):
