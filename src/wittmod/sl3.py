@@ -23,7 +23,7 @@ The identity of the bottom gl2 acts as 2*b.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -41,6 +41,7 @@ from .scalars import (
     common_denominator,
     parse_rational,
     scaled_int,
+    shift_symbols,
 )
 from .tensor import ModuleElement, WittGenerator, act_witt, element_to_json
 
@@ -273,35 +274,96 @@ def lowering_operator(params: Params, x: ModuleElement, shift: int = 0) -> Modul
     return act_word(params, LOWERING_WORD, x) + act_gen(params, 2, 1, x).scale(mult)
 
 
+# -- lattice covariance ----------------------------------------------------
+#
+# A table entry reads v_idx(r1, r2) only through lam + idx, a1 + r1 and
+# a2 + r2: its form has integer coefficients and no constant term.  At the
+# symbolic parameters, v_idx(r) therefore behaves under any act_gen word
+# like v_0(0,0) under sigma: l -> l + idx, a1 -> a1 + r1, a2 -> a2 + r2.
+# An image or residual computed at v_0(0,0) gives the one at v_idx(r) by
+# moving its support by (idx, r) and applying sigma to its coefficients.
+# sigma is a ring automorphism, so zero stays zero and nonzero stays
+# nonzero: supports and every pass/fail count carry over without sympy,
+# which only a printed residual needs.  At numeric parameters sigma leads
+# to another parameter point, so numeric sweeps compute every vector.
+
+COVARIANT_PARAMS = (Params.symbolic(), Params.symbolic(with_iota_index=True))
+
+
+def moved(key, idx: int, r):
+    """The basis key (index, point) of v_0(0,0)'s results moved to v_idx(r)."""
+    k, (p1, p2) = key
+    return (k + idx, (p1 + r[0], p2 + r[1]))
+
+
+def lattice_shift(x: ModuleElement, idx: int, r) -> ModuleElement:
+    """x, computed at v_0(0,0) with parameters in ``COVARIANT_PARAMS``,
+    as the same computation gives it at v_idx(r): every key ``moved``,
+    every coefficient through sigma."""
+    shifts = {"l": idx, "a1": r[0], "a2": r[1]}
+    return ModuleElement(
+        x.alpha,
+        {moved(key, idx, r): shift_symbols(cf, shifts) for key, cf in x.terms.items()},
+    )
+
+
+@lru_cache(maxsize=2)
+def _origin_residuals(params: Params, table: tuple, act) -> tuple:
+    """(pair, residual) for each nonzero ``bracket_residuals`` entry of
+    v_0(0,0) under ``act``, in pair order.  ``table`` is never read: as
+    ``tuple(GENERATORS.items())`` it joins ``act`` in the key, so a changed
+    row or a replaced act_gen never meets a stale entry."""
+    residuals = bracket_residuals(partial(act, params), 3, basis_element(params, 0, (0, 0)))
+    return tuple((pair, res) for pair, res in residuals.items() if not res.is_zero())
+
+
 def verify_sl3_brackets(params: Params, points, indices) -> dict:
     """All 81 generator pairs against the gl3 bracket law on a basis window.
 
-    Each basis vector's residuals come from ``bracket_residuals``, which
+    At parameters in ``COVARIANT_PARAMS`` the residuals are those of
+    v_0(0,0), computed once per parameter vector, table and act_gen and
+    shared by every window: each one that is nonzero fails at every basis
+    vector of the window, there by ``lattice_shift``.  Otherwise each
+    basis vector's residuals come from ``bracket_residuals``, which
     applies every generator once to it and once to each of its nine
-    images; the tables are dropped before the next basis vector.
-    Failures are listed pair by pair, in (point, index) order within a
-    pair.
+    images.  Failures are listed pair by pair, in (point, index) order
+    within a pair.
     """
     points, indices = list(points), list(indices)
     if not points or not indices:
         raise ValueError("empty window: no basis vector to check")
-    act = partial(act_gen, params)
-    found = []
-    for r in points:
-        for idx in indices:
-            residuals = bracket_residuals(act, 3, basis_element(params, idx, r))
-            for pos, ((g1, g2), res) in enumerate(residuals.items()):
-                if not res.is_zero():
-                    found.append((pos, {
-                        "pair": [NAME_OF[g1], NAME_OF[g2]],
-                        "basis": {"index": idx, "r": list(r)},
-                        "residual": element_to_json(res),
-                    }))
-    found.sort(key=itemgetter(0))
+    if params in COVARIANT_PARAMS:
+        origin = _origin_residuals(params, tuple(GENERATORS.items()), act_gen)
+        found = [
+            (pair, idx, r, lattice_shift(res, idx, r))
+            for pair, res in origin
+            for r in points
+            for idx in indices
+        ]
+    else:
+        act = partial(act_gen, params)
+        ranked = []
+        for r in points:
+            for idx in indices:
+                residuals = bracket_residuals(act, 3, basis_element(params, idx, r))
+                ranked += [
+                    (pos, (pair, idx, r, res))
+                    for pos, (pair, res) in enumerate(residuals.items())
+                    if not res.is_zero()
+                ]
+        ranked.sort(key=itemgetter(0))
+        found = [entry for _, entry in ranked]
     return {
         "ok": not found,
         "checked": len(GEN_NAMES) ** 2 * len(points) * len(indices),
-        "failures": [failure for _, failure in found],
+        "failures": [
+            {
+                "pair": [NAME_OF[g1], NAME_OF[g2]],
+                "basis": {"index": idx, "r": list(r)},
+                "residual": element_to_json(res),
+            }
+            for (g1, g2), idx, r, res in found
+        ],
     }
 
 

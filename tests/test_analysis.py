@@ -908,6 +908,38 @@ def test_gt_central_control_detects_noncentral():
     assert doc["controls"] and all(c["nonzero"] for c in doc["controls"])
 
 
+@pytest.mark.parametrize(
+    "params", [Params.symbolic(), Params.numeric()], ids=["derived", "direct"]
+)
+def test_gt_central_counts_every_failure_and_prints_the_first_five(monkeypatch, params):
+    act = engine.act_gen
+
+    def doubled_e12(params, i, j, x):
+        y = act(params, i, j, x)
+        return y.scale(2) if (i, j) == (1, 2) else y
+
+    monkeypatch.setattr(engine, "act_gen", doubled_e12)
+    window = Window(0, 5, ((0, 5), (0, 4)), margin=2)  # four inner basis vectors
+    inner = [(idx, list(pt)) for idx, pt in window.basis(inner=True)]
+    doc = gt_central_check(params, window, 3, 2)
+    assert doc["verdict"] == "fail" and doc["commutator_checks"] == 9 * 4
+    # six commutators fail at each inner basis vector; all five printed
+    # failures are those of the first one, in generator order
+    assert doc["failure_count"] == 6 * 4
+    assert [(f["generator"], f["basis"]["index"], f["basis"]["r"]) for f in doc["failures"]] == [
+        (name, *inner[0]) for name in ("E12", "E13", "E21", "E23", "E31")
+    ]
+    # with m = 2, E12 and E21 fail at every basis vector, listed vector
+    # by vector
+    doc = gt_central_check(params, window, 2, 2, controls=((1, 3),))
+    assert doc["failure_count"] == 2 * 4
+    assert [(f["generator"], f["basis"]["index"], f["basis"]["r"]) for f in doc["failures"]] == [
+        ("E12", *inner[0]), ("E21", *inner[0]),
+        ("E12", *inner[1]), ("E21", *inner[1]),
+        ("E12", *inner[2]),
+    ]
+
+
 def test_gt_central_errors_when_window_cannot_absorb():
     doc = gt_central_check(Params.symbolic(), Window.symmetric(2, 1, 1, margin=0), 3, 2)
     assert doc["verdict"] == "error"

@@ -332,7 +332,7 @@ def test_package_runs_as_module():
         ["degenerate"],
         ["derham"],
         ["witt"],
-        ["gt", "--gt-check", "central", "--k", "1"],
+        ["gt", "--gt-check", "central"],
     ],
     ids=[
         "import", "check-generic", "brackets", "proof-identities", "generate",
@@ -343,8 +343,10 @@ def test_numeric_paths_do_not_load_sympy(argv):
     # sympy is needed only for symbolic gcds and factorization; loading it
     # would add its import time and memory to every numeric run.  The
     # symbolic brackets sweep (window 3,2,2), the proof identities and the
-    # symbolic central words stay in ParamPolynomial arithmetic and load it
-    # neither.  Each run must pass, so its whole path is covered.
+    # symbolic central words (k = 1, 2 and the control) stay in
+    # ParamPolynomial arithmetic and load it neither: a covariant sweep
+    # shifts coefficients through sympy only for a printed failure.  Each
+    # run must pass, so its whole path is covered.
     code = "import wittmod"
     if argv is not None:
         code = f"import os, wittmod.cli; assert wittmod.cli.main({argv!r} + ['--out', os.devnull]) == 0"

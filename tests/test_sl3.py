@@ -1,19 +1,26 @@
 """Restriction to sl3: the nine generator formulas and their cross-checks."""
 
+import json
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 
 import pytest
 
-from wittmod import sl3
+from wittmod import engine, sl3
 from wittmod.glmod import bracket_residual, bracket_residuals
-from wittmod.engine import Window, proof_report
+from wittmod.engine import Window, gt_central_check, proof_report
+from wittmod.report import canonical_json
+from wittmod.tensor import element_to_json
 from wittmod.sl3 import (
     CONDITION_NAMES,
     CONDITIONS,
     DEGENERATE_VALUES,
     GEN_NAMES,
+    NAME_OF,
     PARAM_KEYS,
     SPANNING_CONDITIONS,
     Params,
@@ -162,14 +169,18 @@ DOUBLED_E12_FAILURES = [
 ]
 
 
-def test_corrupted_generator_failure_list_is_pinned(monkeypatch):
-    act = sl3.act_gen
+def _doubled_e12(act):
+    """``act`` with the output of E12 doubled."""
 
-    def doubled_e12(params, i, j, x):
+    def doubled(params, i, j, x):
         y = act(params, i, j, x)
         return y.scale(2) if (i, j) == (1, 2) else y
 
-    monkeypatch.setattr(sl3, "act_gen", doubled_e12)
+    return doubled
+
+
+def test_corrupted_generator_failure_list_is_pinned(monkeypatch):
+    monkeypatch.setattr(sl3, "act_gen", _doubled_e12(sl3.act_gen))
     rep = verify_sl3_brackets(NUM, [(0, 0), (1, -1)], range(2))
     bases = [(idx, r) for r in ((0, 0), (1, -1)) for idx in range(2)]
     expected = [
@@ -326,6 +337,150 @@ def test_embedding_check_catches_every_table_mutation(monkeypatch):
             m.setitem(sl3.GENERATORS, g, row)
             assert not verify_embedding(SYM, points, indices)["ok"], (g, row)
     assert verify_embedding(SYM, points, indices)["ok"]
+
+
+# -- lattice covariance -------------------------------------------------------
+#
+# At symbolic parameters a sweep computes v_0(0,0) only and moves the
+# result to every basis vector (sl3.lattice_shift).  The reports must be
+# those of a sweep over every basis vector, for the intact table and for
+# every corruption a test can write, failures and their printed residuals
+# included.
+
+SYM_IOTA = Params.symbolic(with_iota_index=True)
+COVARIANCE_POINTS = [(0, 0), (1, -1)]
+COVARIANCE_INDICES = [-1, 1]
+# inner basis: indices 2, 3 at the points (2, 2) and (3, 2); margin 2
+# absorbs every intact central word, and some corrupted ones escape
+COVARIANCE_WINDOW = Window(0, 5, ((0, 5), (0, 4)), margin=2)
+CENTRAL_CHECKS = [(3, 1, ()), (3, 2, ()), (2, 2, ((1, 3), (3, 3)))]
+
+
+def _direct_bracket_sweep(params, points, indices) -> dict:
+    """``verify_sl3_brackets``'s report from each basis vector's own
+    ``bracket_residuals``."""
+    act = partial(sl3.act_gen, params)
+    found = []
+    for r in points:
+        for idx in indices:
+            residuals = bracket_residuals(act, 3, basis_element(params, idx, r))
+            for pos, ((g1, g2), res) in enumerate(residuals.items()):
+                if not res.is_zero():
+                    found.append((pos, {
+                        "pair": [NAME_OF[g1], NAME_OF[g2]],
+                        "basis": {"index": idx, "r": list(r)},
+                        "residual": element_to_json(res),
+                    }))
+    found.sort(key=itemgetter(0))
+    return {
+        "ok": not found,
+        "checked": 81 * len(points) * len(indices),
+        "failures": [failure for _, failure in found],
+    }
+
+
+def _corruptions():
+    """(name, patch) for the intact table, every ``_row_mutations`` row and
+    the doubled E12; ``patch(m)`` applies one through the monkeypatch
+    context m."""
+    yield "intact table", lambda m: None
+    for g, row in _row_mutations():
+        yield f"{NAME_OF[g]} {row}", lambda m, g=g, row=row: m.setitem(sl3.GENERATORS, g, row)
+
+    def doubled(m):
+        m.setattr(sl3, "act_gen", _doubled_e12(sl3.act_gen))
+        m.setattr(engine, "act_gen", _doubled_e12(engine.act_gen))
+
+    yield "doubled E12", doubled
+
+
+def _central_reports(params) -> list:
+    return [
+        canonical_json(gt_central_check(params, COVARIANCE_WINDOW, m, k, controls))
+        for m, k, controls in CENTRAL_CHECKS
+    ]
+
+
+def _row_sample(corruptions):
+    # each row's first corruption and the doubled E12: enough failing
+    # reports for l -> l + i inside lam = l + iota
+    rows = set()
+    for name, patch in corruptions:
+        row = name.split()[0]
+        if row not in rows or name == "doubled E12":
+            rows.add(row)
+            yield name, patch
+
+
+def test_covariant_bracket_sweep_equals_the_direct_sweep(monkeypatch):
+    runs = [(SYM, list(_corruptions())), (SYM_IOTA, list(_row_sample(_corruptions())))]
+    failing = 0
+    for params, corruptions in runs:
+        window = (params, COVARIANCE_POINTS, COVARIANCE_INDICES)
+        for name, patch in corruptions:
+            with monkeypatch.context() as m:
+                patch(m)
+                rep = verify_sl3_brackets(*window)
+                assert canonical_json(rep) == canonical_json(_direct_bracket_sweep(*window)), name
+                failing += params is SYM and not rep["ok"]
+    # act_gen reads no row's sign or u: those 9 + 6 corruptions pass, and
+    # every other one fails, as does the doubled E12
+    assert failing == 111 - 15 + 1
+
+
+def test_covariant_central_check_equals_the_direct_sweep(monkeypatch):
+    # the direct route is the one every numeric parameter vector takes;
+    # each direct sweep costs four derived ones, so one corruption in
+    # three is compared at l, and a row sample at l + iota
+    corruptions = list(_corruptions())
+    runs = [(SYM, corruptions[::3]), (SYM_IOTA, list(_row_sample(corruptions)))]
+    outcomes = set()
+    for params, sample in runs:
+        for name, patch in sample:
+            with monkeypatch.context() as m:
+                patch(m)
+                derived = _central_reports(params)
+                m.setattr(engine, "COVARIANT_PARAMS", ())
+                assert _central_reports(params) == derived, name
+            outcomes.update((c["verdict"], c["absorbed"]) for c in map(json.loads, derived))
+    # passing, failing and unabsorbed reports are all compared
+    assert {("pass", True), ("fail", True), ("error", False)} <= outcomes
+
+
+def test_bracket_memo_follows_the_table_and_act_gen(monkeypatch):
+    # a memo keyed without the table or act_gen would hand the intact
+    # table's passing residuals to the corrupted sweeps below; each must
+    # print what a fresh process prints under the same corruption
+    window = (SYM, COVARIANCE_POINTS, COVARIANCE_INDICES)
+    assert verify_sl3_brackets(*window)["ok"]
+    g = (1, 3)
+    sign, u, r, formula = sl3.GENERATORS[g]
+    row = (sign, u, r, formula[:1])  # E13 without its index-raising entry
+    corruptions = [
+        (
+            lambda m: m.setitem(sl3.GENERATORS, g, row),
+            f"sl3.GENERATORS[{g}] = {row!r}",
+        ),
+        (
+            lambda m: m.setattr(sl3, "act_gen", _doubled_e12(sl3.act_gen)),
+            "act = sl3.act_gen\n"
+            "sl3.act_gen = lambda p, i, j, x: act(p, i, j, x).scale(1 + ((i, j) == (1, 2)))",
+        ),
+    ]
+    for patch, cold_patch in corruptions:
+        with monkeypatch.context() as m:
+            patch(m)
+            warm = canonical_json(verify_sl3_brackets(*window))
+        code = (
+            "import sys\nfrom wittmod import sl3\nfrom wittmod.report import canonical_json\n"
+            f"{cold_patch}\n"
+            "sys.stdout.write(canonical_json(sl3.verify_sl3_brackets("
+            f"sl3.Params.symbolic(), {COVARIANCE_POINTS!r}, {COVARIANCE_INDICES!r})))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert '"ok": false' in warm and warm == proc.stdout, cold_patch
+    assert verify_sl3_brackets(*window)["ok"]
 
 
 # -- genericity -------------------------------------------------------------
