@@ -36,7 +36,6 @@ from .scalars import (
 )
 from .sl3 import (
     CONDITION_NAMES,
-    COVARIANT_PARAMS,
     DEFAULT_VALUES,
     SPANNING_CONDITIONS,
     NAME_OF,
@@ -47,6 +46,7 @@ from .sl3 import (
     check_generic,
     condition_values,
     integer_action,
+    lattice_route,
     lattice_shift,
     lowering_operator,
     moved,
@@ -972,12 +972,9 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
     words = central_words(m, k)
     gens = [(p, q) for p in range(1, m + 1) for q in range(1, m + 1)]
     inner = window.basis(inner=True)
-    # At parameters in COVARIANT_PARAMS everything is computed at v_0(0,0)
-    # alone and moved to each inner point (sl3's lattice covariance);
-    # otherwise at each inner point, and moved by nothing.
-    covariant = params in COVARIANT_PARAMS
-    basis = [(0, (0, 0))] if covariant else inner
-    targets = inner if covariant else [(0, (0, 0))]
+    # computed at v_0(0,0) alone and moved to each inner point at symbolic
+    # parameters (sl3's lattice covariance), else at each inner point
+    basis, moves = lattice_route(params, inner)
 
     def apply_c(x, seen):
         # letter by letter, so every intermediate support is seen
@@ -990,10 +987,8 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
             total = total + y
         return total
 
-    def absorbs(seen, targets):
-        return all(
-            window.contains(*moved(key, idx, pt)) for idx, pt in targets for key in seen
-        )
+    def absorbs(seen, moves):
+        return all(window.contains(*moved(key, *move)) for move in moves for key in seen)
 
     seen = set()
     found = []
@@ -1008,8 +1003,8 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
             seen.update(gx.terms)
             res = apply_c(gx, seen) - act_gen(params, p, q, cx)
             if not res.is_zero():
-                found.append(((p, q), idx, pt, res))
-    absorbed = absorbs(seen, targets)
+                found.append(((p, q), (idx, pt), res))
+    absorbed = absorbs(seen, moves)
     trace_zero = None
     if k == 1 and m == 3:
         trace_zero = all(cx.is_zero() for cx in cxs)
@@ -1025,17 +1020,17 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
                 break
         # a direct sweep stops at the first inner point with a nonzero
         # residual, and sees only the supports met until then
-        absorbed = absorbs(seen, targets[:1] if nonzero else targets) and absorbed
+        absorbed = absorbs(seen, moves[:1] if nonzero else moves) and absorbed
         control_results.append({"generator": NAME_OF[(p, q)], "nonzero": nonzero})
-    if covariant:
-        found = [(g, idx, pt, res) for idx, pt in targets for g, _, _, res in found]
+    # point by point, as the direct loop meets them
+    found = [(g, moved(key, *move), move, res) for move in moves for g, key, res in found]
     failures = [
         {
             "generator": NAME_OF[g],
             "basis": {"index": idx, "r": list(pt)},
-            "residual": element_to_json(lattice_shift(res, idx, pt) if covariant else res),
+            "residual": element_to_json(lattice_shift(res, *move)),
         }
-        for g, idx, pt, res in found[:5]
+        for g, (idx, pt), move, res in found[:5]
     ]
     if not absorbed:
         verdict = "error"

@@ -23,7 +23,7 @@ The identity of the bottom gl2 acts as 2*b.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -288,10 +288,23 @@ def lowering_operator(params: Params, x: ModuleElement, shift: int = 0) -> Modul
 # to another parameter point, so numeric sweeps compute every vector.
 
 COVARIANT_PARAMS = (Params.symbolic(), Params.symbolic(with_iota_index=True))
+ORIGIN = (0, (0, 0))
+
+
+def lattice_route(params: Params, keys) -> tuple:
+    """(basis, moves) of a sweep over the basis keys ``keys``: the keys the
+    sweep computes at, and the moves (idx, r) that carry each result to
+    the keys it stands for.  At parameters in ``COVARIANT_PARAMS`` that is
+    v_0(0,0) alone, moved to every key; otherwise every key, moved by
+    nothing."""
+    keys = list(keys)
+    if params in COVARIANT_PARAMS:
+        return [ORIGIN], keys
+    return keys, [ORIGIN]
 
 
 def moved(key, idx: int, r):
-    """The basis key (index, point) of v_0(0,0)'s results moved to v_idx(r)."""
+    """The basis key (index, point) moved by (idx, r)."""
     k, (p1, p2) = key
     return (k + idx, (p1 + r[0], p2 + r[1]))
 
@@ -299,7 +312,9 @@ def moved(key, idx: int, r):
 def lattice_shift(x: ModuleElement, idx: int, r) -> ModuleElement:
     """x, computed at v_0(0,0) with parameters in ``COVARIANT_PARAMS``,
     as the same computation gives it at v_idx(r): every key ``moved``,
-    every coefficient through sigma."""
+    every coefficient through sigma.  The move by nothing returns x."""
+    if (idx, tuple(r)) == ORIGIN:
+        return x
     shifts = {"l": idx, "a1": r[0], "a2": r[1]}
     return ModuleElement(
         x.alpha,
@@ -307,52 +322,31 @@ def lattice_shift(x: ModuleElement, idx: int, r) -> ModuleElement:
     )
 
 
-@lru_cache(maxsize=2)
-def _origin_residuals(params: Params, table: tuple, act) -> tuple:
-    """(pair, residual) for each nonzero ``bracket_residuals`` entry of
-    v_0(0,0) under ``act``, in pair order.  ``table`` is never read: as
-    ``tuple(GENERATORS.items())`` it joins ``act`` in the key, so a changed
-    row or a replaced act_gen never meets a stale entry."""
-    residuals = bracket_residuals(partial(act, params), 3, basis_element(params, 0, (0, 0)))
-    return tuple((pair, res) for pair, res in residuals.items() if not res.is_zero())
-
-
 def verify_sl3_brackets(params: Params, points, indices) -> dict:
     """All 81 generator pairs against the gl3 bracket law on a basis window.
 
-    At parameters in ``COVARIANT_PARAMS`` the residuals are those of
-    v_0(0,0), computed once per parameter vector, table and act_gen and
-    shared by every window: each one that is nonzero fails at every basis
-    vector of the window, there by ``lattice_shift``.  Otherwise each
-    basis vector's residuals come from ``bracket_residuals``, which
-    applies every generator once to it and once to each of its nine
-    images.  Failures are listed pair by pair, in (point, index) order
-    within a pair.
+    Each computed basis vector's residuals come from ``bracket_residuals``,
+    which applies every generator once to it and once to each of its nine
+    images, and only its nonzero residuals are kept.  ``lattice_route``
+    picks the vectors: at parameters in ``COVARIANT_PARAMS`` only
+    v_0(0,0), once per call, whose nonzero residuals fail at every basis
+    vector of the window, there by ``lattice_shift``; otherwise every
+    basis vector.  Failures are listed pair by pair, in (point, index)
+    order within a pair.
     """
     points, indices = list(points), list(indices)
     if not points or not indices:
         raise ValueError("empty window: no basis vector to check")
-    if params in COVARIANT_PARAMS:
-        origin = _origin_residuals(params, tuple(GENERATORS.items()), act_gen)
-        found = [
-            (pair, idx, r, lattice_shift(res, idx, r))
-            for pair, res in origin
-            for r in points
-            for idx in indices
-        ]
-    else:
-        act = partial(act_gen, params)
-        ranked = []
-        for r in points:
-            for idx in indices:
-                residuals = bracket_residuals(act, 3, basis_element(params, idx, r))
-                ranked += [
-                    (pos, (pair, idx, r, res))
-                    for pos, (pair, res) in enumerate(residuals.items())
-                    if not res.is_zero()
-                ]
-        ranked.sort(key=itemgetter(0))
-        found = [entry for _, entry in ranked]
+    basis, moves = lattice_route(params, [(idx, r) for r in points for idx in indices])
+    act = partial(act_gen, params)
+    found = [
+        (pair, moved(key, *move), lattice_shift(res, *move))
+        for key in basis
+        for pair, res in bracket_residuals(act, 3, basis_element(params, *key)).items()
+        if not res.is_zero()
+        for move in moves
+    ]
+    found.sort(key=itemgetter(0))  # pair by pair, as bracket_residuals keys them
     return {
         "ok": not found,
         "checked": len(GEN_NAMES) ** 2 * len(points) * len(indices),
@@ -362,7 +356,7 @@ def verify_sl3_brackets(params: Params, points, indices) -> dict:
                 "basis": {"index": idx, "r": list(r)},
                 "residual": element_to_json(res),
             }
-            for (g1, g2), idx, r, res in found
+            for (g1, g2), (idx, r), res in found
         ],
     }
 

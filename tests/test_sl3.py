@@ -2,8 +2,6 @@
 
 import json
 import re
-import subprocess
-import sys
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
@@ -428,6 +426,20 @@ def test_covariant_bracket_sweep_equals_the_direct_sweep(monkeypatch):
     assert failing == 111 - 15 + 1
 
 
+def test_numeric_bracket_sweep_equals_the_direct_sweep(monkeypatch):
+    # numeric parameters compute every basis vector; their failures keep
+    # the same pair by pair, (point, index) order
+    window = (NUM, COVARIANCE_POINTS, COVARIANCE_INDICES)
+    failing = 0
+    for name, patch in _row_sample(_corruptions()):
+        with monkeypatch.context() as m:
+            patch(m)
+            rep = verify_sl3_brackets(*window)
+            assert canonical_json(rep) == canonical_json(_direct_bracket_sweep(*window)), name
+            failing += len(rep["failures"]) > len(COVARIANCE_POINTS) * len(COVARIANCE_INDICES)
+    assert failing
+
+
 def test_covariant_central_check_equals_the_direct_sweep(monkeypatch):
     # the direct route is the one every numeric parameter vector takes;
     # each direct sweep costs four derived ones, so one corruption in
@@ -440,47 +452,11 @@ def test_covariant_central_check_equals_the_direct_sweep(monkeypatch):
             with monkeypatch.context() as m:
                 patch(m)
                 derived = _central_reports(params)
-                m.setattr(engine, "COVARIANT_PARAMS", ())
+                m.setattr(sl3, "COVARIANT_PARAMS", ())
                 assert _central_reports(params) == derived, name
             outcomes.update((c["verdict"], c["absorbed"]) for c in map(json.loads, derived))
     # passing, failing and unabsorbed reports are all compared
     assert {("pass", True), ("fail", True), ("error", False)} <= outcomes
-
-
-def test_bracket_memo_follows_the_table_and_act_gen(monkeypatch):
-    # a memo keyed without the table or act_gen would hand the intact
-    # table's passing residuals to the corrupted sweeps below; each must
-    # print what a fresh process prints under the same corruption
-    window = (SYM, COVARIANCE_POINTS, COVARIANCE_INDICES)
-    assert verify_sl3_brackets(*window)["ok"]
-    g = (1, 3)
-    sign, u, r, formula = sl3.GENERATORS[g]
-    row = (sign, u, r, formula[:1])  # E13 without its index-raising entry
-    corruptions = [
-        (
-            lambda m: m.setitem(sl3.GENERATORS, g, row),
-            f"sl3.GENERATORS[{g}] = {row!r}",
-        ),
-        (
-            lambda m: m.setattr(sl3, "act_gen", _doubled_e12(sl3.act_gen)),
-            "act = sl3.act_gen\n"
-            "sl3.act_gen = lambda p, i, j, x: act(p, i, j, x).scale(1 + ((i, j) == (1, 2)))",
-        ),
-    ]
-    for patch, cold_patch in corruptions:
-        with monkeypatch.context() as m:
-            patch(m)
-            warm = canonical_json(verify_sl3_brackets(*window))
-        code = (
-            "import sys\nfrom wittmod import sl3\nfrom wittmod.report import canonical_json\n"
-            f"{cold_patch}\n"
-            "sys.stdout.write(canonical_json(sl3.verify_sl3_brackets("
-            f"sl3.Params.symbolic(), {COVARIANCE_POINTS!r}, {COVARIANCE_INDICES!r})))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert '"ok": false' in warm and warm == proc.stdout, cold_patch
-    assert verify_sl3_brackets(*window)["ok"]
 
 
 # -- genericity -------------------------------------------------------------
