@@ -851,16 +851,15 @@ def gt_obstruction(params: Params, window: Window) -> dict:
     three composites simultaneously.  The genericity gate refuses
     symbolic parameters and a point where one of the ten conditions fails.
 
-    A word reads the lattice point r only through a1 + r1 and a2 + r2, so
-    sympy factors its coefficient at the first point r0 only: the split
-    at r is that one with a1, a2 shifted by r - r0, certified by
-    multiplying back to the coefficient computed at r (a product that
-    differs raises); a coefficient with no split at r0 has none at any r.
+    Each word's coefficient is factored once, at v_0(0,0); the split at r
+    is that one moved by sigma (sl3's lattice covariance section) and
+    certified against the coefficient computed at r.
     """
     refusal, _ = _genericity_gate("gt-obstruction", params, window)
     if refusal is not None:
         return refusal
     sym = Params.symbolic(with_iota_index=True)
+    origin = basis_element(sym, 0, (0, 0))
     cond_scalars = condition_values(Params.symbolic())
     factored = {}  # kappa -> its split, each distinct kappa split once
     ops = []
@@ -889,17 +888,13 @@ def gt_obstruction(params: Params, window: Window) -> dict:
                     first_failure = {"index": idx, "r": list(pt), "problem": bad}
         factor_reports = []
         factors_ok = True
-        p0 = base = None  # the word's first point and the split there
+        kappa = act_word(sym, letters, origin).coefficient(direction, (0, 0))
+        base = factored[kappa] = factor_linear_in_iota(kappa)
         for pt in window.points():
             y = act_word(sym, letters, basis_element(sym, 0, pt))
             kappa = y.coefficient(direction, pt)
-            if p0 is None:
-                if kappa not in factored:
-                    factored[kappa] = factor_linear_in_iota(kappa)
-                p0, base = pt, factored[kappa]
-            elif kappa not in factored:
-                # the first split, shifted to pt and certified there
-                shifts = {"a1": pt[0] - p0[0], "a2": pt[1] - p0[1]}
+            if kappa not in factored:
+                shifts = {"a1": pt[0], "a2": pt[1]}
                 factored[kappa] = base and shift_iota_split(base, shifts, kappa)
             if factored[kappa] is None:
                 factors_ok = False

@@ -229,8 +229,6 @@ def parse_word(text: str):
         if name not in GEN_NAMES:
             raise ValueError(f"unknown generator {name!r} in word {text!r}")
         letters.append(GEN_NAMES[name])
-    if not letters:
-        raise ValueError("empty word")
     return tuple(letters)
 
 

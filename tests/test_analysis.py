@@ -550,6 +550,21 @@ def test_derham_image_check_needs_the_exact_multiple(monkeypatch, factor):
     assert doc["intertwining_failures"] == 0
 
 
+def test_derham_dd_check_needs_the_crossing_signs(monkeypatch):
+    # without the sign from moving e_j past S, d goes wrong from degree one
+    # up; the intertwining and image checks run on functions (degree 0,
+    # S empty), so only dd = 0 notices
+    real = tensor._differential_table
+    monkeypatch.setattr(
+        tensor,
+        "_differential_table",
+        lambda src, dst: tuple(tuple((j, pos, 0) for j, pos, _ in row) for row in real(src, dst)),
+    )
+    doc = derham_report()
+    assert doc["verdict"] == "fail"
+    assert (doc["dd_failures"], doc["intertwining_failures"], doc["image_failures"]) == (25, 0, 0)
+
+
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("factor", [0, 2], ids=["zero", "double"])
 def test_d_intertwining_needs_the_exact_target_action(monkeypatch, k, factor):
@@ -631,6 +646,20 @@ def test_degenerate_check_refuses_generic_point(values, nonintegral):
     doc = check_degenerate_reducibility(params, Window.symmetric(2, 2, 2, margin=1))
     assert doc["verdict"] == "refused"
     assert doc["reason"] == f"degenerate regime requires {nonintegral} integral"
+
+
+def test_degenerate_check_refuses_symbolic_params():
+    doc = check_degenerate_reducibility(Params.symbolic(), Window.symmetric(1, 1, 1))
+    assert doc["verdict"] == "refused"
+    assert doc["reason"] == "symbolic parameters: integrality is undecidable"
+
+
+def test_degenerate_fails_without_a_singular_vector_in_the_window():
+    # the singular vectors sit at v_i(i, -i); none has r1 and r2 both positive
+    doc = check_degenerate_reducibility(DEG, Window(-1, 1, ((1, 2), (1, 2))))
+    assert doc["verdict"] == "fail"
+    assert doc["singular_count"] == 0
+    assert doc["reason"] == "no singular vector inside the window"
 
 
 def test_witt_inputs_are_built_once_and_each_report_gets_its_own_checks(monkeypatch):
@@ -813,20 +842,30 @@ def _split_text(split):
     return scalar_to_text(unit), [(scalar_to_text(z), sign) for z, sign in pairs]
 
 
-@pytest.mark.parametrize("radii", [(4, 2, 2), (3, 3, 3), (2, 4, 1)])
-def test_shifted_kappa_splits_are_the_factored_ones(radii):
+@pytest.mark.parametrize(
+    "radii, from_origin",
+    [
+        pytest.param(radii, from_origin, id=f"radii{n}" + "-origin" * from_origin)
+        for from_origin in (False, True)
+        for n, radii in enumerate([(4, 2, 2), (3, 3, 3), (2, 4, 1)])
+    ],
+)
+def test_shifted_kappa_splits_are_the_factored_ones(radii, from_origin):
+    # shifted from the window's first point, or from v_0(0,0) as
+    # gt_obstruction does
     sym = Params.symbolic(with_iota_index=True)
     direct = {}
+    points = Window.symmetric(*radii).points()
+    p0 = (0, 0) if from_origin else points[0]
     for word_text, direction in GT_OBSTRUCTION_OPS:
         letters = parse_word(word_text)
-        points = Window.symmetric(*radii).points()
-        kappas = [
-            act_word(sym, letters, basis_element(sym, 0, pt)).coefficient(direction, pt)
-            for pt in points
-        ]
-        base = factor_linear_in_iota(kappas[0])
-        for pt, kappa in zip(points, kappas):
-            shifts = {"a1": pt[0] - points[0][0], "a2": pt[1] - points[0][1]}
+        kappa_at = {
+            pt: act_word(sym, letters, basis_element(sym, 0, pt)).coefficient(direction, pt)
+            for pt in [p0, *points]
+        }
+        base = factor_linear_in_iota(kappa_at[p0])
+        for pt, kappa in kappa_at.items():
+            shifts = {"a1": pt[0] - p0[0], "a2": pt[1] - p0[1]}
             got = shift_iota_split(base, shifts, kappa)
             if kappa not in direct:
                 direct[kappa] = factor_linear_in_iota(kappa)
@@ -865,6 +904,61 @@ def test_gt_obstruction_fails_when_an_extreme_component_vanishes(monkeypatch):
     op = {op["word"]: op for op in doc["operators"]}["E23*E32"]
     assert op["triangular_ok"] and op["factors_covered"] and not op["extreme_nonzero_ok"]
     assert op["first_failure"] == {"index": 0, "r": [0, 0], "problem": "extreme component vanished"}
+
+
+@pytest.mark.parametrize(
+    "step, problem",
+    [((2, 0), "index moved by more than one"), ((0, 1), "moved lattice point")],
+    ids=["index", "point"],
+)
+def test_gt_obstruction_fails_when_a_word_leaves_the_triangle(monkeypatch, step, problem):
+    # every numeric E12*E21 image of v_idx(r) gains v_{idx+2}(r), or
+    # v_idx(r1 + 1, r2)
+    real = engine.act_word
+    word = parse_word("E12*E21")
+    d_idx, d_r1 = step
+
+    def act_word(params, letters, x):
+        y = real(params, letters, x)
+        if params.is_numeric() and letters == word:
+            ((idx, (r1, r2)),) = x.terms
+            y = y + basis_element(params, idx + d_idx, (r1 + d_r1, r2))
+        return y
+
+    monkeypatch.setattr(engine, "act_word", act_word)
+    doc = gt_obstruction(NUM, Window.symmetric(1, 1, 1))
+    assert doc["verdict"] == "fail"
+    op = {op["word"]: op for op in doc["operators"]}["E12*E21"]
+    assert not op["triangular_ok"] and not op["ok"]
+    assert op["first_failure"] == {"index": -1, "r": [-1, -1], "problem": problem}
+
+
+def test_gt_obstruction_fails_when_a_word_has_no_split(monkeypatch):
+    # E23*E32's coefficient at v_0(0,0) gets no split: every point of that
+    # word prints none, and none of its coefficients is shifted
+    sym = Params.symbolic(with_iota_index=True)
+    letters, direction = parse_word("E23*E32"), -1
+    window = Window.symmetric(1, 1, 1)
+    kappas = {
+        act_word(sym, letters, basis_element(sym, 0, pt)).coefficient(direction, pt)
+        for pt in [(0, 0), *window.points()]
+    }
+    factor, shift = engine.factor_linear_in_iota, engine.shift_iota_split
+    shifted = []
+    monkeypatch.setattr(
+        engine, "factor_linear_in_iota", lambda k: None if k in kappas else factor(k)
+    )
+    monkeypatch.setattr(
+        engine, "shift_iota_split", lambda sp, d, k: shifted.append(k) or shift(sp, d, k)
+    )
+    doc = gt_obstruction(NUM, window)
+    assert doc["verdict"] == "fail"
+    ops = {op["word"]: op for op in doc["operators"]}
+    op = ops.pop("E23*E32")
+    assert op["factors_covered"] is False and not op["ok"]
+    assert op["factor_analysis"] == [{"r": list(pt), "factors": None} for pt in window.points()]
+    assert shifted and not kappas.intersection(shifted)
+    assert all(op["ok"] for op in ops.values())
 
 
 def test_gt_obstruction_covers_only_integral_shifts(monkeypatch):

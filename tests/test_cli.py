@@ -73,6 +73,13 @@ def test_check_generic_fail_from_config(capsys, tmp_path):
     assert [c["name"] for c in bad] == ["c-3b"]
 
 
+def test_check_generic_refuses_symbolic_params(capsys):
+    rc, out, _ = run_cli(capsys, "check-generic", "--mode", "symbolic")
+    doc = json.loads(out)
+    assert rc == 3 and doc["verdict"] == "refused"
+    assert doc["reason"] == "symbolic parameters: conditions are undecidable"
+
+
 def test_brackets_numeric_window(capsys):
     rc, out, _ = run_cli(capsys, "brackets", "--mode", "numeric", "--window", "2,1,1")
     doc = json.loads(out)
