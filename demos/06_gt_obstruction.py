@@ -4,9 +4,10 @@ Degree-two words built from opposite root vectors shift the basis index
 by at most one; the coefficient of the extreme shift factors into
 index-linear forms, and every factor is controlled by one of the ten
 named non-integrality conditions, so it cannot vanish at generic
-parameters.  The degree-three central words, by contrast, behave: the
-trace word acts as zero and the quadratic central word commutes with
-all nine generators on the inner window.
+parameters.  The central word sums of length one and two, by contrast,
+behave: the trace word acts as zero and the quadratic central word
+commutes with all nine generators on the inner window, while the E13
+control, outside the rank-two words' range, must stay nonzero.
 """
 
 from wittmod.engine import Window, gt_central_check, gt_obstruction

@@ -957,6 +957,9 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
     verdict is "error" (the window cannot absorb the word).  ``controls``
     lists generators outside the range expected NOT to commute; each must
     produce a nonzero residual somewhere, guarding against vacuous zeros.
+    Controls run at every inner basis vector and their supports count
+    toward absorption.  A control may also be a generator, and is then
+    checked as one too.
     For m = 3, k = 1 the word sum is the trace, which must act as zero.
     m outside 1..3 or k < 1 (no word, or c the identity) is refused.
     At symbolic parameters every count, support and residual is derived
@@ -982,41 +985,31 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
             total = total + y
         return total
 
-    def absorbs(seen, moves):
-        return all(window.contains(*moved(key, *move)) for move in moves for key in seen)
+    def residual(g, x, cx, seen):
+        # c(E_g x) - E_g(c x), recording every support met in seen
+        gx = act_gen(params, *g, x)
+        seen.update(gx.terms)
+        return apply_c(gx, seen) - act_gen(params, *g, cx)
 
     seen = set()
     found = []
-    cxs = []
+    nonzero = set()
+    trace_zero = True if (m, k) == (3, 1) else None
     for idx, pt in basis:
         x = basis_element(params, idx, pt)
         cx = apply_c(x, seen)
-        cxs.append(cx)
         seen.update(cx.terms)
-        for (p, q) in gens:
-            gx = act_gen(params, p, q, x)
-            seen.update(gx.terms)
-            res = apply_c(gx, seen) - act_gen(params, p, q, cx)
+        trace_zero = trace_zero and cx.is_zero()
+        for g in gens:
+            res = residual(g, x, cx, seen)
             if not res.is_zero():
-                found.append(((p, q), (idx, pt), res))
-    absorbed = absorbs(seen, moves)
-    trace_zero = None
-    if k == 1 and m == 3:
-        trace_zero = all(cx.is_zero() for cx in cxs)
-    control_results = []
-    for (p, q) in controls:
-        nonzero = False
-        seen = set()
-        for (idx, pt), cx in zip(basis, cxs):
-            x = basis_element(params, idx, pt)
-            res = apply_c(act_gen(params, p, q, x), seen) - act_gen(params, p, q, cx)
-            if not res.is_zero():
-                nonzero = True
-                break
-        # a direct sweep stops at the first inner point with a nonzero
-        # residual, and sees only the supports met until then
-        absorbed = absorbs(seen, moves[:1] if nonzero else moves) and absorbed
-        control_results.append({"generator": NAME_OF[(p, q)], "nonzero": nonzero})
+                found.append((g, (idx, pt), res))
+        # every control at every vector: its supports count toward absorption
+        for g in controls:
+            if not residual(g, x, cx, seen).is_zero():
+                nonzero.add(g)
+    absorbed = all(window.contains(*moved(key, *move)) for move in moves for key in seen)
+    control_results = [{"generator": NAME_OF[g], "nonzero": g in nonzero} for g in controls]
     # point by point, as the direct loop meets them
     found = [(g, moved(key, *move), move, res) for move in moves for g, key, res in found]
     failures = [

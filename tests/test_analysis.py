@@ -511,6 +511,8 @@ def test_cli_irreducible_anchor_seed_passes(capsys):
         lambda: proof_report([0]),
         lambda: proof_report([-1]),
         lambda: recursion_factorization_oracle([]),
+        lambda: derham_report(n=4),
+        lambda: derham_report(n=1),
     ],
     ids=[
         "witt-trials", "witt-jacobi", "witt-no-trials", "derham-box", "derham-uv", "irreducible",
@@ -518,6 +520,7 @@ def test_cli_irreducible_anchor_seed_passes(capsys):
         "sl3-brackets-no-indices", "embedding-no-points", "embedding-no-indices",
         "d-intertwines-no-box", "d-intertwines-empty-iterator", "proof-no-lengths",
         "proof-zero-length", "proof-negative-length", "factorization-no-lengths",
+        "derham-rank-4", "derham-rank-1",
     ],
 )
 def test_engine_rejects_counts_without_evidence(run):
@@ -1016,6 +1019,7 @@ def test_gt_central_counts_every_failure_and_prints_the_first_five(monkeypatch, 
     window = Window(0, 5, ((0, 5), (0, 4)), margin=2)  # four inner basis vectors
     inner = [(idx, list(pt)) for idx, pt in window.basis(inner=True)]
     doc = gt_central_check(params, window, 3, 2)
+    failures = doc["failures"]
     assert doc["verdict"] == "fail" and doc["commutator_checks"] == 9 * 4
     # six commutators fail at each inner basis vector; all five printed
     # failures are those of the first one, in generator order
@@ -1032,11 +1036,27 @@ def test_gt_central_counts_every_failure_and_prints_the_first_five(monkeypatch, 
         ("E12", *inner[1]), ("E21", *inner[1]),
         ("E12", *inner[2]),
     ]
+    # a control that is also a generator still fails as a generator
+    doc = gt_central_check(params, window, 3, 2, controls=((1, 2),))
+    assert doc["failure_count"] == 6 * 4 and doc["failures"] == failures
+    assert doc["controls"] == [{"generator": "E12", "nonzero": True}]
 
 
-def test_gt_central_errors_when_window_cannot_absorb():
-    doc = gt_central_check(Params.symbolic(), Window.symmetric(2, 1, 1, margin=0), 3, 2)
-    assert doc["verdict"] == "error"
+@pytest.mark.parametrize(
+    "params, window, m, k, controls",
+    [
+        (Params.symbolic(), Window.symmetric(2, 1, 1, margin=0), 3, 2, ()),
+        # the word sum stays inside; the control E13 moves v(1, r2) to
+        # r1 = 2, so the control's supports must count toward absorption
+        (Params.symbolic(), Window.symmetric(1, 1, 1), 1, 1, ((1, 3),)),
+        (Params.numeric(), Window.symmetric(1, 1, 1), 1, 1, ((1, 3),)),
+    ],
+    ids=["word", "control-derived", "control-direct"],
+)
+def test_gt_central_errors_when_window_cannot_absorb(params, window, m, k, controls):
+    doc = gt_central_check(params, window, m, k, controls)
+    assert doc["verdict"] == "error" and doc["absorbed"] is False
+    assert doc["controls"] == [{"generator": "E13", "nonzero": True}] * len(controls)
 
 
 @pytest.mark.parametrize("m, k", [(0, 1), (4, 1), (3, 0), (2, -1)])
