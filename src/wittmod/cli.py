@@ -255,10 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_degenerate)
 
     sp = sub.add_parser("derham", help="differential: square zero, intertwining, image invariance")
-    sp.add_argument("--out")
-    sp.add_argument("--n", type=int, choices=(2, 3), default=2)
-    sp.add_argument("--box", type=int, default=2)
-    sp.add_argument("--uv", type=int, default=2)
+    sp.add_argument("--out", help="write the JSON report to this file")
+    sp.add_argument("--n", type=int, choices=(2, 3), default=2, help="rank of the Witt algebra")
+    sp.add_argument(
+        "--box", type=int, default=2,
+        help="d^2 = 0 runs on [-BOX, BOX]^n; intertwining and image always run on [-1, 1]^n",
+    )
+    sp.add_argument(
+        "--uv", type=int, default=2,
+        help="directions u and shifts r of D(u, r) range over [-UV, UV]^n",
+    )
     sp.set_defaults(func=cmd_derham)
 
     sp = sub.add_parser("proof-identities", help="truncation-operator identities with controls")

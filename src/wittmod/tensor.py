@@ -163,31 +163,37 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
 
     ``module`` is the gl_n input; it is read only through
     ``module.column(i, j, idx)``, the image of basis idx under E_ij as
-    (p, entry) pairs.  What does not depend on x is computed here, once:
-    the nonzero directions of u, the (r'u) coefficients r_i u_j and the
-    weight part (u|alpha).  ``apply`` tables the rest as it meets it: the
-    matrix part sum_{i,j} r_i u_j E_ij e_idx of each basis index, with its
-    scalar entries summed, and the weight (u|alpha) + (u|m) of each value
-    of (u|m).  The tables belong to this one operator, so a sweep binds
-    each generator once and drops it when the sweep returns.  ``apply``
+    (p, entry) pairs.  D(u, r) is built as sum_k u_k D(e_k, r): u enters
+    only as the weights u_k of the unit directions' data, the weight
+    alpha_k + m_k of a term at m and the column sum_i r_i E_ik e_idx.  So
+    a residual linear in D is, for every u, the u-weighted sum of the
+    residuals of D(e_1, r)..D(e_n, r); ``engine.derham_report`` counts
+    on this.
+
+    What does not depend on x is computed here, once: the nonzero entries
+    u_k, the nonzero shift entries r_i and (u|alpha).  ``apply`` tables
+    the rest as it meets it: the matrix part of each basis index, with
+    its scalar entries summed, and the weight of each value of (u|m).
+    The tables belong to this one operator, so a sweep binds each
+    generator once and drops it when the sweep returns.  ``apply``
     refuses an element with another alpha.
 
     With ``scale`` L > 1 the weight part is (u|L alpha) + L(u|m) and the
-    matrix part L r_i u_j E_ij.  L alpha, each weight and each summed
-    column entry go through ``scalars.scaled_int``, which refuses one that
-    keeps a denominator, and are stored as ints, so x with int
-    coefficients has an int image.
+    matrix part L sum_k u_k sum_i r_i E_ik.  L alpha, each weight and
+    each summed column entry go through ``scalars.scaled_int``, which
+    refuses one that keeps a denominator, and are stored as ints, so x
+    with int coefficients has an int image.
     """
     alpha = tuple(alpha)
     if len(D.u) != len(alpha):
         raise ValueError(f"generator dimension {len(D.u)} does not match n={len(alpha)}")
     u = [(k, uk) for k, uk in enumerate(D.u) if not coeff_is_zero(uk)]
-    ru = [(i + 1, j + 1, ri * uj) for i, ri in enumerate(D.r) if ri for j, uj in u]
     twist = alpha if scale == 1 else tuple(scaled_int(a, scale) for a in alpha)
     u_alpha = 0
     for k, uk in u:
         u_alpha = u_alpha + uk * twist[k]
     shift = D.r
+    rows = [(i, ri) for i, ri in enumerate(shift, 1) if ri]
     columns = {}
     weights = {}
 
@@ -208,9 +214,10 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
             part = columns.get(idx)
             if part is None:
                 col = {}
-                for i, j, c in ru:
-                    for p, e in module.column(i, j, idx):
-                        add_term(col, p, c * e)
+                for k, uk in u:
+                    for i, ri in rows:
+                        for p, e in module.column(i, k + 1, idx):
+                            add_term(col, p, uk * ri * e)
                 part = tuple(col.items())
                 if scale != 1:
                     part = tuple((p, scaled_int(e, scale)) for p, e in part)
@@ -328,6 +335,13 @@ def de_rham_differential(x: ModuleElement, wedges, k: int, scale: int = 1) -> Mo
     return _element(alpha, out)
 
 
+def d_intertwining_residual(act_src, act_dst, x, dx, wedges, k: int, scale: int = 1):
+    """d(D x) - D(d x) for D bound as ``act_src`` on ``wedges[k]`` and as
+    ``act_dst`` on ``wedges[k + 1]``, given dx = d x.  With D and d scaled
+    by L it is L**2 times the true residual."""
+    return de_rham_differential(act_src(x), wedges, k, scale) - act_dst(dx)
+
+
 def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
     """Residuals of d(D(u,r)x) - D(u,r)(d x) over monomial generators.
 
@@ -357,10 +371,9 @@ def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
     for m in box:
         for idx in range(src.dim):
             x = ModuleElement.basis(alpha, idx, m)
-            lhs = de_rham_differential(act_src(x), wedges, k, scale)
-            rhs = act_dst(de_rham_differential(x, wedges, k, scale))
+            dx = de_rham_differential(x, wedges, k, scale)
+            res = d_intertwining_residual(act_src, act_dst, x, dx, wedges, k, scale)
             count += 1
-            res = lhs - rhs
             if not res.is_zero():
                 failures.append(
                     {

@@ -2,9 +2,9 @@
 
 ``PRODUCERS`` holds every report the lock pins: each subcommand run
 through ``cli.main`` at its default arguments (``act`` gets a minimal
-word and vector; ``derham --n 3`` is left out, it takes minutes), the
-numeric bracket sweep ``brackets --mode numeric --window 2,1,1``, which
-the default symbolic ``brackets`` does not reach, plus ``generation``,
+word and vector), the rank-three ``derham --n 3``, the numeric bracket
+sweep ``brackets --mode numeric --window 2,1,1``, which the default
+symbolic ``brackets`` does not reach, plus ``generation``,
 the irreducibility run of criterion 4.  Each report is
 produced once per session and shared by the criteria, which read their
 sub-reports from it.
@@ -48,6 +48,7 @@ CLI_RUNS = {
     "irreducible": ["irreducible"],
     "degenerate": ["degenerate"],
     "derham": ["derham"],
+    "derham-n3": ["derham", "--n", "3"],
     "proof-identities": ["proof-identities"],
     "factorization": ["factorization"],
     "gt": ["gt"],

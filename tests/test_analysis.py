@@ -31,7 +31,7 @@ from wittmod.engine import (
     recursion_factorization_oracle,
     witt_consistency_report,
 )
-from wittmod.glmod import exterior_power
+from wittmod.glmod import FinDimGlModule, exterior_power
 from wittmod.report import canonical_json
 from wittmod.scalars import Scalar, factor_linear_in_iota, scalar_to_text, shift_iota_split
 from wittmod.sl3 import (
@@ -585,6 +585,109 @@ def test_d_intertwining_needs_the_exact_target_action(monkeypatch, k, factor):
             checked += res["checked"]
             failed += len(res["failures"])
     assert (checked, failed) == (81 * 2 * (k + 1), 8 * 9 * 2 * (k + 1))
+
+
+DERHAM_COUNTS = (
+    "intertwining_pairs", "intertwining_checked", "intertwining_failures",
+    "image_checked", "image_failures",
+)
+
+
+def _derham_counts_pair_by_pair(wedges, uv_bound):
+    """``derham_report``'s intertwining and image counts with one check
+    per (u, r) pair: ``verify_d_intertwines`` on the functions of
+    [-1, 1]^n, and D(u, r) bound on the 1-forms and compared unscaled
+    with (u|m + alpha) d(t^(m+r))."""
+    n = len(wedges) - 1
+    alpha = engine.TWIST[:n]
+    directions = list(product(range(-uv_bound, uv_bound + 1), repeat=n))
+    box = list(product(range(-1, 2), repeat=n))
+
+    def d(m):
+        return tensor.de_rham_differential(ModuleElement.basis(alpha, 0, m), wedges, 0)
+
+    counts = dict.fromkeys(DERHAM_COUNTS, 0)
+    for u in directions:
+        for r in directions:
+            counts["intertwining_pairs"] += 1
+            res = verify_d_intertwines(u, r, alpha, box, n, 0, wedges)
+            counts["intertwining_checked"] += res["checked"]
+            counts["intertwining_failures"] += len(res["failures"])
+            if not any(u):
+                continue
+            act = tensor.witt_operator(tensor.WittGenerator(u, r), wedges[1], alpha)
+            for m in box:
+                weight = sum(uk * (mk + ak) for uk, mk, ak in zip(u, m, alpha))
+                target = d(tuple(a + b for a, b in zip(m, r)))
+                counts["image_checked"] += 1
+                counts["image_failures"] += act(d(m)) != target.scale(weight)
+    return counts
+
+
+def _with_entry(module, g, p, q, value):
+    """``module`` with entry (p, q) of E_g set to ``value``."""
+    action = {key: [list(row) for row in mat] for key, mat in module.action.items()}
+    action[g][p][q] = value
+    return FinDimGlModule(module.n, module.dim, action, module.basis_labels)
+
+
+def _first_weight_off_on_forms(bind):
+    """``witt_operator`` whose D(u, r) on 1-forms of gl2 weighs each term
+    by one more u_1 than it should: linear in u, nonzero on e_1 only,
+    at every shift r including 0."""
+
+    def mutant(D, module, alpha, scale=1):
+        act = bind(D, module, alpha, scale)
+        if module.dim != 2:
+            return act
+
+        def apply(x):
+            extra = {(idx, tuple(a + b for a, b in zip(m, D.r))): D.u[0] * scale * c
+                     for (idx, m), c in x.terms.items()}
+            return act(x) + ModuleElement(x.alpha, extra)
+
+        return apply
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "mutant, uv_bound, expected",
+    [
+        # E12 e_2 = -e_1 on 1-forms: the column of e_2 breaks where r_1 != 0,
+        # so u_2 != 0 and r_1 != 0 fail: 6 * 6 pairs at 9 points, and
+        # 20 * 20 at the default bound
+        pytest.param("e12-sign", 1, (324, 324), id="e12-sign"),
+        pytest.param("e12-sign", 2, (3600, 3600), id="e12-sign-uv2"),
+        # the weight of e_1 on 1-forms is off by one at every r: 6 * 9 pairs
+        pytest.param("e1-weight", 1, (486, 486), id="e1-weight"),
+        # E11 t^m = t^m on functions: the column of e_1 breaks where r_1 != 0,
+        # and the image check, which reads 1-forms only, stays exact
+        pytest.param("e1-column-on-functions", 1, (324, 0), id="e1-column-on-functions"),
+    ],
+)
+def test_derham_unit_sweep_equals_the_pair_by_pair_sweep(monkeypatch, mutant, uv_bound, expected):
+    # derham_report derives every u's verdict from the unit directions;
+    # under each mutant its counts equal those of checking every (u, r)
+    wedges = list(WEDGES2)
+    if mutant == "e12-sign":
+        wedges[1] = _with_entry(wedges[1], (1, 2), 0, 1, Fraction(-1))
+    elif mutant == "e1-column-on-functions":
+        wedges[0] = _with_entry(wedges[0], (1, 1), 0, 0, Fraction(1))
+    else:
+        bind = _first_weight_off_on_forms(tensor.witt_operator)
+        monkeypatch.setattr(tensor, "witt_operator", bind)
+        monkeypatch.setattr(engine, "witt_operator", bind)
+    monkeypatch.setattr(engine, "exterior_power", lambda n, k: wedges[k])
+    doc = derham_report(box_bound=0, uv_bound=uv_bound)
+    direct = _derham_counts_pair_by_pair(wedges, uv_bound)
+    assert {key: doc[key] for key in DERHAM_COUNTS} == direct
+    assert (direct["intertwining_failures"], direct["image_failures"]) == expected
+    pairs = (2 * uv_bound + 1) ** 4
+    assert (direct["intertwining_checked"], direct["image_checked"]) == (
+        pairs * 9, (pairs - (2 * uv_bound + 1) ** 2) * 9
+    )
+    assert doc["verdict"] == "fail"
 
 
 def test_irreducible_refuses_near_integral():
