@@ -9,13 +9,13 @@ against the construction they came from.
 
 from wittmod.sl3 import (
     GEN_NAMES,
-    GEN_SHIFTS,
     Params,
     act_embedded,
     act_gen,
     basis_element,
     verify_embedding,
     verify_sl3_brackets,
+    word_shift,
 )
 from wittmod.scalars import scalar_to_text
 
@@ -38,4 +38,4 @@ print(f"all 81 bracket pairs, {rep['checked']} residuals:", "ok" if rep["ok"] el
 
 trace = [act_gen(sym, i, i, x) for i in (1, 2, 3)]
 print("trace acts as:", (trace[0] + trace[1] + trace[2]).sorted_terms() or "zero")
-print("lattice shifts:", {name: GEN_SHIFTS[GEN_NAMES[name]] for name in ("E12", "E31")})
+print("lattice shifts:", {name: word_shift((GEN_NAMES[name],)) for name in ("E12", "E31")})

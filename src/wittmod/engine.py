@@ -25,14 +25,14 @@ from typing import Optional, Sequence
 
 from .glmod import CuspidalGl2, exterior_power, verify_gl_brackets
 from .scalars import (
+    IOTA,
     Scalar,
     coeff_is_zero,
     common_denominator,
-    factor_linear_in_iota,
     factor_polynomial,
+    iota_split,
     scalar_to_text,
     scaled_int,
-    shift_iota_split,
 )
 from .sl3 import (
     CONDITION_NAMES,
@@ -45,6 +45,7 @@ from .sl3 import (
     basis_element,
     check_generic,
     condition_values,
+    form_value,
     integer_action,
     lattice_route,
     lattice_shift,
@@ -55,6 +56,7 @@ from .sl3 import (
     raising_operator,
     verify_embedding,
     verify_sl3_brackets,
+    word_path,
     word_shift,
 )
 from .tensor import (
@@ -840,28 +842,41 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
 GT_OBSTRUCTION_OPS = (("E12*E21", 1), ("E23*E32", -1), ("E13*E31", 1))
 
 
+def _leakage_split(letters, path, pt) -> tuple:
+    """The ``iota_split`` of the product of the forms on ``path``, a
+    ``word_path`` of ``letters``, each read at the basis vector its letter
+    acts on, starting from v_0(pt), at the iota parameters."""
+    lam, b, c, a1, a2 = Params.symbolic(with_iota_index=True)
+    idx, (r1, r2), forms = 0, pt, []
+    for g, (off, form) in zip(reversed(letters), path):
+        forms.append((form_value(form, (lam + idx, b, c, a1 + r1, a2 + r2)), 1))
+        s1, s2 = word_shift((g,))
+        idx, r1, r2 = idx + off, r1 + s1, r2 + s2
+    return iota_split(forms)
+
+
 def gt_obstruction(params: Params, window: Window) -> dict:
     """The three index-preserving composites leak into a neighbour index.
 
     On each basis vector the composite keeps the lattice point, moves the
     index by at most one, and the extreme component carries a coefficient
-    that factors into index-linear forms, each a constant shift of one of
+    that splits into index-linear forms, each a constant shift of one of
     the ten non-integrality conditions.  So under those conditions the
     leakage never vanishes: no basis of the window can diagonalize all
     three composites simultaneously.  The genericity gate refuses
     symbolic parameters and a point where one of the ten conditions fails.
 
-    Each word's coefficient is factored once, at v_0(0,0); the split at r
-    is that one moved by sigma (sl3's lattice covariance section) and
-    certified against the coefficient computed at r.
+    The split is read off the generator table, with no factorization:
+    exactly one ``word_path`` reaches the extreme index, so the
+    coefficient is the product of that path's forms.  At each point the
+    split is certified against the coefficient computed there; a word
+    with no path, or with more than one, gets no split and fails.
     """
     refusal, _ = _genericity_gate("gt-obstruction", params, window)
     if refusal is not None:
         return refusal
     sym = Params.symbolic(with_iota_index=True)
-    origin = basis_element(sym, 0, (0, 0))
     cond_scalars = condition_values(Params.symbolic())
-    factored = {}  # kappa -> its split, each distinct kappa split once
     ops = []
     all_ok = True
     for word_text, direction in GT_OBSTRUCTION_OPS:
@@ -887,20 +902,20 @@ def gt_obstruction(params: Params, window: Window) -> dict:
                 if bad is not None and first_failure is None:
                     first_failure = {"index": idx, "r": list(pt), "problem": bad}
         factor_reports = []
-        factors_ok = True
-        kappa = act_word(sym, letters, origin).coefficient(direction, (0, 0))
-        base = factored[kappa] = factor_linear_in_iota(kappa)
+        path = word_path(letters, direction)
+        factors_ok = path is not None
         for pt in window.points():
-            y = act_word(sym, letters, basis_element(sym, 0, pt))
-            kappa = y.coefficient(direction, pt)
-            if kappa not in factored:
-                shifts = {"a1": pt[0], "a2": pt[1]}
-                factored[kappa] = base and shift_iota_split(base, shifts, kappa)
-            if factored[kappa] is None:
-                factors_ok = False
+            if path is None:
                 factor_reports.append({"r": list(pt), "factors": None})
                 continue
-            unit, pairs = factored[kappa]
+            unit, pairs = _leakage_split(letters, path, pt)
+            # certified where the path lands: at pt unless the table moves the word
+            y = act_word(sym, letters, basis_element(sym, 0, pt))
+            prod = unit
+            for zeta, sign in pairs:
+                prod = prod * (zeta + sign * IOTA)
+            if prod != y.coefficient(*moved((0, pt), direction, word_shift(letters))):
+                raise ValueError("leakage split certification failed")
             fr = []
             for zeta, sign in pairs:
                 covered = None

@@ -459,37 +459,33 @@ def factor_polynomial(x: Scalar):
 
 
 def factor_linear_in_iota(x: Scalar) -> Optional[tuple]:
-    """Split a polynomial scalar into iota-linear factors, or None.
-
-    Returns (unit, ((zeta, sign), ...)) with sign in {+1, -1} and the unit
-    and every zeta free of iota, such that x equals the unit times the
-    product of (zeta + sign*iota); the pairs are sorted on zeta's terms,
-    then the sign.  Read off the certified ``factor_polynomial``; None
-    when some irreducible factor has degree above 1 in iota.
-    """
-    if not x.is_polynomial():
-        raise ValueError("factor_linear_in_iota expects a polynomial scalar")
+    """The ``iota_split`` of the certified ``factor_polynomial`` of a
+    polynomial scalar; None when a factor has degree above 1 in iota."""
     unit, factors = factor_polynomial(x)
+    if any(f.num.degree_in("iota") > 1 for f, _ in factors):
+        return None
+    return iota_split(factors, unit)
+
+
+def iota_split(factors, unit: Scalar = ONE) -> tuple:
+    """unit times the product of ``factors``, (Scalar, multiplicity) pairs
+    of degree at most 1 in iota, as (unit', ((zeta, sign), ...)): unit' and
+    every zeta free of iota, sign +1 or -1, each zeta zero or with a
+    positive leading coefficient, the pairs sorted on zeta's terms, then
+    the sign, and the product of unit' and every zeta + sign*iota unchanged."""
     pairs = []
     for f, mult in factors:
-        d = f.num.degree_in("iota")
-        if d == 0:
+        if not f.num.degree_in("iota"):
             unit = unit * f**mult
             continue
-        if d > 1:
-            return None
-        # f = a*(iota - rho)/den; present (zeta, sign) so that zeta is zero
-        # or has a positive leading coefficient
+        # f = a*(iota - rho)/den
         terms = f.num.terms.items()
         a = ParamPolynomial({e[:-1] + (0,): q for e, q in terms if e[-1]})
         b = ParamPolynomial({e: q for e, q in terms if not e[-1]})
         rho = -Scalar(b, a)
-        if not rho.is_zero() and rho.num.leading_coeff() > 0:
-            pairs += [(rho, -1)] * mult
-            unit = unit * Scalar(-a, f.den) ** mult
-        else:
-            pairs += [(-rho, 1)] * mult
-            unit = unit * Scalar(a, f.den) ** mult
+        sign = -1 if not rho.is_zero() and rho.num.leading_coeff() > 0 else 1
+        pairs += [(-sign * rho, sign)] * mult
+        unit = unit * Scalar(a.scale(sign), f.den) ** mult
     pairs.sort(key=_pair_key)
     return unit, tuple(pairs)
 
@@ -500,26 +496,6 @@ def _pair_key(pair) -> tuple:
     x, k = pair
     parts = (x.num.sorted_terms(), x.den.sorted_terms())
     return [([_grlex_key(e) for e, _ in t], [q for _, q in t]) for t in parts], k
-
-
-def shift_iota_split(split: tuple, shifts: Mapping[str, int], x: Scalar) -> tuple:
-    """The ``factor_linear_in_iota`` split of x, read off ``split``, the
-    split of y, where x must be ``shift_symbols(y, shifts)``.
-
-    The shift fixes iota and keeps leading coefficients, so it maps each
-    irreducible factor of y to one of x, each pair's sign and the unit's
-    freedom from iota included; only the pair order is taken afresh.
-    Certified by multiplying back to x; a product that is not x raises.
-    """
-    unit, pairs = split
-    unit = shift_symbols(unit, shifts)
-    pairs = sorted(((shift_symbols(zeta, shifts), sign) for zeta, sign in pairs), key=_pair_key)
-    prod = unit
-    for zeta, sign in pairs:
-        prod = prod * (zeta + IOTA if sign > 0 else zeta - IOTA)
-    if prod != x:
-        raise ValueError("shifted split certification failed")
-    return unit, tuple(pairs)
 
 
 # -- text printer -------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
+from itertools import product
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -143,11 +144,9 @@ GENERATORS = {
 
 GEN_NAMES = {f"E{i}{j}": (i, j) for i, j in GENERATORS}
 NAME_OF = {g: name for name, g in GEN_NAMES.items()}
-# lattice shift of each generator: e_i - e_j projected to the first two axes
-GEN_SHIFTS = {g: r for g, (_, _, r, _) in GENERATORS.items()}
 
 
-def _form_value(form, values):
+def form_value(form, values):
     """The linear form with coefficients ``form`` at ``values``, both in
     PARAM_KEYS order: a sum over the nonzero coefficients, where 1 and -1
     add or subtract the value without a product."""
@@ -173,7 +172,7 @@ def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
     if (i, j) not in GENERATORS:
         raise ValueError(f"no generator E{i}{j}")
     _, _, (s1, s2), formula = GENERATORS[(i, j)]
-    entries = [(off, _form_value(f, params), f[0], f[3], f[4]) for off, f in formula]
+    entries = [(off, form_value(f, params), f[0], f[3], f[4]) for off, f in formula]
     out = {}
     for (idx, (r1, r2)), coeff in x.terms.items():
         pt = (r1 + s1, r2 + s2)
@@ -192,7 +191,7 @@ def integer_action(params: Params):
     ints = tuple(scaled_int(v, scale) for v in params)
     table = {
         g: (s1, s2, tuple(
-            (off, _form_value(f, ints), scale * f[0], scale * f[3], scale * f[4])
+            (off, form_value(f, ints), scale * f[0], scale * f[3], scale * f[4])
             for off, f in formula
         ))
         for g, (_, _, (s1, s2), formula) in GENERATORS.items()
@@ -240,9 +239,18 @@ def act_word(params: Params, letters, x: ModuleElement) -> ModuleElement:
     return y
 
 
+def word_path(letters, offset: int):
+    """The table entries, one per letter, the rightmost first, whose index
+    offsets sum to ``offset``; the word's coefficient there is the product
+    of their forms.  None unless exactly one such path exists."""
+    entries = product(*(GENERATORS[g][3] for g in reversed(letters)))
+    paths = [path for path in entries if sum(off for off, _ in path) == offset]
+    return paths[0] if len(paths) == 1 else None
+
+
 def word_shift(letters):
-    s1 = sum(GEN_SHIFTS[lt][0] for lt in letters)
-    s2 = sum(GEN_SHIFTS[lt][1] for lt in letters)
+    s1 = sum(GENERATORS[lt][2][0] for lt in letters)
+    s2 = sum(GENERATORS[lt][2][1] for lt in letters)
     return (s1, s2)
 
 
@@ -402,7 +410,7 @@ SPANNING_CONDITIONS = CONDITION_NAMES[:8]
 def condition_values(point) -> dict:
     """Value of each of the ten conditions at ``point``, a vector in
     PARAM_KEYS order such as a ``Params``, keyed by name."""
-    return {name: _form_value(form, point) for name, form in CONDITIONS.items()}
+    return {name: form_value(form, point) for name, form in CONDITIONS.items()}
 
 
 def check_generic(params: Params) -> dict:

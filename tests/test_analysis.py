@@ -11,11 +11,10 @@ import pytest
 import sympy
 from sympy.polys.rings import PolyElement
 
-from wittmod import engine, scalars, tensor
+from wittmod import engine, tensor
 from wittmod.cli import main
 from wittmod.engine import (
     DEFAULT_WORDS,
-    GT_OBSTRUCTION_OPS,
     SubspaceBasis,
     Window,
     check_degenerate_reducibility,
@@ -33,7 +32,7 @@ from wittmod.engine import (
 )
 from wittmod.glmod import FinDimGlModule, exterior_power
 from wittmod.report import canonical_json
-from wittmod.scalars import Scalar, factor_linear_in_iota, scalar_to_text, shift_iota_split
+from wittmod.scalars import IOTA, ONE, Scalar
 from wittmod.sl3 import (
     DEGENERATE_VALUES,
     Params,
@@ -544,8 +543,8 @@ def _scaled_binding(bind, factor, only=None):
 @pytest.mark.parametrize("factor", [0, 2], ids=["zero", "double"])
 def test_derham_image_check_needs_the_exact_multiple(monkeypatch, factor):
     # D(u, r) d(t^m) must be (u|m + alpha) d(t^(m+r)), not any multiple of it;
-    # the image check binds D through engine.witt_operator, the intertwining
-    # sweep through tensor's, which stays exact
+    # both sweeps bind D through engine.witt_operator, and the intertwining
+    # count stays 0 only because both of its sides scale alike
     monkeypatch.setattr(engine, "witt_operator", _scaled_binding(engine.witt_operator, factor))
     doc = derham_report(box_bound=0, uv_bound=1)
     assert doc["verdict"] == "fail"
@@ -912,18 +911,14 @@ def _count_factorizations(monkeypatch) -> list:
 
 
 def test_gt_obstruction_report(monkeypatch):
-    kappas = []
-    factor, shift = engine.factor_linear_in_iota, engine.shift_iota_split
-    monkeypatch.setattr(engine, "factor_linear_in_iota", lambda k: kappas.append(k) or factor(k))
-    monkeypatch.setattr(
-        engine, "shift_iota_split", lambda sp, d, k: kappas.append(k) or shift(sp, d, k)
-    )
+    splits = []
+    real = engine._leakage_split
+    monkeypatch.setattr(engine, "_leakage_split", lambda *args: splits.append(args) or real(*args))
     factorizations = _count_factorizations(monkeypatch)
     doc = gt_obstruction(NUM, Window.symmetric(4, 2, 2))
-    # 3 operators x 25 points share 15 distinct kappas, each split once;
-    # sympy factors one per word, and the others are shifts of it
-    assert len(kappas) == len(set(kappas)) == 15
-    assert len(factorizations) == 3
+    # one split per word and point, read off the table: sympy factors nothing
+    assert len(splits) == 3 * 25
+    assert factorizations == []
     assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == (
         "84e9724b32436b853eaef4251bc2bcf70a6010f55b263377b429132a2585af42"
     )
@@ -943,53 +938,23 @@ def test_gt_obstruction_report(monkeypatch):
                 assert cov is not None and Fraction(cov["shift"]).denominator == 1
 
 
-def _split_text(split):
-    unit, pairs = split
-    return scalar_to_text(unit), [(scalar_to_text(z), sign) for z, sign in pairs]
-
-
-@pytest.mark.parametrize(
-    "radii, from_origin",
-    [
-        pytest.param(radii, from_origin, id=f"radii{n}" + "-origin" * from_origin)
-        for from_origin in (False, True)
-        for n, radii in enumerate([(4, 2, 2), (3, 3, 3), (2, 4, 1)])
-    ],
-)
-def test_shifted_kappa_splits_are_the_factored_ones(radii, from_origin):
-    # shifted from the window's first point, or from v_0(0,0) as
-    # gt_obstruction does
-    sym = Params.symbolic(with_iota_index=True)
-    direct = {}
-    points = Window.symmetric(*radii).points()
-    p0 = (0, 0) if from_origin else points[0]
-    for word_text, direction in GT_OBSTRUCTION_OPS:
-        letters = parse_word(word_text)
-        kappa_at = {
-            pt: act_word(sym, letters, basis_element(sym, 0, pt)).coefficient(direction, pt)
-            for pt in [p0, *points]
-        }
-        base = factor_linear_in_iota(kappa_at[p0])
-        for pt, kappa in kappa_at.items():
-            shifts = {"a1": pt[0] - p0[0], "a2": pt[1] - p0[1]}
-            got = shift_iota_split(base, shifts, kappa)
-            if kappa not in direct:
-                direct[kappa] = factor_linear_in_iota(kappa)
-            assert got == direct[kappa], (word_text, pt)
-            assert _split_text(got) == _split_text(direct[kappa])
+def _multiply_back(unit, pairs):
+    for zeta, sign in pairs:
+        unit = unit * (zeta + sign * IOTA)
+    return unit
 
 
 def test_gt_obstruction_raises_when_a_shifted_split_does_not_multiply_back(monkeypatch):
-    # a shift that moves a1 one step too far gives a split of some other
-    # scalar: certification refuses it, nothing is factored afresh
-    real = scalars.shift_symbols
+    # a split built one a1 step too far is a split of some other scalar:
+    # certification refuses it, nothing is factored
+    real = engine._leakage_split
     monkeypatch.setattr(
-        scalars, "shift_symbols", lambda x, shifts: real(x, {**shifts, "a1": shifts["a1"] + 1})
+        engine, "_leakage_split", lambda letters, path, pt: real(letters, path, (pt[0] + 1, pt[1]))
     )
     factorizations = _count_factorizations(monkeypatch)
-    with pytest.raises(ValueError, match="shifted split certification failed"):
+    with pytest.raises(ValueError, match="leakage split certification failed"):
         gt_obstruction(NUM, Window.symmetric(4, 2, 2))
-    assert len(factorizations) == 1
+    assert factorizations == []
 
 
 def test_gt_obstruction_fails_when_an_extreme_component_vanishes(monkeypatch):
@@ -1040,40 +1005,39 @@ def test_gt_obstruction_fails_when_a_word_leaves_the_triangle(monkeypatch, step,
 
 
 def test_gt_obstruction_fails_when_a_word_has_no_split(monkeypatch):
-    # E23*E32's coefficient at v_0(0,0) gets no split: every point of that
-    # word prints none, and none of its coefficients is shifted
-    sym = Params.symbolic(with_iota_index=True)
-    letters, direction = parse_word("E23*E32"), -1
+    # E23*E32 gets no path to its extreme index: every point of that word
+    # prints no split, and no split is built for it
+    word = parse_word("E23*E32")
+    path, split = engine.word_path, engine._leakage_split
+    built = []
+    monkeypatch.setattr(
+        engine, "word_path", lambda letters, offset: None if letters == word else path(letters, offset)
+    )
+    monkeypatch.setattr(
+        engine, "_leakage_split", lambda letters, *args: built.append(letters) or split(letters, *args)
+    )
     window = Window.symmetric(1, 1, 1)
-    kappas = {
-        act_word(sym, letters, basis_element(sym, 0, pt)).coefficient(direction, pt)
-        for pt in [(0, 0), *window.points()]
-    }
-    factor, shift = engine.factor_linear_in_iota, engine.shift_iota_split
-    shifted = []
-    monkeypatch.setattr(
-        engine, "factor_linear_in_iota", lambda k: None if k in kappas else factor(k)
-    )
-    monkeypatch.setattr(
-        engine, "shift_iota_split", lambda sp, d, k: shifted.append(k) or shift(sp, d, k)
-    )
     doc = gt_obstruction(NUM, window)
     assert doc["verdict"] == "fail"
     ops = {op["word"]: op for op in doc["operators"]}
     op = ops.pop("E23*E32")
     assert op["factors_covered"] is False and not op["ok"]
     assert op["factor_analysis"] == [{"r": list(pt), "factors": None} for pt in window.points()]
-    assert shifted and not kappas.intersection(shifted)
+    assert built and word not in built
     assert all(op["ok"] for op in ops.values())
 
 
 def test_gt_obstruction_covers_only_integral_shifts(monkeypatch):
     c, b, l, a1 = (Scalar.sym(n) for n in ("c", "b", "l", "a1"))
-    zetas = (c + l + Scalar.from_rational(Fraction(1, 2)), b * c, -(a1 - b - l) + 2)
+    pairs = tuple(
+        (z, 1) for z in (c + l + Scalar.from_rational(Fraction(1, 2)), b * c, -(a1 - b - l) + 2)
+    )
+    real = engine._leakage_split
+    # the unit makes the injected split multiply back to the coefficient
     monkeypatch.setattr(
         engine,
-        "factor_linear_in_iota",
-        lambda kappa: (Scalar.from_rational(1), tuple((z, 1) for z in zetas)),
+        "_leakage_split",
+        lambda *args: (_multiply_back(*real(*args)) / _multiply_back(ONE, pairs), pairs),
     )
     doc = gt_obstruction(NUM, Window(0, 0, ((0, 0), (0, 0))))
     assert doc["verdict"] == "fail"

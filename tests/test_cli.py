@@ -340,10 +340,11 @@ def test_package_runs_as_module():
         ["derham"],
         ["witt"],
         ["gt", "--gt-check", "central"],
+        ["gt"],
     ],
     ids=[
         "import", "check-generic", "brackets", "proof-identities", "generate",
-        "irreducible-seed", "degenerate", "derham", "witt", "gt-central",
+        "irreducible-seed", "degenerate", "derham", "witt", "gt-central", "gt",
     ],
 )
 def test_numeric_paths_do_not_load_sympy(argv):
@@ -352,7 +353,8 @@ def test_numeric_paths_do_not_load_sympy(argv):
     # symbolic brackets sweep (window 3,2,2), the proof identities and the
     # symbolic central words (k = 1, 2 and the control) stay in
     # ParamPolynomial arithmetic and load it neither: a covariant sweep
-    # shifts coefficients through sympy only for a printed failure.  Each
+    # shifts coefficients through sympy only for a printed failure.  The
+    # gt leakage splits are read off the generator table, not factored.  Each
     # run must pass, so its whole path is covered.
     code = "import wittmod"
     if argv is not None:

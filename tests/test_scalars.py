@@ -39,7 +39,6 @@ from wittmod.scalars import (
     poly_to_text,
     scalar_to_text,
     scaled_int,
-    shift_iota_split,
     shift_symbols,
 )
 from wittmod.sl3 import Params
@@ -653,29 +652,6 @@ def test_shift_symbols_is_a_ring_map_onto_canonical_pairs(x, y, shifts):
     assert shift(x + y) == shift(x) + shift(y) and shift(x * y) == shift(x) * shift(y)
     if not y.is_zero():
         assert shift(x / y) == shift(x) / shift(y)
-
-
-def test_shift_iota_split_reads_the_split_of_the_shifted_scalar():
-    x = 2 * (C + L) * (C + IOTA) * (A1 - B - IOTA) * (A2 * IOTA + B)
-    shifts = {"a1": 2, "a2": -1}
-    moved = 2 * (C + L) * (C + IOTA) * (A1 + 2 - B - IOTA) * ((A2 - 1) * IOTA + B)
-    got = shift_iota_split(factor_linear_in_iota(x), shifts, moved)
-    assert got == factor_linear_in_iota(moved)
-    assert scalar_to_text(got[0]) == "2*c*a2 + 2*l*a2 - 2*c - 2*l"
-    assert [(scalar_to_text(z), s) for z, s in got[1]] == [
-        ("(b)/(a2 - 1)", 1), ("c", 1), ("a1 - b + 2", -1)
-    ]
-    # not the shifted scalar: refused, never passed off as its split
-    with pytest.raises(ValueError, match="shifted split certification failed"):
-        shift_iota_split(factor_linear_in_iota(x), shifts, moved + 1)
-    # pairs (a1 + 1, 1) and (a1 + 1, -1) share zeta, and the sign orders
-    # them: the shifted split is the direct one, in values and in text
-    y = (A1 + IOTA) * (A1 - IOTA)
-    moved = shift_symbols(y, {"a1": 1})
-    got = shift_iota_split(factor_linear_in_iota(y), {"a1": 1}, moved)
-    assert got == factor_linear_in_iota(moved)
-    assert scalar_to_text(got[0]) == "1"
-    assert [(scalar_to_text(z), s) for z, s in got[1]] == [("a1 + 1", -1), ("a1 + 1", 1)]
 
 
 def _assert_unit_denominators_shared(values):

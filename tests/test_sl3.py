@@ -10,8 +10,9 @@ import pytest
 
 from wittmod import engine, sl3
 from wittmod.glmod import bracket_residual, bracket_residuals
-from wittmod.engine import Window, gt_central_check, proof_report
+from wittmod.engine import GT_OBSTRUCTION_OPS, Window, gt_central_check, gt_obstruction, proof_report
 from wittmod.report import canonical_json
+from wittmod.scalars import A1, A2, B, C, IOTA, L, factor_linear_in_iota
 from wittmod.tensor import element_to_json
 from wittmod.sl3 import (
     CONDITION_NAMES,
@@ -27,11 +28,13 @@ from wittmod.sl3 import (
     act_word,
     basis_element,
     check_generic,
+    form_value,
     parse_param_line,
     parse_word,
     proof_identity_report,
     verify_embedding,
     verify_sl3_brackets,
+    word_path,
     word_shift,
 )
 
@@ -115,6 +118,35 @@ def test_word_order_rightmost_first():
     composed = act_gen(NUM, 1, 2, act_gen(NUM, 2, 1, x))
     assert act_word(NUM, parse_word("E12*E21"), x) == composed
 
+
+
+def test_word_path_needs_exactly_one_path():
+    word = parse_word("E12*E21")
+    # offset 0: E21 to v_{i-1} then E12 back, or both at v_i; 2: no path
+    assert word_path(word, 0) is None and word_path(word, 2) is None
+    assert word_path(parse_word("E12"), 1) == ((1, (1, 0, 1, 0, 0)),)
+
+
+@pytest.mark.parametrize(
+    "word, offset, forms",
+    [
+        ("E12*E21", 1, [(A1 - B - L) - IOTA, (C + L) + IOTA]),
+        ("E12*E21", -1, [(C - L) - IOTA, (A2 - B + L) + IOTA]),
+        ("E23*E32", -1, [(A2 - B + L) + IOTA, -((C - L) - IOTA)]),
+        ("E13*E31", 1, [(A1 - B - L) - IOTA, -((C + L) + IOTA)]),
+    ],
+)
+def test_word_path_reads_the_leakage_forms(word, offset, forms):
+    # one table entry per letter, the rightmost first; read at v_0(0,0)
+    # and at the basis vector the first letter lands on, with lam = l + iota
+    letters = parse_word(word)
+    path = word_path(letters, offset)
+    assert all(e in sl3.GENERATORS[g][3] for g, e in zip(reversed(letters), path))
+    (off, first), (_, second) = path
+    lam, b, c, a1, a2 = Params.symbolic(with_iota_index=True)
+    r1, r2 = word_shift(letters[-1:])
+    landed = (lam + off, b, c, a1 + r1, a2 + r2)
+    assert [form_value(first, (lam, b, c, a1, a2)), form_value(second, landed)] == forms
 
 # -- bracket relations ----------------------------------------------------
 
@@ -457,6 +489,44 @@ def test_covariant_central_check_equals_the_direct_sweep(monkeypatch):
             outcomes.update((c["verdict"], c["absorbed"]) for c in map(json.loads, derived))
     # passing, failing and unabsorbed reports are all compared
     assert {("pass", True), ("fail", True), ("error", False)} <= outcomes
+
+
+
+LEAKAGE_ROWS = {GEN_NAMES[name] for name in ("E12", "E21", "E23", "E32", "E13", "E31")}
+
+
+def test_table_splits_are_the_factored_ones(monkeypatch):
+    # the split gt_obstruction reads off the table, against sympy's
+    # factorization of the coefficient act_word computes, at v_0(0,0) and
+    # an off-axis point, for the intact table and every corruption of a
+    # leakage word's rows.  gt_obstruction certifies every split it
+    # prints, moved words included, and fails a word with no unique path
+    factored = {}
+    no_path = []
+    rows = [(g, row) for g, row in _row_mutations() if g in LEAKAGE_ROWS]
+    for g, row in [(None, None), *rows]:
+        with monkeypatch.context() as m:
+            if g is not None:
+                m.setitem(sl3.GENERATORS, g, row)
+            doc = gt_obstruction(NUM, Window(0, 0, ((0, 0), (0, 0))))
+            for (word_text, direction), op in zip(GT_OBSTRUCTION_OPS, doc["operators"]):
+                letters = parse_word(word_text)
+                path = word_path(letters, direction)
+                if path is None:
+                    no_path.append(g)
+                    assert op["factor_analysis"] == [{"r": [0, 0], "factors": None}]
+                    assert not op["ok"]
+                    continue
+                s1, s2 = word_shift(letters)
+                for pt in [(0, 0), (2, -1)]:
+                    y = act_word(SYM_IOTA, letters, basis_element(SYM_IOTA, 0, pt))
+                    kappa = y.coefficient(direction, (pt[0] + s1, pt[1] + s2))
+                    if kappa not in factored:
+                        factored[kappa] = factor_linear_in_iota(kappa)
+                    assert engine._leakage_split(letters, path, pt) == factored[kappa], (g, row)
+    # offset mutations that leave two paths (E12, E13, E21, E23) or none
+    # (E13's second entry, E32) to the extreme index
+    assert sorted(NAME_OF[g] for g in no_path) == ["E12", "E13", "E13", "E21", "E23", "E32"]
 
 
 # -- genericity -------------------------------------------------------------
