@@ -15,6 +15,7 @@ from wittmod import engine, tensor
 from wittmod.cli import main
 from wittmod.engine import (
     DEFAULT_WORDS,
+    GT_OBSTRUCTION_OPS,
     SubspaceBasis,
     Window,
     check_degenerate_reducibility,
@@ -32,7 +33,7 @@ from wittmod.engine import (
 )
 from wittmod.glmod import FinDimGlModule, exterior_power
 from wittmod.report import canonical_json
-from wittmod.scalars import IOTA, ONE, Scalar
+from wittmod.scalars import IOTA, ONE, Scalar, factor_linear_in_iota, scalar_to_text
 from wittmod.sl3 import (
     DEGENERATE_VALUES,
     Params,
@@ -40,9 +41,12 @@ from wittmod.sl3 import (
     basis_element,
     check_generic,
     integer_action,
+    lattice_shift,
+    moved,
     parse_word,
     verify_embedding,
     verify_sl3_brackets,
+    word_path,
     word_shift,
 )
 from wittmod.tensor import ModuleElement, verify_d_intertwines
@@ -936,6 +940,44 @@ def test_gt_obstruction_report(monkeypatch):
             for fac in pt["factors"]:
                 cov = fac["covered_by"]
                 assert cov is not None and Fraction(cov["shift"]).denominator == 1
+
+
+@pytest.mark.parametrize(
+    "radii, from_origin",
+    [
+        pytest.param(radii, from_origin, id=f"radii{n}" + "-origin" * from_origin)
+        for from_origin in (False, True)
+        for n, radii in enumerate([(4, 2, 2), (3, 3, 3), (2, 4, 1)])
+    ],
+)
+def test_shifted_kappa_splits_are_the_factored_ones(radii, from_origin):
+    # the split gt_obstruction reads off the table at each window point,
+    # against sympy's factorization of the coefficient act_word gives there,
+    # computed at that point or at v_0(0,0) and moved by lattice_shift
+    sym = Params.symbolic(with_iota_index=True)
+    direct = {}
+    for word_text, direction in GT_OBSTRUCTION_OPS:
+        letters = parse_word(word_text)
+        path = word_path(letters, direction)
+        assert path is not None, word_text
+        origin = act_word(sym, letters, basis_element(sym, 0, (0, 0)))
+        for pt in Window.symmetric(*radii).points():
+            if from_origin:
+                y = lattice_shift(origin, 0, pt)
+            else:
+                y = act_word(sym, letters, basis_element(sym, 0, pt))
+            kappa = y.coefficient(*moved((0, pt), direction, word_shift(letters)))
+            if kappa not in direct:
+                direct[kappa] = factor_linear_in_iota(kappa)
+            got = engine._leakage_split(letters, path, pt)
+            assert got == direct[kappa], (word_text, pt)
+            assert _split_text(got) == _split_text(direct[kappa])
+            assert _multiply_back(*got) == kappa
+
+
+def _split_text(split):
+    unit, pairs = split
+    return scalar_to_text(unit), [(scalar_to_text(z), sign) for z, sign in pairs]
 
 
 def _multiply_back(unit, pairs):
