@@ -30,6 +30,7 @@ from .scalars import (
     coeff_is_zero,
     common_denominator,
     factor_polynomial,
+    form_value,
     iota_split,
     scalar_to_text,
     scaled_int,
@@ -45,7 +46,6 @@ from .sl3 import (
     basis_element,
     check_generic,
     condition_values,
-    form_value,
     integer_action,
     lattice_route,
     lattice_shift,

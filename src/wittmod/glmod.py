@@ -7,7 +7,7 @@ Two presentations are supported:
   powers of the defining representation.
 * ``CuspidalGl2`` - the lazily-indexed family of cuspidal gl_2 weight
   modules with one-dimensional weight spaces, parameterized by
-  (lambda, b, c):
+  (lambda, b, c) and held as the table ``CUSPIDAL_COLUMNS``:
 
       E11 v_i = (b + lambda + i) v_i
       E22 v_i = (b - lambda - i) v_i
@@ -28,7 +28,7 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Optional
 
-from .scalars import add_term, coeff_is_zero, coeff_to_text, exact
+from .scalars import add_term, coeff_is_zero, coeff_to_text, exact, form_value
 from .tensor import ModuleElement, _element
 
 
@@ -101,12 +101,23 @@ class FinDimGlModule:
         return idx
 
 
+# E_ij v_idx = form(lambda + idx, b, c) * v_{idx+offset} for the entry
+# (offset, form) of E_ij, form the integer coefficients of a linear form
+# over (lambda, b, c): the index enters only through lambda + idx.
+CUSPIDAL_COLUMNS = {
+    (1, 1): (0, (1, 1, 0)),
+    (2, 2): (0, (-1, 1, 0)),
+    (1, 2): (1, (1, 0, 1)),
+    (2, 1): (-1, (-1, 0, 1)),
+}
+
+
 class CuspidalGl2:
     """Cuspidal gl_2 family; indices are arbitrary integers.
 
-    ``column(i, j, k)`` evaluates the closed form in the module docstring:
-    the image of v_k under E_ij as a tuple of at most one (index,
-    coefficient) pair, empty when the coefficient vanishes.
+    ``column(i, j, k)`` reads the ``CUSPIDAL_COLUMNS`` entry of E_ij at
+    (lambda + k, b, c): the image of v_k as a tuple of at most one
+    (index, coefficient) pair, empty when the coefficient vanishes.
     """
 
     kind = "cuspidal"
@@ -129,18 +140,11 @@ class CuspidalGl2:
         return (self.lam, self.b, self.c)
 
     def column(self, i: int, j: int, idx: int) -> tuple:
-        ipp = self.lam + idx
-        if (i, j) == (1, 1):
-            p, val = idx, self.b + ipp
-        elif (i, j) == (2, 2):
-            p, val = idx, self.b - ipp
-        elif (i, j) == (1, 2):
-            p, val = idx + 1, self.c + ipp
-        elif (i, j) == (2, 1):
-            p, val = idx - 1, self.c - ipp
-        else:
+        if (i, j) not in CUSPIDAL_COLUMNS:
             raise IndexError(f"generator E{i}{j} out of range for gl_2")
-        return () if coeff_is_zero(val) else ((p, val),)
+        offset, form = CUSPIDAL_COLUMNS[(i, j)]
+        val = form_value(form, (self.lam + idx, self.b, self.c))
+        return () if coeff_is_zero(val) else ((idx + offset, val),)
 
     def act(self, i: int, j: int, x: ModuleElement) -> ModuleElement:
         """E_ij x fibrewise: v_k(m) goes to (E_ij v_k)(m) by the closed

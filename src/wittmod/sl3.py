@@ -40,6 +40,7 @@ from .scalars import (
     coeff_is_zero,
     coeff_to_text,
     common_denominator,
+    form_value,
     parse_rational,
     scaled_int,
     shift_symbols,
@@ -144,19 +145,6 @@ GENERATORS = {
 
 GEN_NAMES = {f"E{i}{j}": (i, j) for i, j in GENERATORS}
 NAME_OF = {g: name for name, g in GEN_NAMES.items()}
-
-
-def form_value(form, values):
-    """The linear form with coefficients ``form`` at ``values``, both in
-    PARAM_KEYS order: a sum over the nonzero coefficients, where 1 and -1
-    add or subtract the value without a product."""
-    total = None
-    for k, v in zip(form, values):
-        if k and total is None:
-            total = v if k == 1 else -v if k == -1 else k * v
-        elif k:
-            total = total + v if k == 1 else total - v if k == -1 else total + k * v
-    return total
 
 
 def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
@@ -298,12 +286,11 @@ ORIGIN = (0, (0, 0))
 
 
 def lattice_route(params: Params, keys) -> tuple:
-    """(basis, moves) of a sweep over the basis keys ``keys``: the keys the
-    sweep computes at, and the moves (idx, r) that carry each result to
-    the keys it stands for.  At parameters in ``COVARIANT_PARAMS`` that is
-    v_0(0,0) alone, moved to every key; otherwise every key, moved by
-    nothing."""
-    keys = list(keys)
+    """(basis, moves) of a sweep over the list of basis keys ``keys``: the
+    keys the sweep computes at, and the moves (idx, r) that carry each
+    result to the keys it stands for.  At parameters in
+    ``COVARIANT_PARAMS`` that is v_0(0,0) alone, moved to every key;
+    otherwise every key, moved by nothing."""
     if params in COVARIANT_PARAMS:
         return [ORIGIN], keys
     return keys, [ORIGIN]
@@ -328,64 +315,59 @@ def lattice_shift(x: ModuleElement, idx: int, r) -> ModuleElement:
     )
 
 
-def verify_sl3_brackets(params: Params, points, indices) -> dict:
-    """All 81 generator pairs against the gl3 bracket law on a basis window.
+def _covariant_sweep(params: Params, points, indices, residuals, label: str) -> dict:
+    """The report of ``residuals(x)``, a dict keyed by a generator or a
+    pair of them, over the window's basis vectors x that ``lattice_route``
+    picks: every one, or at ``COVARIANT_PARAMS`` v_0(0,0) alone, whose
+    nonzero residuals fail at every vector, moved there by
+    ``lattice_shift``.  ``checked`` counts the residuals formed, times
+    the moves.  Failures name their key under ``label``, key by key, in
+    (point, index) order within a key.
 
-    Each computed basis vector's residuals come from ``bracket_residuals``,
-    which applies every generator once to it and once to each of its nine
-    images, and only its nonzero residuals are kept.  ``lattice_route``
-    picks the vectors: at parameters in ``COVARIANT_PARAMS`` only
-    v_0(0,0), once per call, whose nonzero residuals fail at every basis
-    vector of the window, there by ``lattice_shift``; otherwise every
-    basis vector.  Failures are listed pair by pair, in (point, index)
-    order within a pair.
+    The derived route needs each residual to read v_idx(r) only through
+    lam + idx, a1 + r1 and a2 + r2.  The ``GENERATORS`` and
+    ``CUSPIDAL_COLUMNS`` forms do by construction; ``tensor.witt_operator``
+    reads the point only through alpha + m, in code, watched by
+    ``_act_witt_reference`` in ``tests/test_tensor_field.py`` and by the
+    locked ``brackets-numeric`` report, which computes every vector.
     """
-    points, indices = list(points), list(indices)
-    if not points or not indices:
+    keys = [(idx, r) for r, idx in product(points, indices)]
+    if not keys:
         raise ValueError("empty window: no basis vector to check")
-    basis, moves = lattice_route(params, [(idx, r) for r in points for idx in indices])
-    act = partial(act_gen, params)
-    found = [
-        (pair, moved(key, *move), lattice_shift(res, *move))
-        for key in basis
-        for pair, res in bracket_residuals(act, 3, basis_element(params, *key)).items()
-        if not res.is_zero()
-        for move in moves
+    basis, moves = lattice_route(params, keys)
+    checked, found = 0, []
+    for key in basis:
+        formed = residuals(basis_element(params, *key))
+        checked += len(formed) * len(moves)
+        found += [
+            (g, moved(key, *move), lattice_shift(res, *move))
+            for g, res in formed.items()
+            if not res.is_zero()
+            for move in moves
+        ]
+    found.sort(key=itemgetter(0))
+    failures = [
+        {label: NAME_OF.get(g) or [NAME_OF[h] for h in g], "basis": {"index": idx, "r": list(r)},
+         "residual": element_to_json(res)}
+        for g, (idx, r), res in found
     ]
-    found.sort(key=itemgetter(0))  # pair by pair, as bracket_residuals keys them
-    return {
-        "ok": not found,
-        "checked": len(GEN_NAMES) ** 2 * len(points) * len(indices),
-        "failures": [
-            {
-                "pair": [NAME_OF[g1], NAME_OF[g2]],
-                "basis": {"index": idx, "r": list(r)},
-                "residual": element_to_json(res),
-            }
-            for (g1, g2), (idx, r), res in found
-        ],
-    }
+    return {"ok": not found, "checked": checked, "failures": failures}
+
+
+def verify_sl3_brackets(params: Params, points, indices) -> dict:
+    """All 81 generator pairs against the gl3 bracket law on a basis window,
+    by ``bracket_residuals``: 90 generator applications per basis vector."""
+    residuals = partial(bracket_residuals, partial(act_gen, params), 3)
+    return _covariant_sweep(params, points, indices, residuals, "pair")
 
 
 def verify_embedding(params: Params, points, indices) -> dict:
     """act_gen and act_embedded must agree generator by generator."""
-    points, indices = list(points), list(indices)
-    if not points or not indices:
-        raise ValueError("empty window: no basis vector to check")
-    failures = []
-    for name, (i, j) in GEN_NAMES.items():
-        for r in points:
-            for idx in indices:
-                x = basis_element(params, idx, r)
-                res = act_gen(params, i, j, x) - act_embedded(params, i, j, x)
-                if not res.is_zero():
-                    failures.append({
-                        "generator": name,
-                        "basis": {"index": idx, "r": list(r)},
-                        "residual": element_to_json(res),
-                    })
-    checked = len(GEN_NAMES) * len(points) * len(indices)
-    return {"ok": not failures, "checked": checked, "failures": failures}
+
+    def residuals(x):
+        return {g: act_gen(params, *g, x) - act_embedded(params, *g, x) for g in GENERATORS}
+
+    return _covariant_sweep(params, points, indices, residuals, "generator")
 
 
 # -- genericity ----------------------------------------------------------

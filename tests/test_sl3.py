@@ -8,7 +8,8 @@ from operator import itemgetter
 
 import pytest
 
-from wittmod import engine, sl3
+from wittmod import engine, glmod, sl3
+from wittmod.cli import main
 from wittmod.glmod import bracket_residual, bracket_residuals
 from wittmod.engine import GT_OBSTRUCTION_OPS, Window, gt_central_check, gt_obstruction, proof_report
 from wittmod.report import canonical_json
@@ -409,13 +410,17 @@ def _direct_bracket_sweep(params, points, indices) -> dict:
     }
 
 
-def _corruptions():
-    """(name, patch) for the intact table, every ``_row_mutations`` row and
-    the doubled E12; ``patch(m)`` applies one through the monkeypatch
-    context m."""
+def _table_corruptions():
+    """(name, patch) for the intact table and every ``_row_mutations`` row;
+    ``patch(m)`` applies one through the monkeypatch context m."""
     yield "intact table", lambda m: None
     for g, row in _row_mutations():
         yield f"{NAME_OF[g]} {row}", lambda m, g=g, row=row: m.setitem(sl3.GENERATORS, g, row)
+
+
+def _corruptions():
+    """``_table_corruptions`` and the doubled E12."""
+    yield from _table_corruptions()
 
     def doubled(m):
         m.setattr(sl3, "act_gen", _doubled_e12(sl3.act_gen))
@@ -470,6 +475,86 @@ def test_numeric_bracket_sweep_equals_the_direct_sweep(monkeypatch):
             assert canonical_json(rep) == canonical_json(_direct_bracket_sweep(*window)), name
             failing += len(rep["failures"]) > len(COVARIANCE_POINTS) * len(COVARIANCE_INDICES)
     assert failing
+
+
+def _direct_embedding_sweep(params, points, indices) -> dict:
+    """``verify_embedding``'s report from each basis vector's own
+    comparison, generator by generator."""
+    failures = []
+    for name, (i, j) in GEN_NAMES.items():
+        for r in points:
+            for idx in indices:
+                x = basis_element(params, idx, r)
+                res = sl3.act_gen(params, i, j, x) - sl3.act_embedded(params, i, j, x)
+                if not res.is_zero():
+                    failures.append({
+                        "generator": name,
+                        "basis": {"index": idx, "r": list(r)},
+                        "residual": element_to_json(res),
+                    })
+    return {"ok": not failures, "checked": 9 * len(points) * len(indices), "failures": failures}
+
+
+def _column_mutations():
+    """(generator, entry) for each one-field change of a
+    ``glmod.CUSPIDAL_COLUMNS`` entry: its offset by -1 or +1, and each
+    coefficient of its form by +1."""
+    for g, (off, form) in glmod.CUSPIDAL_COLUMNS.items():
+        yield from ((g, (off + d, form)) for d in (-1, 1))
+        yield from ((g, (off, form[:k] + (form[k] + 1,) + form[k + 1:])) for k in range(3))
+
+
+def _embedding_corruptions():
+    """``_table_corruptions`` and every ``_column_mutations`` entry, the
+    latter named by its gl2 generator, as gl2-E12 and so on."""
+    yield from _table_corruptions()
+    for (i, j), entry in _column_mutations():
+        yield f"gl2-E{i}{j} {entry}", lambda m, g=(i, j), entry=entry: m.setitem(
+            glmod.CUSPIDAL_COLUMNS, g, entry
+        )
+
+
+def test_covariant_embedding_sweep_equals_the_direct_sweep(monkeypatch):
+    # the Witt route reads the GENERATORS row's sign, u and r and the gl2
+    # columns; the derived sweep moves v_0(0,0)'s residuals, the direct
+    # one computes every basis vector.  Numeric parameters take the
+    # direct route in verify_embedding too: that run pins the order
+    corruptions = list(_embedding_corruptions())
+    sample = list(_row_sample(corruptions))
+    failing = []
+    for params, run in ((SYM, corruptions), (SYM_IOTA, sample), (NUM, sample)):
+        window = (params, COVARIANCE_POINTS, COVARIANCE_INDICES)
+        failing.append(0)
+        for name, patch in run:
+            with monkeypatch.context() as m:
+                patch(m)
+                rep = verify_embedding(*window)
+                assert canonical_json(rep) == canonical_json(_direct_embedding_sweep(*window)), name
+                failing[-1] += not rep["ok"]
+    # every row and column corruption fails: 111 rows and 20 columns in
+    # full, the first of each of the 9 rows and 4 columns in the sample
+    assert failing == [111 + 20, 13, 13]
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [([], 9), (["--mode", "numeric", "--window", "2,1,1"], 405)],
+    ids=["symbolic", "numeric"],
+)
+def test_brackets_applies_the_witt_route_per_computed_vector(monkeypatch, capsys, argv, calls):
+    # symbolic brackets (window 3,2,2) compares the nine generators at
+    # v_0(0,0) alone; numeric ones at each of the 45 basis vectors
+    count = [0]
+    embedded = sl3.act_embedded
+
+    def spy(*args):
+        count[0] += 1
+        return embedded(*args)
+
+    monkeypatch.setattr(sl3, "act_embedded", spy)
+    assert main(["brackets", *argv]) == 0
+    capsys.readouterr()
+    assert count[0] == calls
 
 
 def test_covariant_central_check_equals_the_direct_sweep(monkeypatch):
