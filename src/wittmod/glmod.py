@@ -209,25 +209,33 @@ def bracket_residual(act, i, j, k, l, v):
     return res
 
 
-def bracket_residuals(act, n: int, v) -> dict:
+def bracket_residuals(act, n: int, v, scale: int = 1) -> dict:
     """Every pair's ``bracket_residual`` on v, keyed by ((i, j), (k, l))
-    in lexicographic order, from tabled images: ``once[g] = act(*g, v)``
-    for the n**2 generators and ``twice[g1, g2] = act(*g1, once[g2])``
-    for every pair, so ``act`` runs n**2 + n**4 times where one
-    ``bracket_residual`` per pair would run it 4 to 6 times per pair.
-    Each residual is built from the same images in the same order as
-    ``bracket_residual`` builds it.  The tables live for one call."""
+    in lexicographic order, from tabled images ``once[g] = act(*g, v)``
+    and ``twice[g1, g2] = act(*g1, once[g2])`` for g1 != g2.  For any
+    linear ``act`` the residual of (g2, g1) is the negation of that of
+    (g1, g2) and that of (g, g) is zero, so each unordered pair is formed
+    once.  An ``act`` that is ``scale`` times a gl action gives scale**2
+    times each residual.  The tables live for one call."""
     gens = list(product(range(1, n + 1), repeat=2))
     once = {g: act(*g, v) for g in gens}
-    twice = {(g1, g2): act(*g1, once[g2]) for g1 in gens for g2 in gens}
+    twice = {(g1, g2): act(*g1, once[g2]) for g1 in gens for g2 in gens if g1 != g2}
+    if scale != 1:
+        once = {g: image.scale(scale) for g, image in once.items()}
     out = {}
-    for (i, j), (k, l) in twice:
-        res = twice[(i, j), (k, l)] - twice[(k, l), (i, j)]
-        if j == k:
-            res = res - once[(i, l)]
-        if l == i:
-            res = res + once[(k, j)]
-        out[(i, j), (k, l)] = res
+    for a, b in product(gens, repeat=2):
+        if a == b:
+            out[a, b] = ModuleElement.zero(v.alpha)
+        elif a > b:
+            out[a, b] = -out[b, a]
+        else:
+            (i, j), (k, l) = a, b
+            res = twice[a, b] - twice[b, a]
+            if j == k:
+                res = res - once[(i, l)]
+            if l == i:
+                res = res + once[(k, j)]
+            out[a, b] = res
     return out
 
 

@@ -588,11 +588,12 @@ def add_term(out: dict, key, val) -> None:
 def form_value(form, values):
     """The integer linear form ``form``, with no constant term, at
     ``values``, entry by entry: a sum over the nonzero coefficients,
-    where 1 and -1 add or subtract the value without a product."""
+    where 1 and -1 add or subtract the value without a product.  The
+    zero form is 0."""
     total = None
     for k, v in zip(form, values):
         if k and total is None:
             total = v if k == 1 else -v if k == -1 else k * v
         elif k:
             total = total + v if k == 1 else total - v if k == -1 else total + k * v
-    return total
+    return 0 if total is None else total

@@ -11,6 +11,10 @@ preimage sign * D(u, r), so the two can be compared term by term.  The
 row's r is also the lattice shift of the formula.  The ten genericity
 conditions are integer linear forms of the same kind (CONDITIONS).
 
+``generator_operator`` binds one row to the parameters, as
+``tensor.witt_operator`` binds a D(u, r); act_gen is one application of
+it, and the bracket and embedding sweeps bind the nine once per sweep.
+
 Throughout, for a basis symbol v_i(r1, r2):
 
     ii  = lam + i          (shifted index)
@@ -23,7 +27,7 @@ The identity of the bottom gl2 acts as 2*b.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import product
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -45,7 +49,14 @@ from .scalars import (
     scaled_int,
     shift_symbols,
 )
-from .tensor import ModuleElement, WittGenerator, act_witt, element_to_json
+from .tensor import (
+    ModuleElement,
+    WittGenerator,
+    _element,
+    _unscaled,
+    act_witt,
+    element_to_json,
+)
 
 PARAM_KEYS = ("l", "b", "c", "a1", "a2")
 
@@ -147,26 +158,61 @@ GEN_NAMES = {f"E{i}{j}": (i, j) for i, j in GENERATORS}
 NAME_OF = {g: name for name, g in GEN_NAMES.items()}
 
 
-def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
-    """Apply Ebar_ij exactly, no truncation, by one loop over its table row.
+def _formula(g, values, scale: int = 1) -> tuple:
+    """(shift, entries) of scale * Ebar_g: an entry (offset, value, k_idx,
+    k_r1, k_r2) holds its form at ``values``, the parameters times scale,
+    and the form's l, a1 and a2 coefficients times scale.  Its factor on
+    v_idx(r1, r2) is value + k_idx*idx + k_r1*r1 + k_r2*r2."""
+    if g not in GENERATORS:
+        raise ValueError(f"no generator E{g[0]}{g[1]}")
+    _, _, shift, formula = GENERATORS[g]
+    return shift, tuple(
+        (off, form_value(f, values), scale * f[0], scale * f[3], scale * f[4])
+        for off, f in formula
+    )
 
-    Each entry's form is evaluated once per call at the parameters; a term
-    then adds only the int k_idx*idx + k_r1*r1 + k_r2*r2 (the form's l, a1
-    and a2 coefficients), where evaluating the form at (lam + idx, a1 + r1,
-    a2 + r2) per term would double the coefficient operations of a
-    symbolic sweep.
+
+def generator_operator(params: Params, g, scale: int = 1):
+    """scale * Ebar_g bound to ``params``: ``apply(x)``, exact, no
+    truncation; the sl3 counterpart of ``tensor.witt_operator``.
+
+    The row's forms are evaluated once, here, at scale * params, through
+    ``scalars.scaled_int`` when scale > 1, so that x with int
+    coefficients has an int image.  ``apply`` tables each basis key's
+    (target, factor) pairs as it meets the key, factor a form's value
+    plus an int, where evaluating the form at (lam + idx, a1 + r1, a2 +
+    r2) per term would double a symbolic sweep's coefficient operations.
+    The table belongs to this one operator.  ``apply`` refuses an element
+    with another alpha.
     """
-    _check_alpha(params, x)
-    if (i, j) not in GENERATORS:
-        raise ValueError(f"no generator E{i}{j}")
-    _, _, (s1, s2), formula = GENERATORS[(i, j)]
-    entries = [(off, form_value(f, params), f[0], f[3], f[4]) for off, f in formula]
-    out = {}
-    for (idx, (r1, r2)), coeff in x.terms.items():
-        pt = (r1 + s1, r2 + s2)
-        for off, base, ki, k1, k2 in entries:
-            add_term(out, (idx + off, pt), coeff * (base + (ki * idx + k1 * r1 + k2 * r2)))
-    return ModuleElement(x.alpha, out)
+    values = params if scale == 1 else tuple(scaled_int(v, scale) for v in params)
+    (s1, s2), entries = _formula(g, values, scale)
+    factors = {}
+
+    def apply(x: ModuleElement) -> ModuleElement:
+        _check_alpha(params, x)
+        out = {}
+        for key, coeff in x.terms.items():
+            images = factors.get(key)
+            if images is None:
+                idx, (r1, r2) = key
+                pt = (r1 + s1, r2 + s2)
+                images = factors[key] = [
+                    ((idx + off, pt), base + (ki * idx + k1 * r1 + k2 * r2))
+                    for off, base, ki, k1, k2 in entries
+                ]
+            for target, factor in images:
+                add_term(out, target, coeff * factor)
+        return _element(x.alpha, out)
+
+    return apply
+
+
+def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
+    """Apply Ebar_ij exactly, no truncation: one application of
+    ``generator_operator``; a sweep that applies Ebar_ij to many elements
+    binds it once instead."""
+    return generator_operator(params, (i, j))(x)
 
 
 def integer_action(params: Params):
@@ -177,18 +223,12 @@ def integer_action(params: Params):
     evaluated on the parameter vector times scale, a vector of ints."""
     scale = common_denominator(params)
     ints = tuple(scaled_int(v, scale) for v in params)
-    table = {
-        g: (s1, s2, tuple(
-            (off, form_value(f, ints), scale * f[0], scale * f[3], scale * f[4])
-            for off, f in formula
-        ))
-        for g, (_, _, (s1, s2), formula) in GENERATORS.items()
-    }
+    table = {g: _formula(g, ints, scale) for g in GENERATORS}
 
     def apply(letters, row: dict, pt) -> dict:
         r1, r2 = pt
         for g in reversed(letters):
-            s1, s2, entries = table[g]
+            (s1, s2), entries = table[g]
             out = {}
             for off, part, ki, k1, k2 in entries:
                 base = part + k1 * r1 + k2 * r2
@@ -200,13 +240,16 @@ def integer_action(params: Params):
     return apply
 
 
-def act_embedded(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
-    """Apply Ebar_ij through its Witt-algebra preimage; dual route to act_gen."""
+def act_embedded(
+    params: Params, i: int, j: int, x: ModuleElement, scale: int = 1
+) -> ModuleElement:
+    """Apply scale * Ebar_ij through its Witt-algebra preimage sign * D(u, r)
+    by ``tensor.act_witt``; dual route to act_gen."""
     _check_alpha(params, x)
     sign, u, r, _ = GENERATORS[(i, j)]
     module = CuspidalGl2(params.lam, params.b, params.c)
-    y = act_witt(WittGenerator(u, r), x, module)
-    return y if sign == 1 else y.scale(-1)
+    y = act_witt(WittGenerator(u, r), x, module, scale)
+    return y if sign == 1 else -y
 
 
 def parse_word(text: str):
@@ -356,16 +399,34 @@ def _covariant_sweep(params: Params, points, indices, residuals, label: str) -> 
 
 def verify_sl3_brackets(params: Params, points, indices) -> dict:
     """All 81 generator pairs against the gl3 bracket law on a basis window,
-    by ``bracket_residuals``: 90 generator applications per basis vector."""
-    residuals = partial(bracket_residuals, partial(act_gen, params), 3)
+    by ``bracket_residuals``: 9 + 72 applications per basis vector of the
+    nine ``generator_operator`` bindings, made once per sweep and scaled
+    by L = ``common_denominator(params)``, so numeric sweeps run on ints.
+    A nonzero residual is divided by L**2 before it is reported."""
+    scale = common_denominator(params)
+    ops = {g: generator_operator(params, g, scale) for g in GENERATORS}
+
+    def residuals(x):
+        found = bracket_residuals(lambda i, j, v: ops[i, j](v), 3, x, scale)
+        return {pair: _unscaled(res, scale * scale) for pair, res in found.items()}
+
     return _covariant_sweep(params, points, indices, residuals, "pair")
 
 
 def verify_embedding(params: Params, points, indices) -> dict:
-    """act_gen and act_embedded must agree generator by generator."""
+    """act_gen and act_embedded must agree generator by generator: the
+    nine ``generator_operator`` bindings, made once per sweep, against
+    one ``act_embedded`` per generator and basis vector, both scaled by
+    L = ``common_denominator(params)``; a nonzero residual is divided by
+    L before it is reported."""
+    scale = common_denominator(params)
+    ops = {g: generator_operator(params, g, scale) for g in GENERATORS}
 
     def residuals(x):
-        return {g: act_gen(params, *g, x) - act_embedded(params, *g, x) for g in GENERATORS}
+        return {
+            g: _unscaled(op(x) - act_embedded(params, *g, x, scale), scale)
+            for g, op in ops.items()
+        }
 
     return _covariant_sweep(params, points, indices, residuals, "generator")
 

@@ -110,7 +110,7 @@ class ModuleElement:
         return _element(self.alpha, out)
 
     def __neg__(self) -> "ModuleElement":
-        return self.scale(-1)
+        return _element(self.alpha, {key: -c for key, c in self.terms.items()})
 
     def scale(self, coeff) -> "ModuleElement":
         if coeff_is_zero(coeff):
@@ -229,11 +229,11 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
     return apply
 
 
-def act_witt(D: WittGenerator, x: ModuleElement, module) -> ModuleElement:
-    """Apply D(u, r); linear in x, support shifts by r.  One application
-    of ``witt_operator``; a sweep that applies D to many elements binds
-    it once instead."""
-    return witt_operator(D, module, x.alpha)(x)
+def act_witt(D: WittGenerator, x: ModuleElement, module, scale: int = 1) -> ModuleElement:
+    """Apply ``scale`` * D(u, r); linear in x, support shifts by r.  One
+    application of ``witt_operator``; a sweep that applies D to many
+    elements binds it once instead."""
+    return witt_operator(D, module, x.alpha, scale)(x)
 
 
 def witt_bracket(a: WittGenerator, b: WittGenerator) -> WittGenerator:

@@ -333,6 +333,7 @@ def test_package_runs_as_module():
         None,
         ["check-generic"],
         ["brackets"],
+        ["brackets", "--mode", "numeric", "--window", "2,1,1"],
         ["proof-identities"],
         ["generate"],
         ["irreducible", "--seed", "v:0@0,0"],
@@ -343,7 +344,7 @@ def test_package_runs_as_module():
         ["gt"],
     ],
     ids=[
-        "import", "check-generic", "brackets", "proof-identities", "generate",
+        "import", "check-generic", "brackets", "brackets-numeric", "proof-identities", "generate",
         "irreducible-seed", "degenerate", "derham", "witt", "gt-central", "gt",
     ],
 )
@@ -354,7 +355,9 @@ def test_numeric_paths_do_not_load_sympy(argv):
     # symbolic central words (k = 1, 2 and the control) stay in
     # ParamPolynomial arithmetic and load it neither: a covariant sweep
     # shifts coefficients through sympy only for a printed failure.  The
-    # gt leakage splits are read off the generator table, not factored.  Each
+    # gt leakage splits are read off the generator table, not factored.  The
+    # numeric brackets sweep runs on ints scaled by L and divides a printed
+    # residual by its power of L in Fraction arithmetic.  Each
     # run must pass, so its whole path is covered.
     code = "import wittmod"
     if argv is not None:

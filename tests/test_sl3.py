@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
@@ -41,6 +42,7 @@ from wittmod.sl3 import (
 
 NUM = Params.numeric()
 SYM = Params.symbolic()
+SYM_IOTA = Params.symbolic(with_iota_index=True)
 GENS = sorted(GEN_NAMES.values())
 
 
@@ -200,18 +202,19 @@ DOUBLED_E12_FAILURES = [
 ]
 
 
-def _doubled_e12(act):
-    """``act`` with the output of E12 doubled."""
+def _doubled_e12(bind):
+    """``bind``, a ``generator_operator``, with the output of E12 doubled;
+    ``act_gen`` applies the binding, so it doubles E12 too."""
 
-    def doubled(params, i, j, x):
-        y = act(params, i, j, x)
-        return y.scale(2) if (i, j) == (1, 2) else y
+    def doubled(params, g, scale=1):
+        apply = bind(params, g, scale)
+        return (lambda x: apply(x).scale(2)) if g == (1, 2) else apply
 
     return doubled
 
 
 def test_corrupted_generator_failure_list_is_pinned(monkeypatch):
-    monkeypatch.setattr(sl3, "act_gen", _doubled_e12(sl3.act_gen))
+    monkeypatch.setattr(sl3, "generator_operator", _doubled_e12(sl3.generator_operator))
     rep = verify_sl3_brackets(NUM, [(0, 0), (1, -1)], range(2))
     bases = [(idx, r) for r in ((0, 0), (1, -1)) for idx in range(2)]
     expected = [
@@ -234,39 +237,100 @@ def test_corrupted_generator_failure_list_is_pinned(monkeypatch):
     assert rep["failures"] == expected
 
 
-@pytest.mark.parametrize("params", [NUM, SYM], ids=["numeric", "symbolic"])
-def test_tabled_residuals_equal_bracket_residual(params):
-    act = partial(act_gen, params)
-    for idx, r in ((0, (0, 0)), (1, (1, -2)), (-2, (2, 1))):
-        x = basis_element(params, idx, r)
-        residuals = bracket_residuals(act, 3, x)
-        assert list(residuals) == [(g1, g2) for g1 in GENS for g2 in GENS]
-        for (g1, g2), res in residuals.items():
-            assert res == bracket_residual(act, *g1, *g2, x), (g1, g2, idx, r)
+TABLED_VECTORS = ((0, (0, 0)), (1, (1, -2)), (-2, (2, 1)))
+
+
+def _memo(act):
+    """``act`` forming each (generator, element) image once: per-pair
+    ``bracket_residual`` calls then share images, while each still forms
+    its pair from the bracket law alone.  The memo holds every element it
+    has seen, so an id is never reused while it lives."""
+    images = {}
+
+    def memo(i, j, x):
+        key = (i, j, id(x))
+        if key not in images:
+            images[key] = (x, act(i, j, x))
+        return images[key][1]
+
+    return memo
+
+
+@pytest.mark.parametrize("params", [NUM, SYM, SYM_IOTA], ids=["numeric", "symbolic", "iota"])
+def test_tabled_residuals_equal_bracket_residual(monkeypatch, params):
+    # bracket_residuals forms each unordered pair once and derives its
+    # mirror and the diagonal; every derived residual must be the one
+    # bracket_residual forms, for the intact and every corrupted table.
+    # The numeric sweep runs on ints scaled by L; its report at each
+    # vector, failure text included, must be the one built from those
+    # per-pair residuals, which act_gen forms in Fractions
+    compared = failing = 0
+    for name, patch in _corruptions():
+        with monkeypatch.context() as m:
+            patch(m)
+            # the sweep's route: each generator bound once, unscaled
+            ops = {g: sl3.generator_operator(params, g) for g in GENS}
+            for idx, r in TABLED_VECTORS:
+                x = basis_element(params, idx, r)
+                per_pair = _memo(partial(act_gen, params))
+                direct = {
+                    (g1, g2): bracket_residual(per_pair, *g1, *g2, x) for g1 in GENS for g2 in GENS
+                }
+                residuals = bracket_residuals(lambda i, j, v: ops[i, j](v), 3, x)
+                assert list(residuals) == list(direct)
+                assert residuals == direct, (name, idx, r)
+                compared += 1
+                if params is not NUM:
+                    continue
+                found = [
+                    {"pair": [NAME_OF[g1], NAME_OF[g2]], "basis": {"index": idx, "r": list(r)},
+                     "residual": element_to_json(res)}
+                    for (g1, g2), res in direct.items()
+                    if not res.is_zero()
+                ]
+                rep = verify_sl3_brackets(NUM, [r], [idx])
+                assert rep == {"ok": not found, "checked": 81, "failures": found}, (name, idx, r)
+                failing += not rep["ok"]
+    # 111 row corruptions, the doubled E12 and the intact table
+    assert compared == 113 * len(TABLED_VECTORS)
+    # act_gen reads no row's sign or u, so those 15 corruptions pass;
+    # every other one fails at each of the three vectors
+    assert params is not NUM or failing == (111 - 15 + 1) * len(TABLED_VECTORS)
 
 
 def test_bracket_sweep_applies_each_generator_once_per_image(monkeypatch):
-    calls = []
-    act = sl3.act_gen
+    binds, calls = [], []
+    bind = sl3.generator_operator
 
-    def counted(params, i, j, x):
-        calls.append((i, j))
-        return act(params, i, j, x)
+    def counted(params, g, scale=1):
+        binds.append(g)
+        apply = bind(params, g, scale)
 
-    monkeypatch.setattr(sl3, "act_gen", counted)
-    rep = verify_sl3_brackets(NUM, [(0, 0)], [0])
-    assert rep["ok"] and rep["checked"] == 81
-    # nine images of the basis vector, then nine of each of those
-    assert len(calls) == 9 + 81
+        def applied(x):
+            calls.append(g)
+            return apply(x)
+
+        return applied
+
+    monkeypatch.setattr(sl3, "generator_operator", counted)
+    rep = verify_sl3_brackets(NUM, [(0, 0), (1, -1)], [0])
+    assert rep["ok"] and rep["checked"] == 81 * 2
+    # each generator is bound once per sweep; per basis vector it makes
+    # one image of the vector and one of each other generator's image:
+    # 9 + 72, the diagonal's 9 second images are not formed
+    assert sorted(binds) == GENS
+    assert len(calls) == 2 * (9 + 72)
+    assert Counter(calls) == dict.fromkeys(GENS, 2 * 9)
 
 
 def test_symbolic_residuals_negate_only_uncancelled_terms(monkeypatch):
     # ModuleElement subtraction works in place: outside act_gen, a sweep
-    # negates a coefficient only where the minuend lacks its key.  On
-    # v_0(0,0) that is the one term of E_ii v taken from the empty
-    # difference of [E_ii, E_ii], for i = 1, 2, 3.  Inside act_gen, a
-    # negation or subtraction comes only from a negative coefficient of
-    # the row's forms, evaluated once per call, never from a term.
+    # negates a coefficient only where the minuend lacks its key, or to
+    # derive a mirrored pair's residual.  On v_0(0,0) no diagonal pair is
+    # formed and every residual is zero, so nothing is negated.
+    # Inside act_gen, a negation or subtraction comes only from a negative
+    # coefficient of the row's forms, evaluated once per call, never from
+    # a term.
     from wittmod.scalars import Scalar
 
     signed, in_act = {False: 0, True: 0}, [False]
@@ -291,7 +355,15 @@ def test_symbolic_residuals_negate_only_uncancelled_terms(monkeypatch):
     monkeypatch.setattr(Scalar, "__neg__", spy(neg))
     residuals = bracket_residuals(act, 3, basis_element(SYM, 0, (0, 0)))
     assert len(residuals) == 81 and all(res.is_zero() for res in residuals.values())
-    assert signed[False] == 3
+    assert signed[False] == 0
+    # with E12 doubled, four unordered pairs fail; each mirror costs one
+    # negation per term of its residual, and nothing else is negated
+    with monkeypatch.context() as m:
+        m.setattr(sl3, "generator_operator", _doubled_e12(sl3.generator_operator))
+        residuals = bracket_residuals(act, 3, basis_element(SYM, 0, (0, 0)))
+    mirrored = [res for (g1, g2), res in residuals.items() if g1 > g2 and not res.is_zero()]
+    assert len(mirrored) == 4
+    assert signed[False] == sum(len(res.terms) for res in mirrored) == 6
     monkeypatch.setattr(Scalar, "__sub__", spy(sub))
     signed[True] = 0
     for g in GENS:
@@ -306,6 +378,27 @@ def test_symbolic_residuals_negate_only_uncancelled_terms(monkeypatch):
         signed[True] = 0
         act(*g, x)
         assert signed[True] == minus_signs(g), g
+
+
+def test_bound_generator_forms_each_key_factor_once(monkeypatch):
+    # a binding adds a form's value and an int shift once per basis key
+    # and entry, at the key's first application; applying it again, to
+    # the same keys in another element, forms no factor
+    from wittmod.scalars import Scalar
+
+    shifts = [0]
+    add = Scalar.__add__
+
+    def spy(a, b):
+        shifts[0] += isinstance(b, int)
+        return add(a, b)
+
+    x = act_word(SYM, parse_word("E21*E13"), basis_element(SYM, 0, (0, 0)))
+    op = sl3.generator_operator(SYM, (1, 2))
+    monkeypatch.setattr(Scalar, "__add__", spy)
+    first = op(x)
+    assert shifts[0] == 2 * len(x.terms) > 2
+    assert op(x.scale(3)) == first.scale(3) and shifts[0] == 2 * len(x.terms)
 
 
 def test_wrong_bracket_is_nonzero():
@@ -370,6 +463,24 @@ def test_embedding_check_catches_every_table_mutation(monkeypatch):
     assert verify_embedding(SYM, points, indices)["ok"]
 
 
+@pytest.mark.parametrize("params", [NUM, SYM], ids=["numeric", "symbolic"])
+@pytest.mark.parametrize("zeroed", ["E11 form", "gl2 E11 column"])
+def test_zeroed_forms_fail_brackets(monkeypatch, params, zeroed):
+    # a form with no nonzero coefficient is the value 0: a zeroed E11
+    # formula breaks [E12, E21] = E11 - E22 and the embedding, a zeroed
+    # gl2 E11 column the embedding alone, and neither raises
+    assert form_value((0,) * 5, params) == 0
+    if zeroed == "E11 form":
+        sign, u, r, ((off, _),) = sl3.GENERATORS[(1, 1)]
+        monkeypatch.setitem(sl3.GENERATORS, (1, 1), (sign, u, r, ((off, (0,) * 5),)))
+    else:
+        monkeypatch.setitem(glmod.CUSPIDAL_COLUMNS, (1, 1), (0, (0, 0, 0)))
+        assert glmod.CuspidalGl2(*params[:3]).column(1, 1, 0) == ()
+    doc = engine.bracket_report(params, Window.symmetric(1, 1, 1))
+    assert doc["verdict"] == "fail"
+    assert (doc["sl3"]["ok"], doc["embedding"]["ok"]) == (zeroed != "E11 form", False)
+
+
 # -- lattice covariance -------------------------------------------------------
 #
 # At symbolic parameters a sweep computes v_0(0,0) only and moves the
@@ -378,7 +489,6 @@ def test_embedding_check_catches_every_table_mutation(monkeypatch):
 # every corruption a test can write, failures and their printed residuals
 # included.
 
-SYM_IOTA = Params.symbolic(with_iota_index=True)
 COVARIANCE_POINTS = [(0, 0), (1, -1)]
 COVARIANCE_INDICES = [-1, 1]
 # inner basis: indices 2, 3 at the points (2, 2) and (3, 2); margin 2
@@ -422,11 +532,9 @@ def _corruptions():
     """``_table_corruptions`` and the doubled E12."""
     yield from _table_corruptions()
 
-    def doubled(m):
-        m.setattr(sl3, "act_gen", _doubled_e12(sl3.act_gen))
-        m.setattr(engine, "act_gen", _doubled_e12(engine.act_gen))
-
-    yield "doubled E12", doubled
+    yield "doubled E12", lambda m: m.setattr(
+        sl3, "generator_operator", _doubled_e12(sl3.generator_operator)
+    )
 
 
 def _central_reports(params) -> list:
