@@ -14,6 +14,8 @@ conditions are integer linear forms of the same kind (CONDITIONS).
 ``generator_operator`` binds one row to the parameters, as
 ``tensor.witt_operator`` binds a D(u, r); act_gen is one application of
 it, and the bracket and embedding sweeps bind the nine once per sweep.
+At numeric parameters those sweeps run on ints, every operator scaled by
+the lcm of the parameter denominators.
 
 Throughout, for a basis symbol v_i(r1, r2):
 
