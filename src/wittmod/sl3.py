@@ -180,31 +180,22 @@ def generator_operator(params: Params, g, scale: int = 1):
 
     The row's forms are evaluated once, here, at scale * params, through
     ``scalars.scaled_int`` when scale > 1, so that x with int
-    coefficients has an int image.  ``apply`` tables each basis key's
-    (target, factor) pairs as it meets the key, factor a form's value
-    plus an int, where evaluating the form at (lam + idx, a1 + r1, a2 +
-    r2) per term would double a symbolic sweep's coefficient operations.
-    The table belongs to this one operator.  ``apply`` refuses an element
-    with another alpha.
+    coefficients has an int image.  A term then adds only the int
+    k_idx*idx + k_r1*r1 + k_r2*r2 to a form's value, where evaluating the
+    form at (lam + idx, a1 + r1, a2 + r2) per term would double a symbolic
+    sweep's coefficient operations.  ``apply`` refuses an element with
+    another alpha.
     """
     values = params if scale == 1 else tuple(scaled_int(v, scale) for v in params)
     (s1, s2), entries = _formula(g, values, scale)
-    factors = {}
 
     def apply(x: ModuleElement) -> ModuleElement:
         _check_alpha(params, x)
         out = {}
-        for key, coeff in x.terms.items():
-            images = factors.get(key)
-            if images is None:
-                idx, (r1, r2) = key
-                pt = (r1 + s1, r2 + s2)
-                images = factors[key] = [
-                    ((idx + off, pt), base + (ki * idx + k1 * r1 + k2 * r2))
-                    for off, base, ki, k1, k2 in entries
-                ]
-            for target, factor in images:
-                add_term(out, target, coeff * factor)
+        for (idx, (r1, r2)), coeff in x.terms.items():
+            pt = (r1 + s1, r2 + s2)
+            for off, base, ki, k1, k2 in entries:
+                add_term(out, (idx + off, pt), coeff * (base + (ki * idx + k1 * r1 + k2 * r2)))
         return _element(x.alpha, out)
 
     return apply
@@ -361,13 +352,18 @@ def lattice_shift(x: ModuleElement, idx: int, r) -> ModuleElement:
 
 
 def _covariant_sweep(params: Params, points, indices, residuals, label: str) -> dict:
-    """The report of ``residuals(x)``, a dict keyed by a generator or a
-    pair of them, over the window's basis vectors x that ``lattice_route``
-    picks: every one, or at ``COVARIANT_PARAMS`` v_0(0,0) alone, whose
-    nonzero residuals fail at every vector, moved there by
+    """The report of ``residuals(ops, scale, x)``, a dict keyed by a
+    generator or a pair of them, over the window's basis vectors x that
+    ``lattice_route`` picks: every one, or at ``COVARIANT_PARAMS`` v_0(0,0)
+    alone, whose nonzero residuals fail at every vector, moved there by
     ``lattice_shift``.  ``checked`` counts the residuals formed, times
     the moves.  Failures name their key under ``label``, key by key, in
     (point, index) order within a key.
+
+    ``ops`` holds the nine ``generator_operator`` bindings, made once per
+    sweep and scaled by L = ``common_denominator(params)``, so numeric
+    sweeps run on ints; ``residuals`` divides a nonzero residual by its
+    power of ``scale`` = L before returning it.
 
     The derived route needs each residual to read v_idx(r) only through
     lam + idx, a1 + r1 and a2 + r2.  The ``GENERATORS`` and
@@ -380,9 +376,11 @@ def _covariant_sweep(params: Params, points, indices, residuals, label: str) -> 
     if not keys:
         raise ValueError("empty window: no basis vector to check")
     basis, moves = lattice_route(params, keys)
+    scale = common_denominator(params)
+    ops = {g: generator_operator(params, g, scale) for g in GENERATORS}
     checked, found = 0, []
     for key in basis:
-        formed = residuals(basis_element(params, *key))
+        formed = residuals(ops, scale, basis_element(params, *key))
         checked += len(formed) * len(moves)
         found += [
             (g, moved(key, *move), lattice_shift(res, *move))
@@ -401,14 +399,12 @@ def _covariant_sweep(params: Params, points, indices, residuals, label: str) -> 
 
 def verify_sl3_brackets(params: Params, points, indices) -> dict:
     """All 81 generator pairs against the gl3 bracket law on a basis window,
-    by ``bracket_residuals``: 9 + 72 applications per basis vector of the
-    nine ``generator_operator`` bindings, made once per sweep and scaled
-    by L = ``common_denominator(params)``, so numeric sweeps run on ints.
-    A nonzero residual is divided by L**2 before it is reported."""
-    scale = common_denominator(params)
-    ops = {g: generator_operator(params, g, scale) for g in GENERATORS}
+    by ``bracket_residuals``: 9 + 72 applications of the sweep's bound
+    generators per basis vector.  Bound at L = ``common_denominator(params)``
+    times Ebar, they give L**2 times each residual, which is divided by
+    L**2 before it is reported."""
 
-    def residuals(x):
+    def residuals(ops, scale, x):
         found = bracket_residuals(lambda i, j, v: ops[i, j](v), 3, x, scale)
         return {pair: _unscaled(res, scale * scale) for pair, res in found.items()}
 
@@ -417,14 +413,11 @@ def verify_sl3_brackets(params: Params, points, indices) -> dict:
 
 def verify_embedding(params: Params, points, indices) -> dict:
     """act_gen and act_embedded must agree generator by generator: the
-    nine ``generator_operator`` bindings, made once per sweep, against
-    one ``act_embedded`` per generator and basis vector, both scaled by
-    L = ``common_denominator(params)``; a nonzero residual is divided by
-    L before it is reported."""
-    scale = common_denominator(params)
-    ops = {g: generator_operator(params, g, scale) for g in GENERATORS}
+    sweep's bound generators against one ``act_embedded`` per generator
+    and basis vector, both L = ``common_denominator(params)`` times Ebar;
+    each residual is divided by L before it is reported."""
 
-    def residuals(x):
+    def residuals(ops, scale, x):
         return {
             g: _unscaled(op(x) - act_embedded(params, *g, x, scale), scale)
             for g, op in ops.items()
