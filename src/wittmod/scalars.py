@@ -571,18 +571,17 @@ def common_denominator(*groups) -> int:
 
 
 def coeff_is_zero(x) -> bool:
-    if isinstance(x, Scalar):
-        return x.is_zero()
-    return x == 0
+    # truth is the zero test of int, Fraction and Scalar alike
+    return not x
 
 
 def add_term(out: dict, key, val) -> None:
     """out[key] += val in a sparse formal sum; a zero sum drops the key."""
     s = out[key] + val if key in out else val
-    if coeff_is_zero(s):
-        out.pop(key, None)
-    else:
+    if s:
         out[key] = s
+    else:
+        out.pop(key, None)
 
 
 def form_value(form, values):

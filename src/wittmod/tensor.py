@@ -15,16 +15,20 @@ symbols v_idx(m) with exact coefficients.  Actions never truncate;
 window clipping is always an explicit caller-side step.
 
 ``witt_operator`` binds one D(u, r) to an input module and a twist;
-``act_witt`` is one application of such a binding.  The sweeps here bind
+``act_witt`` is one application of such a binding.  Likewise
+``de_rham_operator`` binds d from one wedge degree to a twist, and
+``de_rham_differential`` is one application of it.  The sweeps here bind
 each generator once: the intertwining check once on the source and once
 on the target wedge module, the bracket and Jacobi residuals once per
-generator they apply.  Every table a binding fills lives for one call.
+generator they apply.  They bind d once per sweep too: the intertwining
+check binds it once and applies it to x and to D x.  Every table a
+binding fills lives for one call.
 
 The sweeps run on integers.  Let L be the lcm of the denominators of
 alpha and of the input module's scalars (lambda, b and c for the
 cuspidal input), times that of the directions u and of the brackets a
 residual binds.  Then L D(u, r) and L d have integer coefficients:
-``witt_operator`` and ``de_rham_differential`` take ``scale = L`` and
+``witt_operator`` and ``de_rham_operator`` take ``scale = L`` and
 form L alpha and every weight and column entry through
 ``scalars.scaled_int``, which refuses a value that keeps a denominator.
 Scaling by a nonzero constant keeps every zero test, and a nonzero
@@ -311,35 +315,59 @@ def _differential_table(wedge_k, wedge_k1) -> tuple:
     )
 
 
-def de_rham_differential(x: ModuleElement, wedges, k: int, scale: int = 1) -> ModuleElement:
-    """Degree +1 map on twisted forms, times ``scale``:
+def de_rham_operator(wedges, k: int, alpha, scale: int = 1):
+    """``scale`` * d from wedge degree k, bound to one twist alpha:
+    ``apply(x)``, where
 
         d(e_S tensor t^m) = sum_{j not in S} (m_j + alpha_j) e_j ^ e_S tensor t^m
 
     ``wedges`` lists the wedge-power modules of gl_n for degrees 0..n, so
     ``wedges[k]`` and ``wedges[k + 1]`` carry the source and target bases;
     the lattice point never moves.  The target positions and signs are
-    tabulated once per pair of modules.  With ``scale`` L > 1 each weight
-    is L m_j + (L alpha)_j, with L alpha from ``scalars.scaled_int``.
+    tabulated once per pair of modules; the degree, the rank of alpha
+    and, with ``scale`` L > 1, L alpha from ``scalars.scaled_int`` are
+    checked and formed once per binding, so a sweep binds d once per
+    degree.  Each weight is then L m_j + (L alpha)_j.  ``apply`` refuses
+    an element with another alpha and a basis index outside ``wedges[k]``.
     """
     if not 0 <= k < len(wedges) - 1:
         raise ValueError(f"no differential from wedge degree {k} for n={len(wedges) - 1}")
-    table = _differential_table(wedges[k], wedges[k + 1])
-    alpha = x.alpha
+    src = wedges[k]
+    alpha = tuple(alpha)
+    if len(alpha) != src.n:
+        raise ValueError(f"twist of rank {len(alpha)} does not match the gl_{src.n} wedge modules")
+    table = dict(enumerate(_differential_table(src, wedges[k + 1])))
     twist = alpha if scale == 1 else tuple(scaled_int(a, scale) for a in alpha)
-    out = {}
-    for (idx, m), coeff in x.terms.items():
-        for j, target, odd in table[idx]:
-            weight = (scale * m[j] + twist[j]) * coeff
-            add_term(out, (target, m), -weight if odd else weight)
-    return _element(alpha, out)
+
+    def apply(x: ModuleElement) -> ModuleElement:
+        if x.alpha != alpha:
+            raise ValueError(f"element twist {x.alpha} does not match the bound {alpha}")
+        out = {}
+        for (idx, m), coeff in x.terms.items():
+            row = table.get(idx)
+            if row is None:
+                raise ValueError(f"basis index {idx} is outside wedge degree {k} (dim {src.dim})")
+            for j, target, odd in row:
+                weight = (scale * m[j] + twist[j]) * coeff
+                add_term(out, (target, m), -weight if odd else weight)
+        return _element(alpha, out)
+
+    return apply
 
 
-def d_intertwining_residual(act_src, act_dst, x, dx, wedges, k: int, scale: int = 1):
-    """d(D x) - D(d x) for D bound as ``act_src`` on ``wedges[k]`` and as
-    ``act_dst`` on ``wedges[k + 1]``, given dx = d x.  With D and d scaled
-    by L it is L**2 times the true residual."""
-    return de_rham_differential(act_src(x), wedges, k, scale) - act_dst(dx)
+def de_rham_differential(x: ModuleElement, wedges, k: int, scale: int = 1) -> ModuleElement:
+    """``scale`` * d(x) from wedge degree k.  One application of
+    ``de_rham_operator``; a sweep that applies d to many elements binds
+    it once instead."""
+    return de_rham_operator(wedges, k, x.alpha, scale)(x)
+
+
+def d_intertwining_residual(act_src, act_dst, d, x, dx):
+    """d(D x) - D(d x) for D bound as ``act_src`` on the source and as
+    ``act_dst`` on the target wedge module of the bound differential
+    ``d``, given dx = d x.  With D and d scaled by L it is L**2 times the
+    true residual."""
+    return d(act_src(x)) - act_dst(dx)
 
 
 def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
@@ -366,13 +394,14 @@ def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
     scale = _sweep_scale(alpha, (src, dst), D.u)
     act_src = witt_operator(D, src, alpha, scale)
     act_dst = witt_operator(D, dst, alpha, scale)
+    d = de_rham_operator(wedges, k, alpha, scale)
     failures = []
     count = 0
     for m in box:
         for idx in range(src.dim):
             x = ModuleElement.basis(alpha, idx, m)
-            dx = de_rham_differential(x, wedges, k, scale)
-            res = d_intertwining_residual(act_src, act_dst, x, dx, wedges, k, scale)
+            dx = d(x)
+            res = d_intertwining_residual(act_src, act_dst, d, x, dx)
             count += 1
             if not res.is_zero():
                 failures.append(

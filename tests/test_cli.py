@@ -339,13 +339,14 @@ def test_package_runs_as_module():
         ["irreducible", "--seed", "v:0@0,0"],
         ["degenerate"],
         ["derham"],
+        ["derham", "--n", "3"],
         ["witt"],
         ["gt", "--gt-check", "central"],
         ["gt"],
     ],
     ids=[
         "import", "check-generic", "brackets", "brackets-numeric", "proof-identities", "generate",
-        "irreducible-seed", "degenerate", "derham", "witt", "gt-central", "gt",
+        "irreducible-seed", "degenerate", "derham", "derham-n3", "witt", "gt-central", "gt",
     ],
 )
 def test_numeric_paths_do_not_load_sympy(argv):

@@ -185,6 +185,23 @@ def test_add_term_drops_a_key_whose_sum_is_zero(val):
     assert out == {"kept": val}
 
 
+@pytest.mark.parametrize(
+    "val",
+    [3, Fraction(1, 7), Scalar.sym("b")],
+    ids=["int", "fraction", "scalar"],
+)
+def test_add_term_tests_zero_by_truth_for_each_coefficient_type(val):
+    # 3 - 3, 1/7 - 1/7 and b - b leave no key; a nonzero sum stays
+    out = {}
+    add_term(out, "k", val)
+    assert out == {"k": val}
+    add_term(out, "k", -val)
+    assert out == {}
+    add_term(out, "k", val)
+    add_term(out, "k", val)
+    assert out == {"k": val + val} and out["k"]
+
+
 # -- factorization -------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from wittmod.tensor import (
     _differential_table,
     act_witt,
     de_rham_differential,
+    de_rham_operator,
     element_to_json,
     jacobi_residual,
     verify_d_intertwines,
@@ -383,6 +384,60 @@ def test_scaled_differential_is_the_scaled_image(data):
     y = de_rham_differential(x, wedges, k, scale)
     assert y == de_rham_differential(x, wedges, k).scale(scale)
     assert all(type(c) is int for c in y.terms.values())
+
+
+def _differential_per_call(x, wedges, k, scale=1):
+    """d(x) computed per call, the reference for ``de_rham_operator``:
+    the table read and L alpha formed for each element."""
+    table = _differential_table(wedges[k], wedges[k + 1])
+    twist = tuple(a * scale for a in x.alpha)
+    out = ModuleElement.zero(x.alpha)
+    for (idx, m), coeff in x.terms.items():
+        for j, target, odd in table[idx]:
+            weight = (scale * m[j] + twist[j]) * coeff
+            out = out + ModuleElement.basis(x.alpha, target, m, -weight if odd else weight)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bound_differential_equals_the_per_call_image(data):
+    n = data.draw(st.sampled_from([2, 3]))
+    k = data.draw(st.integers(0, n - 1))
+    wedges = tuple(exterior_power(n, kk) for kk in range(n + 1))
+    alpha = tuple(Fraction(1, p) for p in (17, 19, 23)[:n])
+    elements = st.dictionaries(
+        st.tuples(st.integers(0, wedges[k].dim - 1), st.tuples(*[st.integers(-2, 2)] * n)),
+        st.integers(-3, 3).filter(bool) | small_fractions.filter(bool),
+        min_size=1,
+        max_size=5,
+    )
+    xs = [ModuleElement(alpha, data.draw(elements)) for _ in range(2)]
+    scale = data.draw(st.sampled_from([1, common_denominator(alpha)]))
+    d = de_rham_operator(wedges, k, alpha, scale)
+    for x in xs:  # one binding serves every element
+        assert d(x) == _differential_per_call(x, wedges, k, scale)
+    other = (alpha[0] + 1,) + alpha[1:]
+    with pytest.raises(ValueError, match="does not match the bound"):
+        d(ModuleElement(other, xs[0].terms))
+
+
+@pytest.mark.parametrize("rank, n", [(3, 2), (2, 3)], ids=["rank3-on-gl2", "rank2-on-gl3"])
+def test_differential_refuses_a_twist_of_another_rank(rank, n):
+    # a rank-3 element on the gl2 wedges used to lose its e3 direction; a
+    # rank-2 one on the gl3 wedges raised a bare IndexError
+    alpha = (Fraction(1, 17), Fraction(1, 19), Fraction(1, 23))[:rank]
+    wedges = tuple(exterior_power(n, k) for k in range(n + 1))
+    with pytest.raises(ValueError, match=f"rank {rank} does not match the gl_{n}"):
+        de_rham_differential(ModuleElement.basis(alpha, 0, (0,) * rank), wedges, 0)
+
+
+@pytest.mark.parametrize("idx", [5, 1, -1])
+def test_differential_refuses_a_basis_index_outside_the_source(idx):
+    # wedge^0 of gl2 has the one basis index 0; -1 would index the table
+    # from its end
+    with pytest.raises(ValueError, match=f"basis index {idx} is outside wedge degree 0"):
+        de_rham_differential(ModuleElement.basis(ALPHA, idx, (0, 0)), WEDGES2, 0)
 
 
 def test_scale_that_leaves_a_denominator_is_refused():
