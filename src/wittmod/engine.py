@@ -46,8 +46,8 @@ from .sl3 import (
     basis_element,
     check_generic,
     condition_values,
+    covariant_sweep,
     integer_action,
-    lattice_route,
     lattice_shift,
     lowering_operator,
     moved,
@@ -62,7 +62,7 @@ from .sl3 import (
 from .tensor import (
     ModuleElement,
     WittGenerator,
-    d_intertwining_residual,
+    _unscaled,
     de_rham_operator,
     element_to_json,
     jacobi_residual,
@@ -976,57 +976,52 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
     toward absorption.  A control may also be a generator, and is then
     checked as one too.
     For m = 3, k = 1 the word sum is the trace, which must act as zero.
-    m outside 1..3 or k < 1 (no word, or c the identity) is refused.
-    At symbolic parameters every count, support and residual is derived
-    from v_0(0,0) by ``lattice_shift``; only printed residuals are shifted.
+    m outside 1..3, k < 1 (no word, or c the identity) or a control
+    outside the nine generators is refused.
+    The residuals are one family of ``sl3.covariant_sweep``: c is applied
+    letter by letter through its bound generators, each scaled by L, so a
+    residual is divided by L**(k + 1).  At symbolic parameters every
+    count, support and residual is derived from v_0(0,0); only printed
+    residuals are moved by ``lattice_shift``.
     """
     if not (1 <= m <= 3 and k >= 1):
         raise ValueError(f"central words need 1 <= m <= 3 and k >= 1, got m={m}, k={k}")
+    for g in controls:
+        if g not in NAME_OF:
+            raise ValueError(f"no generator E{g[0]}{g[1]}")
     words = central_words(m, k)
     gens = [(p, q) for p in range(1, m + 1) for q in range(1, m + 1)]
-    inner = window.basis(inner=True)
-    # computed at v_0(0,0) alone and moved to each inner point at symbolic
-    # parameters (sl3's lattice covariance), else at each inner point
-    basis, moves = lattice_route(params, inner)
+    seen = set()
+    nonzero = set()
+    trace_zero = True if (m, k) == (3, 1) else None
 
-    def apply_c(x, seen):
+    def apply_c(ops, x):
         # letter by letter, so every intermediate support is seen
         total = ModuleElement.zero(x.alpha)
         for letters in words:
             y = x
-            for (i, j) in reversed(letters):
-                y = act_gen(params, i, j, y)
+            for g in reversed(letters):
+                y = ops[g](y)
                 seen.update(y.terms)
             total = total + y
         return total
 
-    def residual(g, x, cx, seen):
-        # c(E_g x) - E_g(c x), recording every support met in seen
-        gx = act_gen(params, *g, x)
-        seen.update(gx.terms)
-        return apply_c(gx, seen) - act_gen(params, *g, cx)
-
-    seen = set()
-    found = []
-    nonzero = set()
-    trace_zero = True if (m, k) == (3, 1) else None
-    for idx, pt in basis:
-        x = basis_element(params, idx, pt)
-        cx = apply_c(x, seen)
-        seen.update(cx.terms)
+    def residuals(ops, scale, x):
+        # c(E_g x) - E_g(c x) for the generators and the controls
+        nonlocal trace_zero
+        cx = apply_c(ops, x)
         trace_zero = trace_zero and cx.is_zero()
-        for g in gens:
-            res = residual(g, x, cx, seen)
-            if not res.is_zero():
-                found.append((g, (idx, pt), res))
-        # every control at every vector: its supports count toward absorption
-        for g in controls:
-            if not residual(g, x, cx, seen).is_zero():
-                nonzero.add(g)
+        formed = {}
+        for g in dict.fromkeys([*gens, *controls]):
+            gx = ops[g](x)
+            seen.update(gx.terms)
+            formed[g] = apply_c(ops, gx) - ops[g](cx)
+        nonzero.update(g for g in controls if not formed[g].is_zero())
+        return {g: _unscaled(formed[g], scale ** (k + 1)) for g in gens}
+
+    checked, found, moves = covariant_sweep(params, window.basis(inner=True), residuals)
     absorbed = all(window.contains(*moved(key, *move)) for move in moves for key in seen)
     control_results = [{"generator": NAME_OF[g], "nonzero": g in nonzero} for g in controls]
-    # point by point, as the direct loop meets them
-    found = [(g, moved(key, *move), move, res) for move in moves for g, key, res in found]
     failures = [
         {
             "generator": NAME_OF[g],
@@ -1048,7 +1043,7 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
             "m": m,
             "k": k,
             "word_count": len(words),
-            "commutator_checks": len(gens) * len(inner),
+            "commutator_checks": checked,
             "absorbed": absorbed,
             "failures": failures,
             "failure_count": len(found),
@@ -1278,10 +1273,8 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
         for m in small_box:
             x = ModuleElement.basis(alpha, 0, m)  # t^m, the one basis vector of wedge^0
             dx = image_gen(m)
-            residuals = [
-                d_intertwining_residual(on_functions, on_forms, d[0], x, dx)
-                for on_functions, on_forms in bound
-            ]
+            # d(D x) - D(d x) per unit direction, L**2 times the true residual
+            residuals = [d[0](on_functions(x)) - on_forms(dx) for on_functions, on_forms in bound]
             inter_failures += _failing_directions(residuals, directions)
             target = image_gen(tuple(a + bb for a, bb in zip(m, r)))
             images = [

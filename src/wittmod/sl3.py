@@ -13,9 +13,10 @@ conditions are integer linear forms of the same kind (CONDITIONS).
 
 ``generator_operator`` binds one row to the parameters, as
 ``tensor.witt_operator`` binds a D(u, r); act_gen is one application of
-it, and the bracket and embedding sweeps bind the nine once per sweep.
-At numeric parameters those sweeps run on ints, every operator scaled by
-the lcm of the parameter denominators.
+it.  ``covariant_sweep`` is the one residual sweep over a window: it
+binds the nine once, and the bracket, embedding and ``gt`` central
+checks each give it a residual family.  At numeric parameters it runs on
+ints, every operator scaled by the lcm of the parameter denominators.
 
 Throughout, for a basis symbol v_i(r1, r2):
 
@@ -321,17 +322,6 @@ COVARIANT_PARAMS = (Params.symbolic(), Params.symbolic(with_iota_index=True))
 ORIGIN = (0, (0, 0))
 
 
-def lattice_route(params: Params, keys) -> tuple:
-    """(basis, moves) of a sweep over the list of basis keys ``keys``: the
-    keys the sweep computes at, and the moves (idx, r) that carry each
-    result to the keys it stands for.  At parameters in
-    ``COVARIANT_PARAMS`` that is v_0(0,0) alone, moved to every key;
-    otherwise every key, moved by nothing."""
-    if params in COVARIANT_PARAMS:
-        return [ORIGIN], keys
-    return keys, [ORIGIN]
-
-
 def moved(key, idx: int, r):
     """The basis key (index, point) moved by (idx, r)."""
     k, (p1, p2) = key
@@ -351,14 +341,15 @@ def lattice_shift(x: ModuleElement, idx: int, r) -> ModuleElement:
     )
 
 
-def _covariant_sweep(params: Params, points, indices, residuals, label: str) -> dict:
-    """The report of ``residuals(ops, scale, x)``, a dict keyed by a
-    generator or a pair of them, over the window's basis vectors x that
-    ``lattice_route`` picks: every one, or at ``COVARIANT_PARAMS`` v_0(0,0)
-    alone, whose nonzero residuals fail at every vector, moved there by
-    ``lattice_shift``.  ``checked`` counts the residuals formed, times
-    the moves.  Failures name their key under ``label``, key by key, in
-    (point, index) order within a key.
+def covariant_sweep(params: Params, keys, residuals) -> tuple:
+    """``(checked, found, moves)`` of ``residuals(ops, scale, x)``, a dict
+    keyed by a generator or a pair of them, over the basis keys ``keys``:
+    at ``COVARIANT_PARAMS`` computed at v_0(0,0) alone and moved to every
+    key, so ``moves`` are the keys, else computed at every key and moved
+    by nothing.  ``checked`` counts the residuals formed, times the moves.
+    ``found`` lists ``(g, key, move, residual)`` per nonzero residual, key
+    by key in ``keys`` order, the residual as computed: ``lattice_shift``
+    by ``move`` gives it at ``key``.
 
     ``ops`` holds the nine ``generator_operator`` bindings, made once per
     sweep and scaled by L = ``common_denominator(params)``, so numeric
@@ -372,27 +363,31 @@ def _covariant_sweep(params: Params, points, indices, residuals, label: str) -> 
     ``_act_witt_reference`` in ``tests/test_tensor_field.py`` and by the
     locked ``brackets-numeric`` report, which computes every vector.
     """
-    keys = [(idx, r) for r, idx in product(points, indices)]
     if not keys:
         raise ValueError("empty window: no basis vector to check")
-    basis, moves = lattice_route(params, keys)
+    basis, moves = ([ORIGIN], keys) if params in COVARIANT_PARAMS else (keys, [ORIGIN])
     scale = common_denominator(params)
     ops = {g: generator_operator(params, g, scale) for g in GENERATORS}
     checked, found = 0, []
     for key in basis:
         formed = residuals(ops, scale, basis_element(params, *key))
         checked += len(formed) * len(moves)
-        found += [
-            (g, moved(key, *move), lattice_shift(res, *move))
-            for g, res in formed.items()
-            if not res.is_zero()
-            for move in moves
-        ]
+        nonzero = [(g, res) for g, res in formed.items() if not res.is_zero()]
+        found += [(g, moved(key, *move), move, res) for move in moves for g, res in nonzero]
+    return checked, found, moves
+
+
+def _sweep_report(params: Params, points, indices, residuals, label: str) -> dict:
+    """The report of ``covariant_sweep`` over the window's basis vectors
+    in (point, index) order: its failures generator by generator, each
+    named under ``label`` and printed at its key."""
+    keys = [(idx, r) for r, idx in product(points, indices)]
+    checked, found, _ = covariant_sweep(params, keys, residuals)
     found.sort(key=itemgetter(0))
     failures = [
         {label: NAME_OF.get(g) or [NAME_OF[h] for h in g], "basis": {"index": idx, "r": list(r)},
-         "residual": element_to_json(res)}
-        for g, (idx, r), res in found
+         "residual": element_to_json(lattice_shift(res, *move))}
+        for g, (idx, r), move, res in found
     ]
     return {"ok": not found, "checked": checked, "failures": failures}
 
@@ -408,7 +403,7 @@ def verify_sl3_brackets(params: Params, points, indices) -> dict:
         found = bracket_residuals(lambda i, j, v: ops[i, j](v), 3, x, scale)
         return {pair: _unscaled(res, scale * scale) for pair, res in found.items()}
 
-    return _covariant_sweep(params, points, indices, residuals, "pair")
+    return _sweep_report(params, points, indices, residuals, "pair")
 
 
 def verify_embedding(params: Params, points, indices) -> dict:
@@ -423,7 +418,7 @@ def verify_embedding(params: Params, points, indices) -> dict:
             for g, op in ops.items()
         }
 
-    return _covariant_sweep(params, points, indices, residuals, "generator")
+    return _sweep_report(params, points, indices, residuals, "generator")
 
 
 # -- genericity ----------------------------------------------------------

@@ -362,14 +362,6 @@ def de_rham_differential(x: ModuleElement, wedges, k: int, scale: int = 1) -> Mo
     return de_rham_operator(wedges, k, x.alpha, scale)(x)
 
 
-def d_intertwining_residual(act_src, act_dst, d, x, dx):
-    """d(D x) - D(d x) for D bound as ``act_src`` on the source and as
-    ``act_dst`` on the target wedge module of the bound differential
-    ``d``, given dx = d x.  With D and d scaled by L it is L**2 times the
-    true residual."""
-    return d(act_src(x)) - act_dst(dx)
-
-
 def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
     """Residuals of d(D(u,r)x) - D(u,r)(d x) over monomial generators.
 
@@ -400,8 +392,8 @@ def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
     for m in box:
         for idx in range(src.dim):
             x = ModuleElement.basis(alpha, idx, m)
-            dx = d(x)
-            res = d_intertwining_residual(act_src, act_dst, d, x, dx)
+            # d(D x) - D(d x), L**2 times the true residual
+            res = d(act_src(x)) - act_dst(d(x))
             count += 1
             if not res.is_zero():
                 failures.append(

@@ -11,7 +11,7 @@ import pytest
 import sympy
 from sympy.polys.rings import PolyElement
 
-from wittmod import engine, tensor
+from wittmod import engine, sl3, tensor
 from wittmod.cli import main
 from wittmod.engine import (
     DEFAULT_WORDS,
@@ -1118,13 +1118,13 @@ def test_gt_central_control_detects_noncentral():
     "params", [Params.symbolic(), Params.numeric()], ids=["derived", "direct"]
 )
 def test_gt_central_counts_every_failure_and_prints_the_first_five(monkeypatch, params):
-    act = engine.act_gen
+    bind = sl3.generator_operator
 
-    def doubled_e12(params, i, j, x):
-        y = act(params, i, j, x)
-        return y.scale(2) if (i, j) == (1, 2) else y
+    def doubled_e12(params, g, scale=1):
+        apply = bind(params, g, scale)
+        return (lambda x: apply(x).scale(2)) if g == (1, 2) else apply
 
-    monkeypatch.setattr(engine, "act_gen", doubled_e12)
+    monkeypatch.setattr(sl3, "generator_operator", doubled_e12)
     window = Window(0, 5, ((0, 5), (0, 4)), margin=2)  # four inner basis vectors
     inner = [(idx, list(pt)) for idx, pt in window.basis(inner=True)]
     doc = gt_central_check(params, window, 3, 2)
@@ -1166,6 +1166,19 @@ def test_gt_central_errors_when_window_cannot_absorb(params, window, m, k, contr
     doc = gt_central_check(params, window, m, k, controls)
     assert doc["verdict"] == "error" and doc["absorbed"] is False
     assert doc["controls"] == [{"generator": "E13", "nonzero": True}] * len(controls)
+
+
+@pytest.mark.parametrize("control, name", [((4, 4), "E44"), ((0, 1), "E01")])
+def test_gt_central_refuses_a_control_outside_the_nine_generators(monkeypatch, control, name):
+    # refused by name before any generator is bound or applied
+    def unreachable(*args):
+        raise AssertionError("a generator was bound before the controls were checked")
+
+    monkeypatch.setattr(sl3, "generator_operator", unreachable)
+    with pytest.raises(ValueError, match=f"no generator {name}"):
+        gt_central_check(
+            Params.symbolic(), Window.symmetric(1, 1, 1, margin=1), 2, 2, controls=((1, 3), control)
+        )
 
 
 @pytest.mark.parametrize("m, k", [(0, 1), (4, 1), (3, 0), (2, -1)])

@@ -342,11 +342,13 @@ def test_package_runs_as_module():
         ["derham", "--n", "3"],
         ["witt"],
         ["gt", "--gt-check", "central"],
+        ["gt", "--gt-check", "central", "--mode", "numeric"],
         ["gt"],
     ],
     ids=[
         "import", "check-generic", "brackets", "brackets-numeric", "proof-identities", "generate",
-        "irreducible-seed", "degenerate", "derham", "derham-n3", "witt", "gt-central", "gt",
+        "irreducible-seed", "degenerate", "derham", "derham-n3", "witt", "gt-central",
+        "gt-central-numeric", "gt",
     ],
 )
 def test_numeric_paths_do_not_load_sympy(argv):
@@ -357,8 +359,8 @@ def test_numeric_paths_do_not_load_sympy(argv):
     # ParamPolynomial arithmetic and load it neither: a covariant sweep
     # shifts coefficients through sympy only for a printed failure.  The
     # gt leakage splits are read off the generator table, not factored.  The
-    # numeric brackets sweep runs on ints scaled by L and divides a printed
-    # residual by its power of L in Fraction arithmetic.  Each
+    # numeric brackets and central sweeps run on ints scaled by L and divide
+    # a printed residual by its power of L in Fraction arithmetic.  Each
     # run must pass, so its whole path is covered.
     code = "import wittmod"
     if argv is not None:

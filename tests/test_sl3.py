@@ -14,7 +14,7 @@ from wittmod.cli import main
 from wittmod.glmod import bracket_residual, bracket_residuals
 from wittmod.engine import GT_OBSTRUCTION_OPS, Window, gt_central_check, gt_obstruction, proof_report
 from wittmod.report import canonical_json
-from wittmod.scalars import A1, A2, B, C, IOTA, L, factor_linear_in_iota
+from wittmod.scalars import A1, A2, B, C, IOTA, L, common_denominator, factor_linear_in_iota
 from wittmod.tensor import element_to_json
 from wittmod.sl3 import (
     CONDITION_NAMES,
@@ -662,6 +662,35 @@ def test_covariant_central_check_equals_the_direct_sweep(monkeypatch):
     # passing, failing and unabsorbed reports are all compared
     assert {("pass", True), ("fail", True), ("error", False)} <= outcomes
 
+
+def _central_image(params, words, x):
+    """c x for the central words ``words``: ``act_word`` applies one
+    ``act_gen`` per letter."""
+    return sum((act_word(params, letters, x) for letters in words), x.scale(0))
+
+
+def test_numeric_central_residuals_are_the_per_application_ones(monkeypatch):
+    # the numeric central sweep applies c through generators scaled by L
+    # and divides each residual by L**(k + 1); every printed residual must
+    # be c(E_g x) - E_g(c x) formed in Fractions by act_gen, one
+    # application at a time, so a wrong power of L shows
+    assert common_denominator(NUM) > 1
+    compared = 0
+    for name, patch in _row_sample(_corruptions()):
+        with monkeypatch.context() as m:
+            patch(m)
+            for mm, k, controls in CENTRAL_CHECKS:
+                words = engine.central_words(mm, k)
+                doc = gt_central_check(NUM, COVARIANCE_WINDOW, mm, k, controls)
+                for failure in doc["failures"]:
+                    g = GEN_NAMES[failure["generator"]]
+                    x = basis_element(NUM, failure["basis"]["index"], failure["basis"]["r"])
+                    res = _central_image(NUM, words, act_gen(NUM, *g, x)) - act_gen(
+                        NUM, *g, _central_image(NUM, words, x)
+                    )
+                    assert failure["residual"] == element_to_json(res), (name, mm, k, failure)
+                    compared += 1
+    assert compared
 
 
 LEAKAGE_ROWS = {GEN_NAMES[name] for name in ("E12", "E21", "E23", "E32", "E13", "E31")}
