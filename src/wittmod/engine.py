@@ -45,15 +45,16 @@ from .sl3 import (
     act_word,
     basis_element,
     check_generic,
+    check_letters,
     condition_values,
     covariant_sweep,
-    integer_action,
     lattice_shift,
     lowering_operator,
     moved,
     parse_word,
     proof_identity_report,
     raising_operator,
+    row_action,
     verify_embedding,
     verify_sl3_brackets,
     word_path,
@@ -283,10 +284,10 @@ def closure(params: Params, seeds, words, window: Window, stop_at=None):
 
     The arithmetic is exact and fraction-free.  Rows are primitive
     integer rows (``SubspaceBasis``), and a word is applied to a whole
-    row at once by ``integer_action``, straight from the generator table
+    row at once by ``row_action``, straight from the generator table
     with every coefficient scaled by the lcm of the parameter
     denominators; scaling a row leaves its span unchanged.  Parameters
-    must therefore be numeric.
+    must therefore be numeric, and every letter one of the nine generators.
 
     ``stop_at = (idx, pt)`` ends the closure as soon as v_idx(pt) lies in
     the span: it is tested once the seed rows are in and after each new
@@ -303,11 +304,10 @@ def closure(params: Params, seeds, words, window: Window, stop_at=None):
     """
     if not params.is_numeric():
         raise ValueError("closure needs numeric parameters")
+    check_letters(g for letters in words for g in letters)
     alpha = params.alpha()
-    apply = integer_action(params)
-    applied = [
-        (letters, word_shift(letters)) for letters in words if any(i != j for i, j in letters)
-    ]
+    apply = row_action(params)
+    applied = [(w, word_shift(w)) for w in words if any(i != j for i, j in w)]
     i_min, i_max = window.i_min, window.i_max
     (lo1, hi1), (lo2, hi2) = window.r_bounds
     full_rank = i_max - i_min + 1
@@ -623,13 +623,13 @@ def find_singular_vectors(params: Params, window: Window) -> list:
     """Joint kernel of E31 and E32 on each lattice point of the window.
 
     Computed as an honest nullspace of the stacked coefficient matrices,
-    whose columns are the ``integer_action`` images of the basis vectors,
+    whose columns are the ``row_action`` images of the basis vectors,
     then certified through ``act_gen``: at each point the columns must sum
     to the scaled image of the sum of the basis vectors, and both
     operators must kill every solution.
     """
     scale = common_denominator(params)
-    apply = integer_action(params)
+    apply = row_action(params)
     alpha = params.alpha()
     indices = window.indices()
     found = []
@@ -866,41 +866,42 @@ def gt_obstruction(params: Params, window: Window) -> dict:
     three composites simultaneously.  The genericity gate refuses
     symbolic parameters and a point where one of the ten conditions fails.
 
-    The split is read off the generator table, with no factorization:
-    exactly one ``word_path`` reaches the extreme index, so the
-    coefficient is the product of that path's forms.  At each point the
-    split is certified against the coefficient computed there; a word
-    with no path, or with more than one, gets no split and fails.
+    Every image is a row of ``sl3.row_action``, bound once per call at
+    ``params`` (int rows, L**2 times the image) and once at the iota
+    parameters (exact rows).  The split is read off the generator table,
+    with no factorization: exactly one ``word_path`` reaches the extreme
+    index, so the coefficient is the product of that path's forms.  At
+    each point the split is certified against that coefficient in the
+    exact row of v_0(pt); a word with no path, or with more than one,
+    gets no split and fails.
     """
     refusal, _ = _genericity_gate("gt-obstruction", params, window)
     if refusal is not None:
         return refusal
-    sym = Params.symbolic(with_iota_index=True)
+    apply, apply_sym = row_action(params), row_action(Params.symbolic(with_iota_index=True))
     cond_scalars = condition_values(Params.symbolic())
     ops = []
-    all_ok = True
     for word_text, direction in GT_OBSTRUCTION_OPS:
         letters = parse_word(word_text)
-        triangular_ok = True
-        extreme_ok = True
+        shifted = word_shift(letters) != (0, 0)
+        triangular_ok = extreme_ok = True
         first_failure = None
-        checked = 0
-        for idx in window.indices():
-            for pt in window.points():
-                y = act_word(params, letters, basis_element(params, idx, pt))
-                checked += 1
-                bad = None
-                if y.support_points() - {pt}:
-                    bad = "moved lattice point"
-                elif any(not (idx - 1 <= k <= idx + 1) for (k, _) in y.terms):
-                    bad = "index moved by more than one"
-                if bad is not None:
-                    triangular_ok = False
-                elif coeff_is_zero(y.coefficient(idx + direction, pt)):
-                    extreme_ok = False
-                    bad = "extreme component vanished"
-                if bad is not None and first_failure is None:
-                    first_failure = {"index": idx, "r": list(pt), "problem": bad}
+        basis = list(iproduct(window.indices(), window.points()))
+        for idx, pt in basis:
+            # L**2 times the image of v_idx(pt), at pt + word_shift(letters)
+            row = apply(letters, {idx: 1}, pt)
+            bad = None
+            if row and shifted:
+                bad = "moved lattice point"
+            elif any(abs(k - idx) > 1 for k in row):
+                bad = "index moved by more than one"
+            if bad is not None:
+                triangular_ok = False
+            elif not row.get(idx + direction):
+                extreme_ok = False
+                bad = "extreme component vanished"
+            if bad is not None and first_failure is None:
+                first_failure = {"index": idx, "r": list(pt), "problem": bad}
         factor_reports = []
         path = word_path(letters, direction)
         factors_ok = path is not None
@@ -909,12 +910,11 @@ def gt_obstruction(params: Params, window: Window) -> dict:
                 factor_reports.append({"r": list(pt), "factors": None})
                 continue
             unit, pairs = _leakage_split(letters, path, pt)
-            # certified where the path lands: at pt unless the table moves the word
-            y = act_word(sym, letters, basis_element(sym, 0, pt))
             prod = unit
             for zeta, sign in pairs:
                 prod = prod * (zeta + sign * IOTA)
-            if prod != y.coefficient(*moved((0, pt), direction, word_shift(letters))):
+            # certified against the image of v_0(pt), where the path lands
+            if prod != apply_sym(letters, {0: 1}, pt).get(direction, 0):
                 raise ValueError("leakage split certification failed")
             fr = []
             for zeta, sign in pairs:
@@ -927,32 +927,24 @@ def gt_obstruction(params: Params, window: Window) -> dict:
                 if covered is None:
                     factors_ok = False
                 fr.append(
-                    {
-                        "zeta": scalar_to_text(zeta),
-                        "iota_sign": sign,
-                        "covered_by": covered,
-                    }
+                    {"zeta": scalar_to_text(zeta), "iota_sign": sign, "covered_by": covered}
                 )
-            factor_reports.append(
-                {"r": list(pt), "unit": scalar_to_text(unit), "factors": fr}
-            )
-        op_ok = triangular_ok and extreme_ok and factors_ok
-        all_ok = all_ok and op_ok
+            factor_reports.append({"r": list(pt), "unit": scalar_to_text(unit), "factors": fr})
         ops.append(
             {
                 "word": word_text,
                 "extreme_offset": direction,
-                "checked": checked,
+                "checked": len(basis),
                 "triangular_ok": triangular_ok,
                 "extreme_nonzero_ok": extreme_ok,
                 "first_failure": first_failure,
                 "factors_covered": factors_ok,
                 "factor_analysis": factor_reports,
-                "ok": op_ok,
+                "ok": triangular_ok and extreme_ok and factors_ok,
             }
         )
     return _report(
-        "gt-obstruction", params, window, "pass" if all_ok else "fail",
+        "gt-obstruction", params, window, "pass" if all(op["ok"] for op in ops) else "fail",
         {"operators": ops},
     )
 
@@ -986,9 +978,7 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
     """
     if not (1 <= m <= 3 and k >= 1):
         raise ValueError(f"central words need 1 <= m <= 3 and k >= 1, got m={m}, k={k}")
-    for g in controls:
-        if g not in NAME_OF:
-            raise ValueError(f"no generator E{g[0]}{g[1]}")
+    check_letters(controls)
     words = central_words(m, k)
     gens = [(p, q) for p in range(1, m + 1) for q in range(1, m + 1)]
     seen = set()

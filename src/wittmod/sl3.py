@@ -17,6 +17,9 @@ it.  ``covariant_sweep`` is the one residual sweep over a window: it
 binds the nine once, and the bracket, embedding and ``gt`` central
 checks each give it a residual family.  At numeric parameters it runs on
 ints, every operator scaled by the lcm of the parameter denominators.
+``row_action`` is the one word action on a one-point row {index:
+coefficient}, scaled the same way; closures, the singular-vector search
+and the ``gt`` obstruction read their images off it.
 
 Throughout, for a basis symbol v_i(r1, r2):
 
@@ -161,13 +164,19 @@ GEN_NAMES = {f"E{i}{j}": (i, j) for i, j in GENERATORS}
 NAME_OF = {g: name for name, g in GEN_NAMES.items()}
 
 
+def check_letters(letters):
+    """Refuse a letter outside the nine generators, by name."""
+    for g in letters:
+        if g not in GENERATORS:
+            raise ValueError(f"no generator E{g[0]}{g[1]}")
+
+
 def _formula(g, values, scale: int = 1) -> tuple:
     """(shift, entries) of scale * Ebar_g: an entry (offset, value, k_idx,
     k_r1, k_r2) holds its form at ``values``, the parameters times scale,
     and the form's l, a1 and a2 coefficients times scale.  Its factor on
     v_idx(r1, r2) is value + k_idx*idx + k_r1*r1 + k_r2*r2."""
-    if g not in GENERATORS:
-        raise ValueError(f"no generator E{g[0]}{g[1]}")
+    check_letters((g,))
     _, _, shift, formula = GENERATORS[g]
     return shift, tuple(
         (off, form_value(f, values), scale * f[0], scale * f[3], scale * f[4])
@@ -209,15 +218,16 @@ def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
     return generator_operator(params, (i, j))(x)
 
 
-def integer_action(params: Params):
-    """``apply(letters, row, pt)``: scale**len(letters) times the word's
-    image of the sparse int row {idx: coefficient} at ``pt``, a sparse int
-    row at ``pt + word_shift(letters)``, with scale the lcm of the
-    parameter denominators.  The forms have no constant term, so they are
-    evaluated on the parameter vector times scale, a vector of ints."""
+def row_action(params: Params):
+    """``apply(letters, row, pt)``: the word's image of the sparse row
+    {idx: coefficient} at ``pt``, a sparse row at ``pt + word_shift(letters)``.
+    Numeric rows hold ints, scale**len(letters) times the image, scale the
+    lcm L of the parameter denominators: the forms have no constant term,
+    so they are evaluated on the parameter vector times L, ints even where
+    L is 1.  Symbolic rows are exact: the table is evaluated at ``params``."""
     scale = common_denominator(params)
-    ints = tuple(scaled_int(v, scale) for v in params)
-    table = {g: _formula(g, ints, scale) for g in GENERATORS}
+    values = tuple(scaled_int(v, scale) for v in params) if params.is_numeric() else params
+    table = {g: _formula(g, values, scale) for g in GENERATORS}
 
     def apply(letters, row: dict, pt) -> dict:
         r1, r2 = pt

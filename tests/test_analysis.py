@@ -40,7 +40,6 @@ from wittmod.sl3 import (
     act_word,
     basis_element,
     check_generic,
-    integer_action,
     lattice_shift,
     moved,
     parse_word,
@@ -256,6 +255,21 @@ def test_closure_idempotent_and_monotone():
     assert stats2["rank"] == stats1["rank"] or not basis1.contains_basis((1, -1), 1)
 
 
+@pytest.mark.parametrize(
+    "word, name", [(((4, 4),), "E44"), (((1, 2), (0, 1)), "E01")], ids=["E44", "E01"]
+)
+def test_closure_refuses_a_letter_outside_the_nine_generators(monkeypatch, word, name):
+    # E44 would pass for a diagonal word and be skipped, E01 reach the
+    # generator table; both are refused by name before any row is bound
+    def must_not_run(params):
+        raise AssertionError("closure bound its rows before checking its words")
+
+    monkeypatch.setattr(engine, "row_action", must_not_run)
+    seed, window = basis_element(NUM, 0, (0, 0)), Window.symmetric(1, 1, 1)
+    with pytest.raises(ValueError, match=f"^no generator {name}$"):
+        closure(NUM, [seed], [*DEFAULT_WORDS, word], window)
+
+
 def test_closure_rejects_bad_seeds():
     w = Window.symmetric(1, 1, 1)
     with pytest.raises(ValueError):
@@ -269,31 +283,11 @@ def test_closure_rejects_bad_seeds():
         closure(NUM, [ModuleElement.zero(NUM.alpha())], [], w)
 
 
-# scale**len(word) clears the parameter denominators: integer_action
-# derives scale = lcm(7, 11, 13, 17, 19) at the defaults and
-# lcm(7, 11, 13, 77, 77) at the degenerate preset
-@pytest.mark.parametrize(
-    "params, scale", [(NUM, 323323), (DEG, 1001)], ids=["default", "degenerate"]
-)
-def test_integer_images_are_scaled_word_images(params, scale):
-    apply = integer_action(params)
-    # one-term rows at the centre and at window-edge indices, and a
-    # multi-term row; the words cover one- and two-entry generator rows
-    rows = [({0: 1}, (0, 0)), ({-3: 1}, (2, -1)), ({4: 1}, (-4, 3)), ({-4: 2, 0: -3, 4: 5}, (4, -4))]
-    for letters, (row, pt) in product(DEFAULT_WORDS, rows):
-        x = ModuleElement(params.alpha(), {(i, pt): cf for i, cf in row.items()})
-        y = act_word(params, letters, x)
-        assert y.support_points() <= {tuple(map(sum, zip(pt, word_shift(letters))))}
-        expected = {i: cf * scale ** len(letters) for (i, _), cf in y.terms.items()}
-        image = apply(letters, row, pt)
-        assert all(type(v) is int for v in image.values()) and image == expected
-
-
 @pytest.mark.parametrize("corrupt", [lambda v: 0, lambda v: v + 1], ids=["dropped", "shifted"])
 def test_singular_vectors_check_integer_images_against_act_gen(monkeypatch, corrupt):
     # at the degenerate preset E32 kills v_0(1, 0) and E31 does not, so
     # dropping E31's entry there would make v_0(1, 0) a false singular vector
-    real = engine.integer_action
+    real = engine.row_action
 
     def corrupted(params):
         apply = real(params)
@@ -306,7 +300,7 @@ def test_singular_vectors_check_integer_images_against_act_gen(monkeypatch, corr
 
         return image
 
-    monkeypatch.setattr(engine, "integer_action", corrupted)
+    monkeypatch.setattr(engine, "row_action", corrupted)
     with pytest.raises(AssertionError, match="disagree with act_gen"):
         find_singular_vectors(DEG, Window.symmetric(2, 2, 2))
 
@@ -999,19 +993,31 @@ def test_gt_obstruction_raises_when_a_shifted_split_does_not_multiply_back(monke
     assert factorizations == []
 
 
+def _numeric_rows(monkeypatch, mutate):
+    # gt_obstruction's numeric row_action, each row passed through
+    # mutate(letters, row, pt, image); the exact iota rows stay as they are
+    real = engine.row_action
+
+    def row_action(params):
+        apply = real(params)
+        if not params.is_numeric():
+            return apply
+        return lambda letters, row, pt: mutate(letters, row, pt, apply(letters, row, pt))
+
+    monkeypatch.setattr(engine, "row_action", row_action)
+
+
 def test_gt_obstruction_fails_when_an_extreme_component_vanishes(monkeypatch):
     # drop v_{-1}(0,0) from the numeric E23*E32 image of v_0(0,0): the
     # leakage vanishes there, whatever the symbolic factors say
-    real = engine.act_word
-    word, v0 = parse_word("E23*E32"), basis_element(NUM, 0, (0, 0))
+    word = parse_word("E23*E32")
 
-    def act_word(params, letters, x):
-        y = real(params, letters, x)
-        if params.is_numeric() and letters == word and x == v0:
-            y = ModuleElement(y.alpha, {k: cf for k, cf in y.terms.items() if k != (-1, (0, 0))})
-        return y
+    def drop(letters, row, pt, image):
+        if (letters, row, pt) == (word, {0: 1}, (0, 0)):
+            image.pop(-1)
+        return image
 
-    monkeypatch.setattr(engine, "act_word", act_word)
+    _numeric_rows(monkeypatch, drop)
     doc = gt_obstruction(NUM, Window.symmetric(1, 1, 1))
     assert doc["verdict"] == "fail"
     op = {op["word"]: op for op in doc["operators"]}["E23*E32"]
@@ -1019,26 +1025,32 @@ def test_gt_obstruction_fails_when_an_extreme_component_vanishes(monkeypatch):
     assert op["first_failure"] == {"index": 0, "r": [0, 0], "problem": "extreme component vanished"}
 
 
+def _index_leak(monkeypatch):
+    # every numeric E12*E21 image of v_idx(r) gains v_{idx+2}
+    word = parse_word("E12*E21")
+
+    def leak(letters, row, pt, image):
+        if letters == word:
+            ((idx, _),) = row.items()
+            image[idx + 2] = 1
+        return image
+
+    _numeric_rows(monkeypatch, leak)
+
+
+def _point_leak(monkeypatch):
+    # E12 shifts by (1, 0), not (1, -1), so E12*E21 moves every point by (0, 1)
+    sign, u, _, formula = sl3.GENERATORS[1, 2]
+    monkeypatch.setitem(sl3.GENERATORS, (1, 2), (sign, u, (1, 0), formula))
+
+
 @pytest.mark.parametrize(
-    "step, problem",
-    [((2, 0), "index moved by more than one"), ((0, 1), "moved lattice point")],
+    "mutate, problem",
+    [(_index_leak, "index moved by more than one"), (_point_leak, "moved lattice point")],
     ids=["index", "point"],
 )
-def test_gt_obstruction_fails_when_a_word_leaves_the_triangle(monkeypatch, step, problem):
-    # every numeric E12*E21 image of v_idx(r) gains v_{idx+2}(r), or
-    # v_idx(r1 + 1, r2)
-    real = engine.act_word
-    word = parse_word("E12*E21")
-    d_idx, d_r1 = step
-
-    def act_word(params, letters, x):
-        y = real(params, letters, x)
-        if params.is_numeric() and letters == word:
-            ((idx, (r1, r2)),) = x.terms
-            y = y + basis_element(params, idx + d_idx, (r1 + d_r1, r2))
-        return y
-
-    monkeypatch.setattr(engine, "act_word", act_word)
+def test_gt_obstruction_fails_when_a_word_leaves_the_triangle(monkeypatch, mutate, problem):
+    mutate(monkeypatch)
     doc = gt_obstruction(NUM, Window.symmetric(1, 1, 1))
     assert doc["verdict"] == "fail"
     op = {op["word"]: op for op in doc["operators"]}["E12*E21"]

@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from operator import itemgetter
 
 import pytest
@@ -12,10 +13,17 @@ import pytest
 from wittmod import engine, glmod, sl3
 from wittmod.cli import main
 from wittmod.glmod import bracket_residual, bracket_residuals
-from wittmod.engine import GT_OBSTRUCTION_OPS, Window, gt_central_check, gt_obstruction, proof_report
+from wittmod.engine import (
+    DEFAULT_WORDS,
+    GT_OBSTRUCTION_OPS,
+    Window,
+    gt_central_check,
+    gt_obstruction,
+    proof_report,
+)
 from wittmod.report import canonical_json
 from wittmod.scalars import A1, A2, B, C, IOTA, L, common_denominator, factor_linear_in_iota
-from wittmod.tensor import element_to_json
+from wittmod.tensor import ModuleElement, element_to_json
 from wittmod.sl3 import (
     CONDITION_NAMES,
     CONDITIONS,
@@ -41,6 +49,7 @@ from wittmod.sl3 import (
 )
 
 NUM = Params.numeric()
+DEG = Params.numeric(DEGENERATE_VALUES)
 SYM = Params.symbolic()
 SYM_IOTA = Params.symbolic(with_iota_index=True)
 GENS = sorted(GEN_NAMES.values())
@@ -121,6 +130,35 @@ def test_word_order_rightmost_first():
     composed = act_gen(NUM, 1, 2, act_gen(NUM, 2, 1, x))
     assert act_word(NUM, parse_word("E12*E21"), x) == composed
 
+
+# the closure words and the three obstruction words on one-point rows,
+# against the per-application act_word image read at the row's point
+# moved by word_shift.  Numeric rows are scale**len(word) times it, scale
+# = lcm(7, 11, 13, 17, 19) at the defaults, lcm(7, 11, 13, 77, 77) at the
+# degenerate preset and 1 at an all-integer point, where the table must
+# still hold ints; symbolic rows are exact
+ROW_WORDS = DEFAULT_WORDS + tuple(parse_word(word) for word, _ in GT_OBSTRUCTION_OPS)
+INTEGER_POINT = Params.numeric({"l": 2, "b": -1, "c": 3, "a1": 1, "a2": -2})
+
+
+@pytest.mark.parametrize(
+    "params, scale",
+    [(NUM, 323323), (DEG, 1001), (INTEGER_POINT, 1), (SYM, 1), (SYM_IOTA, 1)],
+    ids=["default", "degenerate", "integer", "symbolic", "iota"],
+)
+def test_row_action_is_the_scaled_word_image(params, scale):
+    apply = sl3.row_action(params)
+    # v_j(r) for j in -1..1 and r in [-1, 1]^2, window-edge indices and a
+    # multi-term row
+    rows = [({j: 1}, r) for j, r in product((-1, 0, 1), product((-1, 0, 1), repeat=2))]
+    rows += [({-3: 1}, (2, -1)), ({4: 1}, (-4, 3)), ({-4: 2, 0: -3, 4: 5}, (4, -4))]
+    for letters, (row, pt) in product(ROW_WORDS, rows):
+        x = ModuleElement(params.alpha(), {(i, pt): cf for i, cf in row.items()})
+        y = act_word(params, letters, x)
+        assert y.support_points() <= {tuple(map(sum, zip(pt, word_shift(letters))))}
+        image = apply(letters, row, pt)
+        assert image == {i: cf * scale ** len(letters) for (i, _), cf in y.terms.items()}
+        assert not params.is_numeric() or all(type(cf) is int for cf in image.values())
 
 
 def test_word_path_needs_exactly_one_path():
