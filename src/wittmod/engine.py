@@ -55,6 +55,7 @@ from .sl3 import (
     proof_identity_report,
     raising_operator,
     row_action,
+    truncation_lengths,
     verify_embedding,
     verify_sl3_brackets,
     word_path,
@@ -628,6 +629,8 @@ def find_singular_vectors(params: Params, window: Window) -> list:
     to the scaled image of the sum of the basis vectors, and both
     operators must kill every solution.
     """
+    if not params.is_numeric():
+        raise ValueError("find_singular_vectors needs numeric parameters")
     scale = common_denominator(params)
     apply = row_action(params)
     alpha = params.alpha()
@@ -719,14 +722,6 @@ def _monic_obstruction(q: Scalar) -> Scalar:
     return Scalar(q.num - q.den) / q.den.leading_coeff()
 
 
-def _truncation_lengths(s_values: Sequence[int]) -> list:
-    """The truncation lengths as ints; refuses an empty list or a non-positive length."""
-    s_values = [scaled_int(s) for s in s_values]
-    if min(s_values, default=0) < 1:
-        raise ValueError("truncation lengths must be a non-empty list of positive integers")
-    return s_values
-
-
 def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     """Obstruction polynomial for the two-route coefficient recursion.
 
@@ -749,7 +744,7 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     results = []
     flags = []
     t_b_of, g, h = {}, {}, {}  # free of s: filled for the first s needing them
-    s_values = _truncation_lengths(s_values)
+    s_values = truncation_lengths(s_values)
     for s in s_values:
         js = range(s + 1)
         t_a = [raising_operator(params, s, basis_element(params, j, (0, 0))) for j in js]
@@ -1074,7 +1069,7 @@ def act_report(params: Params, word_text: str, x: ModuleElement) -> dict:
 
 
 def proof_report(s_values: Sequence[int]) -> dict:
-    body = proof_identity_report(_truncation_lengths(s_values))
+    body = proof_identity_report(s_values)
     verdict = "pass" if body.pop("ok") else "fail"
     return _report(
         "proof-identities", Params.symbolic(with_iota_index=True), None, verdict, body

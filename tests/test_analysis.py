@@ -106,6 +106,12 @@ def test_truncation_lengths_must_be_integers():
     assert recursion_factorization_oracle([Fraction(2, 2)])["s_values"] == [1]
 
 
+@pytest.mark.parametrize("s_values", [[], [-1], [0], [2.5]], ids=["empty", "-1", "0", "2.5"])
+def test_proof_identities_validate_their_lengths(s_values):
+    with pytest.raises(ValueError, match="non-empty list of positive integers"):
+        sl3.proof_identity_report(s_values)
+
+
 # -- row reduction ------------------------------------------------------------
 
 
@@ -715,6 +721,11 @@ def test_degenerate_reducibility_report():
     assert (doc["reached"], doc["missed_count"], doc["targets"]) == (35, 90, 125)
     assert doc["witness"] == {"index": -2, "r": [-2, -2]}
     assert doc["proper"]
+
+
+def test_singular_vectors_refuse_symbolic_parameters():
+    with pytest.raises(ValueError, match="find_singular_vectors needs numeric parameters"):
+        find_singular_vectors(Params.symbolic(), Window.symmetric(1, 0, 0))
 
 
 def test_singular_vectors_certify_the_nullspace(monkeypatch):

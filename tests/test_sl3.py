@@ -161,6 +161,17 @@ def test_row_action_is_the_scaled_word_image(params, scale):
         assert not params.is_numeric() or all(type(cf) is int for cf in image.values())
 
 
+@pytest.mark.parametrize("letter", [(4, 4), (0, 1)], ids=["E44", "E01"])
+@pytest.mark.parametrize(
+    "helper",
+    [word_shift, partial(word_path, offset=0), partial(sl3.row_action(NUM), row={0: 1}, pt=(0, 0))],
+    ids=["word_shift", "word_path", "row_action"],
+)
+def test_word_helpers_refuse_an_unknown_letter_by_name(helper, letter):
+    with pytest.raises(ValueError, match=f"no generator E{letter[0]}{letter[1]}"):
+        helper(((1, 2), letter))
+
+
 def test_word_path_needs_exactly_one_path():
     word = parse_word("E12*E21")
     # offset 0: E21 to v_{i-1} then E12 back, or both at v_i; 2: no path
@@ -895,9 +906,8 @@ def test_proof_identities_compare_the_witt_route(monkeypatch):
 
 
 def test_proof_identities_kill_the_bottom_once_per_call(monkeypatch):
-    # T_B does not depend on s: the s = 1..4 run computes the 45 kill
-    # images T_B v_j(r), j = 0..4 and r in the unit grid, once each, plus
-    # the control images up to its first nonzero one
+    # T_B does not depend on s: the s = 1..4 run computes the 5 kill
+    # images T_B v_j(0,0), j = 0..4, once each, plus the one control
     calls = []
     lowering = sl3.lowering_operator
 
@@ -908,7 +918,7 @@ def test_proof_identities_kill_the_bottom_once_per_call(monkeypatch):
     monkeypatch.setattr(sl3, "lowering_operator", spy)
     rep = proof_identity_report([1, 2, 3, 4])
     assert rep["ok"]
-    assert 45 < len(calls) <= 46
+    assert len(calls) == 6
     assert rep["truncations"] == [
         {
             "s": s,
@@ -920,3 +930,67 @@ def test_proof_identities_kill_the_bottom_once_per_call(monkeypatch):
         }
         for s in (1, 2, 3, 4)
     ]
+
+
+def test_proof_identities_compute_each_identity_once(monkeypatch):
+    # outermost calls only: one act_word per display, one act_embedded per
+    # display letter, one T_A per (s, j) plus one control per s, and T_B
+    # once per j = 0..4 plus one control
+    calls, inside = Counter(), []
+
+    def spy(name):
+        original = getattr(sl3, name)
+
+        def wrapped(*args, **kwargs):
+            if not inside:
+                calls[name] += 1
+            inside.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(sl3, name, wrapped)
+
+    for name in ("act_word", "act_embedded", "raising_operator", "lowering_operator"):
+        spy(name)
+    assert proof_identity_report([1, 2, 3, 4])["ok"]
+    assert calls == {
+        "act_word": 4, "act_embedded": 6, "raising_operator": 18, "lowering_operator": 6
+    }
+
+
+# the four displays as proof_identity_report computes them at the origin:
+# (word, source index, source point)
+DISPLAY_SOURCES = [
+    ("E13*E32", 0, (0, 0)),
+    ("E23*E31", 0, (0, 0)),
+    ("E13", 0, (0, 0)),
+    ("E23", 1, (1, -1)),
+]
+
+
+def test_proof_identities_rest_on_lattice_covariance():
+    # the lemma behind the origin route: at the iota parameters an image at
+    # lattice point r is the origin's image moved by r through sigma, for
+    # both display routes on the 5x5 grid and for T_A(s), T_B with and
+    # without the control shift on the unit grid
+    def witt(letters, x):
+        for g in reversed(letters):
+            x = act_embedded(SYM_IOTA, *g, x)
+        return x
+
+    routes = [partial(act_word, SYM_IOTA), witt]
+    for (word, idx, off), route in product(DISPLAY_SOURCES, routes):
+        at_origin = route(parse_word(word), basis_element(SYM_IOTA, idx, off))
+        for r in product(range(-2, 3), repeat=2):
+            src = basis_element(SYM_IOTA, idx, (off[0] + r[0], off[1] + r[1]))
+            image = route(parse_word(word), src)
+            assert image == sl3.lattice_shift(at_origin, 0, r), (word, r)
+    operators = [partial(sl3.raising_operator, SYM_IOTA, s) for s in (1, 2)]
+    operators.append(partial(sl3.lowering_operator, SYM_IOTA))
+    for op, j, shift in product(operators, range(3), (0, 1)):
+        at_origin = op(basis_element(SYM_IOTA, j, (0, 0)), shift=shift)
+        for r in product(range(-1, 2), repeat=2):
+            image = op(basis_element(SYM_IOTA, j, r), shift=shift)
+            assert image == sl3.lattice_shift(at_origin, 0, r), (op, j, shift, r)
