@@ -38,6 +38,7 @@ from .scalars import (
 from .sl3 import (
     CONDITION_NAMES,
     DEFAULT_VALUES,
+    GENERATORS,
     SPANNING_CONDITIONS,
     NAME_OF,
     Params,
@@ -88,6 +89,8 @@ class Window:
         self.i_max = scaled_int(i_max)
         self.r_bounds = tuple((scaled_int(lo), scaled_int(hi)) for lo, hi in r_bounds)
         self.margin = scaled_int(margin)
+        if len(self.r_bounds) != 2:
+            raise ValueError(f"window needs two lattice axes, got {len(self.r_bounds)}")
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
         if self.i_min + self.margin > self.i_max - self.margin:
@@ -428,6 +431,8 @@ def check_generation(params: Params, window: Window, seed=None) -> dict:
     refusal, generic = _genericity_gate("generate", params, window, SPANNING_CONDITIONS)
     if refusal is not None:
         return refusal
+    if len(window.basis(inner=True)) == 1:
+        raise ValueError("inner window holds one basis vector; widen it or lower its margin")
     if seed is None:
         seed = basis_element(params, 0, (0, 0))
     if len(seed.terms) != 1:
@@ -550,9 +555,11 @@ def check_irreducible(
                 )
             for _ in range(random_count):
                 seeds.append(random_in_box(rnd, box_basis, nterms, alpha))
+    targets = window.basis(inner=True)
+    if len(targets) == 1:
+        raise ValueError("inner window holds one basis vector; widen it or lower its margin")
     for x in seeds:
         _check_seed(x, alpha, window)
-    targets = window.basis(inner=True)
     box_size = len(window.basis())
     anchor_rank = _anchor_rank(params, (window.i_min, window.i_max, window.r_bounds))
     stop_at = _anchor(window) if anchor_rank == box_size else None
@@ -623,37 +630,30 @@ SINGULAR_OPS = ((3, 1), (3, 2))
 def find_singular_vectors(params: Params, window: Window) -> list:
     """Joint kernel of E31 and E32 on each lattice point of the window.
 
-    Computed as an honest nullspace of the stacked coefficient matrices,
-    whose columns are the ``row_action`` images of the basis vectors,
-    then certified through ``act_gen``: at each point the columns must sum
-    to the scaled image of the sum of the basis vectors, and both
-    operators must kill every solution.
+    Each has one table entry, at index offset 0, so each is diagonal on a
+    point's basis, with factor (a1-b-l) + (r1-idx) for E31 and
+    (a2-b+l) + (r2+idx) for E32 on v_idx(r1, r2).  The joint kernel at a
+    point is spanned by the v_idx that neither ``act_gen`` image of the
+    point's basis sum contains.  That premise is asserted once per call,
+    and both operators must kill every kernel vector through ``act_gen``.
     """
     if not params.is_numeric():
         raise ValueError("find_singular_vectors needs numeric parameters")
-    scale = common_denominator(params)
-    apply = row_action(params)
+    for g in SINGULAR_OPS:
+        if [off for off, _ in GENERATORS[g][3]] != [0]:
+            raise AssertionError(f"{NAME_OF[g]} is not diagonal on a point's basis")
     alpha = params.alpha()
     indices = window.indices()
     found = []
     for pt in window.points():
-        rows = []
-        for (i, j) in SINGULAR_OPS:
-            # E_ij v_idx(pt) lies at the one point pt + shift(E_ij)
-            cols = [apply(((i, j),), {idx: 1}, pt) for idx in indices]
-            whole = act_gen(params, i, j, ModuleElement(alpha, {(idx, pt): 1 for idx in indices}))
-            expected = {k: scaled_int(cf, scale) for (k, _), cf in whole.terms.items()}
-            for k in sorted({k for col in cols for k in col}.union(expected)):
-                row = [col.get(k, 0) for col in cols]
-                if sum(row) != expected.get(k, 0):
-                    raise AssertionError("integer images disagree with act_gen")
-                rows.append(row)
-        for vec in nullspace(rows, len(indices)):
-            x = ModuleElement(alpha, {(indices[t], pt): cf for t, cf in enumerate(vec)})
-            for (i, j) in SINGULAR_OPS:
-                if not act_gen(params, i, j, x).is_zero():
-                    raise AssertionError("nullspace certification failed")
-            found.append(x)
+        whole = ModuleElement(alpha, {(idx, pt): 1 for idx in indices})
+        hit = {idx for (i, j) in SINGULAR_OPS for idx, _ in act_gen(params, i, j, whole).terms}
+        for idx in indices:
+            if idx not in hit:
+                x = basis_element(params, idx, pt)
+                if any(not act_gen(params, i, j, x).is_zero() for (i, j) in SINGULAR_OPS):
+                    raise AssertionError("kernel certification failed")
+                found.append(x)
     return found
 
 

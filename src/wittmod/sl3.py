@@ -18,8 +18,8 @@ binds the nine once, and the bracket, embedding and ``gt`` central
 checks each give it a residual family.  At numeric parameters it runs on
 ints, every operator scaled by the lcm of the parameter denominators.
 ``row_action`` is the one word action on a one-point row {index:
-coefficient}, scaled the same way; closures, the singular-vector search
-and the ``gt`` obstruction read their images off it.
+coefficient}, scaled the same way; closures and the ``gt`` obstruction
+read their images off it.
 
 Throughout, for a basis symbol v_i(r1, r2):
 

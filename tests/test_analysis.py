@@ -35,6 +35,7 @@ from wittmod.glmod import FinDimGlModule, exterior_power
 from wittmod.report import canonical_json
 from wittmod.scalars import IOTA, ONE, Scalar, factor_linear_in_iota, scalar_to_text
 from wittmod.sl3 import (
+    DEFAULT_VALUES,
     DEGENERATE_VALUES,
     Params,
     act_word,
@@ -76,6 +77,9 @@ def test_window_validation():
         Window(0, 1, ((0, 1), (0, 1)), margin=-1)
     with pytest.raises(ValueError):
         Window(0, 1, ((0, 1), (0, 1)), margin=2)  # inner box empty
+    for axes in (((-1, 1),), ((-1, 1),) * 3):
+        with pytest.raises(ValueError, match=f"^window needs two lattice axes, got {len(axes)}$"):
+            Window(-1, 1, axes)
 
 
 @pytest.mark.parametrize(
@@ -289,28 +293,6 @@ def test_closure_rejects_bad_seeds():
         closure(NUM, [ModuleElement.zero(NUM.alpha())], [], w)
 
 
-@pytest.mark.parametrize("corrupt", [lambda v: 0, lambda v: v + 1], ids=["dropped", "shifted"])
-def test_singular_vectors_check_integer_images_against_act_gen(monkeypatch, corrupt):
-    # at the degenerate preset E32 kills v_0(1, 0) and E31 does not, so
-    # dropping E31's entry there would make v_0(1, 0) a false singular vector
-    real = engine.row_action
-
-    def corrupted(params):
-        apply = real(params)
-
-        def image(letters, row, pt):
-            out = apply(letters, row, pt)
-            if (letters, row, pt) == (((3, 1),), {0: 1}, (1, 0)):
-                out[0] = corrupt(out[0])
-            return out
-
-        return image
-
-    monkeypatch.setattr(engine, "row_action", corrupted)
-    with pytest.raises(AssertionError, match="disagree with act_gen"):
-        find_singular_vectors(DEG, Window.symmetric(2, 2, 2))
-
-
 # -- generation and irreducibility --------------------------------------------
 
 
@@ -352,8 +334,10 @@ def test_irreducible_rejects_seed_box_too_small_for_random_seeds():
     w = Window.symmetric(1, 1, 1, margin=1)  # one inner basis vector
     with pytest.raises(ValueError, match="too few for 2-term random seeds"):
         check_irreducible(NUM, w)
-    doc = check_irreducible(NUM, w, random_count=0)
-    assert doc["seed_count"] == 1
+    # without random seeds the one inner basis vector would be both the
+    # only seed and the only target
+    with pytest.raises(ValueError, match="inner window holds one basis vector"):
+        check_irreducible(NUM, w, random_count=0)
 
 
 SMALL = Window.symmetric(2, 2, 2, margin=1)  # 27 basis + 4 random seeds at random_count=2
@@ -728,12 +712,86 @@ def test_singular_vectors_refuse_symbolic_parameters():
         find_singular_vectors(Params.symbolic(), Window.symmetric(1, 0, 0))
 
 
-def test_singular_vectors_certify_the_nullspace(monkeypatch):
-    # v_{-1}(0, 0) is not killed by E31, so a nullspace that returns it
-    # must be caught by the act_gen certification
-    monkeypatch.setattr(engine, "nullspace", lambda rows, n: [[1, 0, 0]])
-    with pytest.raises(AssertionError, match="nullspace certification failed"):
-        find_singular_vectors(DEG, Window.symmetric(1, 0, 0))
+def _nullspace_route(params, window):
+    """The joint kernel as the general elimination finds it: at each point,
+    the ``row_action`` columns of E31 and E32, stacked, through ``nullspace``."""
+    apply = sl3.row_action(params)
+    indices = window.indices()
+    found = []
+    for pt in window.points():
+        rows = []
+        for g in engine.SINGULAR_OPS:
+            cols = [apply((g,), {idx: 1}, pt) for idx in indices]
+            images = sorted({k for col in cols for k in col})
+            rows += [[col.get(k, 0) for col in cols] for k in images]
+        for vec in nullspace(rows, len(indices)):
+            terms = {(indices[t], pt): cf for t, cf in enumerate(vec)}
+            found.append(ModuleElement(params.alpha(), terms))
+    return found
+
+
+SINGULAR_WINDOWS = [
+    Window.symmetric(2, 2, 2),
+    Window.symmetric(1, 0, 0),
+    Window(0, 3, ((-1, 2), (-3, 0)), margin=1),
+    Window(-4, -2, ((1, 1), (-2, 2))),
+]
+
+
+@pytest.mark.parametrize(
+    "base", [{}, {"l": Fraction(2, 5), "b": Fraction(-1, 3), "c": Fraction(5, 7)}],
+    ids=["defaults", "other"],
+)
+def test_singular_vectors_match_the_nullspace_of_the_stacked_images(base):
+    # a1 - b - l and a2 - b + l run over the integers in [-2, 2]; c + l and
+    # c - l stay non-integral
+    values = {**DEFAULT_VALUES, **base}
+    assert all((values["c"] + s * values["l"]).denominator > 1 for s in (1, -1))
+    nonempty = 0
+    for k1, k2 in product(range(-2, 3), repeat=2):
+        a1, a2 = values["b"] + values["l"] + k1, values["b"] - values["l"] + k2
+        params = Params.numeric({**values, "a1": a1, "a2": a2})
+        for window in SINGULAR_WINDOWS:
+            found = find_singular_vectors(params, window)
+            assert found == _nullspace_route(params, window)
+            nonempty += bool(found)
+    assert nonempty > 0
+    for window in SINGULAR_WINDOWS:
+        assert find_singular_vectors(NUM, window) == _nullspace_route(NUM, window) == []
+
+
+def test_singular_ops_are_diagonal_with_the_degenerate_conditions_as_forms():
+    # the premise of the diagonal read; the forms are the two integrality
+    # conditions check_degenerate_reducibility gates on
+    for g, name in zip(engine.SINGULAR_OPS, ("a1-b-l", "a2-b+l")):
+        ((offset, form),) = sl3.GENERATORS[g][3]
+        assert offset == 0 and form == sl3.CONDITIONS[name]
+
+
+def test_singular_vectors_refuse_an_off_diagonal_entry(monkeypatch):
+    sign, u, r, formula = sl3.GENERATORS[(3, 1)]
+    monkeypatch.setitem(sl3.GENERATORS, (3, 1), (sign, u, r, formula + ((1, (0, 0, 1, 0, 0)),)))
+    with pytest.raises(AssertionError, match="^E31 is not diagonal on a point's basis$"):
+        find_singular_vectors(DEG, Window.symmetric(2, 2, 2))
+
+
+def test_singular_vectors_certify_every_kernel_vector(monkeypatch):
+    # at the degenerate preset E32 kills v_0(1, 0) and E31 does not, so an
+    # E31 image of the basis sum without its v_0 term makes v_0(1, 0) look
+    # like a singular vector; the act_gen certification must catch it
+    window = Window(-1, 1, ((1, 1), (0, 0)))
+    assert find_singular_vectors(DEG, window) == []
+    real = engine.act_gen
+
+    def dropped(params, i, j, x):
+        y = real(params, i, j, x)
+        if (i, j) == (3, 1) and len(x.terms) > 1:
+            return ModuleElement(y.alpha, {k: cf for k, cf in y.terms.items() if k[0] != 0})
+        return y
+
+    monkeypatch.setattr(engine, "act_gen", dropped)
+    with pytest.raises(AssertionError, match="kernel certification failed"):
+        find_singular_vectors(DEG, window)
 
 
 def test_degenerate_fails_when_the_closure_holds_every_target(monkeypatch):

@@ -240,6 +240,11 @@ def test_gt_rejects_config_before_any_subcheck_runs(capsys, tmp_path, monkeypatc
         ("brackets", "--mode", "numeric", "--window", "99999999999999999999,0,0"),
         ("irreducible", "--window", "99999999999999999999,1,1"),
         ("derham", "--box", "99999999999999999999", "--uv", "1"),
+        # an inner window of one basis vector: the seed is the only target
+        ("irreducible", "--trials", "0", "--window", "0,0,0,0"),
+        ("irreducible", "--seed", "v:0@0,0", "--window", "1,1,1,1"),
+        ("generate", "--window", "1,1,1,1"),
+        ("generate", "--window", "0,0,0"),
     ],
 )
 def test_bad_input_and_io_exit_2_with_one_line(capsys, tmp_path, argv):
