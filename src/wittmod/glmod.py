@@ -19,17 +19,60 @@ Two presentations are supported:
 Both act on the V factor of V tensor C[t^{+-1}] only, fibrewise: ``act``
 takes and returns a ``tensor.ModuleElement`` and sends each term v_q(m)
 to (E_ij v_q)(m), keeping its lattice point m and the twist alpha.
+
+Both keep, per instance, the table of integer-scaled columns the
+Witt sweeps read (``scaled_column``) and the lcm of the denominators of
+their scalars (``denominator``); each is filled once per instance and
+never shared between instances, nor kept in a global cache.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Optional
 
-from .scalars import add_term, coeff_is_zero, coeff_to_text, exact, form_value
+from .scalars import (
+    add_term,
+    coeff_is_zero,
+    coeff_to_text,
+    common_denominator,
+    exact,
+    form_value,
+    scaled_int,
+)
 from .tensor import ModuleElement, _element
+
+
+# The per-instance tables of both gl inputs; each ``__init__`` sets
+# ``_scaled = {}``.
+
+
+def _scaled_column(self, scale: int, i: int, j: int, idx: int) -> tuple:
+    """``column(i, j, idx)`` with every entry e as the int
+    ``scalars.scaled_int(e, scale)``, which refuses an entry that keeps a
+    denominator.  Read once per (scale, i, j, idx) and kept in this
+    instance.  At scale 1 it is ``column`` itself, entries unchanged and
+    nothing kept, so a symbolic input holds no table."""
+    if scale == 1:
+        return self.column(i, j, idx)
+    key = (scale, i, j, idx)
+    col = self._scaled.get(key)
+    if col is None:
+        col = tuple((p, scaled_int(e, scale)) for p, e in self.column(i, j, idx))
+        self._scaled[key] = col
+    return col
+
+
+def _denominator(self) -> Optional[int]:
+    """The lcm of the denominators of ``scalars()``, read once; None when
+    one of them is symbolic."""
+    values = self.scalars()
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        return common_denominator(values)
+    return None
 
 
 class FinDimGlModule:
@@ -47,6 +90,8 @@ class FinDimGlModule:
     """
 
     kind = "findim"
+    scaled_column = _scaled_column
+    denominator = cached_property(_denominator)
 
     def __init__(self, n: int, dim: int, action: dict, basis_labels: Optional[tuple] = None):
         self.n = n
@@ -56,6 +101,7 @@ class FinDimGlModule:
         }
         self.basis_labels = basis_labels
         self.positions = {s: t for t, s in enumerate(basis_labels or ())}
+        self._scaled = {}
         self._columns = {}
         for i, j in product(range(1, n + 1), repeat=2):
             mat = self.action.get((i, j))
@@ -117,16 +163,23 @@ class CuspidalGl2:
 
     ``column(i, j, k)`` reads the ``CUSPIDAL_COLUMNS`` entry of E_ij at
     (lambda + k, b, c): the image of v_k as a tuple of at most one
-    (index, coefficient) pair, empty when the coefficient vanishes.
+    (index, coefficient) pair, empty when the coefficient vanishes.  It
+    evaluates the form on each call; ``scaled_column`` reads it once per
+    scale and index into this instance's table, so an instance built
+    after ``CUSPIDAL_COLUMNS`` changes sees the change, whatever another
+    instance has tabled.
     """
 
     kind = "cuspidal"
     n = 2
+    scaled_column = _scaled_column
+    denominator = cached_property(_denominator)
 
     def __init__(self, lam, b, c):
         self.lam = lam
         self.b = b
         self.c = c
+        self._scaled = {}
         if all(isinstance(v, (int, Fraction)) for v in (lam, b, c)):
             # the raising and lowering coefficients c +- (lambda + i) must
             # never vanish at integer indices

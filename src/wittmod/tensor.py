@@ -21,8 +21,10 @@ window clipping is always an explicit caller-side step.
 each generator once: the intertwining check once on the source and once
 on the target wedge module, the bracket and Jacobi residuals once per
 generator they apply.  They bind d once per sweep too: the intertwining
-check binds it once and applies it to x and to D x.  Every table a
-binding fills lives for one call.
+check binds it once and applies it to x and to D x.  The tables a
+binding fills itself (its lattice points and its summed matrix parts)
+live for one call; the integer-scaled columns it reads belong to the gl
+input (its ``scaled_column``) and are filled once per input instance.
 
 The sweeps run on integers.  Let L be the lcm of the denominators of
 alpha and of the input module's scalars (lambda, b and c for the
@@ -30,7 +32,8 @@ cuspidal input), times that of the directions u and of the brackets a
 residual binds.  Then L D(u, r) and L d have integer coefficients:
 ``witt_operator`` and ``de_rham_operator`` take ``scale = L`` and
 form L alpha and every weight and column entry through
-``scalars.scaled_int``, which refuses a value that keeps a denominator.
+``scalars.scaled_int``, which refuses a value that keeps a denominator;
+the column entries come scaled from the input's own table.
 Scaling by a nonzero constant keeps every zero test, and a nonzero
 residual is divided by its power of L before it is returned, so
 residuals keep their values.  Symbolic inputs run on scale 1.
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Sequence
 
 from .scalars import add_term, coeff_is_zero, coeff_to_text, common_denominator, scaled_int
@@ -66,8 +70,8 @@ class WittGenerator:
 class ModuleElement:
     """Finite sum of basis symbols v_idx(m); (index, lattice point) -> coeff.
 
-    Every lattice point has one coordinate per entry of alpha; a point of
-    another length is refused.
+    Every lattice point has one int coordinate per entry of alpha; a point
+    of another length, or with a coordinate that is not an int, is refused.
     """
 
     __slots__ = ("alpha", "terms")
@@ -81,6 +85,9 @@ class ModuleElement:
                 m = tuple(m)
                 if len(m) != n:
                     raise ValueError(f"lattice point {m} does not have rank {n}")
+                if type(sum(m)) is not int:  # a sum of ints only is an int
+                    bad = next(c for c in m if not isinstance(c, int))
+                    raise ValueError(f"lattice point {m} has the coordinate {bad!r}, not an int")
                 if not coeff_is_zero(coeff):
                     self.terms[(idx, m)] = coeff
 
@@ -166,67 +173,80 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
     """scale * D(u, r) bound to one gl input and one twist alpha: ``apply(x)``.
 
     ``module`` is the gl_n input; it is read only through
-    ``module.column(i, j, idx)``, the image of basis idx under E_ij as
-    (p, entry) pairs.  D(u, r) is built as sum_k u_k D(e_k, r): u enters
-    only as the weights u_k of the unit directions' data, the weight
-    alpha_k + m_k of a term at m and the column sum_i r_i E_ik e_idx.  So
-    a residual linear in D is, for every u, the u-weighted sum of the
-    residuals of D(e_1, r)..D(e_n, r); ``engine.derham_report`` counts
-    on this.
+    ``module.scaled_column(scale, i, j, idx)``, the image of basis idx
+    under E_ij as (p, entry) pairs, scaled and tabled by the input.
+    D(u, r) is built as sum_k u_k D(e_k, r): u enters only as the weights
+    u_k of the unit directions' data, the weight alpha_k + m_k of a term
+    at m and the column sum_i r_i E_ik e_idx.  So a residual linear in D
+    is, for every u, the u-weighted sum of the residuals of
+    D(e_1, r)..D(e_n, r); ``engine.derham_report`` counts on this.
 
     What does not depend on x is computed here, once: the nonzero entries
-    u_k, the nonzero shift entries r_i and (u|alpha).  ``apply`` tables
-    the rest as it meets it: the matrix part of each basis index, with
-    its scalar entries summed, and the weight of each value of (u|m).
-    The tables belong to this one operator, so a sweep binds each
-    generator once and drops it when the sweep returns.  ``apply``
-    refuses an element with another alpha.
+    u_k, (u|alpha) and the matrix weights u_k r_i over the nonzero u_k
+    and r_i.  ``apply`` tables the rest as it meets it: for each lattice
+    point m its target m + r and its weight, and for each basis index the
+    matrix part, its entries summed.  These tables belong to this one
+    operator, so a sweep binds each generator once and drops it when the
+    sweep returns.  ``apply`` refuses an element with another alpha.
 
     With ``scale`` L > 1 the weight part is (u|L alpha) + L(u|m) and the
-    matrix part L sum_k u_k sum_i r_i E_ik.  L alpha, each weight and
-    each summed column entry go through ``scalars.scaled_int``, which
-    refuses one that keeps a denominator, and are stored as ints, so x
-    with int coefficients has an int image.
+    matrix part L sum_k u_k sum_i r_i E_ik.  L alpha and each weight go
+    through ``scalars.scaled_int``, which refuses one that keeps a
+    denominator, and are stored as ints, so x with int coefficients has
+    an int image.  When every matrix weight u_k r_i is an int, the matrix
+    part sums them against the input's L-scaled int columns, which the
+    input reads once per instance; otherwise (a fractional direction) it
+    sums the unscaled entries and each sum goes through ``scaled_int``.
     """
     alpha = tuple(alpha)
     if len(D.u) != len(alpha):
         raise ValueError(f"generator dimension {len(D.u)} does not match n={len(alpha)}")
-    u = [(k, uk) for k, uk in enumerate(D.u) if not coeff_is_zero(uk)]
-    twist = alpha if scale == 1 else tuple(scaled_int(a, scale) for a in alpha)
+    u = [(k, uk) for k, uk in enumerate(D.u) if uk]
+    twist = alpha if scale == 1 else [scaled_int(a, scale) for a in alpha]
     u_alpha = 0
     for k, uk in u:
         u_alpha = u_alpha + uk * twist[k]
     shift = D.r
-    rows = [(i, ri) for i, ri in enumerate(shift, 1) if ri]
+    weights = [(i, k + 1, uk * ri) for k, uk in u for i, ri in enumerate(shift, 1) if ri]
+    # the scale of the columns read: u_k r_i is an int iff u_k is, and a
+    # non-int weight reads them unscaled
+    read = scale if all(type(uk) is int for _, uk in u) else 1
+    scaled_u = u if scale == 1 else [(k, scale * uk) for k, uk in u]
+    points = {}
     columns = {}
-    weights = {}
+
+    def locate(m):
+        # (m + r, the weight (u|L alpha) + L(u|m) of a term at m)
+        u_m = 0
+        for k, uk in scaled_u:
+            u_m = u_m + uk * m[k]
+        weight = u_alpha + u_m
+        if scale != 1 and type(weight) is not int:
+            weight = scaled_int(weight)
+        point = points[m] = (tuple(map(add, m, shift)), weight)
+        return point
+
+    def matrix_part(idx):
+        # (the entry at idx itself, the other (p, entry) pairs)
+        col = {}
+        for i, j, w in weights:
+            for p, e in module.scaled_column(read, i, j, idx):
+                add_term(col, p, w * e)
+        if read != scale:
+            col = {p: scaled_int(e, scale) for p, e in col.items()}
+        diag = col.pop(idx, 0)
+        part = columns[idx] = (diag, tuple(col.items()))
+        return part
 
     def apply(x: ModuleElement) -> ModuleElement:
         if x.alpha != alpha:
             raise ValueError(f"element twist {x.alpha} does not match the bound {alpha}")
         out = {}
         for (idx, m), coeff in x.terms.items():
-            target = tuple(a + b for a, b in zip(m, shift))
-            u_m = 0
-            for k, uk in u:
-                u_m = u_m + uk * m[k]
-            weight = weights.get(u_m)
-            if weight is None:
-                weight = u_alpha + u_m if scale == 1 else scaled_int(u_alpha + scale * u_m)
-                weights[u_m] = weight
-            add_term(out, (idx, target), weight * coeff)
-            part = columns.get(idx)
-            if part is None:
-                col = {}
-                for k, uk in u:
-                    for i, ri in rows:
-                        for p, e in module.column(i, k + 1, idx):
-                            add_term(col, p, uk * ri * e)
-                part = tuple(col.items())
-                if scale != 1:
-                    part = tuple((p, scaled_int(e, scale)) for p, e in part)
-                columns[idx] = part
-            for p, e in part:
+            target, weight = points.get(m) or locate(m)
+            diag, rest = columns.get(idx) or matrix_part(idx)
+            add_term(out, (idx, target), (weight + diag if diag else weight) * coeff)
+            for p, e in rest:
                 add_term(out, (p, target), e * coeff)
         return _element(alpha, out)
 
@@ -256,10 +276,15 @@ def _sweep_scale(alpha, modules, directions) -> int:
     ``modules`` twisted by alpha: it clears each product of a direction
     entry with alpha or a module scalar.  A bracket's direction can carry
     the product of its factors' denominators, so a sweep that binds a
-    bracket lists that bracket's direction too."""
+    bracket lists that bracket's direction too.  Each module gives the lcm
+    it read once (``denominator``); a symbolic value anywhere makes L 1."""
     values = tuple(alpha)
     for module in modules:
-        values += tuple(module.scalars())
+        den = module.denominator
+        if den is None:
+            return 1
+        if den != 1:
+            values += (Fraction(1, den),)
     return common_denominator(values, directions)
 
 
@@ -365,13 +390,22 @@ def de_rham_differential(x: ModuleElement, wedges, k: int, scale: int = 1) -> Mo
 def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
     """Residuals of d(D(u,r)x) - D(u,r)(d x) over monomial generators.
 
-    ``box`` is an iterable of lattice points m; x runs over e_S tensor t^m
-    for every wedge-degree-k basis subset S.  An empty box, a degree k
-    outside 0..n-1 and a point of another rank are refused before any
-    operator is bound.  Both sides are computed with D and d scaled by
-    one L, so on ints; a nonzero residual is divided by L**2.
+    ``box`` is an iterable of distinct lattice points m; x runs over
+    e_S tensor t^m for every wedge-degree-k basis subset S, in box order
+    and basis order within a point.  An empty box, a repeated point, a
+    degree k outside 0..n-1, a point of another rank and a coordinate that
+    is not an int are refused before any operator is bound.  Both sides
+    are computed with D and d scaled by one L, so on ints; a nonzero
+    residual is divided by L**2.
+
+    For each S the residual is formed once, on the sum of e_S tensor t^m
+    over the box, and split by lattice point: d keeps the point of every
+    term and D(u, r) moves it by r, so the residual of e_S tensor t^m is
+    exactly the part at m + r, and the parts of distinct points never
+    mix.  A residual term at a point outside box + r is refused.
     """
-    box = list(box)
+    alpha = tuple(alpha)
+    box = [tuple(m) for m in box]
     if not box:
         raise ValueError("empty box: no basis vector to check")
     if n != len(wedges) - 1:
@@ -380,30 +414,37 @@ def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
         raise ValueError(f"no differential from wedge degree {k} for n={n}")
     for m in box:
         if len(m) != n:
-            raise ValueError(f"box point {tuple(m)} does not have rank {n}")
+            raise ValueError(f"box point {m} does not have rank {n}")
+    points = set(box)
+    if len(points) != len(box):
+        repeated = next(m for t, m in enumerate(box) if m in box[:t])
+        raise ValueError(f"box point {repeated} is repeated")
     D = WittGenerator(u, r)
     src, dst = wedges[k], wedges[k + 1]
+    sums = [ModuleElement(alpha, {(idx, m): 1 for m in box}) for idx in range(src.dim)]
     scale = _sweep_scale(alpha, (src, dst), D.u)
     act_src = witt_operator(D, src, alpha, scale)
     act_dst = witt_operator(D, dst, alpha, scale)
     d = de_rham_operator(wedges, k, alpha, scale)
-    failures = []
-    count = 0
-    for m in box:
-        for idx in range(src.dim):
-            x = ModuleElement.basis(alpha, idx, m)
-            # d(D x) - D(d x), L**2 times the true residual
-            res = d(act_src(x)) - act_dst(d(x))
-            count += 1
-            if not res.is_zero():
-                failures.append(
-                    {
-                        "generator": repr(D),
-                        "basis": {"index": src.label(idx), "m": list(m)},
-                        "residual": element_to_json(_unscaled(res, scale * scale), dst),
-                    }
-                )
-    return {"ok": not failures, "checked": count, "failures": failures}
+    parts = {}
+    for idx, x in enumerate(sums):
+        # d(D x) - D(d x), L**2 times the true residual
+        for (p, t), c in (d(act_src(x)) - act_dst(d(x))).terms.items():
+            m = tuple(map(sub, t, D.r))
+            if m not in points:
+                raise ValueError(f"residual term at {t} is outside the box shifted by {D.r}")
+            parts.setdefault((m, idx), {})[(p, t)] = c
+    failures = [
+        {
+            "generator": repr(D),
+            "basis": {"index": src.label(idx), "m": list(m)},
+            "residual": element_to_json(
+                _unscaled(_element(alpha, parts[m, idx]), scale * scale), dst
+            ),
+        }
+        for m, idx in sorted(parts, key=lambda key: (box.index(key[0]), key[1]))
+    ]
+    return {"ok": not failures, "checked": len(box) * src.dim, "failures": failures}
 
 
 # -- JSON element format -------------------------------------------------

@@ -494,6 +494,7 @@ def test_cli_irreducible_anchor_seed_passes(capsys):
         lambda: verify_embedding(NUM, [(0, 0)], []),
         lambda: verify_d_intertwines((1, 0), (0, 1), NUM.alpha(), [], 2, 0, WEDGES2),
         lambda: verify_d_intertwines((1, 0), (0, 1), NUM.alpha(), iter(()), 2, 0, WEDGES2),
+        lambda: verify_d_intertwines((1, 0), (0, 1), NUM.alpha(), [(0, 0), (0, 0)], 2, 0, WEDGES2),
         lambda: proof_report([]),
         lambda: proof_report([0]),
         lambda: proof_report([-1]),
@@ -505,7 +506,8 @@ def test_cli_irreducible_anchor_seed_passes(capsys):
         "witt-trials", "witt-jacobi", "witt-no-trials", "derham-box", "derham-uv", "irreducible",
         "derham-uv-zero", "irreducible-no-seeds", "sl3-brackets-no-points",
         "sl3-brackets-no-indices", "embedding-no-points", "embedding-no-indices",
-        "d-intertwines-no-box", "d-intertwines-empty-iterator", "proof-no-lengths",
+        "d-intertwines-no-box", "d-intertwines-empty-iterator",
+        "d-intertwines-repeated-point", "proof-no-lengths",
         "proof-zero-length", "proof-negative-length", "factorization-no-lengths",
         "derham-rank-4", "derham-rank-1",
     ],
@@ -572,6 +574,102 @@ def test_d_intertwining_needs_the_exact_target_action(monkeypatch, k, factor):
             checked += res["checked"]
             failed += len(res["failures"])
     assert (checked, failed) == (81 * 2 * (k + 1), 8 * 9 * 2 * (k + 1))
+
+
+def _d_intertwines_per_vector(u, r, alpha, box, n, k, wedges):
+    """``verify_d_intertwines``' report with one residual per basis
+    vector e_S t^m, box order then basis order, from unscaled operators
+    bound through ``tensor.witt_operator``: the reference for the
+    box-wide route."""
+    D = tensor.WittGenerator(u, r)
+    src, dst = wedges[k], wedges[k + 1]
+    act_src = tensor.witt_operator(D, src, alpha)
+    act_dst = tensor.witt_operator(D, dst, alpha)
+    failures = []
+    for m in box:
+        for idx in range(src.dim):
+            x = ModuleElement.basis(alpha, idx, m)
+            res = tensor.de_rham_differential(act_src(x), wedges, k) - act_dst(
+                tensor.de_rham_differential(x, wedges, k)
+            )
+            if not res.is_zero():
+                failures.append({
+                    "generator": repr(D),
+                    "basis": {"index": src.label(idx), "m": list(m)},
+                    "residual": tensor.element_to_json(res, dst),
+                })
+    return {"ok": not failures, "checked": len(box) * src.dim, "failures": failures}
+
+
+def _poisoned_wedges(n):
+    """The wedge modules of gl_n with one sign of E12 on wedge^1 flipped."""
+    wedges = [exterior_power(n, k) for k in range(n + 1)]
+    wedges[1] = _with_entry(wedges[1], (1, 2), 0, 1, -wedges[1].action[(1, 2)][0][1])
+    return wedges
+
+
+INTERTWINING_PAIRS = {
+    2: [((1, 2), (1, -1)), ((0, 1), (2, 0)), ((1, 0), (0, 0)), ((-2, 1), (1, 1))],
+    3: [((1, 1, 0), (1, 0, 0)), ((1, 0, -1), (0, 1, 0)), ((2, -1, 1), (-1, 1, 2))],
+}
+
+
+@pytest.mark.parametrize("case", ["intact", "poisoned", "zero", "double"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_box_wide_intertwining_equals_the_per_vector_route(monkeypatch, n, case):
+    # the box-wide residual, split by point, is the per-vector report:
+    # checked count, failure order and printed residuals, for every degree
+    wedges = _poisoned_wedges(n) if case == "poisoned" else [exterior_power(n, k) for k in range(n + 1)]
+    alpha = engine.TWIST[:n]
+    box = [tuple(m) for m in product(range(-1, 2), repeat=n)]
+    failed = 0
+    for k in range(n):
+        with monkeypatch.context() as patch:
+            if case in ("zero", "double"):
+                factor = 0 if case == "zero" else 2
+                patch.setattr(
+                    tensor, "witt_operator",
+                    _scaled_binding(tensor.witt_operator, factor, wedges[k + 1]),
+                )
+            for u, r in INTERTWINING_PAIRS[n]:
+                doc = verify_d_intertwines(u, r, alpha, box, n, k, wedges)
+                assert doc == _d_intertwines_per_vector(u, r, alpha, box, n, k, wedges), (k, u, r)
+                failed += len(doc["failures"])
+    # only the intact sweep passes everywhere
+    assert (failed == 0) == (case == "intact")
+
+
+def _shifted_twice(bind):
+    """``witt_operator`` whose images land at m + 2r: the true image moved
+    by r once more."""
+
+    def mutant(D, module, alpha, scale=1):
+        act = bind(D, module, alpha, scale)
+
+        def apply(x):
+            y = act(x)
+            return ModuleElement(y.alpha, {
+                (p, tuple(a + b for a, b in zip(t, D.r))): c for (p, t), c in y.terms.items()
+            })
+
+        return apply
+
+    return mutant
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_d_intertwining_catches_a_doubled_shift(monkeypatch, n):
+    # d at m + 2r weighs by m + 2r + alpha, the moved d D x by m + r + alpha:
+    # each residual is r ^ D x at m + 2r, nonzero on functions for u, r != 0.
+    # For the box point furthest along r, m + r is outside the box, so the
+    # split refuses that term instead of reporting it at a wrong point
+    monkeypatch.setattr(tensor, "witt_operator", _shifted_twice(tensor.witt_operator))
+    wedges = [exterior_power(n, k) for k in range(n + 1)]
+    box = [tuple(m) for m in product(range(-1, 2), repeat=n)]
+    for u, r in INTERTWINING_PAIRS[n]:
+        if any(u) and any(r):
+            with pytest.raises(ValueError, match="outside the box shifted by"):
+                verify_d_intertwines(u, r, engine.TWIST[:n], box, n, 0, wedges)
 
 
 DERHAM_COUNTS = (

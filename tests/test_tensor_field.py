@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from sympy.parsing.sympy_parser import parse_expr
 
 from wittmod.glmod import CuspidalGl2, FinDimGlModule, exterior_power
-from wittmod.scalars import B, C, L, Scalar, common_denominator
+from wittmod.scalars import B, C, L, Scalar, common_denominator, scaled_int
 from wittmod.sl3 import Params
-from wittmod import engine, tensor
+from wittmod import engine, glmod, tensor
 from wittmod.tensor import (
     ModuleElement,
     WittGenerator,
@@ -49,6 +49,19 @@ def test_act_dimension_mismatch():
     x = ModuleElement.basis(ALPHA, 0, (0, 0))
     with pytest.raises(ValueError):
         act_witt(WittGenerator((1,), (0,)), x, CUSP)
+
+
+@pytest.mark.parametrize(
+    "point", [(0.5, 0), (Fraction(1, 2), 0), (1.0, 0), (Fraction(2), 0)],
+    ids=["float", "fraction", "integral-float", "integral-fraction"],
+)
+def test_element_refuses_a_coordinate_that_is_not_an_int(point):
+    # at scale 1 a float point used to give the cuspidal action inexact
+    # coefficients, and at scale L a misleading scaling error
+    with pytest.raises(ValueError, match=r"has the coordinate .*, not an int"):
+        ModuleElement.basis(ALPHA, 0, point)
+    with pytest.raises(ValueError, match="not an int"):
+        ModuleElement(ALPHA, {(0, (0, 0)): 1, (1, point): 1})
 
 
 def test_element_refuses_a_point_of_another_rank():
@@ -298,10 +311,53 @@ def test_bound_operator_refuses_another_alpha():
         witt_operator(WittGenerator((1,), (0,)), CUSP, ALPHA)
 
 
+@settings(max_examples=100, deadline=None)
+@given(witt_cases(), st.sampled_from([1, 17 * 19 * 23 * 7 * 11 * 13 * 4 * 9 * 5]))
+def test_bound_operators_move_each_term_by_r_and_d_keeps_it(case, scale):
+    # the lemma the box-wide intertwining check splits its residual by:
+    # D(u, r) sends every term at m to m + r, d leaves it at m
+    module, D, (x,) = case
+    if scale != 1 and module.kind == "cuspidal" and module.lam is L:
+        scale = 1  # symbolic inputs run on scale 1
+    act = witt_operator(D, module, x.alpha, scale)
+    for (idx, m), _ in x.terms.items():
+        target = tuple(a + b for a, b in zip(m, D.r))
+        y = act(ModuleElement.basis(x.alpha, idx, m))
+        assert y.support_points() <= {target}
+    if module.kind == "findim" and module.basis_labels is not None:
+        n, k = module.n, len(module.basis_labels[0])
+        if k < n:
+            wedges = tuple(exterior_power(n, kk) for kk in range(n + 1))
+            d = de_rham_operator(wedges, k, x.alpha)
+            for (idx, m), _ in x.terms.items():
+                assert d(ModuleElement.basis(x.alpha, idx, m)).support_points() <= {m}
+
+
+@pytest.mark.parametrize("box", [
+    [(0, 0, 0), (0, 0, 0)],
+    [(1, 0, 0), (0, 1, 0), (1, 0, 0)],
+], ids=["twice", "apart"])
+def test_d_intertwining_refuses_a_repeated_point(monkeypatch, box):
+    # summed over the box, a repeated point would collapse into one term
+    # and be counted once or twice; it is refused before any binding
+    wedges3 = tuple(exterior_power(3, k) for k in range(4))
+    alpha3 = ALPHA + (Fraction(1, 23),)
+    monkeypatch.setattr(tensor, "witt_operator", None)
+    with pytest.raises(ValueError, match=r"box point \(.*\) is repeated"):
+        verify_d_intertwines((1, 0, 0), (0, 1, 0), alpha3, box, 3, 0, wedges3)
+
+
+def test_d_intertwining_refuses_a_non_integral_point(monkeypatch):
+    monkeypatch.setattr(tensor, "witt_operator", None)
+    for point in ((0.5, 0), (Fraction(1, 2), 0)):
+        with pytest.raises(ValueError, match="not an int"):
+            verify_d_intertwines((1, 0), (0, 1), ALPHA, [(0, 0), point], 2, 0, WEDGES2)
+
+
 def test_d_intertwining_sweep_reads_each_column_once(monkeypatch):
     # the sweep binds D once on the source and once on the target wedge
-    # module; each binding reads column (i, j, idx) at most once, and a
-    # second sweep reads every column again, so no table outlives its call
+    # module; each module reads column (i, j, idx) once into its own
+    # integer table, and a second sweep on the same modules reads it there
     wedges = tuple(exterior_power(3, k) for k in range(4))
     reads = Counter()
     for k, mod in enumerate(wedges):
@@ -322,7 +378,7 @@ def test_d_intertwining_sweep_reads_each_column_once(monkeypatch):
     for sweep in (1, 2):
         assert verify_d_intertwines(u, r, alpha3, box, 3, 1, wedges)["ok"]
         assert set(reads) == expected
-        assert set(reads.values()) == {sweep}
+        assert set(reads.values()) == {1}
 
 
 # -- the integer-scaled route ------------------------------------------------
@@ -438,6 +494,62 @@ def test_differential_refuses_a_basis_index_outside_the_source(idx):
     # from its end
     with pytest.raises(ValueError, match=f"basis index {idx} is outside wedge degree 0"):
         de_rham_differential(ModuleElement.basis(ALPHA, idx, (0, 0)), WEDGES2, 0)
+
+
+def _table_scales(module):
+    return [common_denominator(module.scalars()) * f for f in (1, 2, -3)]
+
+
+@pytest.mark.parametrize("name", RATIONAL_INPUTS)
+def test_scaled_columns_are_the_scaled_entries(name):
+    # each table entry is scaled_int of the column entry, an int, and is
+    # read once per (scale, i, j, idx) into this instance
+    module = GL_INPUTS[name]
+    assert module.denominator == common_denominator(module.scalars())
+    for scale in _table_scales(module):
+        for i, j in product(range(1, module.n + 1), repeat=2):
+            for idx in _indices(module):
+                col = module.scaled_column(scale, i, j, idx)
+                assert col == tuple((p, scaled_int(e, scale)) for p, e in module.column(i, j, idx))
+                assert all(type(e) is int for _, e in col)
+                assert module.scaled_column(scale, i, j, idx) is col
+        # scale 1 is the column itself, tabled nowhere
+        assert module.scaled_column(1, 1, 1, _indices(module)[0]) == module.column(1, 1, _indices(module)[0])
+    assert not any(key[0] == 1 for key in module._scaled)
+
+
+def test_scaled_column_refuses_a_scale_that_leaves_a_denominator():
+    # 7 clears lambda = 1/7 but not c = 1/13 in c + lambda + i; nothing is
+    # tabled, so the refusal repeats
+    module = CuspidalGl2(Fraction(1, 7), Fraction(1, 11), Fraction(1, 13))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not an integer"):
+            module.scaled_column(7, 1, 2, 0)
+    assert module._scaled == {}
+    assert CuspidalGl2(L, B, C).denominator is None
+
+
+def test_scaled_columns_belong_to_one_instance(monkeypatch):
+    # a table filled before CUSPIDAL_COLUMNS changes keeps its entries; an
+    # instance built after the change, with equal parameters, reads it
+    params = (Fraction(1, 7), Fraction(1, 11), Fraction(1, 13))
+    scale = 7 * 11 * 13
+    before = CuspidalGl2(*params)
+    filled = before.scaled_column(scale, 1, 1, 0)
+    assert filled == ((0, scale * (params[1] + params[0])),)
+    monkeypatch.setitem(glmod.CUSPIDAL_COLUMNS, (1, 1), (0, (0, 0, 0)))
+    assert CuspidalGl2(*params).scaled_column(scale, 1, 1, 0) == ()
+    assert before.scaled_column(scale, 1, 1, 0) == filled
+
+
+def test_sweep_scale_is_one_when_any_value_is_symbolic():
+    # a symbolic twist, module scalar or direction keeps a sweep on scale 1
+    half = (Fraction(1, 2), 0)
+    assert tensor._sweep_scale(ALPHA, [CUSP], half) == 17 * 19 * 7 * 11 * 13 * 2
+    assert tensor._sweep_scale(ALPHA, [WEDGES2[1], WEDGES2[2]], (1, 0)) == 17 * 19
+    assert tensor._sweep_scale((L, B), [CUSP], (1, 0)) == 1
+    assert tensor._sweep_scale(ALPHA, [CuspidalGl2(L, B, C)], (1, 0)) == 1
+    assert tensor._sweep_scale(ALPHA, [CUSP], (C, 0)) == 1
 
 
 def test_scale_that_leaves_a_denominator_is_refused():
