@@ -167,7 +167,7 @@ class CuspidalGl2:
     evaluates the form on each call; ``scaled_column`` reads it once per
     scale and index into this instance's table, so an instance built
     after ``CUSPIDAL_COLUMNS`` changes sees the change, whatever another
-    instance has tabled.
+    instance has tabled.  A float lambda, b or c is refused.
     """
 
     kind = "cuspidal"
@@ -180,6 +180,9 @@ class CuspidalGl2:
         self.b = b
         self.c = c
         self._scaled = {}
+        for name, val in (("lambda", lam), ("b", b), ("c", c)):
+            if isinstance(val, float):
+                raise TypeError(f"inexact cuspidal scalar {name} = {val!r}")
         if all(isinstance(v, (int, Fraction)) for v in (lam, b, c)):
             # the raising and lowering coefficients c +- (lambda + i) must
             # never vanish at integer indices

@@ -28,15 +28,16 @@ input (its ``scaled_column``) and are filled once per input instance.
 
 The sweeps run on integers.  Let L be the lcm of the denominators of
 alpha and of the input module's scalars (lambda, b and c for the
-cuspidal input), times that of the directions u and of the brackets a
-residual binds.  Then L D(u, r) and L d have integer coefficients:
-``witt_operator`` and ``de_rham_operator`` take ``scale = L`` and
-form L alpha and every weight and column entry through
-``scalars.scaled_int``, which refuses a value that keeps a denominator;
-the column entries come scaled from the input's own table.
-Scaling by a nonzero constant keeps every zero test, and a nonzero
-residual is divided by its power of L before it is returned, so
-residuals keep their values.  Symbolic inputs run on scale 1.
+cuspidal input); the directions u play no part in it.  Then L d and,
+for an int u, L D(u, r) have integer coefficients: ``witt_operator``
+and ``de_rham_operator`` take ``scale = L`` and form L alpha through
+``scalars.scaled_int``, which refuses a value that keeps a denominator,
+and read the column entries scaled from the input's own table.  A
+fractional or symbolic u gives the exact image L D(u, r)x with non-int
+coefficients; nothing is rounded.  Scaling by a nonzero constant keeps
+every zero test, and a nonzero residual is divided by its power of L
+before it is returned, so residuals keep their values.  Symbolic
+inputs run on scale 1.
 """
 
 from __future__ import annotations
@@ -49,14 +50,23 @@ from typing import Sequence
 from .scalars import add_term, coeff_is_zero, coeff_to_text, common_denominator, scaled_int
 
 
+def _refuse_floats(what: str, values: tuple) -> None:
+    # a float would run the exact sweeps in floats and round their verdicts
+    for v in values:
+        if isinstance(v, float):
+            raise ValueError(f"{what} {values} has the float entry {v!r}")
+
+
 class WittGenerator:
-    """D(u, r): direction vector u over the coefficient field, lattice shift r."""
+    """D(u, r): direction vector u over the coefficient field, lattice shift r.
+    A float entry of u is refused."""
 
     __slots__ = ("u", "r")
 
     def __init__(self, u: Sequence, r: Sequence[int]):
         r = tuple(r)
         self.u = tuple(u)
+        _refuse_floats("direction", self.u)
         self.r = tuple(int(x) for x in r)
         if self.r != r:
             raise ValueError(f"non-integral shift {r}")
@@ -71,7 +81,8 @@ class ModuleElement:
     """Finite sum of basis symbols v_idx(m); (index, lattice point) -> coeff.
 
     Every lattice point has one int coordinate per entry of alpha; a point
-    of another length, or with a coordinate that is not an int, is refused.
+    of another length, or with a coordinate that is not an int, is refused,
+    and so are a basis index that is not an int and a float entry of alpha.
     """
 
     __slots__ = ("alpha", "terms")
@@ -79,9 +90,12 @@ class ModuleElement:
     def __init__(self, alpha: Sequence, terms=None):
         self.alpha = tuple(alpha)
         self.terms = {}
+        _refuse_floats("twist", self.alpha)
         if terms:
             n = len(self.alpha)
             for (idx, m), coeff in terms.items():
+                if not isinstance(idx, int):
+                    raise ValueError(f"basis index {idx!r} is not an int")
                 m = tuple(m)
                 if len(m) != n:
                     raise ValueError(f"lattice point {m} does not have rank {n}")
@@ -190,13 +204,12 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
     sweep returns.  ``apply`` refuses an element with another alpha.
 
     With ``scale`` L > 1 the weight part is (u|L alpha) + L(u|m) and the
-    matrix part L sum_k u_k sum_i r_i E_ik.  L alpha and each weight go
-    through ``scalars.scaled_int``, which refuses one that keeps a
-    denominator, and are stored as ints, so x with int coefficients has
-    an int image.  When every matrix weight u_k r_i is an int, the matrix
-    part sums them against the input's L-scaled int columns, which the
-    input reads once per instance; otherwise (a fractional direction) it
-    sums the unscaled entries and each sum goes through ``scaled_int``.
+    matrix part sum_k u_k sum_i r_i (L E_ik), summed against the input's
+    L-scaled int columns, which the input reads once per instance.  L
+    alpha goes through ``scalars.scaled_int``, which refuses an entry
+    that keeps a denominator, as the table does a column entry.  So with
+    an int u, x with int coefficients has an int image; a fractional u
+    gives the exact image, with the denominators u brings.
     """
     alpha = tuple(alpha)
     if len(D.u) != len(alpha):
@@ -208,9 +221,6 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
         u_alpha = u_alpha + uk * twist[k]
     shift = D.r
     weights = [(i, k + 1, uk * ri) for k, uk in u for i, ri in enumerate(shift, 1) if ri]
-    # the scale of the columns read: u_k r_i is an int iff u_k is, and a
-    # non-int weight reads them unscaled
-    read = scale if all(type(uk) is int for _, uk in u) else 1
     scaled_u = u if scale == 1 else [(k, scale * uk) for k, uk in u]
     points = {}
     columns = {}
@@ -220,20 +230,15 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
         u_m = 0
         for k, uk in scaled_u:
             u_m = u_m + uk * m[k]
-        weight = u_alpha + u_m
-        if scale != 1 and type(weight) is not int:
-            weight = scaled_int(weight)
-        point = points[m] = (tuple(map(add, m, shift)), weight)
+        point = points[m] = (tuple(map(add, m, shift)), u_alpha + u_m)
         return point
 
     def matrix_part(idx):
         # (the entry at idx itself, the other (p, entry) pairs)
         col = {}
         for i, j, w in weights:
-            for p, e in module.scaled_column(read, i, j, idx):
+            for p, e in module.scaled_column(scale, i, j, idx):
                 add_term(col, p, w * e)
-        if read != scale:
-            col = {p: scaled_int(e, scale) for p, e in col.items()}
         diag = col.pop(idx, 0)
         part = columns[idx] = (diag, tuple(col.items()))
         return part
@@ -271,21 +276,17 @@ def witt_bracket(a: WittGenerator, b: WittGenerator) -> WittGenerator:
     return WittGenerator(w, tuple(p + q for p, q in zip(a.r, b.r)))
 
 
-def _sweep_scale(alpha, modules, directions) -> int:
-    """L for a sweep that binds generators with these direction entries on
-    ``modules`` twisted by alpha: it clears each product of a direction
-    entry with alpha or a module scalar.  A bracket's direction can carry
-    the product of its factors' denominators, so a sweep that binds a
-    bracket lists that bracket's direction too.  Each module gives the lcm
-    it read once (``denominator``); a symbolic value anywhere makes L 1."""
+def _sweep_scale(alpha, modules) -> int:
+    """L for a sweep on ``modules`` twisted by alpha: the lcm of the
+    denominators of alpha and of the module scalars, whatever directions
+    the sweep binds.  Each module gives the lcm it read once
+    (``denominator``); a symbolic value anywhere makes L 1."""
     values = tuple(alpha)
     for module in modules:
-        den = module.denominator
-        if den is None:
+        if module.denominator is None:
             return 1
-        if den != 1:
-            values += (Fraction(1, den),)
-    return common_denominator(values, directions)
+        values += (Fraction(1, module.denominator),)
+    return common_denominator(values)
 
 
 def witt_bracket_residual(u, r, v, s, x: ModuleElement, module) -> ModuleElement:
@@ -295,7 +296,7 @@ def witt_bracket_residual(u, r, v, s, x: ModuleElement, module) -> ModuleElement
     Du = WittGenerator(u, r)
     Dv = WittGenerator(v, s)
     Dw = witt_bracket(Du, Dv)
-    scale = _sweep_scale(x.alpha, [module], Du.u + Dv.u + Dw.u)
+    scale = _sweep_scale(x.alpha, [module])
     du = witt_operator(Du, module, x.alpha, scale)
     dv = witt_operator(Dv, module, x.alpha, scale)
     dw = witt_operator(Dw, module, x.alpha, scale)
@@ -309,10 +310,7 @@ def jacobi_residual(gens, x: ModuleElement, module) -> ModuleElement:
     total = ModuleElement.zero(x.alpha)
     d1, d2, d3 = gens
     terms = [(a, witt_bracket(b, c)) for a, b, c in ((d1, d2, d3), (d2, d3, d1), (d3, d1, d2))]
-    directions = d1.u + d2.u + d3.u
-    for _, bc in terms:
-        directions += bc.u
-    scale = _sweep_scale(x.alpha, [module], directions)
+    scale = _sweep_scale(x.alpha, [module])
     for a, bc in terms:
         outer = witt_operator(a, module, x.alpha, scale)
         inner = witt_operator(bc, module, x.alpha, scale)
@@ -422,7 +420,7 @@ def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:
     D = WittGenerator(u, r)
     src, dst = wedges[k], wedges[k + 1]
     sums = [ModuleElement(alpha, {(idx, m): 1 for m in box}) for idx in range(src.dim)]
-    scale = _sweep_scale(alpha, (src, dst), D.u)
+    scale = _sweep_scale(alpha, (src, dst))
     act_src = witt_operator(D, src, alpha, scale)
     act_dst = witt_operator(D, dst, alpha, scale)
     d = de_rham_operator(wedges, k, alpha, scale)

@@ -495,6 +495,10 @@ def test_cli_irreducible_anchor_seed_passes(capsys):
         lambda: verify_d_intertwines((1, 0), (0, 1), NUM.alpha(), [], 2, 0, WEDGES2),
         lambda: verify_d_intertwines((1, 0), (0, 1), NUM.alpha(), iter(()), 2, 0, WEDGES2),
         lambda: verify_d_intertwines((1, 0), (0, 1), NUM.alpha(), [(0, 0), (0, 0)], 2, 0, WEDGES2),
+        lambda: verify_d_intertwines((0.1, 0.2), (1, 0), NUM.alpha(), [(0, 0), (1, 1)], 2, 0, WEDGES2),
+        lambda: verify_d_intertwines((1, 0), (1, 0), (0.1, 0.3), [(0, 0), (1, 1)], 2, 0, WEDGES2),
+        lambda: sl3.act_gen(NUM, 1, 2, ModuleElement.basis(NUM.alpha(), 0.5, (0, 0))),
+        lambda: sl3.act_gen(NUM, 1, 2, ModuleElement.basis(NUM.alpha(), Fraction(1, 2), (0, 0))),
         lambda: proof_report([]),
         lambda: proof_report([0]),
         lambda: proof_report([-1]),
@@ -507,7 +511,9 @@ def test_cli_irreducible_anchor_seed_passes(capsys):
         "derham-uv-zero", "irreducible-no-seeds", "sl3-brackets-no-points",
         "sl3-brackets-no-indices", "embedding-no-points", "embedding-no-indices",
         "d-intertwines-no-box", "d-intertwines-empty-iterator",
-        "d-intertwines-repeated-point", "proof-no-lengths",
+        "d-intertwines-repeated-point", "d-intertwines-float-direction",
+        "d-intertwines-float-twist", "act-gen-float-index", "act-gen-fraction-index",
+        "proof-no-lengths",
         "proof-zero-length", "proof-negative-length", "factorization-no-lengths",
         "derham-rank-4", "derham-rank-1",
     ],

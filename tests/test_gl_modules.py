@@ -68,6 +68,15 @@ def test_cuspidal_rejects_integral_parameters():
     CuspidalGl2(LAM, BB, CC)  # generic point is fine
 
 
+@pytest.mark.parametrize("name", ["lambda", "b", "c"])
+def test_cuspidal_refuses_a_float_scalar(name):
+    # CuspidalGl2(0.1, 1/11, 1/13) used to pass as symbolic, skipping the
+    # c +- lambda guard and running its sweeps in floats
+    scalars = dict(zip(("lambda", "b", "c"), (LAM, BB, CC)), **{name: 0.1})
+    with pytest.raises(TypeError, match=f"inexact cuspidal scalar {name} = 0.1"):
+        CuspidalGl2(*scalars.values())
+
+
 def test_cuspidal_brackets_exhaustive_window():
     for mod in (CuspidalGl2(L, B, C), CuspidalGl2(LAM, BB, CC)):
         rep = verify_gl_brackets(mod)

@@ -52,16 +52,32 @@ def test_act_dimension_mismatch():
 
 
 @pytest.mark.parametrize(
-    "point", [(0.5, 0), (Fraction(1, 2), 0), (1.0, 0), (Fraction(2), 0)],
-    ids=["float", "fraction", "integral-float", "integral-fraction"],
+    "alpha, idx, point, message",
+    [
+        (ALPHA, 0, (0.5, 0), "has the coordinate 0.5, not an int"),
+        (ALPHA, 0, (Fraction(1, 2), 0), r"has the coordinate Fraction\(1, 2\), not an int"),
+        (ALPHA, 0, (1.0, 0), "has the coordinate 1.0, not an int"),
+        (ALPHA, 0, (Fraction(2), 0), r"has the coordinate Fraction\(2, 1\), not an int"),
+        (ALPHA, 0.5, (0, 0), "basis index 0.5 is not an int"),
+        (ALPHA, Fraction(1, 2), (0, 0), r"basis index Fraction\(1, 2\) is not an int"),
+        (ALPHA, Fraction(2), (0, 0), r"basis index Fraction\(2, 1\) is not an int"),
+        ((0.1, Fraction(1, 19)), 0, (0, 0), "twist .* has the float entry 0.1"),
+    ],
+    ids=[
+        "float", "fraction", "integral-float", "integral-fraction",
+        "index-float", "index-fraction", "index-integral-fraction", "float-twist",
+    ],
 )
-def test_element_refuses_a_coordinate_that_is_not_an_int(point):
+def test_element_refuses_a_coordinate_that_is_not_an_int(alpha, idx, point, message):
     # at scale 1 a float point used to give the cuspidal action inexact
-    # coefficients, and at scale L a misleading scaling error
-    with pytest.raises(ValueError, match=r"has the coordinate .*, not an int"):
-        ModuleElement.basis(ALPHA, 0, point)
-    with pytest.raises(ValueError, match="not an int"):
-        ModuleElement(ALPHA, {(0, (0, 0)): 1, (1, point): 1})
+    # coefficients, and at scale L a misleading scaling error; a float or
+    # fractional basis index gave terms at v[0.5] or v[1/2], and a float
+    # twist ran the sweeps in floats.  The key of a term and the twist are
+    # refused alike, whether or not a good term comes first
+    with pytest.raises(ValueError, match=message):
+        ModuleElement.basis(alpha, idx, point)
+    with pytest.raises(ValueError, match=message):
+        ModuleElement(alpha, {(0, (0, 0)): 1, (idx, point): 1})
 
 
 def test_element_refuses_a_point_of_another_rank():
@@ -543,13 +559,26 @@ def test_scaled_columns_belong_to_one_instance(monkeypatch):
 
 
 def test_sweep_scale_is_one_when_any_value_is_symbolic():
-    # a symbolic twist, module scalar or direction keeps a sweep on scale 1
-    half = (Fraction(1, 2), 0)
-    assert tensor._sweep_scale(ALPHA, [CUSP], half) == 17 * 19 * 7 * 11 * 13 * 2
-    assert tensor._sweep_scale(ALPHA, [WEDGES2[1], WEDGES2[2]], (1, 0)) == 17 * 19
-    assert tensor._sweep_scale((L, B), [CUSP], (1, 0)) == 1
-    assert tensor._sweep_scale(ALPHA, [CuspidalGl2(L, B, C)], (1, 0)) == 1
-    assert tensor._sweep_scale(ALPHA, [CUSP], (C, 0)) == 1
+    # a symbolic twist or module scalar keeps a sweep on scale 1; the
+    # directions a sweep binds play no part in L
+    assert tensor._sweep_scale(ALPHA, [CUSP]) == 17 * 19 * 7 * 11 * 13
+    assert tensor._sweep_scale(ALPHA, [WEDGES2[1], WEDGES2[2]]) == 17 * 19
+    assert tensor._sweep_scale((L, B), [CUSP]) == 1
+    assert tensor._sweep_scale(ALPHA, [CuspidalGl2(L, B, C)]) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(witt_cases(), st.data())
+def test_sweep_scale_gives_the_scaled_image_for_any_direction(case, data):
+    # L clears alpha and the input's scalars only: a fractional or
+    # symbolic u still gets exactly L D(u, r)x, with the denominators u
+    # brings and nothing rounded
+    module, D, (x,) = case
+    directions = small_fractions | st.sampled_from([C, L + 1, B - 2 * L])
+    D = WittGenerator(data.draw(st.tuples(*[directions] * module.n)), D.r)
+    scale = tensor._sweep_scale(x.alpha, [module])
+    expected = witt_operator(D, module, x.alpha)(x).scale(scale)
+    assert witt_operator(D, module, x.alpha, scale)(x) == expected
 
 
 def test_scale_that_leaves_a_denominator_is_refused():
@@ -564,16 +593,18 @@ def test_scale_that_leaves_a_denominator_is_refused():
     act = witt_operator(WittGenerator((0, 1), (1, 0)), CUSP, ALPHA, 17 * 19)
     with pytest.raises(ValueError):
         act(x)
-    # a direction with a denominator the scale misses
+    # a direction with a denominator the scale misses is no refusal: its
+    # image is the exact L D(u, r)x, weight 17 * 19 / (2 * 17)
     act = witt_operator(WittGenerator((Fraction(1, 2), 0), (0, 0)), WEDGES2[1], ALPHA, 17 * 19)
-    with pytest.raises(ValueError):
-        act(ModuleElement.basis(ALPHA, 0, (0, 0)))  # weight 17 * 19 / (2 * 17)
+    y = act(ModuleElement.basis(ALPHA, 0, (0, 0)))
+    assert y == ModuleElement.basis(ALPHA, 0, (0, 0), Fraction(19, 2))
 
 
 def test_sweeps_clear_fractional_directions_and_entries():
-    # L takes in the directions' denominators and a findim module's
-    # fractional entries: the defining gl_2 module conjugated by diag(1, 2)
-    # has E12 = 1/2 and E21 = 2
+    # L takes in a findim module's fractional entries, not the directions'
+    # denominators, which stay in the images and leave each residual
+    # exact: the defining gl_2 module conjugated by diag(1, 2) has
+    # E12 = 1/2 and E21 = 2
     conj = FinDimGlModule(2, 2, {
         (1, 1): [[1, 0], [0, 0]], (2, 2): [[0, 0], [0, 1]],
         (1, 2): [[0, Fraction(1, 2)], [0, 0]], (2, 1): [[0, 0], [2, 0]],
