@@ -73,6 +73,9 @@ def parse_int_list(text: str, what: str):
         raise ValueError(f"empty {what} list")
     if min(out) < 1:
         raise ValueError(f"every {what} must be positive: {text!r}")
+    repeated = [v for t, v in enumerate(out) if v in out[:t]]
+    if repeated:
+        raise ValueError(f"{what} {repeated[0]} is repeated: {text!r}")
     return out
 
 

@@ -28,7 +28,6 @@ from .scalars import (
     IOTA,
     Scalar,
     coeff_is_zero,
-    common_denominator,
     factor_polynomial,
     form_value,
     iota_split,
@@ -65,6 +64,7 @@ from .sl3 import (
 from .tensor import (
     ModuleElement,
     WittGenerator,
+    _sweep_scale,
     _unscaled,
     de_rham_operator,
     element_to_json,
@@ -1181,14 +1181,20 @@ def witt_consistency_report(
     )
 
 
-def _failing_directions(residuals, directions) -> int:
-    """How many u in ``directions`` have sum_k u_k residuals[k] nonzero;
-    the sums are formed only when some unit residual is nonzero."""
+def _failing_directions(residuals, directions, box, r) -> int:
+    """How many (u, m), u in ``directions`` and m in ``box``, fail, from
+    the box-wide residual of each unit direction: the residual of t^m is
+    the part at m + r, so u fails at the support of sum_k u_k residuals[k].
+    The sums are formed only when some unit residual is nonzero; a term
+    outside box + r, which no m owns, is refused."""
     if all(res.is_zero() for res in residuals):
         return 0
+    shifted = {tuple(map(operator.add, m, r)) for m in box}
+    for t in set().union(*(res.support_points() for res in residuals)) - shifted:
+        raise ValueError(f"residual term at {t} is outside the box shifted by {r}")
     zero = ModuleElement.zero(residuals[0].alpha)
     return sum(
-        not sum((res.scale(uk) for uk, res in zip(u, residuals) if uk), zero).is_zero()
+        len(sum((res.scale(uk) for uk, res in zip(u, residuals) if uk), zero).support_points())
         for u in directions
     )
 
@@ -1204,17 +1210,22 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
     for u != 0, which follows from d intertwining the action and
     D(u, r) t^m = (u|m + alpha) t^(m+r).
 
+    Each operator is applied once per box, to the sum of its forms: d
+    keeps every term's point and D(u, r) moves it by r, so a result's
+    part at m (m + r after D) is that of the form at m alone, and a
+    check fails at each point of its support.  A residual term outside
+    the box shifted by r is refused.  The intertwining and image
+    residuals share moved = D d(whole), whole the sum of t^m.
+
     Both residuals are linear in u: ``witt_operator`` builds D(u, r) as
     sum_k u_k D(e_k, r), d does not read u, and (u|m + alpha) is
     sum_k u_k (m_k + alpha_k).  So per shift only the unit directions are
-    bound and checked, and each u's residual is their u-weighted sum; the
-    counts are those of checking every pair one by one.
+    bound and checked, and each u's residual is their u-weighted sum.
 
-    Every check runs on ints, with D and d scaled by the lcm L of the
-    twist's denominators (the wedge entries and the directions are
-    integers): dd becomes L**2 dd, and the image check compares
-    (LD)(Ld)(t^m) with L(u|m + alpha) (Ld)(t^(m+r)).  Ld is bound once
-    per degree and serves all three checks.
+    Every check runs on ints, with D and d scaled by L from
+    ``tensor._sweep_scale(alpha, wedges)``, the lcm of the twist's
+    denominators: dd becomes L**2 dd, and the image check compares
+    (LD)(Ld)(t^m) with L(u|m + alpha) (Ld)(t^(m+r)).
     """
     if n not in (2, 3):
         raise ValueError("de Rham runner supports rank 2 or 3")
@@ -1222,53 +1233,43 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
     if uv_bound == 0:
         raise ValueError("uv_bound must be positive: at 0 every D(u, r) is D(0, 0) = 0")
     alpha = TWIST[:n]
-    scale = common_denominator(alpha)
-    twist = tuple(scaled_int(a, scale) for a in alpha)  # L alpha
     wedges = [exterior_power(n, kk) for kk in range(n + 1)]
-    box = [tuple(pt) for pt in iproduct(range(-box_bound, box_bound + 1), repeat=n)]
+    scale = _sweep_scale(alpha, wedges)
+    twist = tuple(scaled_int(a, scale) for a in alpha)  # L alpha
+    box = list(iproduct(range(-box_bound, box_bound + 1), repeat=n))
     d = [de_rham_operator(wedges, kk, alpha, scale) for kk in range(n)]  # d from degree kk
 
     dd_failures = 0
-    dd_checked = 0
     for kk in range(n - 1):
-        src = wedges[kk]
-        for m in box:
-            for idx in range(src.dim):
-                x = ModuleElement.basis(alpha, idx, m)
-                twice = d[kk + 1](d[kk](x))
-                dd_checked += 1
-                if not twice.is_zero():
-                    dd_failures += 1
+        for idx in range(wedges[kk].dim):
+            twice = d[kk + 1](d[kk](ModuleElement(alpha, {(idx, m): 1 for m in box})))
+            dd_failures += len(twice.support_points())
+    dd_checked = len(box) * sum(wedges[kk].dim for kk in range(n - 1))
 
     directions = list(iproduct(range(-uv_bound, uv_bound + 1), repeat=n))
     units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-    small_box = [tuple(pt) for pt in iproduct(range(-1, 2), repeat=n)]
-
-    @cache  # d(t^m), shared by every shift of this call
-    def image_gen(m):
-        return d[0](ModuleElement.basis(alpha, 0, m))
+    small_box = list(iproduct(range(-1, 2), repeat=n))
+    whole = ModuleElement(alpha, {(0, m): 1 for m in small_box})  # wedge^0 has one basis vector
+    d_whole = d[0](whole)
 
     inter_failures = 0
     image_failures = 0
     for r in directions:
-        bound = [
-            tuple(witt_operator(WittGenerator(e, r), wedges[kk], alpha, scale) for kk in (0, 1))
-            for e in units
-        ]
-        for m in small_box:
-            x = ModuleElement.basis(alpha, 0, m)  # t^m, the one basis vector of wedge^0
-            dx = image_gen(m)
-            # d(D x) - D(d x) per unit direction, L**2 times the true residual
-            residuals = [d[0](on_functions(x)) - on_forms(dx) for on_functions, on_forms in bound]
-            inter_failures += _failing_directions(residuals, directions)
-            target = image_gen(tuple(a + bb for a, bb in zip(m, r)))
-            images = [
-                on_forms(dx) - target.scale(twist[k] + scale * m[k])
-                for k, (_, on_forms) in enumerate(bound)
-            ]
-            image_failures += _failing_directions(images, directions)
-    inter_checked = len(directions) ** 2 * len(small_box)
-    image_checked = (len(directions) - 1) * len(directions) * len(small_box)
+        residuals, images = [], []
+        for k, e in enumerate(units):
+            on_functions, on_forms = (
+                witt_operator(WittGenerator(e, r), wedges[kk], alpha, scale) for kk in (0, 1)
+            )
+            moved = on_forms(d_whole)
+            # d(D x) - D(d x), L**2 times the true residual
+            residuals.append(d[0](on_functions(whole)) - moved)
+            # L D(e_k, r) whole by the formula: sum_m L(m_k + alpha_k) t^(m+r)
+            target = ModuleElement(alpha, {
+                (0, tuple(map(operator.add, m, r))): twist[k] + scale * m[k] for m in small_box
+            })
+            images.append(moved - d[0](target))
+        inter_failures += _failing_directions(residuals, directions, small_box, r)
+        image_failures += _failing_directions(images, directions, small_box, r)
 
     ok = dd_failures == 0 and inter_failures == 0 and image_failures == 0
     params = Params.numeric()
@@ -1280,9 +1281,9 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
             "dd_checked": dd_checked,
             "dd_failures": dd_failures,
             "intertwining_pairs": len(directions) ** 2,
-            "intertwining_checked": inter_checked,
+            "intertwining_checked": len(directions) ** 2 * len(small_box),
             "intertwining_failures": inter_failures,
-            "image_checked": image_checked,
+            "image_checked": (len(directions) - 1) * len(directions) * len(small_box),
             "image_failures": image_failures,
         },
     )

@@ -75,6 +75,16 @@ def _denominator(self) -> Optional[int]:
     return None
 
 
+def _act_by_columns(module, i: int, j: int, x: ModuleElement) -> ModuleElement:
+    """``act`` of both inputs: E_ij x fibrewise, v_q(m) to (E_ij v_q)(m)
+    read off ``module.column``; lattice points and alpha are kept."""
+    out = {}
+    for (q, m), coeff in x.terms.items():
+        for p, entry in module.column(i, j, q):
+            add_term(out, (p, m), entry * coeff)
+    return _element(x.alpha, out)
+
+
 class FinDimGlModule:
     """gl_n module given by explicit matrices, one per generator.
 
@@ -90,6 +100,7 @@ class FinDimGlModule:
     """
 
     kind = "findim"
+    act = _act_by_columns
     scaled_column = _scaled_column
     denominator = cached_property(_denominator)
 
@@ -136,11 +147,6 @@ class FinDimGlModule:
             raise IndexError(f"basis index {idx} out of range")
         return cols[idx]
 
-    def act(self, i: int, j: int, x: ModuleElement) -> ModuleElement:
-        """E_ij x fibrewise: v_q(m) goes to (E_ij v_q)(m), read off the
-        matrix columns; lattice points and alpha are kept."""
-        return _act_by_columns(self, i, j, x)
-
     def label(self, idx: int):
         if self.basis_labels is not None:
             return list(self.basis_labels[idx])
@@ -172,6 +178,7 @@ class CuspidalGl2:
 
     kind = "cuspidal"
     n = 2
+    act = _act_by_columns
     scaled_column = _scaled_column
     denominator = cached_property(_denominator)
 
@@ -188,7 +195,7 @@ class CuspidalGl2:
             # never vanish at integer indices
             for name, val in (("c+l", c + lam), ("c-l", c - lam)):
                 if val.denominator == 1:
-                    raise ValueError(f"cuspidal parameters violate {name} not integer")
+                    raise ValueError(f"cuspidal parameters need {name} non-integral, got {val}")
 
     def scalars(self) -> tuple:
         """(lambda, b, c): every column entry is an integer combination of
@@ -202,23 +209,8 @@ class CuspidalGl2:
         val = form_value(form, (self.lam + idx, self.b, self.c))
         return () if coeff_is_zero(val) else ((idx + offset, val),)
 
-    def act(self, i: int, j: int, x: ModuleElement) -> ModuleElement:
-        """E_ij x fibrewise: v_k(m) goes to (E_ij v_k)(m) by the closed
-        form; lattice points and alpha are kept."""
-        return _act_by_columns(self, i, j, x)
-
     def label(self, idx: int):
         return idx
-
-
-def _act_by_columns(module, i: int, j: int, x: ModuleElement) -> ModuleElement:
-    """E_ij x as the sum of ``module.column`` over the terms of x, each
-    image at its term's lattice point."""
-    out = {}
-    for (q, m), coeff in x.terms.items():
-        for p, entry in module.column(i, j, q):
-            add_term(out, (p, m), entry * coeff)
-    return _element(x.alpha, out)
 
 
 def exterior_power(n: int, k: int) -> FinDimGlModule:

@@ -516,10 +516,13 @@ DISPLAY_POINTS = 25  # the 5x5 grid r in [-2, 2]^2 a display covers, not compute
 
 
 def truncation_lengths(s_values: Sequence[int]) -> list:
-    """The truncation lengths as ints: a non-empty list of positive integers, else refused."""
+    """The truncation lengths as ints: distinct positive integers, at least one, else refused."""
     lengths = [int(s) for s in s_values if isinstance(s, (int, Fraction)) and s == int(s) >= 1]
     if not lengths or len(lengths) < len(s_values):
         raise ValueError("truncation lengths must be a non-empty list of positive integers")
+    repeated = [s for t, s in enumerate(lengths) if s in lengths[:t]]
+    if repeated:
+        raise ValueError(f"truncation length {repeated[0]} is repeated")
     return lengths
 
 

@@ -110,6 +110,15 @@ def test_truncation_lengths_must_be_integers():
     assert recursion_factorization_oracle([Fraction(2, 2)])["s_values"] == [1]
 
 
+def test_truncation_lengths_refuse_a_repeat():
+    # a repeated length used to run its identities or its oracle twice and
+    # print both entries
+    with pytest.raises(ValueError, match="truncation length 2 is repeated"):
+        recursion_factorization_oracle([2, 3, 2])
+    with pytest.raises(ValueError, match="truncation length 1 is repeated"):
+        proof_report([1, Fraction(2, 2)])
+
+
 @pytest.mark.parametrize("s_values", [[], [-1], [0], [2.5]], ids=["empty", "-1", "0", "2.5"])
 def test_proof_identities_validate_their_lengths(s_values):
     with pytest.raises(ValueError, match="non-empty list of positive integers"):
@@ -503,6 +512,8 @@ def test_cli_irreducible_anchor_seed_passes(capsys):
         lambda: proof_report([0]),
         lambda: proof_report([-1]),
         lambda: recursion_factorization_oracle([]),
+        lambda: proof_report([1, 1]),
+        lambda: recursion_factorization_oracle([2, 3, 2]),
         lambda: derham_report(n=4),
         lambda: derham_report(n=1),
     ],
@@ -515,6 +526,7 @@ def test_cli_irreducible_anchor_seed_passes(capsys):
         "d-intertwines-float-twist", "act-gen-float-index", "act-gen-fraction-index",
         "proof-no-lengths",
         "proof-zero-length", "proof-negative-length", "factorization-no-lengths",
+        "proof-repeated-length", "factorization-repeated-length",
         "derham-rank-4", "derham-rank-1",
     ],
 )
@@ -678,6 +690,16 @@ def test_d_intertwining_catches_a_doubled_shift(monkeypatch, n):
                 verify_d_intertwines(u, r, engine.TWIST[:n], box, n, 0, wedges)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_derham_refuses_a_doubled_shift(monkeypatch, n):
+    # the same mutant moves derham's box-wide residuals to m + 2r; a term
+    # past box + r belongs to no point, so it is refused, not counted at
+    # a wrong one
+    monkeypatch.setattr(engine, "witt_operator", _shifted_twice(engine.witt_operator))
+    with pytest.raises(ValueError, match="outside the box shifted by"):
+        derham_report(n=n, box_bound=0, uv_bound=1)
+
+
 DERHAM_COUNTS = (
     "intertwining_pairs", "intertwining_checked", "intertwining_failures",
     "image_checked", "image_failures",
@@ -743,24 +765,28 @@ def _first_weight_off_on_forms(bind):
 
 
 @pytest.mark.parametrize(
-    "mutant, uv_bound, expected",
+    "mutant, n, uv_bound, expected",
     [
         # E12 e_2 = -e_1 on 1-forms: the column of e_2 breaks where r_1 != 0,
         # so u_2 != 0 and r_1 != 0 fail: 6 * 6 pairs at 9 points, and
         # 20 * 20 at the default bound
-        pytest.param("e12-sign", 1, (324, 324), id="e12-sign"),
-        pytest.param("e12-sign", 2, (3600, 3600), id="e12-sign-uv2"),
+        pytest.param("e12-sign", 2, 1, (324, 324), id="e12-sign"),
+        pytest.param("e12-sign", 2, 2, (3600, 3600), id="e12-sign-uv2"),
+        # the same on gl3's 1-forms: 18 * 18 pairs at 27 points
+        pytest.param("e12-sign", 3, 1, (8748, 8748), id="e12-sign-rank3"),
         # the weight of e_1 on 1-forms is off by one at every r: 6 * 9 pairs
-        pytest.param("e1-weight", 1, (486, 486), id="e1-weight"),
+        pytest.param("e1-weight", 2, 1, (486, 486), id="e1-weight"),
         # E11 t^m = t^m on functions: the column of e_1 breaks where r_1 != 0,
         # and the image check, which reads 1-forms only, stays exact
-        pytest.param("e1-column-on-functions", 1, (324, 0), id="e1-column-on-functions"),
+        pytest.param("e1-column-on-functions", 2, 1, (324, 0), id="e1-column-on-functions"),
     ],
 )
-def test_derham_unit_sweep_equals_the_pair_by_pair_sweep(monkeypatch, mutant, uv_bound, expected):
+def test_derham_unit_sweep_equals_the_pair_by_pair_sweep(
+    monkeypatch, mutant, n, uv_bound, expected
+):
     # derham_report derives every u's verdict from the unit directions;
     # under each mutant its counts equal those of checking every (u, r)
-    wedges = list(WEDGES2)
+    wedges = [exterior_power(n, k) for k in range(n + 1)]
     if mutant == "e12-sign":
         wedges[1] = _with_entry(wedges[1], (1, 2), 0, 1, Fraction(-1))
     elif mutant == "e1-column-on-functions":
@@ -770,13 +796,13 @@ def test_derham_unit_sweep_equals_the_pair_by_pair_sweep(monkeypatch, mutant, uv
         monkeypatch.setattr(tensor, "witt_operator", bind)
         monkeypatch.setattr(engine, "witt_operator", bind)
     monkeypatch.setattr(engine, "exterior_power", lambda n, k: wedges[k])
-    doc = derham_report(box_bound=0, uv_bound=uv_bound)
+    doc = derham_report(n=n, box_bound=0, uv_bound=uv_bound)
     direct = _derham_counts_pair_by_pair(wedges, uv_bound)
     assert {key: doc[key] for key in DERHAM_COUNTS} == direct
     assert (direct["intertwining_failures"], direct["image_failures"]) == expected
-    pairs = (2 * uv_bound + 1) ** 4
+    directions = (2 * uv_bound + 1) ** n
     assert (direct["intertwining_checked"], direct["image_checked"]) == (
-        pairs * 9, (pairs - (2 * uv_bound + 1) ** 2) * 9
+        directions ** 2 * 3 ** n, (directions - 1) * directions * 3 ** n
     )
     assert doc["verdict"] == "fail"
 

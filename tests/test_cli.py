@@ -231,6 +231,10 @@ def test_gt_rejects_config_before_any_subcheck_runs(capsys, tmp_path, monkeypatc
         ("derham", "--box", "-1", "--uv", "-1"),
         ("irreducible", "--trials", "-1"),
         ("proof-identities", "--s", "-1"),
+        # a repeated length or word length used to run and print twice
+        ("proof-identities", "--s", "1,1"),
+        ("factorization", "--s", "2,2"),
+        ("gt", "--k", "1,1", "--gt-check", "central"),
         ("witt", "--trials", "0", "--jacobi", "0"),
         ("irreducible", "--window", "1,1,1,1"),
         ("derham", "--uv", "0"),

@@ -55,16 +55,21 @@ def test_cuspidal_identity_acts_as_2b():
 
 
 def test_cuspidal_rejects_integral_parameters():
-    # c + lam and c - lam must both avoid the integers
-    with pytest.raises(ValueError):
+    # c + lam and c - lam must both avoid the integers; the refusal says
+    # which one fails and its value
+    with pytest.raises(ValueError, match=r"need c\+l non-integral, got 1$"):
         CuspidalGl2(Fraction(1, 2), BB, Fraction(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need c\+l non-integral, got 0$"):
         CuspidalGl2(Fraction(1, 2), BB, Fraction(-1, 2))
     # int parameters are rationals too: at (0, 0, 1), E21 v_1 = 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need c\+l non-integral, got 1$"):
         CuspidalGl2(0, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need c\+l non-integral, got 1$"):
         CuspidalGl2(Fraction(1, 2), 0, Fraction(1, 2))
+    with pytest.raises(ValueError, match="need c-l non-integral, got 0$"):
+        CuspidalGl2(Fraction(1, 4), BB, Fraction(1, 4))
+    with pytest.raises(ValueError, match="need c-l non-integral, got -2$"):
+        CuspidalGl2(Fraction(1, 3), BB, Fraction(-5, 3))
     CuspidalGl2(LAM, BB, CC)  # generic point is fine
 
 
