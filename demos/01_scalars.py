@@ -1,26 +1,34 @@
 """A tour of the exact scalar layer.
 
-Every coefficient in this package is either a plain Fraction or a ratio
-of multivariate polynomials in the six symbols l, b, c, a1, a2, iota.
-Nothing is ever floated; equality of scalars is equality of canonical
-forms, so a zero residual really is zero.
+Every coefficient in this package is either a plain Fraction or a
+polynomial in the six symbols l, b, c, a1, a2, iota over a positive
+integer.  Nothing is ever floated; equality of scalars is equality of
+canonical forms, so a zero residual really is zero.
 """
 
 from wittmod.scalars import (
     A1, B, C, IOTA, L,
     factor_linear_in_iota,
     factor_polynomial,
+    lowest_terms,
+    poly_to_text,
     scalar_to_text,
 )
 
-x = (C + L) / (A1 - B - L)
-print("a quotient:", scalar_to_text(x))
-print("times its inverse:", scalar_to_text(x * x.inv()))
+# a quotient by a constant keeps integer coefficients over a positive
+# integer, coprime to their content
+x = (2 * C + 4 * L) / 6
+print("over an integer:", scalar_to_text(x), " stored as", (x.num, x.den))
+print("times 3:", scalar_to_text(3 * x))
+try:
+    (C + L) / (A1 - B - L)
+except ValueError as exc:
+    print("a non-constant divisor is refused:", exc)
 
-# numerator and denominator are kept coprime, integer content included,
-# and printed with a monic denominator
-y = (C + L) * (C - L) / ((2 * C + 2 * L))
-print("after cancellation:", scalar_to_text(y))
+# a rational function is formed as one (num, den) pair and reduced once:
+# coprime, integer content kept, den with a positive leading coefficient
+num, den = lowest_terms(((C + L) * (C - L)).num, (2 * C + 2 * L).num)
+print("in lowest terms:", f"({poly_to_text(num)})/({poly_to_text(den)})")
 
 # the printer lists terms in descending graded order, largest symbol first
 z = C * C - 9 * B * B - C + 15 * B - 6

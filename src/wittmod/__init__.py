@@ -2,8 +2,9 @@
 
 Layers, bottom up:
 
-* ``scalars`` - exact rational-function arithmetic in the module
-  parameters, with a text printer and certified factorization helpers.
+* ``scalars`` - exact polynomial arithmetic over a positive integer in
+  the module parameters, with a text printer and certified
+  factorization helpers.
 * ``tensor`` - tensor-field modules over the rank-n Witt algebra and the
   twisted de Rham differential.
 * ``glmod`` - input gl_n modules: explicit finite-dimensional ones (wedge

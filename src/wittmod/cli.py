@@ -96,6 +96,8 @@ def load_config(path: str) -> dict:
             key, val = parse_param_line(line)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: parameter key {key!r} is repeated")
         values[key] = val
     return values
 

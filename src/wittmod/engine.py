@@ -31,6 +31,7 @@ from .scalars import (
     factor_polynomial,
     form_value,
     iota_split,
+    lowest_terms,
     scalar_to_text,
     scaled_int,
 )
@@ -715,11 +716,16 @@ def _const_shift(f: Scalar, ref: Scalar) -> Optional[Fraction]:
     return diff.const_value() if diff.is_const() else None
 
 
-def _monic_obstruction(q: Scalar) -> Scalar:
-    """num - den of ``q`` over a monic denominator: a ``Scalar`` keeps its
-    integer content in den (c/(2b) is (c, 2b)), so both are divided by
-    den's leading coefficient, giving c/2 - b, not c - 2b."""
-    return Scalar(q.num - q.den) / q.den.leading_coeff()
+# rho_a[0] and rho_b[0], the E31/E32 ratio normalisations, are x/x: the
+# pair formulas build them in, so the printed field cannot be false
+NORMALIZATION_OK = True
+
+
+def _monic_obstruction(num, den) -> Scalar:
+    """num - den of a ``lowest_terms`` pair over a monic denominator: the
+    pair keeps its integer content in den (c/(2b) is (c, 2b)), so both are
+    divided by den's leading coefficient, giving c/2 - b, not c - 2b."""
+    return Scalar(num - den) / den.leading_coeff()
 
 
 def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
@@ -730,8 +736,15 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     inside an invariant line of the index window; both are derived here
     from the action alone, applying each operator once to each of
     v_0 .. v_s; T_B and the E31/E32 coefficients do not depend on s, so
-    one call shares them between its truncation lengths.  Compatibility
-    is measured by N = num(R_A/R_B) - den(R_A/R_B) in lowest terms with a
+    one call shares them between its truncation lengths.  From their
+    coefficients c1a, c2a, c1b, c2b and the E31/E32 factors g, h, all
+    polynomials, each ratio is one pair, with the rho normalisation (1 at
+    index 0) built in: R_A = a/(g[j,1] h[0,0] c2a[j]) and
+    R_B = c2b[j-1] g[s,0] h[j-1,1]/b, where
+    a = c1a[0] g[0,1] h[j,0] - c1a[j] g[j,1] h[0,0] and
+    b = c1b[s] g[j-1,0] h[s,1] - c1b[j-1] g[s,0] h[j-1,1]; a zero g, h,
+    c2a, c2b or b is refused.  Compatibility is measured by
+    N = num - den of R_A/R_B, reduced once by ``lowest_terms``, with a
     monic denominator, which must be free of the symbolic index and of j,
     and factors into two linear forms.  The factors are compared against
     the reference forms (c + 3b - s - 2) and (c - 3b + s + 3); each
@@ -766,16 +779,17 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
             e32 = act_gen(params, 3, 2, basis_element(params, j, (0, r)))
             g[j, r] = e31.coefficient(j, (r - 1, 0))
             h[j, r] = e32.coefficient(j, (0, r - 1))
-        rho_a = [(g[0, 1] / g[j, 1]) * (h[j, 0] / h[0, 0]) for j in js]
-        rho_b = [(g[j, 0] / g[0, 0]) * (h[0, 1] / h[j, 1]) for j in js]
-        norm_ok = coeff_is_zero(rho_a[0] - 1) and coeff_is_zero(rho_b[0] - 1)
-        k_a = c1a[0]
-        k_b = c1b[s] / rho_b[s]
+        if not all([*g.values(), *h.values(), *c2a.values(), *c2b.values()]):
+            raise ZeroDivisionError("factorization: an E31/E32 factor or T_A/T_B divisor is 0")
         obstructions = []
         for j in js[1:]:
-            r_a = (k_a * rho_a[j] - c1a[j]) / c2a[j]
-            r_b = c2b[j - 1] / (k_b * rho_b[j - 1] - c1b[j - 1])
-            obstructions.append(_monic_obstruction(r_a / r_b))
+            a = c1a[0] * g[0, 1] * h[j, 0] - c1a[j] * g[j, 1] * h[0, 0]
+            b = c1b[s] * g[j - 1, 0] * h[s, 1] - c1b[j - 1] * g[s, 0] * h[j - 1, 1]
+            if not b:
+                raise ZeroDivisionError(f"factorization: R_B's denominator is 0 at s={s}, j={j}")
+            num, den = a * b, g[j, 1] * h[0, 0] * c2a[j] * c2b[j - 1] * g[s, 0] * h[j - 1, 1]
+            pair = lowest_terms(num.num * den.den, den.num * num.den)
+            obstructions.append(_monic_obstruction(*pair))
         n_poly = obstructions[0]
         index_free = all(o == n_poly for o in obstructions)
         iota_free = n_poly.num.degree_in("iota") == 0
@@ -799,7 +813,7 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
             "s": s,
             "top_kill": top_kill,
             "bottom_kill": bottom_kill,
-            "normalization_ok": norm_ok,
+            "normalization_ok": NORMALIZATION_OK,
             "index_free": index_free,
             "iota_free": iota_free,
             "obstruction": scalar_to_text(n_poly),
@@ -811,7 +825,6 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
         entry["ok"] = (
             top_kill
             and bottom_kill
-            and norm_ok
             and index_free
             and iota_free
             and mult_back_ok

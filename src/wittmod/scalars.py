@@ -11,16 +11,15 @@ Two layers of exact arithmetic:
   use.  Its order decides nothing that leaves this module: every sign,
   every monic factor and every factor or pair order is taken from the
   grlex order, so no printed byte depends on sympy's choices.
-* ``Scalar`` - the fraction field in canonically normalized form: a
-  pair (num, den) of integer polynomials with no common factor, the
-  integer content included, and den with a positive leading
-  coefficient, so c/2 is stored as (c, 2).  Equality of Scalars is plain
-  structural equality.  The denominator 1 is the one shared polynomial
-  ``_POLY_ONE``, so an integer polynomial is recognised by identity, and
-  its ``+``, ``-`` and ``*`` (with another integer polynomial or an
-  ``int``) run on the numerators alone, without a gcd.  The printer
-  divides both parts by den's leading coefficient, so the text shows a
-  monic denominator.
+* ``Scalar`` - a polynomial over a positive integer: a pair (num, den)
+  of an integer polynomial and a positive constant with no common
+  integer factor, so c/2 is stored as (c, 2), and equality is plain
+  structural equality.  A non-constant denominator is refused, so the
+  arithmetic takes no polynomial gcd.  The denominator 1 is the one
+  shared polynomial ``_POLY_ONE``, so an integer polynomial is
+  recognised by identity, and its ``+``, ``-`` and ``*`` (with another
+  one or an ``int``) run on the numerators alone.  ``lowest_terms``
+  reduces a quotient that a caller forms as one polynomial pair.
 
 Numeric computations use ``Fraction`` values with this module's
 ``scaled_int``, ``common_denominator``, ``add_term`` and
@@ -224,15 +223,13 @@ def _from_ring(f) -> ParamPolynomial:
 
 def shift_symbols(x: "Scalar", shifts: Mapping[str, int]) -> "Scalar":
     """x with each symbol s in ``shifts`` replaced by s + shifts[s]: a ring
-    automorphism that fixes the top-degree part, so it keeps coprimality,
-    the integer content and the leading term of a canonical pair."""
+    automorphism of Z[symbols], so the numerator keeps its integer content
+    and the pair stays canonical."""
+    if x.num.is_const():
+        return x
     gens = dict(zip(SYMBOLS, _ring().gens))
     subs = [(gens[s], gens[s] + d) for s, d in shifts.items()]
-
-    def sub(p):
-        return p if p.is_const() else _from_ring(_to_ring(p).compose(subs))
-
-    return _raw(sub(x.num), sub(x.den))
+    return _raw(_from_ring(_to_ring(x.num).compose(subs)), x.den)
 
 
 def poly_gcd(a: ParamPolynomial, b: ParamPolynomial) -> ParamPolynomial:
@@ -242,27 +239,35 @@ def poly_gcd(a: ParamPolynomial, b: ParamPolynomial) -> ParamPolynomial:
     return -g if g.terms and g.leading_coeff() < 0 else g
 
 
-# -- the fraction field ------------------------------------------------
+def lowest_terms(num: ParamPolynomial, den: ParamPolynomial) -> tuple:
+    """num/den as a coprime pair over Z: the integer content stays in the
+    pair (c/(2b) is (c, 2b)), and den's grlex leading coefficient is
+    positive."""
+    if den.is_zero():
+        raise ZeroDivisionError("quotient with zero denominator")
+    # the cofactors are fixed up to one common sign: the grlex rule decides it
+    _, n, d = _to_ring(num).cofactors(_to_ring(den))
+    num, den = _from_ring(n), _from_ring(d)
+    if den.leading_coeff() < 0:
+        num, den = -num, -den
+    return num, den
+
+
+# -- polynomials over a positive integer -------------------------------
 
 
 def _canon(num: ParamPolynomial, den: ParamPolynomial):
     if den.is_zero():
         raise ZeroDivisionError("scalar with zero denominator")
+    if not den.is_const():
+        raise ValueError(f"Scalar denominator {poly_to_text(den)} is not constant")
     if num.is_zero():
         return _POLY_ZERO, _POLY_ONE
-    if den.is_const():
-        # the gcd is an integer: that of den and num's content
-        g = gcd(den.terms[_ZERO_EXP], *num.terms.values())
-        if g != 1:
-            num, den = (_poly({e: c // g for e, c in p.terms.items()}) for p in (num, den))
-    else:
-        # the cofactors are fixed up to one common sign, which the grlex
-        # sign rule below decides
-        g, n, d = _to_ring(num).cofactors(_to_ring(den))
-        if g != 1:
-            num, den = _from_ring(n), _from_ring(d)
-    if den.leading_coeff() < 0:
-        num, den = -num, -den
+    # the gcd is an integer: that of den and num's content, with den's sign
+    d = den.terms[_ZERO_EXP]
+    g = gcd(d, *num.terms.values()) * (-1 if d < 0 else 1)
+    if g != 1:
+        num, den = (_poly({e: c // g for e, c in p.terms.items()}) for p in (num, den))
     return num, (_POLY_ONE if den == _POLY_ONE else den)
 
 
@@ -274,7 +279,7 @@ def _raw(num: ParamPolynomial, den: ParamPolynomial = _POLY_ONE) -> "Scalar":
 
 
 class Scalar:
-    """Canonically normalized element of the parameter fraction field."""
+    """A polynomial in the parameters over a positive integer."""
 
     __slots__ = ("num", "den")
 
@@ -299,11 +304,8 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_const()
-
     def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
+        return self.num.is_const()
 
     def const_value(self) -> Fraction:
         return Fraction(self.num.const_value(), self.den.const_value())
@@ -321,7 +323,7 @@ class Scalar:
             return Scalar.from_rational(x)
         return None
 
-    # -- field operations ----------------------------------------------
+    # -- ring operations -----------------------------------------------
     # An int k never becomes a Scalar in + and -: num/den + k is
     # (num + k*den)/den, still reduced.  k*num/den is reduced when den is 1.
 
@@ -373,24 +375,10 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("scalar division by zero")
+        # a zero or non-constant divisor is refused by the constructor
         return Scalar(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def inv(self) -> "Scalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.den, self.num)
-
     def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            return self.inv() ** (-n)
         return Scalar(self.num ** n, self.den ** n)
 
     def __eq__(self, other) -> bool:
@@ -426,7 +414,7 @@ ONE = Scalar.from_rational(1)
 
 
 def factor_polynomial(x: Scalar):
-    """Irreducible factorization of a polynomial scalar over the rationals.
+    """Irreducible factorization of a Scalar over the rationals.
 
     Returns (unit, factors) where unit is a constant Scalar and factors is
     a tuple of (Scalar, multiplicity) pairs, each factor an irreducible
@@ -434,8 +422,6 @@ def factor_polynomial(x: Scalar):
     terms, never in sympy's order.  The multiply-back product is
     certified, so the factorization engine never has to be trusted blindly.
     """
-    if not x.is_polynomial():
-        raise ValueError("factor_polynomial expects a polynomial scalar")
     if x.is_zero():
         return ZERO, ()
     if x.num.is_const():
@@ -459,8 +445,8 @@ def factor_polynomial(x: Scalar):
 
 
 def factor_linear_in_iota(x: Scalar) -> Optional[tuple]:
-    """The ``iota_split`` of the certified ``factor_polynomial`` of a
-    polynomial scalar; None when a factor has degree above 1 in iota."""
+    """The ``iota_split`` of the certified ``factor_polynomial`` of x;
+    None when a factor has degree above 1 in iota."""
     unit, factors = factor_polynomial(x)
     if any(f.num.degree_in("iota") > 1 for f, _ in factors):
         return None
@@ -472,7 +458,8 @@ def iota_split(factors, unit: Scalar = ONE) -> tuple:
     of degree at most 1 in iota, as (unit', ((zeta, sign), ...)): unit' and
     every zeta free of iota, sign +1 or -1, each zeta zero or with a
     positive leading coefficient, the pairs sorted on zeta's terms, then
-    the sign, and the product of unit' and every zeta + sign*iota unchanged."""
+    the sign, and the product of unit' and every zeta + sign*iota unchanged.
+    A factor whose iota coefficient is not a constant is refused."""
     pairs = []
     for f, mult in factors:
         if not f.num.degree_in("iota"):
@@ -482,6 +469,8 @@ def iota_split(factors, unit: Scalar = ONE) -> tuple:
         terms = f.num.terms.items()
         a = ParamPolynomial({e[:-1] + (0,): q for e, q in terms if e[-1]})
         b = ParamPolynomial({e: q for e, q in terms if not e[-1]})
+        if not a.is_const():
+            raise ValueError(f"iota_split: {scalar_to_text(f)} has a non-constant iota coefficient")
         rho = -Scalar(b, a)
         sign = -1 if not rho.is_zero() and rho.num.leading_coeff() > 0 else 1
         pairs += [(-sign * rho, sign)] * mult
@@ -529,13 +518,7 @@ def poly_to_text(p: ParamPolynomial, lc: int = 1) -> str:
 
 
 def scalar_to_text(x: Scalar) -> str:
-    if x.den is _POLY_ONE:
-        return poly_to_text(x.num)
-    # printed with a monic denominator
-    lc = x.den.leading_coeff()
-    if x.den.is_const():
-        return poly_to_text(x.num, lc)
-    return f"({poly_to_text(x.num, lc)})/({poly_to_text(x.den, lc)})"
+    return poly_to_text(x.num, x.den.const_value())
 
 
 def parse_rational(text: str) -> Fraction:
@@ -552,22 +535,16 @@ def coeff_to_text(x) -> str:
     return str(Fraction(x))
 
 
-def common_denominator(*groups) -> int:
-    """The product over ``groups`` of the lcm of each group's denominators.
-
-    Scaling by it clears the denominator of every product of one value
-    from each group.  It is 1 when any value is not an int or Fraction, so
-    symbolic values are never scaled.
-    """
-    scale = 1
-    for group in groups:
-        den = 1
-        for v in group:
-            if not isinstance(v, (int, Fraction)):
-                return 1
-            den = lcm(den, v.denominator)
-        scale *= den
-    return scale
+def common_denominator(values) -> int:
+    """The lcm of the denominators of ``values``: scaling by it clears
+    each of them.  It is 1 when any value is not an int or Fraction, so
+    symbolic values are never scaled."""
+    den = 1
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            return 1
+        den = lcm(den, v.denominator)
+    return den
 
 
 def coeff_is_zero(x) -> bool:

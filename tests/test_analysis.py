@@ -33,17 +33,30 @@ from wittmod.engine import (
 )
 from wittmod.glmod import FinDimGlModule, exterior_power
 from wittmod.report import canonical_json
-from wittmod.scalars import IOTA, ONE, Scalar, factor_linear_in_iota, scalar_to_text
+from wittmod.scalars import (
+    IOTA,
+    ONE,
+    SYMBOLS,
+    ParamPolynomial,
+    Scalar,
+    factor_linear_in_iota,
+    lowest_terms,
+    scalar_to_text,
+)
 from wittmod.sl3 import (
     DEFAULT_VALUES,
     DEGENERATE_VALUES,
+    GENERATORS,
     Params,
+    act_gen,
     act_word,
     basis_element,
     check_generic,
     lattice_shift,
+    lowering_operator,
     moved,
     parse_word,
+    raising_operator,
     verify_embedding,
     verify_sl3_brackets,
     word_path,
@@ -1008,12 +1021,99 @@ def test_oracle_s1_pinned():
 
 def test_oracle_obstruction_divides_by_the_denominators_leading_coefficient():
     c, b = Scalar.sym("c"), Scalar.sym("b")
-    # (c + 1)/(2b + 3) is stored with the integer content in den: (c + 1, 2b + 3)
-    q = (c + 1) / (2 * b + 3)
-    assert q.den.leading_coeff() == 2
+    # (c + 1)/(2b + 3) keeps the integer content in den: (c + 1, 2b + 3)
+    q = lowest_terms((c + 1).num, (2 * b + 3).num)
+    assert q[1].leading_coeff() == 2
     # monic: ((c + 1)/2) / (b + 3/2), so N = (c + 1)/2 - (b + 3/2)
-    assert engine._monic_obstruction(q) == c / 2 - b - 1
-    assert engine._monic_obstruction(c / b) == c - b
+    assert engine._monic_obstruction(*q) == c / 2 - b - 1
+    assert engine._monic_obstruction(*lowest_terms((2 * c).num, (2 * b).num)) == c - b
+
+
+def _ratio_route_obstructions(s: int) -> list:
+    """N at j = 1..s on the ratio route, each ratio normalised by rho_a
+    and rho_b and divided out, in sympy's field of rational functions
+    over ZZ, from the oracle's T_A, T_B, E31 and E32 images."""
+    from sympy import ZZ
+    from sympy.polys.fields import field
+
+    K = field(",".join(SYMBOLS), ZZ)[0]
+
+    def el(x):
+        x = x if isinstance(x, Scalar) else Scalar.from_rational(x)
+        return K(K.ring.from_dict(dict(x.num.terms))) / int(x.den.const_value())
+
+    params = Params.symbolic(with_iota_index=True)
+    up, down = (1, -1), (-1, 1)
+    js = range(s + 1)
+    t_a = [raising_operator(params, s, basis_element(params, j, (0, 0))) for j in js]
+    t_b = [lowering_operator(params, basis_element(params, j, (0, 0))) for j in js]
+    c1a = [el(t_a[j].coefficient(j, up)) for j in js]
+    c2a = {j: el(t_a[j - 1].coefficient(j, up)) for j in js[1:]}
+    c1b = [el(t_b[j].coefficient(j, down)) for j in js]
+    c2b = {j: el(t_b[j + 1].coefficient(j, down)) for j in js[:-1]}
+    g, h = {}, {}
+    for j, r in product(js, (0, 1)):
+        e31 = act_gen(params, 3, 1, basis_element(params, j, (r, 0)))
+        e32 = act_gen(params, 3, 2, basis_element(params, j, (0, r)))
+        g[j, r], h[j, r] = el(e31.coefficient(j, (r - 1, 0))), el(e32.coefficient(j, (0, r - 1)))
+    rho_a = [(g[0, 1] / g[j, 1]) * (h[j, 0] / h[0, 0]) for j in js]
+    rho_b = [(g[j, 0] / g[0, 0]) * (h[0, 1] / h[j, 1]) for j in js]
+    assert rho_a[0] == rho_b[0] == K.one
+    k_a, k_b = c1a[0], c1b[s] / rho_b[s]
+    out = []
+    for j in js[1:]:
+        r_a = (k_a * rho_a[j] - c1a[j]) / c2a[j]
+        r_b = c2b[j - 1] / (k_b * rho_b[j - 1] - c1b[j - 1])
+        q = r_a / r_b
+        num, den = (ParamPolynomial({e: int(v) for e, v in p.items()}) for p in (q.numer, q.denom))
+        out.append(Scalar(num - den) / den.leading_coeff())
+    return out
+
+
+def test_oracle_pairs_match_the_ratio_route_in_sympys_field():
+    # the one polynomial pair per (s, j) gives the N of the rho/kappa
+    # route, computed with every division in an independent field
+    doc = recursion_factorization_oracle(range(1, 7))
+    assert doc["verdict"] == "pass"
+    for res in doc["results"]:
+        reference = _ratio_route_obstructions(res["s"])
+        assert len(reference) == res["s"]
+        assert [scalar_to_text(n) for n in reference] == [res["obstruction"]] * res["s"]
+
+
+def test_oracle_refuses_a_vanishing_e32_factor(monkeypatch):
+    # a zero E32 form makes every h vanish: the ratio route divided by
+    # h[0,0], and the pair route refuses it instead of printing N = -1
+    sign, u, shift, ((off, form),) = GENERATORS[3, 2]
+    monkeypatch.setitem(GENERATORS, (3, 2), (sign, u, shift, ((off, (0,) * len(form)),)))
+    with pytest.raises(ZeroDivisionError, match="E31/E32 factor"):
+        recursion_factorization_oracle([1])
+
+
+def test_oracle_refuses_a_vanishing_denominator_of_r_b(monkeypatch):
+    # without T_B's diagonal, c1b and so b vanish while c2b does not: the
+    # ratio route divided by b, and the pair a*b would print N = -1
+    real = engine.lowering_operator
+
+    def off_diagonal(params, x):
+        ((j, _),) = x.terms
+        image = real(params, x)
+        return ModuleElement(image.alpha, {k: v for k, v in image.terms.items() if k[0] != j})
+
+    monkeypatch.setattr(engine, "lowering_operator", off_diagonal)
+    with pytest.raises(ZeroDivisionError, match="R_B's denominator is 0 at s=1, j=1"):
+        recursion_factorization_oracle([1])
+
+
+def test_oracle_reduces_each_pair_once(monkeypatch):
+    # one lowest_terms per (s, j): 1 + 2 + 3 for the default s = 1, 2, 3,
+    # and no Scalar is built with a non-constant denominator
+    calls = []
+    monkeypatch.setattr(
+        engine, "lowest_terms", lambda num, den: calls.append(1) or lowest_terms(num, den)
+    )
+    assert recursion_factorization_oracle([1, 2, 3])["verdict"] == "pass"
+    assert len(calls) == 6
 
 
 def test_oracle_offset_is_constant_in_s():
@@ -1285,12 +1385,15 @@ def test_gt_obstruction_covers_only_integral_shifts(monkeypatch):
     pairs = tuple(
         (z, 1) for z in (c + l + Scalar.from_rational(Fraction(1, 2)), b * c, -(a1 - b - l) + 2)
     )
-    real = engine._leakage_split
-    # the unit makes the injected split multiply back to the coefficient
+    monkeypatch.setattr(engine, "_leakage_split", lambda *args: (ONE, pairs))
+    # the iota-parameter row is faked, so that the injected split
+    # multiplies back to its coefficient at either extreme offset
+    real = engine.row_action
+    faked = {1: _multiply_back(ONE, pairs), -1: _multiply_back(ONE, pairs)}
     monkeypatch.setattr(
         engine,
-        "_leakage_split",
-        lambda *args: (_multiply_back(*real(*args)) / _multiply_back(ONE, pairs), pairs),
+        "row_action",
+        lambda params: real(params) if params.is_numeric() else (lambda *args: faked),
     )
     doc = gt_obstruction(NUM, Window(0, 0, ((0, 0), (0, 0))))
     assert doc["verdict"] == "fail"

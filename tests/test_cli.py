@@ -249,13 +249,19 @@ def test_gt_rejects_config_before_any_subcheck_runs(capsys, tmp_path, monkeypatc
         ("irreducible", "--seed", "v:0@0,0", "--window", "1,1,1,1"),
         ("generate", "--window", "1,1,1,1"),
         ("generate", "--window", "0,0,0"),
+        # a repeated config key used to run at its last value
+        ("check-generic", "--config", "{repeated}"),
     ],
 )
 def test_bad_input_and_io_exit_2_with_one_line(capsys, tmp_path, argv):
-    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("l = 1/7\nl = 2/7\n")
+    argv = [a.format(missing=tmp_path / "missing", repeated=repeated) for a in argv]
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "--config" in argv:
+        assert err == f"error: {repeated}:2: parameter key 'l' is repeated\n"
 
 
 def test_missing_subcommand_is_usage_error(capsys):
