@@ -235,12 +235,16 @@ def test_factor_linear_in_iota_iota_free():
     assert unit == C + 3 * B
 
 
-# outputs recorded before factor_linear_in_iota was read off factor_polynomial;
-# a factor whose iota coefficient is c has no split into Scalars (unit None)
+# pairs REFUSED: the factor's iota coefficient (given as unit) is not
+# constant, so it has no split into Scalars
+REFUSED = object()
+
+
+# outputs recorded before factor_linear_in_iota was read off factor_polynomial
 @pytest.mark.parametrize(
     "x, unit, pairs",
     [
-        ((C * IOTA + B) * (A1 - B - IOTA), None, []),
+        ((C * IOTA + B) * (A1 - B - IOTA), "c", REFUSED),
         (3 * (C + IOTA) ** 2 * (L - IOTA), "3", [("l", -1), ("c", 1), ("c", 1)]),
         (IOTA * (B - IOTA), "1", [("0", 1), ("b", -1)]),
         (ZERO, "0", []),
@@ -251,8 +255,8 @@ def test_factor_linear_in_iota_iota_free():
     ],
 )
 def test_factor_linear_in_iota_pinned(x, unit, pairs):
-    if unit is None:
-        with pytest.raises(ValueError, match=r"c\*iota \+ b has a non-constant iota coefficient"):
+    if pairs is REFUSED:
+        with pytest.raises(ValueError, match=rf"{unit}\*iota \+ b has a non-constant iota coefficient"):
             factor_linear_in_iota(x)
         return
     got_unit, got_pairs = factor_linear_in_iota(x)
