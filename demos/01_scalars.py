@@ -16,7 +16,7 @@ from wittmod.scalars import (
 )
 
 # a quotient by a constant keeps integer coefficients over a positive
-# integer, coprime to their content
+# int, coprime to their content
 x = (2 * C + 4 * L) / 6
 print("over an integer:", scalar_to_text(x), " stored as", (x.num, x.den))
 print("times 3:", scalar_to_text(3 * x))

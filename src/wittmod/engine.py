@@ -725,7 +725,7 @@ def _monic_obstruction(num, den) -> Scalar:
     """num - den of a ``lowest_terms`` pair over a monic denominator: the
     pair keeps its integer content in den (c/(2b) is (c, 2b)), so both are
     divided by den's leading coefficient, giving c/2 - b, not c - 2b."""
-    return Scalar(num - den) / den.leading_coeff()
+    return Scalar(num - den, den.leading_coeff())
 
 
 def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
@@ -788,7 +788,7 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
             if not b:
                 raise ZeroDivisionError(f"factorization: R_B's denominator is 0 at s={s}, j={j}")
             num, den = a * b, g[j, 1] * h[0, 0] * c2a[j] * c2b[j - 1] * g[s, 0] * h[j - 1, 1]
-            pair = lowest_terms(num.num * den.den, den.num * num.den)
+            pair = lowest_terms(num.num.scale(den.den), den.num.scale(num.den))
             obstructions.append(_monic_obstruction(*pair))
         n_poly = obstructions[0]
         index_free = all(o == n_poly for o in obstructions)

@@ -12,13 +12,11 @@ Two layers of exact arithmetic:
   every monic factor and every factor or pair order is taken from the
   grlex order, so no printed byte depends on sympy's choices.
 * ``Scalar`` - a polynomial over a positive integer: a pair (num, den)
-  of an integer polynomial and a positive constant with no common
+  of an integer polynomial and a positive ``int`` with no common
   integer factor, so c/2 is stored as (c, 2), and equality is plain
-  structural equality.  A non-constant denominator is refused, so the
-  arithmetic takes no polynomial gcd.  The denominator 1 is the one
-  shared polynomial ``_POLY_ONE``, so an integer polynomial is
-  recognised by identity, and its ``+``, ``-`` and ``*`` (with another
-  one or an ``int``) run on the numerators alone.  ``lowest_terms``
+  structural equality.  A divisor that is not a constant is refused, so
+  the arithmetic takes no polynomial gcd, and with den 1 on both sides
+  ``+``, ``-`` and ``*`` run on the numerators alone.  ``lowest_terms``
   reduces a quotient that a caller forms as one polynomial pair.
 
 Numeric computations use ``Fraction`` values with this module's
@@ -196,7 +194,6 @@ def _poly(terms: dict) -> ParamPolynomial:
 
 
 _POLY_ZERO = ParamPolynomial()
-_POLY_ONE = ParamPolynomial.const(1)
 
 
 # -- gcd in sympy's sparse ring ----------------------------------------
@@ -256,22 +253,21 @@ def lowest_terms(num: ParamPolynomial, den: ParamPolynomial) -> tuple:
 # -- polynomials over a positive integer -------------------------------
 
 
-def _canon(num: ParamPolynomial, den: ParamPolynomial):
-    if den.is_zero():
+def _canon(num: ParamPolynomial, den: int):
+    if type(den) is not int:
+        raise ValueError(f"Scalar denominator {den!r} is not an int")
+    if not den:
         raise ZeroDivisionError("scalar with zero denominator")
-    if not den.is_const():
-        raise ValueError(f"Scalar denominator {poly_to_text(den)} is not constant")
     if num.is_zero():
-        return _POLY_ZERO, _POLY_ONE
-    # the gcd is an integer: that of den and num's content, with den's sign
-    d = den.terms[_ZERO_EXP]
-    g = gcd(d, *num.terms.values()) * (-1 if d < 0 else 1)
+        return _POLY_ZERO, 1
+    # the gcd of den and num's content, with den's sign
+    g = gcd(den, *num.terms.values()) * (-1 if den < 0 else 1)
     if g != 1:
-        num, den = (_poly({e: c // g for e, c in p.terms.items()}) for p in (num, den))
-    return num, (_POLY_ONE if den == _POLY_ONE else den)
+        num, den = _poly({e: c // g for e, c in num.terms.items()}), den // g
+    return num, den
 
 
-def _raw(num: ParamPolynomial, den: ParamPolynomial = _POLY_ONE) -> "Scalar":
+def _raw(num: ParamPolynomial, den: int = 1) -> "Scalar":
     # wraps a pair that is canonical already
     s = Scalar.__new__(Scalar)
     s.num, s.den = num, den
@@ -283,7 +279,7 @@ class Scalar:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: ParamPolynomial, den: ParamPolynomial = _POLY_ONE):
+    def __init__(self, num: ParamPolynomial, den: int = 1):
         self.num, self.den = _canon(num, den)
 
     # -- constructors --------------------------------------------------
@@ -291,9 +287,7 @@ class Scalar:
     @classmethod
     def from_rational(cls, q) -> "Scalar":
         q = exact(q)
-        if type(q) is int:
-            return _raw(ParamPolynomial.const(q))
-        return _raw(ParamPolynomial.const(q.numerator), ParamPolynomial.const(q.denominator))
+        return _raw(ParamPolynomial.const(q.numerator), q.denominator)
 
     @classmethod
     def sym(cls, name: str) -> "Scalar":
@@ -308,7 +302,7 @@ class Scalar:
         return self.num.is_const()
 
     def const_value(self) -> Fraction:
-        return Fraction(self.num.const_value(), self.den.const_value())
+        return Fraction(self.num.const_value(), self.den)
 
     def __bool__(self) -> bool:
         return not self.num.is_zero()
@@ -325,29 +319,31 @@ class Scalar:
 
     # -- ring operations -----------------------------------------------
     # An int k never becomes a Scalar in + and -: num/den + k is
-    # (num + k*den)/den, still reduced.  k*num/den is reduced when den is 1.
+    # (num + k*den)/den, still reduced; k*den is added as a bare constant
+    # term, which may be 0, as polynomial + and - drop a zero sum.
+    # k*num/den is reduced when den is 1.
 
     def __add__(self, other):
         if isinstance(other, int):
-            return _raw(self.num + self.den.scale(other), self.den)
+            return _raw(self.num + _poly({_ZERO_EXP: self.den * other}), self.den)
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+        if self.den == 1 == other.den:
             return _raw(self.num + other.num)
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        return Scalar(self.num.scale(other.den) + other.num.scale(self.den), self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, int):
-            return _raw(self.num - self.den.scale(other), self.den)
+            return _raw(self.num - _poly({_ZERO_EXP: self.den * other}), self.den)
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+        if self.den == 1 == other.den:
             return _raw(self.num - other.num)
-        return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
+        return Scalar(self.num.scale(other.den) - other.num.scale(self.den), self.den * other.den)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -359,13 +355,13 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if self.den is _POLY_ONE:
+            if self.den == 1:
                 return _raw(self.num.scale(other))
             return Scalar(self.num.scale(other), self.den)
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+        if self.den == 1 == other.den:
             return _raw(self.num * other.num)
         return Scalar(self.num * other.num, self.den * other.den)
 
@@ -375,8 +371,10 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
-        # a zero or non-constant divisor is refused by the constructor
-        return Scalar(self.num * other.den, self.den * other.num)
+        if not other.num.is_const():
+            raise ValueError(f"Scalar denominator {poly_to_text(other.num)} is not constant")
+        # a zero divisor is refused by the constructor
+        return Scalar(self.num.scale(other.den), self.den * other.num.const_value())
 
     def __pow__(self, n: int) -> "Scalar":
         return Scalar(self.num ** n, self.den ** n)
@@ -388,11 +386,10 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its int or Fraction value, so it hashes as one
+        if self.num.is_const():
+            return hash(self.const_value())
         return hash((self.num, self.den))
-
-    def __reduce__(self):
-        # a copy or an unpickled Scalar shares _POLY_ONE again
-        return Scalar, (self.num, self.den)
 
     def __repr__(self):
         return f"Scalar({scalar_to_text(self)!r})"
@@ -432,10 +429,10 @@ def factor_polynomial(x: Scalar):
         f = _from_ring(f)
         lc = f.leading_coeff()
         const *= lc**mult
-        factors.append((Scalar(f, ParamPolynomial.const(lc)), mult))
+        factors.append((Scalar(f, lc), mult))
     factors.sort(key=_pair_key)
     # the ring factored x's numerator
-    unit = Scalar.from_rational(Fraction(int(const), x.den.const_value()))
+    unit = Scalar.from_rational(Fraction(int(const), x.den))
     prod = unit
     for f, mult in factors:
         prod = prod * f**mult
@@ -471,7 +468,7 @@ def iota_split(factors, unit: Scalar = ONE) -> tuple:
         b = ParamPolynomial({e: q for e, q in terms if not e[-1]})
         if not a.is_const():
             raise ValueError(f"iota_split: {scalar_to_text(f)} has a non-constant iota coefficient")
-        rho = -Scalar(b, a)
+        rho = -Scalar(b, a.const_value())
         sign = -1 if not rho.is_zero() and rho.num.leading_coeff() > 0 else 1
         pairs += [(-sign * rho, sign)] * mult
         unit = unit * Scalar(a.scale(sign), f.den) ** mult
@@ -480,11 +477,11 @@ def iota_split(factors, unit: Scalar = ONE) -> tuple:
 
 
 def _pair_key(pair) -> tuple:
-    # a total order on (Scalar, int) pairs: for num and then den, the grlex
-    # keys of all monomials first, then the coefficients; then the int
+    # a total order on (Scalar, int) pairs: the grlex keys of all of num's
+    # monomials first, then its coefficients; then den, then the int
     x, k = pair
-    parts = (x.num.sorted_terms(), x.den.sorted_terms())
-    return [([_grlex_key(e) for e, _ in t], [q for _, q in t]) for t in parts], k
+    t = x.num.sorted_terms()
+    return ([_grlex_key(e) for e, _ in t], [q for _, q in t]), x.den, k
 
 
 # -- text printer -------------------------------------------------------
@@ -518,7 +515,7 @@ def poly_to_text(p: ParamPolynomial, lc: int = 1) -> str:
 
 
 def scalar_to_text(x: Scalar) -> str:
-    return poly_to_text(x.num, x.den.const_value())
+    return poly_to_text(x.num, x.den)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -39,6 +39,7 @@ from wittmod.scalars import (
     SYMBOLS,
     ParamPolynomial,
     Scalar,
+    add_term,
     factor_linear_in_iota,
     lowest_terms,
     scalar_to_text,
@@ -713,6 +714,40 @@ def test_derham_refuses_a_doubled_shift(monkeypatch, n):
         derham_report(n=n, box_bound=0, uv_bound=1)
 
 
+def _weighed_twice(bind):
+    """``witt_operator`` whose weight is (u|alpha + 2m): the true image plus
+    L(u|m) v(m + r)."""
+
+    def mutant(D, module, alpha, scale=1):
+        act = bind(D, module, alpha, scale)
+
+        def apply(x):
+            extra = {}
+            for (idx, m), c in x.terms.items():
+                u_m = sum(uk * mk for uk, mk in zip(D.u, m))
+                add_term(extra, (idx, tuple(a + b for a, b in zip(m, D.r))), scale * u_m * c)
+            return act(x) + ModuleElement(x.alpha, extra)
+
+        return apply
+
+    return mutant
+
+
+def test_witt_and_derham_fail_under_a_doubled_weight(monkeypatch):
+    # (u|alpha + 2m) is still affine in m, yet it breaks the bracket law,
+    # the Jacobi identity, d's intertwining and the image of d: both
+    # default reports fail on both of their counts
+    bind = _weighed_twice(tensor.witt_operator)
+    monkeypatch.setattr(tensor, "witt_operator", bind)
+    monkeypatch.setattr(engine, "witt_operator", bind)
+    witt = witt_consistency_report()
+    assert witt["verdict"] == "fail"
+    assert (witt["bracket_failures"], witt["jacobi_failures"]) == (185, 30)
+    derham = derham_report()
+    assert derham["verdict"] == "fail" and derham["dd_failures"] == 0
+    assert (derham["intertwining_failures"], derham["image_failures"]) == (3840, 4000)
+
+
 DERHAM_COUNTS = (
     "intertwining_pairs", "intertwining_checked", "intertwining_failures",
     "image_checked", "image_failures",
@@ -1040,7 +1075,7 @@ def _ratio_route_obstructions(s: int) -> list:
 
     def el(x):
         x = x if isinstance(x, Scalar) else Scalar.from_rational(x)
-        return K(K.ring.from_dict(dict(x.num.terms))) / int(x.den.const_value())
+        return K(K.ring.from_dict(dict(x.num.terms))) / x.den
 
     params = Params.symbolic(with_iota_index=True)
     up, down = (1, -1), (-1, 1)

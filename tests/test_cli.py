@@ -359,11 +359,13 @@ def test_package_runs_as_module():
         ["gt", "--gt-check", "central"],
         ["gt", "--gt-check", "central", "--mode", "numeric"],
         ["gt"],
+        ["act", "--word", "E11", "--vector", "v:0@0,0"],
+        ["act", "--mode", "symbolic", "--word", "E13*E32", "--vector", "v:1@1,-1"],
     ],
     ids=[
         "import", "check-generic", "brackets", "brackets-numeric", "proof-identities", "generate",
         "irreducible-seed", "degenerate", "derham", "derham-n3", "witt", "gt-central",
-        "gt-central-numeric", "gt",
+        "gt-central-numeric", "gt", "act", "act-symbolic",
     ],
 )
 def test_numeric_paths_do_not_load_sympy(argv):
@@ -373,10 +375,11 @@ def test_numeric_paths_do_not_load_sympy(argv):
     # symbolic central words (k = 1, 2 and the control) stay in
     # ParamPolynomial arithmetic and load it neither: a covariant sweep
     # shifts coefficients through sympy only for a printed failure.  The
-    # gt leakage splits are read off the generator table, not factored.  The
-    # numeric brackets and central sweeps run on ints scaled by L and divide
-    # a printed residual by its power of L in Fraction arithmetic.  Each
-    # run must pass, so its whole path is covered.
+    # gt leakage splits are read off the generator table, not factored, and
+    # act applies its word in the arithmetic of its mode.  The numeric
+    # brackets and central sweeps run on ints scaled by L and divide a
+    # printed residual by its power of L in Fraction arithmetic.  Each run
+    # must pass, so its whole path is covered.
     code = "import wittmod"
     if argv is not None:
         code = f"import os, wittmod.cli; assert wittmod.cli.main({argv!r} + ['--out', os.devnull]) == 0"

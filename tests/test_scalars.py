@@ -4,7 +4,7 @@ import copy
 import pickle
 from contextlib import contextmanager
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -70,10 +70,13 @@ def test_division_by_zero_or_by_a_non_constant_is_refused():
     for make in (
         lambda: ONE / C,
         lambda: (C + L) / (A1 - B),
-        lambda: Scalar(ONE.num, (2 * C).num),
     ):
         with pytest.raises(ValueError, match="is not constant"):
             make()
+    # the denominator is an int: a polynomial, even a constant one, is refused
+    for den in ((2 * C).num, ParamPolynomial.const(2), Fraction(2)):
+        with pytest.raises(ValueError, match="is not an int"):
+            Scalar(ONE.num, den)
     with pytest.raises(ValueError, match="negative power"):
         (C + ONE) ** -2
 
@@ -92,15 +95,15 @@ def test_canonical_den_keeps_the_integer_content():
     assert lowest_terms(ONE.num, (-2 * C).num) == ((-ONE).num, (2 * C).num)
     assert lowest_terms((3 * C).num, (6 * C * B).num) == (ONE.num, (2 * B).num)
     half = Scalar.from_rational(Fraction(-1, 2))
-    assert (half.num, half.den) == ((-ONE).num, ParamPolynomial.const(2))
+    assert (half.num, half.den) == ((-ONE).num, 2)
     assert scalar_to_text(C / -2) == "-1/2*c"
 
 
 def test_gcd_cancellation_in_constructor():
     # the constructor cancels the integer gcd of num's content and den;
     # a polynomial gcd is cancelled by lowest_terms only
-    x = Scalar((6 * C + 4 * L).num, ParamPolynomial.const(-4))
-    assert (x.num, x.den) == ((-3 * C - 2 * L).num, ParamPolynomial.const(2))
+    x = Scalar((6 * C + 4 * L).num, -4)
+    assert (x.num, x.den) == ((-3 * C - 2 * L).num, 2)
     num = (C + L) * (A1 - B)
     den = (C + L) * (A2 + B)
     assert lowest_terms(num.num, den.num) == ((A1 - B).num, (A2 + B).num)
@@ -262,7 +265,7 @@ def test_factor_linear_in_iota_pinned(x, unit, pairs):
     got_unit, got_pairs = factor_linear_in_iota(x)
     assert scalar_to_text(got_unit) == unit
     assert [(scalar_to_text(zeta), sign) for zeta, sign in got_pairs] == pairs
-    assert not got_unit.num.degree_in("iota") and not got_unit.den.degree_in("iota")
+    assert not got_unit.num.degree_in("iota") and type(got_unit.den) is int
     assert _multiply_back(got_unit, got_pairs) == x
 
 
@@ -424,8 +427,9 @@ def recorded_polynomials():
 def test_field_operations_keep_coefficients_exact(x, y):
     with recorded_polynomials() as made:
         results = [x + y, x - y, x * y, -x, x / 3]
-    made += [p for r in results for p in (r.num, r.den)]
+    made += [r.num for r in results]
     assert made and all(_is_exact(p) for p in made)
+    assert all(type(r.den) is int for r in results)
 
 
 def test_factorization_keeps_coefficients_exact():
@@ -443,7 +447,7 @@ def test_integral_coefficients_are_stored_as_int():
     assert ParamPolynomial.const(3).scale(Fraction(2, 1)).terms == {(0,) * 6: 6}
     # a Fraction ends up in a Scalar's denominator, never in a coefficient
     for x in ((L + 1) / 2, C / Fraction(2, 3), Fraction(-5, 7) * L, Fraction(1, 2) + C):
-        assert _is_exact(x.num) and _is_exact(x.den) and not x.den.is_zero()
+        assert _is_exact(x.num) and type(x.den) is int and x.den > 0
     # the ring over ZZ takes ints and gives ints back
     p = ((2 * C + 1) * (2 * L - 3)).num
     f = scalars_module._to_ring(p)
@@ -477,9 +481,9 @@ def test_constant_scalar_values_are_fractions():
     assert ParamPolynomial().const_value() == 0
     assert type(Scalar.from_rational(3).const_value()) is Fraction
     assert Scalar.from_rational(3).const_value() == 3
-    half = Scalar(ParamPolynomial.const(3), ParamPolynomial.const(6))
+    half = Scalar(ParamPolynomial.const(3), 6)
     assert type(half.const_value()) is Fraction and half.const_value() == Fraction(1, 2)
-    assert (half.num, half.den) == (ONE.num, ParamPolynomial.const(2))
+    assert (half.num, half.den) == (ONE.num, 2)
 
 
 def test_int_and_fraction_coefficients_compare_equal():
@@ -493,9 +497,9 @@ def test_int_and_fraction_coefficients_compare_equal():
     for other in (Scalar(as_fraction), landed):
         assert other == Scalar(as_int) and hash(other) == hash(Scalar(as_int))
         assert scalar_to_text(other) == scalar_to_text(Scalar(as_int)) == "2*c"
-        assert other.den is scalars_module._POLY_ONE
+        assert type(other.den) is int and other.den == 1
     twice = ParamPolynomial.const(Fraction(2))
-    assert Scalar(ONE.num, twice) == Scalar(ONE.num, ParamPolynomial.const(2)) == ONE / 2
+    assert Scalar(twice, 4) == Scalar(ONE.num, 2) == ONE / 2
 
 
 # -- the canonical form over ZZ and the polynomial fast path ----------------
@@ -548,21 +552,27 @@ def test_canonical_form_over_zz_matches_the_qq_reference(g, n, d, shift):
     assert tuple({e: Fraction(q, lc) for e, q in p.terms.items()} for p in pair) == (
         ref_num, ref_den
     )
-    _assert_canonical(*pair)
+    _assert_coprime(*pair)
     if den.is_const():
         # a constant den: the Scalar is the same pair, printed as the QQ form
-        x = Scalar(num, den)
-        assert (x.num, x.den) == pair
+        x = Scalar(num, den.const_value())
+        assert (x.num, ParamPolynomial.const(x.den)) == pair
         assert scalar_to_text(x) == _reference_text(ref_num)
-        assert (x.den is scalars_module._POLY_ONE) == (x.den == scalars_module._POLY_ONE)
 
 
-def _assert_canonical(num: ParamPolynomial, den: ParamPolynomial):
-    # int coefficients, no common factor (integer content included), and
-    # a positive leading coefficient of den
+def _assert_coprime(num: ParamPolynomial, den: ParamPolynomial):
+    # a lowest_terms pair: int coefficients, no common factor (integer
+    # content included), and a positive leading coefficient of den
     assert _is_exact(num) and _is_exact(den)
     assert poly_gcd(num, den) == ONE.num
     assert den.leading_coeff() > 0
+
+
+def _assert_canonical(num: ParamPolynomial, den: int):
+    # a Scalar's pair: int coefficients over a positive int den coprime to
+    # their content
+    assert _is_exact(num) and type(den) is int and den >= 1
+    assert gcd(den, *num.terms.values()) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -579,18 +589,25 @@ def test_every_result_is_an_integral_coprime_pair(x, y, k):
     with recorded_polynomials() as made, pytest.MonkeyPatch.context() as mp:
         mp.setattr(scalars_module, "_canon", recording)
         results = [x + y, x - y, x * y, -x, x + k, k - x, x * k, k * y]
-        made += [x.num.scale(k), y.den.scale(k)]
+        made += [x.num.scale(k), y.num.scale(k)]
         if k:
             z = x / k
             results += [z, z + k, z * k, z * z]
         if not x.is_zero():
             unit, factors = factor_polynomial(x)
             results += [unit] + [f for f, _ in factors]
-        if not y.is_zero():
-            pairs.append(lowest_terms(x.num, y.num))
+        try:
+            split = factor_linear_in_iota(x)
+        except ValueError:  # an iota coefficient that is not constant
+            split = None
+        if split is not None:
+            results += [split[0]] + [zeta for zeta, _ in split[1]]
+        coprime = [lowest_terms(x.num, y.num)] if not y.is_zero() else []
     assert made and all(_is_exact(p) for p in made)
     for num, den in pairs + [(r.num, r.den) for r in results]:
         _assert_canonical(num, den)
+    for num, den in coprime:
+        _assert_coprime(num, den)
 
 
 def test_printer_and_factor_order_on_integer_content():
@@ -664,41 +681,53 @@ def test_shift_symbols_is_a_ring_map_onto_canonical_pairs(x, y, shifts):
     for z in values:
         w = shift(z)
         _assert_canonical(w.num, w.den)
-        assert (w.den is scalars_module._POLY_ONE) == (z.den is scalars_module._POLY_ONE)
+        assert w.den == z.den
         assert shift_symbols(w, {s: -d for s, d in shifts.items()}) == z
     assert shift(x + y) == shift(x) + shift(y) and shift(x * y) == shift(x) * shift(y)
     assert shift(x / 6) == shift(x) / 6
 
 
-def _assert_unit_denominators_shared(values):
-    for x in values:
-        assert (x.den is scalars_module._POLY_ONE) == (x.den == scalars_module._POLY_ONE), x
-
-
 @settings(max_examples=60, deadline=None)
-@given(scalars, scalars, rationals)
-def test_unit_denominators_are_the_shared_one(x, y, q):
-    # every operation and the constructor; an int or Fraction operand
-    # gives what the same value as a Scalar gives
+@given(scalars, rationals)
+def test_unit_denominators_are_the_shared_one(x, q):
+    # an int or Fraction operand gives what the same value as a Scalar
+    # gives, over den 1 and over den 6
     qs = Scalar.from_rational(q)
     with_rational = [
         (x + q, x + qs), (q + x, qs + x), (x - q, x - qs), (q - x, qs - x),
         (x * q, x * qs), (q * x, qs * x),
     ]
-    results = [x + y, x - y, x * y, -x, x**2, Scalar(x.num, ParamPolynomial.const(2))]
     z = x / 6
     with_rational += [(z + q, z + qs), (z * q, z * qs), (q - z, qs - z)]
-    results += [z, z + z]
-    if q:
-        results.append(x / q)
     assert all(fast == ref for fast, ref in with_rational)
-    _assert_unit_denominators_shared(results + [fast for fast, _ in with_rational])
-    if not x.is_zero():
-        unit, factors = factor_polynomial(x)
-        _assert_unit_denominators_shared([unit] + [f for f, _ in factors])
-    copies = [copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
-    assert copies == [x, x]
-    _assert_unit_denominators_shared(copies)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalars)
+def test_copies_are_equal_canonical_scalars(x):
+    # a Scalar has no pickling hook: its slots are copied as they are
+    for z in (x, x / 6):
+        copies = [copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))]
+        assert copies == [z, z, z]
+        for w in copies:
+            _assert_canonical(w.num, w.den)
+
+
+def test_constant_scalars_hash_as_their_value():
+    # a constant Scalar equals its int or Fraction value, so sets and dicts
+    # keyed by either find the other
+    two, half = Scalar.from_rational(2), Scalar.from_rational(Fraction(1, 2))
+    assert len({two, 2}) == 1 and len({half, Fraction(1, 2)}) == 1
+    assert {2: "int"}[two] == "int" and {two: "scalar"}[2] == "scalar"
+    assert {Fraction(1, 2): "fraction"}[half] == "fraction"
+    assert len({two, 2, Fraction(2), half, Fraction(1, 2), C, C + 0}) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals)
+def test_constant_scalar_hash_matches_the_rational(q):
+    assert hash(Scalar.from_rational(q)) == hash(q)
+    assert hash(Scalar(ParamPolynomial.const(q.numerator), q.denominator)) == hash(q)
 
 
 def test_symbolic_brackets_build_no_scalar_from_a_rational(monkeypatch):
