@@ -10,7 +10,7 @@ from wittmod.scalars import (
     A1, B, C, IOTA, L,
     factor_linear_in_iota,
     factor_polynomial,
-    lowest_terms,
+    linear_quotient,
     poly_to_text,
     scalar_to_text,
 )
@@ -25,9 +25,10 @@ try:
 except ValueError as exc:
     print("a non-constant divisor is refused:", exc)
 
-# a rational function is formed as one (num, den) pair and reduced once:
-# coprime, integer content kept, den with a positive leading coefficient
-num, den = lowest_terms(((C + L) * (C - L)).num, (2 * C + 2 * L).num)
+# a rational function is a product over linear forms, reduced by dividing
+# each form out where it divides exactly: coprime, integer content kept,
+# den with a positive leading coefficient
+num, den = linear_quotient([(C + L) * (C - L)], [("2c + 2l", 2 * C + 2 * L)])
 print("in lowest terms:", f"({poly_to_text(num)})/({poly_to_text(den)})")
 
 # the printer lists terms in descending graded order, largest symbol first

@@ -31,7 +31,7 @@ from .scalars import (
     factor_polynomial,
     form_value,
     iota_split,
-    lowest_terms,
+    linear_quotient,
     scalar_to_text,
     scaled_int,
 )
@@ -722,7 +722,7 @@ NORMALIZATION_OK = True
 
 
 def _monic_obstruction(num, den) -> Scalar:
-    """num - den of a ``lowest_terms`` pair over a monic denominator: the
+    """num - den of a coprime pair over a monic denominator: the
     pair keeps its integer content in den (c/(2b) is (c, 2b)), so both are
     divided by den's leading coefficient, giving c/2 - b, not c - 2b."""
     return Scalar(num - den, den.leading_coeff())
@@ -743,10 +743,12 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     R_B = c2b[j-1] g[s,0] h[j-1,1]/b, where
     a = c1a[0] g[0,1] h[j,0] - c1a[j] g[j,1] h[0,0] and
     b = c1b[s] g[j-1,0] h[s,1] - c1b[j-1] g[s,0] h[j-1,1]; a zero g, h,
-    c2a, c2b or b is refused.  Compatibility is measured by
-    N = num - den of R_A/R_B, reduced once by ``lowest_terms``, with a
-    monic denominator, which must be free of the symbolic index and of j,
-    and factors into two linear forms.  The factors are compared against
+    c2a, c2b or b is refused.  Every denominator factor is linear, and
+    ``linear_quotient`` divides each one out of a or b where it divides
+    exactly, before any product is formed.  Compatibility is measured by
+    N = num - den of that coprime R_A/R_B, with a monic denominator, which
+    must be free of the symbolic index and of j, and factors into two
+    linear forms.  The factors are compared against
     the reference forms (c + 3b - s - 2) and (c - 3b + s + 3); each
     comparison is reported with its constant offset instead of being
     asserted, so a discrepancy in either reference is flagged rather than
@@ -787,9 +789,12 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
             b = c1b[s] * g[j - 1, 0] * h[s, 1] - c1b[j - 1] * g[s, 0] * h[j - 1, 1]
             if not b:
                 raise ZeroDivisionError(f"factorization: R_B's denominator is 0 at s={s}, j={j}")
-            num, den = a * b, g[j, 1] * h[0, 0] * c2a[j] * c2b[j - 1] * g[s, 0] * h[j - 1, 1]
-            pair = lowest_terms(num.num.scale(den.den), den.num.scale(num.den))
-            obstructions.append(_monic_obstruction(*pair))
+            den = (
+                (f"g[{j},1]", g[j, 1]), ("h[0,0]", h[0, 0]), (f"c2a[{j}]", c2a[j]),
+                (f"c2b[{j - 1}]", c2b[j - 1]), (f"g[{s},0]", g[s, 0]),
+                (f"h[{j - 1},1]", h[j - 1, 1]),
+            )
+            obstructions.append(_monic_obstruction(*linear_quotient((a, b), den)))
         n_poly = obstructions[0]
         index_free = all(o == n_poly for o in obstructions)
         iota_free = n_poly.num.degree_in("iota") == 0

@@ -6,18 +6,23 @@ Two layers of exact arithmetic:
   integers in the six parameter symbols ``l, b, c, a1, a2, iota``, with
   a fixed graded-lexicographic monomial order (symbol order l < b < c <
   a1 < a2 < iota; iota is the largest symbol).  Every coefficient is an
-  ``int``.  Gcds, factorizations and symbol shifts are computed in one
-  lex-ordered sparse polynomial ring of sympy's over ZZ, built on first
-  use.  Its order decides nothing that leaves this module: every sign,
-  every monic factor and every factor or pair order is taken from the
-  grlex order, so no printed byte depends on sympy's choices.
+  ``int``.  Linear forms are the only divisors the package needs:
+  ``divide_linear`` divides by one exactly or says it does not divide,
+  ``factor_polynomial`` peels every linear factor and certifies the
+  result by multiplying back, ``linear_quotient`` reduces a product over
+  linear forms to lowest terms, and ``shift_symbols`` expands each
+  monomial binomially.  None of them loads sympy.  Every sign, monic
+  factor and factor order is taken from the grlex order.
 * ``Scalar`` - a polynomial over a positive integer: a pair (num, den)
   of an integer polynomial and a positive ``int`` with no common
   integer factor, so c/2 is stored as (c, 2), and equality is plain
   structural equality.  A divisor that is not a constant is refused, so
   the arithmetic takes no polynomial gcd, and with den 1 on both sides
-  ``+``, ``-`` and ``*`` run on the numerators alone.  ``lowest_terms``
-  reduces a quotient that a caller forms as one polynomial pair.
+  ``+``, ``-`` and ``*`` run on the numerators alone.
+
+``lowest_terms`` and ``poly_gcd`` compute in a sparse polynomial ring of
+sympy's over ZZ, built on first use; no producer calls them, and they
+stay as the tests' independent references.
 
 Numeric computations use ``Fraction`` values with this module's
 ``scaled_int``, ``common_denominator``, ``add_term`` and
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Mapping, Optional
 
 SYMBOLS = ("l", "b", "c", "a1", "a2", "iota")
@@ -197,6 +202,7 @@ _POLY_ZERO = ParamPolynomial()
 
 
 # -- gcd in sympy's sparse ring ----------------------------------------
+# Kept as the tests' independent reference: no producer calls it.
 
 
 @lru_cache(maxsize=None)
@@ -218,17 +224,6 @@ def _from_ring(f) -> ParamPolynomial:
     return _poly({e: int(q) for e, q in f.items()})
 
 
-def shift_symbols(x: "Scalar", shifts: Mapping[str, int]) -> "Scalar":
-    """x with each symbol s in ``shifts`` replaced by s + shifts[s]: a ring
-    automorphism of Z[symbols], so the numerator keeps its integer content
-    and the pair stays canonical."""
-    if x.num.is_const():
-        return x
-    gens = dict(zip(SYMBOLS, _ring().gens))
-    subs = [(gens[s], gens[s] + d) for s, d in shifts.items()]
-    return _raw(_from_ring(_to_ring(x.num).compose(subs)), x.den)
-
-
 def poly_gcd(a: ParamPolynomial, b: ParamPolynomial) -> ParamPolynomial:
     """The gcd in Z[symbols], integer content included, with a positive
     grlex leading coefficient; zero only when both arguments are zero."""
@@ -247,6 +242,207 @@ def lowest_terms(num: ParamPolynomial, den: ParamPolynomial) -> tuple:
     num, den = _from_ring(n), _from_ring(d)
     if den.leading_coeff() < 0:
         num, den = -num, -den
+    return num, den
+
+
+# -- linear forms: exact division, peeling, shifts -----------------------
+
+
+def _content(p: ParamPolynomial) -> int:
+    # the gcd of the coefficients; 0 for the zero polynomial
+    return gcd(*p.terms.values())
+
+
+def _top_symbol(p: ParamPolynomial) -> int:
+    # the index of the largest symbol in p; -1 for a constant
+    return max((k for e in p.terms for k in range(_NSYM) if e[k]), default=-1)
+
+
+def _is_linear(p: ParamPolynomial) -> bool:
+    return all(sum(e) <= 1 for e in p.terms)
+
+
+def divide_linear(p: ParamPolynomial, f: ParamPolynomial) -> Optional[ParamPolynomial]:
+    """p/f for a linear form f = c*v + r, v its largest symbol, or None
+    when the division is not exact over Z.  Synthetic division in v on
+    the slices p_n, ..., p_0 of p by degree in v: q_{k-1} is
+    (p_k - r*q_k)/c, which is exact integer division, and p_0 must equal
+    r*q_0.  Only a c other than 1 or -1 takes an integer division."""
+    k = _top_symbol(f)
+    if k < 0 or not _is_linear(f):
+        raise ValueError(f"divide_linear: {poly_to_text(f)} is not a linear form")
+    if not p.terms:
+        return p
+    c = sum(q for e, q in f.terms.items() if e[k])
+    r = _poly({e: q for e, q in f.terms.items() if not e[k]})
+    slices = {}
+    for e, q in p.terms.items():
+        slices.setdefault(e[k], {})[e[:k] + (0,) + e[k + 1 :]] = q
+    out = {}
+    quot = _POLY_ZERO
+    for d in range(max(slices), 0, -1):
+        rest = _poly(slices.get(d, {})) - r * quot
+        if c == 1:
+            quot = rest
+        elif c == -1:
+            quot = -rest
+        else:
+            quotients = {}
+            for e, q in rest.terms.items():
+                quotients[e], rem = divmod(q, c)
+                if rem:
+                    return None
+            quot = _poly(quotients)
+        for e, q in quot.terms.items():
+            out[e[:k] + (d - 1,) + e[k + 1 :]] = q
+    if _poly(slices.get(0, {})) != r * quot:
+        return None
+    return _poly(out)
+
+
+def _divisors(n: int) -> list:
+    # the positive divisors of n != 0
+    n, small, large = abs(n), [], []
+    d = 1
+    while d * d <= n:
+        if not n % d:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+# A candidate factor f can divide p only if f's value at this point divides
+# p's: a cheap test that spares most exact divisions.  Any point is sound.
+_PROBE = (101, 103, 107, 109, 113, 127)
+
+
+def _value(p: ParamPolynomial) -> int:
+    total = 0
+    for e, q in p.terms.items():
+        for x, k in zip(_PROBE, e):
+            if k:
+                q *= x**k
+        total += q
+    return total
+
+
+def _peel(p: ParamPolynomial) -> tuple:
+    """(factors, rest) with p = rest times the product of f**m over the
+    (f, m) in ``factors``: every primitive linear factor of the nonzero p,
+    each with its full multiplicity, and a rest with no linear factor.
+
+    Let v be p's largest symbol.  A linear factor without v divides the
+    v^0 slice p_0, so it is one of p_0's, found by recursion.  A linear
+    factor with v is c*v + k or c*v + m*g, where c > 0 divides the content
+    of p's top slice in v, k and m divide the content of p_0, and g is one
+    of p_0's linear factors.  Each candidate is confirmed by exact
+    division."""
+    k = _top_symbol(p)
+    if k < 0:
+        return [], p
+    factors = []
+    low = min(e[k] for e in p.terms)
+    if low:
+        p = _poly({e[:k] + (e[k] - low,) + e[k + 1 :]: q for e, q in p.terms.items()})
+        factors.append((ParamPolynomial.symbol(SYMBOLS[k]), low))
+    p0 = _poly({e: q for e, q in p.terms.items() if not e[k]})
+    below, rest = _peel(p0)
+    if len(p0.terms) == len(p.terms):  # p is free of v
+        return factors + below, rest
+    v = ParamPolynomial.symbol(SYMBOLS[k])
+    n = max(e[k] for e in p.terms)
+    top = _content(_poly({e: q for e, q in p.terms.items() if e[k] == n}))
+    ms = [m for d in _divisors(_content(p0)) for m in (d, -d)]
+    tails = [ParamPolynomial.const(m) for m in ms]
+    tails += [g.scale(m) for g, _ in below for m in ms]
+    candidates = [g for g, _ in below]
+    candidates += [
+        v.scale(c) + r for c in _divisors(top) for r in tails if gcd(c, _content(r)) == 1
+    ]
+    value = _value(p)
+    for f in candidates:
+        f_value = _value(f)
+        if f_value and value % f_value:
+            continue
+        mult = 0
+        while (q := divide_linear(p, f)) is not None:
+            p, mult = q, mult + 1
+        if mult:
+            factors.append((f, mult))
+            if p.is_const():
+                break
+            value = _value(p)
+    return factors, p
+
+
+def shift_symbols(x: "Scalar", shifts: Mapping[str, int]) -> "Scalar":
+    """x with each symbol s in ``shifts`` replaced by s + shifts[s]: a ring
+    automorphism of Z[symbols], so the numerator keeps its integer content
+    and the pair stays canonical.  Each monomial is expanded binomially."""
+    if x.num.is_const():
+        return x
+    moves = [(_SYM_INDEX[s], d) for s, d in shifts.items() if d]
+    out = {}
+    for exp, q in x.num.terms.items():
+        terms = {exp: q}
+        for k, d in moves:
+            n = exp[k]
+            if not n:
+                continue
+            # x_k^n -> sum_i C(n, i) d^(n-i) x_k^i
+            terms = {
+                e[:k] + (i,) + e[k + 1 :]: q * comb(n, i) * d ** (n - i)
+                for e, q in terms.items()
+                for i in range(n + 1)
+            }
+        for e, q in terms.items():
+            out[e] = out.get(e, 0) + q
+    return _raw(_poly({e: q for e, q in out.items() if q}), x.den)
+
+
+def linear_quotient(nums, dens) -> tuple:
+    """The product of the Scalars ``nums`` over the product of ``dens``,
+    (name, Scalar) pairs of linear Scalars, as the coprime pair over Z
+    that ``lowest_terms`` gives for it.  Each denominator factor, its
+    integer content set aside, is divided out of the first numerator
+    factor it divides exactly, and otherwise stays in den; a linear form
+    is prime, so what is left is coprime once the gcd of the two integer
+    contents is cancelled.  den's grlex leading coefficient is positive.
+    A factor that is zero or not linear is refused by name."""
+    polys = [x.num for x in nums]
+    num_int, den_int, kept = 1, 1, []
+    for x in nums:
+        den_int *= x.den
+    for name, f in dens:
+        p = f.num
+        if p.is_zero():
+            raise ZeroDivisionError(f"denominator factor {name} is 0")
+        if not _is_linear(p):
+            raise ValueError(f"denominator factor {name} = {scalar_to_text(f)} is not linear")
+        num_int *= f.den
+        if p.is_const():
+            den_int *= p.const_value()
+            continue
+        content = _content(p)
+        den_int *= content
+        p = _poly({e: q // content for e, q in p.terms.items()})
+        for i, a in enumerate(polys):
+            if (q := divide_linear(a, p)) is not None:
+                polys[i] = q
+                break
+        else:
+            kept.append(p)
+    num, den = ParamPolynomial.const(num_int), ParamPolynomial.const(den_int)
+    for a in polys:
+        num = num * a
+    for p in kept:
+        den = den * p
+    g = gcd(_content(num), _content(den)) * (-1 if den.leading_coeff() < 0 else 1)
+    if g != 1:
+        num = _poly({e: q // g for e, q in num.terms.items()})
+        den = _poly({e: q // g for e, q in den.terms.items()})
     return num, den
 
 
@@ -411,28 +607,29 @@ ONE = Scalar.from_rational(1)
 
 
 def factor_polynomial(x: Scalar):
-    """Irreducible factorization of a Scalar over the rationals.
+    """Factorization of a Scalar over the rationals by peeling linear
+    factors.
 
     Returns (unit, factors) where unit is a constant Scalar and factors is
-    a tuple of (Scalar, multiplicity) pairs, each factor an irreducible
-    integer polynomial over its grlex leading coefficient, sorted on its
-    terms, never in sympy's order.  The multiply-back product is
-    certified, so the factorization engine never has to be trusted blindly.
+    a tuple of (Scalar, multiplicity) pairs, each factor an integer
+    polynomial over its grlex leading coefficient, sorted on its terms.
+    Every linear factor is found, with its multiplicity.  What is left
+    once they are divided out, when it is not a constant, is returned
+    whole as one factor with multiplicity 1 and is never split further:
+    it has no linear factor, but it need not be irreducible.  The
+    multiply-back product is certified, so the peel never has to be
+    trusted blindly.
     """
     if x.is_zero():
         return ZERO, ()
     if x.num.is_const():
         return x, ()
-    const, ring_factors = _to_ring(x.num).factor_list()
-    factors = []
-    for f, mult in ring_factors:
-        f = _from_ring(f)
-        lc = f.leading_coeff()
-        const *= lc**mult
-        factors.append((Scalar(f, lc), mult))
-    factors.sort(key=_pair_key)
-    # the ring factored x's numerator
-    unit = Scalar.from_rational(Fraction(int(const), x.den))
+    peeled, rest = _peel(x.num)
+    if not rest.is_const():
+        peeled.append((rest, 1))
+    factors = sorted(((Scalar(f, f.leading_coeff()), m) for f, m in peeled), key=_pair_key)
+    # every factor has grlex leading coefficient 1, and so has their product
+    unit = Scalar.from_rational(Fraction(x.num.leading_coeff(), x.den))
     prod = unit
     for f, mult in factors:
         prod = prod * f**mult

@@ -11,7 +11,7 @@ import pytest
 import sympy
 from sympy.polys.rings import PolyElement
 
-from wittmod import engine, sl3, tensor
+from wittmod import engine, scalars, sl3, tensor
 from wittmod.cli import main
 from wittmod.engine import (
     DEFAULT_WORDS,
@@ -1141,14 +1141,81 @@ def test_oracle_refuses_a_vanishing_denominator_of_r_b(monkeypatch):
 
 
 def test_oracle_reduces_each_pair_once(monkeypatch):
-    # one lowest_terms per (s, j): 1 + 2 + 3 for the default s = 1, 2, 3,
-    # and no Scalar is built with a non-constant denominator
-    calls = []
+    # one linear_quotient per (s, j): 1 + 2 + 3 for the default s = 1, 2, 3;
+    # no sympy reduction runs, and no Scalar is built with a non-constant
+    # denominator (a Scalar's den is an int, and every division is exact)
+    calls, sympy_calls = [], []
+    real = engine.linear_quotient
     monkeypatch.setattr(
-        engine, "lowest_terms", lambda num, den: calls.append(1) or lowest_terms(num, den)
+        engine, "linear_quotient", lambda nums, dens: calls.append(1) or real(nums, dens)
     )
+    monkeypatch.setattr(
+        scalars, "lowest_terms", lambda num, den: sympy_calls.append(1) or lowest_terms(num, den)
+    )
+    dens = []
+    canon = scalars._canon
+    monkeypatch.setattr(scalars, "_canon", lambda num, den: dens.append(den) or canon(num, den))
     assert recursion_factorization_oracle([1, 2, 3])["verdict"] == "pass"
-    assert len(calls) == 6
+    assert len(calls) == 6 and sympy_calls == []
+    assert dens and all(type(den) is int for den in dens)
+
+
+def test_oracle_pairs_are_the_lowest_terms_of_the_expanded_pairs(monkeypatch):
+    # each pair that linear_quotient gives, before any product, is the one
+    # sympy's cofactors give for the expanded product a*b over the
+    # expanded six-factor denominator, for s = 1..7
+    pairs = []
+    real = engine.linear_quotient
+
+    def checked(nums, dens):
+        got = real(nums, dens)
+        num, den = nums[0] * nums[1], ONE
+        for _, f in dens:
+            den = den * f
+        assert got == lowest_terms(num.num.scale(den.den), den.num.scale(num.den))
+        pairs.append(got)
+        return got
+
+    monkeypatch.setattr(engine, "linear_quotient", checked)
+    assert recursion_factorization_oracle(range(1, 8))["verdict"] == "pass"
+    assert len(pairs) == sum(range(1, 8))
+
+
+def test_linear_quotient_refuses_a_factor_that_is_not_linear(monkeypatch):
+    # a squared E32 coefficient makes h[0,0] quadratic: the oracle names it
+    c, b = Scalar.sym("c"), Scalar.sym("b")
+    with pytest.raises(ValueError, match=r"denominator factor q = c\^2 \+ b is not linear"):
+        scalars.linear_quotient((c,), [("q", c * c + b)])
+    real = engine.act_gen
+
+    def squared_e32(params, i, j, x):
+        y = real(params, i, j, x)
+        if (i, j) != (3, 2):
+            return y
+        return ModuleElement(y.alpha, {k: v * v for k, v in y.terms.items()})
+
+    monkeypatch.setattr(engine, "act_gen", squared_e32)
+    with pytest.raises(ValueError, match=r"denominator factor h\[0,0\] = .* is not linear"):
+        recursion_factorization_oracle([1])
+
+
+def test_oracle_fails_on_an_obstruction_with_an_irreducible_quadratic(monkeypatch):
+    # negative control: N = (c + 3b - 3)(c^2 + 3b + 1) peels one linear
+    # factor and gives the quadratic back whole, as one unfactored
+    # cofactor; it is no shift of the second reference, so the entry and
+    # the report fail
+    c, b = Scalar.sym("c"), Scalar.sym("b")
+    quadratic = c * c + 3 * b + 1
+    n_poly = (c + 3 * b - 3) * quadratic
+    assert scalars.factor_polynomial(n_poly) == (ONE, ((c + 3 * b - 3, 1), (quadratic, 1)))
+    monkeypatch.setattr(engine, "_monic_obstruction", lambda num, den: n_poly)
+    doc = recursion_factorization_oracle([1])
+    assert doc["verdict"] == "fail"
+    (res,) = doc["results"]
+    assert not res["ok"]
+    assert res["derived_factors"] == ["c + 3*b - 3", "c^2 + 3*b + 1"]
+    assert res["first_factor"]["matches"] and res["second_factor"]["derived"] is None
+    assert doc["flags"] == ["s=1: no derived factor is a constant shift of the second reference"]
 
 
 def test_oracle_offset_is_constant_in_s():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -342,47 +343,66 @@ def test_package_runs_as_module():
     assert json.loads(proc.stdout)["verdict"] == "pass"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        None,
-        ["check-generic"],
-        ["brackets"],
-        ["brackets", "--mode", "numeric", "--window", "2,1,1"],
-        ["proof-identities"],
-        ["generate"],
-        ["irreducible", "--seed", "v:0@0,0"],
-        ["degenerate"],
-        ["derham"],
-        ["derham", "--n", "3"],
-        ["witt"],
-        ["gt", "--gt-check", "central"],
-        ["gt", "--gt-check", "central", "--mode", "numeric"],
-        ["gt"],
-        ["act", "--word", "E11", "--vector", "v:0@0,0"],
-        ["act", "--mode", "symbolic", "--word", "E13*E32", "--vector", "v:1@1,-1"],
-    ],
-    ids=[
-        "import", "check-generic", "brackets", "brackets-numeric", "proof-identities", "generate",
-        "irreducible-seed", "degenerate", "derham", "derham-n3", "witt", "gt-central",
-        "gt-central-numeric", "gt", "act", "act-symbolic",
-    ],
+TESTS = Path(__file__).parent
+BENCH = TESTS.parent / "bench"
+
+
+def _cli(argv) -> str:
+    return f"import os, wittmod.cli; assert wittmod.cli.main({argv!r} + ['--out', os.devnull]) == 0"
+
+
+def _table(name) -> str:
+    # the report of that name in test_acceptance's table
+    return (
+        f"import sys; sys.path.insert(0, {str(TESTS)!r}); import test_acceptance; "
+        f"assert test_acceptance.PRODUCERS[{name!r}]()[1]['verdict'] == 'pass'"
+    )
+
+
+# the benchmark's set-up of every workload: its warm-up and request lists
+BENCH_SETUP = (
+    f"import sys; sys.path.insert(0, {str(BENCH)!r}); import workloads; workloads.warm_up(); "
+    "[workloads.build(w, 1) for w in workloads.WORKLOADS]"
 )
-def test_numeric_paths_do_not_load_sympy(argv):
-    # sympy is needed only for symbolic gcds and factorization; loading it
-    # would add its import time and memory to every numeric run.  The
-    # symbolic brackets sweep (window 3,2,2), the proof identities and the
-    # symbolic central words (k = 1, 2 and the control) stay in
-    # ParamPolynomial arithmetic and load it neither: a covariant sweep
-    # shifts coefficients through sympy only for a printed failure.  The
-    # gt leakage splits are read off the generator table, not factored, and
-    # act applies its word in the arithmetic of its mode.  The numeric
-    # brackets and central sweeps run on ints scaled by L and divide a
-    # printed residual by its power of L in Fraction arithmetic.  Each run
-    # must pass, so its whole path is covered.
-    code = "import wittmod"
-    if argv is not None:
-        code = f"import os, wittmod.cli; assert wittmod.cli.main({argv!r} + ['--out', os.devnull]) == 0"
+
+SYMPY_FREE_RUNS = {
+    "import": "import wittmod",
+    "check-generic": _cli(["check-generic"]),
+    "brackets": _cli(["brackets"]),
+    "brackets-numeric": _cli(["brackets", "--mode", "numeric", "--window", "2,1,1"]),
+    "proof-identities": _cli(["proof-identities"]),
+    "generate": _cli(["generate"]),
+    "irreducible": _cli(["irreducible"]),
+    "irreducible-seed": _cli(["irreducible", "--seed", "v:0@0,0"]),
+    "degenerate": _cli(["degenerate"]),
+    "derham": _cli(["derham"]),
+    "derham-n3": _cli(["derham", "--n", "3"]),
+    "witt": _cli(["witt"]),
+    "gt-central": _cli(["gt", "--gt-check", "central"]),
+    "gt-central-numeric": _cli(["gt", "--gt-check", "central", "--mode", "numeric"]),
+    "gt": _cli(["gt"]),
+    "act": _cli(["act", "--word", "E11", "--vector", "v:0@0,0"]),
+    "act-symbolic": _cli(
+        ["act", "--mode", "symbolic", "--word", "E13*E32", "--vector", "v:1@1,-1"]
+    ),
+    "factorization": _cli(["factorization"]),
+    "factorization-s1-7": _cli(["factorization", "--s", "1,2,3,4,5,6,7"]),
+    "generation": _table("generation"),
+    "bench-setup": BENCH_SETUP,
+}
+
+
+@pytest.mark.parametrize("code", SYMPY_FREE_RUNS.values(), ids=SYMPY_FREE_RUNS.keys())
+def test_numeric_paths_do_not_load_sympy(code):
+    # No producer and no benchmark set-up loads sympy, whose import would
+    # add its time and memory to every run: not the numeric sweeps, not
+    # the symbolic brackets sweep (window 3,2,2), the proof identities or
+    # the symbolic central words, which stay in ParamPolynomial
+    # arithmetic, and not factorization, which reduces each ratio and
+    # factors each obstruction by dividing out linear forms.  The gt
+    # leakage splits are read off the generator table, and act applies its
+    # word in the arithmetic of its mode.  Each run must pass, so its whole
+    # path is covered.
     proc = subprocess.run(
         [sys.executable, "-c", code + "; import sys; print('sympy' in sys.modules)"],
         capture_output=True,
@@ -390,6 +410,17 @@ def test_numeric_paths_do_not_load_sympy(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_the_sympy_guard_covers_the_acceptance_table():
+    # every report the lock pins is among the runs checked above
+    import test_acceptance
+
+    runs = set(SYMPY_FREE_RUNS.values())
+    for name, argv in test_acceptance.CLI_RUNS.items():
+        assert _cli(argv) in runs, name
+    for name in set(test_acceptance.PRODUCERS) - set(test_acceptance.CLI_RUNS):
+        assert _table(name) in runs, name
 
 
 def test_public_names_resolve():

@@ -280,19 +280,18 @@ def test_factor_linear_in_iota_rejects_quotients():
 
 
 def test_factorization_takes_one_route(monkeypatch):
-    # factoring stays in sympy's sparse ring: no expression-level
-    # factor_list and no round trip through sympy expressions
-    import sympy
-    from sympy.polys.rings import PolyElement
-
+    # factoring and the oracle's reduction peel linear forms in
+    # ParamPolynomial arithmetic: no sympy factorization, gcd or cofactors
     def refuse(*args, **kwargs):
-        raise AssertionError("expression-level factorization")
+        raise AssertionError("sympy route")
 
+    for name in ("factor_list", "gcd", "cofactors", "compose"):
+        monkeypatch.setattr(PolyElement, name, refuse)
     monkeypatch.setattr(sympy, "factor_list", refuse)
-    monkeypatch.setattr(PolyElement, "as_expr", refuse)
     unit, factors = factor_polynomial((C + L) * (C - L) * 6)
     assert unit == Scalar.from_rational(6) and len(factors) == 2
     assert factor_linear_in_iota((C + IOTA) * (A1 - B - IOTA)) is not None
+    assert shift_symbols(C * C, {"c": 1}) == C * C + 2 * C + 1
     assert recursion_factorization_oracle([1])["verdict"] == "pass"
 
 
@@ -616,15 +615,20 @@ def test_printer_and_factor_order_on_integer_content():
     assert scalar_to_text((2 * C + 1) / 3) == "2/3*c + 1/3"
     assert scalar_to_text(Fraction(-5, 7) * L) == "-5/7*l"
     # factors are ordered by their terms' grlex keys and then by their
-    # coefficients, never by sympy: c + 1/2 (num 2*c + 1) comes before
-    # c - 1/3 (num 3*c - 1), and 3*c^2 - 1 before 2*c^2 + iota
-    for x, factors in (
-        ((2 * C + 1) * (3 * C - 1), ["c + 1/2", "c - 1/3"]),
-        ((2 * C * C + IOTA) * (3 * C * C - 1), ["c^2 - 1/3", "c^2 + 1/2*iota"]),
-    ):
-        unit, got = factor_polynomial(x)
-        assert scalar_to_text(unit) == "6"
-        assert [(scalar_to_text(f), m) for f, m in got] == [(f, 1) for f in factors]
+    # coefficients, never by the peel: c + 1/2 (num 2*c + 1) comes before
+    # c - 1/3 (num 3*c - 1)
+    unit, got = factor_polynomial((2 * C + 1) * (3 * C - 1))
+    assert scalar_to_text(unit) == "6"
+    assert [(scalar_to_text(f), m) for f, m in got] == [("c + 1/2", 1), ("c - 1/3", 1)]
+    # a product with no linear factor comes back whole, as one factor:
+    # the peel does not split (2c^2 + iota)(3c^2 - 1) into its quadratics
+    x = (2 * C * C + IOTA) * (3 * C * C - 1)
+    unit, got = factor_polynomial(x)
+    assert scalar_to_text(unit) == "6"
+    assert got == ((x / 6, 1),)
+    assert [(scalar_to_text(f), m) for f, m in got] == [
+        ("c^4 + 1/2*c^2*iota - 1/3*c^2 - 1/6*iota", 1)
+    ]
 
 
 def _factor_order_reports():
@@ -641,15 +645,16 @@ def _factor_order_reports():
 
 def test_reports_do_not_depend_on_sympys_factor_order(monkeypatch):
     # the recursion obstruction's two factors share the leading monomial c:
-    # their printed order, like every sign, is the grlex key's, not sympy's
+    # their printed order, like every sign, is the grlex key's, not the
+    # order in which the peel finds them (sympy factors nothing here)
     before = _factor_order_reports()
-    factor_list = PolyElement.factor_list
+    peel = scalars_module._peel
 
-    def reversed_factors(f):
-        const, factors = factor_list(f)
-        return const, factors[::-1]
+    def reversed_peel(p):
+        factors, rest = peel(p)
+        return factors[::-1], rest
 
-    monkeypatch.setattr(PolyElement, "factor_list", reversed_factors)
+    monkeypatch.setattr(scalars_module, "_peel", reversed_peel)
     assert _factor_order_reports() == before
 
 
@@ -689,7 +694,7 @@ def test_shift_symbols_is_a_ring_map_onto_canonical_pairs(x, y, shifts):
 
 @settings(max_examples=60, deadline=None)
 @given(scalars, rationals)
-def test_unit_denominators_are_the_shared_one(x, q):
+def test_rational_operands_give_what_their_scalars_give(x, q):
     # an int or Fraction operand gives what the same value as a Scalar
     # gives, over den 1 and over den 6
     qs = Scalar.from_rational(q)
@@ -784,3 +789,108 @@ def test_ring_round_trip_keeps_polynomial_and_text(p):
     back = scalars_module._from_ring(scalars_module._to_ring(p))
     assert back == p and _is_exact(back)
     assert poly_to_text(back) == poly_to_text(p)
+
+
+# -- the peel and the shifts against sympy's ring ---------------------------
+
+
+def _factor_list_reference(x: Scalar):
+    """factor_polynomial's output as sympy's complete factorization over
+    ZZ gives it: each irreducible factor over its grlex leading
+    coefficient, sorted on its terms, and the unit that multiplies back."""
+    const, ring_factors = scalars_module._to_ring(x.num).factor_list()
+    factors = []
+    for f, mult in ring_factors:
+        f = scalars_module._from_ring(f)
+        lc = f.leading_coeff()
+        const *= lc**mult
+        factors.append((Scalar(f, lc), mult))
+    factors.sort(key=scalars_module._pair_key)
+    return Scalar.from_rational(Fraction(int(const), x.den)), tuple(factors)
+
+
+symbol_scalars = st.sampled_from([L, B, C, A1, A2, IOTA])
+unit_and_nonunit = st.sampled_from([-3, -2, -1, 1, 2, 3])
+linear_forms = st.tuples(
+    st.lists(st.tuples(symbol_scalars, unit_and_nonunit), min_size=1, max_size=3),
+    st.integers(-3, 3),
+).map(lambda t: sum((k * v for v, k in t[0]), Scalar.from_rational(t[1]))).filter(
+    lambda f: not f.is_const()
+)
+# a*u^2 + k*w + m with u != w, k != 0 and gcd(a, k, m) = 1: of degree 1 in
+# w and primitive there, so irreducible
+quadratics = st.tuples(
+    st.lists(symbol_scalars, min_size=2, max_size=2, unique=True),
+    st.integers(1, 3),
+    unit_and_nonunit,
+    st.integers(-3, 3),
+).filter(lambda t: gcd(*t[1:]) == 1).map(lambda t: t[1] * t[0][0] ** 2 + t[2] * t[0][1] + t[3])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rationals.filter(bool),
+    st.lists(st.tuples(linear_forms, st.integers(1, 3)), min_size=1, max_size=4),
+    st.none() | quadratics,
+)
+def test_the_peel_matches_sympys_factorization(unit, forms, quadratic):
+    # products of linear forms with non-unit coefficients and
+    # multiplicities, times at most one irreducible quadratic: every
+    # factor is linear but the quadratic, so the peel is complete
+    x = Scalar.from_rational(unit)
+    for f, mult in forms:
+        x = x * f**mult
+    if quadratic is not None:
+        x = x * quadratic
+    assert factor_polynomial(x) == _factor_list_reference(x)
+
+
+all_shifts = st.fixed_dictionaries({name: st.integers(-3, 3) for name in SYMBOLS})
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials, st.integers(1, 6), all_shifts)
+def test_shift_symbols_matches_sympys_compose(p, den, shifts):
+    x = Scalar(p, den)
+    gens = dict(zip(SYMBOLS, scalars_module._ring().gens))
+    composed = scalars_module._to_ring(x.num).compose(
+        [(gens[s], gens[s] + d) for s, d in shifts.items()]
+    )
+    got = shift_symbols(x, shifts)
+    assert (got.num, got.den) == (scalars_module._from_ring(composed), x.den)
+
+
+linear_or_constant = linear_forms | rationals.filter(bool).map(Scalar.from_rational)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(linear_or_constant, min_size=1, max_size=5),
+    st.lists(
+        st.tuples(st.lists(st.integers(0, 4), max_size=3), linear_or_constant),
+        min_size=1,
+        max_size=2,
+    ),
+    st.booleans(),
+)
+def test_linear_quotient_matches_lowest_terms(dens, picks, zero):
+    # each numerator factor is a product of some of the denominator
+    # factors (repeats included) and one more form, so that forms cancel
+    # once, twice or not at all; the pair is the one sympy's cofactors give
+    nums = []
+    for chosen, extra in picks:
+        x = extra
+        for i in chosen:
+            x = x * dens[i % len(dens)]
+        nums.append(x)
+    if zero:
+        nums.append(ZERO)
+    named = [(f"f{i}", f) for i, f in enumerate(dens)]
+    num, den = ONE, ONE
+    for x in nums:
+        num = num * x
+    for f in dens:
+        den = den * f
+    assert scalars_module.linear_quotient(nums, named) == lowest_terms(
+        num.num.scale(den.den), den.num.scale(num.den)
+    )
