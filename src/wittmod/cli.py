@@ -314,8 +314,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:  # a window or box too large to enumerate
-        print(f"error: input too large: {exc}", file=sys.stderr)
+    except (OverflowError, MemoryError) as exc:  # a window or box too large to enumerate
+        print(f"error: input too large: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     try:
         emit(doc, getattr(args, "out", None))

@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import count, product as iproduct
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .glmod import CuspidalGl2, exterior_power, verify_gl_brackets
@@ -34,6 +34,7 @@ from .scalars import (
     linear_quotient,
     scalar_to_text,
     scaled_int,
+    shift_symbols,
 )
 from .sl3 import (
     CONDITION_NAMES,
@@ -855,12 +856,12 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
 GT_OBSTRUCTION_OPS = (("E12*E21", 1), ("E23*E32", -1), ("E13*E31", 1))
 
 
-def _leakage_split(letters, path, pt) -> tuple:
+def _leakage_split(letters, path) -> tuple:
     """The ``iota_split`` of the product of the forms on ``path``, a
     ``word_path`` of ``letters``, each read at the basis vector its letter
-    acts on, starting from v_0(pt), at the iota parameters."""
+    acts on, starting from v_0(0,0), at the iota parameters."""
     lam, b, c, a1, a2 = Params.symbolic(with_iota_index=True)
-    idx, (r1, r2), forms = 0, pt, []
+    idx, r1, r2, forms = 0, 0, 0, []
     for g, (off, form) in zip(reversed(letters), path):
         forms.append((form_value(form, (lam + idx, b, c, a1 + r1, a2 + r2)), 1))
         s1, s2 = word_shift((g,))
@@ -879,19 +880,19 @@ def gt_obstruction(params: Params, window: Window) -> dict:
     three composites simultaneously.  The genericity gate refuses
     symbolic parameters and a point where one of the ten conditions fails.
 
-    Every image is a row of ``sl3.row_action``, bound once per call at
-    ``params`` (int rows, L**2 times the image) and once at the iota
-    parameters (exact rows).  The split is read off the generator table,
-    with no factorization: exactly one ``word_path`` reaches the extreme
-    index, so the coefficient is the product of that path's forms.  At
-    each point the split is certified against that coefficient in the
-    exact row of v_0(pt); a word with no path, or with more than one,
-    gets no split and fails.
+    Every image is an int row of ``sl3.row_action``, bound once per call
+    at ``params``, L**2 times the image.  The split is read off the
+    generator table, with no factorization: exactly one ``word_path``
+    reaches the extreme index, so the coefficient is the product of that
+    path's forms.  It is formed once per word at v_0(0,0), certified there
+    against ``act_word``'s coefficient at the iota parameters, and printed
+    at v_0(r) as its image under ``sl3``'s lattice covariance sigma; a
+    word with no path, or with more than one, gets no split and fails.
     """
     refusal, _ = _genericity_gate("gt-obstruction", params, window)
     if refusal is not None:
         return refusal
-    apply, apply_sym = row_action(params), row_action(Params.symbolic(with_iota_index=True))
+    apply, sym = row_action(params), Params.symbolic(with_iota_index=True)
     cond_scalars = condition_values(Params.symbolic())
     ops = []
     for word_text, direction in GT_OBSTRUCTION_OPS:
@@ -918,20 +919,22 @@ def gt_obstruction(params: Params, window: Window) -> dict:
         factor_reports = []
         path = word_path(letters, direction)
         factors_ok = path is not None
+        if path is not None:
+            unit, pairs = _leakage_split(letters, path)
+            split = prod((zeta + sign * IOTA for zeta, sign in pairs), start=unit)
+            # certified against the image of v_0(0,0), where the path lands
+            origin = act_word(sym, letters, basis_element(sym, 0, (0, 0)))
+            if split != origin.coefficient(direction, word_shift(letters)):
+                raise ValueError("leakage split certification failed")
         for pt in window.points():
             if path is None:
                 factor_reports.append({"r": list(pt), "factors": None})
                 continue
-            unit, pairs = _leakage_split(letters, path, pt)
-            prod = unit
+            # the split at v_0(pt) is sigma's image: signs carry over, and so
+            # does the order of zetas with unlike non-constant monomials
+            fr, shifts = [], {"a1": pt[0], "a2": pt[1]}
             for zeta, sign in pairs:
-                prod = prod * (zeta + sign * IOTA)
-            # certified against the image of v_0(pt), where the path lands
-            if prod != apply_sym(letters, {0: 1}, pt).get(direction, 0):
-                raise ValueError("leakage split certification failed")
-            fr = []
-            for zeta, sign in pairs:
-                covered = None
+                zeta, covered = shift_symbols(zeta, shifts), None
                 for cname, sigma in iproduct(CONDITION_NAMES, (1, -1)):
                     shift = _const_shift(zeta, cond_scalars[cname] * sigma)
                     if shift is not None and shift.denominator == 1:
@@ -942,7 +945,8 @@ def gt_obstruction(params: Params, window: Window) -> dict:
                 fr.append(
                     {"zeta": scalar_to_text(zeta), "iota_sign": sign, "covered_by": covered}
                 )
-            factor_reports.append({"r": list(pt), "unit": scalar_to_text(unit), "factors": fr})
+            moved_unit = scalar_to_text(shift_symbols(unit, shifts))
+            factor_reports.append({"r": list(pt), "unit": moved_unit, "factors": fr})
         ops.append(
             {
                 "word": word_text,

@@ -660,9 +660,9 @@ def iota_split(factors, unit: Scalar = ONE) -> tuple:
             unit = unit * f**mult
             continue
         # f = a*(iota - rho)/den
-        terms = f.num.terms.items()
-        a = ParamPolynomial({e[:-1] + (0,): q for e, q in terms if e[-1]})
-        b = ParamPolynomial({e: q for e, q in terms if not e[-1]})
+        terms, k = f.num.terms.items(), _SYM_INDEX["iota"]
+        a = ParamPolynomial({e[:k] + (0,) + e[k + 1 :]: q for e, q in terms if e[k]})
+        b = ParamPolynomial({e: q for e, q in terms if not e[k]})
         if not a.is_const():
             raise ValueError(f"iota_split: {scalar_to_text(f)} has a non-constant iota coefficient")
         rho = -Scalar(b, a.const_value())

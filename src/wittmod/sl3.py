@@ -17,9 +17,9 @@ it.  ``covariant_sweep`` is the one residual sweep over a window: it
 binds the nine once, and the bracket, embedding and ``gt`` central
 checks each give it a residual family.  At numeric parameters it runs on
 ints, every operator scaled by the lcm of the parameter denominators.
-``row_action`` is the one word action on a one-point row {index:
-coefficient}, scaled the same way; closures and the ``gt`` obstruction
-read their images off it.
+``row_action`` is the one word action on a one-point int row {index:
+coefficient}, scaled the same way, and refuses symbolic parameters;
+closures and the numeric ``gt`` obstruction block read images off it.
 
 Throughout, for a basis symbol v_i(r1, r2):
 
@@ -219,14 +219,16 @@ def act_gen(params: Params, i: int, j: int, x: ModuleElement) -> ModuleElement:
 
 
 def row_action(params: Params):
-    """``apply(letters, row, pt)``: the word's image of the sparse row
-    {idx: coefficient} at ``pt``, a sparse row at ``pt + word_shift(letters)``.
-    Numeric rows hold ints, scale**len(letters) times the image, scale the
-    lcm L of the parameter denominators: the forms have no constant term,
-    so they are evaluated on the parameter vector times L, ints even where
-    L is 1.  Symbolic rows are exact: the table is evaluated at ``params``."""
+    """``apply(letters, row, pt)``: the word's image of the sparse int row
+    {idx: coefficient} at ``pt``, a sparse row at ``pt + word_shift(letters)``
+    holding scale**len(letters) times the image, scale the lcm L of the
+    parameter denominators: the forms have no constant term, so they are
+    evaluated on the parameter vector times L, ints even where L is 1.
+    Symbolic parameters are refused; Scalars take ``generator_operator``."""
+    if not params.is_numeric():
+        raise ValueError("row_action needs numeric parameters, not symbolic ones")
     scale = common_denominator(params)
-    values = tuple(scaled_int(v, scale) for v in params) if params.is_numeric() else params
+    values = tuple(scaled_int(v, scale) for v in params)
     table = {g: _formula(g, values, scale) for g in GENERATORS}
 
     def apply(letters, row: dict, pt) -> dict:

@@ -40,9 +40,10 @@ from wittmod.scalars import (
     ParamPolynomial,
     Scalar,
     add_term,
-    factor_linear_in_iota,
+    iota_split,
     lowest_terms,
     scalar_to_text,
+    shift_symbols,
 )
 from wittmod.sl3 import (
     DEFAULT_VALUES,
@@ -1315,8 +1316,9 @@ def test_gt_obstruction_report(monkeypatch):
     monkeypatch.setattr(engine, "_leakage_split", lambda *args: splits.append(args) or real(*args))
     factorizations = _count_factorizations(monkeypatch)
     doc = gt_obstruction(NUM, Window.symmetric(4, 2, 2))
-    # one split per word and point, read off the table: sympy factors nothing
-    assert len(splits) == 3 * 25
+    # one split per word, read off the table at v_0(0,0) and moved to the
+    # 25 points by sigma: sympy factors nothing
+    assert len(splits) == 3
     assert factorizations == []
     assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == (
         "84e9724b32436b853eaef4251bc2bcf70a6010f55b263377b429132a2585af42"
@@ -1346,9 +1348,10 @@ def test_gt_obstruction_report(monkeypatch):
     ],
 )
 def test_shifted_kappa_splits_are_the_factored_ones(radii, from_origin):
-    # the split gt_obstruction reads off the table at each window point,
-    # against sympy's factorization of the coefficient act_word gives there,
-    # computed at that point or at v_0(0,0) and moved by lattice_shift
+    # the split gt_obstruction reads off the table at v_0(0,0), moved to
+    # each window point by sigma, against sympy's factorization of the
+    # coefficient act_word gives there, computed at that point or at
+    # v_0(0,0) and moved by lattice_shift
     sym = Params.symbolic(with_iota_index=True)
     direct = {}
     for word_text, direction in GT_OBSTRUCTION_OPS:
@@ -1356,6 +1359,7 @@ def test_shifted_kappa_splits_are_the_factored_ones(radii, from_origin):
         path = word_path(letters, direction)
         assert path is not None, word_text
         origin = act_word(sym, letters, basis_element(sym, 0, (0, 0)))
+        split = engine._leakage_split(letters, path)
         for pt in Window.symmetric(*radii).points():
             if from_origin:
                 y = lattice_shift(origin, 0, pt)
@@ -1363,11 +1367,26 @@ def test_shifted_kappa_splits_are_the_factored_ones(radii, from_origin):
                 y = act_word(sym, letters, basis_element(sym, 0, pt))
             kappa = y.coefficient(*moved((0, pt), direction, word_shift(letters)))
             if kappa not in direct:
-                direct[kappa] = factor_linear_in_iota(kappa)
-            got = engine._leakage_split(letters, path, pt)
+                direct[kappa] = _sympy_split(kappa)
+            got = _sigma(split, pt)
             assert got == direct[kappa], (word_text, pt)
             assert _split_text(got) == _split_text(direct[kappa])
             assert _multiply_back(*got) == kappa
+
+
+def _sympy_split(x):
+    """The ``iota_split`` of x as sympy's complete factorization over ZZ
+    gives it."""
+    const, ring_factors = scalars._to_ring(x.num).factor_list()
+    factors = [(Scalar(scalars._from_ring(f)), mult) for f, mult in ring_factors]
+    return iota_split(factors, Scalar.from_rational(Fraction(int(const), x.den)))
+
+
+def _sigma(split, pt):
+    """A split at v_0(0,0) moved to v_0(pt): a1 -> a1 + r1, a2 -> a2 + r2."""
+    unit, pairs = split
+    shifts = {"a1": pt[0], "a2": pt[1]}
+    return shift_symbols(unit, shifts), tuple((shift_symbols(z, shifts), s) for z, s in pairs)
 
 
 def _split_text(split):
@@ -1381,12 +1400,61 @@ def _multiply_back(unit, pairs):
     return unit
 
 
+def _misprinted_splits(doc) -> list:
+    """The (word, point) pairs of a gt_obstruction report whose printed
+    split is not sympy's factorization of the coefficient act_word gives at
+    v_0(r), where the word's path lands."""
+    sym = Params.symbolic(with_iota_index=True)
+    wrong, factored = [], {}
+    for (word_text, direction), op in zip(GT_OBSTRUCTION_OPS, doc["operators"]):
+        letters = parse_word(word_text)
+        for entry in op["factor_analysis"]:
+            pt = tuple(entry["r"])
+            y = act_word(sym, letters, basis_element(sym, 0, pt))
+            kappa = y.coefficient(*moved((0, pt), direction, word_shift(letters)))
+            if kappa not in factored:
+                factored[kappa] = _split_text(_sympy_split(kappa))
+            printed = entry["unit"], [(f["zeta"], f["iota_sign"]) for f in entry["factors"]]
+            if printed != factored[kappa]:
+                wrong.append((word_text, pt))
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "radii", [(4, 2, 2), (3, 3, 3), (2, 4, 1)], ids=lambda radii: ",".join(map(str, radii))
+)
+def test_printed_splits_are_the_factored_ones_at_every_point(monkeypatch, radii):
+    # each split is formed and certified at v_0(0,0) alone and printed at
+    # v_0(r) as its image under sigma; read back from the report, every
+    # printed split is sympy's factorization of act_word's coefficient there
+    window = Window.symmetric(*radii)
+    doc = gt_obstruction(NUM, window)
+    assert doc["verdict"] == "pass"
+    assert [[entry["r"] for entry in op["factor_analysis"]] for op in doc["operators"]] == [
+        [list(pt) for pt in window.points()]
+    ] * 3
+    assert _misprinted_splits(doc) == []
+    # negative control: sigma with a1 moved by r2 and a2 by r1 still
+    # passes, every zeta a shift of its condition, but prints the wrong
+    # split at every point off the diagonal, for each of the three words
+    real = engine.shift_symbols
+    monkeypatch.setattr(
+        engine, "shift_symbols", lambda x, s: real(x, {"a1": s["a2"], "a2": s["a1"]})
+    )
+    swapped = gt_obstruction(NUM, window)
+    assert swapped["verdict"] == "pass"
+    off_diagonal = [pt for pt in window.points() if pt[0] != pt[1]]
+    assert off_diagonal and _misprinted_splits(swapped) == [
+        (word, pt) for word, _ in GT_OBSTRUCTION_OPS for pt in off_diagonal
+    ]
+
+
 def test_gt_obstruction_raises_when_a_shifted_split_does_not_multiply_back(monkeypatch):
-    # a split built one a1 step too far is a split of some other scalar:
-    # certification refuses it, nothing is factored
+    # the origin split moved one a1 and one a2 step is a split of some
+    # other scalar: certification at v_0(0,0) refuses it, nothing is factored
     real = engine._leakage_split
     monkeypatch.setattr(
-        engine, "_leakage_split", lambda letters, path, pt: real(letters, path, (pt[0] + 1, pt[1]))
+        engine, "_leakage_split", lambda letters, path: _sigma(real(letters, path), (1, 1))
     )
     factorizations = _count_factorizations(monkeypatch)
     with pytest.raises(ValueError, match="leakage split certification failed"):
@@ -1395,14 +1463,12 @@ def test_gt_obstruction_raises_when_a_shifted_split_does_not_multiply_back(monke
 
 
 def _numeric_rows(monkeypatch, mutate):
-    # gt_obstruction's numeric row_action, each row passed through
-    # mutate(letters, row, pt, image); the exact iota rows stay as they are
+    # gt_obstruction's row_action, each row passed through
+    # mutate(letters, row, pt, image)
     real = engine.row_action
 
     def row_action(params):
         apply = real(params)
-        if not params.is_numeric():
-            return apply
         return lambda letters, row, pt: mutate(letters, row, pt, apply(letters, row, pt))
 
     monkeypatch.setattr(engine, "row_action", row_action)
@@ -1488,14 +1554,15 @@ def test_gt_obstruction_covers_only_integral_shifts(monkeypatch):
         (z, 1) for z in (c + l + Scalar.from_rational(Fraction(1, 2)), b * c, -(a1 - b - l) + 2)
     )
     monkeypatch.setattr(engine, "_leakage_split", lambda *args: (ONE, pairs))
-    # the iota-parameter row is faked, so that the injected split
+    # act_word's image of v_0(0,0) is faked, so that the injected split
     # multiplies back to its coefficient at either extreme offset
-    real = engine.row_action
-    faked = {1: _multiply_back(ONE, pairs), -1: _multiply_back(ONE, pairs)}
+    faked = _multiply_back(ONE, pairs)
     monkeypatch.setattr(
         engine,
-        "row_action",
-        lambda params: real(params) if params.is_numeric() else (lambda *args: faked),
+        "act_word",
+        lambda params, letters, x: ModuleElement(
+            x.alpha, {(d, word_shift(letters)): faked for d in (1, -1)}
+        ),
     )
     doc = gt_obstruction(NUM, Window(0, 0, ((0, 0), (0, 0))))
     assert doc["verdict"] == "fail"

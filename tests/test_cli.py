@@ -265,6 +265,26 @@ def test_bad_input_and_io_exit_2_with_one_line(capsys, tmp_path, argv):
         assert err == f"error: {repeated}:2: parameter key 'l' is repeated\n"
 
 
+@pytest.mark.parametrize(
+    "report, argv",
+    [
+        ("bracket_report", ("brackets", "--mode", "numeric", "--window", "99999999999,1,1")),
+        ("check_irreducible", ("irreducible", "--window", "99999999999,1,1")),
+        ("derham_report", ("derham", "--box", "99999999999", "--uv", "1")),
+    ],
+    ids=["brackets", "irreducible", "derham"],
+)
+def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, report, argv):
+    # such a window or box fits an int but not memory; the report is made
+    # to raise MemoryError, so that nothing is really allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, report, out_of_memory)
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", "error: input too large: out of memory\n")
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     assert main(["no-such-check"]) == 2

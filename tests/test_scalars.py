@@ -643,7 +643,7 @@ def _factor_order_reports():
     )
 
 
-def test_reports_do_not_depend_on_sympys_factor_order(monkeypatch):
+def test_reports_do_not_depend_on_the_peels_factor_order(monkeypatch):
     # the recursion obstruction's two factors share the leading monomial c:
     # their printed order, like every sign, is the grlex key's, not the
     # order in which the peel finds them (sympy factors nothing here)

@@ -22,7 +22,7 @@ from wittmod.engine import (
     proof_report,
 )
 from wittmod.report import canonical_json
-from wittmod.scalars import A1, A2, B, C, IOTA, L, common_denominator, factor_linear_in_iota
+from wittmod.scalars import A1, A2, B, C, IOTA, L, common_denominator
 from wittmod.tensor import ModuleElement, element_to_json
 from wittmod.sl3 import (
     CONDITION_NAMES,
@@ -133,10 +133,10 @@ def test_word_order_rightmost_first():
 
 # the closure words and the three obstruction words on one-point rows,
 # against the per-application act_word image read at the row's point
-# moved by word_shift.  Numeric rows are scale**len(word) times it, scale
+# moved by word_shift.  Rows are scale**len(word) times it, scale
 # = lcm(7, 11, 13, 17, 19) at the defaults, lcm(7, 11, 13, 77, 77) at the
 # degenerate preset and 1 at an all-integer point, where the table must
-# still hold ints; symbolic rows are exact
+# still hold ints; symbolic parameters are refused
 ROW_WORDS = DEFAULT_WORDS + tuple(parse_word(word) for word, _ in GT_OBSTRUCTION_OPS)
 INTEGER_POINT = Params.numeric({"l": 2, "b": -1, "c": 3, "a1": 1, "a2": -2})
 
@@ -147,6 +147,11 @@ INTEGER_POINT = Params.numeric({"l": 2, "b": -1, "c": 3, "a1": 1, "a2": -2})
     ids=["default", "degenerate", "integer", "symbolic", "iota"],
 )
 def test_row_action_is_the_scaled_word_image(params, scale):
+    if not params.is_numeric():
+        # Scalars reach the table through generator_operator alone
+        with pytest.raises(ValueError, match="row_action needs numeric parameters"):
+            sl3.row_action(params)
+        return
     apply = sl3.row_action(params)
     # v_j(r) for j in -1..1 and r in [-1, 1]^2, window-edge indices and a
     # multi-term row
@@ -158,7 +163,7 @@ def test_row_action_is_the_scaled_word_image(params, scale):
         assert y.support_points() <= {tuple(map(sum, zip(pt, word_shift(letters))))}
         image = apply(letters, row, pt)
         assert image == {i: cf * scale ** len(letters) for (i, _), cf in y.terms.items()}
-        assert not params.is_numeric() or all(type(cf) is int for cf in image.values())
+        assert all(type(cf) is int for cf in image.values())
 
 
 @pytest.mark.parametrize("letter", [(4, 4), (0, 1)], ids=["E44", "E01"])
@@ -746,11 +751,14 @@ LEAKAGE_ROWS = {GEN_NAMES[name] for name in ("E12", "E21", "E23", "E32", "E13", 
 
 
 def test_table_splits_are_the_factored_ones(monkeypatch):
-    # the split gt_obstruction reads off the table, against sympy's
-    # factorization of the coefficient act_word computes, at v_0(0,0) and
-    # an off-axis point, for the intact table and every corruption of a
-    # leakage word's rows.  gt_obstruction certifies every split it
-    # prints, moved words included, and fails a word with no unique path
+    # the split gt_obstruction reads off the table at v_0(0,0) and moves
+    # by sigma, against sympy's factorization of the coefficient act_word
+    # computes, at v_0(0,0) and an off-axis point, for the intact table and
+    # every corruption of a leakage word's rows.  gt_obstruction certifies
+    # each split at v_0(0,0), moved words included, and fails a word with
+    # no unique path
+    from test_analysis import _sigma, _sympy_split
+
     factored = {}
     no_path = []
     rows = [(g, row) for g, row in _row_mutations() if g in LEAKAGE_ROWS]
@@ -768,12 +776,13 @@ def test_table_splits_are_the_factored_ones(monkeypatch):
                     assert not op["ok"]
                     continue
                 s1, s2 = word_shift(letters)
+                split = engine._leakage_split(letters, path)
                 for pt in [(0, 0), (2, -1)]:
                     y = act_word(SYM_IOTA, letters, basis_element(SYM_IOTA, 0, pt))
                     kappa = y.coefficient(direction, (pt[0] + s1, pt[1] + s2))
                     if kappa not in factored:
-                        factored[kappa] = factor_linear_in_iota(kappa)
-                    assert engine._leakage_split(letters, path, pt) == factored[kappa], (g, row)
+                        factored[kappa] = _sympy_split(kappa)
+                    assert _sigma(split, pt) == factored[kappa], (g, row)
     # offset mutations that leave two paths (E12, E13, E21, E23) or none
     # (E13's second entry, E32) to the extreme index
     assert sorted(NAME_OF[g] for g in no_path) == ["E12", "E13", "E13", "E21", "E23", "E32"]
