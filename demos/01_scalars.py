@@ -8,8 +8,8 @@ canonical forms, so a zero residual really is zero.
 
 from wittmod.scalars import (
     A1, B, C, IOTA, L,
-    factor_linear_in_iota,
     factor_polynomial,
+    iota_split,
     linear_quotient,
     poly_to_text,
     scalar_to_text,
@@ -42,6 +42,7 @@ print(f"{text}  =  {scalar_to_text(unit)} *",
 # iota tracks a symbolic basis index; products of index-linear forms
 # split into (zeta, sign) pairs used by the obstruction analysis
 w = (C + IOTA) * (A1 - B - IOTA)
-unit, pairs = factor_linear_in_iota(w)
+unit, factors = factor_polynomial(w)
+unit, pairs = iota_split(factors, unit)
 print("iota-linear factors:", scalar_to_text(unit), "*",
       [(scalar_to_text(zeta), sign) for zeta, sign in pairs])

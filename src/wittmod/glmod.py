@@ -21,15 +21,13 @@ takes and returns a ``tensor.ModuleElement`` and sends each term v_q(m)
 to (E_ij v_q)(m), keeping its lattice point m and the twist alpha.
 
 Both keep, per instance, the table of integer-scaled columns the
-Witt sweeps read (``scaled_column``) and the lcm of the denominators of
-their scalars (``denominator``); each is filled once per instance and
+Witt sweeps read (``scaled_column``); it is filled once per instance and
 never shared between instances, nor kept in a global cache.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Optional
@@ -38,7 +36,6 @@ from .scalars import (
     add_term,
     coeff_is_zero,
     coeff_to_text,
-    common_denominator,
     exact,
     form_value,
     scaled_int,
@@ -64,15 +61,6 @@ def _scaled_column(self, scale: int, i: int, j: int, idx: int) -> tuple:
         col = tuple((p, scaled_int(e, scale)) for p, e in self.column(i, j, idx))
         self._scaled[key] = col
     return col
-
-
-def _denominator(self) -> Optional[int]:
-    """The lcm of the denominators of ``scalars()``, read once; None when
-    one of them is symbolic."""
-    values = self.scalars()
-    if all(isinstance(v, (int, Fraction)) for v in values):
-        return common_denominator(values)
-    return None
 
 
 def _act_by_columns(module, i: int, j: int, x: ModuleElement) -> ModuleElement:
@@ -102,7 +90,6 @@ class FinDimGlModule:
     kind = "findim"
     act = _act_by_columns
     scaled_column = _scaled_column
-    denominator = cached_property(_denominator)
 
     def __init__(self, n: int, dim: int, action: dict, basis_labels: Optional[tuple] = None):
         self.n = n
@@ -180,7 +167,6 @@ class CuspidalGl2:
     n = 2
     act = _act_by_columns
     scaled_column = _scaled_column
-    denominator = cached_property(_denominator)
 
     def __init__(self, lam, b, c):
         self.lam = lam

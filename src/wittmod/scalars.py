@@ -313,21 +313,6 @@ def _divisors(n: int) -> list:
     return small + large[::-1]
 
 
-# A candidate factor f can divide p only if f's value at this point divides
-# p's: a cheap test that spares most exact divisions.  Any point is sound.
-_PROBE = (101, 103, 107, 109, 113, 127)
-
-
-def _value(p: ParamPolynomial) -> int:
-    total = 0
-    for e, q in p.terms.items():
-        for x, k in zip(_PROBE, e):
-            if k:
-                q *= x**k
-        total += q
-    return total
-
-
 def _peel(p: ParamPolynomial) -> tuple:
     """(factors, rest) with p = rest times the product of f**m over the
     (f, m) in ``factors``: every primitive linear factor of the nonzero p,
@@ -361,11 +346,7 @@ def _peel(p: ParamPolynomial) -> tuple:
     candidates += [
         v.scale(c) + r for c in _divisors(top) for r in tails if gcd(c, _content(r)) == 1
     ]
-    value = _value(p)
     for f in candidates:
-        f_value = _value(f)
-        if f_value and value % f_value:
-            continue
         mult = 0
         while (q := divide_linear(p, f)) is not None:
             p, mult = q, mult + 1
@@ -373,7 +354,6 @@ def _peel(p: ParamPolynomial) -> tuple:
             factors.append((f, mult))
             if p.is_const():
                 break
-            value = _value(p)
     return factors, p
 
 

@@ -171,7 +171,7 @@ def check_letters(letters):
             raise ValueError(f"no generator E{g[0]}{g[1]}")
 
 
-def _formula(g, values, scale: int = 1) -> tuple:
+def _formula(g, values, scale: int) -> tuple:
     """(shift, entries) of scale * Ebar_g: an entry (offset, value, k_idx,
     k_r1, k_r2) holds its form at ``values``, the parameters times scale,
     and the form's l, a1 and a2 coefficients times scale.  Its factor on

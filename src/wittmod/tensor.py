@@ -278,15 +278,9 @@ def witt_bracket(a: WittGenerator, b: WittGenerator) -> WittGenerator:
 
 def _sweep_scale(alpha, modules) -> int:
     """L for a sweep on ``modules`` twisted by alpha: the lcm of the
-    denominators of alpha and of the module scalars, whatever directions
-    the sweep binds.  Each module gives the lcm it read once
-    (``denominator``); a symbolic value anywhere makes L 1."""
-    values = tuple(alpha)
-    for module in modules:
-        if module.denominator is None:
-            return 1
-        values += (Fraction(1, module.denominator),)
-    return common_denominator(values)
+    denominators of alpha and of every module's ``scalars()``, whatever
+    directions the sweep binds; a symbolic value anywhere makes L 1."""
+    return common_denominator((*alpha, *(v for module in modules for v in module.scalars())))
 
 
 def witt_bracket_residual(u, r, v, s, x: ModuleElement, module) -> ModuleElement:
@@ -378,11 +372,10 @@ def de_rham_operator(wedges, k: int, alpha, scale: int = 1):
     return apply
 
 
-def de_rham_differential(x: ModuleElement, wedges, k: int, scale: int = 1) -> ModuleElement:
-    """``scale`` * d(x) from wedge degree k.  One application of
-    ``de_rham_operator``; a sweep that applies d to many elements binds
-    it once instead."""
-    return de_rham_operator(wedges, k, x.alpha, scale)(x)
+def de_rham_differential(x: ModuleElement, wedges, k: int) -> ModuleElement:
+    """d(x) from wedge degree k.  One application of ``de_rham_operator``;
+    a sweep that applies d to many elements binds it once instead."""
+    return de_rham_operator(wedges, k, x.alpha)(x)
 
 
 def verify_d_intertwines(u, r, alpha, box, n: int, k: int, wedges) -> dict:

@@ -1055,6 +1055,19 @@ def test_oracle_s1_pinned():
     assert doc["flags"] == ["s=1: second factor is offset -2 from its reference form"]
 
 
+def test_oracle_derives_both_factors_at_large_integer_contents():
+    # s = 9, 12, 25 give larger integer contents than s = 1..7, so the
+    # peel tries more divisor candidates before each factor
+    doc = recursion_factorization_oracle([9, 12, 25])
+    assert doc["verdict"] == "pass" and doc["s_values"] == [9, 12, 25]
+    for res in doc["results"]:
+        s = res["s"]
+        assert res["derived_factors"] == [f"c - 3*b + {s + 1}", f"c + 3*b - {s + 2}"]
+        assert res["unit"] == "1"
+        assert res["second_factor"]["offset"] == "-2"
+        assert res["ok"]
+
+
 def test_oracle_obstruction_divides_by_the_denominators_leading_coefficient():
     c, b = Scalar.sym("c"), Scalar.sym("b")
     # (c + 1)/(2b + 3) keeps the integer content in den: (c + 1, 2b + 3)

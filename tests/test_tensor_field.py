@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.parsing.sympy_parser import parse_expr
 
-from wittmod.glmod import CuspidalGl2, FinDimGlModule, exterior_power
+from wittmod.glmod import CuspidalGl2, FinDimGlModule, exterior_power, verify_gl_brackets
 from wittmod.scalars import B, C, L, Scalar, common_denominator, scaled_int
 from wittmod.sl3 import Params
 from wittmod import engine, glmod, tensor
@@ -453,7 +453,7 @@ def test_scaled_differential_is_the_scaled_image(data):
     ))
     x = ModuleElement(alpha, terms)
     scale = common_denominator(alpha) * data.draw(st.sampled_from([1, 2, -3]))
-    y = de_rham_differential(x, wedges, k, scale)
+    y = de_rham_operator(wedges, k, alpha, scale)(x)
     assert y == de_rham_differential(x, wedges, k).scale(scale)
     assert all(type(c) is int for c in y.terms.values())
 
@@ -521,7 +521,6 @@ def test_scaled_columns_are_the_scaled_entries(name):
     # each table entry is scaled_int of the column entry, an int, and is
     # read once per (scale, i, j, idx) into this instance
     module = GL_INPUTS[name]
-    assert module.denominator == common_denominator(module.scalars())
     for scale in _table_scales(module):
         for i, j in product(range(1, module.n + 1), repeat=2):
             for idx in _indices(module):
@@ -542,7 +541,6 @@ def test_scaled_column_refuses_a_scale_that_leaves_a_denominator():
         with pytest.raises(ValueError, match="is not an integer"):
             module.scaled_column(7, 1, 2, 0)
     assert module._scaled == {}
-    assert CuspidalGl2(L, B, C).denominator is None
 
 
 def test_scaled_columns_belong_to_one_instance(monkeypatch):
@@ -567,6 +565,24 @@ def test_sweep_scale_is_one_when_any_value_is_symbolic():
     assert tensor._sweep_scale(ALPHA, [CuspidalGl2(L, B, C)]) == 1
 
 
+def test_sweep_scale_clears_a_fractional_findim_input():
+    # a 1-dimensional gl2 module on which the identity acts as 1/5: L
+    # takes the 5 from its scalars() along with alpha's denominators
+    fifth = Fraction(1, 5)
+    module = FinDimGlModule(2, 1, {
+        (1, 1): [[fifth]], (2, 2): [[fifth]], (1, 2): [[0]], (2, 1): [[0]],
+    })
+    assert verify_gl_brackets(module)["ok"]
+    alpha = (Fraction(1, 17), Fraction(1, 19))
+    scale = tensor._sweep_scale(alpha, [module])
+    assert scale == 17 * 19 * 5
+    x = ModuleElement(alpha, {(0, (1, -2)): 3, (0, (0, 1)): -1})
+    for D in (WittGenerator((1, 2), (0, 1)), WittGenerator((-1, 1), (2, -1))):
+        y = witt_operator(D, module, alpha, scale)(x)
+        assert y == witt_operator(D, module, alpha)(x).scale(scale)
+        assert all(type(c) is int for c in y.terms.values())
+
+
 @settings(max_examples=150, deadline=None)
 @given(witt_cases(), st.data())
 def test_sweep_scale_gives_the_scaled_image_for_any_direction(case, data):
@@ -587,7 +603,7 @@ def test_scale_that_leaves_a_denominator_is_refused():
     with pytest.raises(ValueError):
         witt_operator(WittGenerator((1, 1), (0, 1)), CUSP, ALPHA, 17)
     with pytest.raises(ValueError):
-        de_rham_differential(x, WEDGES2, 0, 17)
+        de_rham_operator(WEDGES2, 0, ALPHA, 17)
     # 17 * 19 clears alpha but not the cuspidal (c + lam + i): refused when
     # the column table fills, not rounded
     act = witt_operator(WittGenerator((0, 1), (1, 0)), CUSP, ALPHA, 17 * 19)
