@@ -1119,15 +1119,30 @@ def _witt_inputs() -> tuple:
     cusp = CuspidalGl2(vals["l"], vals["b"], vals["c"])
     res = verify_gl_brackets(cusp)
     gl_results = [("cuspidal gl2", res["ok"], res["checked_indices"])]
-    setups = [(2, cusp, TWIST[:2])]
+    setups = [("cuspidal gl2", 2, cusp, TWIST[:2])]
     for n in (2, 3):
         for kk in range(n + 1):
+            name = f"wedge^{kk} of gl{n}"
             mod = exterior_power(n, kk)
             res = verify_gl_brackets(mod)
-            gl_results.append((f"wedge^{kk} of gl{n}", res["ok"], res["checked_indices"]))
+            gl_results.append((name, res["ok"], res["checked_indices"]))
             if 0 < kk:
-                setups.append((n, mod, TWIST[:n]))
+                setups.append((name, n, mod, TWIST[:n]))
     return tuple(gl_results), tuple(setups)
+
+
+def _randbelow(getrandbits, k: int) -> int:
+    """A uniform int in [0, k), k > 0, from ``getrandbits`` of one
+    ``random.Random``: k.bit_length() bits at a time until the value is
+    below k.  This is CPython's ``Random._randbelow_with_getrandbits``,
+    which ``randint(a, a + k - 1)`` reaches through ``randrange``, so
+    a + _randbelow(rnd.getrandbits, k) draws what that ``randint`` draws,
+    without its three Python frames per draw."""
+    bits = k.bit_length()
+    v = getrandbits(bits)
+    while v >= k:
+        v = getrandbits(bits)
+    return v
 
 
 def witt_consistency_report(
@@ -1138,12 +1153,15 @@ def witt_consistency_report(
     Runs over the cuspidal rank-two input and over wedge-power inputs in
     ranks two and three; directions and shifts have entries in [-2, 2].
     The underlying gl bracket laws are checked exhaustively first.  At
-    least one bracket or Jacobi trial is required.
+    least one bracket or Jacobi trial is required.  The first failing
+    bracket trial prints u, r, v, s, its input by its ``gl_bracket_checks``
+    name and x's basis index and lattice point: all that
+    ``witt_bracket_residual`` needs to replay it.
     """
     _require_nonnegative(bracket_trials=bracket_trials, jacobi_trials=jacobi_trials)
     if bracket_trials == 0 and jacobi_trials == 0:
         raise ValueError("witt needs at least one bracket or Jacobi trial")
-    rnd = random.Random(rng_seed)
+    getrandbits = random.Random(rng_seed).getrandbits
     gl_results, setups = _witt_inputs()
     gl_checks = [
         {"module": name, "ok": ok, "checked_indices": checked}
@@ -1151,20 +1169,21 @@ def witt_consistency_report(
     ]
 
     def rand_vec(n):
-        return tuple(rnd.randint(-2, 2) for _ in range(n))
+        # entries in [-2, 2], as randint(-2, 2) draws them
+        return tuple([_randbelow(getrandbits, 5) - 2 for _ in range(n)])
 
     def rand_basis(n, mod, alpha):
         if mod.kind == "cuspidal":
-            idx = rnd.randint(-2, 2)
+            idx = _randbelow(getrandbits, 5) - 2
         else:
-            idx = rnd.randint(0, mod.dim - 1)
+            idx = _randbelow(getrandbits, mod.dim)
         m = rand_vec(n)
         return ModuleElement.basis(alpha, idx, m)
 
     bracket_failures = 0
     first_bracket_failure = None
     for t in range(bracket_trials):
-        n, mod, alpha = setups[t % len(setups)]
+        name, n, mod, alpha = setups[t % len(setups)]
         u, r = rand_vec(n), rand_vec(n)
         v, s = rand_vec(n), rand_vec(n)
         x = rand_basis(n, mod, alpha)
@@ -1172,13 +1191,15 @@ def witt_consistency_report(
         if not res.is_zero():
             bracket_failures += 1
             if first_bracket_failure is None:
+                [(idx, m)] = x.terms
                 first_bracket_failure = {
                     "u": list(u), "r": list(r), "v": list(v), "s": list(s),
-                    "module": mod.kind, "residual": element_to_json(res, mod),
+                    "module": name, "basis": {"index": mod.label(idx), "m": list(m)},
+                    "residual": element_to_json(res, mod),
                 }
     jacobi_failures = 0
     for t in range(jacobi_trials):
-        n, mod, alpha = setups[t % len(setups)]
+        _, n, mod, alpha = setups[t % len(setups)]
         gens = [WittGenerator(rand_vec(n), rand_vec(n)) for _ in range(3)]
         x = rand_basis(n, mod, alpha)
         if not jacobi_residual(gens, x, mod).is_zero():

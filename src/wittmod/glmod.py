@@ -22,7 +22,11 @@ to (E_ij v_q)(m), keeping its lattice point m and the twist alpha.
 
 Both keep, per instance, the table of integer-scaled columns the
 Witt sweeps read (``scaled_column``); it is filled once per instance and
-never shared between instances, nor kept in a global cache.
+never shared between instances, nor kept in a global cache.  Both also
+name the generators whose column at a basis index is nonempty
+(``nonzero_columns``), so a Witt binding reads only those columns: the
+findim input works them out once from its column table, the cuspidal
+one names all four generators.
 """
 
 from __future__ import annotations
@@ -84,7 +88,9 @@ class FinDimGlModule:
     The matrices are immutable once built, so every column is read off
     them once, here: ``column(i, j, q)`` is the image of basis q under
     E_ij as a tuple of (p, entry) pairs with nonzero entries only, and an
-    integral entry is stored as an ``int``.
+    integral entry is stored as an ``int``.  ``nonzero_columns(q)`` is
+    read off the same table, once: the (i, j) whose column at q is
+    nonempty.
     """
 
     kind = "findim"
@@ -113,6 +119,9 @@ class FinDimGlModule:
                 )
                 for q in range(dim)
             )
+        self._nonzero = tuple(
+            tuple(g for g, cols in self._columns.items() if cols[q]) for q in range(dim)
+        )
         self._fractions = tuple({
             e for cols in self._columns.values() for col in cols for _, e in col
             if type(e) is not int
@@ -133,6 +142,10 @@ class FinDimGlModule:
         if not 0 <= idx < self.dim:
             raise IndexError(f"basis index {idx} out of range")
         return cols[idx]
+
+    def nonzero_columns(self, idx: int) -> tuple:
+        """The generators (i, j) whose ``column(i, j, idx)`` is nonempty."""
+        return self._nonzero[idx]
 
     def label(self, idx: int):
         if self.basis_labels is not None:
@@ -194,6 +207,11 @@ class CuspidalGl2:
         offset, form = CUSPIDAL_COLUMNS[(i, j)]
         val = form_value(form, (self.lam + idx, self.b, self.c))
         return () if coeff_is_zero(val) else ((idx + offset, val),)
+
+    def nonzero_columns(self, idx: int):
+        """Every generator: a column is empty only where its form
+        vanishes, which is not worth evaluating to find out."""
+        return CUSPIDAL_COLUMNS.keys()
 
     def label(self, idx: int):
         return idx

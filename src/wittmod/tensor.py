@@ -24,7 +24,10 @@ generator they apply.  They bind d once per sweep too: the intertwining
 check binds it once and applies it to x and to D x.  The tables a
 binding fills itself (its lattice points and its summed matrix parts)
 live for one call; the integer-scaled columns it reads belong to the gl
-input (its ``scaled_column``) and are filled once per input instance.
+input (its ``scaled_column``) and are filled once per input instance,
+and the input also says which columns are nonempty at each basis index
+(its ``nonzero_columns``), so a binding reads no empty column and forms
+no per-generator weight table.
 
 The sweeps run on integers.  Let L be the lcm of the denominators of
 alpha and of the input module's scalars (lambda, b and c for the
@@ -67,7 +70,7 @@ class WittGenerator:
         r = tuple(r)
         self.u = tuple(u)
         _refuse_floats("direction", self.u)
-        self.r = tuple(int(x) for x in r)
+        self.r = tuple(map(int, r))
         if self.r != r:
             raise ValueError(f"non-integral shift {r}")
         if len(self.u) != len(self.r):
@@ -187,40 +190,42 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
     """scale * D(u, r) bound to one gl input and one twist alpha: ``apply(x)``.
 
     ``module`` is the gl_n input; it is read only through
-    ``module.scaled_column(scale, i, j, idx)``, the image of basis idx
-    under E_ij as (p, entry) pairs, scaled and tabled by the input.
-    D(u, r) is built as sum_k u_k D(e_k, r): u enters only as the weights
-    u_k of the unit directions' data, the weight alpha_k + m_k of a term
-    at m and the column sum_i r_i E_ik e_idx.  So a residual linear in D
-    is, for every u, the u-weighted sum of the residuals of
-    D(e_1, r)..D(e_n, r); ``engine.derham_report`` counts on this.
+    ``module.nonzero_columns(idx)``, the generators E_ij whose column at
+    idx is nonempty, and ``module.scaled_column(scale, i, j, idx)``, the
+    image of basis idx under E_ij as (p, entry) pairs, scaled and tabled
+    by the input.  D(u, r) is built as sum_k u_k D(e_k, r): u enters
+    only as the weights u_k of the unit directions' data, the weight
+    alpha_k + m_k of a term at m and the column sum_i r_i E_ik e_idx.  So
+    a residual linear in D is, for every u, the u-weighted sum of the
+    residuals of D(e_1, r)..D(e_n, r); ``engine.derham_report`` counts
+    on this.
 
     What does not depend on x is computed here, once: the nonzero entries
-    u_k, (u|alpha) and the matrix weights u_k r_i over the nonzero u_k
-    and r_i.  ``apply`` tables the rest as it meets it: for each lattice
-    point m its target m + r and its weight, and for each basis index the
-    matrix part, its entries summed.  These tables belong to this one
+    u_k and (u|alpha), summed over them.  ``apply`` tables the rest as it
+    meets it: for each lattice point m its target m + r and its weight,
+    and for each basis index the matrix part, its entries summed.  A
+    matrix part reads only the columns ``nonzero_columns`` names, and of
+    those only the ones whose weight r_i u_j is nonzero, forming that
+    weight as it reads the column.  These tables belong to this one
     operator, so a sweep binds each generator once and drops it when the
     sweep returns.  ``apply`` refuses an element with another alpha.
 
     With ``scale`` L > 1 the weight part is (u|L alpha) + L(u|m) and the
     matrix part sum_k u_k sum_i r_i (L E_ik), summed against the input's
-    L-scaled int columns, which the input reads once per instance.  L
-    alpha goes through ``scalars.scaled_int``, which refuses an entry
-    that keeps a denominator, as the table does a column entry.  So with
-    an int u, x with int coefficients has an int image; a fractional u
-    gives the exact image, with the denominators u brings.
+    L-scaled int columns, which the input reads once per instance.  Each
+    L alpha_k with u_k nonzero goes through ``scalars.scaled_int``, which
+    refuses an entry that keeps a denominator, as the table does a column
+    entry.  So with an int u, x with int coefficients has an int image; a
+    fractional u gives the exact image, with the denominators u brings.
     """
     alpha = tuple(alpha)
     if len(D.u) != len(alpha):
         raise ValueError(f"generator dimension {len(D.u)} does not match n={len(alpha)}")
     u = [(k, uk) for k, uk in enumerate(D.u) if uk]
-    twist = alpha if scale == 1 else [scaled_int(a, scale) for a in alpha]
     u_alpha = 0
     for k, uk in u:
-        u_alpha = u_alpha + uk * twist[k]
-    shift = D.r
-    weights = [(i, k + 1, uk * ri) for k, uk in u for i, ri in enumerate(shift, 1) if ri]
+        u_alpha = u_alpha + uk * (alpha[k] if scale == 1 else scaled_int(alpha[k], scale))
+    direction, shift = D.u, D.r
     scaled_u = u if scale == 1 else [(k, scale * uk) for k, uk in u]
     points = {}
     columns = {}
@@ -236,9 +241,11 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
     def matrix_part(idx):
         # (the entry at idx itself, the other (p, entry) pairs)
         col = {}
-        for i, j, w in weights:
-            for p, e in module.scaled_column(scale, i, j, idx):
-                add_term(col, p, w * e)
+        for i, j in module.nonzero_columns(idx):
+            w = direction[j - 1] * shift[i - 1]
+            if w:
+                for p, e in module.scaled_column(scale, i, j, idx):
+                    add_term(col, p, w * e)
         diag = col.pop(idx, 0)
         part = columns[idx] = (diag, tuple(col.items()))
         return part
@@ -269,11 +276,11 @@ def witt_bracket(a: WittGenerator, b: WittGenerator) -> WittGenerator:
     """[D(u,r), D(v,s)] = D((u|s)v - (v|r)u, r+s)."""
     us = 0
     vr = 0
-    for k in range(len(a.u)):
-        us = us + a.u[k] * b.r[k]
-        vr = vr + b.u[k] * a.r[k]
-    w = tuple(us * b.u[k] - vr * a.u[k] for k in range(len(a.u)))
-    return WittGenerator(w, tuple(p + q for p, q in zip(a.r, b.r)))
+    for uk, sk, vk, rk in zip(a.u, b.r, b.u, a.r, strict=True):
+        us = us + uk * sk
+        vr = vr + vk * rk
+    w = [us * vk - vr * uk for uk, vk in zip(a.u, b.u)]
+    return WittGenerator(w, tuple(map(add, a.r, b.r)))
 
 
 def _sweep_scale(alpha, modules) -> int:

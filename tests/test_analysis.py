@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -18,6 +19,7 @@ from wittmod.engine import (
     GT_OBSTRUCTION_OPS,
     SubspaceBasis,
     Window,
+    _randbelow,
     check_degenerate_reducibility,
     check_generation,
     check_irreducible,
@@ -31,7 +33,7 @@ from wittmod.engine import (
     recursion_factorization_oracle,
     witt_consistency_report,
 )
-from wittmod.glmod import FinDimGlModule, exterior_power
+from wittmod.glmod import CuspidalGl2, FinDimGlModule, exterior_power
 from wittmod.report import canonical_json
 from wittmod.scalars import (
     IOTA,
@@ -747,6 +749,67 @@ def test_witt_and_derham_fail_under_a_doubled_weight(monkeypatch):
     derham = derham_report()
     assert derham["verdict"] == "fail" and derham["dd_failures"] == 0
     assert (derham["intertwining_failures"], derham["image_failures"]) == (3840, 4000)
+
+
+def _witt_input_named(name):
+    """The gl input that ``witt``'s ``gl_bracket_checks`` calls ``name``,
+    built afresh."""
+    if name == "cuspidal gl2":
+        return CuspidalGl2(DEFAULT_VALUES["l"], DEFAULT_VALUES["b"], DEFAULT_VALUES["c"])
+    k, n = re.fullmatch(r"wedge\^(\d) of gl(\d)", name).groups()
+    return exterior_power(int(n), int(k))
+
+
+@pytest.mark.parametrize("seed", [20260817, 13])
+def test_first_bracket_failure_replays_from_the_report(monkeypatch, seed):
+    # the printed fields alone rebuild the failing trial: its input by
+    # name, x by basis index and lattice point; seed 13's first failure
+    # is on a wedge input, whose index prints as its subset
+    bind = _weighed_twice(tensor.witt_operator)
+    monkeypatch.setattr(tensor, "witt_operator", bind)
+    monkeypatch.setattr(engine, "witt_operator", bind)
+    failure = witt_consistency_report(rng_seed=seed)["first_bracket_failure"]
+    module = _witt_input_named(failure["module"])
+    label = failure["basis"]["index"]
+    idx = label if module.kind == "cuspidal" else module.positions[tuple(label)]
+    x = ModuleElement.basis(engine.TWIST[:module.n], idx, failure["basis"]["m"])
+    u, r, v, s = (failure[key] for key in ("u", "r", "v", "s"))
+    res = tensor.witt_bracket_residual(u, r, v, s, x, module)
+    assert not res.is_zero()
+    assert tensor.element_to_json(res, module) == failure["residual"]
+
+
+def test_witt_and_derham_fail_without_a_nonzero_column(monkeypatch):
+    # a binding reads only the columns ``nonzero_columns`` names: leave
+    # E12 out on the 1-forms of gl2 and both default reports fail, the
+    # Witt trials on that input and every derham check on 1-forms
+    full = FinDimGlModule.nonzero_columns
+
+    def dropped(self, idx):
+        gens = full(self, idx)
+        return tuple(g for g in gens if g != (1, 2)) if (self.n, self.dim) == (2, 2) else gens
+
+    monkeypatch.setattr(FinDimGlModule, "nonzero_columns", dropped)
+    witt = witt_consistency_report()
+    assert witt["verdict"] == "fail"
+    assert (witt["bracket_failures"], witt["jacobi_failures"]) == (25, 6)
+    assert witt["first_bracket_failure"]["module"] == "wedge^1 of gl2"
+    derham = derham_report()
+    assert derham["verdict"] == "fail" and derham["dd_failures"] == 0
+    assert (derham["intertwining_failures"], derham["image_failures"]) == (3600, 3600)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_witt_draws_are_randints_draws(width):
+    # ``witt`` draws through ``engine._randbelow``; mixed with the report's
+    # other widths, each draw must be the one ``randint`` makes from the
+    # same seed, so every trial stays the one the reports pin
+    widths = [width, 5, width, 3, width, 1, width, 2] * 60
+    for seed in range(25):
+        getrandbits = random.Random(seed).getrandbits
+        reference = random.Random(seed)
+        drawn = [_randbelow(getrandbits, k) - 2 for k in widths]
+        assert drawn == [reference.randint(-2, k - 3) for k in widths]
 
 
 DERHAM_COUNTS = (

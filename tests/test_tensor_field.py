@@ -372,9 +372,16 @@ def test_d_intertwining_refuses_a_non_integral_point(monkeypatch):
 
 def test_d_intertwining_sweep_reads_each_column_once(monkeypatch):
     # the sweep binds D once on the source and once on the target wedge
-    # module; each module reads column (i, j, idx) once into its own
-    # integer table, and a second sweep on the same modules reads it there
+    # module; each module reads a weighted column (i, j, idx) once into its
+    # own integer table, and only where it is nonempty, and a second sweep
+    # on the same modules reads it there
     wedges = tuple(exterior_power(3, k) for k in range(4))
+    u, r = (1, 1, -1), (1, 0, -1)
+    pairs = [(i, j) for i in (1, 2, 3) if r[i - 1] for j in (1, 2, 3) if u[j - 1]]
+    expected = {
+        (k, i, j, idx) for k in (1, 2) for i, j in pairs for idx in range(wedges[k].dim)
+        if wedges[k].column(i, j, idx)
+    }
     reads = Counter()
     for k, mod in enumerate(wedges):
         column = mod.column
@@ -384,11 +391,6 @@ def test_d_intertwining_sweep_reads_each_column_once(monkeypatch):
             return _column(i, j, idx)
 
         monkeypatch.setattr(mod, "column", spy)
-    u, r = (1, 1, -1), (1, 0, -1)
-    pairs = [(i, j) for i in (1, 2, 3) if r[i - 1] for j in (1, 2, 3) if u[j - 1]]
-    expected = {
-        (k, i, j, idx) for k in (1, 2) for i, j in pairs for idx in range(wedges[k].dim)
-    }
     alpha3 = (Fraction(1, 17), Fraction(1, 19), Fraction(1, 23))
     box = list(product(range(-1, 2), repeat=3))
     for sweep in (1, 2):
@@ -699,6 +701,20 @@ def test_wrong_bracket_gives_the_true_residual(monkeypatch):
     args, res = next((args, res) for args, res in calls if not res.is_zero())
     expected = element_to_json(_fraction_bracket_residual(*args), args[-1])
     assert doc["first_bracket_failure"]["residual"] == expected
+
+
+@pytest.mark.parametrize("name", sorted(GL_INPUTS))
+def test_nonzero_columns_cover_every_nonempty_column(name):
+    # a Witt binding reads only the generators ``nonzero_columns`` names;
+    # one left out would drop its terms from D(u, r)
+    module = GL_INPUTS[name]
+    gens = list(product(range(1, module.n + 1), repeat=2))
+    for idx in _indices(module):
+        named = module.nonzero_columns(idx)
+        nonempty = {g for g in gens if module.column(*g, idx)}
+        assert nonempty <= set(named)
+        if module.kind == "findim":
+            assert nonempty == set(named)
 
 
 @pytest.mark.parametrize("name", sorted(GL_INPUTS))
