@@ -50,13 +50,13 @@ from .sl3 import (
     check_letters,
     condition_values,
     covariant_sweep,
-    lattice_shift,
     lowering_operator,
     moved,
     parse_word,
     proof_identity_report,
     raising_operator,
     row_action,
+    sweep_failures,
     truncation_lengths,
     verify_embedding,
     verify_sl3_brackets,
@@ -990,8 +990,9 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
     The residuals are one family of ``sl3.covariant_sweep``: c is applied
     letter by letter through its bound generators, each scaled by L, so a
     residual is divided by L**(k + 1).  At symbolic parameters every
-    count, support and residual is derived from v_0(0,0); only printed
-    residuals are moved by ``lattice_shift``.
+    count, support and residual is derived from v_0(0,0); only the
+    printed failures, at most five ``sl3.sweep_failures`` records, are
+    moved to their keys.
     """
     if not (1 <= m <= 3 and k >= 1):
         raise ValueError(f"central words need 1 <= m <= 3 and k >= 1, got m={m}, k={k}")
@@ -1029,14 +1030,7 @@ def gt_central_check(params: Params, window: Window, m: int, k: int, controls=()
     checked, found, moves = covariant_sweep(params, window.basis(inner=True), residuals)
     absorbed = all(window.contains(*moved(key, *move)) for move in moves for key in seen)
     control_results = [{"generator": NAME_OF[g], "nonzero": g in nonzero} for g in controls]
-    failures = [
-        {
-            "generator": NAME_OF[g],
-            "basis": {"index": idx, "r": list(pt)},
-            "residual": element_to_json(lattice_shift(res, *move)),
-        }
-        for g, (idx, pt), move, res in found[:5]
-    ]
+    failures = sweep_failures(found[:5], "generator")
     if not absorbed:
         verdict = "error"
     else:
@@ -1156,7 +1150,9 @@ def witt_consistency_report(
     least one bracket or Jacobi trial is required.  The first failing
     bracket trial prints u, r, v, s, its input by its ``gl_bracket_checks``
     name and x's basis index and lattice point: all that
-    ``witt_bracket_residual`` needs to replay it.
+    ``witt_bracket_residual`` needs to replay it.  The first failing
+    Jacobi trial, only when there is one, prints its three generators'
+    u and r, its input and x the same way, for ``jacobi_residual``.
     """
     _require_nonnegative(bracket_trials=bracket_trials, jacobi_trials=jacobi_trials)
     if bracket_trials == 0 and jacobi_trials == 0:
@@ -1180,6 +1176,10 @@ def witt_consistency_report(
         m = rand_vec(n)
         return ModuleElement.basis(alpha, idx, m)
 
+    def basis_json(mod, x):
+        [(idx, m)] = x.terms
+        return {"index": mod.label(idx), "m": list(m)}
+
     bracket_failures = 0
     first_bracket_failure = None
     for t in range(bracket_trials):
@@ -1191,37 +1191,43 @@ def witt_consistency_report(
         if not res.is_zero():
             bracket_failures += 1
             if first_bracket_failure is None:
-                [(idx, m)] = x.terms
                 first_bracket_failure = {
                     "u": list(u), "r": list(r), "v": list(v), "s": list(s),
-                    "module": name, "basis": {"index": mod.label(idx), "m": list(m)},
+                    "module": name, "basis": basis_json(mod, x),
                     "residual": element_to_json(res, mod),
                 }
     jacobi_failures = 0
+    first_jacobi_failure = None
     for t in range(jacobi_trials):
-        _, n, mod, alpha = setups[t % len(setups)]
+        name, n, mod, alpha = setups[t % len(setups)]
         gens = [WittGenerator(rand_vec(n), rand_vec(n)) for _ in range(3)]
         x = rand_basis(n, mod, alpha)
-        if not jacobi_residual(gens, x, mod).is_zero():
+        res = jacobi_residual(gens, x, mod)
+        if not res.is_zero():
             jacobi_failures += 1
+            if first_jacobi_failure is None:
+                first_jacobi_failure = {
+                    "generators": [{"u": list(D.u), "r": list(D.r)} for D in gens],
+                    "module": name, "basis": basis_json(mod, x),
+                    "residual": element_to_json(res, mod),
+                }
     ok = (
         all(g["ok"] for g in gl_checks)
         and bracket_failures == 0
         and jacobi_failures == 0
     )
-    params = Params.numeric()
-    return _report(
-        "witt", params, None, "pass" if ok else "fail",
-        {
-            "gl_bracket_checks": gl_checks,
-            "bracket_trials": bracket_trials,
-            "bracket_failures": bracket_failures,
-            "first_bracket_failure": first_bracket_failure,
-            "jacobi_trials": jacobi_trials,
-            "jacobi_failures": jacobi_failures,
-            "rng_seed": rng_seed,
-        },
-    )
+    body = {
+        "gl_bracket_checks": gl_checks,
+        "bracket_trials": bracket_trials,
+        "bracket_failures": bracket_failures,
+        "first_bracket_failure": first_bracket_failure,
+        "jacobi_trials": jacobi_trials,
+        "jacobi_failures": jacobi_failures,
+        "rng_seed": rng_seed,
+    }
+    if first_jacobi_failure is not None:
+        body["first_jacobi_failure"] = first_jacobi_failure
+    return _report("witt", Params.numeric(), None, "pass" if ok else "fail", body)
 
 
 def _failing_directions(residuals, directions, box, r) -> int:

@@ -20,9 +20,11 @@ Two layers of exact arithmetic:
   the arithmetic takes no polynomial gcd, and with den 1 on both sides
   ``+``, ``-`` and ``*`` run on the numerators alone.
 
-``lowest_terms`` and ``poly_gcd`` compute in a sparse polynomial ring of
-sympy's over ZZ, built on first use; no producer calls them, and they
-stay as the tests' independent references.
+``poly_gcd`` computes in a sparse polynomial ring of sympy's over ZZ,
+built on first use (``_ring``, the one place the package imports sympy).
+No producer calls it; it stays because the benchmark's tracer hooks it
+by name.  sympy is a test dependency only: the package runs on the
+standard library.
 
 Numeric computations use ``Fraction`` values with this module's
 ``scaled_int``, ``common_denominator``, ``add_term`` and
@@ -202,7 +204,7 @@ _POLY_ZERO = ParamPolynomial()
 
 
 # -- gcd in sympy's sparse ring ----------------------------------------
-# Kept as the tests' independent reference: no producer calls it.
+# No producer reaches it; the tests use the ring as their reference.
 
 
 @lru_cache(maxsize=None)
@@ -226,23 +228,10 @@ def _from_ring(f) -> ParamPolynomial:
 
 def poly_gcd(a: ParamPolynomial, b: ParamPolynomial) -> ParamPolynomial:
     """The gcd in Z[symbols], integer content included, with a positive
-    grlex leading coefficient; zero only when both arguments are zero."""
+    grlex leading coefficient; zero only when both arguments are zero.
+    The benchmark's tracer hooks it by name, so it stays in the package."""
     g = _from_ring(_to_ring(a).gcd(_to_ring(b)))
     return -g if g.terms and g.leading_coeff() < 0 else g
-
-
-def lowest_terms(num: ParamPolynomial, den: ParamPolynomial) -> tuple:
-    """num/den as a coprime pair over Z: the integer content stays in the
-    pair (c/(2b) is (c, 2b)), and den's grlex leading coefficient is
-    positive."""
-    if den.is_zero():
-        raise ZeroDivisionError("quotient with zero denominator")
-    # the cofactors are fixed up to one common sign: the grlex rule decides it
-    _, n, d = _to_ring(num).cofactors(_to_ring(den))
-    num, den = _from_ring(n), _from_ring(d)
-    if den.leading_coeff() < 0:
-        num, den = -num, -den
-    return num, den
 
 
 # -- linear forms: exact division, peeling, shifts -----------------------
@@ -384,8 +373,8 @@ def shift_symbols(x: "Scalar", shifts: Mapping[str, int]) -> "Scalar":
 
 def linear_quotient(nums, dens) -> tuple:
     """The product of the Scalars ``nums`` over the product of ``dens``,
-    (name, Scalar) pairs of linear Scalars, as the coprime pair over Z
-    that ``lowest_terms`` gives for it.  Each denominator factor, its
+    (name, Scalar) pairs of linear Scalars, as a coprime pair over Z
+    whose integer content stays in the pair.  Each denominator factor, its
     integer content set aside, is divided out of the first numerator
     factor it divides exactly, and otherwise stays in den; a linear form
     is prime, so what is left is coprime once the gcd of the two integer

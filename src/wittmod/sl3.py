@@ -394,19 +394,24 @@ def covariant_sweep(params: Params, keys, residuals) -> tuple:
     return checked, found, moves
 
 
-def _sweep_report(params: Params, points, indices, residuals, label: str) -> dict:
-    """The report of ``covariant_sweep`` over the window's basis vectors
-    in (point, index) order: its failures generator by generator, each
-    named under ``label`` and printed at its key."""
-    keys = [(idx, r) for r, idx in product(points, indices)]
-    checked, found, _ = covariant_sweep(params, keys, residuals)
-    found.sort(key=itemgetter(0))
-    failures = [
+def sweep_failures(found, label: str) -> list:
+    """The failure records of ``covariant_sweep``'s ``found``, in its
+    order: each names its generator, or pair, under ``label`` and prints
+    its residual at its key."""
+    return [
         {label: NAME_OF.get(g) or [NAME_OF[h] for h in g], "basis": {"index": idx, "r": list(r)},
          "residual": element_to_json(lattice_shift(res, *move))}
         for g, (idx, r), move, res in found
     ]
-    return {"ok": not found, "checked": checked, "failures": failures}
+
+
+def _sweep_report(params: Params, points, indices, residuals, label: str) -> dict:
+    """The report of ``covariant_sweep`` over the window's basis vectors
+    in (point, index) order: its failures generator by generator."""
+    keys = [(idx, r) for r, idx in product(points, indices)]
+    checked, found, _ = covariant_sweep(params, keys, residuals)
+    found.sort(key=itemgetter(0))
+    return {"ok": not found, "checked": checked, "failures": sweep_failures(found, label)}
 
 
 def verify_sl3_brackets(params: Params, points, indices) -> dict:

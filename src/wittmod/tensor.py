@@ -46,7 +46,6 @@ inputs run on scale 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, sub
 from typing import Sequence
 
@@ -323,7 +322,6 @@ def jacobi_residual(gens, x: ModuleElement, module) -> ModuleElement:
 # -- de Rham differential ----------------------------------------------
 
 
-@lru_cache(maxsize=8)
 def _differential_table(wedge_k, wedge_k1) -> tuple:
     """For each source basis index S of ``wedge_k``, the (j - 1, position of
     e_j ^ e_S in ``wedge_k1``, odd) triples over j not in S; ``odd`` marks
@@ -348,11 +346,11 @@ def de_rham_operator(wedges, k: int, alpha, scale: int = 1):
     ``wedges`` lists the wedge-power modules of gl_n for degrees 0..n, so
     ``wedges[k]`` and ``wedges[k + 1]`` carry the source and target bases;
     the lattice point never moves.  The target positions and signs are
-    tabulated once per pair of modules; the degree, the rank of alpha
-    and, with ``scale`` L > 1, L alpha from ``scalars.scaled_int`` are
-    checked and formed once per binding, so a sweep binds d once per
-    degree.  Each weight is then L m_j + (L alpha)_j.  ``apply`` refuses
-    an element with another alpha and a basis index outside ``wedges[k]``.
+    tabulated, the degree and the rank of alpha checked and, with
+    ``scale`` L > 1, L alpha formed by ``scalars.scaled_int``, all once per
+    binding, so a sweep binds d once per degree.  Each weight is then
+    L m_j + (L alpha)_j.  ``apply`` refuses an element with another alpha
+    and a basis index outside ``wedges[k]``.
     """
     if not 0 <= k < len(wedges) - 1:
         raise ValueError(f"no differential from wedge degree {k} for n={len(wedges) - 1}")

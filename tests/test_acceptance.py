@@ -1,83 +1,30 @@
-"""Acceptance run and behaviour lock over one table of canonical reports.
+"""Acceptance run and behaviour lock over the table of canonical reports
+in ``producers.py``.
 
-``PRODUCERS`` holds every report the lock pins: each subcommand run
-through ``cli.main`` at its default arguments (``act`` gets a minimal
-word and vector), the rank-three ``derham --n 3``, the numeric bracket
-sweep ``brackets --mode numeric --window 2,1,1``, which the default
-symbolic ``brackets`` does not reach, plus ``generation``,
-the irreducibility run of criterion 4.  Each report is
-produced once per session and shared by the criteria, which read their
-sub-reports from it.
-
-Each criterion is a single test that prints its own PASS/FAIL line (run
-pytest with -s to see them inline) and asserts the stated tolerance.
-Criterion 11 replays every producer and demands byte-identical reports.
-The lock tests compare each report with the SHA-256 digest recorded in
-``report_digests.json``, so a report cannot drift between commits unless
-a change re-records it on purpose, with
-
-    PYTHONPATH=src python tests/test_acceptance.py > tests/report_digests.json
+Each report is produced once per session and shared by the criteria,
+which read their sub-reports from it.  Each criterion is a single test
+that prints its own PASS/FAIL line (run pytest with -s to see them
+inline) and asserts the stated tolerance.  Criterion 11 replays every
+producer and demands byte-identical reports.  The lock tests compare
+each report with the SHA-256 digest recorded in ``report_digests.json``;
+one of them runs every producer with no site-packages on the path, so
+the reports are shown to need only the standard library and ``src/``.
 """
 
-import contextlib
-import hashlib
-import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import pytest
 
-from wittmod.cli import main
-from wittmod.engine import Window, check_irreducible
-from wittmod.report import canonical_json, exit_code_for
-from wittmod.sl3 import Params, basis_element
+from producers import PRODUCERS, lock_text, sha256_of
 
-LOCK = Path(__file__).with_name("report_digests.json")
-
-CLI_RUNS = {
-    "check-generic": ["check-generic"],
-    "act": ["act", "--word", "E11", "--vector", "v:0@0,0"],
-    "brackets": ["brackets"],
-    "brackets-numeric": ["brackets", "--mode", "numeric", "--window", "2,1,1"],
-    "witt": ["witt"],
-    "generate": ["generate"],
-    "irreducible": ["irreducible"],
-    "degenerate": ["degenerate"],
-    "derham": ["derham"],
-    "derham-n3": ["derham", "--n", "3"],
-    "proof-identities": ["proof-identities"],
-    "factorization": ["factorization"],
-    "gt": ["gt"],
-}
-
-
-def cli_report(argv):
-    """(stdout, parsed report) of one CLI run; its exit code must match
-    the report's verdict."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(list(argv))
-    text = buf.getvalue()
-    doc = json.loads(text)
-    assert code == exit_code_for(doc["verdict"]), (argv, code, doc["verdict"])
-    return text, doc
-
-
-def generation_report():
-    """Every basis vector of the 3 x 3 box around the origin regenerates
-    the inner window."""
-    params = Params.numeric()
-    seeds = [basis_element(params, idx, pt) for idx, pt in Window.symmetric(2, 1, 1).basis()]
-    doc = check_irreducible(params, Window.symmetric(4, 4, 4, margin=2), seeds=seeds)
-    return canonical_json(doc), doc
-
-
-PRODUCERS = {name: partial(cli_report, argv) for name, argv in CLI_RUNS.items()}
-PRODUCERS["generation"] = generation_report
+TESTS = Path(__file__).parent
+LOCK = TESTS / "report_digests.json"
 
 _CACHE: dict = {}
 _TIMES: dict = {}
@@ -244,12 +191,7 @@ def test_criterion_11_determinism():
 
 
 def digest(name: str) -> str:
-    return hashlib.sha256(produce(name)[0].encode()).hexdigest()
-
-
-def lock_text() -> str:
-    """The lock file's contents, recorded from this session's reports."""
-    return json.dumps({name: digest(name) for name in PRODUCERS}, indent=2, sort_keys=True) + "\n"
+    return sha256_of(produce(name)[0])
 
 
 def test_every_producer_is_recorded():
@@ -262,8 +204,20 @@ def test_report_matches_recorded_digest(name):
 
 
 def test_reports_match_recorded_digests():
-    assert lock_text() == LOCK.read_text()
+    assert lock_text({name: produce(name)[0] for name in PRODUCERS}) == LOCK.read_text()
 
 
-if __name__ == "__main__":
-    sys.stdout.write(lock_text())
+def test_every_producer_runs_on_the_standard_library_alone():
+    # python -S leaves site-packages off the path, and with it sympy,
+    # pytest and hypothesis: every pinned report must still print its
+    # recorded digest
+    proc = subprocess.run(
+        [sys.executable, "-S", str(TESTS / "producers.py")],
+        env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    printed, pinned = json.loads(proc.stdout), json.loads(LOCK.read_text())
+    assert len(pinned) == 14 and printed.keys() == pinned.keys()
+    assert [name for name in pinned if printed[name] != pinned[name]] == []

@@ -43,7 +43,6 @@ from wittmod.scalars import (
     Scalar,
     add_term,
     iota_split,
-    lowest_terms,
     scalar_to_text,
     shift_symbols,
 )
@@ -67,6 +66,8 @@ from wittmod.sl3 import (
     word_shift,
 )
 from wittmod.tensor import ModuleElement, verify_d_intertwines
+
+from sympy_reference import lowest_terms
 
 NUM = Params.numeric()
 DEG = Params.numeric(DEGENERATE_VALUES)
@@ -760,21 +761,48 @@ def _witt_input_named(name):
     return exterior_power(int(n), int(k))
 
 
+def _replayed_trial_input(failure):
+    """(module, x) of a failing ``witt`` trial, rebuilt from its printed
+    input name, basis index and lattice point; a wedge input's index
+    prints as its subset."""
+    module = _witt_input_named(failure["module"])
+    label = failure["basis"]["index"]
+    idx = label if module.kind == "cuspidal" else module.positions[tuple(label)]
+    return module, ModuleElement.basis(engine.TWIST[:module.n], idx, failure["basis"]["m"])
+
+
 @pytest.mark.parametrize("seed", [20260817, 13])
 def test_first_bracket_failure_replays_from_the_report(monkeypatch, seed):
-    # the printed fields alone rebuild the failing trial: its input by
-    # name, x by basis index and lattice point; seed 13's first failure
-    # is on a wedge input, whose index prints as its subset
+    # the printed fields alone rebuild the failing trial; seed 13's first
+    # failure is on a wedge input
     bind = _weighed_twice(tensor.witt_operator)
     monkeypatch.setattr(tensor, "witt_operator", bind)
     monkeypatch.setattr(engine, "witt_operator", bind)
     failure = witt_consistency_report(rng_seed=seed)["first_bracket_failure"]
-    module = _witt_input_named(failure["module"])
-    label = failure["basis"]["index"]
-    idx = label if module.kind == "cuspidal" else module.positions[tuple(label)]
-    x = ModuleElement.basis(engine.TWIST[:module.n], idx, failure["basis"]["m"])
+    module, x = _replayed_trial_input(failure)
     u, r, v, s = (failure[key] for key in ("u", "r", "v", "s"))
     res = tensor.witt_bracket_residual(u, r, v, s, x, module)
+    assert not res.is_zero()
+    assert tensor.element_to_json(res, module) == failure["residual"]
+
+
+def test_first_jacobi_failure_replays_from_the_report(monkeypatch):
+    # a passing report prints no Jacobi failure; under the doubled weight
+    # (30 Jacobi failures at the default seed) the first one's printed
+    # generators, input and basis vector give back its printed residual
+    assert "first_jacobi_failure" not in witt_consistency_report()
+    bind = _weighed_twice(tensor.witt_operator)
+    monkeypatch.setattr(tensor, "witt_operator", bind)
+    monkeypatch.setattr(engine, "witt_operator", bind)
+    doc = witt_consistency_report()
+    assert doc["jacobi_failures"] == 30
+    _assert_jacobi_failure_replays(doc["first_jacobi_failure"])
+
+
+def _assert_jacobi_failure_replays(failure):
+    module, x = _replayed_trial_input(failure)
+    gens = [tensor.WittGenerator(g["u"], g["r"]) for g in failure["generators"]]
+    res = tensor.jacobi_residual(gens, x, module)
     assert not res.is_zero()
     assert tensor.element_to_json(res, module) == failure["residual"]
 
@@ -794,6 +822,9 @@ def test_witt_and_derham_fail_without_a_nonzero_column(monkeypatch):
     assert witt["verdict"] == "fail"
     assert (witt["bracket_failures"], witt["jacobi_failures"]) == (25, 6)
     assert witt["first_bracket_failure"]["module"] == "wedge^1 of gl2"
+    # a wedge input's Jacobi failure replays from its printed subset
+    assert witt["first_jacobi_failure"]["module"] == "wedge^1 of gl2"
+    _assert_jacobi_failure_replays(witt["first_jacobi_failure"])
     derham = derham_report()
     assert derham["verdict"] == "fail" and derham["dd_failures"] == 0
     assert (derham["intertwining_failures"], derham["image_failures"]) == (3600, 3600)
@@ -1219,16 +1250,16 @@ def test_oracle_refuses_a_vanishing_denominator_of_r_b(monkeypatch):
 
 def test_oracle_reduces_each_pair_once(monkeypatch):
     # one linear_quotient per (s, j): 1 + 2 + 3 for the default s = 1, 2, 3;
-    # no sympy reduction runs, and no Scalar is built with a non-constant
-    # denominator (a Scalar's den is an int, and every division is exact)
+    # sympy's ring is never built, and no Scalar is built with a
+    # non-constant denominator (a Scalar's den is an int, and every
+    # division is exact)
     calls, sympy_calls = [], []
     real = engine.linear_quotient
     monkeypatch.setattr(
         engine, "linear_quotient", lambda nums, dens: calls.append(1) or real(nums, dens)
     )
-    monkeypatch.setattr(
-        scalars, "lowest_terms", lambda num, den: sympy_calls.append(1) or lowest_terms(num, den)
-    )
+    ring = scalars._ring
+    monkeypatch.setattr(scalars, "_ring", lambda: sympy_calls.append(1) or ring())
     dens = []
     canon = scalars._canon
     monkeypatch.setattr(scalars, "_canon", lambda num, den: dens.append(den) or canon(num, den))

@@ -372,10 +372,10 @@ def _cli(argv) -> str:
 
 
 def _table(name) -> str:
-    # the report of that name in test_acceptance's table
+    # the report of that name in the lock's producer table
     return (
-        f"import sys; sys.path.insert(0, {str(TESTS)!r}); import test_acceptance; "
-        f"assert test_acceptance.PRODUCERS[{name!r}]()[1]['verdict'] == 'pass'"
+        f"import sys; sys.path.insert(0, {str(TESTS)!r}); import producers; "
+        f"assert producers.PRODUCERS[{name!r}]()[1]['verdict'] == 'pass'"
     )
 
 
@@ -434,12 +434,12 @@ def test_numeric_paths_do_not_load_sympy(code):
 
 def test_the_sympy_guard_covers_the_acceptance_table():
     # every report the lock pins is among the runs checked above
-    import test_acceptance
+    import producers
 
     runs = set(SYMPY_FREE_RUNS.values())
-    for name, argv in test_acceptance.CLI_RUNS.items():
+    for name, argv in producers.CLI_RUNS.items():
         assert _cli(argv) in runs, name
-    for name in set(test_acceptance.PRODUCERS) - set(test_acceptance.CLI_RUNS):
+    for name in set(producers.PRODUCERS) - set(producers.CLI_RUNS):
         assert _table(name) in runs, name
 
 

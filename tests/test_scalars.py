@@ -34,7 +34,6 @@ from wittmod.scalars import (
     common_denominator,
     factor_linear_in_iota,
     factor_polynomial,
-    lowest_terms,
     parse_rational,
     poly_gcd,
     poly_to_text,
@@ -43,6 +42,8 @@ from wittmod.scalars import (
     shift_symbols,
 )
 from wittmod.sl3 import Params
+
+from sympy_reference import lowest_terms
 
 # -- pinned arithmetic ---------------------------------------------------
 

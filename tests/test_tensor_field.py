@@ -819,26 +819,22 @@ def test_derham_three_variables():
     assert rep["ok"]
 
 
-def test_derham_table_signs_and_one_build_per_module_pair():
+def test_derham_table_signs():
     # d(e_S t^m) has coefficient sign(j, S) (m_j + alpha_j) on e_j ^ e_S,
-    # sign(j, S) the parity of sorting (j,) + S; the table behind it is
-    # built once per pair of wedge modules
-    _differential_table.cache_clear()
+    # sign(j, S) the parity of sorting (j,) + S
     wedges3 = tuple(exterior_power(3, k) for k in range(4))
     alpha3 = (Fraction(1, 17), Fraction(1, 19), Fraction(1, 23))
     m = (2, -1, 3)
-    for _ in range(2):
-        for k in range(3):
-            for idx, subset in enumerate(wedges3[k].basis_labels):
-                out = de_rham_differential(ModuleElement.basis(alpha3, idx, m), wedges3, k)
-                expected = {}
-                for j in set(range(1, 4)) - set(subset):
-                    word = (j,) + subset
-                    inversions = sum(a > b for t, a in enumerate(word) for b in word[t + 1:])
-                    target = wedges3[k + 1].positions[tuple(sorted(word))]
-                    expected[(target, m)] = (-1) ** inversions * (m[j - 1] + alpha3[j - 1])
-                assert out.terms == expected
-    assert _differential_table.cache_info().misses == 3
+    for k in range(3):
+        for idx, subset in enumerate(wedges3[k].basis_labels):
+            out = de_rham_differential(ModuleElement.basis(alpha3, idx, m), wedges3, k)
+            expected = {}
+            for j in set(range(1, 4)) - set(subset):
+                word = (j,) + subset
+                inversions = sum(a > b for t, a in enumerate(word) for b in word[t + 1:])
+                target = wedges3[k + 1].positions[tuple(sorted(word))]
+                expected[(target, m)] = (-1) ** inversions * (m[j - 1] + alpha3[j - 1])
+            assert out.terms == expected
 
 
 def test_poisoned_wedge_breaks_d_intertwining():
