@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import operator
 import random
+from copy import deepcopy
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import count, product as iproduct
@@ -420,6 +421,14 @@ GENERATION_STAGES = (
 )
 
 
+def _inner_targets(window: Window) -> list:
+    """The inner window's basis, refused when it is one vector."""
+    targets = window.basis(inner=True)
+    if len(targets) == 1:
+        raise ValueError("inner window holds one basis vector; widen it or lower its margin")
+    return targets
+
+
 def check_generation(params: Params, window: Window, seed=None) -> dict:
     """Single basis seed generating the inner window, in three stages.
 
@@ -433,8 +442,7 @@ def check_generation(params: Params, window: Window, seed=None) -> dict:
     refusal, generic = _genericity_gate("generate", params, window, SPANNING_CONDITIONS)
     if refusal is not None:
         return refusal
-    if len(window.basis(inner=True)) == 1:
-        raise ValueError("inner window holds one basis vector; widen it or lower its margin")
+    _inner_targets(window)
     if seed is None:
         seed = basis_element(params, 0, (0, 0))
     if len(seed.terms) != 1:
@@ -557,9 +565,7 @@ def check_irreducible(
                 )
             for _ in range(random_count):
                 seeds.append(random_in_box(rnd, box_basis, nterms, alpha))
-    targets = window.basis(inner=True)
-    if len(targets) == 1:
-        raise ValueError("inner window holds one basis vector; widen it or lower its margin")
+    targets = _inner_targets(window)
     for x in seeds:
         _check_seed(x, alpha, window)
     box_size = len(window.basis())
@@ -665,7 +671,8 @@ def check_degenerate_reducibility(params: Params, window: Window) -> dict:
     Preconditions: numeric parameters with both a1 - b - l and a2 - b + l
     integral (the regime where singular vectors can exist at all); refused
     otherwise.  Fails honestly when the window contains no singular vector
-    or when the generated submodule already covers the inner window.
+    or when the generated submodule already covers the inner window.  An
+    inner window of one basis vector is refused with a ``ValueError``.
     """
     if not params.is_numeric():
         return _report(
@@ -683,6 +690,7 @@ def check_degenerate_reducibility(params: Params, window: Window) -> dict:
             "degenerate", params, window, "refused",
             {"reason": f"degenerate regime requires {' and '.join(nonint)} integral"},
         )
+    targets = _inner_targets(window)
     singular = find_singular_vectors(params, window)
     body = {
         "integrality": {name: c["value"] for name, c in integrality.items()},
@@ -693,7 +701,6 @@ def check_degenerate_reducibility(params: Params, window: Window) -> dict:
         body["reason"] = "no singular vector inside the window"
         return _report("degenerate", params, window, "fail", body)
     basis, stats = closure(params, singular, DEFAULT_WORDS, window)
-    targets = window.basis(inner=True)
     missed = _missed_targets(basis, targets)
     body.update(
         {
@@ -1111,15 +1118,13 @@ def _witt_inputs() -> tuple:
     built once per process: neither depends on the report's arguments."""
     vals = DEFAULT_VALUES
     cusp = CuspidalGl2(vals["l"], vals["b"], vals["c"])
-    res = verify_gl_brackets(cusp)
-    gl_results = [("cuspidal gl2", res["ok"], res["checked_indices"])]
+    gl_results = [("cuspidal gl2", verify_gl_brackets(cusp))]
     setups = [("cuspidal gl2", 2, cusp, TWIST[:2])]
     for n in (2, 3):
         for kk in range(n + 1):
             name = f"wedge^{kk} of gl{n}"
             mod = exterior_power(n, kk)
-            res = verify_gl_brackets(mod)
-            gl_results.append((name, res["ok"], res["checked_indices"]))
+            gl_results.append((name, verify_gl_brackets(mod)))
             if 0 < kk:
                 setups.append((name, n, mod, TWIST[:n]))
     return tuple(gl_results), tuple(setups)
@@ -1146,13 +1151,15 @@ def witt_consistency_report(
 
     Runs over the cuspidal rank-two input and over wedge-power inputs in
     ranks two and three; directions and shifts have entries in [-2, 2].
-    The underlying gl bracket laws are checked exhaustively first.  At
-    least one bracket or Jacobi trial is required.  The first failing
-    bracket trial prints u, r, v, s, its input by its ``gl_bracket_checks``
-    name and x's basis index and lattice point: all that
-    ``witt_bracket_residual`` needs to replay it.  The first failing
-    Jacobi trial, only when there is one, prints its three generators'
-    u and r, its input and x the same way, for ``jacobi_residual``.
+    The underlying gl bracket laws are checked exhaustively first; a
+    failing one prints its first failure, the generator pair, basis index
+    and residual that ``glmod.bracket_residual`` replays.  At least one
+    bracket or Jacobi trial is required.  The first failing bracket trial
+    prints u, r, v, s, its input by its ``gl_bracket_checks`` name and
+    x's basis index and lattice point: all that ``witt_bracket_residual``
+    needs to replay it.  The first failing Jacobi trial, only when there
+    is one, prints its three generators' u and r, its input and x the
+    same way, for ``jacobi_residual``.
     """
     _require_nonnegative(bracket_trials=bracket_trials, jacobi_trials=jacobi_trials)
     if bracket_trials == 0 and jacobi_trials == 0:
@@ -1160,8 +1167,9 @@ def witt_consistency_report(
     getrandbits = random.Random(rng_seed).getrandbits
     gl_results, setups = _witt_inputs()
     gl_checks = [
-        {"module": name, "ok": ok, "checked_indices": checked}
-        for name, ok, checked in gl_results
+        {"module": name, "ok": res["ok"], "checked_indices": res["checked_indices"]}
+        | ({} if res["ok"] else {"first_failure": deepcopy(res["failures"][0])})
+        for name, res in gl_results
     ]
 
     def rand_vec(n):

@@ -21,9 +21,10 @@ window clipping is always an explicit caller-side step.
 each generator once: the intertwining check once on the source and once
 on the target wedge module, the bracket and Jacobi residuals once per
 generator they apply.  They bind d once per sweep too: the intertwining
-check binds it once and applies it to x and to D x.  The tables a
-binding fills itself (its lattice points and its summed matrix parts)
-live for one call; the integer-scaled columns it reads belong to the gl
+check binds it once and applies it to x and to D x.  A Witt binding
+fills one table itself, its summed matrix parts, which lives for one
+call; a run of terms at one lattice point shares that point's target
+and weight.  The integer-scaled columns it reads belong to the gl
 input (its ``scaled_column``) and are filled once per input instance,
 and the input also says which columns are nonempty at each basis index
 (its ``nonzero_columns``), so a binding reads no empty column and forms
@@ -200,12 +201,13 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
     on this.
 
     What does not depend on x is computed here, once: the nonzero entries
-    u_k and (u|alpha), summed over them.  ``apply`` tables the rest as it
-    meets it: for each lattice point m its target m + r and its weight,
-    and for each basis index the matrix part, its entries summed.  A
-    matrix part reads only the columns ``nonzero_columns`` names, and of
-    those only the ones whose weight r_i u_j is nonzero, forming that
-    weight as it reads the column.  These tables belong to this one
+    u_k and (u|alpha), summed over them.  The one table, ``columns``,
+    holds the matrix part of each basis index ``apply`` meets, its
+    entries summed; it reads only the columns ``nonzero_columns`` names,
+    and of those only the ones whose weight r_i u_j is nonzero, forming
+    that weight as it reads the column.  A point's target m + r and weight
+    are computed when a term's point differs from the last term's, so a
+    run of terms at one point shares them.  The table belongs to this one
     operator, so a sweep binds each generator once and drops it when the
     sweep returns.  ``apply`` refuses an element with another alpha.
 
@@ -226,36 +228,29 @@ def witt_operator(D: WittGenerator, module, alpha, scale: int = 1):
         u_alpha = u_alpha + uk * (alpha[k] if scale == 1 else scaled_int(alpha[k], scale))
     direction, shift = D.u, D.r
     scaled_u = u if scale == 1 else [(k, scale * uk) for k, uk in u]
-    points = {}
     columns = {}
-
-    def locate(m):
-        # (m + r, the weight (u|L alpha) + L(u|m) of a term at m)
-        u_m = 0
-        for k, uk in scaled_u:
-            u_m = u_m + uk * m[k]
-        point = points[m] = (tuple(map(add, m, shift)), u_alpha + u_m)
-        return point
-
-    def matrix_part(idx):
-        # (the entry at idx itself, the other (p, entry) pairs)
-        col = {}
-        for i, j in module.nonzero_columns(idx):
-            w = direction[j - 1] * shift[i - 1]
-            if w:
-                for p, e in module.scaled_column(scale, i, j, idx):
-                    add_term(col, p, w * e)
-        diag = col.pop(idx, 0)
-        part = columns[idx] = (diag, tuple(col.items()))
-        return part
 
     def apply(x: ModuleElement) -> ModuleElement:
         if x.alpha != alpha:
             raise ValueError(f"element twist {x.alpha} does not match the bound {alpha}")
         out = {}
-        for (idx, m), coeff in x.terms.items():
-            target, weight = points.get(m) or locate(m)
-            diag, rest = columns.get(idx) or matrix_part(idx)
+        m = None
+        for (idx, point), coeff in x.terms.items():
+            if point != m:  # a run at a new point: m + r, (u|L alpha) + L(u|m)
+                m = point
+                target = tuple(map(add, m, shift))
+                weight = u_alpha
+                for k, uk in scaled_u:
+                    weight = weight + uk * m[k]
+            if idx not in columns:  # (the entry at idx itself, the other (p, entry) pairs)
+                col = {}
+                for i, j in module.nonzero_columns(idx):
+                    w = direction[j - 1] * shift[i - 1]
+                    if w:
+                        for p, e in module.scaled_column(scale, i, j, idx):
+                            add_term(col, p, w * e)
+                columns[idx] = (col.pop(idx, 0), tuple(col.items()))
+            diag, rest = columns[idx]
             add_term(out, (idx, target), (weight + diag if diag else weight) * coeff)
             for p, e in rest:
                 add_term(out, (p, target), e * coeff)

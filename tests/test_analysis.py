@@ -12,7 +12,7 @@ import pytest
 import sympy
 from sympy.polys.rings import PolyElement
 
-from wittmod import engine, scalars, sl3, tensor
+from wittmod import engine, glmod, scalars, sl3, tensor
 from wittmod.cli import main
 from wittmod.engine import (
     DEFAULT_WORDS,
@@ -807,6 +807,43 @@ def _assert_jacobi_failure_replays(failure):
     assert tensor.element_to_json(res, module) == failure["residual"]
 
 
+def _corrupted_gl2_forms():
+    """The 1-forms of gl2 with E12 e_2 = -e_1: [E12, E21] e_1 is off."""
+    return _with_entry(exterior_power(2, 1), (1, 2), 0, 1, Fraction(-1))
+
+
+def test_first_gl_bracket_failure_replays_from_the_report(monkeypatch):
+    # a passing report prints no gl failure; with one entry of an input
+    # corrupted, that input's check prints its first failure, whose
+    # generator pair and basis index give back its printed residual
+    checks = witt_consistency_report()["gl_bracket_checks"]
+    assert not any("first_failure" in check for check in checks)
+    wedge = exterior_power
+    monkeypatch.setattr(
+        engine, "exterior_power",
+        lambda n, k: _corrupted_gl2_forms() if (n, k) == (2, 1) else wedge(n, k),
+    )
+    engine._witt_inputs.cache_clear()
+    try:
+        doc, again = [witt_consistency_report(bracket_trials=1, jacobi_trials=0) for _ in range(2)]
+    finally:
+        engine._witt_inputs.cache_clear()
+    assert doc["verdict"] == "fail"
+    [check] = [check for check in doc["gl_bracket_checks"] if not check["ok"]]
+    assert check["module"] == "wedge^1 of gl2"
+    failure = check["first_failure"]
+    # each report holds its own copy of the cached failure
+    assert again["gl_bracket_checks"][2]["first_failure"] == failure
+    assert again["gl_bracket_checks"][2]["first_failure"]["residual"] is not failure["residual"]
+    pair = re.fullmatch(r"\[E(\d)(\d),E(\d)(\d)\]", failure["generators"]).groups()
+    module = _corrupted_gl2_forms()
+    v = ModuleElement.basis((), module.positions[tuple(failure["basis_index"])], ())
+    res = glmod.bracket_residual(module.act, *map(int, pair), v)
+    assert not res.is_zero()
+    printed = {str(module.label(t)): scalars.coeff_to_text(c) for (t, _), c in res.sorted_terms()}
+    assert printed == failure["residual"]
+
+
 def test_witt_and_derham_fail_without_a_nonzero_column(monkeypatch):
     # a binding reads only the columns ``nonzero_columns`` names: leave
     # E12 out on the 1-forms of gl2 and both default reports fail, the
@@ -1068,13 +1105,14 @@ def test_singular_vectors_certify_every_kernel_vector(monkeypatch):
 
 
 def test_degenerate_fails_when_the_closure_holds_every_target(monkeypatch):
-    window = Window.symmetric(1, 1, 1, 1)
+    # three inner vectors, v_i(0, 0) for i in -1..1
+    window = Window.symmetric(2, 1, 1, 1)
     every = [basis_element(DEG, idx, pt) for idx, pt in window.basis()]
     monkeypatch.setattr(engine, "find_singular_vectors", lambda params, w: every)
     doc = check_degenerate_reducibility(DEG, window)
     assert doc["verdict"] == "fail"
     assert doc["proper"] is False and doc["witness"] is None
-    assert doc["reached"] == doc["targets"] == 1
+    assert doc["reached"] == doc["targets"] == 3
 
 
 @pytest.mark.parametrize(

@@ -250,6 +250,10 @@ def test_gt_rejects_config_before_any_subcheck_runs(capsys, tmp_path, monkeypatc
         ("irreducible", "--seed", "v:0@0,0", "--window", "1,1,1,1"),
         ("generate", "--window", "1,1,1,1"),
         ("generate", "--window", "0,0,0"),
+        # ... and for degenerate the only target, which used to exit 1
+        ("degenerate", "--window", "0,0,0"),
+        ("degenerate", "--window", "1,1,1,1"),
+        ("degenerate", "--window", "2,2,2,2"),
         # a repeated config key used to run at its last value
         ("check-generic", "--config", "{repeated}"),
     ],

@@ -271,12 +271,40 @@ def test_act_witt_matches_per_generator_route(case):
 @given(witt_cases(count=3))
 def test_bound_operator_matches_per_generator_route(case):
     # one binding serves several elements, its own images and repeats,
-    # all through the tables the earlier applications filled
+    # all through the table the earlier applications filled
     module, D, xs = case
     act = witt_operator(D, module, xs[0].alpha)
     xs = xs + [act(xs[0]), xs[0]]
     for x in xs:
         assert act(x) == _act_witt_reference(D, x, module)
+
+
+@pytest.mark.parametrize("name", sorted(GL_INPUTS))
+def test_bound_operator_on_runs_and_returns_to_a_point(name):
+    # a binding shares a point's target and weight across a run of terms
+    # at that point, and computes them again for terms at A, then B, then
+    # A; both at scale 1 and at the sweep's L, for two directions
+    module = GL_INPUTS[name]
+    n = module.n
+    alpha = tuple(Fraction(1, p) for p in (17, 19, 23)[:n])
+    a, b = (1, -2, 0)[:n], (0, 1, 2)[:n]
+    idx = _indices(module)
+    cf = C + L if name == "cuspidal-symbolic" else Fraction(2, 3)
+    run = ModuleElement(alpha, {**{(i, a): cf for i in idx[:3]}, (idx[0], b): 1})
+    back = ModuleElement(
+        alpha, {(idx[0], a): 1, (idx[-1], b): -cf, (idx[1 % len(idx)], a): Fraction(1, 5)}
+    )
+    if len(idx) > 1:
+        assert [m for _, m in back.terms] == [a, b, a]
+    scale = tensor._sweep_scale(alpha, [module])
+    for D in (
+        WittGenerator((1, 2, -1)[:n], (1, 0, -1)[:n]),
+        WittGenerator((Fraction(1, 2), -1, 2)[:n], (-1, 1, 0)[:n]),
+    ):
+        for factor in {1, scale}:
+            act = witt_operator(D, module, alpha, factor)
+            for x in (run, back, run):
+                assert act(x) == _act_witt_reference(D, x, module).scale(factor)
 
 
 @pytest.mark.parametrize("symbolic", [False, True], ids=["numeric", "symbolic"])
@@ -433,7 +461,7 @@ def scaled_witt_cases(draw):
 def test_scaled_operator_is_the_scaled_image(case):
     module, D, x, scale = case
     act = witt_operator(D, module, x.alpha, scale)
-    ys = [act(x), act(x)]  # the second application reads the filled tables
+    ys = [act(x), act(x)]  # the second application reads the filled table
     expected = witt_operator(D, module, x.alpha)(x).scale(scale)
     assert ys == [expected, expected]
     if all(type(c) is int for c in x.terms.values()):
