@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import operator
 import random
+from bisect import insort
 from copy import deepcopy
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -194,15 +195,15 @@ def _eliminate(row: dict, pivot, r: dict) -> dict:
 
 
 class SubspaceBasis:
-    """Fraction-free reduced echelon bases, one per lattice point.
+    """Fraction-free row-echelon bases, one per lattice point.
 
-    Rows are integer vectors kept fully back-substituted (zero at every
-    other row's pivot) and primitive: the entries' gcd is 1 and the pivot,
-    the lowest index, is positive.  Each row is then the unique primitive
-    multiple of a reduced row-echelon row, so the basis of a given
-    subspace is unique and reports built from it are reproducible byte
-    for byte.  Rational input rows are cleared to integer rows on entry;
-    elimination never divides.
+    Rows are primitive integer vectors (gcd 1; the pivot, the lowest
+    index, positive) in ascending pivot order, never rewritten once
+    stored.  ``reduce`` returns the one primitive vector in the span of
+    row and basis that is zero at every pivot, whatever rows span the
+    subspace, so each row ``insert`` returns, and each report built from
+    those rows, is reproducible byte for byte.  Rational input rows are
+    cleared to integer rows on entry; elimination never divides.
     """
 
     def __init__(self):
@@ -218,17 +219,11 @@ class SubspaceBasis:
         return _primitive(out) if out else out
 
     def insert(self, pt, row: dict) -> Optional[dict]:
-        """Add a vector; returns its canonical new row, or None if dependent."""
+        """Add a vector; returns the stored reduced row, or None if dependent."""
         red = self.reduce(pt, row)
         if not red:
             return None
-        pivot = min(red)
-        rows = self.by_point.setdefault(pt, [])
-        for t, (p, r) in enumerate(rows):
-            if pivot in r:
-                rows[t] = (p, _primitive(_eliminate(r, pivot, red)))
-        pos = sum(1 for p, _ in rows if p < pivot)
-        rows.insert(pos, (pivot, red))
+        insort(self.by_point.setdefault(pt, []), (min(red), red))
         return red
 
     def contains(self, pt, row: dict) -> bool:
@@ -306,8 +301,8 @@ def closure(params: Params, seeds, words, window: Window, stop_at=None):
     go first.  Every stored row has all its images tried, so any order
     gives the same exhausted closure: the smallest per-point family of
     subspaces that holds the seeds and is closed under "apply a word, drop
-    the out-of-range indices", with the same canonical rows.  ``rounds``
-    is the largest depth processed plus one.
+    the out-of-range indices".  ``rounds`` is the largest depth processed
+    plus one.
     """
     if not params.is_numeric():
         raise ValueError("closure needs numeric parameters")
@@ -611,8 +606,9 @@ def nullspace(rows, ncols: int) -> list:
     """Exact nullspace basis of a dense matrix given as a list of rows.
 
     The rows are reduced in one ``SubspaceBasis``; each free column of the
-    resulting echelon form gives one kernel vector, with ``Fraction``
-    entries read off the integer rows.
+    resulting echelon form gives one kernel vector, 1 there and 0 at the
+    other free columns, its pivot entries back-substituted from the last
+    pivot row up, all of them ``Fraction``.
     """
     sb = SubspaceBasis()
     for r in rows:
@@ -625,9 +621,9 @@ def nullspace(rows, ncols: int) -> list:
             continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for p, row in echelon:
-            if fc in row:
-                vec[p] = Fraction(-row[fc], row[p])
+        for p, row in reversed(echelon):
+            # Fraction(...): on a pivot-only row the sum is the int 0
+            vec[p] = Fraction(-sum(v * vec[k] for k, v in row.items() if k != p), row[p])
         out.append(vec)
     return out
 
@@ -1238,22 +1234,35 @@ def witt_consistency_report(
     return _report("witt", Params.numeric(), None, "pass" if ok else "fail", body)
 
 
-def _failing_directions(residuals, directions, box, r) -> int:
-    """How many (u, m), u in ``directions`` and m in ``box``, fail, from
+def _first_failure(res, box, r):
+    """(m, the part of ``res`` at m + r) for the first m in ``box`` order
+    at which the box-wide residual ``res`` is nonzero."""
+    at = res.support_points()
+    t = next(t for t in (tuple(map(operator.add, m, r)) for m in box) if t in at)
+    part = ModuleElement(res.alpha, {key: c for key, c in res.terms.items() if key[1] == t})
+    return tuple(map(operator.sub, t, r)), part
+
+
+def _failing_directions(residuals, directions, box, r):
+    """How many (u, m), u in ``directions`` and m in ``box``, fail, and
+    (u, m, residual) for the first failure in that order, or None; from
     the box-wide residual of each unit direction: the residual of t^m is
-    the part at m + r, so u fails at the support of sum_k u_k residuals[k].
-    The sums are formed only when some unit residual is nonzero; a term
-    outside box + r, which no m owns, is refused."""
+    the part at m + r, so u fails at the support of sum_k u_k
+    residuals[k].  The sums are formed only when some unit residual is
+    nonzero; a term outside box + r, which no m owns, is refused."""
     if all(res.is_zero() for res in residuals):
-        return 0
+        return 0, None
     shifted = {tuple(map(operator.add, m, r)) for m in box}
     for t in set().union(*(res.support_points() for res in residuals)) - shifted:
         raise ValueError(f"residual term at {t} is outside the box shifted by {r}")
     zero = ModuleElement.zero(residuals[0].alpha)
-    return sum(
-        len(sum((res.scale(uk) for uk, res in zip(u, residuals) if uk), zero).support_points())
-        for u in directions
-    )
+    failures, first = 0, None
+    for u in directions:
+        total = sum((res.scale(uk) for uk, res in zip(u, residuals) if uk), zero)
+        failures += len(total.support_points())
+        if first is None and not total.is_zero():
+            first = (u, *_first_failure(total, box, r))
+    return failures, first
 
 
 def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
@@ -1283,6 +1292,12 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
     ``tensor._sweep_scale(alpha, wedges)``, the lcm of the twist's
     denominators: dd becomes L**2 dd, and the image check compares
     (LD)(Ld)(t^m) with L(u|m + alpha) (Ld)(t^(m+r)).
+
+    A check that fails prints its first failure, residual divided by L**2:
+    ``first_dd_failure`` (degree, index and m; lowest degree, then index,
+    then box order) and ``first_intertwining_failure`` and
+    ``first_image_failure`` (u, r and m; r, then u in ``directions`` order,
+    then m in the small box's order).  A passing report has none of them.
     """
     if n not in (2, 3):
         raise ValueError("de Rham runner supports rank 2 or 3")
@@ -1296,11 +1311,21 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
     box = list(iproduct(range(-box_bound, box_bound + 1), repeat=n))
     d = [de_rham_operator(wedges, kk, alpha, scale) for kk in range(n)]  # d from degree kk
 
-    dd_failures = 0
+    failures = dict.fromkeys(("dd", "intertwining", "image"), 0)
+    first = {}  # report key -> that check's first failure
+
+    def note(key, where, res, module):
+        if key not in first:  # res is L**2 times the true residual
+            first[key] = where | {"residual": element_to_json(_unscaled(res, scale**2), module)}
+
     for kk in range(n - 1):
         for idx in range(wedges[kk].dim):
             twice = d[kk + 1](d[kk](ModuleElement(alpha, {(idx, m): 1 for m in box})))
-            dd_failures += len(twice.support_points())
+            failures["dd"] += len(twice.support_points())
+            if not twice.is_zero():
+                m, res = _first_failure(twice, box, (0,) * n)
+                where = {"degree": kk, "index": wedges[kk].label(idx), "m": list(m)}
+                note("first_dd_failure", where, res, wedges[kk + 2])
     dd_checked = len(box) * sum(wedges[kk].dim for kk in range(n - 1))
 
     directions = list(iproduct(range(-uv_bound, uv_bound + 1), repeat=n))
@@ -1309,8 +1334,6 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
     whole = ModuleElement(alpha, {(0, m): 1 for m in small_box})  # wedge^0 has one basis vector
     d_whole = d[0](whole)
 
-    inter_failures = 0
-    image_failures = 0
     for r in directions:
         residuals, images = [], []
         for k, e in enumerate(units):
@@ -1325,10 +1348,15 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
                 (0, tuple(map(operator.add, m, r))): twist[k] + scale * m[k] for m in small_box
             })
             images.append(moved - d[0](target))
-        inter_failures += _failing_directions(residuals, directions, small_box, r)
-        image_failures += _failing_directions(images, directions, small_box, r)
+        for check, found in (("intertwining", residuals), ("image", images)):
+            count, at = _failing_directions(found, directions, small_box, r)
+            failures[check] += count
+            if at:
+                u, m, res = at
+                where = {"u": list(u), "r": list(r), "m": list(m)}
+                note(f"first_{check}_failure", where, res, wedges[1])
 
-    ok = dd_failures == 0 and inter_failures == 0 and image_failures == 0
+    ok = not any(failures.values())
     params = Params.numeric()
     return _report(
         "derham", params, None, "pass" if ok else "fail",
@@ -1336,11 +1364,11 @@ def derham_report(n: int = 2, box_bound: int = 2, uv_bound: int = 2) -> dict:
             "n": n,
             "alpha": [str(a) for a in alpha],
             "dd_checked": dd_checked,
-            "dd_failures": dd_failures,
+            "dd_failures": failures["dd"],
             "intertwining_pairs": len(directions) ** 2,
             "intertwining_checked": len(directions) ** 2 * len(small_box),
-            "intertwining_failures": inter_failures,
+            "intertwining_failures": failures["intertwining"],
             "image_checked": (len(directions) - 1) * len(directions) * len(small_box),
-            "image_failures": image_failures,
-        },
+            "image_failures": failures["image"],
+        } | first,
     )

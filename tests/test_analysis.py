@@ -152,7 +152,15 @@ def _assert_canonical(rows):
     for p, r in rows:
         assert all(type(v) is int and v for v in r.values())
         assert min(r) == p and r[p] > 0 and math.gcd(*r.values()) == 1
-        assert all(q not in r for q in pivots if q != p)  # back-substituted
+
+
+def _assert_same_span(a, b):
+    """Two ``SubspaceBasis`` objects span the same subspace at every point:
+    the same rank, and each one's stored rows reduce to nothing in the other."""
+    for pt in set(a.by_point) | set(b.by_point):
+        assert a.rank(pt) == b.rank(pt)
+        assert all(not b.reduce(pt, r) for _, r in a.by_point.get(pt, []))
+        assert all(not a.reduce(pt, r) for _, r in b.by_point.get(pt, []))
 
 
 def test_subspace_basis_canonical_rows():
@@ -163,13 +171,15 @@ def test_subspace_basis_canonical_rows():
     assert sb.insert(pt, {0: Fraction(-1, 2), 1: 1, 4: Fraction(3, 2)}) == {0: 1, 3: 3, 4: -3}
     assert sb.by_point[pt] == [(0, {0: 1, 3: 3, 4: -3}), (1, {1: 2, 3: 3})]
     _assert_canonical(sb.by_point[pt])
-    # the same span from other vectors, in the other order, gives the same rows
+    # the same span from other vectors, in the other order
     other = SubspaceBasis()
     other.insert(pt, {0: 3, 1: -6, 4: -9})
     other.insert(pt, {1: Fraction(-4, 5), 3: Fraction(-6, 5)})
-    assert other.by_point == sb.by_point
-    assert sb.insert(pt, {1: Fraction(5), 3: Fraction(10)}) is not None
-    assert sb.by_point[pt] == [(0, {0: 1, 4: -3}), (1, {1: 1}), (3, {3: 1})]
+    _assert_same_span(other, sb)
+    # the returned row is zero at every earlier pivot; stored rows stay as
+    # they were returned, in pivot order
+    assert sb.insert(pt, {1: Fraction(5), 3: Fraction(10)}) == {3: 1}
+    assert sb.by_point[pt] == [(0, {0: 1, 3: 3, 4: -3}), (1, {1: 2, 3: 3}), (3, {3: 1})]
     _assert_canonical(sb.by_point[pt])
     assert sb.insert(pt, {0: 2, 3: 7, 4: -6}) is None  # dependent
     assert sb.contains(pt, {3: Fraction(7)})
@@ -241,6 +251,84 @@ def test_nullspace_pinned():
     assert len(ker) == 1
     for row in rows:
         assert sum(a * b for a, b in zip(row, ker[0])) == 0
+
+
+def test_every_basis_of_a_span_reduces_alike_and_keeps_its_rows():
+    # two spanning sets of one subspace (the second a unitriangular integer
+    # recombination of the first, shuffled) often store different echelon rows
+    # but reduce every probe alike, so each row a closure pushes is the
+    # same; a stored row is the dict insert returned, never rewritten
+    rnd = random.Random(11)
+    pt = (0, 0)
+    for _ in range(60):
+        n = rnd.randint(2, 6)
+        gens = [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(rnd.randint(1, n + 1))]
+        mixed = []
+        for j, a in enumerate(gens):
+            mixed.append(list(a))
+            for b in gens[j + 1:]:
+                c = rnd.randint(-2, 2)
+                mixed[-1] = [x + c * y for x, y in zip(mixed[-1], b)]
+        rnd.shuffle(mixed)
+        first, second = SubspaceBasis(), SubspaceBasis()
+        returned = []
+        for vec in gens:
+            red = first.insert(pt, {k: v for k, v in enumerate(vec) if v})
+            if red is not None:
+                returned.append((red, dict(red)))
+        for vec in mixed:
+            second.insert(pt, {k: Fraction(v, 3) for k, v in enumerate(vec) if v})
+        _assert_same_span(first, second)
+        _assert_canonical(first.by_point.get(pt, []))
+        _assert_canonical(second.by_point.get(pt, []))
+        for _ in range(8):
+            probe = {k: rnd.randint(-4, 4) for k in range(n)}
+            probe = {k: v for k, v in probe.items() if v}
+            assert first.reduce(pt, probe) == second.reduce(pt, probe)
+        stored = [r for _, r in first.by_point.get(pt, [])]
+        assert sorted(map(id, stored)) == sorted(id(red) for red, _ in returned)
+        assert all(red == copy for red, copy in returned)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # row 0 keeps entries at both later pivots; the last is pivot-only
+        [[1, 2, 3, 4], [0, 1, 5, 0], [0, 0, 0, 3]],
+        [[2, 4, 1, 0, 6], [0, 3, 0, 1, 1], [0, 0, 7, 0, 0]],
+        [[0, 1, 1], [0, 0, 2], [0, 3, 1]],
+    ],
+)
+def test_nullspace_back_substitutes_an_unreduced_echelon_form(rows):
+    ncols = len(rows[0])
+    sb = SubspaceBasis()
+    for r in rows:
+        sb.insert(None, dict(enumerate(r)))
+    echelon = sb.by_point[None]
+    pivots = [p for p, _ in echelon]
+    # the premise: the stored form is not reduced, and some row is pivot-only
+    assert any(q in r for p, r in echelon for q in pivots if q != p)
+    assert any(len(r) == 1 for _, r in echelon)
+    _assert_kernel(rows, ncols)
+
+
+def _assert_kernel(rows, ncols):
+    """``nullspace`` gives Fraction vectors that annihilate every row, as
+    many as sympy's rank leaves."""
+    ker = nullspace(rows, ncols)
+    assert all(type(v) is Fraction for vec in ker for v in vec)
+    assert len(ker) == ncols - sympy.Matrix(rows).rank()
+    for vec in ker:
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+
+def test_nullspace_matches_sympy_on_random_matrices():
+    rnd = random.Random(3)
+    for _ in range(40):
+        ncols = rnd.randint(1, 6)
+        nrows = rnd.randint(1, 5)
+        rows = [[rnd.choice([0, 0, 1, -2, 3]) for _ in range(ncols)] for _ in range(nrows)]
+        _assert_kernel(rows, ncols)
 
 
 # -- closure -----------------------------------------------------------------
@@ -447,7 +535,8 @@ def test_closure_order_cannot_change_an_exhausted_closure(params, seeds, words, 
     bfs, bfs_stats = closure(params, seeds, words, SMALL)
     assert not bfs.contains_basis(target[1], target[0])
     directed, stats = closure(params, seeds, words, SMALL, stop_at=target)
-    assert stats["exhausted"] and directed.by_point == bfs.by_point
+    assert stats["exhausted"]
+    _assert_same_span(directed, bfs)
     # each stored row was processed once, in either order
     assert stats["rows_processed"] == bfs_stats["rows_processed"] == bfs.total_rank()
     assert stats["rank"] == bfs_stats["rank"]
@@ -591,6 +680,133 @@ def test_derham_dd_check_needs_the_crossing_signs(monkeypatch):
     doc = derham_report()
     assert doc["verdict"] == "fail"
     assert (doc["dd_failures"], doc["intertwining_failures"], doc["image_failures"]) == (25, 0, 0)
+    assert "first_intertwining_failure" not in doc and "first_image_failure" not in doc
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_passing_derham_report_prints_no_first_failure(n):
+    doc = derham_report(n=n)
+    assert doc["verdict"] == "pass"
+    assert not any(key.startswith("first_") for key in doc)
+
+
+def _derham_sweep(n, box_bound=2, uv_bound=2):
+    """(twist, wedge modules, d²'s box, directions, small box) of
+    ``derham_report(n, box_bound, uv_bound)``, each in the report's order."""
+    box = list(product(range(-box_bound, box_bound + 1), repeat=n))
+    directions = list(product(range(-uv_bound, uv_bound + 1), repeat=n))
+    small_box = list(product(range(-1, 2), repeat=n))
+    wedges = [exterior_power(n, k) for k in range(n + 1)]
+    return engine.TWIST[:n], wedges, box, directions, small_box
+
+
+def _dd(alpha, wedges, kk, idx, m):
+    x = ModuleElement.basis(alpha, idx, m)
+    return tensor.de_rham_differential(tensor.de_rham_differential(x, wedges, kk), wedges, kk + 1)
+
+
+def _image_residual(alpha, wedges, u, r, m):
+    """D(u, r) d(t^m) - (u|m + alpha) d(t^(m+r))."""
+    d_m = tensor.de_rham_differential(ModuleElement.basis(alpha, 0, m), wedges, 0)
+    weight = sum(uk * (mk + ak) for uk, mk, ak in zip(u, m, alpha))
+    target = ModuleElement.basis(alpha, 0, [mk + rk for mk, rk in zip(m, r)], weight)
+    moved = tensor.act_witt(tensor.WittGenerator(u, r), d_m, wedges[1])
+    return moved - tensor.de_rham_differential(target, wedges, 0)
+
+
+def _first_failures_replay(doc, n, box_bound=2, uv_bound=2):
+    """Each first failure ``doc`` prints gives back its printed residual,
+    and no earlier point of its sweep fails."""
+    alpha, wedges, box, directions, small_box = _derham_sweep(n, box_bound, uv_bound)
+    failure = doc.get("first_dd_failure")
+    if doc["dd_failures"]:
+        kk, m = failure["degree"], failure["m"]
+        res = _dd(alpha, wedges, kk, wedges[kk].positions[tuple(failure["index"])], m)
+        assert not res.is_zero()
+        assert tensor.element_to_json(res, wedges[kk + 2]) == failure["residual"]
+        first = next(
+            (k, wedges[k].label(i), list(p))
+            for k in range(n - 1) for i in range(wedges[k].dim) for p in box
+            if not _dd(alpha, wedges, k, i, p).is_zero()
+        )
+        assert first == (kk, failure["index"], m)
+    failure = doc.get("first_intertwining_failure")
+    if doc["intertwining_failures"]:
+        u, r, m = failure["u"], failure["r"], failure["m"]
+        [replayed] = verify_d_intertwines(u, r, alpha, [m], n, 0, wedges)["failures"]
+        assert replayed["residual"] == failure["residual"]
+        first = next(
+            [list(u), list(r), found["failures"][0]["basis"]["m"]]
+            for r in directions for u in directions
+            for found in [verify_d_intertwines(u, r, alpha, small_box, n, 0, wedges)]
+            if found["failures"]
+        )
+        assert first == [u, r, m]
+    failure = doc.get("first_image_failure")
+    if doc["image_failures"]:
+        u, r, m = failure["u"], failure["r"], failure["m"]
+        res = _image_residual(alpha, wedges, u, r, m)
+        assert not res.is_zero()
+        assert tensor.element_to_json(res, wedges[1]) == failure["residual"]
+        first = next(
+            [list(u), list(r), list(p)]
+            for r in directions for u in directions for p in small_box
+            if not _image_residual(alpha, wedges, u, r, p).is_zero()
+        )
+        assert first == [u, r, m]
+
+
+@pytest.mark.parametrize("n, box_bound", [(2, 2), (3, 1)])
+def test_first_dd_failure_replays_from_the_report(monkeypatch, n, box_bound):
+    # the crossing-sign mutant on every table in rank 2; in rank 3 only on
+    # the 2-forms' table, so degree 0 passes and degree 1 fails first
+    real = tensor._differential_table
+
+    def unsigned(src, dst):
+        rows = real(src, dst)
+        if n == 3 and len(src.label(0)) != 2:
+            return rows
+        return tuple(tuple((j, pos, 0) for j, pos, _ in row) for row in rows)
+
+    monkeypatch.setattr(tensor, "_differential_table", unsigned)
+    doc = derham_report(n=n, box_bound=box_bound)
+    assert doc["first_dd_failure"]["degree"] == n - 2
+    _first_failures_replay(doc, n, box_bound)
+
+
+def test_first_intertwining_and_image_failures_replay_from_the_report(monkeypatch):
+    bind = _weighed_twice(tensor.witt_operator)
+    monkeypatch.setattr(tensor, "witt_operator", bind)
+    monkeypatch.setattr(engine, "witt_operator", bind)
+    doc = derham_report()
+    assert (doc["intertwining_failures"], doc["image_failures"]) == (3840, 4000)
+    assert "first_dd_failure" not in doc
+    _first_failures_replay(doc, 2)
+
+
+@pytest.mark.parametrize("factor", [0, 2], ids=["zero", "double"])
+def test_first_image_failure_replays_from_the_report(monkeypatch, factor):
+    bind = _scaled_binding(tensor.witt_operator, factor)
+    monkeypatch.setattr(tensor, "witt_operator", bind)
+    monkeypatch.setattr(engine, "witt_operator", bind)
+    doc = derham_report(box_bound=0, uv_bound=1)
+    assert doc["image_failures"] == 8 * 9 * 9 and "first_intertwining_failure" not in doc
+    _first_failures_replay(doc, 2, box_bound=0, uv_bound=1)
+
+
+def test_derham_first_failures_follow_the_sweep_order(monkeypatch):
+    # a weight off by u_1 - u_2 only where r_1 > 0 and m_1 > 0 passes at
+    # the first r, the first u and the first m of the sweep, so each first
+    # failure is the first (r, u, m) that fails, not the first one swept
+    bind = _extra_weight(
+        tensor.witt_operator, lambda u, r, m: (u[0] - u[1]) * (r[0] > 0 and m[0] > 0)
+    )
+    monkeypatch.setattr(tensor, "witt_operator", bind)
+    monkeypatch.setattr(engine, "witt_operator", bind)
+    doc = derham_report()
+    for key in ("first_intertwining_failure", "first_image_failure"):
+        assert [doc[key][k] for k in "urm"] == [[-2, -1], [1, -2], [1, -1]]
+    _first_failures_replay(doc, 2)
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -718,9 +934,9 @@ def test_derham_refuses_a_doubled_shift(monkeypatch, n):
         derham_report(n=n, box_bound=0, uv_bound=1)
 
 
-def _weighed_twice(bind):
-    """``witt_operator`` whose weight is (u|alpha + 2m): the true image plus
-    L(u|m) v(m + r)."""
+def _extra_weight(bind, extra_weight):
+    """``witt_operator`` whose weight is off by ``extra_weight(u, r, m)``,
+    linear in u: the true image plus L extra_weight(u, r, m) v(m + r)."""
 
     def mutant(D, module, alpha, scale=1):
         act = bind(D, module, alpha, scale)
@@ -728,13 +944,18 @@ def _weighed_twice(bind):
         def apply(x):
             extra = {}
             for (idx, m), c in x.terms.items():
-                u_m = sum(uk * mk for uk, mk in zip(D.u, m))
-                add_term(extra, (idx, tuple(a + b for a, b in zip(m, D.r))), scale * u_m * c)
+                w = extra_weight(D.u, D.r, m)
+                add_term(extra, (idx, tuple(a + b for a, b in zip(m, D.r))), scale * w * c)
             return act(x) + ModuleElement(x.alpha, extra)
 
         return apply
 
     return mutant
+
+
+def _weighed_twice(bind):
+    """``witt_operator`` whose weight is (u|alpha + 2m)."""
+    return _extra_weight(bind, lambda u, r, m: sum(uk * mk for uk, mk in zip(u, m)))
 
 
 def test_witt_and_derham_fail_under_a_doubled_weight(monkeypatch):
