@@ -82,7 +82,7 @@ def parse_int_list(text: str, what: str):
 def load_config(path: str) -> dict:
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not part of a key
             lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}")

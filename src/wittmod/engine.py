@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import operator
 import random
-from bisect import insort
 from copy import deepcopy
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -52,13 +51,12 @@ from .sl3 import (
     check_letters,
     condition_values,
     covariant_sweep,
-    lowering_operator,
     moved,
     parse_word,
     proof_identity_report,
-    raising_operator,
     row_action,
     sweep_failures,
+    truncation_images,
     truncation_lengths,
     verify_embedding,
     verify_sl3_brackets,
@@ -195,12 +193,13 @@ def _eliminate(row: dict, pivot, r: dict) -> dict:
 
 
 class SubspaceBasis:
-    """Fraction-free row-echelon bases, one per lattice point.
+    """Fraction-free triangular bases, one per lattice point.
 
     Rows are primitive integer vectors (gcd 1; the pivot, the lowest
-    index, positive) in ascending pivot order, never rewritten once
-    stored.  ``reduce`` returns the one primitive vector in the span of
-    row and basis that is zero at every pivot, whatever rows span the
+    index, positive) in insertion order, never rewritten once stored.
+    Each is zero at every earlier row's pivot, so ``reduce``, eliminating
+    in that order, returns the one primitive vector in the span of row
+    and basis that is zero at every pivot, whatever rows span the
     subspace, so each row ``insert`` returns, and each report built from
     those rows, is reproducible byte for byte.  Rational input rows are
     cleared to integer rows on entry; elimination never divides.
@@ -223,7 +222,7 @@ class SubspaceBasis:
         red = self.reduce(pt, row)
         if not red:
             return None
-        insort(self.by_point.setdefault(pt, []), (min(red), red))
+        self.by_point.setdefault(pt, []).append((min(red), red))
         return red
 
     def contains(self, pt, row: dict) -> bool:
@@ -608,7 +607,8 @@ def nullspace(rows, ncols: int) -> list:
     The rows are reduced in one ``SubspaceBasis``; each free column of the
     resulting echelon form gives one kernel vector, 1 there and 0 at the
     other free columns, its pivot entries back-substituted from the last
-    pivot row up, all of them ``Fraction``.
+    stored row up, all of them ``Fraction``: a row is zero at every
+    earlier row's pivot, so the entries it reads are known by then.
     """
     sb = SubspaceBasis()
     for r in rows:
@@ -738,9 +738,9 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     For truncation length s, the raising operator T_A and the lowering
     operator T_B each force a value of the neighbour ratio a_{j-1}/a_j
     inside an invariant line of the index window; both are derived here
-    from the action alone, applying each operator once to each of
-    v_0 .. v_s; T_B and the E31/E32 coefficients do not depend on s, so
-    one call shares them between its truncation lengths.  From their
+    from the action alone, reading each operator's images of v_0 .. v_s
+    off one ``truncation_images`` call per s; the E31/E32 coefficients are
+    built per s too, nothing is kept between truncation lengths.  From their
     coefficients c1a, c2a, c1b, c2b and the E31/E32 factors g, h, all
     polynomials, each ratio is one pair, with the rho normalisation (1 at
     index 0) built in: R_A = a/(g[j,1] h[0,0] c2a[j]) and
@@ -762,15 +762,10 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
     up, down = (1, -1), (-1, 1)  # where T_A and T_B take the origin
     results = []
     flags = []
-    t_b_of, g, h = {}, {}, {}  # free of s: filled for the first s needing them
     s_values = truncation_lengths(s_values)
     for s in s_values:
         js = range(s + 1)
-        t_a = [raising_operator(params, s, basis_element(params, j, (0, 0))) for j in js]
-        for j in js:
-            if j not in t_b_of:
-                t_b_of[j] = lowering_operator(params, basis_element(params, j, (0, 0)))
-        t_b = [t_b_of[j] for j in js]
+        t_a, t_b = truncation_images(params, s)
         c1a = [t_a[j].coefficient(j, up) for j in js]
         c2a = {j: t_a[j - 1].coefficient(j, up) for j in js[1:]}
         top_kill = coeff_is_zero(t_a[s].coefficient(s + 1, up))
@@ -778,9 +773,8 @@ def recursion_factorization_oracle(s_values: Sequence[int]) -> dict:
         c2b = {j: t_b[j + 1].coefficient(j, down) for j in js[:-1]}
         bottom_kill = coeff_is_zero(t_b[0].coefficient(-1, down))
         # E31 on v_j(r, 0) and E32 on v_j(0, r) keep the index j
+        g, h = {}, {}
         for j, r in iproduct(js, (0, 1)):
-            if (j, r) in g:
-                continue
             e31 = act_gen(params, 3, 1, basis_element(params, j, (r, 0)))
             e32 = act_gen(params, 3, 2, basis_element(params, j, (0, r)))
             g[j, r] = e31.coefficient(j, (r - 1, 0))

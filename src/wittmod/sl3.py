@@ -33,7 +33,6 @@ The identity of the bottom gl2 acts as 2*b.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -322,6 +321,12 @@ def lowering_operator(params: Params, x: ModuleElement, shift: int = 0) -> Modul
     return act_word(params, LOWERING_WORD, x) + act_gen(params, 2, 1, x).scale(mult)
 
 
+def truncation_images(params: Params, s: int) -> tuple:
+    """T_A and T_B on v_0(0,0) .. v_s(0,0): two image lists indexed by j, built afresh per s."""
+    xs = [basis_element(params, j, (0, 0)) for j in range(s + 1)]
+    return [raising_operator(params, s, x) for x in xs], [lowering_operator(params, x) for x in xs]
+
+
 # -- lattice covariance ----------------------------------------------------
 #
 # A table entry reads v_idx(r1, r2) only through lam + idx, a1 + r1 and
@@ -604,22 +609,17 @@ def proof_identity_report(s_values: Sequence[int]) -> dict:
         ok = act_word(params, letters, src) == expected == got_embedded
         displays.append({"name": name, "ok": ok, "points": DISPLAY_POINTS})
 
-    def top_coeff_A(s: int, j: int, shift: int = 0):
-        # coefficient at index s+1 of T_A v_{i+j}(0,0), base index symbolic
-        y = raising_operator(params, s, basis_element(params, j, (0, 0)), shift)
-        return y.coefficient(s + 1, (1, -1))
-
-    @cache  # T_B does not depend on s: one image per (j, shift) per call
-    def bottom_coeff_B(j: int, shift: int = 0):
-        y = lowering_operator(params, basis_element(params, j, (0, 0)), shift)
-        return y.coefficient(-1, (-1, 1))
-
+    up, down = (1, -1), (-1, 1)  # where T_A and T_B take the origin
     truncations = []
     for s in s_values:
-        a_ok = all(coeff_is_zero(top_coeff_A(s, j)) for j in range(s + 1))
-        a_control = not coeff_is_zero(top_coeff_A(s, s, shift=1))
-        b_ok = all(coeff_is_zero(bottom_coeff_B(j)) for j in range(s + 1))
-        b_control = not coeff_is_zero(bottom_coeff_B(0, shift=1))
+        t_a, t_b = truncation_images(params, s)
+        a_ok = all(coeff_is_zero(y.coefficient(s + 1, up)) for y in t_a)
+        b_ok = all(coeff_is_zero(y.coefficient(-1, down)) for y in t_b)
+        # the controls: a multiplier shifted by 1 must leave the top and bottom
+        top = raising_operator(params, s, basis_element(params, s, (0, 0)), 1)
+        bottom = lowering_operator(params, basis_element(params, 0, (0, 0)), 1)
+        a_control = not coeff_is_zero(top.coefficient(s + 1, up))
+        b_control = not coeff_is_zero(bottom.coefficient(-1, down))
         truncations.append(
             {
                 "s": s,

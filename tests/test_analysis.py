@@ -147,9 +147,11 @@ def test_proof_identities_validate_their_lengths(s_values):
 
 
 def _assert_canonical(rows):
+    # insertion order: each row is zero at every earlier row's pivot
     pivots = [p for p, _ in rows]
-    assert pivots == sorted(pivots)
-    for p, r in rows:
+    assert len(set(pivots)) == len(pivots)
+    for k, (p, r) in enumerate(rows):
+        assert not any(q in r for q in pivots[:k])
         assert all(type(v) is int and v for v in r.values())
         assert min(r) == p and r[p] > 0 and math.gcd(*r.values()) == 1
 
@@ -169,7 +171,7 @@ def test_subspace_basis_canonical_rows():
     assert sb.insert(pt, {1: 2, 3: 3}) == {1: 2, 3: 3}  # primitive pivot 2
     # a negative leading entry: the stored row is signed so its pivot is positive
     assert sb.insert(pt, {0: Fraction(-1, 2), 1: 1, 4: Fraction(3, 2)}) == {0: 1, 3: 3, 4: -3}
-    assert sb.by_point[pt] == [(0, {0: 1, 3: 3, 4: -3}), (1, {1: 2, 3: 3})]
+    assert sb.by_point[pt] == [(1, {1: 2, 3: 3}), (0, {0: 1, 3: 3, 4: -3})]
     _assert_canonical(sb.by_point[pt])
     # the same span from other vectors, in the other order
     other = SubspaceBasis()
@@ -177,9 +179,9 @@ def test_subspace_basis_canonical_rows():
     other.insert(pt, {1: Fraction(-4, 5), 3: Fraction(-6, 5)})
     _assert_same_span(other, sb)
     # the returned row is zero at every earlier pivot; stored rows stay as
-    # they were returned, in pivot order
+    # they were returned, in insertion order
     assert sb.insert(pt, {1: Fraction(5), 3: Fraction(10)}) == {3: 1}
-    assert sb.by_point[pt] == [(0, {0: 1, 3: 3, 4: -3}), (1, {1: 2, 3: 3}), (3, {3: 1})]
+    assert sb.by_point[pt] == [(1, {1: 2, 3: 3}), (0, {0: 1, 3: 3, 4: -3}), (3, {3: 1})]
     _assert_canonical(sb.by_point[pt])
     assert sb.insert(pt, {0: 2, 3: 7, 4: -6}) is None  # dependent
     assert sb.contains(pt, {3: Fraction(7)})
@@ -214,7 +216,7 @@ def test_subspace_basis_takes_int_rows_as_they_are_and_never_holds_them():
     # a row that meets no stored pivot is stored as a new dict too
     row = {0: 3, 2: -6}
     red = sb.insert(pt, row)
-    assert red == {0: 1, 2: -2} and red is not row and sb.by_point[pt][0][1] is not row
+    assert red == {0: 1, 2: -2} and red is not row and sb.by_point[pt][-1][1] is red
     # rows that are not nonzero ints: zeros dropped, Fractions cleared,
     # inexact and symbolic entries refused
     assert sb.reduce(pt, {0: 0, 4: 5}) == {4: 1}
@@ -257,7 +259,8 @@ def test_every_basis_of_a_span_reduces_alike_and_keeps_its_rows():
     # two spanning sets of one subspace (the second a unitriangular integer
     # recombination of the first, shuffled) often store different echelon rows
     # but reduce every probe alike, so each row a closure pushes is the
-    # same; a stored row is the dict insert returned, never rewritten
+    # same; a stored row is the dict insert returned, kept in insertion
+    # order and never rewritten
     rnd = random.Random(11)
     pt = (0, 0)
     for _ in range(60):
@@ -285,8 +288,9 @@ def test_every_basis_of_a_span_reduces_alike_and_keeps_its_rows():
             probe = {k: rnd.randint(-4, 4) for k in range(n)}
             probe = {k: v for k, v in probe.items() if v}
             assert first.reduce(pt, probe) == second.reduce(pt, probe)
+        # stored in insertion order: the dicts insert returned, one by one
         stored = [r for _, r in first.by_point.get(pt, [])]
-        assert sorted(map(id, stored)) == sorted(id(red) for red, _ in returned)
+        assert list(map(id, stored)) == [id(red) for red, _ in returned]
         assert all(red == copy for red, copy in returned)
 
 
@@ -1495,14 +1499,14 @@ def test_oracle_refuses_a_vanishing_e32_factor(monkeypatch):
 def test_oracle_refuses_a_vanishing_denominator_of_r_b(monkeypatch):
     # without T_B's diagonal, c1b and so b vanish while c2b does not: the
     # ratio route divided by b, and the pair a*b would print N = -1
-    real = engine.lowering_operator
+    real = sl3.lowering_operator
 
     def off_diagonal(params, x):
         ((j, _),) = x.terms
         image = real(params, x)
         return ModuleElement(image.alpha, {k: v for k, v in image.terms.items() if k[0] != j})
 
-    monkeypatch.setattr(engine, "lowering_operator", off_diagonal)
+    monkeypatch.setattr(sl3, "lowering_operator", off_diagonal)
     with pytest.raises(ZeroDivisionError, match="R_B's denominator is 0 at s=1, j=1"):
         recursion_factorization_oracle([1])
 
@@ -1596,40 +1600,58 @@ def test_oracle_offset_is_constant_in_s():
 
 
 def _spy_oracle_operators(monkeypatch) -> dict:
-    calls = {"raising_operator": 0, "lowering_operator": 0, "act_gen": 0}
-    for name in calls:
-        original = getattr(engine, name)
+    # T_A and T_B are applied inside sl3, through the one builder the
+    # oracle calls; the E31/E32 coefficients are read in engine
+    calls = {
+        "truncation_images": 0, "raising_operator": 0, "lowering_operator": 0, "act_gen": 0
+    }
+    for module, name in (
+        (engine, "truncation_images"), (sl3, "raising_operator"), (sl3, "lowering_operator"),
+        (engine, "act_gen"),
+    ):
+        original = getattr(module, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(engine, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_oracle_applies_each_operator_once(monkeypatch, s):
-    # one T_A and one T_B image per basis vector v_0 .. v_s, and one E31
-    # and one E32 coefficient per (index, lattice step) pair
+    # one builder call, one T_A and one T_B image per basis vector v_0 ..
+    # v_s, and one E31 and one E32 coefficient per (index, lattice step) pair
     calls = _spy_oracle_operators(monkeypatch)
     assert recursion_factorization_oracle([s])["verdict"] == "pass"
     assert calls == {
+        "truncation_images": 1,
         "raising_operator": s + 1,
         "lowering_operator": s + 1,
         "act_gen": 4 * (s + 1),
     }
 
 
-def test_oracle_shares_s_independent_images_across_s(monkeypatch):
-    # T_A depends on s; T_B and the E31/E32 coefficients do not, so the
-    # default s = 1, 2, 3 run applies them to v_0 .. v_3 once each
+def test_oracle_builds_each_s_on_its_own(monkeypatch):
+    # nothing is kept between truncation lengths: the s = 1, 2, 3 run calls
+    # the builder once per s, so T_A, T_B and the E31/E32 coefficients are
+    # computed on v_0 .. v_s for each s, and each s reads as it does alone
     calls = _spy_oracle_operators(monkeypatch)
     doc = recursion_factorization_oracle([1, 2, 3])
     assert doc["verdict"] == "pass"
-    assert calls == {"raising_operator": 2 + 3 + 4, "lowering_operator": 4, "act_gen": 16}
+    assert calls == {
+        "truncation_images": 3,
+        "raising_operator": 2 + 3 + 4,
+        "lowering_operator": 2 + 3 + 4,
+        "act_gen": 4 * (2 + 3 + 4),
+    }
     assert [res["derived_factors"] for res in doc["results"]] == [
         [f"c - 3*b + {s + 1}", f"c + 3*b - {s + 2}"] for s in (1, 2, 3)
+    ]
+    monkeypatch.undo()
+    assert doc["results"] == [
+        recursion_factorization_oracle([s])["results"][0] for s in (1, 2, 3)
     ]
 
 

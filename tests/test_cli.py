@@ -74,6 +74,22 @@ def test_check_generic_fail_from_config(capsys, tmp_path):
     assert [c["name"] for c in bad] == ["c-3b"]
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xef\xbb\xbfl=1/7\n", b"l=1/7\r\n", b"\xef\xbb\xbf# saved on Windows\r\nl=1/7\r\n"],
+    ids=["bom", "crlf", "bom-crlf"],
+)
+def test_config_reads_a_bom_and_crlf_line_ends(capsys, tmp_path, raw):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_bytes(raw)
+    rc, out, err = run_cli(capsys, "check-generic", "--config", str(cfg))
+    assert (rc, err) == (0, "")
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("l = 1/7\n")
+    assert run_cli(capsys, "check-generic", "--config", str(plain)) == (0, out, "")
+    assert json.loads(out)["params"]["l"] == "1/7"
+
+
 def test_check_generic_refuses_symbolic_params(capsys):
     rc, out, _ = run_cli(capsys, "check-generic", "--mode", "symbolic")
     doc = json.loads(out)

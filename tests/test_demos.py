@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree, on the
+standard library alone: ``python -S`` leaves site-packages, and so sympy,
+off the path, as the report lock's producers run."""
 
 import os
 import subprocess
@@ -15,6 +17,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
+        [sys.executable, "-S", str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr

@@ -914,20 +914,28 @@ def test_proof_identities_compare_the_witt_route(monkeypatch):
     assert [d["ok"] for d in doc["displays"]] == [False] * 4
 
 
-def test_proof_identities_kill_the_bottom_once_per_call(monkeypatch):
-    # T_B does not depend on s: the s = 1..4 run computes the 5 kill
-    # images T_B v_j(0,0), j = 0..4, once each, plus the one control
-    calls = []
-    lowering = sl3.lowering_operator
+def test_proof_identities_kill_the_bottom_once_per_s(monkeypatch):
+    # nothing is kept between truncation lengths: each s = 1..4 calls the
+    # builder once, which computes the s + 1 kill images T_B v_j(0,0),
+    # j = 0..s, and then the one control, 2 + 3 + 4 + 5 images and 4 controls
+    calls, built = [], []
+    lowering, images = sl3.lowering_operator, sl3.truncation_images
 
     def spy(*args, **kwargs):
         calls.append(args)
         return lowering(*args, **kwargs)
 
+    def spy_images(params, s):
+        built.append(s)
+        return images(params, s)
+
     monkeypatch.setattr(sl3, "lowering_operator", spy)
+    monkeypatch.setattr(sl3, "truncation_images", spy_images)
     rep = proof_identity_report([1, 2, 3, 4])
     assert rep["ok"]
-    assert len(calls) == 6
+    assert built == [1, 2, 3, 4]
+    assert len(calls) == 2 + 3 + 4 + 5 + 4
+    assert [x.terms for _, x, *shift in calls if shift == [1]] == [{(0, (0, 0)): 1}] * 4
     assert rep["truncations"] == [
         {
             "s": s,
@@ -941,10 +949,20 @@ def test_proof_identities_kill_the_bottom_once_per_call(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("params", [SYM_IOTA, Params.numeric()], ids=["iota", "numeric"])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_truncation_images_are_the_operators_on_v_0_to_v_s(params, s):
+    t_a, t_b = sl3.truncation_images(params, s)
+    sources = [basis_element(params, j, (0, 0)) for j in range(s + 1)]
+    assert t_a == [sl3.raising_operator(params, s, x) for x in sources]
+    assert t_b == [sl3.lowering_operator(params, x) for x in sources]
+    assert all(not y.is_zero() for y in t_a + t_b)
+
+
 def test_proof_identities_compute_each_identity_once(monkeypatch):
     # outermost calls only: one act_word per display, one act_embedded per
-    # display letter, one T_A per (s, j) plus one control per s, and T_B
-    # once per j = 0..4 plus one control
+    # display letter, one builder call per s, and within or beside it one
+    # T_A and one T_B per (s, j) plus one control of each per s
     calls, inside = Counter(), []
 
     def spy(name):
@@ -965,7 +983,15 @@ def test_proof_identities_compute_each_identity_once(monkeypatch):
         spy(name)
     assert proof_identity_report([1, 2, 3, 4])["ok"]
     assert calls == {
-        "act_word": 4, "act_embedded": 6, "raising_operator": 18, "lowering_operator": 6
+        "act_word": 4, "act_embedded": 6, "raising_operator": 18, "lowering_operator": 18
+    }
+    # with the builder spied too, only the controls are computed outside it
+    calls.clear()
+    spy("truncation_images")
+    assert proof_identity_report([1, 2, 3, 4])["ok"]
+    assert calls == {
+        "act_word": 4, "act_embedded": 6, "truncation_images": 4,
+        "raising_operator": 4, "lowering_operator": 4,
     }
 
 
