@@ -22,7 +22,6 @@ Layers, bottom up:
 from .scalars import (
     ParamPolynomial,
     Scalar,
-    factor_linear_in_iota,
     factor_polynomial,
     scalar_to_text,
 )
@@ -76,8 +75,7 @@ from .report import aggregate_verdict, canonical_json, exit_code_for
 __version__ = "0.1.0"
 
 __all__ = [
-    "ParamPolynomial", "Scalar",
-    "factor_linear_in_iota", "factor_polynomial", "scalar_to_text",
+    "ParamPolynomial", "Scalar", "factor_polynomial", "scalar_to_text",
     "ModuleElement", "WittGenerator", "act_witt", "de_rham_differential",
     "element_to_json", "jacobi_residual", "witt_bracket_residual",
     "CuspidalGl2", "FinDimGlModule", "exterior_power", "verify_gl_brackets",

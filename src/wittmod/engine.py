@@ -644,7 +644,7 @@ def find_singular_vectors(params: Params, window: Window) -> list:
     if not params.is_numeric():
         raise ValueError("find_singular_vectors needs numeric parameters")
     for g in SINGULAR_OPS:
-        if [off for off, _ in GENERATORS[g][3]] != [0]:
+        if [off for off, _ in GENERATORS[g][2]] != [0]:
             raise AssertionError(f"{NAME_OF[g]} is not diagonal on a point's basis")
     alpha = params.alpha()
     indices = window.indices()

@@ -7,8 +7,8 @@ cuspidal gl2 family, each generator acts on basis symbols v_i(r1, r2)
 by an explicit closed formula.  Both routes read one GENERATORS row per
 generator: act_gen applies its formula, a few (index offset, integer
 linear form in l, b, c, a1, a2) entries, and act_embedded its Witt
-preimage sign * D(u, r), so the two can be compared term by term.  The
-row's r is also the lattice shift of the formula.  The ten genericity
+preimage D(u, r), so the two can be compared term by term.  The row's r
+is also the lattice shift of the formula.  The ten genericity
 conditions are integer linear forms of the same kind (CONDITIONS).
 
 ``generator_operator`` binds one row to the parameters, as
@@ -135,28 +135,22 @@ def basis_element(params: Params, idx: int, r) -> ModuleElement:
     return ModuleElement.basis(params.alpha(), idx, tuple(r))
 
 
-def _check_alpha(params: Params, x: ModuleElement):
-    if tuple(x.alpha) != tuple(params.alpha()):
-        raise ValueError("element twist does not match the given parameters")
-
-
-# One row per generator Ebar_ij: (sign, u, r, formula).  Its Witt
-# preimage is sign * D(u, r), and r is also the lattice shift of its
-# closed formula.  A formula entry (offset, form) holds a linear form as
-# its integer coefficients over PARAM_KEYS and contributes, on
-# v_idx(r1, r2),
+# One row per generator Ebar_ij: (u, r, formula).  Its Witt preimage is
+# D(u, r), and r is also the lattice shift of its closed formula.  A
+# formula entry (offset, form) holds a linear form as its integer
+# coefficients over PARAM_KEYS and contributes, on v_idx(r1, r2),
 #     form(lam + idx, b, c, a1 + r1, a2 + r2) * v_{idx+offset}((r1, r2) + r)
 # so idx, r1 and r2 enter through the form's l, a1 and a2 coefficients.
 GENERATORS = {
-    (1, 1): (1, (1, 0), (0, 0), ((0, (0, 0, 0, 1, 0)),)),
-    (1, 2): (1, (0, 1), (1, -1), ((0, (1, -1, 0, 0, 1)), (1, (1, 0, 1, 0, 0)))),
-    (1, 3): (-1, (1, 1), (1, 0), ((0, (-1, -1, 0, -1, -1)), (1, (-1, 0, -1, 0, 0)))),
-    (2, 1): (1, (1, 0), (-1, 1), ((-1, (-1, 0, 1, 0, 0)), (0, (-1, -1, 0, 1, 0)))),
-    (2, 2): (1, (0, 1), (0, 0), ((0, (0, 0, 0, 0, 1)),)),
-    (2, 3): (-1, (1, 1), (0, 1), ((-1, (1, 0, -1, 0, 0)), (0, (1, -1, 0, -1, -1)))),
-    (3, 1): (1, (1, 0), (-1, 0), ((0, (-1, -1, 0, 1, 0)),)),
-    (3, 2): (1, (0, 1), (0, -1), ((0, (1, -1, 0, 0, 1)),)),
-    (3, 3): (-1, (1, 1), (0, 0), ((0, (0, 0, 0, -1, -1)),)),
+    (1, 1): ((1, 0), (0, 0), ((0, (0, 0, 0, 1, 0)),)),
+    (1, 2): ((0, 1), (1, -1), ((0, (1, -1, 0, 0, 1)), (1, (1, 0, 1, 0, 0)))),
+    (1, 3): ((-1, -1), (1, 0), ((0, (-1, -1, 0, -1, -1)), (1, (-1, 0, -1, 0, 0)))),
+    (2, 1): ((1, 0), (-1, 1), ((-1, (-1, 0, 1, 0, 0)), (0, (-1, -1, 0, 1, 0)))),
+    (2, 2): ((0, 1), (0, 0), ((0, (0, 0, 0, 0, 1)),)),
+    (2, 3): ((-1, -1), (0, 1), ((-1, (1, 0, -1, 0, 0)), (0, (1, -1, 0, -1, -1)))),
+    (3, 1): ((1, 0), (-1, 0), ((0, (-1, -1, 0, 1, 0)),)),
+    (3, 2): ((0, 1), (0, -1), ((0, (1, -1, 0, 0, 1)),)),
+    (3, 3): ((-1, -1), (0, 0), ((0, (0, 0, 0, -1, -1)),)),
 }
 
 GEN_NAMES = {f"E{i}{j}": (i, j) for i, j in GENERATORS}
@@ -176,7 +170,7 @@ def _formula(g, values, scale: int) -> tuple:
     and the form's l, a1 and a2 coefficients times scale.  Its factor on
     v_idx(r1, r2) is value + k_idx*idx + k_r1*r1 + k_r2*r2."""
     check_letters((g,))
-    _, _, shift, formula = GENERATORS[g]
+    _, shift, formula = GENERATORS[g]
     return shift, tuple(
         (off, form_value(f, values), scale * f[0], scale * f[3], scale * f[4])
         for off, f in formula
@@ -195,11 +189,13 @@ def generator_operator(params: Params, g, scale: int = 1):
     sweep's coefficient operations.  ``apply`` refuses an element with
     another alpha.
     """
+    alpha = params.alpha()
     values = params if scale == 1 else tuple(scaled_int(v, scale) for v in params)
     (s1, s2), entries = _formula(g, values, scale)
 
     def apply(x: ModuleElement) -> ModuleElement:
-        _check_alpha(params, x)
+        if x.alpha != alpha:
+            raise ValueError(f"element twist {x.alpha} does not match the bound {alpha}")
         out = {}
         for (idx, (r1, r2)), coeff in x.terms.items():
             pt = (r1 + s1, r2 + s2)
@@ -251,13 +247,13 @@ def row_action(params: Params):
 def act_embedded(
     params: Params, i: int, j: int, x: ModuleElement, scale: int = 1
 ) -> ModuleElement:
-    """Apply scale * Ebar_ij through its Witt-algebra preimage sign * D(u, r)
-    by ``tensor.act_witt``; dual route to act_gen."""
-    _check_alpha(params, x)
-    sign, u, r, _ = GENERATORS[(i, j)]
-    module = CuspidalGl2(params.lam, params.b, params.c)
-    y = act_witt(WittGenerator(u, r), x, module, scale)
-    return y if sign == 1 else -y
+    """Apply scale * Ebar_ij through its Witt-algebra preimage D(u, r) by
+    ``tensor.act_witt``; dual route to act_gen."""
+    alpha = params.alpha()
+    if x.alpha != alpha:
+        raise ValueError(f"element twist {x.alpha} does not match the bound {alpha}")
+    u, r, _ = GENERATORS[(i, j)]
+    return act_witt(WittGenerator(u, r), x, CuspidalGl2(params.lam, params.b, params.c), scale)
 
 
 def parse_word(text: str):
@@ -283,15 +279,15 @@ def word_path(letters, offset: int):
     offsets sum to ``offset``; the word's coefficient there is the product
     of their forms.  None unless exactly one such path exists."""
     check_letters(letters)
-    entries = product(*(GENERATORS[g][3] for g in reversed(letters)))
+    entries = product(*(GENERATORS[g][2] for g in reversed(letters)))
     paths = [path for path in entries if sum(off for off, _ in path) == offset]
     return paths[0] if len(paths) == 1 else None
 
 
 def word_shift(letters):
     check_letters(letters)
-    s1 = sum(GENERATORS[lt][2][0] for lt in letters)
-    s2 = sum(GENERATORS[lt][2][1] for lt in letters)
+    s1 = sum(GENERATORS[lt][1][0] for lt in letters)
+    s2 = sum(GENERATORS[lt][1][1] for lt in letters)
     return (s1, s2)
 
 

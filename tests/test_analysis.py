@@ -1299,13 +1299,13 @@ def test_singular_ops_are_diagonal_with_the_degenerate_conditions_as_forms():
     # the premise of the diagonal read; the forms are the two integrality
     # conditions check_degenerate_reducibility gates on
     for g, name in zip(engine.SINGULAR_OPS, ("a1-b-l", "a2-b+l")):
-        ((offset, form),) = sl3.GENERATORS[g][3]
+        ((offset, form),) = sl3.GENERATORS[g][2]
         assert offset == 0 and form == sl3.CONDITIONS[name]
 
 
 def test_singular_vectors_refuse_an_off_diagonal_entry(monkeypatch):
-    sign, u, r, formula = sl3.GENERATORS[(3, 1)]
-    monkeypatch.setitem(sl3.GENERATORS, (3, 1), (sign, u, r, formula + ((1, (0, 0, 1, 0, 0)),)))
+    u, r, formula = sl3.GENERATORS[(3, 1)]
+    monkeypatch.setitem(sl3.GENERATORS, (3, 1), (u, r, formula + ((1, (0, 0, 1, 0, 0)),)))
     with pytest.raises(AssertionError, match="^E31 is not diagonal on a point's basis$"):
         find_singular_vectors(DEG, Window.symmetric(2, 2, 2))
 
@@ -1490,8 +1490,8 @@ def test_oracle_pairs_match_the_ratio_route_in_sympys_field():
 def test_oracle_refuses_a_vanishing_e32_factor(monkeypatch):
     # a zero E32 form makes every h vanish: the ratio route divided by
     # h[0,0], and the pair route refuses it instead of printing N = -1
-    sign, u, shift, ((off, form),) = GENERATORS[3, 2]
-    monkeypatch.setitem(GENERATORS, (3, 2), (sign, u, shift, ((off, (0,) * len(form)),)))
+    u, shift, ((off, form),) = GENERATORS[3, 2]
+    monkeypatch.setitem(GENERATORS, (3, 2), (u, shift, ((off, (0,) * len(form)),)))
     with pytest.raises(ZeroDivisionError, match="E31/E32 factor"):
         recursion_factorization_oracle([1])
 
@@ -1895,8 +1895,8 @@ def _index_leak(monkeypatch):
 
 def _point_leak(monkeypatch):
     # E12 shifts by (1, 0), not (1, -1), so E12*E21 moves every point by (0, 1)
-    sign, u, _, formula = sl3.GENERATORS[1, 2]
-    monkeypatch.setitem(sl3.GENERATORS, (1, 2), (sign, u, (1, 0), formula))
+    u, _, formula = sl3.GENERATORS[1, 2]
+    monkeypatch.setitem(sl3.GENERATORS, (1, 2), (u, (1, 0), formula))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Command line interface: reports, exit codes, determinism."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -486,3 +487,29 @@ def test_public_names_resolve():
     assert scalar_types == {"ParamPolynomial", "Scalar"}
     removed = {"IotaFactorization", "ScalarParseError", "parse_scalar", "element_from_json"}
     assert not removed & set(names)
+
+
+def _unused_imports(source: str) -> list:
+    """The names a module's imports bind and no expression of it reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package's __init__ imports to re-export; every other module
+    # imports only what it reads
+    assert _unused_imports("import os.path\nfrom re import sub as s, fullmatch\ns()") == [
+        "os", "fullmatch"
+    ]
+    modules = sorted((TESTS.parent / "src" / "wittmod").glob("*.py"))
+    assert {"engine.py", "sl3.py", "tensor.py"} <= {path.name for path in modules}
+    for path in modules:
+        if path.name != "__init__.py":
+            assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name

@@ -96,11 +96,17 @@ def test_weights():
 
 
 def test_alpha_mismatch_rejected():
-    from wittmod.tensor import ModuleElement
-
+    # every sl3 binding refuses an element of another twist, in the Witt
+    # bindings' words: act_gen, a bound generator and the Witt route
     x = ModuleElement.basis((Fraction(1), Fraction(2)), 0, (0, 0))
-    with pytest.raises(ValueError):
-        act_gen(NUM, 1, 1, x)
+    for params in (NUM, SYM):
+        bound = sl3.generator_operator(params, (1, 2))
+        routes = (partial(act_gen, params, 1, 1), bound, partial(act_embedded, params, 1, 3))
+        for route in routes:
+            with pytest.raises(ValueError, match="does not match the bound"):
+                route(x)
+        # the twist the parameters name is taken
+        assert not bound(basis_element(params, 0, (0, 0))).is_zero()
 
 
 @pytest.mark.parametrize("gen", [(4, 4), (0, 1), (1, 4), (3, 0)])
@@ -198,7 +204,7 @@ def test_word_path_reads_the_leakage_forms(word, offset, forms):
     # and at the basis vector the first letter lands on, with lam = l + iota
     letters = parse_word(word)
     path = word_path(letters, offset)
-    assert all(e in sl3.GENERATORS[g][3] for g, e in zip(reversed(letters), path))
+    assert all(e in sl3.GENERATORS[g][2] for g, e in zip(reversed(letters), path))
     (off, first), (_, second) = path
     lam, b, c, a1, a2 = Params.symbolic(with_iota_index=True)
     r1, r2 = word_shift(letters[-1:])
@@ -347,7 +353,7 @@ def test_tabled_residuals_equal_bracket_residual(monkeypatch, params):
                 failing += not rep["ok"]
     # 111 row corruptions, the doubled E12 and the intact table
     assert compared == 113 * len(TABLED_VECTORS)
-    # act_gen reads no row's sign or u, so those 15 corruptions pass;
+    # act_gen reads no row's u, so its 9 negations and 6 swaps pass;
     # every other one fails at each of the three vectors
     assert params is not NUM or failing == (111 - 15 + 1) * len(TABLED_VECTORS)
 
@@ -404,7 +410,7 @@ def test_symbolic_residuals_negate_only_uncancelled_terms(monkeypatch):
             in_act[0] = False
 
     def minus_signs(g):
-        return sum(k < 0 for _, form in sl3.GENERATORS[g][3] for k in form)
+        return sum(k < 0 for _, form in sl3.GENERATORS[g][2] for k in form)
 
     monkeypatch.setattr(Scalar, "__neg__", spy(neg))
     residuals = bracket_residuals(act, 3, basis_element(SYM, 0, (0, 0)))
@@ -464,20 +470,21 @@ def test_embedding_sweep_symbolic():
 
 def _row_mutations():
     """(generator, row) for each one-field change of a GENERATORS row that
-    alters it: the sign, u swapped, either component of r, and per formula
-    entry its index offset and each coefficient of its form."""
+    alters it: u negated (the preimage's sign flipped) or swapped, either
+    component of r, and per formula entry its index offset and each
+    coefficient of its form."""
     for g, row in sl3.GENERATORS.items():
-        sign, u, r, formula = row
+        u, r, formula = row
         rows = [
-            (-sign, u, r, formula),
-            (sign, u[::-1], r, formula),
-            (sign, u, (r[0] + 1, r[1]), formula),
-            (sign, u, (r[0], r[1] + 1), formula),
+            ((-u[0], -u[1]), r, formula),
+            (u[::-1], r, formula),
+            (u, (r[0] + 1, r[1]), formula),
+            (u, (r[0], r[1] + 1), formula),
         ]
         for n, (off, form) in enumerate(formula):
             entries = [(off + 1, form)]
             entries += [(off, form[:k] + (form[k] + 1,) + form[k + 1:]) for k in range(5)]
-            rows += [(sign, u, r, formula[:n] + (e,) + formula[n + 1:]) for e in entries]
+            rows += [(u, r, formula[:n] + (e,) + formula[n + 1:]) for e in entries]
         yield from ((g, mutated) for mutated in rows if mutated != row)
 
 
@@ -487,7 +494,7 @@ def test_embedding_check_catches_every_table_mutation(monkeypatch):
     window = Window.symmetric(1, 1, 1)
     points, indices = window.points(), window.indices()
     mutations = list(_row_mutations())
-    # u = (1, 1) of E13, E23 and E33 is its own swap; 13 formula entries
+    # u = (-1, -1) of E13, E23 and E33 is its own swap; 13 formula entries
     assert len(mutations) == 9 * 4 - 3 + 13 * 6
     for g, row in mutations:
         with monkeypatch.context() as m:
@@ -504,8 +511,8 @@ def test_zeroed_forms_fail_brackets(monkeypatch, params, zeroed):
     # gl2 E11 column the embedding alone, and neither raises
     assert form_value((0,) * 5, params) == 0
     if zeroed == "E11 form":
-        sign, u, r, ((off, _),) = sl3.GENERATORS[(1, 1)]
-        monkeypatch.setitem(sl3.GENERATORS, (1, 1), (sign, u, r, ((off, (0,) * 5),)))
+        u, r, ((off, _),) = sl3.GENERATORS[(1, 1)]
+        monkeypatch.setitem(sl3.GENERATORS, (1, 1), (u, r, ((off, (0,) * 5),)))
     else:
         monkeypatch.setitem(glmod.CUSPIDAL_COLUMNS, (1, 1), (0, (0, 0, 0)))
         assert glmod.CuspidalGl2(*params[:3]).column(1, 1, 0) == ()
@@ -599,7 +606,7 @@ def test_covariant_bracket_sweep_equals_the_direct_sweep(monkeypatch):
                 rep = verify_sl3_brackets(*window)
                 assert canonical_json(rep) == canonical_json(_direct_bracket_sweep(*window)), name
                 failing += params is SYM and not rep["ok"]
-    # act_gen reads no row's sign or u: those 9 + 6 corruptions pass, and
+    # act_gen reads no row's u: its 9 negations and 6 swaps pass, and
     # every other one fails, as does the doubled E12
     assert failing == 111 - 15 + 1
 
@@ -656,7 +663,7 @@ def _embedding_corruptions():
 
 
 def test_covariant_embedding_sweep_equals_the_direct_sweep(monkeypatch):
-    # the Witt route reads the GENERATORS row's sign, u and r and the gl2
+    # the Witt route reads the GENERATORS row's u and r and the gl2
     # columns; the derived sweep moves v_0(0,0)'s residuals, the direct
     # one computes every basis vector.  Numeric parameters take the
     # direct route in verify_embedding too: that run pins the order
